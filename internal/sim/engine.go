@@ -9,10 +9,12 @@
 // The scheduler is a hierarchical timer wheel (Varghese–Lauck) with a
 // far-future overflow heap, sized for the simulator's workload: short-
 // horizon, high-churn MAC timers that are frequently canceled or moved.
-// Schedule, Cancel, and RescheduleTo are O(1) amortized; canceled events
-// are unlinked immediately (no tombstones drag through the queue) and
-// their structs recycled through a freelist, so the steady state of
-// schedule/fire/cancel is allocation-free.
+// Schedule, Cancel, and RescheduleTo are O(1) amortized: coarse wheel
+// slots are unordered lists, and only the finest level, one ~1 µs tick
+// per slot, is kept sorted, so an insertion scans at most one tick's
+// events. Canceled events are unlinked immediately (no tombstones drag
+// through the queue) and their structs recycled through a freelist, so
+// the steady state of schedule/fire/cancel is allocation-free.
 package sim
 
 import (
@@ -123,10 +125,13 @@ func (ev *Event) RescheduleTo(at time.Duration) {
 	e.insert(ev)
 }
 
-// slotList is one wheel slot: an intrusive doubly-linked event list kept
-// sorted by (at, seq), so its head is the slot's earliest event. A level-0
-// slot holds a single tick, but a tick (2^tickShift ns) is coarser than
-// virtual time, so same-slot events may still differ in at.
+// slotList is one wheel slot: an intrusive doubly-linked event list. A
+// level-0 slot holds a single tick and is kept sorted by (at, seq), so
+// its head is the tick's earliest event (a tick, 2^tickShift ns, is
+// coarser than virtual time, so same-slot events may still differ in at).
+// Coarse slots (levels 1 and up) are unordered: insert appends to them in
+// O(1), and order is imposed only when a cascade moves their events down
+// to level 0, the only level next reads heads from.
 type slotList struct {
 	head, tail *Event
 }
@@ -336,12 +341,16 @@ func (e *Engine) insert(ev *Event) {
 	idx := int(t>>(level*slotBits)) & slotMask
 	ev.level, ev.slot, ev.where = uint8(level), uint8(idx), locWheel
 	s := &e.wheels[level][idx]
-	// Sorted insert, scanning from the tail: a newly scheduled event has
-	// the largest seq, so it lands at the tail unless an earlier-at event
-	// was inserted after later-at ones (possible across cascades).
+	// Coarse slots are unordered: append. A level-0 slot is kept sorted,
+	// scanning from the tail: a newly scheduled event has the largest seq,
+	// so it lands at the tail unless an earlier-at event arrives after
+	// later-at ones (as cascades from unordered slots deliver them). The
+	// scan is bounded by one tick's population.
 	cur := s.tail
-	for cur != nil && evLess(ev, cur) {
-		cur = cur.prev
+	if level == 0 {
+		for cur != nil && evLess(ev, cur) {
+			cur = cur.prev
+		}
 	}
 	if cur == nil {
 		ev.prev, ev.next = nil, s.head

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -411,6 +413,45 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineDenseWheel measures per-event cost against the pending
+// population: 320, 4,000 and 40,000 self-rescheduling timers (about four
+// per node at 80, 1,000 and 10,000 nodes), each re-armed after a delay
+// drawn log-uniformly from 10 µs to 100 ms, the span between a backoff
+// slot and a query period. Such delays crowd the coarse wheel slots, so
+// ns/op (one fired event) stays flat across the sub-benchmarks only
+// while coarse-slot insertion is O(1).
+func BenchmarkEngineDenseWheel(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]time.Duration, 4096)
+	lo, hi := math.Log(float64(10*time.Microsecond)), math.Log(float64(100*time.Millisecond))
+	for i := range delays {
+		delays[i] = time.Duration(math.Exp(lo + rng.Float64()*(hi-lo)))
+	}
+	for _, pending := range []int{320, 4_000, 40_000} {
+		b.Run(strconv.Itoa(pending), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(2)) // same start on every b.N round
+			e := New(1)
+			next := 0
+			var tick func()
+			tick = func() {
+				next++
+				e.After(delays[next&(len(delays)-1)], tick)
+			}
+			for i := 0; i < pending; i++ {
+				e.After(delays[rng.Intn(len(delays))], tick)
+			}
+			for i := 0; i < pending; i++ { // every timer fires once
+				e.Step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
+	}
+}
+
 func BenchmarkTimerWheelChurn(b *testing.B) {
 	e := New(1)
 	b.ReportAllocs()
@@ -768,33 +809,34 @@ func TestScheduleNearAfterDeadlinePeek(t *testing.T) {
 	}
 }
 
-// Differential test (folded in from the PR-3 review scratch file):
-// engine vs a naive sorted-list reference, mixing bounded Run calls,
-// between-run and in-callback schedules, cancels, and reschedules
-// across all wheel levels and the overflow heap.
+// Differential test: engine vs a naive sorted-list reference, mixing
+// bounded Run calls, between-run schedules, cancels, and reschedules
+// across all wheel levels and the overflow heap. Seeds from
+// denseSeedsFrom on draw their instants from 64 values 100 ns apart in a
+// few windows, so hundreds of events crowd each coarse slot, each tick
+// gets several distinct instants in random order plus many ties, and
+// the bounded Runs end inside those slots.
 func TestDifferentialAgainstSortedModel(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
+	const denseSeedsFrom, seeds = 40, 48
+	for seed := int64(0); seed < seeds; seed++ {
+		dense := seed >= denseSeedsFrom
 		rng := rand.New(rand.NewSource(seed))
 		e := New(seed)
 
 		type ref struct {
 			at       time.Duration
 			seq      uint64
-			id       int
 			canceled bool
 		}
-		var model []*ref
+		var model []*ref // indexed by id
 		handles := map[int]*Event{}
 		var fired, want []int
-		nextID := 0
 		var mseq uint64
 
 		schedule := func(at time.Duration) {
-			id := nextID
-			nextID++
-			r := &ref{at: at, seq: mseq, id: id}
+			id := len(model)
+			model = append(model, &ref{at: at, seq: mseq})
 			mseq++
-			model = append(model, r)
 			handles[id] = e.Schedule(at, func() {
 				delete(handles, id)
 				fired = append(fired, id)
@@ -802,39 +844,43 @@ func TestDifferentialAgainstSortedModel(t *testing.T) {
 		}
 
 		randomAt := func() time.Duration {
+			if dense {
+				windows := [...]time.Duration{0, 300 * time.Microsecond, 70 * time.Millisecond, 20 * time.Second, 80 * time.Minute}
+				return e.Now() + windows[rng.Intn(len(windows))] + time.Duration(rng.Intn(64))*100*time.Nanosecond
+			}
 			mag := time.Duration(1) << uint(rng.Intn(44)) // up to ~4.8h, past horizon
 			return e.Now() + time.Duration(rng.Int63n(int64(mag)))
 		}
 
 		// Run the model forward to `until`, appending fired ids to want.
+		// Callbacks schedule nothing, so the events due by until are
+		// exactly the live ones with at <= until.
 		runModel := func(until time.Duration) {
-			for {
-				live := model[:0:0]
-				for _, r := range model {
-					if !r.canceled {
-						live = append(live, r)
-					}
+			var due []int
+			for id, r := range model {
+				if !r.canceled && r.at <= until {
+					due = append(due, id)
 				}
-				if len(live) == 0 {
-					return
-				}
-				sort.Slice(live, func(a, b int) bool {
-					if live[a].at != live[b].at {
-						return live[a].at < live[b].at
-					}
-					return live[a].seq < live[b].seq
-				})
-				r := live[0]
-				if r.at > until {
-					return
-				}
-				r.canceled = true // consumed
-				want = append(want, r.id)
 			}
+			sort.Slice(due, func(a, b int) bool {
+				ra, rb := model[due[a]], model[due[b]]
+				if ra.at != rb.at {
+					return ra.at < rb.at
+				}
+				return ra.seq < rb.seq
+			})
+			for _, id := range due {
+				model[id].canceled = true // consumed
+			}
+			want = append(want, due...)
 		}
 
+		opsPerRound := 10
+		if dense {
+			opsPerRound = 300
+		}
 		for round := 0; round < 30; round++ {
-			for op := 0; op < 10; op++ {
+			for op := 0; op < opsPerRound; op++ {
 				switch rng.Intn(4) {
 				case 0, 1:
 					schedule(randomAt())
@@ -842,29 +888,24 @@ func TestDifferentialAgainstSortedModel(t *testing.T) {
 					for id, ev := range handles {
 						ev.Cancel()
 						delete(handles, id)
-						for _, r := range model {
-							if r.id == id {
-								r.canceled = true
-							}
-						}
+						model[id].canceled = true
 						break
 					}
 				case 3: // reschedule a random live event
 					for id, ev := range handles {
 						at := randomAt()
 						ev.RescheduleTo(at)
-						for _, r := range model {
-							if r.id == id {
-								r.at = at
-								r.seq = mseq
-								mseq++
-							}
-						}
+						model[id].at = at
+						model[id].seq = mseq
+						mseq++
 						break
 					}
 				}
 			}
 			until := e.Now() + time.Duration(rng.Int63n(int64(90*time.Minute)))
+			if dense && round%3 != 0 {
+				until = e.Now() + time.Duration(rng.Int63n(int64(100*time.Millisecond)))
+			}
 			e.Run(until)
 			runModel(until)
 			if len(fired) != len(want) {
@@ -891,6 +932,270 @@ func TestDifferentialAgainstSortedModel(t *testing.T) {
 			}
 		}
 	}
+}
+
+// orderModel is a reference model for the adversarial ordering test:
+// every event's final (at, seq), with seq numbered exactly as the engine
+// numbers schedules and reschedules. An observer checks each pop against
+// the model and against the previous pop, so the fired sequence must be
+// the sorted (at, seq) order of everything scheduled and not canceled.
+type orderModel struct {
+	t       *testing.T
+	e       *Engine
+	seq     uint64
+	evs     []orderRef
+	handles []*Event
+	fired   []int
+	// last is the (at, seq) of the latest pop, once popped is set.
+	last   orderRef
+	popped bool
+}
+
+type orderRef struct {
+	at    time.Duration
+	seq   uint64
+	state uint8 // orderLive, orderCanceled, orderFired
+}
+
+const (
+	orderLive uint8 = iota
+	orderCanceled
+	orderFired
+)
+
+func newOrderModel(t *testing.T) *orderModel {
+	m := &orderModel{t: t, e: New(1)}
+	m.e.SetObserver(m)
+	return m
+}
+
+func (m *orderModel) EventFired(at time.Duration, seq uint64) {
+	if m.popped && (at < m.last.at || at == m.last.at && seq <= m.last.seq) {
+		m.t.Fatalf("pop (%v, %d) after (%v, %d)", at, seq, m.last.at, m.last.seq)
+	}
+	m.last.at, m.last.seq, m.popped = at, seq, true
+}
+
+func (m *orderModel) schedule(at time.Duration) int { return m.scheduleThen(at, nil) }
+
+// scheduleThen schedules an event whose callback, when it fires, runs
+// then (if non-nil) after recording the pop.
+func (m *orderModel) scheduleThen(at time.Duration, then func()) int {
+	id := len(m.evs)
+	m.evs = append(m.evs, orderRef{at: at, seq: m.seq})
+	m.seq++
+	m.handles = append(m.handles, m.e.Schedule(at, func() {
+		m.fire(id)
+		if then != nil {
+			then()
+		}
+	}))
+	return id
+}
+
+func (m *orderModel) fire(id int) {
+	r := &m.evs[id]
+	if r.state != orderLive || r.at != m.last.at || r.seq != m.last.seq || r.at != m.e.Now() {
+		m.t.Fatalf("event %d (at %v, seq %d, state %d) fired as pop (%v, %d) at now %v",
+			id, r.at, r.seq, r.state, m.last.at, m.last.seq, m.e.Now())
+	}
+	r.state = orderFired
+	m.handles[id] = nil
+	m.fired = append(m.fired, id)
+}
+
+func (m *orderModel) cancel(id int) {
+	if m.evs[id].state != orderLive {
+		return
+	}
+	m.handles[id].Cancel()
+	m.handles[id] = nil
+	m.evs[id].state = orderCanceled
+}
+
+func (m *orderModel) reschedule(id int, at time.Duration) {
+	if m.evs[id].state != orderLive {
+		return
+	}
+	m.handles[id].RescheduleTo(at)
+	m.evs[id].at, m.evs[id].seq = at, m.seq
+	m.seq++
+}
+
+// minLive returns the earliest live instant, or false when none is live.
+func (m *orderModel) minLive() (time.Duration, bool) {
+	best, ok := time.Duration(0), false
+	for _, r := range m.evs {
+		if r.state == orderLive && (!ok || r.at < best) {
+			best, ok = r.at, true
+		}
+	}
+	return best, ok
+}
+
+// check verifies that everything due by until fired, that nothing later
+// did, and that the engine's read-only and bounded peeks agree with the
+// model. Callers must not schedule at or below peekLimit afterwards
+// until a Run passes it (PeekNext's contract).
+func (m *orderModel) check(until, peekLimit time.Duration) {
+	m.t.Helper()
+	live := 0
+	for id, r := range m.evs {
+		switch {
+		case r.state == orderLive && r.at <= until:
+			m.t.Fatalf("event %d at %v still pending after Run(%v)", id, r.at, until)
+		case r.state == orderFired && r.at > until:
+			m.t.Fatalf("event %d at %v fired by Run(%v)", id, r.at, until)
+		case r.state == orderLive:
+			live++
+		}
+	}
+	if m.e.Pending() != live {
+		m.t.Fatalf("Pending() = %d, model has %d live", m.e.Pending(), live)
+	}
+	min, ok := m.minLive()
+	lb, lbOK := m.e.NextLowerBound()
+	if lbOK != ok || ok && lb > min {
+		m.t.Fatalf("NextLowerBound() = %v, %v; earliest live event at %v, %v", lb, lbOK, min, ok)
+	}
+	at, peeked := m.e.PeekNext(peekLimit)
+	if wantPeek := ok && min <= peekLimit; peeked != wantPeek || peeked && at != min {
+		m.t.Fatalf("PeekNext(%v) = %v, %v; earliest live event at %v, %v", peekLimit, at, peeked, min, ok)
+	}
+}
+
+// verifySorted compares the whole fired sequence with the sorted (at,
+// seq) order of every event that was not canceled.
+func (m *orderModel) verifySorted() {
+	m.t.Helper()
+	var want []int
+	for id, r := range m.evs {
+		if r.state != orderCanceled {
+			want = append(want, id)
+		}
+	}
+	sort.Slice(want, func(a, b int) bool {
+		ra, rb := m.evs[want[a]], m.evs[want[b]]
+		if ra.at != rb.at {
+			return ra.at < rb.at
+		}
+		return ra.seq < rb.seq
+	})
+	if len(m.fired) != len(want) {
+		m.t.Fatalf("fired %d events, want %d", len(m.fired), len(want))
+	}
+	for i := range want {
+		if m.fired[i] != want[i] {
+			m.t.Fatalf("fired[%d] = event %d, want event %d", i, m.fired[i], want[i])
+		}
+	}
+}
+
+// TestAdversarialCoarseSlotOrder crowds one level-1 slot and one level-2
+// slot with tens of thousands of events in descending instant order with
+// many identical-instant ties, so every append to those unordered slots
+// is out of order. It then cancels and reschedules into and out of them
+// (and to and from the overflow heap), crosses each cascade and the
+// overflow drain with bounded Run, PeekNext and NextLowerBound calls,
+// and schedules new ties behind events already waiting in sorted and
+// unsorted slots. Firing order must stay strictly (at, seq).
+func TestAdversarialCoarseSlotOrder(t *testing.T) {
+	perSlot := 40_000
+	if testing.Short() {
+		perSlot = 4_000
+	}
+	const (
+		tick  = time.Duration(1) << tickShift
+		span1 = tick << slotBits       // one level-1 slot, ~262 µs
+		span2 = tick << (2 * slotBits) // one level-2 slot, ~67 ms
+		ties  = 5
+	)
+	// From a cursor at tick 0: level-1 slot 5 and level-2 slot 3.
+	base1, base2 := 5*span1, 3*span2
+	horizon := tick << horizonBits // first instant past the wheels, ~73 min
+	m := newOrderModel(t)
+	rng := rand.New(rand.NewSource(1))
+
+	// Descending instants, ties consecutive, the two slots interleaved.
+	groups := perSlot / ties
+	step1, step2 := span1/time.Duration(groups), span2/time.Duration(groups)
+	var slot1, slot2 []int
+	for i := 0; i < perSlot; i++ {
+		g := time.Duration(groups - 1 - i/ties)
+		slot1 = append(slot1, m.schedule(base1+g*step1))
+		slot2 = append(slot2, m.schedule(base2+g*step2))
+	}
+	// Overflow events, also descending with ties, some sharing instants.
+	var far []int
+	for i := 0; i < perSlot/10; i++ {
+		far = append(far, m.schedule(horizon+time.Minute+time.Duration(perSlot/10-i/ties)*time.Millisecond))
+	}
+	// Reschedule into and out of the crowded slots and the heap, onto
+	// instants that already carry older ties (so the mover is the newest
+	// of its tie), and cancel a tenth of everything.
+	pick := func(ids []int) int { return ids[rng.Intn(len(ids))] }
+	for i := 0; i < perSlot/10; i++ {
+		m.reschedule(pick(slot1), m.evs[pick(slot2)].at)
+		m.reschedule(pick(slot2), m.evs[pick(slot1)].at)
+		m.reschedule(pick(far), m.evs[pick(slot1)].at)
+		m.reschedule(pick(slot2), m.evs[pick(far)].at)
+		m.cancel(pick(slot1))
+		m.cancel(pick(slot2))
+		m.cancel(pick(far))
+	}
+
+	// Cross the level-1 cascade with a bounded Run ending mid-slot.
+	m.check(0, base1/2)
+	mid1 := base1 + span1/2
+	m.e.Run(mid1)
+	m.check(mid1, mid1)
+	// The cursor now sits inside the level-1 slot's span: new ties land
+	// directly on sorted level-0 slots, behind their cascaded elders.
+	for i := 0; i < perSlot/10; i++ {
+		at := m.evs[pick(slot1)].at
+		if at > mid1 {
+			m.schedule(at)
+		}
+	}
+	m.e.Run(base1 + span1)
+	m.check(base1+span1, base2)
+
+	// Cross the level-2 cascade (level 2 → 1 → 0) in bounded steps,
+	// moving some of its events earlier and cancelling others between
+	// steps; each step peeks exactly to its own end.
+	for k := 1; k <= 4; k++ {
+		until := base2 + time.Duration(k)*span2/4
+		for i := 0; i < perSlot/20; i++ {
+			id := pick(slot2)
+			if at := m.evs[id].at - span2/8; at > until-span2/4 {
+				m.reschedule(id, at) // stays above the last peek's limit
+			}
+			m.cancel(pick(slot2))
+		}
+		m.e.Run(until)
+		m.check(until, until)
+	}
+
+	// Drain the overflow heap with a bounded Run, after which the first
+	// promoted event schedules new ties with the other promoted events
+	// (each must fire after its older twin), then cross the drained
+	// events' coarse slots in another bounded step.
+	trigger := horizon + 30*time.Second
+	m.scheduleThen(trigger, func() {
+		for i := 0; i < len(far); i += 3 {
+			if r := m.evs[far[i]]; r.state == orderLive {
+				m.schedule(r.at)
+			}
+		}
+	})
+	m.e.Run(trigger)
+	m.check(trigger, trigger)
+	midFar := horizon + time.Minute + time.Duration(perSlot/20)*time.Millisecond
+	m.e.Run(midFar)
+	m.check(midFar, midFar)
+	m.e.RunAll()
+	m.check(1<<62, 1<<62)
+	m.verifySorted()
 }
 
 // popRecorder records every observed pop for the observer tests.
