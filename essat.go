@@ -209,13 +209,13 @@ type PanicError = experiment.PanicError
 // the caller. With a background context and zero budget it is exactly
 // Run.
 func RunContext(ctx context.Context, sc Scenario, b Budget) (*Result, error) {
-	return experiment.RunContext(ctx, sc, b)
+	return experiment.RunContextWith(ctx, nil, sc, b)
 }
 
 // RunSpecContext compiles and runs a declarative spec under ctx and the
 // budget; a contained panic's error carries the marshaled spec.
 func RunSpecContext(ctx context.Context, s *Spec, b Budget) (*Result, error) {
-	return experiment.RunSpecContext(ctx, s, b)
+	return experiment.RunSpecContextWith(ctx, nil, s, b)
 }
 
 // Sim is a fully built scenario paused at time zero; see Build.
@@ -332,10 +332,14 @@ func NewDeployCache(max int) *DeployCache { return experiment.NewDeployCache(max
 func BuildWith(a *Arena, sc Scenario) (*Sim, error) { return experiment.BuildWith(a, sc) }
 
 // RunWith is Run executing on a reusable arena; a nil arena is plain Run.
-func RunWith(a *Arena, sc Scenario) (*Result, error) { return experiment.RunWith(a, sc) }
+func RunWith(a *Arena, sc Scenario) (*Result, error) {
+	return experiment.RunContextWith(context.Background(), a, sc, Budget{})
+}
 
 // RunSpecWith compiles and runs a declarative spec on a reusable arena.
-func RunSpecWith(a *Arena, s *Spec) (*Result, error) { return experiment.RunSpecWith(a, s) }
+func RunSpecWith(a *Arena, s *Spec) (*Result, error) {
+	return experiment.RunSpecContextWith(context.Background(), a, s, Budget{})
+}
 
 // FigureInfo names one figure driver; see FigureCatalog.
 type FigureInfo = experiment.FigureInfo

@@ -2,11 +2,7 @@ package experiment
 
 import (
 	"container/list"
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -197,51 +193,4 @@ func writeSortedParams(b *strings.Builder, label string, params map[string]float
 	for _, k := range keys {
 		fmt.Fprintf(b, " %s.%s=%g", label, k, params[k])
 	}
-}
-
-// RunWith is Run executing on a reusable arena; see BuildWith. A nil
-// arena is plain Run.
-func RunWith(a *Arena, sc Scenario) (*Result, error) {
-	return RunContextWith(context.Background(), a, sc, Budget{})
-}
-
-// RunContextWith is RunContext executing on a reusable arena. The
-// panic-containment boundary is identical; after a contained panic the
-// caller should Discard the arena before reusing it.
-func RunContextWith(ctx context.Context, a *Arena, sc Scenario, b Budget) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			err = &PanicError{Protocol: sc.Protocol, Seed: sc.Seed, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	s, err := build(sc, a)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.SimulateContext(ctx, b); err != nil {
-		return nil, err
-	}
-	return s.Collect(), nil
-}
-
-// RunSpecWith compiles and runs a declarative spec on a reusable arena.
-func RunSpecWith(a *Arena, s *Spec) (*Result, error) {
-	return RunSpecContextWith(context.Background(), a, s, Budget{})
-}
-
-// RunSpecContextWith is RunSpecContext executing on a reusable arena.
-func RunSpecContextWith(ctx context.Context, a *Arena, s *Spec, b Budget) (*Result, error) {
-	sc, err := s.Scenario()
-	if err != nil {
-		return nil, err
-	}
-	res, err := RunContextWith(ctx, a, sc, b)
-	var pe *PanicError
-	if errors.As(err, &pe) && pe.SpecJSON == nil {
-		if data, jerr := json.Marshal(s); jerr == nil {
-			pe.SpecJSON = data
-		}
-	}
-	return res, err
 }

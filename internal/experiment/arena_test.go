@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -37,7 +38,7 @@ func TestArenaResetDigestMatch(t *testing.T) {
 			t.Fatalf("%s: fresh run has no audit digest", p)
 		}
 		for i := 0; i < repeats; i++ {
-			got, err := RunWith(a, sc)
+			got, err := RunContextWith(context.Background(), a, sc, Budget{})
 			if err != nil {
 				t.Fatalf("%s: arena run %d: %v", p, i, err)
 			}
@@ -72,7 +73,7 @@ func TestArenaCacheKeyedBySeed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: fresh run: %v", seed, err)
 		}
-		got, err := RunWith(a, sc)
+		got, err := RunContextWith(context.Background(), a, sc, Budget{})
 		if err != nil {
 			t.Fatalf("seed %d: arena run: %v", seed, err)
 		}

@@ -76,10 +76,11 @@ func TestPeerFlowsThroughScenario(t *testing.T) {
 func TestPeerFlowRandomEndpointsAreDistinctMembers(t *testing.T) {
 	sc := extScenario(4)
 	sc.PeerFlows = []core.P2PSpec{{ID: -1, Src: -1, Dst: -1, Period: time.Second, Phase: 6 * time.Second}}
-	if _, err := Run(sc); err != nil {
+	sm, err := Build(sc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	fl := sc.PeerFlows[0]
+	fl := sm.Scenario.PeerFlows[0]
 	if fl.Src < 0 || fl.Dst < 0 || fl.Src == fl.Dst {
 		t.Fatalf("random endpoints not resolved: %d→%d", fl.Src, fl.Dst)
 	}
@@ -99,5 +100,29 @@ func TestExtensionsCoexistWithFailures(t *testing.T) {
 	// messages if the victim was on their path, which is fine.
 	if res.Latency.N == 0 {
 		t.Fatal("no query results with extensions + failure")
+	}
+}
+
+// TestRunLeavesScenarioReusable: a run must not write resolved random
+// peer-flow endpoints back into the caller's Scenario. If it did, a
+// second Run of the same value would skip those rng draws and diverge.
+func TestRunLeavesScenarioReusable(t *testing.T) {
+	sc := smokeScenario(DTSSS, 5)
+	sc.Audit = true
+	sc.PeerFlows = []core.P2PSpec{{ID: -1, Src: -1, Dst: -1, Period: time.Second, Phase: 6 * time.Second}}
+	first, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Audit.Digest != second.Audit.Digest || first.Events != second.Events {
+		t.Errorf("rerun diverged: digest %s/%d events, then %s/%d",
+			first.Audit.Digest, first.Events, second.Audit.Digest, second.Events)
+	}
+	if fl := sc.PeerFlows[0]; fl.Src != -1 || fl.Dst != -1 {
+		t.Errorf("run wrote endpoints %d→%d into the caller's scenario", fl.Src, fl.Dst)
 	}
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -182,7 +183,7 @@ func runGrid(o Options, jobs []*runJob) error {
 		newArena = func() *Arena { return NewArenaWithCache(cache) }
 	}
 	runOne := func(a *Arena, j *runJob) {
-		if j.res, j.err = RunWith(a, j.build()); j.err == nil {
+		if j.res, j.err = RunContextWith(context.Background(), a, j.build(), Budget{}); j.err == nil {
 			j.err = auditErr(j.res)
 		}
 	}

@@ -2,8 +2,10 @@ package experiment
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"github.com/essat/essat/internal/sim"
@@ -23,9 +25,6 @@ type Budget struct {
 	// exactly and deterministically.
 	MaxEvents uint64
 }
-
-// zero reports whether the budget imposes no bound.
-func (b Budget) zero() bool { return b.WallClock == 0 && b.MaxEvents == 0 }
 
 // BudgetExceededError reports a run terminated because it exhausted its
 // resource budget. The run's engine is left mid-simulation; results
@@ -53,7 +52,7 @@ func (e *BudgetExceededError) Error() string {
 }
 
 // PanicError reports a run whose stack panicked mid-flight, converted
-// into an error at the RunContext boundary so one bad scenario can
+// into an error at the RunContextWith boundary so one bad scenario can
 // never take down a process hosting many. It carries everything needed
 // to reproduce the crash: the protocol, the seed, and — when the run
 // came through the declarative spec layer — the spec JSON itself.
@@ -70,7 +69,7 @@ type PanicError struct {
 	Value any
 	Stack []byte
 	// SpecJSON is the declarative spec that produced the run, when it
-	// came through RunSpecContext; nil for imperative scenarios.
+	// came through RunSpecContextWith; nil for imperative scenarios.
 	SpecJSON []byte
 }
 
@@ -83,54 +82,47 @@ func (e *PanicError) Error() string {
 // duration unless ctx is canceled, ctx's deadline passes, or the budget
 // runs out first, returning ctx.Err() or a *BudgetExceededError
 // respectively. Like Simulate it must run at most once, between Build
-// and Collect; on early termination the engine is left mid-run and
+// and Collect; on early termination the engines are left mid-run and
 // Collect would see a truncated (but internally consistent) run.
 //
-// With a background context and a zero budget it is byte-for-byte
-// Simulate: the engine runs the exact same uninstrumented loop.
+// With a context that is never done and no wall-clock bound, nothing is
+// polled: the engine runs the exact uninstrumented loop of Simulate.
+// Parallel runs poll at window barriers (the only single-threaded
+// points), so their event-budget enforcement is barrier-granular rather
+// than exact.
 func (s *Sim) SimulateContext(ctx context.Context, b Budget) error {
-	done := ctx.Done()
-	if done == nil && b.zero() {
-		s.Simulate()
-		return nil
-	}
 	start := time.Now()
-	var budgetDeadline, ctxDeadline time.Time
-	if b.WallClock > 0 {
-		budgetDeadline = start.Add(b.WallClock)
-	}
-	if d, ok := ctx.Deadline(); ok {
-		ctxDeadline = d
-	}
-	check := func() error {
-		if err := ctx.Err(); err != nil {
-			return err
+	var check func() error
+	if ctx.Done() != nil || b.WallClock > 0 {
+		var budgetDeadline, ctxDeadline time.Time
+		if b.WallClock > 0 {
+			budgetDeadline = start.Add(b.WallClock)
 		}
-		now := time.Now()
-		// The context's deadline is its own error even when observed
-		// here a beat before the context's timer fires.
-		if !ctxDeadline.IsZero() && now.After(ctxDeadline) {
-			return context.DeadlineExceeded
+		if d, ok := ctx.Deadline(); ok {
+			ctxDeadline = d
 		}
-		if !budgetDeadline.IsZero() && now.After(budgetDeadline) {
-			return &BudgetExceededError{
-				Resource: "wall-clock",
-				Budget:   b,
-				Events:   s.processed(),
-				Elapsed:  time.Since(start),
+		check = func() error {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
+			now := time.Now()
+			// The context's deadline is its own error even when observed
+			// here a beat before the context's timer fires.
+			if !ctxDeadline.IsZero() && now.After(ctxDeadline) {
+				return context.DeadlineExceeded
+			}
+			if !budgetDeadline.IsZero() && now.After(budgetDeadline) {
+				return &BudgetExceededError{
+					Resource: "wall-clock",
+					Budget:   b,
+					Events:   s.processed(),
+					Elapsed:  time.Since(start),
+				}
+			}
+			return nil
 		}
-		return nil
 	}
-	var err error
-	if len(s.engines) > 1 {
-		// Parallel runs poll the budget at window barriers (the only
-		// single-threaded points), so event-budget enforcement is
-		// barrier-granular rather than exact.
-		_, err = s.runner().RunChecked(s.Scenario.Duration, b.MaxEvents, check)
-	} else {
-		_, err = s.Eng.RunChecked(s.Scenario.Duration, b.MaxEvents, check)
-	}
+	_, err := s.run(s.Scenario.Duration, b.MaxEvents, check)
 	if errors.Is(err, sim.ErrEventBudget) {
 		err = &BudgetExceededError{
 			Resource: "events",
@@ -142,19 +134,74 @@ func (s *Sim) SimulateContext(ctx context.Context, b Budget) error {
 	return err
 }
 
-// RunContext is Run with the three robustness properties a long-running
-// host needs: the run can be canceled through ctx, bounded by a
-// resource budget, and a panic anywhere in Build, the event loop, or
-// Collect is contained into a *PanicError instead of unwinding into the
-// caller's process. Run delegates here with a background context and no
-// budget, so its behavior — and every golden digest — is unchanged.
-func RunContext(ctx context.Context, sc Scenario, b Budget) (*Result, error) {
-	return RunContextWith(ctx, nil, sc, b)
+// Run executes the scenario and collects metrics: Build, Simulate, and
+// Collect under a background context and no budget, with a panicking
+// protocol stack contained into a *PanicError.
+func Run(sc Scenario) (*Result, error) {
+	return RunContextWith(context.Background(), nil, sc, Budget{})
 }
 
-// RunSpecContext compiles and runs a declarative spec under ctx and the
-// budget. A contained panic's error carries the marshaled spec, making
-// the failure reproducible from the error alone (essat-sim -scenario).
-func RunSpecContext(ctx context.Context, s *Spec, b Budget) (*Result, error) {
-	return RunSpecContextWith(ctx, nil, s, b)
+// RunSpec compiles and runs a declarative spec; see RunSpecContextWith.
+func RunSpec(s *Spec) (*Result, error) {
+	return RunSpecContextWith(context.Background(), nil, s, Budget{})
+}
+
+// Build constructs the scenario's simulation without running it: place
+// the topology (via the generator registry), build the routing tree,
+// attach the protocol stack to every member (via the protocol
+// registry), and schedule queries, stops, flows, failures, and the
+// warm-up snapshot.
+func Build(sc Scenario) (*Sim, error) { return build(sc, nil) }
+
+// BuildWith is Build executing on a reusable Arena: the engine (event
+// freelist, typed memory pools) is reset and reused instead of
+// reallocated, and deployments (topology + routing-tree template) are
+// served from the arena's cache when an identical placement was built
+// before. Results are byte-identical to Build — the arena changes where
+// memory comes from, never what the run computes. A nil arena is plain
+// Build.
+func BuildWith(a *Arena, sc Scenario) (*Sim, error) { return build(sc, a) }
+
+// RunContextWith runs the scenario on arena a (nil for a fresh engine)
+// with the three robustness properties a long-running host needs: the
+// run can be canceled through ctx, bounded by a resource budget, and a
+// panic anywhere in Build, the event loop, or Collect is contained into
+// a *PanicError instead of unwinding into the caller's process. After a
+// contained panic the caller should Discard the arena before reusing
+// it. With a background context and no budget it is Run, and every
+// golden digest is unchanged.
+func RunContextWith(ctx context.Context, a *Arena, sc Scenario, b Budget) (res *Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res = nil
+			err = &PanicError{Protocol: sc.Protocol, Seed: sc.Seed, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	s, err := build(sc, a)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.SimulateContext(ctx, b); err != nil {
+		return nil, err
+	}
+	return s.Collect(), nil
+}
+
+// RunSpecContextWith compiles a declarative spec and runs it through
+// RunContextWith. A contained panic's error carries the marshaled spec,
+// making the failure reproducible from the error alone (essat-sim
+// -scenario).
+func RunSpecContextWith(ctx context.Context, a *Arena, s *Spec, b Budget) (*Result, error) {
+	sc, err := s.Scenario()
+	if err != nil {
+		return nil, err
+	}
+	res, err := RunContextWith(ctx, a, sc, b)
+	var pe *PanicError
+	if errors.As(err, &pe) && pe.SpecJSON == nil {
+		if data, jerr := json.Marshal(s); jerr == nil {
+			pe.SpecJSON = data
+		}
+	}
+	return res, err
 }

@@ -50,7 +50,7 @@ func lifecycleScenario(p Protocol, seed int64) Scenario {
 
 func TestPanicContainment(t *testing.T) {
 	sc := lifecycleScenario(panicProtoName, 5)
-	res, err := RunContext(context.Background(), sc, Budget{})
+	res, err := RunContextWith(context.Background(), nil, sc, Budget{})
 	if res != nil {
 		t.Fatalf("panicking run returned a result")
 	}
@@ -75,7 +75,7 @@ func TestPanicContainment(t *testing.T) {
 }
 
 func TestRunContainsPanics(t *testing.T) {
-	// The compat entry points delegate to RunContext and therefore
+	// The compat entry points delegate to RunContextWith and therefore
 	// contain panics too.
 	var pe *PanicError
 	if _, err := Run(lifecycleScenario(panicProtoName, 2)); !errors.As(err, &pe) {
@@ -93,7 +93,7 @@ func TestRunContainsPanics(t *testing.T) {
 
 func TestBudgetMaxEvents(t *testing.T) {
 	sc := lifecycleScenario(DTSSS, 1)
-	res, err := RunContext(context.Background(), sc, Budget{MaxEvents: 1000})
+	res, err := RunContextWith(context.Background(), nil, sc, Budget{MaxEvents: 1000})
 	if res != nil {
 		t.Fatalf("budget-terminated run returned a result")
 	}
@@ -108,7 +108,7 @@ func TestBudgetMaxEvents(t *testing.T) {
 
 func TestBudgetWallClock(t *testing.T) {
 	sc := lifecycleScenario(DTSSS, 1)
-	_, err := RunContext(context.Background(), sc, Budget{WallClock: time.Nanosecond})
+	_, err := RunContextWith(context.Background(), nil, sc, Budget{WallClock: time.Nanosecond})
 	var be *BudgetExceededError
 	if !errors.As(err, &be) {
 		t.Fatalf("err = %v (%T), want *BudgetExceededError", err, err)
@@ -124,7 +124,7 @@ func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sc := lifecycleScenario(DTSSS, 1)
-	if _, err := RunContext(ctx, sc, Budget{}); !errors.Is(err, context.Canceled) {
+	if _, err := RunContextWith(ctx, nil, sc, Budget{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled ctx: err = %v, want context.Canceled", err)
 	}
 
@@ -132,7 +132,7 @@ func TestCancellation(t *testing.T) {
 	// context's own error.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel2()
-	if _, err := RunContext(ctx2, lifecycleScenario(DTSSS, 2), Budget{}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := RunContextWith(ctx2, nil, lifecycleScenario(DTSSS, 2), Budget{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline ctx: err = %v, want context.DeadlineExceeded", err)
 	}
 
@@ -164,7 +164,7 @@ func TestCanceledThenRerunDigest(t *testing.T) {
 		t.Fatalf("reference run has %d invariant violations", ref.Audit.Total)
 	}
 
-	if _, err := RunContext(context.Background(), sc, Budget{MaxEvents: 5000}); err == nil {
+	if _, err := RunContextWith(context.Background(), nil, sc, Budget{MaxEvents: 5000}); err == nil {
 		t.Fatal("budget run unexpectedly completed")
 	}
 

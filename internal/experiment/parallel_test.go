@@ -21,6 +21,20 @@ func parallelScenario(p Protocol, seed int64, shards int) Scenario {
 // deterministic run-to-run — the digest depends on (seed, K, lookahead)
 // only, never on goroutine interleaving.
 func TestShardCountInvariance(t *testing.T) {
+	for _, tc := range []struct{ shards, want int }{{0, 1}, {1, 1}, {4, 4}} {
+		sm, err := Build(parallelScenario(DTSSS, 42, tc.shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sm.Shards(); got != tc.want {
+			t.Errorf("Shards=%d: Sim.Shards() = %d, want %d", tc.shards, got, tc.want)
+		}
+		// Only a parallel build has a cross-shard lookahead.
+		if la := sm.ShardLookahead(); (tc.want > 1) != (la > 0) {
+			t.Errorf("Shards=%d: ShardLookahead() = %v", tc.shards, la)
+		}
+	}
+
 	seq, err := Run(parallelScenario(DTSSS, 42, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +113,13 @@ func TestParallelAllProtocols(t *testing.T) {
 func TestParallelLookaheadOverride(t *testing.T) {
 	sc := parallelScenario(DTSSS, 42, 4)
 	sc.Lookahead = 2 * time.Millisecond
+	sm, err := Build(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sm.Shards() != 4 || sm.ShardLookahead() != sc.Lookahead {
+		t.Errorf("built %d shards with lookahead %v, want 4 with %v", sm.Shards(), sm.ShardLookahead(), sc.Lookahead)
+	}
 	a, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)

@@ -182,18 +182,19 @@ type Scenario struct {
 	// runs are byte-identical with the auditor on or off.
 	Audit bool
 
-	// Shards enables the sharded parallel engine when > 1: the
-	// deployment is cut into that many spatial shards (topology
-	// partitioner), each running its own engine + channel lane on its
-	// own goroutine inside conservative windows of the cross-shard
+	// Shards is the number of spatial shards (topology partitioner) the
+	// deployment is cut into; values <= 1 select one shard, which is the
+	// sequential run: its single engine runs the event loop itself. With
+	// more, each shard runs its own engine + channel lane on its own
+	// goroutine inside conservative windows of the cross-shard
 	// lookahead, with boundary traffic exchanged at window barriers
 	// (phy.Mesh). Cross-shard links behave as if they had `Lookahead`
 	// of propagation delay — the standard federated-simulation
 	// approximation — so results are deterministic per (seed, Shards,
-	// Lookahead) but not bit-identical across shard counts; Shards <= 1
-	// is the unmodified sequential engine. Tracing, dynamics injectors,
-	// the §4.3 failure detector, and radio-observing sinks are not yet
-	// supported in parallel mode and fail the build.
+	// Lookahead) but not bit-identical across shard counts. Tracing,
+	// dynamics injectors, the §4.3 failure detector, and
+	// radio-observing sinks are not yet supported with more than one
+	// shard and fail the build.
 	Shards int
 	// Lookahead overrides the derived cross-shard latency; zero derives
 	// DIFS + worst-case propagation from the MAC and topology (see
@@ -353,26 +354,17 @@ type Result struct {
 	NetworkLifetime       time.Duration
 }
 
-// Run executes the scenario and collects metrics. It is the composition
-// of the three explicit stages: Build (wire the deployment and protocol
-// stacks, schedule the workload), Sim.Simulate (drain the event queue),
-// and Sim.Collect (aggregate metrics). It delegates to RunContext with
-// a background context and no budget, which executes the identical
-// event loop (golden digests are unchanged) while containing a
-// panicking protocol stack into a returned *PanicError.
-func Run(sc Scenario) (*Result, error) {
-	return RunContext(context.Background(), sc, Budget{})
-}
-
-// Sim is one fully built scenario, paused at time zero: engine,
-// topology, routing tree, channel, and per-node protocol stacks wired,
-// with the workload, failure injections, and measurement snapshots
-// already in the event queue. Callers may inspect or instrument the
-// exported pieces before Simulate.
+// Sim is one fully built scenario, paused at time zero: engines,
+// topology, routing tree, channel lanes, and per-node protocol stacks
+// wired, with the workload, failure injections, and measurement
+// snapshots already in the event queue. Every build is partitioned; the
+// sequential run is the one-shard case, whose single engine runs the
+// event loop itself. Callers may inspect or instrument the exported
+// pieces before Simulate.
 type Sim struct {
 	Scenario Scenario
-	// Eng is the (first) engine; parallel runs have one per shard, with
-	// Eng == engines[0]. Channel is likewise the first lane.
+	// Eng and Channel are shard 0's engine and lane: the only ones in a
+	// sequential build.
 	Eng     *sim.Engine
 	Topo    *topology.Topology
 	Tree    *routing.Tree
@@ -381,9 +373,10 @@ type Sim struct {
 
 	engines   []*sim.Engine
 	chans     []*phy.Channel
-	mesh      *phy.Mesh
-	part      *topology.Partition
 	lookahead time.Duration
+	// run drains the event queue: shard 0's engine for one shard, a
+	// sim.ShardRunner over every engine otherwise.
+	run func(until time.Duration, maxEvents uint64, check func() error) (uint64, error)
 
 	sink      *stats.RootSink
 	fan       *stats.Fanout
@@ -397,298 +390,136 @@ type Sim struct {
 }
 
 // shardBattery is one shard's battery-exhaustion accounting (written
-// only by that shard's goroutine); sequential runs use a single entry.
+// only by that shard's goroutine).
 type shardBattery struct {
 	firstDeath time.Duration
 	deaths     int
 }
 
-// Build constructs the scenario's simulation without running it: place
-// the topology (via the generator registry), build the routing tree,
-// attach the protocol stack to every member (via the protocol
-// registry), and schedule queries, stops, flows, failures, and the
-// warm-up snapshot.
-func Build(sc Scenario) (*Sim, error) { return build(sc, nil) }
+// builder is one build in progress: the Sim being assembled plus the
+// resolved models and partition the stages hand to each other.
+type builder struct {
+	*Sim
+	arena  *Arena
+	proto  protocol.Builder
+	prop   phy.Propagation
+	rcfg   radio.Config
+	chCfg  phy.Config
+	macCfg mac.Config
+	qCfg   query.Config
+	params protocol.Params
 
-// BuildWith is Build executing on a reusable Arena: the engine (event
-// freelist, typed memory pools) is reset and reused instead of
-// reallocated, and deployments (topology + routing-tree template) are
-// served from the arena's cache when an identical placement was built
-// before. Results are byte-identical to Build — the arena changes where
-// memory comes from, never what the run computes. A nil arena is plain
-// Build.
-func BuildWith(a *Arena, sc Scenario) (*Sim, error) { return build(sc, a) }
+	root node.NodeID
+	part *topology.Partition
+	mesh *phy.Mesh
+	// members is the build-time member list split by shard, in
+	// tree-member order. Global workload events — setup slots, stops,
+	// battery polls, the warm-up snapshot — schedule per shard over these
+	// lists so every engine touches only its own nodes.
+	members [][]node.NodeID
+}
 
+// build runs the build stages in order. The order is load-bearing:
+// shard 0's engine rng is drawn for placement (deploy), then peer-flow
+// endpoints and failure victims (workload), and node construction and
+// start order fix the event sequence numbers.
 func build(sc Scenario, a *Arena) (*Sim, error) {
+	b := &builder{Sim: &Sim{Scenario: sc}, arena: a}
+	for _, stage := range []func() error{b.resolveModels, b.deploy, b.lanes, b.observers, b.stacks, b.workload} {
+		if err := stage(); err != nil {
+			return nil, err
+		}
+	}
+	return b.Sim, nil
+}
+
+// resolveModels validates the scenario and resolves every registry name
+// and defaulted config: protocol, propagation model, energy profile,
+// radio, channel, MAC, query, and protocol parameters. It also refuses
+// the features the sharded engine does not support yet.
+func (b *builder) resolveModels() error {
+	sc := &b.Scenario
 	if len(sc.Queries) == 0 {
-		return nil, fmt.Errorf("experiment: no queries configured")
+		return fmt.Errorf("experiment: no queries configured")
 	}
 	if sc.Duration <= 0 {
-		return nil, fmt.Errorf("experiment: non-positive duration %v", sc.Duration)
+		return fmt.Errorf("experiment: non-positive duration %v", sc.Duration)
 	}
-	K := 1
 	if sc.Shards > 1 {
-		K = sc.Shards
 		// Features whose state is shared across nodes of different
 		// shards (and therefore across goroutines) are gated until they
 		// grow a parallel-safe path.
 		switch {
 		case sc.TraceCapacity > 0:
-			return nil, fmt.Errorf("experiment: tracing is not supported with shards > 1")
+			return fmt.Errorf("experiment: tracing is not supported with shards > 1")
 		case len(sc.Dynamics) > 0:
-			return nil, fmt.Errorf("experiment: dynamics injectors are not supported with shards > 1")
+			return fmt.Errorf("experiment: dynamics injectors are not supported with shards > 1")
 		case sc.QueryCfg.FailureThreshold > 0:
-			return nil, fmt.Errorf("experiment: the failure detector (tree re-parenting) is not supported with shards > 1")
+			return fmt.Errorf("experiment: the failure detector (tree re-parenting) is not supported with shards > 1")
 		}
 	}
-	builder, ok := protocol.Lookup(sc.Protocol)
-	if !ok {
-		return nil, fmt.Errorf("experiment: unknown protocol %q (registered: %v)", sc.Protocol, protocol.All())
+	var ok bool
+	if b.proto, ok = protocol.Lookup(sc.Protocol); !ok {
+		return fmt.Errorf("experiment: unknown protocol %q (registered: %v)", sc.Protocol, protocol.All())
 	}
-	// Resolve the pluggable hardware models first: the propagation model
-	// shapes the candidate graph and both channels (setup flood and
-	// run), the energy profile everything that meters joules.
+	// The propagation model shapes the candidate graph and both channels
+	// (setup flood and run), the energy profile everything that meters
+	// joules.
 	prop, err := phy.NewPropagation(sc.Propagation, sc.PropagationParams)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if sc.ChannelCfg.Propagation != nil {
 		// An explicitly wired model (imperative API) wins over the name.
 		prop = sc.ChannelCfg.Propagation
 	}
+	b.prop = prop
 	profName := sc.RadioProfile
 	if profName == "" {
 		profName = radio.Paper
 	}
 	prof, ok := radio.LookupProfile(profName)
 	if !ok {
-		return nil, fmt.Errorf("experiment: unknown radio profile %q (registered: %v)", sc.RadioProfile, radio.ProfileNames())
+		return fmt.Errorf("experiment: unknown radio profile %q (registered: %v)", sc.RadioProfile, radio.ProfileNames())
 	}
-	rcfg := sc.RadioCfg
-	if rcfg == (radio.Config{}) {
-		rcfg = prof.Config()
+	b.profile = prof.Power
+	b.rcfg = sc.RadioCfg
+	if b.rcfg == (radio.Config{}) {
+		b.rcfg = prof.Config()
 	}
-	// Shard 0's engine is the arena's reusable one and carries all
-	// build-time randomness (placement, victim picks, flow endpoints),
-	// so a 1-shard build is bit-identical to the historical sequential
-	// path. Additional shards get fresh engines with their own arenas —
-	// per-shard freelists and slabs are what keep the hot path
-	// allocation-free without cross-goroutine sharing — and decorrelated
-	// rng streams.
-	engines := make([]*sim.Engine, K)
-	engines[0] = a.engine(sc.Seed)
-	for s := 1; s < K; s++ {
-		e := sim.New(sc.Seed ^ int64(s)*-0x61c8864680b583eb)
-		e.SetArena(sim.NewArena())
-		engines[s] = e
-	}
-	eng := engines[0]
 
 	// Gray-zone models deliver past the nominal range: widen the
 	// candidate-neighbor graph to the model's conservative maximum.
 	sc.Topology.NeighborRange = prop.MaxRange(sc.Topology.Range)
 
-	// Placement and tree construction depend only on the deployment key
-	// fields (seed, topology config, tree policy, propagation model), so
-	// an arena with a cache can reuse a previous build's topology and
-	// tree template. The run engine's rng stream must stay identical
-	// either way: on a hit, Replay burns exactly the draws the generator
-	// would have consumed. Caching is skipped when an imperative
-	// ChannelCfg.Propagation override is wired in — that model has no
-	// name to key on.
-	var (
-		topo *topology.Topology
-		tree *routing.Tree
-	)
-	cache := a.deployCache()
-	if cache != nil && sc.ChannelCfg.Propagation != nil {
-		cache = nil
+	b.chCfg = sc.ChannelCfg
+	if b.chCfg.BitRate == 0 {
+		b.chCfg = phy.DefaultConfig()
 	}
-	var key string
-	if cache != nil {
-		key = deployKey(sc)
-		if d, ok := cache.lookup(key); ok {
-			if err := topology.Replay(eng.Rand(), sc.Topology); err != nil {
-				return nil, err
-			}
-			topo, tree = d.topo, d.tree.Clone()
-		}
-	}
-	if topo == nil {
-		topo, err = topology.New(eng.Rand(), sc.Topology)
-		if err != nil {
-			return nil, err
-		}
-	}
-	root := topo.CentralNode()
+	b.chCfg.LossRate = sc.LossRate
+	b.chCfg.Propagation = prop
 
-	chCfg := sc.ChannelCfg
-	if chCfg.BitRate == 0 {
-		chCfg = phy.DefaultConfig()
-	}
-	chCfg.LossRate = sc.LossRate
-	chCfg.Propagation = prop
-
-	if tree == nil {
-		if sc.BFSTree {
-			tree, err = routing.BuildBFS(topo, root, sc.TreeMaxDist)
-		} else {
-			fcfg := routing.DefaultFloodConfig()
-			fcfg.MaxDist = sc.TreeMaxDist
-			fcfg.ChannelCfg.Propagation = prop
-			if !phy.IsDisc(prop) {
-				// Probabilistic links can strand first-round stragglers;
-				// extra flood rounds keep tree construction converging.
-				fcfg.Rounds = 3
-			}
-			tree, err = routing.BuildFlood(sc.Seed+1, topo, root, fcfg)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if cache != nil {
-			// Store a pristine template: the tree handed to this run is
-			// about to be mutated by failures and re-parenting.
-			cache.store(key, &deployment{topo: topo, tree: tree.Clone()})
-		}
-	}
-
-	// Parallel mode: partition the plane and give every shard its own
-	// channel lane over the shared topology. Sequentially there is one
-	// lane and no partition.
-	var part *topology.Partition
-	if K > 1 {
-		part, err = topology.PartitionGrid(topo, K)
-		if err != nil {
-			return nil, err
-		}
-	}
-	chans := make([]*phy.Channel, K)
-	for s := 0; s < K; s++ {
-		chans[s], err = phy.NewChannel(engines[s], topo, chCfg)
-		if err != nil {
-			return nil, err
-		}
-	}
-	ch := chans[0]
-
-	macCfg := sc.MACCfg
-	if macCfg.SlotTime == 0 {
-		macCfg = mac.DefaultConfig()
-	}
-	// Validate the MAC and query configs here, after defaulting: the
+	// Validate the MAC and query configs after defaulting: the
 	// constructors only panic on invalid configs (a backstop against
 	// imperative misuse), and a malformed scenario must surface as a
 	// returned build error, never a crashed worker.
-	if err := macCfg.Validate(); err != nil {
-		return nil, err
+	b.macCfg = sc.MACCfg
+	if b.macCfg.SlotTime == 0 {
+		b.macCfg = mac.DefaultConfig()
+	}
+	if err := b.macCfg.Validate(); err != nil {
+		return err
+	}
+	b.qCfg = sc.QueryCfg
+	if b.qCfg.ReportBytes == 0 {
+		b.qCfg.ReportBytes = 52
+		b.qCfg.PhaseBytes = 4
+	}
+	if err := b.qCfg.Validate(); err != nil {
+		return err
 	}
 
-	// Mesh the lanes: boundary transmissions cross with `lookahead` of
-	// latency, deep-copied so pooled sender-side framing and payloads
-	// are never aliased across goroutines.
-	var mesh *phy.Mesh
-	lookahead := sc.Lookahead
-	if K > 1 {
-		if lookahead <= 0 {
-			lookahead = phy.CrossShardLookahead(topo, macCfg.DIFS)
-		}
-		mesh, err = phy.NewMesh(chans, part.Assign, lookahead, func(p any) any {
-			return mac.TransitClone(p, cloneTransitPayload)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	engOf := func(id node.NodeID) *sim.Engine {
-		if part == nil {
-			return eng
-		}
-		return engines[part.Assign[id]]
-	}
-	chOf := func(id node.NodeID) *phy.Channel {
-		if part == nil {
-			return ch
-		}
-		return chans[part.Assign[id]]
-	}
-	qCfg := sc.QueryCfg
-	if qCfg.ReportBytes == 0 {
-		qCfg.ReportBytes = 52
-		qCfg.PhaseBytes = 4
-	}
-	if err := qCfg.Validate(); err != nil {
-		return nil, err
-	}
-
-	// The results pipeline: the root recorder comes off the sink
-	// registry like any other sink (proving the port), extra sinks
-	// follow in configuration order, and a fanout dispatches every hook
-	// to all of them. Sinks are pure observers, so the run itself is
-	// byte-identical with any selection.
-	sinkCfg := stats.SinkConfig{
-		Queries:     sc.Queries,
-		Duration:    sc.Duration,
-		MeasureFrom: sc.MeasureFrom,
-	}
-	rootObs, err := stats.NewSink(stats.SinkRoot, sinkCfg)
-	if err != nil {
-		return nil, err
-	}
-	sink := rootObs.(*stats.RootSink)
-	observers := []stats.Sink{sink}
-	for _, choice := range sc.Sinks {
-		if choice.Name == stats.SinkRoot {
-			continue // always attached first
-		}
-		cfg := sinkCfg
-		cfg.Params = choice.Params
-		extra, err := stats.NewSink(choice.Name, cfg)
-		if err != nil {
-			return nil, err
-		}
-		observers = append(observers, extra)
-	}
-	fan := stats.NewFanout(observers...)
-	if K > 1 && fan.WantsRadio() {
-		return nil, fmt.Errorf("experiment: radio-observing sinks are not supported with shards > 1")
-	}
-
-	var tracer *trace.Tracer
-	if sc.TraceCapacity > 0 {
-		tracer = trace.New(sc.TraceCapacity, eng.Now)
-	}
-
-	// The invariant auditor observes every layer but never acts: with it
-	// enabled, the run stays byte-identical. All hooks installed here and
-	// in the per-node loop below are nil (and free) when auditing is off.
-	// Parallel runs get one auditor per shard, each observing its own
-	// engine and lane; Collect folds the summaries (check.Combine).
-	var auditors []*check.Auditor
-	auditProfile := prof.Power
-	if sc.Audit {
-		auditors = make([]*check.Auditor, K)
-		for s := range auditors {
-			ad := check.New(engines[s].Now)
-			engines[s].SetObserver(ad)
-			chans[s].SetObserver(ad)
-			for _, q := range sc.Queries {
-				ad.RegisterQuery(q)
-			}
-			auditors[s] = ad
-		}
-	}
-	auditorOf := func(id node.NodeID) *check.Auditor {
-		if auditors == nil {
-			return nil
-		}
-		if part == nil {
-			return auditors[0]
-		}
-		return auditors[part.Assign[id]]
-	}
-
-	params := protocol.Params{
+	b.params = protocol.Params{
 		SSBreakEven:      sc.SSBreakEven,
 		DisableSafeSleep: sc.DisableSafeSleep,
 		STSDeadline:      sc.STSDeadline,
@@ -701,98 +532,276 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 	// paper's equal-power assumption makes it tON+tOFF; radios with
 	// cheaper transitions break even sooner). An explicit RadioCfg keeps
 	// the historical radio-intrinsic fallback.
-	if params.SSBreakEven < 0 && sc.RadioCfg == (radio.Config{}) {
-		params.SSBreakEven = prof.BreakEven()
+	if b.params.SSBreakEven < 0 && sc.RadioCfg == (radio.Config{}) {
+		b.params.SSBreakEven = prof.BreakEven()
 	}
-	nodes := make(map[node.NodeID]*node.Node, tree.Size())
-	for _, id := range tree.Members() {
-		ne := engOf(id)
-		n := node.New(ne, id, tree, chOf(id), rcfg, macCfg)
+	return nil
+}
+
+// deploy places the topology and builds the routing tree. It takes
+// shard 0's engine — the arena's reusable one — first, because that
+// engine carries all build-time randomness and placement draws first.
+//
+// Placement and tree construction depend only on the deployment key
+// fields (seed, topology config, tree policy, propagation model), so an
+// arena with a cache can reuse a previous build's topology and tree
+// template. The engine's rng stream must stay identical either way: on a
+// hit, Replay burns exactly the draws the generator would have consumed.
+// Caching is skipped when an imperative ChannelCfg.Propagation override
+// is wired in — that model has no name to key on.
+func (b *builder) deploy() (err error) {
+	sc := &b.Scenario
+	b.Eng = b.arena.engine(sc.Seed)
+	cache := b.arena.deployCache()
+	if cache != nil && sc.ChannelCfg.Propagation != nil {
+		cache = nil
+	}
+	var key string
+	if cache != nil {
+		key = deployKey(*sc)
+		if d, ok := cache.lookup(key); ok {
+			if err := topology.Replay(b.Eng.Rand(), sc.Topology); err != nil {
+				return err
+			}
+			b.Topo, b.Tree = d.topo, d.tree.Clone()
+		}
+	}
+	if b.Topo == nil {
+		if b.Topo, err = topology.New(b.Eng.Rand(), sc.Topology); err != nil {
+			return err
+		}
+	}
+	b.root = b.Topo.CentralNode()
+	if b.Tree != nil {
+		return nil
+	}
+	if sc.BFSTree {
+		b.Tree, err = routing.BuildBFS(b.Topo, b.root, sc.TreeMaxDist)
+	} else {
+		fcfg := routing.DefaultFloodConfig()
+		fcfg.MaxDist = sc.TreeMaxDist
+		fcfg.ChannelCfg.Propagation = b.prop
+		if !phy.IsDisc(b.prop) {
+			// Probabilistic links can strand first-round stragglers;
+			// extra flood rounds keep tree construction converging.
+			fcfg.Rounds = 3
+		}
+		b.Tree, err = routing.BuildFlood(sc.Seed+1, b.Topo, b.root, fcfg)
+	}
+	if err != nil {
+		return err
+	}
+	if cache != nil {
+		// Store a pristine template: the tree handed to this run is about
+		// to be mutated by failures and re-parenting.
+		cache.store(key, &deployment{topo: b.Topo, tree: b.Tree.Clone()})
+	}
+	return nil
+}
+
+// lanes partitions the plane into max(Shards, 1) shards and gives each
+// its own engine and channel lane over the shared topology; one shard
+// holds every node. Additional shards get fresh engines with their own
+// arenas — per-shard freelists and slabs keep the hot path
+// allocation-free without cross-goroutine sharing — and decorrelated rng
+// streams. With more than one shard the lanes are meshed: boundary
+// transmissions cross with `lookahead` of latency, deep-copied so pooled
+// sender-side framing and payloads are never aliased across goroutines.
+func (b *builder) lanes() (err error) {
+	K := max(b.Scenario.Shards, 1)
+	if b.part, err = topology.PartitionGrid(b.Topo, K); err != nil {
+		return err
+	}
+	b.engines = make([]*sim.Engine, K)
+	b.engines[0] = b.Eng
+	for s := 1; s < K; s++ {
+		e := sim.New(b.Scenario.Seed ^ int64(s)*-0x61c8864680b583eb)
+		e.SetArena(sim.NewArena())
+		b.engines[s] = e
+	}
+	b.chans = make([]*phy.Channel, K)
+	for s := range b.chans {
+		if b.chans[s], err = phy.NewChannel(b.engines[s], b.Topo, b.chCfg); err != nil {
+			return err
+		}
+	}
+	b.Channel = b.chans[0]
+	b.run = b.Eng.RunChecked
+	if K > 1 {
+		b.lookahead = b.Scenario.Lookahead
+		if b.lookahead <= 0 {
+			b.lookahead = phy.CrossShardLookahead(b.Topo, b.macCfg.DIFS)
+		}
+		b.mesh, err = phy.NewMesh(b.chans, b.part.Assign, b.lookahead, func(p any) any {
+			return mac.TransitClone(p, cloneTransitPayload)
+		})
+		if err != nil {
+			return err
+		}
+		b.run = sim.NewShardRunner(b.engines, b.lookahead, b.mesh.Exchange).RunChecked
+	}
+	b.members = make([][]node.NodeID, K)
+	for _, id := range b.Tree.Members() {
+		s := b.part.Assign[id]
+		b.members[s] = append(b.members[s], id)
+	}
+	return nil
+}
+
+func (b *builder) engOf(id node.NodeID) *sim.Engine { return b.engines[b.part.Assign[id]] }
+func (b *builder) chOf(id node.NodeID) *phy.Channel { return b.chans[b.part.Assign[id]] }
+func (b *builder) auditorOf(id node.NodeID) *check.Auditor {
+	if b.auditors == nil {
+		return nil
+	}
+	return b.auditors[b.part.Assign[id]]
+}
+
+// observers attaches the pure observers: the metric sinks, the tracer,
+// and the invariant auditors. The run is byte-identical with any
+// selection of them.
+func (b *builder) observers() error {
+	sc := &b.Scenario
+	// The root recorder comes off the sink registry like any other sink
+	// (proving the port), extra sinks follow in configuration order, and
+	// a fanout dispatches every hook to all of them.
+	sinkCfg := stats.SinkConfig{
+		Queries:     sc.Queries,
+		Duration:    sc.Duration,
+		MeasureFrom: sc.MeasureFrom,
+	}
+	rootObs, err := stats.NewSink(stats.SinkRoot, sinkCfg)
+	if err != nil {
+		return err
+	}
+	b.sink = rootObs.(*stats.RootSink)
+	observers := []stats.Sink{b.sink}
+	for _, choice := range sc.Sinks {
+		if choice.Name == stats.SinkRoot {
+			continue // always attached first
+		}
+		cfg := sinkCfg
+		cfg.Params = choice.Params
+		extra, err := stats.NewSink(choice.Name, cfg)
+		if err != nil {
+			return err
+		}
+		observers = append(observers, extra)
+	}
+	b.fan = stats.NewFanout(observers...)
+	if sc.Shards > 1 && b.fan.WantsRadio() {
+		return fmt.Errorf("experiment: radio-observing sinks are not supported with shards > 1")
+	}
+
+	if sc.TraceCapacity > 0 {
+		b.tracer = trace.New(sc.TraceCapacity, b.Eng.Now)
+	}
+
+	// The auditor observes every layer but never acts. Each shard gets
+	// its own, observing its own engine and lane; Collect folds the
+	// summaries (check.Combine). The per-node hooks installed by stacks
+	// and workload are nil (and free) when auditing is off.
+	if sc.Audit {
+		b.auditors = make([]*check.Auditor, len(b.engines))
+		for s := range b.auditors {
+			ad := check.New(b.engines[s].Now)
+			b.engines[s].SetObserver(ad)
+			b.chans[s].SetObserver(ad)
+			for _, q := range sc.Queries {
+				ad.RegisterQuery(q)
+			}
+			b.auditors[s] = ad
+		}
+	}
+	return nil
+}
+
+// stacks wires a node — radio, MAC, and the protocol stack from the
+// registry — onto every tree member in member order, then a dark station
+// onto every other node so the channel's station table is complete.
+func (b *builder) stacks() error {
+	sc := &b.Scenario
+	b.Nodes = make(map[node.NodeID]*node.Node, b.Tree.Size())
+	for _, id := range b.Tree.Members() {
+		ne := b.engOf(id)
+		n := node.New(ne, id, b.Tree, b.chOf(id), b.rcfg, b.macCfg)
 		if sc.RecordSleepIntervals {
 			n.Radio.RecordSleepIntervals()
 		}
-		if tracer != nil {
-			n.SetTracer(tracer)
+		if b.tracer != nil {
+			n.SetTracer(b.tracer)
 		}
-		adt := auditorOf(id)
+		adt := b.auditorOf(id)
 		var s query.Sink
-		if id == root {
-			s = fan
+		if id == b.root {
+			s = b.fan
 			if adt != nil {
 				s = adt.WrapSink(s)
 			}
 		}
 		if adt != nil {
 			n.MAC.SetObserver(adt)
-			adt.WatchRadio(id, n.Radio, auditProfile)
+			adt.WatchRadio(id, n.Radio, b.profile)
 		}
-		if mesh != nil {
+		if b.mesh != nil {
 			// A cross-shard unicast's ACK pays the mesh latency twice
 			// (data out, ACK back); widen the sender's ACK timeout so
 			// boundary links don't read as loss.
-			my := part.Assign[id]
-			slack := 2 * mesh.Latency()
+			part, my := b.part.Assign, b.part.Assign[id]
+			slack := 2 * b.mesh.Latency()
 			n.MAC.SetAckSlack(func(dst phy.NodeID) time.Duration {
-				if dst >= 0 && part.Assign[dst] != my {
+				if dst >= 0 && part[dst] != my {
 					return slack
 				}
 				return 0
 			})
 		}
-		if fan.WantsRadio() {
-			id := id
+		if b.fan.WantsRadio() {
+			id, fan := id, b.fan
 			n.Radio.Subscribe(func(old, new radio.State) {
 				fan.RadioChanged(int(id), old, new, ne.Now())
 			})
 		}
-		if err := builder.Build(&protocol.BuildContext{
+		if err := b.proto.Build(&protocol.BuildContext{
 			Eng:      ne,
 			Node:     n,
-			Tree:     tree,
+			Tree:     b.Tree,
 			Sink:     s,
-			QueryCfg: qCfg,
-			Params:   params,
+			QueryCfg: b.qCfg,
+			Params:   b.params,
 		}); err != nil {
-			return nil, err
+			return err
 		}
-		nodes[id] = n
+		b.Nodes[id] = n
 	}
-	// Nodes outside the tree exist physically but take no part: attach a
-	// dark station so the channel's station table is complete.
-	for i := 0; i < topo.NumNodes(); i++ {
+	for i := 0; i < b.Topo.NumNodes(); i++ {
 		id := node.NodeID(i)
-		if _, ok := nodes[id]; ok {
+		if _, ok := b.Nodes[id]; ok {
 			continue
 		}
-		r := radio.New(engOf(id), rcfg)
-		darkMAC := mac.New(engOf(id), chOf(id), id, r, macCfg, discard{})
-		_ = darkMAC
+		r := radio.New(b.engOf(id), b.rcfg)
+		// Constructing the MAC attaches the station to the channel.
+		mac.New(b.engOf(id), b.chOf(id), id, r, b.macCfg, discard{})
 		r.TurnOff()
 	}
+	return nil
+}
 
-	// The build-time member list split by shard (one list, in tree-member
-	// order, when sequential). Global workload events — setup slots,
-	// stops, battery polls, the warm-up snapshot — schedule per shard
-	// over these lists so every engine touches only its own nodes.
-	shardMembers := make([][]node.NodeID, K)
-	for _, id := range tree.Members() {
-		s := 0
-		if part != nil {
-			s = int(part.Assign[id])
-		}
-		shardMembers[s] = append(shardMembers[s], id)
-	}
-
+// workload schedules the run's activity on top of the wired stacks:
+// queries and their setup slots, stops, extension flows, node start,
+// failures, dynamics, battery polling, and the warm-up snapshot.
+func (b *builder) workload() error {
+	sc := &b.Scenario
 	for _, spec := range sc.Queries {
-		for _, id := range tree.Members() {
-			if err := nodes[id].Agent.Register(spec); err != nil {
-				return nil, err
+		for _, id := range b.Tree.Members() {
+			if err := b.Nodes[id].Agent.Register(spec); err != nil {
+				return err
 			}
 		}
 		if sc.SetupSlot > 0 {
-			for s, members := range shardMembers {
+			for s, members := range b.members {
 				if len(members) > 0 {
-					scheduleSetupSlot(engines[s], members, nodes, spec, sc.SetupSlot)
+					scheduleSetupSlot(b.engines[s], members, b.Nodes, spec, sc.SetupSlot)
 				}
 			}
 		}
@@ -804,92 +813,114 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 	// nodes (channel-disabled) are skipped.
 	for _, stop := range sc.QueryStops {
 		stop := stop
-		for s, members := range shardMembers {
+		for s, members := range b.members {
 			if len(members) == 0 {
 				continue
 			}
-			members := members
-			engines[s].Schedule(stop.At, func() {
+			members, ch, nodes := members, b.chans[s], b.Nodes
+			b.engines[s].Schedule(stop.At, func() {
 				for _, id := range members {
-					if !chOf(id).Disabled(id) {
+					if !ch.Disabled(id) {
 						nodes[id].Agent.Deregister(stop.Query)
 					}
 				}
 			})
 		}
 	}
-	if len(sc.PeerFlows) > 0 {
-		for _, id := range tree.Members() {
-			nodes[id].InstallP2P(nil)
+	if err := b.flows(); err != nil {
+		return err
+	}
+	if b.auditors != nil {
+		// Safe Sleep schedulers exist only after the protocol builders ran.
+		for _, id := range b.Tree.Members() {
+			if ss := b.Nodes[id].SS; ss != nil {
+				ss.SetObserver(id, b.auditorOf(id))
+			}
 		}
-		members := tree.Members()
+	}
+	// Start in member (ID) order: map iteration order would vary the seq
+	// tie-break of same-instant events and break run determinism.
+	for _, id := range b.Tree.Members() {
+		b.Nodes[id].Start()
+	}
+	if err := b.faults(); err != nil {
+		return err
+	}
+	b.meter()
+	return nil
+}
+
+// flows registers the §3 extension flows: peer-to-peer flows (drawing
+// random endpoints from the engine rng) and downstream dissemination.
+func (b *builder) flows() error {
+	sc := &b.Scenario
+	members := b.Tree.Members()
+	if len(sc.PeerFlows) > 0 {
+		for _, id := range members {
+			b.Nodes[id].InstallP2P(nil)
+		}
+		// Resolve random endpoints into this build's own copy: the
+		// caller's slice must stay reusable for an identical rerun.
+		sc.PeerFlows = append([]core.P2PSpec(nil), sc.PeerFlows...)
 		for i := range sc.PeerFlows {
-			fl := sc.PeerFlows[i]
+			fl := &sc.PeerFlows[i]
 			if fl.Src < 0 || fl.Dst < 0 {
-				fl.Src = members[eng.Rand().Intn(len(members))]
+				fl.Src = members[b.Eng.Rand().Intn(len(members))]
 				for {
-					fl.Dst = members[eng.Rand().Intn(len(members))]
+					fl.Dst = members[b.Eng.Rand().Intn(len(members))]
 					if fl.Dst != fl.Src {
 						break
 					}
 				}
-				sc.PeerFlows[i] = fl
 			}
-			path := tree.Path(fl.Src, fl.Dst)
+			path := b.Tree.Path(fl.Src, fl.Dst)
 			if path == nil {
-				return nil, fmt.Errorf("experiment: no path for peer flow %d (%d→%d)", fl.ID, fl.Src, fl.Dst)
+				return fmt.Errorf("experiment: no path for peer flow %d (%d→%d)", fl.ID, fl.Src, fl.Dst)
 			}
-			for _, id := range tree.Members() {
-				if err := nodes[id].Peer.Register(fl, path); err != nil {
-					return nil, err
+			for _, id := range members {
+				if err := b.Nodes[id].Peer.Register(*fl, path); err != nil {
+					return err
 				}
 			}
 		}
 	}
 	if len(sc.Dissemination) > 0 {
-		for _, id := range tree.Members() {
-			nodes[id].InstallDisseminator(nil)
+		for _, id := range members {
+			b.Nodes[id].InstallDisseminator(nil)
 		}
 		for _, ds := range sc.Dissemination {
 			for _, q := range sc.Queries {
 				if q.ID == ds.ID {
-					return nil, fmt.Errorf("experiment: dissemination flow %d collides with a query ID", ds.ID)
+					return fmt.Errorf("experiment: dissemination flow %d collides with a query ID", ds.ID)
 				}
 			}
-			for _, id := range tree.Members() {
-				if err := nodes[id].Diss.Register(ds); err != nil {
-					return nil, err
+			for _, id := range members {
+				if err := b.Nodes[id].Diss.Register(ds); err != nil {
+					return err
 				}
 			}
 		}
 	}
-	if auditors != nil {
-		// Safe Sleep schedulers exist only after the protocol builders ran.
-		for _, id := range tree.Members() {
-			if ss := nodes[id].SS; ss != nil {
-				ss.SetObserver(id, auditorOf(id))
-			}
-		}
-	}
+	return nil
+}
 
-	// Start in member (ID) order: map iteration order would vary the seq
-	// tie-break of same-instant events and break run determinism.
-	for _, id := range tree.Members() {
-		nodes[id].Start()
-	}
-
-	// Failure injection.
+// faults schedules the configured failures (random victims drawn from
+// the engine rng) and builds every dynamics injector from the registry.
+// Injector choices draw from private seed-derived streams, so they
+// neither consume the engine's rng nor perturb anything before the first
+// injected event fires.
+func (b *builder) faults() error {
+	sc := &b.Scenario
 	for _, f := range sc.Failures {
 		victim := f.Node
 		if victim < 0 {
-			victim = pickVictim(eng.Rand(), tree)
+			victim = pickVictim(b.Eng.Rand(), b.Tree)
 		}
-		if victim == routing.None || victim == root {
+		if victim == routing.None || victim == b.root {
 			continue
 		}
-		v := victim
-		fch := chOf(v)
-		engOf(v).Schedule(f.At, func() {
+		v, fch, nodes := victim, b.chOf(victim), b.Nodes
+		b.engOf(v).Schedule(f.At, func() {
 			// Guard on permanent disablement, not Killed(): a node the
 			// dynamics layer has temporarily crashed still reads as killed,
 			// but a configured failure must make its death permanent (the
@@ -900,65 +931,46 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 			}
 		})
 	}
-
-	// Dynamics layer: build every configured injector from the registry
-	// and let it schedule its disturbances. Injector choices draw from
-	// private seed-derived streams, so this neither consumes the engine's
-	// rng nor perturbs anything before the first injected event fires.
-	if len(sc.Dynamics) > 0 {
-		h := &dynHost{
-			eng:     eng,
-			tree:    tree,
-			ch:      ch,
-			topo:    topo,
-			nodes:   nodes,
-			nodeIDs: append([]node.NodeID(nil), tree.Members()...),
-			auditor: auditorOf(root),
-			crashed: make(map[node.NodeID]bool),
+	if len(sc.Dynamics) == 0 {
+		return nil
+	}
+	h := &dynHost{
+		eng:     b.Eng,
+		tree:    b.Tree,
+		ch:      b.Channel,
+		topo:    b.Topo,
+		nodes:   b.Nodes,
+		nodeIDs: append([]node.NodeID(nil), b.Tree.Members()...),
+		auditor: b.auditorOf(b.root),
+		crashed: make(map[node.NodeID]bool),
+	}
+	for i, d := range sc.Dynamics {
+		inj, err := dynamics.Build(d.Kind, d.Params, sc.Seed, i)
+		if err != nil {
+			return err
 		}
-		for i, d := range sc.Dynamics {
-			inj, err := dynamics.Build(d.Kind, d.Params, sc.Seed, i)
-			if err != nil {
-				return nil, err
-			}
-			if err := inj.Schedule(h); err != nil {
-				return nil, err
-			}
+		if err := inj.Schedule(h); err != nil {
+			return err
 		}
 	}
+	return nil
+}
 
-	sm := &Sim{
-		Scenario:  sc,
-		Eng:       eng,
-		Topo:      topo,
-		Tree:      tree,
-		Channel:   ch,
-		Nodes:     nodes,
-		engines:   engines,
-		chans:     chans,
-		mesh:      mesh,
-		part:      part,
-		lookahead: lookahead,
-		sink:      sink,
-		fan:       fan,
-		tracer:    tracer,
-		auditors:  auditors,
-		profile:   prof.Power,
-	}
-
-	// Battery exhaustion: poll each node's consumption once per simulated
-	// second and kill nodes that drained their budget. One poll loop per
-	// shard, each writing its own accounting slot; Collect merges.
+// meter schedules the per-shard accounting loops: battery exhaustion
+// (one poll per simulated second, each shard writing its own slot for
+// Collect to merge) and the radio snapshot at MeasureFrom that excludes
+// warm-up. The snapshot slices are NodeID-indexed, so shards write
+// disjoint entries concurrently.
+func (b *builder) meter() {
+	sc, sm, prof, root := &b.Scenario, b.Sim, b.profile, b.root
 	if sc.BatteryJ > 0 {
-		prof := sm.profile
-		sm.battery = make([]shardBattery, K)
-		for s := range engines {
-			members := shardMembers[s]
+		budget := sc.BatteryJ
+		sm.battery = make([]shardBattery, len(b.engines))
+		for s, members := range b.members {
 			if len(members) == 0 {
 				continue
 			}
-			b := &sm.battery[s]
-			e := engines[s]
+			members, bat, e, ch, nodes := members, &sm.battery[s], b.engines[s], b.chans[s], b.Nodes
 			var check func()
 			check = func() {
 				for _, id := range members {
@@ -966,13 +978,13 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 					if id == root || n.Killed() {
 						continue
 					}
-					if n.Radio.Energy(prof) >= sc.BatteryJ {
-						if b.firstDeath == 0 {
-							b.firstDeath = e.Now()
+					if n.Radio.Energy(prof) >= budget {
+						if bat.firstDeath == 0 {
+							bat.firstDeath = e.Now()
 						}
-						b.deaths++
+						bat.deaths++
 						n.Kill()
-						chOf(id).Disable(id)
+						ch.Disable(id)
 					}
 				}
 				e.After(time.Second, check)
@@ -981,62 +993,34 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 		}
 	}
 
-	// Snapshot radio accounting at MeasureFrom for warm-up exclusion.
-	// NodeID-indexed slices: shards write disjoint entries concurrently.
-	sm.activeAt0 = make([]time.Duration, topo.NumNodes())
-	sm.energyAt0 = make([]float64, topo.NumNodes())
-	profile := sm.profile
-	for s := range engines {
-		members := shardMembers[s]
+	sm.activeAt0 = make([]time.Duration, b.Topo.NumNodes())
+	sm.energyAt0 = make([]float64, b.Topo.NumNodes())
+	for s, members := range b.members {
 		if len(members) == 0 {
 			continue
 		}
-		engines[s].Schedule(sc.MeasureFrom, func() {
+		members, nodes := members, b.Nodes
+		b.engines[s].Schedule(sc.MeasureFrom, func() {
 			for _, id := range members {
 				n := nodes[id]
 				sm.activeAt0[id] = n.Radio.ActiveTime()
-				sm.energyAt0[id] = n.Radio.Energy(profile)
+				sm.energyAt0[id] = n.Radio.Energy(prof)
 			}
 		})
 	}
-
-	return sm, nil
 }
 
 // Simulate drains the event queue up to the scenario's duration. It
-// must run exactly once, between Build and Collect. Parallel builds run
-// every shard's engine on its own goroutine inside conservative windows
-// of the cross-shard lookahead (sim.ShardRunner).
-func (s *Sim) Simulate() {
-	if len(s.engines) > 1 {
-		s.runner().Run(s.Scenario.Duration)
-		return
-	}
-	s.Eng.Run(s.Scenario.Duration)
-}
+// must run exactly once, between Build and Collect.
+func (s *Sim) Simulate() { _ = s.SimulateContext(context.Background(), Budget{}) }
 
 // Shards reports how many engine shards this build executes on
-// (1 = the sequential path).
-func (s *Sim) Shards() int {
-	if len(s.engines) > 1 {
-		return len(s.engines)
-	}
-	return 1
-}
+// (1 = the sequential run).
+func (s *Sim) Shards() int { return len(s.engines) }
 
 // ShardLookahead reports the cross-shard lookahead of a parallel
 // build, zero for sequential ones.
-func (s *Sim) ShardLookahead() time.Duration {
-	if len(s.engines) > 1 {
-		return s.lookahead
-	}
-	return 0
-}
-
-// runner builds the conservative window runner for a parallel Sim.
-func (s *Sim) runner() *sim.ShardRunner {
-	return sim.NewShardRunner(s.engines, s.lookahead, s.mesh.Exchange)
-}
+func (s *Sim) ShardLookahead() time.Duration { return s.lookahead }
 
 // processed sums the executed-event counts over all shard engines.
 func (s *Sim) processed() uint64 {
@@ -1050,11 +1034,20 @@ func (s *Sim) processed() uint64 {
 // Collect aggregates the run's metrics into a Result. Call it after
 // Simulate.
 func (s *Sim) Collect() *Result {
-	var chStats phy.Stats
-	for _, c := range s.chans {
-		chStats.Add(c.Stats())
+	res := &Result{
+		Protocol:       s.Scenario.Protocol,
+		Seed:           s.Scenario.Seed,
+		DutyByRank:     make(map[int]float64),
+		LatencyByClass: make(map[int]stats.DurationStats),
+		TreeSize:       s.Tree.Size(),
+		MaxRank:        s.Tree.MaxRank(),
+		Events:         s.processed(),
 	}
-	res := collect(s.Scenario, s.processed(), chStats, s.Tree, s.Nodes, s.sink, s.fan, s.profile, s.activeAt0, s.energyAt0)
+	for _, c := range s.chans {
+		res.Channel.Add(c.Stats())
+	}
+	s.collectNodes(res)
+	s.collectFlows(res)
 	countRun(s.Scenario, res.Events)
 	for _, b := range s.battery {
 		if b.firstDeath > 0 && (res.FirstDeath == 0 || b.firstDeath < res.FirstDeath) {
@@ -1240,35 +1233,25 @@ func pickVictim(rng *rand.Rand, tree *routing.Tree) node.NodeID {
 	return routing.None
 }
 
-func collect(sc Scenario, events uint64, chStats phy.Stats, tree *routing.Tree,
-	nodes map[node.NodeID]*node.Node, sink *stats.RootSink, fan *stats.Fanout, profile radio.PowerProfile,
-	activeAt0 []time.Duration, energyAt0 []float64) *Result {
-
-	res := &Result{
-		Protocol:       sc.Protocol,
-		Seed:           sc.Seed,
-		DutyByRank:     make(map[int]float64),
-		LatencyByClass: make(map[int]stats.DurationStats),
-		TreeSize:       tree.Size(),
-		MaxRank:        tree.MaxRank(),
-		Channel:        chStats,
-		Events:         events,
-	}
-
+// collectNodes folds the per-node radio, agent, and MAC counters into
+// res, feeds each node's summary to the sinks, and takes the root
+// recorder's latency and coverage and the sinks' records.
+func (s *Sim) collectNodes(res *Result) {
+	sc, tree := &s.Scenario, s.Tree
 	window := float64(sc.Duration - sc.MeasureFrom)
 	var duty, energy stats.Welford
 	dutyRank := make(map[int]*stats.Welford)
 	var reports, phaseUpdates uint64
 	// Iterate in ID order so float accumulation is deterministic.
 	for _, id := range tree.Members() {
-		n, ok := nodes[id]
+		n, ok := s.Nodes[id]
 		if !ok || n.Killed() {
 			continue
 		}
-		active := float64(n.Radio.ActiveTime() - activeAt0[id])
+		active := float64(n.Radio.ActiveTime() - s.activeAt0[id])
 		dc := active / window
 		duty.Add(dc)
-		e := n.Radio.Energy(profile) - energyAt0[id]
+		e := n.Radio.Energy(s.profile) - s.energyAt0[id]
 		energy.Add(e)
 		if e > res.EnergyMax {
 			res.EnergyMax = e
@@ -1297,23 +1280,23 @@ func collect(sc Scenario, events uint64, chStats phy.Stats, tree *routing.Tree,
 			res.PhaseShifts += dts.Stats().PhaseShifts
 		}
 
-		fan.NodeDone(stats.NodeSummary{Node: int(id), Rank: r, Duty: dc, EnergyJ: e})
+		s.fan.NodeDone(stats.NodeSummary{Node: int(id), Rank: r, Duty: dc, EnergyJ: e})
 	}
 	res.DutyCycle = duty.Mean()
 	for r, w := range dutyRank {
 		res.DutyByRank[r] = w.Mean()
 	}
 	if reports > 0 {
-		bits := float64(phaseUpdates) * float64(qPhaseBytes(sc)) * 8
+		bits := float64(phaseUpdates) * float64(qPhaseBytes(*sc)) * 8
 		res.PhaseUpdateBitsPerReport = bits / float64(reports)
 	}
 
-	res.Latency = stats.SummarizeDurations(sink.Latencies())
-	for class, ls := range sink.LatencyByClass() {
+	res.Latency = stats.SummarizeDurations(s.sink.Latencies())
+	for class, ls := range s.sink.LatencyByClass() {
 		res.LatencyByClass[class] = stats.SummarizeDurations(ls)
 	}
-	res.Coverage = sink.MeanCoverage()
-	res.Records = fan.Records(stats.RunMeta{
+	res.Coverage = s.sink.MeanCoverage()
+	res.Records = s.fan.Records(stats.RunMeta{
 		Protocol:    string(sc.Protocol),
 		Seed:        sc.Seed,
 		Duration:    sc.Duration,
@@ -1329,12 +1312,16 @@ func collect(sc Scenario, events uint64, chStats phy.Stats, tree *routing.Tree,
 		drawWatts := res.EnergyMax / time.Duration(window).Seconds()
 		res.NetworkLifetime = time.Duration(batteryJ / drawWatts * float64(time.Second))
 	}
+}
 
+// collectFlows computes the §3 extension flows' delivery and latency.
+func (s *Sim) collectFlows(res *Result) {
+	sc, tree := &s.Scenario, s.Tree
 	if len(sc.PeerFlows) > 0 {
 		var consumed, originated uint64
 		var latSum time.Duration
 		for _, id := range tree.Members() {
-			n, ok := nodes[id]
+			n, ok := s.Nodes[id]
 			if !ok || n.Peer == nil {
 				continue
 			}
@@ -1355,7 +1342,7 @@ func collect(sc Scenario, events uint64, chStats phy.Stats, tree *routing.Tree,
 		var latSum time.Duration
 		var expected uint64
 		for _, id := range tree.Members() {
-			n, ok := nodes[id]
+			n, ok := s.Nodes[id]
 			if !ok || n.Killed() || n.Diss == nil {
 				continue
 			}
@@ -1380,7 +1367,6 @@ func collect(sc Scenario, events uint64, chStats phy.Stats, tree *routing.Tree,
 			res.DisseminationLatency = latSum / time.Duration(received)
 		}
 	}
-	return res
 }
 
 func qPhaseBytes(sc Scenario) int {

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -492,11 +491,4 @@ func (s *Spec) Scenario() (Scenario, error) {
 		})
 	}
 	return sc, nil
-}
-
-// RunSpec compiles and runs a declarative spec. Like Run it contains a
-// panicking stack into a *PanicError; see RunSpecContext for
-// cancellation and budgets.
-func RunSpec(s *Spec) (*Result, error) {
-	return RunSpecContext(context.Background(), s, Budget{})
 }

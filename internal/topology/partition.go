@@ -3,7 +3,6 @@ package topology
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Partition is a spatial decomposition of a deployment into K shards for
@@ -66,23 +65,25 @@ func PartitionGrid(t *Topology, k int) (*Partition, error) {
 	// Columns are atomic, so a dense column can overshoot; later shards
 	// absorb the imbalance, and trailing shards may come out empty.
 	colShard := make([]int32, ncols)
+	sizes := make([]int, k)
 	shard, cum := 0, 0
 	for c := 0; c < ncols; c++ {
 		colShard[c] = int32(shard)
+		sizes[shard] += counts[c]
 		cum += counts[c]
 		for shard < k-1 && cum >= (shard+1)*n/k && cum > 0 {
 			shard++
 		}
 	}
 
+	// Ascending NodeID order by construction: nodes are visited in order.
+	for s := range p.Members {
+		p.Members[s] = make([]NodeID, 0, sizes[s])
+	}
 	for i := 0; i < n; i++ {
 		s := colShard[colOf(NodeID(i))]
 		p.Assign[i] = s
 		p.Members[s] = append(p.Members[s], NodeID(i))
-	}
-	for s := range p.Members {
-		m := p.Members[s]
-		sort.Slice(m, func(a, b int) bool { return m[a] < m[b] })
 	}
 	return p, nil
 }
