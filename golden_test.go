@@ -94,6 +94,18 @@ func goldenSuite() map[string][]goldenRun {
 	// candidate graph, the flood retry rounds, and the profile-derived
 	// break-even time.
 	suite["shadowing.json"] = []goldenRun{{label: "as-checked-in", build: fromFile("testdata/shadowing.json", 0)}}
+	// Node crashes and recoveries: Suspend/Resume rebuild a returning
+	// station's carrier count from the channel's in-flight list.
+	suite["dynamics_crash.json"] = []goldenRun{{label: "as-checked-in", build: fromFile("testdata/dynamics_crash.json", 0)}}
+	// T-MAC's power manager subscribes its own radio listener after the
+	// channel station and the MAC.
+	suite["tmac"] = []goldenRun{{label: "fig3/rate=5", build: figScenario(essat.TMAC, 5)}}
+	// A sharded run replays cross-shard transmissions through the mesh.
+	suite["shards=4"] = []goldenRun{{label: "DTS-SS/rate=5", build: func(t *testing.T) essat.Scenario {
+		sc := figScenario(essat.DTSSS, 5)(t)
+		sc.Shards = 4
+		return sc
+	}}}
 	return suite
 }
 

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"github.com/essat/essat/internal/query"
@@ -134,10 +135,16 @@ type SafeSleep struct {
 	opts  SafeSleepOptions
 
 	// nextSend and nextRecv are small linear tables (a handful of queries
-	// and children per node): CheckState scans them on every radio-idle
-	// transition, and linear scans beat map iteration at this size.
+	// and children per node); linear lookups beat maps at this size.
 	nextSend []sendEntry
 	nextRecv []recvEntry
+	// minAt caches the earliest time in both tables, so CheckState — run on
+	// every radio-idle transition — does not read them. It is always a
+	// lower bound of every row (noRows when both are empty). While stale
+	// is false it is exact; raising or removing a row that held it makes
+	// it stale, and earliest rescans.
+	minAt time.Duration
+	stale bool
 
 	wakeEv *sim.Event
 	wakeAt time.Duration
@@ -182,6 +189,7 @@ func NewSafeSleep(eng *sim.Engine, r *radio.Radio, opts SafeSleepOptions) *SafeS
 		// exact reuse in the common shape.
 		nextSend: sim.ArenaSlice[sendEntry](eng, "core.ss.send", 4)[:0],
 		nextRecv: sim.ArenaSlice[recvEntry](eng, "core.ss.recv", 16)[:0],
+		minAt:    noRows,
 	}
 	// Re-evaluate whenever the radio settles into Idle: after a wake-up
 	// (expectations may have vanished while asleep), after a transmission,
@@ -251,12 +259,37 @@ func (ss *SafeSleep) findRecv(k recvKey) int {
 	return -1
 }
 
+// noRows is the cached minimum of two empty tables.
+const noRows = time.Duration(math.MaxInt64)
+
+// setRow maintains the cached minimum when a row's time becomes t; old
+// is its previous time, or noRows for a new row. A time at or below the
+// lower bound is the new exact minimum. Otherwise, raising the row that
+// held the minimum makes it stale.
+func (ss *SafeSleep) setRow(old, t time.Duration) {
+	switch {
+	case t <= ss.minAt:
+		ss.minAt, ss.stale = t, false
+	case old == ss.minAt:
+		ss.stale = true
+	}
+}
+
+// dropRow maintains the cached minimum when a row holding t is removed.
+func (ss *SafeSleep) dropRow(t time.Duration) {
+	if t == ss.minAt {
+		ss.stale = true
+	}
+}
+
 // UpdateNextSend records q.snext, the node's expected send time for query
 // q, and re-evaluates the sleep schedule (updateNextSend in Fig. 1).
 func (ss *SafeSleep) UpdateNextSend(q query.ID, t time.Duration) {
 	if i := ss.findSend(q); i >= 0 {
+		ss.setRow(ss.nextSend[i].t, t)
 		ss.nextSend[i].t = t
 	} else {
+		ss.setRow(noRows, t)
 		ss.nextSend = append(ss.nextSend, sendEntry{q: q, t: t})
 	}
 	ss.CheckState()
@@ -267,8 +300,10 @@ func (ss *SafeSleep) UpdateNextSend(q query.ID, t time.Duration) {
 func (ss *SafeSleep) UpdateNextReceive(q query.ID, c query.NodeID, t time.Duration) {
 	k := recvKey{q, c}
 	if i := ss.findRecv(k); i >= 0 {
+		ss.setRow(ss.nextRecv[i].t, t)
 		ss.nextRecv[i].t = t
 	} else {
+		ss.setRow(noRows, t)
 		ss.nextRecv = append(ss.nextRecv, recvEntry{key: k, t: t})
 	}
 	ss.CheckState()
@@ -279,6 +314,7 @@ func (ss *SafeSleep) UpdateNextReceive(q query.ID, c query.NodeID, t time.Durati
 // by SS are removed".
 func (ss *SafeSleep) RemoveChild(q query.ID, c query.NodeID) {
 	if i := ss.findRecv(recvKey{q, c}); i >= 0 {
+		ss.dropRow(ss.nextRecv[i].t)
 		ss.nextRecv = append(ss.nextRecv[:i], ss.nextRecv[i+1:]...)
 	}
 	ss.CheckState()
@@ -288,12 +324,14 @@ func (ss *SafeSleep) RemoveChild(q query.ID, c query.NodeID) {
 func (ss *SafeSleep) RemoveQuery(q query.ID) {
 	for i := 0; i < len(ss.nextSend); i++ {
 		if ss.nextSend[i].q == q {
+			ss.dropRow(ss.nextSend[i].t)
 			ss.nextSend = append(ss.nextSend[:i], ss.nextSend[i+1:]...)
 			i--
 		}
 	}
 	for i := 0; i < len(ss.nextRecv); i++ {
 		if ss.nextRecv[i].key.q == q {
+			ss.dropRow(ss.nextRecv[i].t)
 			ss.nextRecv = append(ss.nextRecv[:i], ss.nextRecv[i+1:]...)
 			i--
 		}
@@ -323,21 +361,20 @@ func (ss *SafeSleep) hasRecv(q query.ID, c query.NodeID) bool {
 }
 
 // earliest returns the minimum expected event time, and false if no
-// events are expected at all.
+// events are expected at all. It scans the tables only when the cached
+// minimum is stale.
 func (ss *SafeSleep) earliest() (time.Duration, bool) {
-	var min time.Duration
-	found := false
-	for i := range ss.nextSend {
-		if t := ss.nextSend[i].t; !found || t < min {
-			min, found = t, true
+	if ss.stale {
+		m := noRows
+		for i := range ss.nextSend {
+			m = min(m, ss.nextSend[i].t)
 		}
-	}
-	for i := range ss.nextRecv {
-		if t := ss.nextRecv[i].t; !found || t < min {
-			min, found = t, true
+		for i := range ss.nextRecv {
+			m = min(m, ss.nextRecv[i].t)
 		}
+		ss.minAt, ss.stale = m, false
 	}
-	return min, found
+	return ss.minAt, len(ss.nextSend)+len(ss.nextRecv) > 0
 }
 
 // CheckState implements checkState() from Fig. 1: compute twakeup, and if

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -257,5 +258,103 @@ func TestSleepAccountingMatchesSchedule(t *testing.T) {
 	duty := r.DutyCycle()
 	if duty > 0.01 {
 		t.Fatalf("duty cycle = %.3f, want ~0 with instantaneous events", duty)
+	}
+}
+
+// scanEarliest is the brute-force reference for SafeSleep.earliest: a
+// full scan of both expectation tables.
+func scanEarliest(ss *SafeSleep) (time.Duration, bool) {
+	var low time.Duration
+	found := false
+	for _, e := range ss.nextSend {
+		if !found || e.t < low {
+			low, found = e.t, true
+		}
+	}
+	for _, e := range ss.nextRecv {
+		if !found || e.t < low {
+			low, found = e.t, true
+		}
+	}
+	return low, found
+}
+
+// TestEarliestCacheMatchesScan drives seeded random table updates and
+// removals and checks, after every operation, that the cached earliest
+// time equals a full scan. Small key and time ranges make ties and hits
+// on the minimum row common; the test also requires that every case the
+// cache distinguishes actually occurred.
+func TestEarliestCacheMatchesScan(t *testing.T) {
+	const (
+		lowerMin = iota
+		raiseMin
+		resetMin
+		removeMin
+		emptied
+		numCases
+	)
+	names := [numCases]string{"lower min", "raise min", "re-set min", "remove min", "empty both tables"}
+	var seen [numCases]int
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		eng := sim.New(1)
+		// Disabled keeps the radio out of it: only the tables matter.
+		ss := NewSafeSleep(eng, radio.New(eng, radio.Config{}), SafeSleepOptions{Disabled: true})
+		for op := 0; op < 3000; op++ {
+			q := query.ID(rng.Intn(3) + 1)
+			c := query.NodeID(rng.Intn(4) + 1)
+			at := time.Duration(rng.Intn(10)) * time.Millisecond
+			low, had := scanEarliest(ss)
+			// old is the row's time before the operation, when it exists.
+			old, exists := time.Duration(0), false
+			switch k := rng.Intn(20); {
+			case k < 8:
+				if i := ss.findSend(q); i >= 0 {
+					old, exists = ss.nextSend[i].t, true
+				}
+				ss.UpdateNextSend(q, at)
+			case k < 16:
+				if i := ss.findRecv(recvKey{q, c}); i >= 0 {
+					old, exists = ss.nextRecv[i].t, true
+				}
+				ss.UpdateNextReceive(q, c, at)
+			case k < 19:
+				if i := ss.findRecv(recvKey{q, c}); i >= 0 && ss.nextRecv[i].t == low {
+					seen[removeMin]++
+				}
+				ss.RemoveChild(q, c)
+			default:
+				for _, e := range ss.nextSend {
+					if e.q == q && e.t == low {
+						seen[removeMin]++
+					}
+				}
+				ss.RemoveQuery(q)
+			}
+			if exists && old == low {
+				switch {
+				case at < low:
+					seen[lowerMin]++
+				case at > low:
+					seen[raiseMin]++
+				default:
+					seen[resetMin]++
+				}
+			}
+			want, wantOK := scanEarliest(ss)
+			if had && !wantOK {
+				seen[emptied]++
+			}
+			got, gotOK := ss.earliest()
+			if got != want && wantOK || gotOK != wantOK {
+				t.Fatalf("seed %d op %d: earliest() = %v,%v, full scan %v,%v",
+					seed, op, got, gotOK, want, wantOK)
+			}
+		}
+	}
+	for i, n := range seen {
+		if n == 0 {
+			t.Errorf("case %q never occurred", names[i])
+		}
 	}
 }

@@ -744,11 +744,9 @@ func (m *MAC) afterAck() {
 	}
 }
 
-// CarrierChanged implements phy.Receiver.
+// CarrierChanged implements phy.Receiver. The channel delivers edges
+// only while the radio is powered, so a sleeping MAC never sees one.
 func (m *MAC) CarrierChanged(busy bool) {
-	if !m.radio.IsOn() {
-		return
-	}
 	if busy {
 		m.freeze()
 		return

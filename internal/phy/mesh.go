@@ -188,45 +188,18 @@ func (c *Channel) scheduleRemote(rt *remoteTx) {
 // startRemote replays a cross-shard transmission on this lane: carrier
 // rises at every local station in range of the (remote) source, idle
 // receivers lock on, and the completion event delivers — the
-// receiver-side half of StartTx. Source-side bookkeeping (radio, stats,
-// TxStarted observation) happened on the source lane.
+// receiver-side half of StartTx, through the same arrive. Source-side
+// bookkeeping (radio, stats, TxStarted observation) happened on the
+// source lane.
 func (c *Channel) startRemote(r *remoteStart) {
-	tx := sim.TakeLast(&c.freeTx)
-	if tx == nil {
-		tx = sim.ArenaGrab[activeTx](c.eng, "phy.tx")
-		tx.ch = c
-	}
+	tx := c.takeTx()
 	tx.remote = true
 	tx.frame = r.frame
 	dur := r.dur
 	*r = remoteStart{}
 	c.freeRemote = append(c.freeRemote, r)
 
-	c.active = append(c.active, tx)
-	for _, nb := range c.neighbors(tx.frame.Src) {
-		rst := &c.stations[nb]
-		if !rst.enabled {
-			// Foreign-lane stations are never attached here, so this
-			// also confines the replay to the lane's own shard.
-			continue
-		}
-		rst.carriers++
-		if rst.carriers == 1 {
-			rst.rx.CarrierChanged(true)
-		}
-		switch {
-		case rst.receiving != nil:
-			rst.corrupted = true
-			c.stats.Collisions++
-		case rst.radio.CanReceive():
-			rst.receiving = tx
-			rst.corrupted = false
-			rst.radio.BeginRx()
-		default:
-			c.stats.MissedAsleep++
-		}
-	}
-	c.eng.AfterArg(dur, activeTxEnd, tx)
+	c.arrive(tx, dur)
 }
 
 // CrossShardLookahead derives the default mesh latency for a

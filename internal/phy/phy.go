@@ -61,8 +61,9 @@ type Receiver interface {
 	// The receiver must check Frame.Dst itself.
 	FrameDelivered(f *Frame)
 	// CarrierChanged signals the rising (busy=true) and falling edge of
-	// channel energy audible at this node. It fires regardless of radio
-	// power state; the MAC must gate on its own radio.
+	// channel energy audible at this node. Edges reach only a powered
+	// radio (Idle, Rx or Tx): a node that sleeps or wakes mid-frame sees
+	// no edge for that change and must read Channel.CarrierBusy instead.
 	CarrierChanged(busy bool)
 }
 
@@ -139,6 +140,9 @@ type activeTx struct {
 	// the source station lives elsewhere, so only the receiver-side
 	// bookkeeping applies here.
 	remote bool
+	// slot is this transmission's index in ch.active, so endTx removes
+	// it in O(1).
+	slot int
 }
 
 // activeTxEnd is the completion dispatcher shared by every transmission.
@@ -148,9 +152,15 @@ func activeTxEnd(x any) {
 }
 
 type station struct {
-	id      NodeID
-	radio   *radio.Radio
-	rx      Receiver
+	id    NodeID
+	radio *radio.Radio
+	rx    Receiver
+	// state mirrors radio.State(): a transmission's per-neighbour loop
+	// reads it from this dense row instead of loading a sleeping
+	// neighbour's radio and MAC. The station is the radio's first
+	// subscriber, so the mirror is current before any other listener
+	// can react to a state change.
+	state   radio.State
 	enabled bool
 	// disabled marks a permanent Disable (node death): unlike a
 	// Suspend, it can never be Resumed.
@@ -192,7 +202,10 @@ type Channel struct {
 	// layer); nil/empty costs nothing on the delivery path.
 	linkLoss map[linkKey]float64
 	// active tracks in-flight transmissions so Resume can rebuild a
-	// returning station's carrier count; a handful at any instant.
+	// returning station's carrier count. It holds every transmission in
+	// the lane, so it grows with N: a mean of 293 (max 1,095) on the
+	// 10,000-node tier. Each entry's slot is its index; order is
+	// irrelevant, since Resume only counts.
 	active []*activeTx
 	// freeTx recycles activeTx structs (frame + completion callback);
 	// bounded by the peak number of concurrent transmissions.
@@ -254,8 +267,10 @@ func NewChannel(eng *sim.Engine, topo *topology.Topology, cfg Config) (*Channel,
 		stations: sim.ArenaSlice[station](eng, "phy.stations", topo.NumNodes()),
 		prop:     prop,
 		discFast: IsDisc(prop),
-		// A handful of transmissions are in flight at any instant; seed the
-		// tracking and recycling lists with arena-backed capacity.
+		// Seed the tracking and recycling lists with arena-backed capacity
+		// for the in-flight population of small deployments; large ones
+		// grow them by appending (at 10,000 nodes a mean of 293 frames
+		// are in flight, at most 1,095).
 		active: sim.ArenaSlice[*activeTx](eng, "phy.active", 8)[:0],
 		freeTx: sim.ArenaSlice[*activeTx](eng, "phy.freetx", 8)[:0],
 	}
@@ -268,19 +283,25 @@ func (c *Channel) Propagation() Propagation { return c.prop }
 
 // Attach registers node id with its radio and MAC receiver. The channel
 // subscribes to radio state changes so that a radio powering down
-// mid-reception drops the frame.
+// mid-reception drops the frame, and mirrors the state in the station.
+//
+// Attach must run before anything else subscribes to r (mac.New attaches
+// first): the station is then the radio's first listener, so its mirror
+// is updated before a later listener can react to the change — by
+// transmitting, say — and read a stale state.
 func (c *Channel) Attach(id NodeID, r *radio.Radio, rx Receiver) {
 	st := &c.stations[id]
 	if st.rx != nil {
 		panic(fmt.Sprintf("phy: node %d attached twice", id))
 	}
-	*st = station{id: id, radio: r, rx: rx, enabled: true}
+	*st = station{id: id, radio: r, rx: rx, state: r.State(), enabled: true}
 	r.SubscribeState(st)
 }
 
-// RadioStateChanged implements radio.StateListener: leaving a listening
-// state mid-frame loses the frame.
+// RadioStateChanged implements radio.StateListener: it updates the state
+// mirror, and leaving a listening state mid-frame loses the frame.
 func (st *station) RadioStateChanged(old, new radio.State) {
+	st.state = new
 	if st.receiving != nil && new != radio.Rx {
 		st.receiving = nil
 		st.corrupted = false
@@ -338,10 +359,19 @@ func (c *Channel) FrameDuration(bytes int) time.Duration {
 // channel. A powered-down radio senses nothing.
 func (c *Channel) CarrierBusy(id NodeID) bool {
 	st := &c.stations[id]
-	if !st.radio.IsListening() && st.radio.State() != radio.Tx {
-		return false
+	switch st.state {
+	case radio.Tx:
+		return true
+	case radio.Idle, radio.Rx:
+		return st.carriers > 0
 	}
-	return st.carriers > 0 || st.radio.State() == radio.Tx
+	return false
+}
+
+// powered reports whether the station's radio is on (Idle, Rx or Tx),
+// the states in which it hears carrier edges.
+func (st *station) powered() bool {
+	return st.state == radio.Idle || st.state == radio.Rx || st.state == radio.Tx
 }
 
 // Disable removes node id from the channel permanently (node failure):
@@ -404,11 +434,7 @@ func (c *Channel) StartTx(src NodeID, dst NodeID, bytes int, payload any) (time.
 	if !st.enabled {
 		panic(fmt.Sprintf("phy: disabled node %d transmitting", src))
 	}
-	tx := sim.TakeLast(&c.freeTx)
-	if tx == nil {
-		tx = sim.ArenaGrab[activeTx](c.eng, "phy.tx")
-		tx.ch = c
-	}
+	tx := c.takeTx()
 	tx.frame = Frame{ID: c.nextID, Src: src, Dst: dst, Bytes: bytes, Payload: payload}
 	c.nextID++
 	dur := c.FrameDuration(bytes)
@@ -418,16 +444,32 @@ func (c *Channel) StartTx(src NodeID, dst NodeID, bytes int, payload any) (time.
 	if c.obs != nil {
 		c.obs.TxStarted(&tx.frame, st.radio.State(), st.enabled)
 	}
-	c.active = append(c.active, tx)
 
 	st.radio.BeginTx()
-	for _, nb := range c.neighbors(src) {
+	c.arrive(tx, dur)
+	if c.mesh != nil {
+		c.mesh.route(c, tx, dur)
+	}
+	return dur, &tx.frame
+}
+
+// arrive puts tx on the air at every attached station in range of its
+// source for dur: the carrier rises, an idle receiver locks on, and the
+// completion event is scheduled. StartTx and the mesh replay of a
+// cross-shard transmission share it. Per neighbour it reads only the
+// dense station row unless that neighbour's radio is on.
+func (c *Channel) arrive(tx *activeTx, dur time.Duration) {
+	tx.slot = len(c.active)
+	c.active = append(c.active, tx)
+	for _, nb := range c.neighbors(tx.frame.Src) {
 		rst := &c.stations[nb]
 		if !rst.enabled {
+			// Foreign-lane stations are never attached, so this also
+			// confines a mesh replay to the lane's own shard.
 			continue
 		}
 		rst.carriers++
-		if rst.carriers == 1 {
+		if rst.carriers == 1 && rst.powered() {
 			rst.rx.CarrierChanged(true)
 		}
 		switch {
@@ -436,7 +478,7 @@ func (c *Channel) StartTx(src NodeID, dst NodeID, bytes int, payload any) (time.
 			// corrupted. The new frame is lost at this receiver too.
 			rst.corrupted = true
 			c.stats.Collisions++
-		case rst.radio.CanReceive():
+		case rst.state == radio.Idle:
 			rst.receiving = tx
 			rst.corrupted = false
 			rst.radio.BeginRx()
@@ -444,12 +486,17 @@ func (c *Channel) StartTx(src NodeID, dst NodeID, bytes int, payload any) (time.
 			c.stats.MissedAsleep++
 		}
 	}
-
-	if c.mesh != nil {
-		c.mesh.route(c, tx, dur)
-	}
 	c.eng.AfterArg(dur, activeTxEnd, tx)
-	return dur, &tx.frame
+}
+
+// takeTx returns a recycled (or fresh) transmission owned by c.
+func (c *Channel) takeTx() *activeTx {
+	tx := sim.TakeLast(&c.freeTx)
+	if tx == nil {
+		tx = sim.ArenaGrab[activeTx](c.eng, "phy.tx")
+		tx.ch = c
+	}
+	return tx
 }
 
 func (c *Channel) endTx(tx *activeTx) {
@@ -478,21 +525,19 @@ func (c *Channel) endTx(tx *activeTx) {
 			}
 			rst.radio.EndRx()
 		}
-		if rst.carriers == 0 {
+		if rst.carriers == 0 && rst.powered() {
 			rst.rx.CarrierChanged(false)
 		}
 	}
-	// Every station has detached from this transmission: recycle it. The
-	// payload reference is dropped so the pool does not pin MAC headers.
-	for i, a := range c.active {
-		if a == tx {
-			last := len(c.active) - 1
-			c.active[i] = c.active[last]
-			c.active[last] = nil
-			c.active = c.active[:last]
-			break
-		}
-	}
+	// Every station has detached from this transmission: swap-remove it
+	// from the in-flight list and recycle it. The payload reference is
+	// dropped so the pool does not pin MAC headers.
+	last := len(c.active) - 1
+	moved := c.active[last]
+	c.active[tx.slot] = moved
+	moved.slot = tx.slot
+	c.active[last] = nil
+	c.active = c.active[:last]
 	tx.frame.Payload = nil
 	tx.remote = false
 	c.freeTx = append(c.freeTx, tx)

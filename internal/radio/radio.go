@@ -101,7 +101,13 @@ type Radio struct {
 	lastChange time.Duration
 	timeIn     [numStates]time.Duration
 
+	// listeners is backed by inline while a node's stack subscribes at
+	// most three (channel station, MAC, Safe Sleep or a power manager):
+	// a state change then notifies them without leaving the radio's own
+	// cache lines. A fourth subscriber (the auditor, a tracer, a radio
+	// sink) moves the slice to the heap.
 	listeners []StateListener
+	inline    [3]StateListener
 
 	transition *sim.Event
 	pendingOff bool // TurnOff requested during Tx; applied at EndTx
@@ -136,10 +142,8 @@ func New(eng *sim.Engine, cfg Config) *Radio {
 		panic("radio: negative transition delay")
 	}
 	r := sim.ArenaGrab[Radio](eng, "radio.radio")
-	*r = Radio{eng: eng, cfg: cfg, state: Idle, lastChange: eng.Now(),
-		// A node's stack subscribes a handful of listeners (channel, MAC,
-		// Safe Sleep, optionally a tracer); seed with arena-backed capacity.
-		listeners: sim.ArenaSlice[StateListener](eng, "radio.listeners", 4)[:0]}
+	*r = Radio{eng: eng, cfg: cfg, state: Idle, lastChange: eng.Now()}
+	r.listeners = r.inline[:0]
 	return r
 }
 
