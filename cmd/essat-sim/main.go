@@ -58,7 +58,7 @@ func main() {
 		failures = flag.Int("failures", 0, "random non-leaf nodes to kill mid-run")
 		bfs      = flag.Bool("bfs-tree", false, "use idealized BFS tree instead of simulated setup flood")
 		verbose  = flag.Bool("v", false, "print per-rank duty cycles and channel stats")
-		traceN   = flag.Int("trace", 0, "record and print the last N structured events (radio transitions, recovery)")
+		traceN   = flag.Int("trace", 0, "record and print the last N structured events (radio transitions, recovery), merged across shards; overrides a spec file's trace_capacity")
 		dissem   = flag.Duration("dissem", 0, "add a downstream command flow with this period (0 = none)")
 		peers    = flag.Int("peers", 0, "add N random peer-to-peer flows at 1 Hz")
 		battery  = flag.Float64("battery", 0, "per-node battery budget in joules (0 = unlimited)")
@@ -100,7 +100,7 @@ func main() {
 		fatal(err)
 	}
 	spec := specFromFlags(*protocol, *topo, *rate, *perClass, *nodes, *area,
-		*duration, *deadline, *tbe, *loss, *failures, *bfs, *traceN, *dissem, *peers, *battery,
+		*duration, *deadline, *tbe, *loss, *failures, *bfs, *dissem, *peers, *battery,
 		*churn, *burst, chSpec, *radioPr)
 	seedExplicit := false
 	if *scenario != "" {
@@ -136,6 +136,9 @@ func main() {
 	}
 	if *audit {
 		spec.Audit = true
+	}
+	if *traceN > 0 {
+		spec.TraceCapacity = *traceN
 	}
 	if *shards > 0 {
 		spec.Parallelism = &essat.ParallelismSpec{Shards: *shards, Lookahead: essat.Dur(*lookahd)}
@@ -373,22 +376,21 @@ func parseChannelFlag(s string) (*essat.ChannelSpec, error) {
 // declarative spec the -scenario path uses, so both run identically.
 func specFromFlags(protocol, topo string, rate float64, perClass, nodes int, area float64,
 	duration, deadline, tbe time.Duration, loss float64, failures int, bfs bool,
-	traceN int, dissem time.Duration, peers int, battery float64,
+	dissem time.Duration, peers int, battery float64,
 	churn int, burst time.Duration, channel *essat.ChannelSpec, radioProfile string) *essat.Spec {
 
 	spec := &essat.Spec{
-		Protocol:      protocol,
-		Topology:      topo,
-		Nodes:         nodes,
-		Area:          area,
-		Duration:      essat.Dur(duration),
-		Deadline:      essat.Dur(deadline),
-		Loss:          loss,
-		BFSTree:       bfs,
-		BatteryJ:      battery,
-		TraceCapacity: traceN,
-		Workload:      &essat.Workload{BaseRate: rate, PerClass: perClass},
-		Channel:       channel,
+		Protocol: protocol,
+		Topology: topo,
+		Nodes:    nodes,
+		Area:     area,
+		Duration: essat.Dur(duration),
+		Deadline: essat.Dur(deadline),
+		Loss:     loss,
+		BFSTree:  bfs,
+		BatteryJ: battery,
+		Workload: &essat.Workload{BaseRate: rate, PerClass: perClass},
+		Channel:  channel,
 	}
 	if radioProfile != "" {
 		spec.Radio = &essat.RadioSpec{Profile: radioProfile}

@@ -58,6 +58,15 @@ func TestCLISmoke(t *testing.T) {
 		t.Errorf("-shards 1 output differs from the sequential run:\n%s\n---\n%s", seq, one)
 	}
 
+	// -trace applies to a loaded spec like -audit and -shards do.
+	traced, err := run("-scenario", filepath.Join("..", "..", "testdata", "example.json"), "-duration", "5s", "-trace", "16")
+	if err != nil {
+		t.Fatalf("-scenario -trace run: %v", err)
+	}
+	if !strings.Contains(traced, "last 16 structured events") {
+		t.Errorf("-trace 16 with -scenario printed no event block:\n%s", traced)
+	}
+
 	if _, err := run("-scenario", filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("a missing -scenario file exited 0")
 	}

@@ -173,15 +173,6 @@ func (a *Auditor) Summary() *Summary {
 	}
 }
 
-// Violations returns the retained breaches.
-func (a *Auditor) Violations() []Violation { return a.violations }
-
-// Clean reports whether no invariant was breached.
-func (a *Auditor) Clean() bool { return a.total == 0 }
-
-// Digest returns the current trace digest.
-func (a *Auditor) Digest() string { return fmt.Sprintf("%016x", a.h) }
-
 // --- scheduler -------------------------------------------------------------
 
 // EventFired implements sim.Observer: pops must be monotone in

@@ -123,18 +123,19 @@ func TestInvariantsFire(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			a, _ := newTestAuditor()
 			tc.corrupt(a)
-			if a.Clean() {
+			sum := a.Summary()
+			if sum.Total == 0 {
 				t.Fatalf("corrupted observation did not trip any invariant")
 			}
 			found := false
-			for _, v := range a.Violations() {
+			for _, v := range sum.Violations {
 				if v.Rule == tc.rule {
 					found = true
 					break
 				}
 			}
 			if !found {
-				t.Fatalf("expected rule %q to fire, got %v", tc.rule, a.Violations())
+				t.Fatalf("expected rule %q to fire, got %v", tc.rule, sum.Violations)
 			}
 		})
 	}
@@ -155,11 +156,12 @@ func TestCleanObservationsStayClean(t *testing.T) {
 	sink := a.WrapSink(nil)
 	sink.ReportArrived(1, 0, 50*time.Millisecond, 3)
 	sink.IntervalClosed(1, 0, 60*time.Millisecond, 3)
-	if !a.Clean() {
-		t.Fatalf("clean sequence produced violations: %v", a.Violations())
+	sum := a.Summary()
+	if sum.Total != 0 {
+		t.Fatalf("clean sequence produced violations: %v", sum.Violations)
 	}
-	if a.Summary().Events != 3 {
-		t.Fatalf("Events = %d, want 3", a.Summary().Events)
+	if sum.Events != 3 {
+		t.Fatalf("Events = %d, want 3", sum.Events)
 	}
 }
 
@@ -173,10 +175,11 @@ func TestRadioWatchCatchesAccountingDrift(t *testing.T) {
 	eng.Schedule(10*time.Millisecond, r.TurnOff)
 	eng.Schedule(30*time.Millisecond, r.TurnOn)
 	eng.Run(50 * time.Millisecond)
-	if !a.Clean() {
-		t.Fatalf("correct radio accounting flagged: %v", a.Violations())
+	sum := a.Summary()
+	if sum.Total != 0 {
+		t.Fatalf("correct radio accounting flagged: %v", sum.Violations)
 	}
-	if a.Digest() == New(eng.Now).Digest() {
+	if sum.Digest == New(eng.Now).Summary().Digest {
 		t.Fatal("radio transitions did not reach the digest")
 	}
 }
@@ -189,7 +192,7 @@ func TestDigestDeterministicAndSensitive(t *testing.T) {
 		for i := 0; i < n; i++ {
 			a.EventFired(time.Duration(i)*time.Millisecond, uint64(i))
 		}
-		return a.Digest()
+		return a.Summary().Digest
 	}
 	if feed(10) != feed(10) {
 		t.Fatal("identical streams produced different digests")

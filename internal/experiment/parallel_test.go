@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -144,14 +145,10 @@ func TestParallelGates(t *testing.T) {
 		mut  func(*Scenario)
 		want string
 	}{
-		{"tracing", func(sc *Scenario) { sc.TraceCapacity = 64 }, "tracing"},
 		{"dynamics", func(sc *Scenario) {
 			sc.Dynamics = []Dynamic{{Kind: "crash"}}
 		}, "dynamics"},
 		{"failure-detector", func(sc *Scenario) { sc.QueryCfg.FailureThreshold = 3 }, "failure detector"},
-		{"radio-sink", func(sc *Scenario) {
-			sc.Sinks = []SinkChoice{{Name: "timeseries"}}
-		}, "radio-observing"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -167,6 +164,69 @@ func TestParallelGates(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestParallelObservers: the tracer and the radio-observing sinks run
+// per shard, so a sharded run with them attached stays deterministic,
+// observes without perturbing (same digest as the bare run), and at one
+// shard reproduces the sequential run's trace and records exactly. Not
+// skipped under -short: the race job runs it.
+func TestParallelObservers(t *testing.T) {
+	const capacity = 64
+	observed := func(shards int) Scenario {
+		sc := parallelScenario(DTSSS, 42, shards)
+		sc.TraceCapacity = capacity
+		sc.Sinks = []SinkChoice{{Name: "timeseries"}, {Name: "jsonl"}}
+		return sc
+	}
+	run := func(t *testing.T, sc Scenario) *Result {
+		t.Helper()
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	a, b := run(t, observed(4)), run(t, observed(4))
+	t.Run("deterministic", func(t *testing.T) {
+		if !reflect.DeepEqual(a.Trace, b.Trace) {
+			t.Error("shards=4 traces differ between identical runs")
+		}
+		if !reflect.DeepEqual(a.Records, b.Records) {
+			t.Error("shards=4 records differ between identical runs")
+		}
+		if a.Audit.Digest != b.Audit.Digest {
+			t.Errorf("shards=4 digests differ: %s vs %s", a.Audit.Digest, b.Audit.Digest)
+		}
+	})
+	t.Run("non-perturbing", func(t *testing.T) {
+		if bare := run(t, parallelScenario(DTSSS, 42, 4)); bare.Audit.Digest != a.Audit.Digest {
+			t.Errorf("observers changed the shards=4 digest: %s vs bare %s", a.Audit.Digest, bare.Audit.Digest)
+		}
+	})
+	t.Run("merged-output", func(t *testing.T) {
+		if len(a.Trace) == 0 || len(a.Trace) > capacity {
+			t.Errorf("trace holds %d events, want 1..%d", len(a.Trace), capacity)
+		}
+		for i := 1; i < len(a.Trace); i++ {
+			if a.Trace[i].At < a.Trace[i-1].At {
+				t.Fatalf("trace not chronological at %d: %v after %v", i, a.Trace[i].At, a.Trace[i-1].At)
+			}
+		}
+		if len(a.Records) != 2 || len(a.Records[0].Series) != a.TreeSize {
+			t.Errorf("got %d records, want timeseries (one series per member) and jsonl", len(a.Records))
+		}
+	})
+	t.Run("one-shard-matches-sequential", func(t *testing.T) {
+		seq, one := run(t, observed(0)), run(t, observed(1))
+		if !reflect.DeepEqual(seq.Trace, one.Trace) {
+			t.Error("shards=1 trace differs from the sequential run")
+		}
+		if !reflect.DeepEqual(seq.Records, one.Records) {
+			t.Error("shards=1 records differ from the sequential run")
+		}
+	})
 }
 
 // TestParallelBudget: the event budget terminates a sharded run at

@@ -145,7 +145,7 @@ type Scenario struct {
 	RecordSleepIntervals bool
 
 	// TraceCapacity, when positive, records the last N structured events
-	// (radio transitions, failure recovery) across all nodes.
+	// (radio transitions, failure recovery) across all nodes and shards.
 	TraceCapacity int
 
 	// BatteryJ, when positive, gives every non-root node a finite energy
@@ -191,10 +191,9 @@ type Scenario struct {
 	// (phy.Mesh). Cross-shard links behave as if they had `Lookahead`
 	// of propagation delay — the standard federated-simulation
 	// approximation — so results are deterministic per (seed, Shards,
-	// Lookahead) but not bit-identical across shard counts. Tracing,
-	// dynamics injectors, the §4.3 failure detector, and
-	// radio-observing sinks are not yet supported with more than one
-	// shard and fail the build.
+	// Lookahead) but not bit-identical across shard counts. Dynamics
+	// injectors and the §4.3 failure detector are not yet supported
+	// with more than one shard and fail the build.
 	Shards int
 	// Lookahead overrides the derived cross-shard latency; zero derives
 	// DIFS + worst-case propagation from the MAC and topology (see
@@ -380,7 +379,7 @@ type Sim struct {
 
 	sink      *stats.RootSink
 	fan       *stats.Fanout
-	tracer    *trace.Tracer
+	tracers   []*trace.Tracer
 	auditors  []*check.Auditor
 	profile   radio.PowerProfile
 	activeAt0 []time.Duration
@@ -450,8 +449,6 @@ func (b *builder) resolveModels() error {
 		// shards (and therefore across goroutines) are gated until they
 		// grow a parallel-safe path.
 		switch {
-		case sc.TraceCapacity > 0:
-			return fmt.Errorf("experiment: tracing is not supported with shards > 1")
 		case len(sc.Dynamics) > 0:
 			return fmt.Errorf("experiment: dynamics injectors are not supported with shards > 1")
 		case sc.QueryCfg.FailureThreshold > 0:
@@ -657,9 +654,9 @@ func (b *builder) auditorOf(id node.NodeID) *check.Auditor {
 	return b.auditors[b.part.Assign[id]]
 }
 
-// observers attaches the pure observers: the metric sinks, the tracer,
-// and the invariant auditors. The run is byte-identical with any
-// selection of them.
+// observers attaches the pure observers: the metric sinks, the
+// per-shard tracers, and the per-shard invariant auditors. The run is
+// byte-identical with any selection of them.
 func (b *builder) observers() error {
 	sc := &b.Scenario
 	// The root recorder comes off the sink registry like any other sink
@@ -669,6 +666,7 @@ func (b *builder) observers() error {
 		Queries:     sc.Queries,
 		Duration:    sc.Duration,
 		MeasureFrom: sc.MeasureFrom,
+		Nodes:       b.Topo.NumNodes(),
 	}
 	rootObs, err := stats.NewSink(stats.SinkRoot, sinkCfg)
 	if err != nil {
@@ -689,18 +687,18 @@ func (b *builder) observers() error {
 		observers = append(observers, extra)
 	}
 	b.fan = stats.NewFanout(observers...)
-	if sc.Shards > 1 && b.fan.WantsRadio() {
-		return fmt.Errorf("experiment: radio-observing sinks are not supported with shards > 1")
-	}
 
+	// The tracer and the auditor are per shard: each observes only its
+	// own engine, lane and nodes, so no observer state is shared across
+	// shard goroutines. Collect merges the tracers (trace.Merge) and
+	// folds the audit summaries (check.Combine). The per-node hooks
+	// installed by stacks and workload are nil (and free) when off.
 	if sc.TraceCapacity > 0 {
-		b.tracer = trace.New(sc.TraceCapacity, b.Eng.Now)
+		b.tracers = make([]*trace.Tracer, len(b.engines))
+		for s := range b.tracers {
+			b.tracers[s] = trace.New(sc.TraceCapacity, b.engines[s].Now)
+		}
 	}
-
-	// The auditor observes every layer but never acts. Each shard gets
-	// its own, observing its own engine and lane; Collect folds the
-	// summaries (check.Combine). The per-node hooks installed by stacks
-	// and workload are nil (and free) when auditing is off.
 	if sc.Audit {
 		b.auditors = make([]*check.Auditor, len(b.engines))
 		for s := range b.auditors {
@@ -728,8 +726,8 @@ func (b *builder) stacks() error {
 		if sc.RecordSleepIntervals {
 			n.Radio.RecordSleepIntervals()
 		}
-		if b.tracer != nil {
-			n.SetTracer(b.tracer)
+		if b.tracers != nil {
+			n.SetTracer(b.tracers[b.part.Assign[id]])
 		}
 		adt := b.auditorOf(id)
 		var s query.Sink
@@ -757,6 +755,8 @@ func (b *builder) stacks() error {
 			})
 		}
 		if b.fan.WantsRadio() {
+			// Runs on this node's shard goroutine (the RadioObserver
+			// contract).
 			id, fan := id, b.fan
 			n.Radio.Subscribe(func(old, new radio.State) {
 				fan.RadioChanged(int(id), old, new, ne.Now())
@@ -1055,8 +1055,8 @@ func (s *Sim) Collect() *Result {
 		}
 		res.BatteryDeaths += b.deaths
 	}
-	if s.tracer != nil {
-		res.Trace = s.tracer.Events()
+	if s.tracers != nil {
+		res.Trace = trace.Merge(s.tracers, s.Scenario.TraceCapacity)
 	}
 	if s.auditors != nil {
 		parts := make([]*check.Summary, len(s.auditors))

@@ -129,9 +129,8 @@ type Spec struct {
 // goroutine inside conservative windows of the cross-shard lookahead.
 // Results are deterministic per (seed, shards, lookahead) but not
 // bit-identical across shard counts — cross-shard links carry the
-// lookahead as extra propagation delay. Tracing, dynamics injectors,
-// the failure detector, and radio-observing sinks are rejected in
-// parallel mode.
+// lookahead as extra propagation delay. Dynamics injectors and the
+// failure detector are rejected in parallel mode.
 type ParallelismSpec struct {
 	// Shards in [1, 64]; 1 is the sequential engine.
 	Shards int `json:"shards"`

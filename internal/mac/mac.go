@@ -100,10 +100,9 @@ type Upper interface {
 	Deliver(src phy.NodeID, payload any, bytes int)
 }
 
-// AckInfoSink receives information piggybacked on acknowledgements. When
-// no SetAckInfoFunc callback is installed, an Upper implementing this
-// interface gets the piggybacked payloads directly — the standard node
-// wiring, which saves a closure per node per run.
+// AckInfoSink receives information piggybacked on acknowledgements: an
+// Upper implementing it gets the payloads piggybacked on ACKs for this
+// station's frames.
 type AckInfoSink interface {
 	AckInfo(from phy.NodeID, info any)
 }
@@ -230,8 +229,7 @@ type MAC struct {
 	// ackInfo holds upper-layer payloads to piggyback on pending ACKs,
 	// keyed by (source, sequence) of the data frame being acknowledged.
 	// Lazily allocated: most stations never piggyback anything.
-	ackInfo   map[ackKey]any
-	onAckInfo func(from phy.NodeID, info any)
+	ackInfo map[ackKey]any
 
 	onIdle   func()
 	idleSink IdleSink
@@ -365,10 +363,6 @@ func (m *MAC) Stats() Stats { return m.stats }
 // SetUpper installs the upper-layer receiver. It must be called before the
 // simulation starts if the upper layer was not available at construction.
 func (m *MAC) SetUpper(u Upper) { m.upper = u }
-
-// SetAckInfoFunc installs the callback invoked when an acknowledgement
-// for one of this station's frames carried piggybacked information.
-func (m *MAC) SetAckInfoFunc(f func(from phy.NodeID, info any)) { m.onAckInfo = f }
 
 // SetAckSlack installs a per-destination ACK-timeout extension (nil
 // disables). The parallel engine's build path sets it on boundary
@@ -671,9 +665,7 @@ func (m *MAC) FrameDelivered(f *phy.Frame) {
 
 func (m *MAC) ackReceived(src phy.NodeID, seq uint64, info any) {
 	if info != nil {
-		if m.onAckInfo != nil {
-			m.onAckInfo(src, info)
-		} else if s, ok := m.upper.(AckInfoSink); ok {
+		if s, ok := m.upper.(AckInfoSink); ok {
 			s.AckInfo(src, info)
 		}
 	}

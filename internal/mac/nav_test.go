@@ -82,18 +82,18 @@ func TestAttachToAckRoundTrip(t *testing.T) {
 	net := newChain(t, 2, 3, phy.DefaultConfig())
 	type token struct{ V int }
 
-	// Receiver attaches info during Deliver; sender's ack-info callback
-	// must observe it.
+	// Receiver attaches info during Deliver; the sender's upper, an
+	// AckInfoSink, must observe it.
 	attachOK := false
 	net.macs[1].SetUpper(&deliverChecker{f: func() {
 		attachOK = net.macs[1].AttachToAck(0, token{V: 42})
 	}})
 	var got any
-	net.macs[0].SetAckInfoFunc(func(from phy.NodeID, info any) {
+	net.macs[0].SetUpper(ackInfoRecorder(func(from phy.NodeID, info any) {
 		if from == 1 {
 			got = info
 		}
-	})
+	}))
 
 	net.macs[0].Send(1, "data", 52, nil)
 	net.eng.Run(time.Second)
@@ -106,6 +106,12 @@ func TestAttachToAckRoundTrip(t *testing.T) {
 		t.Fatalf("ack info = %v, want token{42}", got)
 	}
 }
+
+// ackInfoRecorder is an upper that only observes ACK piggybacks.
+type ackInfoRecorder func(from phy.NodeID, info any)
+
+func (ackInfoRecorder) Deliver(phy.NodeID, any, int)        {}
+func (f ackInfoRecorder) AckInfo(from phy.NodeID, info any) { f(from, info) }
 
 func TestAttachToAckOutsideDeliveryFails(t *testing.T) {
 	net := newChain(t, 2, 3, phy.DefaultConfig())

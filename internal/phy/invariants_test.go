@@ -50,7 +50,7 @@ func TestChannelConservationProperty(t *testing.T) {
 			}
 			src, dst, i := src, dst, i
 			eng.Schedule(at, func() {
-				if radios[src].IsListening() && ch.Enabled(src) {
+				if st := radios[src].State(); (st == radio.Idle || st == radio.Rx) && ch.Enabled(src) {
 					ch.StartTx(src, dst, 20+rng.Intn(60), i)
 				}
 			})

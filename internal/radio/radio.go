@@ -156,10 +156,6 @@ func (r *Radio) State() State { return r.state }
 // IsOn reports whether the radio is powered and usable (Idle, Rx or Tx).
 func (r *Radio) IsOn() bool { return r.state == Idle || r.state == Rx || r.state == Tx }
 
-// IsListening reports whether the radio can currently sense or receive
-// energy on the channel (Idle or Rx).
-func (r *Radio) IsListening() bool { return r.state == Idle || r.state == Rx }
-
 // CanReceive reports whether the radio can begin receiving a new frame.
 func (r *Radio) CanReceive() bool { return r.state == Idle }
 

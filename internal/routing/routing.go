@@ -367,18 +367,6 @@ func (t *Tree) FindNewParent(orphan NodeID, exclude ...NodeID) NodeID {
 	return best
 }
 
-// DetachChild removes the edge from child's parent to child (the §4.3
-// parent-side recovery: "the parent removes its dependency on the failed
-// node") and recomputes ranks. The child keeps its subtree and must
-// re-parent itself; until then it is orphaned and its reports go nowhere.
-func (t *Tree) DetachChild(child NodeID) {
-	if child == t.root || !t.member[child] {
-		return
-	}
-	t.detach(child)
-	t.RecomputeRanks()
-}
-
 // MarkDead records id as failed and removes it from its parent's children
 // (the parent-side §4.3 detection). Unlike MarkFailed it leaves id's child
 // edges in place: each child discovers the failure through its own

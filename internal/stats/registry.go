@@ -50,6 +50,12 @@ type Sink interface {
 // RadioObserver is implemented by sinks that want per-transition radio
 // state changes. Radios are only subscribed when at least one
 // configured sink implements it, so default runs pay nothing.
+//
+// RadioChanged runs on the goroutine of the shard that owns the node,
+// so calls for distinct nodes may run concurrently in a sharded run;
+// calls for one node are sequential and in time order. Implementations
+// keep per-node state in a slice indexed by node ID, sized by
+// SinkConfig.Nodes, and share no mutable state across nodes.
 type RadioObserver interface {
 	RadioChanged(node int, from, to radio.State, at time.Duration)
 }
@@ -80,7 +86,10 @@ type SinkConfig struct {
 	Queries     []query.Spec
 	Duration    time.Duration
 	MeasureFrom time.Duration
-	Params      map[string]float64
+	// Nodes is the deployment's node count (node IDs are 0..Nodes-1),
+	// derived by the run builder from the topology.
+	Nodes  int
+	Params map[string]float64
 }
 
 // SinkBuilder constructs a sink for one run.

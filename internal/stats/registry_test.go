@@ -80,7 +80,7 @@ func feedScript(f *Fanout) {
 
 func buildFanout(t *testing.T) *Fanout {
 	t.Helper()
-	cfg := SinkConfig{Duration: 2 * time.Second, MeasureFrom: 0}
+	cfg := SinkConfig{Duration: 2 * time.Second, MeasureFrom: 0, Nodes: 3}
 	var obs []Sink
 	for _, name := range []string{SinkTimeseries, SinkEnergy, SinkJSONL} {
 		s, err := NewSink(name, cfg)
@@ -199,7 +199,7 @@ func TestEnergySinkHistogram(t *testing.T) {
 // 2 s run has awake fractions 0.4 and 0.8.
 func TestTimeseriesBucketing(t *testing.T) {
 	f := func() (*Fanout, Sink) {
-		s, err := NewSink(SinkTimeseries, SinkConfig{Duration: 2 * time.Second})
+		s, err := NewSink(SinkTimeseries, SinkConfig{Duration: 2 * time.Second, Nodes: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,6 +235,7 @@ func TestTimeseriesBucketing(t *testing.T) {
 func TestTimeseriesPartialFinalBucket(t *testing.T) {
 	s, err := NewSink(SinkTimeseries, SinkConfig{
 		Duration: 2500 * time.Millisecond,
+		Nodes:    5,
 		Params:   map[string]float64{"bucket_ms": 1000},
 	})
 	if err != nil {

@@ -26,11 +26,12 @@ func init() {
 // timeseriesSink integrates each node's radio awake time into
 // fixed-width buckets and emits one awake-fraction series per live
 // member. Series cover nodes that reach end-of-run accounting: a node
-// killed mid-run never gets a NodeDone and is omitted.
+// killed mid-run never gets a NodeDone and is omitted. Timelines are
+// indexed by node ID, so each is written only by its node's shard.
 type timeseriesSink struct {
 	bucket   time.Duration
 	duration time.Duration
-	nodes    map[int]*nodeTimeline
+	nodes    []nodeTimeline
 	series   []Series
 }
 
@@ -54,7 +55,11 @@ func newTimeseriesSink(cfg SinkConfig) (Sink, error) {
 		}
 		bucket = time.Duration(v * float64(time.Millisecond))
 	}
-	return &timeseriesSink{bucket: bucket, duration: cfg.Duration, nodes: make(map[int]*nodeTimeline)}, nil
+	nodes := make([]nodeTimeline, cfg.Nodes)
+	for i := range nodes {
+		nodes[i].awake = true
+	}
+	return &timeseriesSink{bucket: bucket, duration: cfg.Duration, nodes: nodes}, nil
 }
 
 func (t *timeseriesSink) Name() string { return SinkTimeseries }
@@ -64,18 +69,9 @@ func (t *timeseriesSink) IntervalClosed(q query.ID, k int, latency time.Duration
 
 // RadioChanged implements RadioObserver.
 func (t *timeseriesSink) RadioChanged(node int, from, to radio.State, at time.Duration) {
-	tl := t.timeline(node)
+	tl := &t.nodes[node]
 	tl.advance(t.bucket, at)
 	tl.awake = to != radio.Off
-}
-
-func (t *timeseriesSink) timeline(node int) *nodeTimeline {
-	tl, ok := t.nodes[node]
-	if !ok {
-		tl = &nodeTimeline{awake: true}
-		t.nodes[node] = tl
-	}
-	return tl
 }
 
 // advance integrates awake time from the last observation up to now,
@@ -106,7 +102,7 @@ func (tl *nodeTimeline) advance(bucket, now time.Duration) {
 // its series. Collect calls this in node-ID order, so series order is
 // deterministic.
 func (t *timeseriesSink) NodeDone(n NodeSummary) {
-	tl := t.timeline(n.Node)
+	tl := &t.nodes[n.Node]
 	tl.advance(t.bucket, t.duration)
 	want := 0
 	if t.duration > 0 {

@@ -1,6 +1,7 @@
 // Package trace provides a lightweight structured event log for
-// simulations: protocol implementations record typed events into a
-// bounded ring buffer that tools and tests can filter, count, and render.
+// simulations: nodes record typed events into a bounded ring buffer,
+// one per shard, and Merge folds the shards' buffers into one
+// chronological log.
 //
 // Tracing is designed to be cheap enough to leave wired in: a disabled
 // Tracer (the zero value or nil) drops events without allocation.
@@ -8,7 +9,7 @@ package trace
 
 import (
 	"fmt"
-	"io"
+	"sort"
 	"time"
 
 	"github.com/essat/essat/internal/topology"
@@ -17,20 +18,11 @@ import (
 // Kind classifies trace events.
 type Kind uint8
 
-// Event kinds covering the stack: radio power transitions, MAC outcomes,
-// query progress, and ESSAT protocol actions.
+// Event kinds: radio power transitions and the §4.3 failure-recovery
+// actions.
 const (
 	RadioSleep Kind = iota + 1
 	RadioWake
-	MACSend
-	MACRetry
-	MACDrop
-	ReportGenerated
-	ReportAggregated
-	ReportDelivered
-	IntervalTimeout
-	PhaseShift
-	PhaseRequest
 	NodeFailed
 	Reparented
 	Recovered
@@ -43,24 +35,6 @@ func (k Kind) String() string {
 		return "radio-sleep"
 	case RadioWake:
 		return "radio-wake"
-	case MACSend:
-		return "mac-send"
-	case MACRetry:
-		return "mac-retry"
-	case MACDrop:
-		return "mac-drop"
-	case ReportGenerated:
-		return "report-generated"
-	case ReportAggregated:
-		return "report-aggregated"
-	case ReportDelivered:
-		return "report-delivered"
-	case IntervalTimeout:
-		return "interval-timeout"
-	case PhaseShift:
-		return "phase-shift"
-	case PhaseRequest:
-		return "phase-request"
 	case NodeFailed:
 		return "node-failed"
 	case Reparented:
@@ -77,8 +51,8 @@ type Event struct {
 	At   time.Duration
 	Node topology.NodeID
 	Kind Kind
-	// Detail is a small free-form annotation (e.g. the peer node or the
-	// shifted phase).
+	// Detail is a small free-form annotation (e.g. the old and new
+	// parent of a re-parented node).
 	Detail string
 }
 
@@ -97,7 +71,6 @@ type Tracer struct {
 	buf     []Event
 	next    int
 	wrapped bool
-	total   uint64
 	clock   func() time.Duration
 }
 
@@ -124,7 +97,6 @@ func (t *Tracer) Record(node topology.NodeID, kind Kind, detail string) {
 	}
 	t.buf[t.next] = Event{At: t.clock(), Node: node, Kind: kind, Detail: detail}
 	t.next++
-	t.total++
 	if t.next == len(t.buf) {
 		t.next = 0
 		t.wrapped = true
@@ -138,14 +110,6 @@ func (t *Tracer) Recordf(node topology.NodeID, kind Kind, format string, args ..
 		return
 	}
 	t.Record(node, kind, fmt.Sprintf(format, args...))
-}
-
-// Total returns the number of events recorded, including evicted ones.
-func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.total
 }
 
 // Events returns the retained events in chronological order.
@@ -162,36 +126,20 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// Filter returns the retained events matching kind (any node) or, with
-// node >= 0, only that node's.
-func (t *Tracer) Filter(kind Kind, node topology.NodeID) []Event {
+// Merge folds the retained events of per-shard tracers into one log
+// ordered by time, then by shard order, then by recording order within
+// the shard, and keeps the last capacity events. Each part must be
+// clocked by a monotone clock.
+func Merge(parts []*Tracer, capacity int) []Event {
 	var out []Event
-	for _, e := range t.Events() {
-		if e.Kind != kind {
-			continue
-		}
-		if node >= 0 && e.Node != node {
-			continue
-		}
-		out = append(out, e)
+	for _, t := range parts {
+		out = append(out, t.Events()...)
+	}
+	// Each part is already chronological, so a stable sort of the
+	// concatenation yields (At, shard, seq) order.
+	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	if len(out) > capacity {
+		out = out[len(out)-capacity:]
 	}
 	return out
-}
-
-// Count returns how many retained events match kind.
-func (t *Tracer) Count(kind Kind) int {
-	n := 0
-	for _, e := range t.Events() {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
-// Dump writes the retained events to w, one per line.
-func (t *Tracer) Dump(w io.Writer) {
-	for _, e := range t.Events() {
-		fmt.Fprintln(w, e)
-	}
 }

@@ -13,12 +13,12 @@ func fixedClock(at *time.Duration) func() time.Duration {
 func TestDisabledTracerIsNoOp(t *testing.T) {
 	var nilTracer *Tracer
 	nilTracer.Record(1, RadioSleep, "")
-	if nilTracer.Enabled() || nilTracer.Total() != 0 || nilTracer.Events() != nil {
+	if nilTracer.Enabled() || nilTracer.Events() != nil {
 		t.Fatal("nil tracer should be fully inert")
 	}
 	zero := &Tracer{}
 	zero.Record(1, RadioSleep, "")
-	if zero.Enabled() || zero.Total() != 0 {
+	if zero.Enabled() || zero.Events() != nil {
 		t.Fatal("zero-value tracer should be disabled")
 	}
 }
@@ -29,7 +29,7 @@ func TestRecordAndEvents(t *testing.T) {
 	at = time.Second
 	tr.Record(3, RadioSleep, "")
 	at = 2 * time.Second
-	tr.Recordf(4, PhaseShift, "s(k+1)=%v", 2500*time.Millisecond)
+	tr.Recordf(4, Reparented, "from %d to %d", 1, 2)
 
 	evs := tr.Events()
 	if len(evs) != 2 {
@@ -38,11 +38,11 @@ func TestRecordAndEvents(t *testing.T) {
 	if evs[0].Kind != RadioSleep || evs[0].Node != 3 || evs[0].At != time.Second {
 		t.Fatalf("event 0 = %+v", evs[0])
 	}
-	if !strings.Contains(evs[1].Detail, "2.5s") {
+	if evs[1].Detail != "from 1 to 2" {
 		t.Fatalf("formatted detail = %q", evs[1].Detail)
 	}
-	if tr.Total() != 2 {
-		t.Fatalf("Total = %d", tr.Total())
+	if s := evs[1].String(); !strings.Contains(s, "reparented") || !strings.Contains(s, "from 1 to 2") {
+		t.Fatalf("rendered event = %q", s)
 	}
 }
 
@@ -51,7 +51,7 @@ func TestRingBufferEviction(t *testing.T) {
 	tr := New(3, fixedClock(&at))
 	for i := 0; i < 5; i++ {
 		at = time.Duration(i) * time.Second
-		tr.Record(1, MACSend, "")
+		tr.Record(1, RadioWake, "")
 	}
 	evs := tr.Events()
 	if len(evs) != 3 {
@@ -61,44 +61,59 @@ func TestRingBufferEviction(t *testing.T) {
 	if evs[0].At != 2*time.Second || evs[2].At != 4*time.Second {
 		t.Fatalf("events = %v", evs)
 	}
-	if tr.Total() != 5 {
-		t.Fatalf("Total = %d, want 5", tr.Total())
-	}
 }
 
-func TestFilterAndCount(t *testing.T) {
-	at := time.Duration(0)
-	tr := New(10, fixedClock(&at))
-	tr.Record(1, MACSend, "")
-	tr.Record(2, MACSend, "")
-	tr.Record(1, MACRetry, "")
-	if got := tr.Count(MACSend); got != 2 {
-		t.Fatalf("Count(MACSend) = %d", got)
-	}
-	if got := tr.Filter(MACSend, 1); len(got) != 1 {
-		t.Fatalf("Filter(MACSend, 1) = %v", got)
-	}
-	if got := tr.Filter(MACSend, -1); len(got) != 2 {
-		t.Fatalf("Filter(MACSend, any) = %v", got)
-	}
-}
+// TestMerge: shards' events interleave by time, equal times order by
+// shard and then by recording order within the shard, and only the
+// last capacity events survive.
+func TestMerge(t *testing.T) {
+	var at0, at1 time.Duration
+	s0, s1 := New(8, fixedClock(&at0)), New(8, fixedClock(&at1))
+	at0 = 1 * time.Second
+	s0.Record(0, RadioSleep, "a")
+	at1 = 1 * time.Second
+	s1.Record(10, RadioSleep, "b")
+	s1.Record(11, RadioSleep, "c")
+	at0 = 2 * time.Second
+	s0.Record(1, RadioWake, "d")
+	s0.Record(2, RadioWake, "e")
+	at1 = 2 * time.Second
+	s1.Record(12, RadioWake, "f")
+	at1 = 3 * time.Second
+	s1.Record(13, NodeFailed, "g")
+	// A disabled part contributes nothing.
+	parts := []*Tracer{s0, nil, s1}
 
-func TestDump(t *testing.T) {
-	at := time.Second
-	tr := New(4, fixedClock(&at))
-	tr.Record(7, Reparented, "under 3")
-	var sb strings.Builder
-	tr.Dump(&sb)
-	out := sb.String()
-	if !strings.Contains(out, "reparented") || !strings.Contains(out, "under 3") {
-		t.Fatalf("dump output = %q", out)
+	detail := func(evs []Event) string {
+		var sb strings.Builder
+		for _, e := range evs {
+			sb.WriteString(e.Detail)
+		}
+		return sb.String()
 	}
+	t.Run("tie-order", func(t *testing.T) {
+		if got := detail(Merge(parts, 100)); got != "abcdefg" {
+			t.Errorf("merged order = %q, want abcdefg", got)
+		}
+	})
+	t.Run("last-n", func(t *testing.T) {
+		if got := detail(Merge(parts, 3)); got != "efg" {
+			t.Errorf("last 3 = %q, want efg", got)
+		}
+		// The cut may fall between two shards' events at one time.
+		if got := detail(Merge(parts, 5)); got != "cdefg" {
+			t.Errorf("last 5 = %q, want cdefg", got)
+		}
+	})
+	t.Run("disabled", func(t *testing.T) {
+		if got := Merge([]*Tracer{nil}, 4); len(got) != 0 {
+			t.Errorf("merge of disabled tracers = %v", got)
+		}
+	})
 }
 
 func TestKindStrings(t *testing.T) {
-	kinds := []Kind{RadioSleep, RadioWake, MACSend, MACRetry, MACDrop,
-		ReportGenerated, ReportAggregated, ReportDelivered, IntervalTimeout,
-		PhaseShift, PhaseRequest, NodeFailed, Reparented}
+	kinds := []Kind{RadioSleep, RadioWake, NodeFailed, Reparented, Recovered}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()
