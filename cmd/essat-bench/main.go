@@ -55,8 +55,9 @@ type figBench struct {
 
 // scaleBench records a scale-tier scenario's throughput: one timed run,
 // with the deterministic Build stage (topology spatial hash, flood tree,
-// per-node stacks) timed separately from the event-loop drain, followed
-// by a repeated-spec sweep measuring steady-state allocations per run.
+// per-node stacks) timed separately from the event-loop drain, the live
+// heap that run leaves per node, and a repeated-spec sweep measuring
+// steady-state allocations per run.
 type scaleBench struct {
 	Scenario     string  `json:"scenario"`
 	Nodes        int     `json:"nodes"`
@@ -67,9 +68,13 @@ type scaleBench struct {
 	SimSeconds   float64 `json:"sim_seconds"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	SimSecPerSec float64 `json:"sim_seconds_per_sec"`
-	SweepRuns    int     `json:"sweep_runs"`
-	AllocsPerRun float64 `json:"allocs_per_run"`
-	BytesPerRun  float64 `json:"bytes_per_run"`
+	// LiveHeapBytesPerNode is the heap still live after the timed run
+	// (garbage collected, simulation reachable) minus the heap before
+	// its Build, divided by the deployed node count.
+	LiveHeapBytesPerNode float64 `json:"live_heap_bytes_per_node"`
+	SweepRuns            int     `json:"sweep_runs"`
+	AllocsPerRun         float64 `json:"allocs_per_run"`
+	BytesPerRun          float64 `json:"bytes_per_run"`
 }
 
 // parallelPoint is one shard count's timing in the parallel sweep.
@@ -260,8 +265,8 @@ func main() {
 			fatal(err)
 		}
 		report.Scale = sb
-		fmt.Printf("scale tier (%s): %d nodes, build %.2fs, run %.2fs, %.0f events/sec, %.0f allocs/run over %d sweep runs\n",
-			sb.Scenario, sb.Nodes, sb.BuildSeconds, sb.RunSeconds, sb.EventsPerSec, sb.AllocsPerRun, sb.SweepRuns)
+		fmt.Printf("scale tier (%s): %d nodes, build %.2fs, run %.2fs, %.0f events/sec, %.0f live heap B/node, %.0f allocs/run over %d sweep runs\n",
+			sb.Scenario, sb.Nodes, sb.BuildSeconds, sb.RunSeconds, sb.EventsPerSec, sb.LiveHeapBytesPerNode, sb.AllocsPerRun, sb.SweepRuns)
 	}
 	if *huge != "" {
 		sb, err := runScale(*huge, *arena, *sweep)
@@ -269,8 +274,8 @@ func main() {
 			fatal(err)
 		}
 		report.Huge = sb
-		fmt.Printf("huge tier (%s): %d nodes, build %.2fs, run %.2fs, %.0f events/sec, %.0f allocs/run over %d sweep runs\n",
-			sb.Scenario, sb.Nodes, sb.BuildSeconds, sb.RunSeconds, sb.EventsPerSec, sb.AllocsPerRun, sb.SweepRuns)
+		fmt.Printf("huge tier (%s): %d nodes, build %.2fs, run %.2fs, %.0f events/sec, %.0f live heap B/node, %.0f allocs/run over %d sweep runs\n",
+			sb.Scenario, sb.Nodes, sb.BuildSeconds, sb.RunSeconds, sb.EventsPerSec, sb.LiveHeapBytesPerNode, sb.AllocsPerRun, sb.SweepRuns)
 	}
 
 	if *shards != "" {
@@ -370,6 +375,9 @@ func runScale(path string, useArena bool, sweepRuns int) (*scaleBench, error) {
 	if useArena {
 		a = essat.NewArenaWithCache(essat.NewDeployCache(0))
 	}
+	var heap0, heap1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&heap0)
 	buildStart := time.Now()
 	s, err := essat.BuildWith(a, sc)
 	if err != nil {
@@ -380,6 +388,9 @@ func runScale(path string, useArena bool, sweepRuns int) (*scaleBench, error) {
 	s.Simulate()
 	res := s.Collect()
 	runWall := time.Since(runStart)
+	runtime.GC()
+	runtime.ReadMemStats(&heap1)
+	runtime.KeepAlive(s)
 	sb := &scaleBench{
 		Scenario:     path,
 		Nodes:        sc.Topology.NumNodes,
@@ -390,6 +401,8 @@ func runScale(path string, useArena bool, sweepRuns int) (*scaleBench, error) {
 		SimSeconds:   sc.Duration.Seconds(),
 		EventsPerSec: float64(res.Events) / runWall.Seconds(),
 		SimSecPerSec: sc.Duration.Seconds() / runWall.Seconds(),
+
+		LiveHeapBytesPerNode: float64(int64(heap1.HeapAlloc)-int64(heap0.HeapAlloc)) / float64(sc.Topology.NumNodes),
 	}
 	if sweepRuns > 0 {
 		m0, b0 := memCounters()

@@ -1,0 +1,54 @@
+package essat_test
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"github.com/essat/essat"
+)
+
+// liveHeapPerNodeBound is the committed per-node footprint of the
+// 1000-node tier: live heap bytes per deployed node after a 5 s run of
+// testdata/large.json, measured at 4,380 B/node (x86-64, Go 1.24) once
+// every per-node table was sized by its node's children and the run's
+// queries, plus 10% headroom. Fixed per-node capacities measured 5,795.
+const liveHeapPerNodeBound = 4818
+
+// TestLiveHeapPerNode guards the per-node memory cost: it builds and
+// simulates testdata/large.json for 5 s, collects garbage while the
+// simulation is still reachable, and checks the live-heap growth per
+// node against liveHeapPerNodeBound. Per-node regressions compound at
+// the 10,000-node tier, where they set peak memory. It must not run
+// alongside other tests, so it is not parallel.
+func TestLiveHeapPerNode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the 1000-node tier")
+	}
+	spec, err := essat.LoadSpec("testdata/large.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Duration = essat.Dur(5 * time.Second)
+	sc, err := spec.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, err := essat.Build(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Simulate()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	nodes := sc.Topology.NumNodes
+	perNode := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(nodes)
+	t.Logf("live heap %d B/node over %d nodes (bound %d)", perNode, nodes, liveHeapPerNodeBound)
+	if perNode > liveHeapPerNodeBound {
+		t.Errorf("live heap %d B/node after a 5 s run of %d nodes, bound %d", perNode, nodes, liveHeapPerNodeBound)
+	}
+}

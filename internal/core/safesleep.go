@@ -98,6 +98,12 @@ type SafeSleepOptions struct {
 	// AwakeUntil keeps the radio on until the given time regardless of
 	// the schedule (the paper's query setup slot).
 	AwakeUntil time.Duration
+	// Queries and Children size the node's tables to its need: Safe
+	// Sleep keeps one send row per query and one receive row per (query,
+	// child), and the shaper one schedule entry per query. Zero reserves
+	// nothing. Rows beyond the sizing (a child adopted mid-run, a query
+	// added by dynamics, an extension flow) append past it.
+	Queries, Children int
 }
 
 // BusyReporter reports pending work that must keep the radio on.
@@ -183,12 +189,11 @@ func NewSafeSleep(eng *sim.Engine, r *radio.Radio, opts SafeSleepOptions) *SafeS
 		eng:   eng,
 		radio: r,
 		opts:  opts,
-		// Seed the expectation tables with arena-backed capacity. Nodes
-		// track a handful of queries and children; appends that outgrow
-		// these fall back to the heap, trading a rare allocation for
-		// exact reuse in the common shape.
-		nextSend: sim.ArenaSlice[sendEntry](eng, "core.ss.send", 4)[:0],
-		nextRecv: sim.ArenaSlice[recvEntry](eng, "core.ss.recv", 16)[:0],
+		// The expectation tables hold exactly the rows the node's queries
+		// and children will register, so they never regrow while the
+		// build registers them, and a leaf reserves no receive rows.
+		nextSend: sim.ArenaSlice[sendEntry](eng, "core.ss.send", opts.Queries)[:0],
+		nextRecv: sim.ArenaSlice[recvEntry](eng, "core.ss.recv", opts.Queries*opts.Children)[:0],
 		minAt:    noRows,
 	}
 	// Re-evaluate whenever the radio settles into Idle: after a wake-up

@@ -63,11 +63,12 @@ type NTS struct {
 
 var _ query.Shaper = (*NTS)(nil)
 
-// NewNTS creates the no-shaping policy bound to env and ss.
+// NewNTS creates the no-shaping policy bound to env and ss. Its spec
+// table is sized by ss's Queries option.
 func NewNTS(env Env, ss *SafeSleep) *NTS {
 	n := sim.ArenaGrab[NTS](ss.eng, "core.nts")
 	*n = NTS{env: env, ss: ss,
-		specs: sim.ArenaSlice[query.Spec](ss.eng, "core.nts.specs", 2)[:0]}
+		specs: sim.ArenaSlice[query.Spec](ss.eng, "core.nts.specs", ss.opts.Queries)[:0]}
 	return n
 }
 
@@ -183,6 +184,7 @@ type STS struct {
 var _ query.Shaper = (*STS)(nil)
 
 // NewSTS creates a static traffic shaper. deadline <= 0 selects D = P.
+// Its spec table is sized by ss's Queries option.
 func NewSTS(env Env, ss *SafeSleep, deadline time.Duration) *STS {
 	s := sim.ArenaGrab[STS](ss.eng, "core.sts")
 	*s = STS{
@@ -190,7 +192,7 @@ func NewSTS(env Env, ss *SafeSleep, deadline time.Duration) *STS {
 		ss:           ss,
 		Deadline:     deadline,
 		TimeoutSlack: 10 * time.Millisecond,
-		specs:        sim.ArenaSlice[query.Spec](ss.eng, "core.sts.specs", 2)[:0],
+		specs:        sim.ArenaSlice[query.Spec](ss.eng, "core.sts.specs", ss.opts.Queries)[:0],
 	}
 	return s
 }
@@ -373,14 +375,16 @@ type DTS struct {
 
 var _ query.Shaper = (*DTS)(nil)
 
-// NewDTS creates a dynamic traffic shaper.
+// NewDTS creates a dynamic traffic shaper. Its per-query table is sized
+// by ss's Queries option, and each query's child table by the children
+// QueryAdded passes.
 func NewDTS(env Env, ss *SafeSleep) *DTS {
 	d := sim.ArenaGrab[DTS](ss.eng, "core.dts")
 	*d = DTS{
 		env:          env,
 		ss:           ss,
 		TimeoutSlack: 50 * time.Millisecond,
-		q:            sim.ArenaSlice[*dtsQueryState](ss.eng, "core.dts.q", 2)[:0],
+		q:            sim.ArenaSlice[*dtsQueryState](ss.eng, "core.dts.q", ss.opts.Queries)[:0],
 	}
 	return d
 }
@@ -408,7 +412,7 @@ func (d *DTS) QueryAdded(spec query.Spec, children []query.NodeID) {
 		id:       spec.ID,
 		spec:     spec,
 		snext:    spec.IntervalStart(0),
-		children: sim.ArenaSlice[dtsChild](d.ss.eng, "core.dts.children", 8)[:0],
+		children: sim.ArenaSlice[dtsChild](d.ss.eng, "core.dts.children", len(children))[:0],
 	}
 	d.q = append(d.q, st)
 	if !d.env.IsRoot() {

@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -59,6 +60,51 @@ func TestArenaResetDigestMatch(t *testing.T) {
 	}
 	if want := uint64(len(protocol.All())*repeats - 1); hits != want {
 		t.Errorf("deploy cache hits = %d, want %d", hits, want)
+	}
+}
+
+// TestArenaMixedShapeSteadyState runs a mini-grid whose runs differ in
+// shape — three protocols, three seeds, so every node's children and
+// every per-node table size vary from run to run — twice through one
+// arena without a deployment cache. Pool slots are sized to each run's
+// need and replaced as they grow, so every digest must still equal its
+// fresh-engine digest, and the second pass, which meets only needs the
+// first pass already met, must allocate no more bytes than the first.
+func TestArenaMixedShapeSteadyState(t *testing.T) {
+	var scs []Scenario
+	for _, p := range []Protocol{DTSSS, NTSSS, PSM} {
+		for _, seed := range []int64{3, 4, 5} {
+			scs = append(scs, arenaScenario(p, seed))
+		}
+	}
+	fresh := make([]string, len(scs))
+	for i, sc := range scs {
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatalf("%s seed %d: fresh run: %v", sc.Protocol, sc.Seed, err)
+		}
+		fresh[i] = res.Audit.Digest
+	}
+	a := NewArena()
+	var bytes [2]uint64
+	for pass := range bytes {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i, sc := range scs {
+			res, err := RunContextWith(context.Background(), a, sc, Budget{})
+			if err != nil {
+				t.Fatalf("pass %d %s seed %d: %v", pass, sc.Protocol, sc.Seed, err)
+			}
+			if res.Audit.Digest != fresh[i] {
+				t.Fatalf("pass %d %s seed %d: arena digest %s, want %s",
+					pass, sc.Protocol, sc.Seed, res.Audit.Digest, fresh[i])
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		bytes[pass] = m1.TotalAlloc - m0.TotalAlloc
+	}
+	if bytes[1] > bytes[0] {
+		t.Errorf("second pass allocated %d bytes, more than the first pass's %d", bytes[1], bytes[0])
 	}
 }
 

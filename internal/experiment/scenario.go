@@ -411,11 +411,14 @@ type builder struct {
 	root node.NodeID
 	part *topology.Partition
 	mesh *phy.Mesh
-	// members is the build-time member list split by shard, in
-	// tree-member order. Global workload events — setup slots, stops,
-	// battery polls, the warm-up snapshot — schedule per shard over these
-	// lists so every engine touches only its own nodes.
-	members [][]node.NodeID
+	// members is the build-time member list in ID order, computed once:
+	// no stage mutates the tree, so every stage walks this one list.
+	members []node.NodeID
+	// byShard is members split by shard, in member order. Global
+	// workload events — setup slots, stops, battery polls, the warm-up
+	// snapshot — schedule per shard over these lists so every engine
+	// touches only its own nodes.
+	byShard [][]node.NodeID
 }
 
 // build runs the build stages in order. The order is load-bearing:
@@ -637,10 +640,11 @@ func (b *builder) lanes() (err error) {
 		}
 		b.run = sim.NewShardRunner(b.engines, b.lookahead, b.mesh.Exchange).RunChecked
 	}
-	b.members = make([][]node.NodeID, K)
-	for _, id := range b.Tree.Members() {
+	b.members = b.Tree.Members()
+	b.byShard = make([][]node.NodeID, K)
+	for _, id := range b.members {
 		s := b.part.Assign[id]
-		b.members[s] = append(b.members[s], id)
+		b.byShard[s] = append(b.byShard[s], id)
 	}
 	return nil
 }
@@ -719,8 +723,8 @@ func (b *builder) observers() error {
 // onto every other node so the channel's station table is complete.
 func (b *builder) stacks() error {
 	sc := &b.Scenario
-	b.Nodes = make(map[node.NodeID]*node.Node, b.Tree.Size())
-	for _, id := range b.Tree.Members() {
+	b.Nodes = make(map[node.NodeID]*node.Node, len(b.members))
+	for _, id := range b.members {
 		ne := b.engOf(id)
 		n := node.New(ne, id, b.Tree, b.chOf(id), b.rcfg, b.macCfg)
 		if sc.RecordSleepIntervals {
@@ -768,6 +772,7 @@ func (b *builder) stacks() error {
 			Tree:     b.Tree,
 			Sink:     s,
 			QueryCfg: b.qCfg,
+			Queries:  len(sc.Queries),
 			Params:   b.params,
 		}); err != nil {
 			return err
@@ -793,13 +798,13 @@ func (b *builder) stacks() error {
 func (b *builder) workload() error {
 	sc := &b.Scenario
 	for _, spec := range sc.Queries {
-		for _, id := range b.Tree.Members() {
+		for _, id := range b.members {
 			if err := b.Nodes[id].Agent.Register(spec); err != nil {
 				return err
 			}
 		}
 		if sc.SetupSlot > 0 {
-			for s, members := range b.members {
+			for s, members := range b.byShard {
 				if len(members) > 0 {
 					scheduleSetupSlot(b.engines[s], members, b.Nodes, spec, sc.SetupSlot)
 				}
@@ -813,7 +818,7 @@ func (b *builder) workload() error {
 	// nodes (channel-disabled) are skipped.
 	for _, stop := range sc.QueryStops {
 		stop := stop
-		for s, members := range b.members {
+		for s, members := range b.byShard {
 			if len(members) == 0 {
 				continue
 			}
@@ -832,7 +837,7 @@ func (b *builder) workload() error {
 	}
 	if b.auditors != nil {
 		// Safe Sleep schedulers exist only after the protocol builders ran.
-		for _, id := range b.Tree.Members() {
+		for _, id := range b.members {
 			if ss := b.Nodes[id].SS; ss != nil {
 				ss.SetObserver(id, b.auditorOf(id))
 			}
@@ -840,7 +845,7 @@ func (b *builder) workload() error {
 	}
 	// Start in member (ID) order: map iteration order would vary the seq
 	// tie-break of same-instant events and break run determinism.
-	for _, id := range b.Tree.Members() {
+	for _, id := range b.members {
 		b.Nodes[id].Start()
 	}
 	if err := b.faults(); err != nil {
@@ -853,8 +858,7 @@ func (b *builder) workload() error {
 // flows registers the §3 extension flows: peer-to-peer flows (drawing
 // random endpoints from the engine rng) and downstream dissemination.
 func (b *builder) flows() error {
-	sc := &b.Scenario
-	members := b.Tree.Members()
+	sc, members := &b.Scenario, b.members
 	if len(sc.PeerFlows) > 0 {
 		for _, id := range members {
 			b.Nodes[id].InstallP2P(nil)
@@ -914,7 +918,7 @@ func (b *builder) faults() error {
 	for _, f := range sc.Failures {
 		victim := f.Node
 		if victim < 0 {
-			victim = pickVictim(b.Eng.Rand(), b.Tree)
+			victim = pickVictim(b.Eng.Rand(), b.Tree, b.members)
 		}
 		if victim == routing.None || victim == b.root {
 			continue
@@ -940,7 +944,7 @@ func (b *builder) faults() error {
 		ch:      b.Channel,
 		topo:    b.Topo,
 		nodes:   b.Nodes,
-		nodeIDs: append([]node.NodeID(nil), b.Tree.Members()...),
+		nodeIDs: b.members,
 		auditor: b.auditorOf(b.root),
 		crashed: make(map[node.NodeID]bool),
 	}
@@ -966,7 +970,7 @@ func (b *builder) meter() {
 	if sc.BatteryJ > 0 {
 		budget := sc.BatteryJ
 		sm.battery = make([]shardBattery, len(b.engines))
-		for s, members := range b.members {
+		for s, members := range b.byShard {
 			if len(members) == 0 {
 				continue
 			}
@@ -995,7 +999,7 @@ func (b *builder) meter() {
 
 	sm.activeAt0 = make([]time.Duration, b.Topo.NumNodes())
 	sm.energyAt0 = make([]float64, b.Topo.NumNodes())
-	for s, members := range b.members {
+	for s, members := range b.byShard {
 		if len(members) == 0 {
 			continue
 		}
@@ -1212,9 +1216,9 @@ func (discard) Deliver(phy.NodeID, any, int) {}
 
 // pickVictim chooses a random live non-root node, preferring non-leaves
 // (whose failure exercises both recovery paths).
-func pickVictim(rng *rand.Rand, tree *routing.Tree) node.NodeID {
+func pickVictim(rng *rand.Rand, tree *routing.Tree, members []node.NodeID) node.NodeID {
 	var inner, leaves []node.NodeID
-	for _, id := range tree.Members() {
+	for _, id := range members {
 		if id == tree.Root() {
 			continue
 		}

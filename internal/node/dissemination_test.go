@@ -46,7 +46,7 @@ func TestDisseminationEndToEnd(t *testing.T) {
 			BreakEven: -1, WakeAhead: -1, MACBusy: n.MAC,
 		})
 		n.InstallSleep(ss)
-		n.InstallAgent(core.NewDTS(n, ss), nil, query.DefaultConfig())
+		n.InstallAgent(core.NewDTS(n, ss), nil, query.DefaultConfig(), 1)
 		n.InstallDisseminator(func(c *core.Command) {
 			received[id] = append(received[id], c.Interval)
 		})

@@ -113,11 +113,12 @@ func (n *Node) InstallSleep(ss *core.SafeSleep) {
 }
 
 // InstallAgent creates the query agent with the given shaper. sink is
-// non-nil only at the root. The node itself is the agent's Host (send
-// path + failure handlers) and the MAC's AckInfoSink, so the wiring
-// allocates nothing per node.
-func (n *Node) InstallAgent(shaper query.Shaper, sink query.Sink, cfg query.Config) {
-	n.Agent = query.NewAgent(n.eng, n.id, n.tree, shaper, n, sink, cfg)
+// non-nil only at the root; queries sizes the agent's tables (see
+// query.NewAgent). The node itself is the agent's Host (send path +
+// failure handlers) and the MAC's AckInfoSink, so the wiring allocates
+// nothing per node.
+func (n *Node) InstallAgent(shaper query.Shaper, sink query.Sink, cfg query.Config, queries int) {
+	n.Agent = query.NewAgent(n.eng, n.id, n.tree, shaper, n, sink, cfg, queries)
 }
 
 // AckInfo implements mac.AckInfoSink: information piggybacked on

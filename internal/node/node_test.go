@@ -16,9 +16,21 @@ import (
 	"github.com/essat/essat/internal/topology"
 )
 
+// closeCounter is the root's sink: a RootSink that also counts the
+// intervals the root closes.
+type closeCounter struct {
+	*stats.RootSink
+	closed int
+}
+
+func (c *closeCounter) IntervalClosed(q query.ID, k int, latency time.Duration, coverage int) {
+	c.closed++
+	c.RootSink.IntervalClosed(q, k, latency, coverage)
+}
+
 // buildNet wires a full ESSAT network over the given positions with the
 // DTS shaper, returning the nodes indexed by ID.
-func buildNet(t *testing.T, pts []geom.Point, failureThreshold int) (*sim.Engine, *phy.Channel, *routing.Tree, map[NodeID]*Node, *stats.RootSink) {
+func buildNet(t *testing.T, pts []geom.Point, failureThreshold int) (*sim.Engine, *phy.Channel, *routing.Tree, map[NodeID]*Node, *closeCounter) {
 	t.Helper()
 	eng := sim.New(1)
 	topo, err := topology.FromPositions(pts, 125)
@@ -32,7 +44,7 @@ func buildNet(t *testing.T, pts []geom.Point, failureThreshold int) (*sim.Engine
 	ch, _ := phy.NewChannel(eng, topo, phy.DefaultConfig())
 
 	specs := []query.Spec{{ID: 1, Period: 500 * time.Millisecond, Phase: 100 * time.Millisecond, Class: 1}}
-	sink := stats.NewRootSink(specs)
+	sink := &closeCounter{RootSink: stats.NewRootSink(specs)}
 
 	nodes := make(map[NodeID]*Node)
 	for _, id := range tree.Members() {
@@ -47,7 +59,7 @@ func buildNet(t *testing.T, pts []geom.Point, failureThreshold int) (*sim.Engine
 		}
 		cfg := query.DefaultConfig()
 		cfg.FailureThreshold = failureThreshold
-		n.InstallAgent(core.NewDTS(n, ss), s, cfg)
+		n.InstallAgent(core.NewDTS(n, ss), s, cfg, len(specs))
 		nodes[id] = n
 	}
 	for _, spec := range specs {
@@ -77,7 +89,7 @@ func meshPositions() []geom.Point {
 func TestEndToEndReportsReachRoot(t *testing.T) {
 	eng, _, tree, _, sink := buildNet(t, meshPositions(), 0)
 	eng.Run(5 * time.Second)
-	if got := sink.ClosedIntervals(); got < 8 {
+	if got := sink.closed; got < 8 {
 		t.Fatalf("root closed %d intervals in 5s at 2Hz, want >= 8", got)
 	}
 	if cov := sink.MeanCoverage(); cov < float64(tree.Size())-0.5 {
@@ -229,7 +241,7 @@ func TestPhaseRequestViaAckReachesShaper(t *testing.T) {
 		n := New(eng, id, tree, ch, radio.Config{}, mac.DefaultConfig())
 		ss := core.NewSafeSleep(eng, n.Radio, core.SafeSleepOptions{Disabled: true})
 		d := core.NewDTS(n, ss)
-		n.InstallAgent(d, nil, query.DefaultConfig())
+		n.InstallAgent(d, nil, query.DefaultConfig(), 1)
 		nodes[id] = n
 		shapers = append(shapers, d)
 		if err := n.Agent.Register(spec); err != nil {

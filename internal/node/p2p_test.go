@@ -51,7 +51,7 @@ func TestP2PEndToEnd(t *testing.T) {
 			BreakEven: -1, WakeAhead: -1, MACBusy: n.MAC,
 		})
 		n.InstallSleep(ss)
-		n.InstallAgent(core.NewDTS(n, ss), nil, query.DefaultConfig())
+		n.InstallAgent(core.NewDTS(n, ss), nil, query.DefaultConfig(), 1)
 		n.InstallP2P(func(m *core.P2PMessage) {
 			if id == 3 {
 				consumed = append(consumed, m.Interval)
@@ -105,7 +105,7 @@ func TestP2PValidation(t *testing.T) {
 	tree, _ := routing.BuildBFS(topo, 0, 0)
 	ch, _ := phy.NewChannel(eng, topo, phy.DefaultConfig())
 	n := New(eng, 1, tree, ch, radio.Config{}, mac.DefaultConfig())
-	n.InstallAgent(core.NewDTS(n, core.NewSafeSleep(eng, n.Radio, core.SafeSleepOptions{Disabled: true})), nil, query.DefaultConfig())
+	n.InstallAgent(core.NewDTS(n, core.NewSafeSleep(eng, n.Radio, core.SafeSleepOptions{Disabled: true})), nil, query.DefaultConfig(), 1)
 	p := n.InstallP2P(nil)
 
 	good := core.P2PSpec{ID: -1, Src: 2, Dst: 0, Period: time.Second}

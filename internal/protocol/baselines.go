@@ -32,7 +32,7 @@ func (psmBuilder) Build(ctx *BuildContext) error {
 	n.InstallPM(pm)
 	g := baseline.NewGreedy(n.Rank)
 	g.PerHopDelay = cfg.BeaconPeriod
-	n.InstallAgent(g, ctx.Sink, ctx.QueryCfg)
+	n.InstallAgent(g, ctx.Sink, ctx.QueryCfg, ctx.Queries)
 	return nil
 }
 
@@ -53,7 +53,7 @@ func (syncBuilder) Build(ctx *BuildContext) error {
 	n.InstallPM(pm)
 	g := baseline.NewGreedy(n.Rank)
 	g.PerHopDelay = cfg.Period
-	n.InstallAgent(g, ctx.Sink, ctx.QueryCfg)
+	n.InstallAgent(g, ctx.Sink, ctx.QueryCfg, ctx.Queries)
 	return nil
 }
 
@@ -74,6 +74,6 @@ func (tmacBuilder) Build(ctx *BuildContext) error {
 	n.InstallPM(pm)
 	g := baseline.NewGreedy(n.Rank)
 	g.PerHopDelay = cfg.FramePeriod
-	n.InstallAgent(g, ctx.Sink, ctx.QueryCfg)
+	n.InstallAgent(g, ctx.Sink, ctx.QueryCfg, ctx.Queries)
 	return nil
 }

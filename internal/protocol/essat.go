@@ -23,7 +23,7 @@ func (ntsBuilder) Build(ctx *BuildContext) error {
 	n := ctx.Node
 	ss := newSafeSleep(ctx, false)
 	n.InstallSleep(ss)
-	n.InstallAgent(core.NewNTS(n, ss), ctx.Sink, ctx.QueryCfg)
+	n.InstallAgent(core.NewNTS(n, ss), ctx.Sink, ctx.QueryCfg, ctx.Queries)
 	return nil
 }
 
@@ -37,7 +37,7 @@ func (stsBuilder) Build(ctx *BuildContext) error {
 	n.InstallSleep(ss)
 	sts := core.NewSTS(n, ss, ctx.Params.STSDeadline)
 	sts.NoBuffering = ctx.Params.NoBuffering
-	n.InstallAgent(sts, ctx.Sink, ctx.QueryCfg)
+	n.InstallAgent(sts, ctx.Sink, ctx.QueryCfg, ctx.Queries)
 	return nil
 }
 
@@ -51,7 +51,7 @@ func (dtsBuilder) Build(ctx *BuildContext) error {
 	n.InstallSleep(ss)
 	dts := core.NewDTS(n, ss)
 	dts.NoBuffering = ctx.Params.NoBuffering
-	n.InstallAgent(dts, ctx.Sink, ctx.QueryCfg)
+	n.InstallAgent(dts, ctx.Sink, ctx.QueryCfg, ctx.Queries)
 	return nil
 }
 
@@ -64,6 +64,6 @@ func (spanBuilder) Build(ctx *BuildContext) error {
 	n := ctx.Node
 	ss := newSafeSleep(ctx, !ctx.Tree.IsLeaf(n.ID()))
 	n.InstallSleep(ss)
-	n.InstallAgent(core.NewNTS(n, ss), ctx.Sink, ctx.QueryCfg)
+	n.InstallAgent(core.NewNTS(n, ss), ctx.Sink, ctx.QueryCfg, ctx.Queries)
 	return nil
 }

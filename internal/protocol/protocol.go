@@ -72,7 +72,11 @@ type BuildContext struct {
 	Sink query.Sink
 	// QueryCfg tunes the node's query agent.
 	QueryCfg query.Config
-	Params   Params
+	// Queries is how many queries the run registers at every node. With
+	// the node's children in Tree it sizes the per-query and per-child
+	// tables, so a node reserves only what it will use.
+	Queries int
+	Params  Params
 }
 
 // Builder attaches one protocol's stack (shaper + sleep scheduler +
@@ -128,5 +132,7 @@ func newSafeSleep(ctx *BuildContext, disabled bool) *core.SafeSleep {
 		WakeAhead: -1,
 		MACBusy:   n.MAC,
 		Disabled:  disabled || ctx.Params.DisableSafeSleep,
+		Queries:   ctx.Queries,
+		Children:  len(ctx.Tree.Children(n.ID())),
 	})
 }

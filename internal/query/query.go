@@ -283,6 +283,11 @@ func (iv *interval) expectedIdx(c NodeID) int {
 	return -1
 }
 
+// keptClosed is how far behind a closing round the agent prunes:
+// closing round k drops round k−keptClosed, and later reports for a
+// pruned round pass through as late.
+const keptClosed = 8
+
 // missEntry is one child's consecutive-miss counter.
 type missEntry struct {
 	id NodeID
@@ -295,11 +300,12 @@ type runtime struct {
 	// intervals holds the open collection rounds in ascending k: ticks
 	// create intervals in increasing order and removals preserve order,
 	// so every walk with side effects (closing may submit reports,
-	// releasing feeds the pools) is deterministic. At most a handful are
-	// open (far-past rounds are pruned), so linear lookups win over a map.
+	// releasing feeds the pools) is deterministic. Closing round k prunes
+	// round k−keptClosed, so in steady state it holds keptClosed+1
+	// rounds, and linear lookups win over a map.
 	intervals []*interval
 	// consecMiss is the per-child consecutive-miss table, a small linear
-	// slice for the same reason.
+	// slice for the same reason: at most one row per child.
 	consecMiss  []missEntry
 	lastClosedK int
 
@@ -457,14 +463,16 @@ func (a *Agent) queryAfterID(prev ID) *runtime {
 }
 
 // newInterval takes an interval from the pool (or grabs an arena slab
-// with arena-backed row capacity) and resets it for (rt, k).
+// with one arena-backed row per child, none for a leaf) and resets it
+// for (rt, k). extraGot starts empty and grows only on the rare
+// mid-recovery edge.
 func (a *Agent) newInterval(rt *runtime, k int) *interval {
 	iv := sim.TakeLast(&a.ivFree)
 	if iv == nil {
+		children := len(a.tree.Children(a.id))
 		iv = sim.ArenaGrab[interval](a.eng, "query.interval")
-		iv.expected = sim.ArenaSlice[NodeID](a.eng, "query.iv.expected", 8)
-		iv.got = sim.ArenaSlice[bool](a.eng, "query.iv.got", 8)
-		iv.extraGot = sim.ArenaSlice[NodeID](a.eng, "query.iv.extra", 2)
+		iv.expected = sim.ArenaSlice[NodeID](a.eng, "query.iv.expected", children)
+		iv.got = sim.ArenaSlice[bool](a.eng, "query.iv.got", children)
 	}
 	iv.k = k
 	iv.value = 0
@@ -503,8 +511,10 @@ func (a *Agent) releaseTxReport(tr *txReport) {
 }
 
 // NewAgent wires a query agent. sink may be nil (non-root nodes); host
-// must deliver reports to the MAC or a power manager's gate.
-func NewAgent(eng *sim.Engine, id NodeID, tree *routing.Tree, shaper Shaper, host Host, sink Sink, cfg Config) *Agent {
+// must deliver reports to the MAC or a power manager's gate. queries is
+// how many queries the node will register: it sizes the query table,
+// and registering more appends past it.
+func NewAgent(eng *sim.Engine, id NodeID, tree *routing.Tree, shaper Shaper, host Host, sink Sink, cfg Config, queries int) *Agent {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -525,7 +535,7 @@ func NewAgent(eng *sim.Engine, id NodeID, tree *routing.Tree, shaper Shaper, hos
 		sink:    sink,
 		cfg:     cfg,
 		agg:     agg,
-		queries: sim.ArenaSlice[*runtime](eng, "query.queries", 4)[:0],
+		queries: sim.ArenaSlice[*runtime](eng, "query.queries", queries)[:0],
 	}
 	return a
 }
@@ -574,12 +584,13 @@ func (a *Agent) Register(spec Spec) error {
 	if a.runtimeFor(spec.ID) != nil {
 		return fmt.Errorf("query %d: already registered", spec.ID)
 	}
+	children := a.tree.Children(a.id)
 	rt := sim.ArenaGrab[runtime](a.eng, "query.runtime")
 	*rt = runtime{
 		a:           a,
 		spec:        spec,
-		intervals:   sim.ArenaSlice[*interval](a.eng, "query.rt.intervals", 8)[:0],
-		consecMiss:  sim.ArenaSlice[missEntry](a.eng, "query.rt.miss", 4)[:0],
+		intervals:   sim.ArenaSlice[*interval](a.eng, "query.rt.intervals", keptClosed+1)[:0],
+		consecMiss:  sim.ArenaSlice[missEntry](a.eng, "query.rt.miss", len(children))[:0],
 		lastClosedK: -1,
 	}
 	// Insert keeping ascending spec.ID order.
@@ -587,7 +598,7 @@ func (a *Agent) Register(spec Spec) error {
 	for i := len(a.queries) - 1; i > 0 && a.queries[i-1].spec.ID > rt.spec.ID; i-- {
 		a.queries[i-1], a.queries[i] = a.queries[i], a.queries[i-1]
 	}
-	a.shaper.QueryAdded(spec, a.tree.Children(a.id))
+	a.shaper.QueryAdded(spec, children)
 	rt.tickK = 0
 	a.eng.ScheduleArg(spec.Phase, queryTick, rt)
 	return nil
@@ -643,7 +654,7 @@ func (a *Agent) closeInterval(rt *runtime, iv *interval) {
 	// late and forwarded as a pass-through. A pruned interval is recycled
 	// once it is closed with no timeout pending (the normal case: its
 	// deadline is bounded by roughly one period).
-	if old := rt.removeInterval(iv.k - 8); old != nil {
+	if old := rt.removeInterval(iv.k - keptClosed); old != nil {
 		if old.closed && old.timeout == nil {
 			a.releaseInterval(old)
 		}

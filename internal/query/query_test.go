@@ -108,7 +108,7 @@ func chainFixture(t *testing.T) (*sim.Engine, *routing.Tree, *Agent, *stubShaper
 	host := &HostFuncs{Send: func(dst NodeID, payload any, bytes int, cb func(bool)) {
 		sent = append(sent, sentRec{dst: dst, rep: payload.(*Report), bytes: bytes, cb: cb})
 	}}
-	a := NewAgent(eng, 1, tree, sh, host, nil, DefaultConfig())
+	a := NewAgent(eng, 1, tree, sh, host, nil, DefaultConfig(), 1)
 	return eng, tree, a, sh, &sent, host
 }
 
@@ -330,7 +330,7 @@ func TestRootRecordsArrivalsAndClosures(t *testing.T) {
 	sh := newStubShaper()
 	a := NewAgent(eng, 0, tree, sh, &HostFuncs{Send: func(NodeID, any, int, func(bool)) {
 		t.Fatal("root must not send reports")
-	}}, sink, DefaultConfig())
+	}}, sink, DefaultConfig(), 1)
 	if err := a.Register(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestPhaseBytesAddedWhenPiggybacking(t *testing.T) {
 	phaseShaper := &phaseStub{stubShaper: sh}
 	a := NewAgent(eng, 2, tree, phaseShaper, &HostFuncs{Send: func(dst NodeID, payload any, bytes int, cb func(bool)) {
 		sent = append(sent, sentRec{dst: dst, rep: payload.(*Report), bytes: bytes, cb: cb})
-	}}, nil, DefaultConfig())
+	}}, nil, DefaultConfig(), 1)
 	if err := a.Register(spec); err != nil {
 		t.Fatal(err)
 	}

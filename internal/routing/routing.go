@@ -182,9 +182,10 @@ func (t *Tree) IsLeaf(id NodeID) bool {
 	return len(t.children[id]) == 0
 }
 
-// Members returns all live member IDs in ascending order.
+// Members returns all live member IDs in ascending order, in one
+// allocation of exactly Size() entries.
 func (t *Tree) Members() []NodeID {
-	var out []NodeID
+	out := make([]NodeID, 0, t.Size())
 	for i := range t.member {
 		if t.member[i] && t.alive[i] {
 			out = append(out, NodeID(i))
@@ -368,9 +369,9 @@ func (t *Tree) FindNewParent(orphan NodeID, exclude ...NodeID) NodeID {
 }
 
 // MarkDead records id as failed and removes it from its parent's children
-// (the parent-side §4.3 detection). Unlike MarkFailed it leaves id's child
-// edges in place: each child discovers the failure through its own
-// transmission failures and re-parents itself (child-side recovery).
+// (the parent-side §4.3 detection). It leaves id's child edges in place:
+// each child discovers the failure through its own transmission failures
+// and re-parents itself (child-side recovery).
 // Dead nodes are skipped by FindNewParent. No-op for the root or for
 // already-dead nodes.
 func (t *Tree) MarkDead(id NodeID) {
@@ -380,40 +381,6 @@ func (t *Tree) MarkDead(id NodeID) {
 	t.alive[id] = false
 	t.detach(id)
 	t.RecomputeRanks()
-}
-
-// MarkFailed records id as dead and detaches it from its parent. Its
-// children become orphans that must be re-parented individually (the
-// paper's child-side recovery); they remain members. Returns the orphaned
-// children. Marking the root failed panics: the base station is assumed
-// powered and reliable.
-func (t *Tree) MarkFailed(id NodeID) []NodeID {
-	if id == t.root {
-		panic("routing: cannot fail the root")
-	}
-	if !t.member[id] || !t.alive[id] {
-		return nil
-	}
-	t.alive[id] = false
-	t.detach(id)
-	orphans := append([]NodeID(nil), t.children[id]...)
-	for _, c := range orphans {
-		t.parent[c] = None
-	}
-	t.children[id] = nil
-	t.RecomputeRanks()
-	return orphans
-}
-
-// RanksHistogram returns, for each rank value 0..MaxRank, the live member
-// IDs with that rank. Used by the per-rank duty-cycle experiment (Fig. 5).
-func (t *Tree) RanksHistogram() [][]NodeID {
-	out := make([][]NodeID, t.MaxRank()+1)
-	for _, id := range t.Members() {
-		r := t.rank[id]
-		out[r] = append(out[r], id)
-	}
-	return out
 }
 
 // Validate checks structural invariants: parent/child symmetry, levels

@@ -204,12 +204,9 @@ func TestReparentRejectsRoot(t *testing.T) {
 	}
 }
 
-func TestMarkFailed(t *testing.T) {
+func TestMarkDead(t *testing.T) {
 	_, tree := yTree(t)
-	orphans := tree.MarkFailed(1)
-	if len(orphans) != 2 {
-		t.Fatalf("orphans = %v, want [2 3]", orphans)
-	}
+	tree.MarkDead(1)
 	if tree.Alive(1) {
 		t.Fatal("failed node still alive")
 	}
@@ -219,21 +216,26 @@ func TestMarkFailed(t *testing.T) {
 	if tree.Size() != 3 {
 		t.Fatalf("Size = %d after failure, want 3", tree.Size())
 	}
-	for _, o := range orphans {
-		if tree.Parent(o) != None {
-			t.Fatalf("orphan %d still has parent %d", o, tree.Parent(o))
+	for _, c := range tree.Children(0) {
+		if c == 1 {
+			t.Fatal("failed node still among its parent's children")
+		}
+	}
+	// Child-side recovery: the dead node's children keep their edges
+	// until each re-parents itself.
+	for _, c := range []NodeID{2, 3} {
+		if tree.Parent(c) != 1 {
+			t.Fatalf("child %d has parent %d, want 1 until it re-parents", c, tree.Parent(c))
 		}
 	}
 }
 
-func TestMarkFailedRootPanics(t *testing.T) {
+func TestMarkDeadRootNoop(t *testing.T) {
 	_, tree := chainTree(t, 3)
-	defer func() {
-		if recover() == nil {
-			t.Error("failing the root did not panic")
-		}
-	}()
-	tree.MarkFailed(0)
+	tree.MarkDead(0)
+	if !tree.Alive(0) || tree.Size() != 3 {
+		t.Fatalf("MarkDead(root): alive=%t size=%d, want the root untouched", tree.Alive(0), tree.Size())
+	}
 }
 
 func TestFindNewParent(t *testing.T) {
@@ -252,7 +254,7 @@ func TestFindNewParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree.MarkFailed(1)
+	tree.MarkDead(1)
 	np := tree.FindNewParent(3)
 	if np != 2 {
 		t.Fatalf("FindNewParent(3) = %d, want 2", np)
@@ -267,21 +269,17 @@ func TestFindNewParent(t *testing.T) {
 
 func TestFindNewParentNoCandidate(t *testing.T) {
 	_, tree := chainTree(t, 3)
-	tree.MarkFailed(1)
+	tree.MarkDead(1)
 	if got := tree.FindNewParent(2); got != None {
 		t.Fatalf("FindNewParent = %d, want None (only neighbor is dead)", got)
 	}
 }
 
-func TestRanksHistogram(t *testing.T) {
+func TestChainRanks(t *testing.T) {
 	_, tree := chainTree(t, 4)
-	h := tree.RanksHistogram()
-	if len(h) != 4 {
-		t.Fatalf("histogram has %d rank buckets, want 4", len(h))
-	}
-	for r, ids := range h {
-		if len(ids) != 1 {
-			t.Fatalf("rank %d has %d nodes, want 1 on a chain", r, len(ids))
+	for i := 0; i < 4; i++ {
+		if got := tree.Rank(NodeID(i)); got != 3-i {
+			t.Fatalf("Rank(%d) = %d on a 4-chain, want %d", i, got, 3-i)
 		}
 	}
 }

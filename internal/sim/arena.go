@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // Arena is a per-run memory arena: a set of typed free-slab pools that
 // are *reset*, not freed, between runs. A sweep that replays the same
 // (or a similar) scenario shape through one engine reaches steady-state
@@ -50,8 +52,11 @@ func (e *Engine) Arena() *Arena { return e.arena }
 //
 // Requests are satisfied in first-run order: a repeated identical run
 // re-issues the same sequence of (tag, n) requests and hits the same
-// backing arrays, allocation-free. A size mismatch (different spec
-// shape) replaces just that entry.
+// backing arrays, allocation-free. Callers ask for what they need, not
+// a guess: a slot is reused while its capacity suffices, and a request
+// for nothing takes no slot. A slot too small for a later request
+// (different spec shape) is replaced by one rounded up to a power of
+// two, so a sweep over varying shapes settles after a few replacements.
 func ArenaSlice[T any](e *Engine, tag string, n int) []T {
 	if e == nil || e.arena == nil {
 		return make([]T, n)
@@ -82,6 +87,9 @@ type slicePool[T any] struct {
 func (p *slicePool[T]) reset() { p.next = 0 }
 
 func (p *slicePool[T]) get(n int) []T {
+	if n == 0 {
+		return nil
+	}
 	if p.next < len(p.all) {
 		s := p.all[p.next]
 		if cap(s) >= n {
@@ -90,7 +98,7 @@ func (p *slicePool[T]) get(n int) []T {
 			clear(s)
 			return s
 		}
-		s = make([]T, n)
+		s = make([]T, n, 1<<bits.Len(uint(n-1)))
 		p.all[p.next] = s
 		p.next++
 		return s

@@ -102,10 +102,14 @@ func TestSteadyStateZeroAllocAcrossResets(t *testing.T) {
 }
 
 // TestArenaSliceZeroedAndSized checks arena slices come back zeroed and
-// correctly sized across reuse, including size-mismatch replacement.
+// correctly sized across reuse, including size-mismatch replacement
+// (rounded up to a power of two) and empty requests, which take no slot.
 func TestArenaSliceZeroedAndSized(t *testing.T) {
 	e := New(1)
 	e.SetArena(NewArena())
+	if z := ArenaSlice[int](e, "t", 0); z != nil {
+		t.Fatalf("empty request returned %v, want nil", z)
+	}
 	s := ArenaSlice[int](e, "t", 8)
 	if len(s) != 8 {
 		t.Fatalf("len = %d, want 8", len(s))
@@ -124,14 +128,29 @@ func TestArenaSliceZeroedAndSized(t *testing.T) {
 		}
 	}
 	e.Reset(1)
-	s3 := ArenaSlice[int](e, "t", 16) // larger: must be replaced, still zeroed
-	if len(s3) != 16 {
-		t.Fatalf("len = %d, want 16", len(s3))
+	ArenaSlice[int](e, "t", 0)       // takes no slot: the next request meets slot 0
+	s3 := ArenaSlice[int](e, "t", 9) // larger: must be replaced, still zeroed
+	if len(s3) != 9 || cap(s3) != 16 {
+		t.Fatalf("len/cap = %d/%d, want 9/16", len(s3), cap(s3))
 	}
 	for i, v := range s3 {
 		if v != 0 {
 			t.Fatalf("grown slice not zeroed at %d: %d", i, v)
 		}
+		s3[i] = i + 1
+	}
+	e.Reset(1)
+	s4 := ArenaSlice[int](e, "t", 16)
+	if &s4[0] != &s3[0] {
+		t.Fatal("a request within the replaced slot's capacity did not reuse it")
+	}
+	for i, v := range s4 {
+		if v != 0 {
+			t.Fatalf("reused grown slice not zeroed at %d: %d", i, v)
+		}
+	}
+	if s5 := ArenaSlice[int](e, "t", 5); cap(s5) != 5 {
+		t.Fatalf("a new slot's first request: cap %d, want exactly 5", cap(s5))
 	}
 }
 

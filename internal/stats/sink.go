@@ -161,16 +161,3 @@ func (s *RootSink) MeanCoverage() float64 {
 	}
 	return w.Mean()
 }
-
-// ClosedIntervals returns the number of intervals the root closed.
-func (s *RootSink) ClosedIntervals() int {
-	n := 0
-	for _, qr := range s.queries {
-		for _, ir := range qr.intervals {
-			if ir.closed {
-				n++
-			}
-		}
-	}
-	return n
-}

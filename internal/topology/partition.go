@@ -90,34 +90,3 @@ func PartitionGrid(t *Topology, k int) (*Partition, error) {
 
 // Shard returns the shard index of node id.
 func (p *Partition) Shard(id NodeID) int { return int(p.Assign[id]) }
-
-// BoundaryNodes returns, in ascending ID order, every node with at least
-// one candidate neighbor assigned to a different shard — the nodes whose
-// transmissions cross the mesh.
-func (p *Partition) BoundaryNodes(t *Topology) []NodeID {
-	var out []NodeID
-	for i := range p.Assign {
-		id := NodeID(i)
-		for _, nb := range t.Neighbors(id) {
-			if p.Assign[nb] != p.Assign[id] {
-				out = append(out, id)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// CrossEdges counts directed neighbor pairs that span shards, a
-// coupling measure for diagnostics and tests.
-func (p *Partition) CrossEdges(t *Topology) int {
-	total := 0
-	for i := range p.Assign {
-		for _, nb := range t.Neighbors(NodeID(i)) {
-			if p.Assign[nb] != p.Assign[i] {
-				total++
-			}
-		}
-	}
-	return total
-}

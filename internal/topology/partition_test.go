@@ -15,6 +15,36 @@ func buildTopo(t *testing.T, seed int64, cfg Config) *Topology {
 	return topo
 }
 
+// boundaryNodes returns, in ascending ID order, every node with at least
+// one candidate neighbor assigned to a different shard: the nodes whose
+// transmissions cross the mesh.
+func boundaryNodes(p *Partition, t *Topology) []NodeID {
+	var out []NodeID
+	for i := range p.Assign {
+		id := NodeID(i)
+		for _, nb := range t.Neighbors(id) {
+			if p.Assign[nb] != p.Assign[id] {
+				out = append(out, id)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// crossEdges counts directed neighbor pairs that span shards.
+func crossEdges(p *Partition, t *Topology) int {
+	total := 0
+	for i := range p.Assign {
+		for _, nb := range t.Neighbors(NodeID(i)) {
+			if p.Assign[nb] != p.Assign[i] {
+				total++
+			}
+		}
+	}
+	return total
+}
+
 // TestPartitionCovers: every node lands in exactly one shard, Members
 // agrees with Assign, and member lists are ID-sorted.
 func TestPartitionCovers(t *testing.T) {
@@ -75,7 +105,7 @@ func TestPartitionBandLocality(t *testing.T) {
 	}
 
 	boundary := make(map[NodeID]bool)
-	for _, id := range p.BoundaryNodes(topo) {
+	for _, id := range boundaryNodes(p, topo) {
 		boundary[id] = true
 	}
 	if len(boundary) == 0 {
@@ -118,10 +148,10 @@ func TestPartitionEmptyShards(t *testing.T) {
 			t.Errorf("shard %d should be empty, has %d nodes", s, len(p.Members[s]))
 		}
 	}
-	if n := len(p.BoundaryNodes(topo)); n != 0 {
+	if n := len(boundaryNodes(p, topo)); n != 0 {
 		t.Errorf("single-shard occupancy has %d boundary nodes, want 0", n)
 	}
-	if n := p.CrossEdges(topo); n != 0 {
+	if n := crossEdges(p, topo); n != 0 {
 		t.Errorf("single-shard occupancy has %d cross edges, want 0", n)
 	}
 }
