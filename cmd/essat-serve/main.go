@@ -47,7 +47,6 @@ func main() {
 		deadline  = flag.Duration("deadline", 60*time.Second, "default wall-clock budget per run (0 = unlimited)")
 		maxEvents = flag.Uint64("max-events", 0, "default event budget per run (0 = unlimited)")
 		maxNodes  = flag.Int("max-nodes", 2000, "reject specs larger than this many nodes (0 = unlimited)")
-		maxShards = flag.Int("max-shards", 8, "reject specs asking for more parallel engine shards than this (0 = unlimited)")
 		seed      = flag.Int64("seed", 1, "base seed for requests that omit one")
 		audit     = flag.Bool("audit", false, "run the invariant auditor on every request")
 		sinks     = flag.String("sinks", "", "comma-separated metric sinks attached to every run whose spec has no results block (timeseries, energy, jsonl); responses then carry records")
@@ -70,15 +69,14 @@ func main() {
 		}
 	}
 	cfg := serve.Config{
-		Workers:   *workers,
-		Queue:     *queue,
-		Budget:    experiment.Budget{WallClock: *deadline, MaxEvents: *maxEvents},
-		MaxNodes:  *maxNodes,
-		MaxShards: *maxShards,
-		BaseSeed:  *seed,
-		Audit:     *audit,
-		Sinks:     sinkNames,
-		Log:       logger,
+		Workers:  *workers,
+		Queue:    *queue,
+		Budget:   experiment.Budget{WallClock: *deadline, MaxEvents: *maxEvents},
+		MaxNodes: *maxNodes,
+		BaseSeed: *seed,
+		Audit:    *audit,
+		Sinks:    sinkNames,
+		Log:      logger,
 	}
 	if *quiet {
 		cfg.Log = nil

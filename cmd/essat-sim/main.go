@@ -58,7 +58,7 @@ func main() {
 		failures = flag.Int("failures", 0, "random non-leaf nodes to kill mid-run")
 		bfs      = flag.Bool("bfs-tree", false, "use idealized BFS tree instead of simulated setup flood")
 		verbose  = flag.Bool("v", false, "print per-rank duty cycles and channel stats")
-		traceN   = flag.Int("trace", 0, "record and print the last N structured events (radio transitions, recovery), merged across shards; overrides a spec file's trace_capacity")
+		traceN   = flag.Int("trace", 0, "record and print the last N structured events (radio transitions, recovery); overrides a spec file's trace_capacity")
 		dissem   = flag.Duration("dissem", 0, "add a downstream command flow with this period (0 = none)")
 		peers    = flag.Int("peers", 0, "add N random peer-to-peer flows at 1 Hz")
 		battery  = flag.Float64("battery", 0, "per-node battery budget in joules (0 = unlimited)")
@@ -69,8 +69,6 @@ func main() {
 		records  = flag.String("records", "", "write every run's metric-sink records to this file (\"-\" = stdout), schema-validated")
 		recFmt   = flag.String("records-format", "jsonl", "records export format: jsonl (one JSON record per line) or csv (flattened long format, one value per row)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget per run; a run exceeding it aborts with exit code 2 (0 = unlimited)")
-		shards   = flag.Int("shards", 0, "run the engine sharded over N spatial partitions (0 = spec/default sequential; overrides a spec file's parallelism block)")
-		lookahd  = flag.Duration("lookahead", 0, "cross-shard lookahead override for -shards > 1 (0 = derive from topology + MAC DIFS)")
 	)
 	flag.Parse()
 
@@ -139,11 +137,6 @@ func main() {
 	}
 	if *traceN > 0 {
 		spec.TraceCapacity = *traceN
-	}
-	if *shards > 0 {
-		spec.Parallelism = &essat.ParallelismSpec{Shards: *shards, Lookahead: essat.Dur(*lookahd)}
-	} else if *lookahd > 0 {
-		fatal(errors.New("-lookahead requires -shards"))
 	}
 	if *sinks != "" {
 		rs := &essat.ResultsSpec{}

@@ -250,11 +250,6 @@ type (
 	RadioSpec     = experiment.RadioSpec
 )
 
-// ParallelismSpec is the Spec form of the sharded parallel engine:
-// shard count and optional lookahead override. See the "Parallel event
-// loop" section of ARCHITECTURE.md.
-type ParallelismSpec = experiment.ParallelismSpec
-
 // ResultsSpec and SinkSpec are the Spec forms of the results pipeline:
 // a list of metric sinks from the stats registry observing the run,
 // whose records land in Result.Records.

@@ -100,12 +100,6 @@ func goldenSuite() map[string][]goldenRun {
 	// T-MAC's power manager subscribes its own radio listener after the
 	// channel station and the MAC.
 	suite["tmac"] = []goldenRun{{label: "fig3/rate=5", build: figScenario(essat.TMAC, 5)}}
-	// A sharded run replays cross-shard transmissions through the mesh.
-	suite["shards=4"] = []goldenRun{{label: "DTS-SS/rate=5", build: func(t *testing.T) essat.Scenario {
-		sc := figScenario(essat.DTSSS, 5)(t)
-		sc.Shards = 4
-		return sc
-	}}}
 	return suite
 }
 

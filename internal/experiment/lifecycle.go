@@ -82,14 +82,11 @@ func (e *PanicError) Error() string {
 // duration unless ctx is canceled, ctx's deadline passes, or the budget
 // runs out first, returning ctx.Err() or a *BudgetExceededError
 // respectively. Like Simulate it must run at most once, between Build
-// and Collect; on early termination the engines are left mid-run and
+// and Collect; on early termination the engine is left mid-run and
 // Collect would see a truncated (but internally consistent) run.
 //
 // With a context that is never done and no wall-clock bound, nothing is
 // polled: the engine runs the exact uninstrumented loop of Simulate.
-// Parallel runs poll at window barriers (the only single-threaded
-// points), so their event-budget enforcement is barrier-granular rather
-// than exact.
 func (s *Sim) SimulateContext(ctx context.Context, b Budget) error {
 	start := time.Now()
 	var check func() error
@@ -115,19 +112,19 @@ func (s *Sim) SimulateContext(ctx context.Context, b Budget) error {
 				return &BudgetExceededError{
 					Resource: "wall-clock",
 					Budget:   b,
-					Events:   s.processed(),
+					Events:   s.Eng.Processed(),
 					Elapsed:  time.Since(start),
 				}
 			}
 			return nil
 		}
 	}
-	_, err := s.run(s.Scenario.Duration, b.MaxEvents, check)
+	_, err := s.Eng.RunChecked(s.Scenario.Duration, b.MaxEvents, check)
 	if errors.Is(err, sim.ErrEventBudget) {
 		err = &BudgetExceededError{
 			Resource: "events",
 			Budget:   b,
-			Events:   s.processed(),
+			Events:   s.Eng.Processed(),
 			Elapsed:  time.Since(start),
 		}
 	}

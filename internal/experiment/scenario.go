@@ -145,7 +145,7 @@ type Scenario struct {
 	RecordSleepIntervals bool
 
 	// TraceCapacity, when positive, records the last N structured events
-	// (radio transitions, failure recovery) across all nodes and shards.
+	// (radio transitions, failure recovery) across all nodes.
 	TraceCapacity int
 
 	// BatteryJ, when positive, gives every non-root node a finite energy
@@ -181,25 +181,6 @@ type Scenario struct {
 	// and producing the canonical trace digest in Result.Audit. Same-seed
 	// runs are byte-identical with the auditor on or off.
 	Audit bool
-
-	// Shards is the number of spatial shards (topology partitioner) the
-	// deployment is cut into; values <= 1 select one shard, which is the
-	// sequential run: its single engine runs the event loop itself. With
-	// more, each shard runs its own engine + channel lane on its own
-	// goroutine inside conservative windows of the cross-shard
-	// lookahead, with boundary traffic exchanged at window barriers
-	// (phy.Mesh). Cross-shard links behave as if they had `Lookahead`
-	// of propagation delay — the standard federated-simulation
-	// approximation — so results are deterministic per (seed, Shards,
-	// Lookahead) but not bit-identical across shard counts. Dynamics
-	// injectors and the §4.3 failure detector are not yet supported
-	// with more than one shard and fail the build.
-	Shards int
-	// Lookahead overrides the derived cross-shard latency; zero derives
-	// DIFS + worst-case propagation from the MAC and topology (see
-	// phy.CrossShardLookahead). Larger values cut barrier overhead at
-	// the cost of more boundary-timing distortion.
-	Lookahead time.Duration
 
 	// Sinks selects additional metric sinks from the stats registry
 	// ("timeseries", "energy", "jsonl", ...) to observe the run; the
@@ -353,50 +334,34 @@ type Result struct {
 	NetworkLifetime       time.Duration
 }
 
-// Sim is one fully built scenario, paused at time zero: engines,
-// topology, routing tree, channel lanes, and per-node protocol stacks
-// wired, with the workload, failure injections, and measurement
-// snapshots already in the event queue. Every build is partitioned; the
-// sequential run is the one-shard case, whose single engine runs the
-// event loop itself. Callers may inspect or instrument the exported
-// pieces before Simulate.
+// Sim is one fully built scenario, paused at time zero: engine,
+// topology, routing tree, channel, and per-node protocol stacks wired,
+// with the workload, failure injections, and measurement snapshots
+// already in the event queue. Callers may inspect or instrument the
+// exported pieces before Simulate.
 type Sim struct {
 	Scenario Scenario
-	// Eng and Channel are shard 0's engine and lane: the only ones in a
-	// sequential build.
-	Eng     *sim.Engine
-	Topo    *topology.Topology
-	Tree    *routing.Tree
-	Channel *phy.Channel
-	Nodes   map[node.NodeID]*node.Node
-
-	engines   []*sim.Engine
-	chans     []*phy.Channel
-	lookahead time.Duration
-	// run drains the event queue: shard 0's engine for one shard, a
-	// sim.ShardRunner over every engine otherwise.
-	run func(until time.Duration, maxEvents uint64, check func() error) (uint64, error)
+	Eng      *sim.Engine
+	Topo     *topology.Topology
+	Tree     *routing.Tree
+	Channel  *phy.Channel
+	Nodes    map[node.NodeID]*node.Node
 
 	sink      *stats.RootSink
 	fan       *stats.Fanout
-	tracers   []*trace.Tracer
-	auditors  []*check.Auditor
+	tracer    *trace.Tracer
+	auditor   *check.Auditor
 	profile   radio.PowerProfile
 	activeAt0 []time.Duration
 	energyAt0 []float64
 
-	battery []shardBattery
-}
-
-// shardBattery is one shard's battery-exhaustion accounting (written
-// only by that shard's goroutine).
-type shardBattery struct {
-	firstDeath time.Duration
-	deaths     int
+	// firstDeath and batteryDeaths account battery exhaustion.
+	firstDeath    time.Duration
+	batteryDeaths int
 }
 
 // builder is one build in progress: the Sim being assembled plus the
-// resolved models and partition the stages hand to each other.
+// resolved models the stages hand to each other.
 type builder struct {
 	*Sim
 	arena  *Arena
@@ -409,25 +374,18 @@ type builder struct {
 	params protocol.Params
 
 	root node.NodeID
-	part *topology.Partition
-	mesh *phy.Mesh
 	// members is the build-time member list in ID order, computed once:
 	// no stage mutates the tree, so every stage walks this one list.
 	members []node.NodeID
-	// byShard is members split by shard, in member order. Global
-	// workload events — setup slots, stops, battery polls, the warm-up
-	// snapshot — schedule per shard over these lists so every engine
-	// touches only its own nodes.
-	byShard [][]node.NodeID
 }
 
-// build runs the build stages in order. The order is load-bearing:
-// shard 0's engine rng is drawn for placement (deploy), then peer-flow
-// endpoints and failure victims (workload), and node construction and
-// start order fix the event sequence numbers.
+// build runs the build stages in order. The order is load-bearing: the
+// engine rng is drawn for placement (deploy), then peer-flow endpoints
+// and failure victims (workload), and node construction and start order
+// fix the event sequence numbers.
 func build(sc Scenario, a *Arena) (*Sim, error) {
 	b := &builder{Sim: &Sim{Scenario: sc}, arena: a}
-	for _, stage := range []func() error{b.resolveModels, b.deploy, b.lanes, b.observers, b.stacks, b.workload} {
+	for _, stage := range []func() error{b.resolveModels, b.deploy, b.channel, b.observers, b.stacks, b.workload} {
 		if err := stage(); err != nil {
 			return nil, err
 		}
@@ -437,8 +395,7 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 
 // resolveModels validates the scenario and resolves every registry name
 // and defaulted config: protocol, propagation model, energy profile,
-// radio, channel, MAC, query, and protocol parameters. It also refuses
-// the features the sharded engine does not support yet.
+// radio, channel, MAC, query, and protocol parameters.
 func (b *builder) resolveModels() error {
 	sc := &b.Scenario
 	if len(sc.Queries) == 0 {
@@ -446,17 +403,6 @@ func (b *builder) resolveModels() error {
 	}
 	if sc.Duration <= 0 {
 		return fmt.Errorf("experiment: non-positive duration %v", sc.Duration)
-	}
-	if sc.Shards > 1 {
-		// Features whose state is shared across nodes of different
-		// shards (and therefore across goroutines) are gated until they
-		// grow a parallel-safe path.
-		switch {
-		case len(sc.Dynamics) > 0:
-			return fmt.Errorf("experiment: dynamics injectors are not supported with shards > 1")
-		case sc.QueryCfg.FailureThreshold > 0:
-			return fmt.Errorf("experiment: the failure detector (tree re-parenting) is not supported with shards > 1")
-		}
 	}
 	var ok bool
 	if b.proto, ok = protocol.Lookup(sc.Protocol); !ok {
@@ -538,9 +484,9 @@ func (b *builder) resolveModels() error {
 	return nil
 }
 
-// deploy places the topology and builds the routing tree. It takes
-// shard 0's engine — the arena's reusable one — first, because that
-// engine carries all build-time randomness and placement draws first.
+// deploy places the topology and builds the routing tree. It takes the
+// arena's reusable engine first, because that engine carries all
+// build-time randomness and placement draws first.
 //
 // Placement and tree construction depend only on the deployment key
 // fields (seed, topology config, tree policy, propagation model), so an
@@ -599,68 +545,19 @@ func (b *builder) deploy() (err error) {
 	return nil
 }
 
-// lanes partitions the plane into max(Shards, 1) shards and gives each
-// its own engine and channel lane over the shared topology; one shard
-// holds every node. Additional shards get fresh engines with their own
-// arenas — per-shard freelists and slabs keep the hot path
-// allocation-free without cross-goroutine sharing — and decorrelated rng
-// streams. With more than one shard the lanes are meshed: boundary
-// transmissions cross with `lookahead` of latency, deep-copied so pooled
-// sender-side framing and payloads are never aliased across goroutines.
-func (b *builder) lanes() (err error) {
-	K := max(b.Scenario.Shards, 1)
-	if b.part, err = topology.PartitionGrid(b.Topo, K); err != nil {
+// channel opens the run's channel over the shared topology and fixes
+// the member list every later stage walks.
+func (b *builder) channel() (err error) {
+	if b.Channel, err = phy.NewChannel(b.Eng, b.Topo, b.chCfg); err != nil {
 		return err
 	}
-	b.engines = make([]*sim.Engine, K)
-	b.engines[0] = b.Eng
-	for s := 1; s < K; s++ {
-		e := sim.New(b.Scenario.Seed ^ int64(s)*-0x61c8864680b583eb)
-		e.SetArena(sim.NewArena())
-		b.engines[s] = e
-	}
-	b.chans = make([]*phy.Channel, K)
-	for s := range b.chans {
-		if b.chans[s], err = phy.NewChannel(b.engines[s], b.Topo, b.chCfg); err != nil {
-			return err
-		}
-	}
-	b.Channel = b.chans[0]
-	b.run = b.Eng.RunChecked
-	if K > 1 {
-		b.lookahead = b.Scenario.Lookahead
-		if b.lookahead <= 0 {
-			b.lookahead = phy.CrossShardLookahead(b.Topo, b.macCfg.DIFS)
-		}
-		b.mesh, err = phy.NewMesh(b.chans, b.part.Assign, b.lookahead, func(p any) any {
-			return mac.TransitClone(p, cloneTransitPayload)
-		})
-		if err != nil {
-			return err
-		}
-		b.run = sim.NewShardRunner(b.engines, b.lookahead, b.mesh.Exchange).RunChecked
-	}
 	b.members = b.Tree.Members()
-	b.byShard = make([][]node.NodeID, K)
-	for _, id := range b.members {
-		s := b.part.Assign[id]
-		b.byShard[s] = append(b.byShard[s], id)
-	}
 	return nil
 }
 
-func (b *builder) engOf(id node.NodeID) *sim.Engine { return b.engines[b.part.Assign[id]] }
-func (b *builder) chOf(id node.NodeID) *phy.Channel { return b.chans[b.part.Assign[id]] }
-func (b *builder) auditorOf(id node.NodeID) *check.Auditor {
-	if b.auditors == nil {
-		return nil
-	}
-	return b.auditors[b.part.Assign[id]]
-}
-
-// observers attaches the pure observers: the metric sinks, the
-// per-shard tracers, and the per-shard invariant auditors. The run is
-// byte-identical with any selection of them.
+// observers attaches the pure observers: the metric sinks, the tracer,
+// and the invariant auditor. The run is byte-identical with any
+// selection of them.
 func (b *builder) observers() error {
 	sc := &b.Scenario
 	// The root recorder comes off the sink registry like any other sink
@@ -692,27 +589,17 @@ func (b *builder) observers() error {
 	}
 	b.fan = stats.NewFanout(observers...)
 
-	// The tracer and the auditor are per shard: each observes only its
-	// own engine, lane and nodes, so no observer state is shared across
-	// shard goroutines. Collect merges the tracers (trace.Merge) and
-	// folds the audit summaries (check.Combine). The per-node hooks
-	// installed by stacks and workload are nil (and free) when off.
+	// The per-node hooks installed by stacks and workload are nil (and
+	// free) when the tracer and the auditor are off.
 	if sc.TraceCapacity > 0 {
-		b.tracers = make([]*trace.Tracer, len(b.engines))
-		for s := range b.tracers {
-			b.tracers[s] = trace.New(sc.TraceCapacity, b.engines[s].Now)
-		}
+		b.tracer = trace.New(sc.TraceCapacity, b.Eng.Now)
 	}
 	if sc.Audit {
-		b.auditors = make([]*check.Auditor, len(b.engines))
-		for s := range b.auditors {
-			ad := check.New(b.engines[s].Now)
-			b.engines[s].SetObserver(ad)
-			b.chans[s].SetObserver(ad)
-			for _, q := range sc.Queries {
-				ad.RegisterQuery(q)
-			}
-			b.auditors[s] = ad
+		b.auditor = check.New(b.Eng.Now)
+		b.Eng.SetObserver(b.auditor)
+		b.Channel.SetObserver(b.auditor)
+		for _, q := range sc.Queries {
+			b.auditor.RegisterQuery(q)
 		}
 	}
 	return nil
@@ -725,49 +612,30 @@ func (b *builder) stacks() error {
 	sc := &b.Scenario
 	b.Nodes = make(map[node.NodeID]*node.Node, len(b.members))
 	for _, id := range b.members {
-		ne := b.engOf(id)
-		n := node.New(ne, id, b.Tree, b.chOf(id), b.rcfg, b.macCfg)
+		n := node.New(b.Eng, id, b.Tree, b.Channel, b.rcfg, b.macCfg)
 		if sc.RecordSleepIntervals {
 			n.Radio.RecordSleepIntervals()
 		}
-		if b.tracers != nil {
-			n.SetTracer(b.tracers[b.part.Assign[id]])
-		}
-		adt := b.auditorOf(id)
+		n.SetTracer(b.tracer)
 		var s query.Sink
 		if id == b.root {
 			s = b.fan
-			if adt != nil {
-				s = adt.WrapSink(s)
+			if b.auditor != nil {
+				s = b.auditor.WrapSink(s)
 			}
 		}
-		if adt != nil {
-			n.MAC.SetObserver(adt)
-			adt.WatchRadio(id, n.Radio, b.profile)
-		}
-		if b.mesh != nil {
-			// A cross-shard unicast's ACK pays the mesh latency twice
-			// (data out, ACK back); widen the sender's ACK timeout so
-			// boundary links don't read as loss.
-			part, my := b.part.Assign, b.part.Assign[id]
-			slack := 2 * b.mesh.Latency()
-			n.MAC.SetAckSlack(func(dst phy.NodeID) time.Duration {
-				if dst >= 0 && part[dst] != my {
-					return slack
-				}
-				return 0
-			})
+		if b.auditor != nil {
+			n.MAC.SetObserver(b.auditor)
+			b.auditor.WatchRadio(id, n.Radio, b.profile)
 		}
 		if b.fan.WantsRadio() {
-			// Runs on this node's shard goroutine (the RadioObserver
-			// contract).
-			id, fan := id, b.fan
+			id, fan, eng := id, b.fan, b.Eng
 			n.Radio.Subscribe(func(old, new radio.State) {
-				fan.RadioChanged(int(id), old, new, ne.Now())
+				fan.RadioChanged(int(id), old, new, eng.Now())
 			})
 		}
 		if err := b.proto.Build(&protocol.BuildContext{
-			Eng:      ne,
+			Eng:      b.Eng,
 			Node:     n,
 			Tree:     b.Tree,
 			Sink:     s,
@@ -784,9 +652,9 @@ func (b *builder) stacks() error {
 		if _, ok := b.Nodes[id]; ok {
 			continue
 		}
-		r := radio.New(b.engOf(id), b.rcfg)
+		r := radio.New(b.Eng, b.rcfg)
 		// Constructing the MAC attaches the station to the channel.
-		mac.New(b.engOf(id), b.chOf(id), id, r, b.macCfg, discard{})
+		mac.New(b.Eng, b.Channel, id, r, b.macCfg, discard{})
 		r.TurnOff()
 	}
 	return nil
@@ -804,11 +672,7 @@ func (b *builder) workload() error {
 			}
 		}
 		if sc.SetupSlot > 0 {
-			for s, members := range b.byShard {
-				if len(members) > 0 {
-					scheduleSetupSlot(b.engines[s], members, b.Nodes, spec, sc.SetupSlot)
-				}
-			}
+			scheduleSetupSlot(b.Eng, b.members, b.Nodes, spec, sc.SetupSlot)
 		}
 	}
 	// Stops sweep the build-time member list, not tree.Members() at stop
@@ -817,29 +681,23 @@ func (b *builder) workload() error {
 	// or it resumes reporting it after recovery. Only permanently dead
 	// nodes (channel-disabled) are skipped.
 	for _, stop := range sc.QueryStops {
-		stop := stop
-		for s, members := range b.byShard {
-			if len(members) == 0 {
-				continue
-			}
-			members, ch, nodes := members, b.chans[s], b.Nodes
-			b.engines[s].Schedule(stop.At, func() {
-				for _, id := range members {
-					if !ch.Disabled(id) {
-						nodes[id].Agent.Deregister(stop.Query)
-					}
+		stop, members, ch, nodes := stop, b.members, b.Channel, b.Nodes
+		b.Eng.Schedule(stop.At, func() {
+			for _, id := range members {
+				if !ch.Disabled(id) {
+					nodes[id].Agent.Deregister(stop.Query)
 				}
-			})
-		}
+			}
+		})
 	}
 	if err := b.flows(); err != nil {
 		return err
 	}
-	if b.auditors != nil {
+	if b.auditor != nil {
 		// Safe Sleep schedulers exist only after the protocol builders ran.
 		for _, id := range b.members {
 			if ss := b.Nodes[id].SS; ss != nil {
-				ss.SetObserver(id, b.auditorOf(id))
+				ss.SetObserver(id, b.auditor)
 			}
 		}
 	}
@@ -923,8 +781,8 @@ func (b *builder) faults() error {
 		if victim == routing.None || victim == b.root {
 			continue
 		}
-		v, fch, nodes := victim, b.chOf(victim), b.Nodes
-		b.engOf(v).Schedule(f.At, func() {
+		v, fch, nodes := victim, b.Channel, b.Nodes
+		b.Eng.Schedule(f.At, func() {
 			// Guard on permanent disablement, not Killed(): a node the
 			// dynamics layer has temporarily crashed still reads as killed,
 			// but a configured failure must make its death permanent (the
@@ -945,7 +803,7 @@ func (b *builder) faults() error {
 		topo:    b.Topo,
 		nodes:   b.Nodes,
 		nodeIDs: b.members,
-		auditor: b.auditorOf(b.root),
+		auditor: b.auditor,
 		crashed: make(map[node.NodeID]bool),
 	}
 	for i, d := range sc.Dynamics {
@@ -960,80 +818,49 @@ func (b *builder) faults() error {
 	return nil
 }
 
-// meter schedules the per-shard accounting loops: battery exhaustion
-// (one poll per simulated second, each shard writing its own slot for
-// Collect to merge) and the radio snapshot at MeasureFrom that excludes
-// warm-up. The snapshot slices are NodeID-indexed, so shards write
-// disjoint entries concurrently.
+// meter schedules the accounting loops: battery exhaustion (one poll
+// per simulated second) and the radio snapshot at MeasureFrom that
+// excludes warm-up.
 func (b *builder) meter() {
 	sc, sm, prof, root := &b.Scenario, b.Sim, b.profile, b.root
+	members, e, ch, nodes := b.members, b.Eng, b.Channel, b.Nodes
 	if sc.BatteryJ > 0 {
 		budget := sc.BatteryJ
-		sm.battery = make([]shardBattery, len(b.engines))
-		for s, members := range b.byShard {
-			if len(members) == 0 {
-				continue
-			}
-			members, bat, e, ch, nodes := members, &sm.battery[s], b.engines[s], b.chans[s], b.Nodes
-			var check func()
-			check = func() {
-				for _, id := range members {
-					n := nodes[id]
-					if id == root || n.Killed() {
-						continue
-					}
-					if n.Radio.Energy(prof) >= budget {
-						if bat.firstDeath == 0 {
-							bat.firstDeath = e.Now()
-						}
-						bat.deaths++
-						n.Kill()
-						ch.Disable(id)
-					}
+		var check func()
+		check = func() {
+			for _, id := range members {
+				n := nodes[id]
+				if id == root || n.Killed() {
+					continue
 				}
-				e.After(time.Second, check)
+				if n.Radio.Energy(prof) >= budget {
+					if sm.firstDeath == 0 {
+						sm.firstDeath = e.Now()
+					}
+					sm.batteryDeaths++
+					n.Kill()
+					ch.Disable(id)
+				}
 			}
 			e.After(time.Second, check)
 		}
+		e.After(time.Second, check)
 	}
 
 	sm.activeAt0 = make([]time.Duration, b.Topo.NumNodes())
 	sm.energyAt0 = make([]float64, b.Topo.NumNodes())
-	for s, members := range b.byShard {
-		if len(members) == 0 {
-			continue
+	e.Schedule(sc.MeasureFrom, func() {
+		for _, id := range members {
+			n := nodes[id]
+			sm.activeAt0[id] = n.Radio.ActiveTime()
+			sm.energyAt0[id] = n.Radio.Energy(prof)
 		}
-		members, nodes := members, b.Nodes
-		b.engines[s].Schedule(sc.MeasureFrom, func() {
-			for _, id := range members {
-				n := nodes[id]
-				sm.activeAt0[id] = n.Radio.ActiveTime()
-				sm.energyAt0[id] = n.Radio.Energy(prof)
-			}
-		})
-	}
+	})
 }
 
 // Simulate drains the event queue up to the scenario's duration. It
 // must run exactly once, between Build and Collect.
 func (s *Sim) Simulate() { _ = s.SimulateContext(context.Background(), Budget{}) }
-
-// Shards reports how many engine shards this build executes on
-// (1 = the sequential run).
-func (s *Sim) Shards() int { return len(s.engines) }
-
-// ShardLookahead reports the cross-shard lookahead of a parallel
-// build, zero for sequential ones.
-func (s *Sim) ShardLookahead() time.Duration { return s.lookahead }
-
-// processed sums the executed-event counts over all shard engines.
-func (s *Sim) processed() uint64 {
-	var events uint64
-	for _, e := range s.engines {
-		events += e.Processed()
-	}
-	return events
-}
 
 // Collect aggregates the run's metrics into a Result. Call it after
 // Simulate.
@@ -1045,29 +872,17 @@ func (s *Sim) Collect() *Result {
 		LatencyByClass: make(map[int]stats.DurationStats),
 		TreeSize:       s.Tree.Size(),
 		MaxRank:        s.Tree.MaxRank(),
-		Events:         s.processed(),
-	}
-	for _, c := range s.chans {
-		res.Channel.Add(c.Stats())
+		Events:         s.Eng.Processed(),
+		Channel:        s.Channel.Stats(),
+		Trace:          s.tracer.Events(),
+		FirstDeath:     s.firstDeath,
+		BatteryDeaths:  s.batteryDeaths,
 	}
 	s.collectNodes(res)
 	s.collectFlows(res)
 	countRun(s.Scenario, res.Events)
-	for _, b := range s.battery {
-		if b.firstDeath > 0 && (res.FirstDeath == 0 || b.firstDeath < res.FirstDeath) {
-			res.FirstDeath = b.firstDeath
-		}
-		res.BatteryDeaths += b.deaths
-	}
-	if s.tracers != nil {
-		res.Trace = trace.Merge(s.tracers, s.Scenario.TraceCapacity)
-	}
-	if s.auditors != nil {
-		parts := make([]*check.Summary, len(s.auditors))
-		for i, ad := range s.auditors {
-			parts[i] = ad.Summary()
-		}
-		res.Audit = check.Combine(parts)
+	if s.auditor != nil {
+		res.Audit = s.auditor.Summary()
 	}
 	return res
 }
@@ -1184,29 +999,6 @@ func scheduleSetupSlot(eng *sim.Engine, members []node.NodeID, nodes map[node.No
 			})
 		}
 	})
-}
-
-// cloneTransitPayload deep-copies the inner (above-MAC) payload of a
-// frame crossing shards. Reports are pooled (the sender recycles them
-// as soon as its own completion fires) and must be copied; commands and
-// peer messages are heap-shared across the sender's forwarding chain,
-// and copying them too keeps the no-cross-goroutine-aliasing rule
-// simple. All three are flat scalar structs, so a shallow copy is deep.
-// Everything else (JoinMsg, PhaseRequest, setupAnnounce, baseline
-// control markers) already travels by value.
-func cloneTransitPayload(p any) any {
-	switch v := p.(type) {
-	case *query.Report:
-		c := *v
-		return &c
-	case *core.Command:
-		c := *v
-		return &c
-	case *core.P2PMessage:
-		c := *v
-		return &c
-	}
-	return p
 }
 
 // discard is the upper layer for dark (non-member) nodes.

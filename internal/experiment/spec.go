@@ -118,25 +118,6 @@ type Spec struct {
 	// disjoint from query IDs (negative IDs work well).
 	Dissemination []FlowSpec `json:"dissemination,omitempty"`
 	Peers         []FlowSpec `json:"peers,omitempty"`
-
-	// Parallelism runs the scenario on the sharded multi-core engine;
-	// omitted (or shards <= 1) keeps the sequential event loop.
-	Parallelism *ParallelismSpec `json:"parallelism,omitempty"`
-}
-
-// ParallelismSpec configures the sharded parallel engine: the
-// deployment is cut into Shards spatial bands, each simulated on its own
-// goroutine inside conservative windows of the cross-shard lookahead.
-// Results are deterministic per (seed, shards, lookahead) but not
-// bit-identical across shard counts — cross-shard links carry the
-// lookahead as extra propagation delay. Dynamics injectors and the
-// failure detector are rejected in parallel mode.
-type ParallelismSpec struct {
-	// Shards in [1, 64]; 1 is the sequential engine.
-	Shards int `json:"shards"`
-	// Lookahead overrides the derived cross-shard latency (DIFS +
-	// worst-case propagation); omitted derives it.
-	Lookahead Duration `json:"lookahead,omitempty"`
 }
 
 // WorkloadSpec generates the paper's workload: PerClass queries in each
@@ -449,20 +430,19 @@ func (s *Spec) Scenario() (Scenario, error) {
 		}
 	}
 
+	// Zero turns each of these off; a negative value is a mistake, not
+	// a request to turn it off.
+	switch {
+	case s.BatteryJ < 0:
+		return Scenario{}, fmt.Errorf("spec: battery_j must be non-negative, got %g", s.BatteryJ)
+	case s.SetupSlot < 0:
+		return Scenario{}, fmt.Errorf("spec: setup_slot must be non-negative, got %v", s.SetupSlot.D())
+	case s.TraceCapacity < 0:
+		return Scenario{}, fmt.Errorf("spec: trace_capacity must be non-negative, got %d", s.TraceCapacity)
+	}
 	sc.BatteryJ = s.BatteryJ
 	sc.SetupSlot = s.SetupSlot.D()
 	sc.TraceCapacity = s.TraceCapacity
-
-	if p := s.Parallelism; p != nil {
-		if p.Shards < 1 || p.Shards > 64 {
-			return Scenario{}, fmt.Errorf("spec: parallelism shards must be in [1,64], got %d", p.Shards)
-		}
-		if p.Lookahead < 0 {
-			return Scenario{}, fmt.Errorf("spec: parallelism lookahead must be non-negative, got %v", p.Lookahead.D())
-		}
-		sc.Shards = p.Shards
-		sc.Lookahead = p.Lookahead.D()
-	}
 
 	for _, f := range s.Dissemination {
 		sc.Dissemination = append(sc.Dissemination, core.DisseminationSpec{

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -121,36 +122,56 @@ func TestSpecDurationForms(t *testing.T) {
 }
 
 func TestSpecErrors(t *testing.T) {
+	// want, when set, must appear in the error: it names the field.
 	cases := []struct {
 		name string
 		json string
+		want string
 	}{
-		{"unknown field", `{"protocol":"DTS-SS","workloads":{}}`},
-		{"bad duration", `{"protocol":"DTS-SS","duration":"ten seconds"}`},
+		{"unknown field", `{"protocol":"DTS-SS","workloads":{}}`, ""},
+		{"bad duration", `{"protocol":"DTS-SS","duration":"ten seconds"}`, ""},
+		{"removed parallelism block", `{"protocol":"DTS-SS","parallelism":{"shards":2}}`, "parallelism"},
 	}
 	for _, c := range cases {
-		if _, err := ParseSpec([]byte(c.json)); err == nil {
-			t.Errorf("%s: ParseSpec accepted %s", c.name, c.json)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			_, err := ParseSpec([]byte(c.json))
+			if err == nil {
+				t.Fatalf("ParseSpec accepted %s", c.json)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("error %q does not name %q", err, c.want)
+			}
+		})
 	}
+	wl := &WorkloadSpec{BaseRate: 1, PerClass: 1}
 	compile := []struct {
 		name string
 		spec Spec
+		want string
 	}{
-		{"unknown protocol", Spec{Protocol: "XYZ", Workload: &WorkloadSpec{BaseRate: 1, PerClass: 1}}},
-		{"unknown topology", Spec{Protocol: "DTS-SS", Topology: "moebius", Workload: &WorkloadSpec{BaseRate: 1, PerClass: 1}}},
-		{"no queries", Spec{Protocol: "DTS-SS"}},
+		{"unknown protocol", Spec{Protocol: "XYZ", Workload: wl}, ""},
+		{"unknown topology", Spec{Protocol: "DTS-SS", Topology: "moebius", Workload: wl}, ""},
+		{"no queries", Spec{Protocol: "DTS-SS"}, ""},
 		{"measure_from past duration", Spec{Protocol: "DTS-SS", Duration: Dur(30 * time.Second),
-			MeasureFrom: durPtr(60 * time.Second), Workload: &WorkloadSpec{BaseRate: 1, PerClass: 1}}},
+			MeasureFrom: durPtr(60 * time.Second), Workload: wl}, ""},
 		{"negative measure_from", Spec{Protocol: "DTS-SS",
-			MeasureFrom: durPtr(-5 * time.Second), Workload: &WorkloadSpec{BaseRate: 1, PerClass: 1}}},
-		{"bad workload", Spec{Protocol: "DTS-SS", Workload: &WorkloadSpec{BaseRate: -1, PerClass: 1}}},
-		{"bad query period", Spec{Protocol: "DTS-SS", Queries: []QueryJSON{{ID: 1}}}},
+			MeasureFrom: durPtr(-5 * time.Second), Workload: wl}, ""},
+		{"bad workload", Spec{Protocol: "DTS-SS", Workload: &WorkloadSpec{BaseRate: -1, PerClass: 1}}, ""},
+		{"bad query period", Spec{Protocol: "DTS-SS", Queries: []QueryJSON{{ID: 1}}}, ""},
+		{"negative trace_capacity", Spec{Protocol: "DTS-SS", Workload: wl, TraceCapacity: -1}, "trace_capacity"},
+		{"negative battery_j", Spec{Protocol: "DTS-SS", Workload: wl, BatteryJ: -0.5}, "battery_j"},
+		{"negative setup_slot", Spec{Protocol: "DTS-SS", Workload: wl, SetupSlot: Dur(-time.Second)}, "setup_slot"},
 	}
 	for _, c := range compile {
-		if _, err := c.spec.Scenario(); err == nil {
-			t.Errorf("%s: Scenario() accepted %+v", c.name, c.spec)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			_, err := c.spec.Scenario()
+			if err == nil {
+				t.Fatalf("Scenario() accepted %+v", c.spec)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("error %q does not name %q", err, c.want)
+			}
+		})
 	}
 }
 

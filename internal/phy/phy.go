@@ -111,11 +111,7 @@ type Stats struct {
 	BytesSent uint64
 }
 
-// Add accumulates o into s, merging the per-lane statistics of a
-// parallel run. A cross-shard transmission counts Transmissions and
-// BytesSent once (on its source lane) and its receiver-side outcomes on
-// whichever lanes delivered it, so the merged totals balance exactly
-// like a sequential run's.
+// Add accumulates o into s.
 func (s *Stats) Add(o Stats) {
 	s.Transmissions += o.Transmissions
 	s.Deliveries += o.Deliveries
@@ -136,10 +132,6 @@ func (s *Stats) Add(o Stats) {
 type activeTx struct {
 	frame Frame
 	ch    *Channel
-	// remote marks a transmission replayed from another shard's lane:
-	// the source station lives elsewhere, so only the receiver-side
-	// bookkeeping applies here.
-	remote bool
 	// slot is this transmission's index in ch.active, so endTx removes
 	// it in O(1).
 	slot int
@@ -202,23 +194,14 @@ type Channel struct {
 	// layer); nil/empty costs nothing on the delivery path.
 	linkLoss map[linkKey]float64
 	// active tracks in-flight transmissions so Resume can rebuild a
-	// returning station's carrier count. It holds every transmission in
-	// the lane, so it grows with N: a mean of 293 (max 1,095) on the
+	// returning station's carrier count. It holds every transmission on
+	// the channel, so it grows with N: a mean of 293 (max 1,095) on the
 	// 10,000-node tier. Each entry's slot is its index; order is
 	// irrelevant, since Resume only counts.
 	active []*activeTx
 	// freeTx recycles activeTx structs (frame + completion callback);
 	// bounded by the peak number of concurrent transmissions.
 	freeTx []*activeTx
-	// mesh/lane connect this channel to its siblings under sharded
-	// parallel execution: the channel then carries only the stations of
-	// shard `lane`, and boundary transmissions are routed through the
-	// mesh. Both are nil/zero on sequential runs.
-	mesh *Mesh
-	lane int32
-	// freeRemote recycles the envelopes carrying inbound cross-shard
-	// transmissions from the mesh barrier to their start instant.
-	freeRemote []*remoteStart
 }
 
 // Config parameterizes the channel.
@@ -447,25 +430,19 @@ func (c *Channel) StartTx(src NodeID, dst NodeID, bytes int, payload any) (time.
 
 	st.radio.BeginTx()
 	c.arrive(tx, dur)
-	if c.mesh != nil {
-		c.mesh.route(c, tx, dur)
-	}
 	return dur, &tx.frame
 }
 
 // arrive puts tx on the air at every attached station in range of its
 // source for dur: the carrier rises, an idle receiver locks on, and the
-// completion event is scheduled. StartTx and the mesh replay of a
-// cross-shard transmission share it. Per neighbour it reads only the
-// dense station row unless that neighbour's radio is on.
+// completion event is scheduled. Per neighbour it reads only the dense
+// station row unless that neighbour's radio is on.
 func (c *Channel) arrive(tx *activeTx, dur time.Duration) {
 	tx.slot = len(c.active)
 	c.active = append(c.active, tx)
 	for _, nb := range c.neighbors(tx.frame.Src) {
 		rst := &c.stations[nb]
 		if !rst.enabled {
-			// Foreign-lane stations are never attached, so this also
-			// confines a mesh replay to the lane's own shard.
 			continue
 		}
 		rst.carriers++
@@ -501,11 +478,8 @@ func (c *Channel) takeTx() *activeTx {
 
 func (c *Channel) endTx(tx *activeTx) {
 	src := tx.frame.Src
-	if !tx.remote {
-		st := &c.stations[src]
-		if st.radio.State() == radio.Tx {
-			st.radio.EndTx()
-		}
+	if st := &c.stations[src]; st.radio.State() == radio.Tx {
+		st.radio.EndTx()
 	}
 	for _, nb := range c.neighbors(src) {
 		rst := &c.stations[nb]
@@ -539,7 +513,6 @@ func (c *Channel) endTx(tx *activeTx) {
 	c.active[last] = nil
 	c.active = c.active[:last]
 	tx.frame.Payload = nil
-	tx.remote = false
 	c.freeTx = append(c.freeTx, tx)
 }
 

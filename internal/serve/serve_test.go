@@ -134,21 +134,23 @@ func TestBadSpecs(t *testing.T) {
 	}{
 		{"malformed JSON", `{"protocol": `, "bad_spec"},
 		{"unknown field", `{"protocol":"DTS-SS","bogus":1}`, "bad_spec"},
+		{"removed parallelism block", `{"protocol":"DTS-SS","parallelism":{"shards":2},"workload":{"base_rate":1,"per_class":1}}`, "bad_spec"},
 		{"unknown protocol", specJSON("NO-SUCH"), "bad_spec"},
 		{"no workload", `{"protocol":"DTS-SS"}`, "bad_spec"},
 		{"too many nodes", `{"protocol":"DTS-SS","nodes":5000,"workload":{"base_rate":1,"per_class":1}}`, "too_large"},
 		{"oversized body", `{"protocol":"DTS-SS","queries":[` + strings.Repeat(`{"id":1,"period":"1s"},`, 400) + `]}`, "bad_spec"},
 	}
 	for _, tc := range cases {
-		resp, body := postRun(t, ts, "/run", tc.body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400 (body %s)", tc.name, resp.StatusCode, body)
-			continue
-		}
-		var er ErrorResponse
-		if err := json.Unmarshal(body, &er); err != nil || er.Kind != tc.wantKind {
-			t.Errorf("%s: kind = %q (err %v), want %q", tc.name, er.Kind, err, tc.wantKind)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			resp, body := postRun(t, ts, "/run", tc.body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400 (body %s)", resp.StatusCode, body)
+			}
+			var er ErrorResponse
+			if err := json.Unmarshal(body, &er); err != nil || er.Kind != tc.wantKind {
+				t.Errorf("kind = %q (err %v), want %q", er.Kind, err, tc.wantKind)
+			}
+		})
 	}
 	if got := s.Stats().BadSpec; got != uint64(len(cases)) {
 		t.Errorf("bad_spec counter = %d, want %d", got, len(cases))
@@ -162,39 +164,6 @@ func TestBadSpecs(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /run status = %d, want 405", resp.StatusCode)
-	}
-}
-
-// TestParallelSpecs: a parallelism block runs through the server like
-// any other spec knob, and MaxShards rejects oversized requests before
-// any work happens.
-func TestParallelSpecs(t *testing.T) {
-	s := New(Config{Workers: 1, MaxShards: 4, Audit: true})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	sharded := `{"protocol":"DTS-SS","nodes":30,"area":300,"duration":"1s",` +
-		`"workload":{"base_rate":1,"per_class":1},"parallelism":{"shards":2}}`
-	resp, body := postRun(t, ts, "/run", sharded)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sharded run status = %d, body %s", resp.StatusCode, body)
-	}
-	var rr RunResponse
-	if err := json.Unmarshal(body, &rr); err != nil {
-		t.Fatalf("bad response JSON: %v", err)
-	}
-	if rr.Events == 0 || rr.Audit == nil || rr.Audit.Violations != 0 {
-		t.Errorf("implausible sharded result: %+v", rr)
-	}
-
-	over := strings.Replace(sharded, `"shards":2`, `"shards":8`, 1)
-	resp, body = postRun(t, ts, "/run", over)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("over-shard status = %d, want 400 (body %s)", resp.StatusCode, body)
-	}
-	var er ErrorResponse
-	if err := json.Unmarshal(body, &er); err != nil || er.Kind != "too_large" {
-		t.Errorf("over-shard error = %+v (err %v), want kind too_large", er, err)
 	}
 }
 

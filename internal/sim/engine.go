@@ -591,56 +591,6 @@ func (e *Engine) RunChecked(until time.Duration, maxEvents uint64, check func() 
 	return e.processed - start, nil
 }
 
-// PeekNext returns the timestamp of the earliest pending event at or
-// before limit, without firing it. Like Run's deadline peek, the
-// internal cursor never advances past limit, so events may still be
-// scheduled at any instant > limit afterwards — but schedules at
-// instants <= limit may be misfiled once this returns, so callers must
-// only peek up to a bound they will never schedule below. The shard
-// runner peeks exactly to the window end: cross-shard arrivals land at
-// or after it, so the bounded peek can never be invalidated.
-func (e *Engine) PeekNext(limit time.Duration) (time.Duration, bool) {
-	ev := e.nextWithin(uint64(limit) >> tickShift)
-	if ev == nil || ev.at > limit {
-		return 0, false
-	}
-	return ev.at, true
-}
-
-// NextLowerBound returns a conservative lower bound on the earliest
-// pending event's instant. Unlike PeekNext it is read-only — the cursor
-// and the wheels are untouched, so schedules at any instant >= now stay
-// valid afterwards. The bound is the earliest occupied slot's span
-// start (exact to the tick when the earliest event lives on the finest
-// level, coarsening to its containing block otherwise); a bounded peek
-// that comes up empty cascades coarse slots and thereby refines the
-// next call's bound. Returns false when nothing is pending.
-func (e *Engine) NextLowerBound() (time.Duration, bool) {
-	if e.live == 0 {
-		return 0, false
-	}
-	best := ^uint64(0)
-	for level := 0; level < numLevels; level++ {
-		if idx := e.firstSlot(level); idx >= 0 {
-			shift := uint(level) * slotBits
-			span := (e.cursor>>(shift+slotBits))<<(shift+slotBits) | uint64(idx)<<shift
-			if span < best {
-				best = span
-			}
-		}
-	}
-	if len(e.overflow) > 0 {
-		if t := uint64(e.overflow[0].at) >> tickShift; t < best {
-			best = t
-		}
-	}
-	lb := time.Duration(best << tickShift)
-	if lb < e.now {
-		lb = e.now
-	}
-	return lb, true
-}
-
 // RunAll executes events until the queue is empty. It is intended for
 // tests; production scenarios should bound execution with Run.
 func (e *Engine) RunAll() uint64 {

@@ -1022,22 +1022,9 @@ func (m *orderModel) reschedule(id int, at time.Duration) {
 	m.seq++
 }
 
-// minLive returns the earliest live instant, or false when none is live.
-func (m *orderModel) minLive() (time.Duration, bool) {
-	best, ok := time.Duration(0), false
-	for _, r := range m.evs {
-		if r.state == orderLive && (!ok || r.at < best) {
-			best, ok = r.at, true
-		}
-	}
-	return best, ok
-}
-
-// check verifies that everything due by until fired, that nothing later
-// did, and that the engine's read-only and bounded peeks agree with the
-// model. Callers must not schedule at or below peekLimit afterwards
-// until a Run passes it (PeekNext's contract).
-func (m *orderModel) check(until, peekLimit time.Duration) {
+// check verifies that everything due by until fired and that nothing
+// later did.
+func (m *orderModel) check(until time.Duration) {
 	m.t.Helper()
 	live := 0
 	for id, r := range m.evs {
@@ -1052,15 +1039,6 @@ func (m *orderModel) check(until, peekLimit time.Duration) {
 	}
 	if m.e.Pending() != live {
 		m.t.Fatalf("Pending() = %d, model has %d live", m.e.Pending(), live)
-	}
-	min, ok := m.minLive()
-	lb, lbOK := m.e.NextLowerBound()
-	if lbOK != ok || ok && lb > min {
-		m.t.Fatalf("NextLowerBound() = %v, %v; earliest live event at %v, %v", lb, lbOK, min, ok)
-	}
-	at, peeked := m.e.PeekNext(peekLimit)
-	if wantPeek := ok && min <= peekLimit; peeked != wantPeek || peeked && at != min {
-		m.t.Fatalf("PeekNext(%v) = %v, %v; earliest live event at %v, %v", peekLimit, at, peeked, min, ok)
 	}
 }
 
@@ -1096,7 +1074,7 @@ func (m *orderModel) verifySorted() {
 // many identical-instant ties, so every append to those unordered slots
 // is out of order. It then cancels and reschedules into and out of them
 // (and to and from the overflow heap), crosses each cascade and the
-// overflow drain with bounded Run, PeekNext and NextLowerBound calls,
+// overflow drain with bounded Run calls,
 // and schedules new ties behind events already waiting in sorted and
 // unsorted slots. Firing order must stay strictly (at, seq).
 func TestAdversarialCoarseSlotOrder(t *testing.T) {
@@ -1145,10 +1123,10 @@ func TestAdversarialCoarseSlotOrder(t *testing.T) {
 	}
 
 	// Cross the level-1 cascade with a bounded Run ending mid-slot.
-	m.check(0, base1/2)
+	m.check(0)
 	mid1 := base1 + span1/2
 	m.e.Run(mid1)
-	m.check(mid1, mid1)
+	m.check(mid1)
 	// The cursor now sits inside the level-1 slot's span: new ties land
 	// directly on sorted level-0 slots, behind their cascaded elders.
 	for i := 0; i < perSlot/10; i++ {
@@ -1158,22 +1136,22 @@ func TestAdversarialCoarseSlotOrder(t *testing.T) {
 		}
 	}
 	m.e.Run(base1 + span1)
-	m.check(base1+span1, base2)
+	m.check(base1 + span1)
 
 	// Cross the level-2 cascade (level 2 → 1 → 0) in bounded steps,
 	// moving some of its events earlier and cancelling others between
-	// steps; each step peeks exactly to its own end.
+	// steps.
 	for k := 1; k <= 4; k++ {
 		until := base2 + time.Duration(k)*span2/4
 		for i := 0; i < perSlot/20; i++ {
 			id := pick(slot2)
 			if at := m.evs[id].at - span2/8; at > until-span2/4 {
-				m.reschedule(id, at) // stays above the last peek's limit
+				m.reschedule(id, at) // stays above the last Run's deadline
 			}
 			m.cancel(pick(slot2))
 		}
 		m.e.Run(until)
-		m.check(until, until)
+		m.check(until)
 	}
 
 	// Drain the overflow heap with a bounded Run, after which the first
@@ -1189,12 +1167,12 @@ func TestAdversarialCoarseSlotOrder(t *testing.T) {
 		}
 	})
 	m.e.Run(trigger)
-	m.check(trigger, trigger)
+	m.check(trigger)
 	midFar := horizon + time.Minute + time.Duration(perSlot/20)*time.Millisecond
 	m.e.Run(midFar)
-	m.check(midFar, midFar)
+	m.check(midFar)
 	m.e.RunAll()
-	m.check(1<<62, 1<<62)
+	m.check(1 << 62)
 	m.verifySorted()
 }
 

@@ -51,11 +51,8 @@ type Sink interface {
 // state changes. Radios are only subscribed when at least one
 // configured sink implements it, so default runs pay nothing.
 //
-// RadioChanged runs on the goroutine of the shard that owns the node,
-// so calls for distinct nodes may run concurrently in a sharded run;
-// calls for one node are sequential and in time order. Implementations
-// keep per-node state in a slice indexed by node ID, sized by
-// SinkConfig.Nodes, and share no mutable state across nodes.
+// Calls arrive in time order. Per-node state fits a slice indexed by
+// node ID, sized by SinkConfig.Nodes.
 type RadioObserver interface {
 	RadioChanged(node int, from, to radio.State, at time.Duration)
 }

@@ -27,7 +27,7 @@ func init() {
 // fixed-width buckets and emits one awake-fraction series per live
 // member. Series cover nodes that reach end-of-run accounting: a node
 // killed mid-run never gets a NodeDone and is omitted. Timelines are
-// indexed by node ID, so each is written only by its node's shard.
+// indexed by node ID.
 type timeseriesSink struct {
 	bucket   time.Duration
 	duration time.Duration

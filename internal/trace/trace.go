@@ -1,7 +1,5 @@
 // Package trace provides a lightweight structured event log for
-// simulations: nodes record typed events into a bounded ring buffer,
-// one per shard, and Merge folds the shards' buffers into one
-// chronological log.
+// simulations: nodes record typed events into one bounded ring buffer.
 //
 // Tracing is designed to be cheap enough to leave wired in: a disabled
 // Tracer (the zero value or nil) drops events without allocation.
@@ -9,7 +7,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/essat/essat/internal/topology"
@@ -67,11 +64,15 @@ func (e Event) String() string {
 // Tracer records events into a bounded ring buffer. The zero value is a
 // disabled tracer; use New to enable recording.
 type Tracer struct {
-	enabled bool
-	buf     []Event
-	next    int
-	wrapped bool
-	clock   func() time.Duration
+	capacity int
+	// buf grows by append until it holds capacity events, so memory
+	// follows the events actually recorded: the capacity can come from
+	// outside input (a spec's trace_capacity) and is never allocated up
+	// front. Once full, next is the oldest event's index and the ring
+	// wraps.
+	buf   []Event
+	next  int
+	clock func() time.Duration
 }
 
 // New returns a Tracer retaining the most recent capacity events,
@@ -83,23 +84,27 @@ func New(capacity int, clock func() time.Duration) *Tracer {
 	if clock == nil {
 		panic("trace: nil clock")
 	}
-	return &Tracer{enabled: true, buf: make([]Event, capacity), clock: clock}
+	return &Tracer{capacity: capacity, clock: clock}
 }
 
 // Enabled reports whether the tracer records events. A nil Tracer is
 // disabled.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled }
+func (t *Tracer) Enabled() bool { return t != nil && t.capacity > 0 }
 
 // Record appends an event. On a disabled tracer it is a no-op.
 func (t *Tracer) Record(node topology.NodeID, kind Kind, detail string) {
 	if !t.Enabled() {
 		return
 	}
-	t.buf[t.next] = Event{At: t.clock(), Node: node, Kind: kind, Detail: detail}
+	ev := Event{At: t.clock(), Node: node, Kind: kind, Detail: detail}
+	if len(t.buf) < t.capacity {
+		t.buf = append(t.buf, ev)
+		return
+	}
+	t.buf[t.next] = ev
 	t.next++
 	if t.next == len(t.buf) {
 		t.next = 0
-		t.wrapped = true
 	}
 }
 
@@ -114,32 +119,11 @@ func (t *Tracer) Recordf(node topology.NodeID, kind Kind, format string, args ..
 
 // Events returns the retained events in chronological order.
 func (t *Tracer) Events() []Event {
-	if !t.Enabled() {
+	if !t.Enabled() || len(t.buf) == 0 {
 		return nil
-	}
-	if !t.wrapped {
-		return append([]Event(nil), t.buf[:t.next]...)
 	}
 	out := make([]Event, 0, len(t.buf))
 	out = append(out, t.buf[t.next:]...)
 	out = append(out, t.buf[:t.next]...)
-	return out
-}
-
-// Merge folds the retained events of per-shard tracers into one log
-// ordered by time, then by shard order, then by recording order within
-// the shard, and keeps the last capacity events. Each part must be
-// clocked by a monotone clock.
-func Merge(parts []*Tracer, capacity int) []Event {
-	var out []Event
-	for _, t := range parts {
-		out = append(out, t.Events()...)
-	}
-	// Each part is already chronological, so a stable sort of the
-	// concatenation yields (At, shard, seq) order.
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	if len(out) > capacity {
-		out = out[len(out)-capacity:]
-	}
 	return out
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -49,67 +50,97 @@ func TestRecordAndEvents(t *testing.T) {
 func TestRingBufferEviction(t *testing.T) {
 	at := time.Duration(0)
 	tr := New(3, fixedClock(&at))
-	for i := 0; i < 5; i++ {
-		at = time.Duration(i) * time.Second
-		tr.Record(1, RadioWake, "")
+	record := func(from, to int) {
+		for i := from; i < to; i++ {
+			at = time.Duration(i) * time.Second
+			tr.Record(1, RadioWake, "")
+		}
 	}
-	evs := tr.Events()
-	if len(evs) != 3 {
-		t.Fatalf("retained %d, want 3", len(evs))
+	want := func(first time.Duration) {
+		t.Helper()
+		evs := tr.Events()
+		if len(evs) != 3 {
+			t.Fatalf("retained %d, want 3", len(evs))
+		}
+		for i, e := range evs {
+			if e.At != first+time.Duration(i)*time.Second {
+				t.Fatalf("events = %v, want 3 from %v", evs, first)
+			}
+		}
 	}
+	// Exactly full: nothing evicted yet.
+	record(0, 3)
+	want(0)
 	// Chronological order with the oldest two evicted.
-	if evs[0].At != 2*time.Second || evs[2].At != 4*time.Second {
-		t.Fatalf("events = %v", evs)
+	record(3, 5)
+	want(2 * time.Second)
+	// Wrap past the end of the ring again, landing on the ring's start.
+	record(5, 9)
+	want(6 * time.Second)
+	if cap(tr.buf) > 4 {
+		t.Errorf("ring buffer grew to cap %d for capacity 3", cap(tr.buf))
 	}
 }
 
-// TestMerge: shards' events interleave by time, equal times order by
-// shard and then by recording order within the shard, and only the
-// last capacity events survive.
-func TestMerge(t *testing.T) {
-	var at0, at1 time.Duration
-	s0, s1 := New(8, fixedClock(&at0)), New(8, fixedClock(&at1))
-	at0 = 1 * time.Second
-	s0.Record(0, RadioSleep, "a")
-	at1 = 1 * time.Second
-	s1.Record(10, RadioSleep, "b")
-	s1.Record(11, RadioSleep, "c")
-	at0 = 2 * time.Second
-	s0.Record(1, RadioWake, "d")
-	s0.Record(2, RadioWake, "e")
-	at1 = 2 * time.Second
-	s1.Record(12, RadioWake, "f")
-	at1 = 3 * time.Second
-	s1.Record(13, NodeFailed, "g")
-	// A disabled part contributes nothing.
-	parts := []*Tracer{s0, nil, s1}
-
-	detail := func(evs []Event) string {
-		var sb strings.Builder
-		for _, e := range evs {
-			sb.WriteString(e.Detail)
-		}
-		return sb.String()
+// TestHugeCapacityAllocatesByUse: a capacity far beyond memory (it can
+// come from a posted spec's trace_capacity) costs only the events
+// recorded.
+func TestHugeCapacityAllocatesByUse(t *testing.T) {
+	at := time.Duration(0)
+	tr := New(1<<40, fixedClock(&at))
+	for i := 0; i < 5; i++ {
+		at = time.Duration(i) * time.Millisecond
+		tr.Record(2, RadioSleep, "")
 	}
-	t.Run("tie-order", func(t *testing.T) {
-		if got := detail(Merge(parts, 100)); got != "abcdefg" {
-			t.Errorf("merged order = %q, want abcdefg", got)
+	evs := tr.Events()
+	if len(evs) != 5 {
+		t.Fatalf("retained %d, want 5", len(evs))
+	}
+	for i, e := range evs {
+		if e.At != time.Duration(i)*time.Millisecond {
+			t.Fatalf("events = %v, not in recording order", evs)
 		}
-	})
-	t.Run("last-n", func(t *testing.T) {
-		if got := detail(Merge(parts, 3)); got != "efg" {
-			t.Errorf("last 3 = %q, want efg", got)
-		}
-		// The cut may fall between two shards' events at one time.
-		if got := detail(Merge(parts, 5)); got != "cdefg" {
-			t.Errorf("last 5 = %q, want cdefg", got)
-		}
-	})
-	t.Run("disabled", func(t *testing.T) {
-		if got := Merge([]*Tracer{nil}, 4); len(got) != 0 {
-			t.Errorf("merge of disabled tracers = %v", got)
-		}
-	})
+	}
+	if c := cap(tr.buf); c > 64 {
+		t.Errorf("buffer cap %d after 5 events", c)
+	}
+}
+
+// TestRingMatchesModel checks the growing ring against the obvious
+// model, the last min(n, capacity) events in recording order, from an
+// empty ring through first fill to several wraps.
+func TestRingMatchesModel(t *testing.T) {
+	cases := []struct{ capacity, n int }{
+		{1, 1}, {1, 2}, {1, 5},
+		{3, 2}, {3, 3}, {3, 4}, {3, 9},
+		{8, 7}, {8, 8}, {8, 17}, {8, 24},
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("cap%d_n%d", c.capacity, c.n), func(t *testing.T) {
+			at := time.Duration(0)
+			tr := New(c.capacity, fixedClock(&at))
+			for i := 0; i < c.n; i++ {
+				at = time.Duration(i) * time.Millisecond
+				tr.Record(1, RadioWake, "")
+			}
+			first := c.n - c.capacity
+			if first < 0 {
+				first = 0
+			}
+			evs := tr.Events()
+			if len(evs) != c.n-first {
+				t.Fatalf("retained %d, want %d", len(evs), c.n-first)
+			}
+			for i, e := range evs {
+				if want := time.Duration(first+i) * time.Millisecond; e.At != want {
+					t.Fatalf("event %d at %v, want %v (events %v)", i, e.At, want, evs)
+				}
+			}
+			if len(tr.buf) > c.capacity {
+				t.Errorf("ring holds %d slots for capacity %d", len(tr.buf), c.capacity)
+			}
+		})
+	}
 }
 
 func TestKindStrings(t *testing.T) {
