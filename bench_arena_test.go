@@ -23,7 +23,11 @@ func BenchmarkLargeRunArena(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run := *spec
-		res, err := essat.RunSpecWith(arena, &run)
+		sc, err := run.Scenario()
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := essat.RunWith(arena, sc)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -24,7 +24,7 @@ func benchOptions() essat.Options {
 func logFigure(b *testing.B, f *essat.Figure) {
 	b.Helper()
 	var sb strings.Builder
-	essat.PrintFigure(&sb, f)
+	f.Fprint(&sb)
 	b.Log("\n" + sb.String())
 }
 
@@ -205,7 +205,11 @@ func BenchmarkHugeRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run := *spec
-		res, err := essat.RunSpecWith(arena, &run)
+		sc, err := run.Scenario()
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := essat.RunWith(arena, sc)
 		if err != nil {
 			b.Fatal(err)
 		}

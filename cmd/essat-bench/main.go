@@ -7,9 +7,10 @@
 //
 // Examples:
 //
-//	essat-bench                            # every figure, quick setting
+//	essat-bench                            # every paper figure, quick setting
 //	essat-bench -paper                     # the paper's full 200s × 5-seed setting
 //	essat-bench -fig 3 -fig 6              # just Figures 3 and 6
+//	essat-bench -ablations                 # the figures plus the ablation and robustness studies
 //	essat-bench -parallel 8                # bound the worker pool at 8
 //	essat-bench -benchjson BENCH_after.json -scale testdata/large.json
 //	essat-bench -fig 3 -cpuprofile cpu.prof -memprofile mem.prof
@@ -22,6 +23,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -44,7 +46,7 @@ func (f *figList) Set(v string) error {
 type figBench struct {
 	ID           string  `json:"id"`
 	WallSeconds  float64 `json:"wall_seconds"`
-	Runs         uint64  `json:"runs"`
+	Runs         int     `json:"runs"`
 	Events       uint64  `json:"events"`
 	SimSeconds   float64 `json:"sim_seconds"`
 	EventsPerSec float64 `json:"events_per_sec"`
@@ -86,7 +88,6 @@ type benchReport struct {
 	DurationSec float64     `json:"run_duration_seconds"`
 	Seeds       int         `json:"seeds"`
 	Nodes       int         `json:"nodes"`
-	Arena       bool        `json:"arena"` // per-worker arenas + deployment cache enabled
 	Figures     []figBench  `json:"figures"`
 	Scale       *scaleBench `json:"scale,omitempty"`
 	Huge        *scaleBench `json:"huge,omitempty"`
@@ -117,13 +118,12 @@ func main() {
 		scale    = flag.String("scale", "", "also run this scenario spec once (e.g. testdata/large.json) and record a 'scale' section in the report")
 		huge     = flag.String("huge", "", "also run this 10k-node scenario spec (e.g. testdata/huge.json) and record a 'huge' section in the report")
 		sweep    = flag.Int("sweep", 5, "repeated-spec sweep length for the -scale/-huge sections (steady-state allocs/run measurement)")
-		arena    = flag.Bool("arena", true, "reuse per-worker memory arenas and the shared deployment cache across runs (-arena=false measures the pre-arena path; results are identical)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 		audit    = flag.Bool("audit", false, "run every scenario under the cross-layer invariant auditor (results unchanged; violations abort)")
 	)
-	ablations := flag.Bool("ablations", false, "also run the DESIGN.md ablation and robustness studies")
-	flag.Var(&figs, "fig", "figure to regenerate (2-9 or 'overhead'); repeatable, default all")
+	ablations := flag.Bool("ablations", false, "also run the ablation and robustness studies")
+	flag.Var(&figs, "fig", "figure to regenerate by catalog ID (see essat-sim -list; '3' is short for 'fig3'); repeatable, default every paper figure")
 	flag.Parse()
 
 	o := essat.QuickOptions()
@@ -142,14 +142,10 @@ func main() {
 	o.RadioProfile = *radioPr
 	o.BaseSeed = *seed
 	o.Audit = *audit
-	o.DisableArena = !*arena
 
-	if len(figs) == 0 {
-		figs = figList{"2", "3", "4", "5", "6", "7", "8", "9", "overhead"}
-	}
-	if *ablations {
-		figs = append(figs, "ablation-guard", "ablation-buffering", "ablation-tree",
-			"robustness-loss", "robustness-failures", "lifetime")
+	selected, err := selectFigures(figs, *ablations)
+	if err != nil {
+		fatal(err)
 	}
 
 	if *cpuProf != "" {
@@ -171,70 +167,31 @@ func main() {
 		DurationSec: o.Duration.Seconds(),
 		Seeds:       o.Seeds,
 		Nodes:       o.Nodes,
-		Arena:       *arena,
 	}
 
 	start := time.Now()
-	for _, f := range figs {
-		var fig *essat.Figure
-		var err error
-		essat.ResetRunCounters()
+	for _, fi := range selected {
 		m0, b0 := memCounters()
 		figStart := time.Now()
-		// Accept both the short form ("3") and the catalog ID ("fig3")
-		// printed by essat-sim -list.
-		switch strings.TrimPrefix(f, "fig") {
-		case "2":
-			fig, err = essat.Fig2Deadline(o, nil)
-		case "3":
-			fig, err = essat.Fig3DutyVsRate(o, nil)
-		case "4":
-			fig, err = essat.Fig4DutyVsQueries(o, nil)
-		case "5":
-			fig, err = essat.Fig5DutyByRank(o)
-		case "6":
-			fig, err = essat.Fig6LatencyVsRate(o, nil)
-		case "7":
-			fig, err = essat.Fig7LatencyVsQueries(o, nil)
-		case "8":
-			fig, _, err = essat.Fig8SleepHistogram(o)
-		case "9":
-			fig, err = essat.Fig9BreakEven(o, nil)
-		case "overhead":
-			fig, err = essat.OverheadPhaseUpdates(o, nil)
-		case "ablation-guard":
-			fig, err = essat.AblationBreakEvenGuard(o)
-		case "ablation-buffering":
-			fig, err = essat.AblationBuffering(o)
-		case "ablation-tree":
-			fig, err = essat.AblationTreeConstruction(o)
-		case "robustness-loss":
-			fig, err = essat.RobustnessLoss(o, nil)
-		case "robustness-failures":
-			fig, err = essat.RobustnessFailures(o, nil)
-		case "lifetime":
-			fig, err = essat.Lifetime(o, 0)
-		default:
-			err = fmt.Errorf("unknown figure %q", f)
-		}
+		fig, err := fi.Run(o)
 		if err != nil {
 			fatal(err)
 		}
-		fb := throughput(fig.ID, time.Since(figStart))
+		fb := throughput(fig, time.Since(figStart))
 		m1, b1 := memCounters()
 		if fb.Runs > 0 {
 			fb.AllocsPerRun = float64(m1-m0) / float64(fb.Runs)
 			fb.BytesPerRun = float64(b1-b0) / float64(fb.Runs)
 		}
 		report.Figures = append(report.Figures, fb)
-		essat.PrintFigure(os.Stdout, fig)
+		fig.Fprint(os.Stdout)
 		fmt.Println()
 	}
 	wall := time.Since(start)
 	fmt.Printf("total wall time: %v\n", wall.Round(time.Second))
 
 	if *scale != "" {
-		sb, err := runScale(*scale, *arena, *sweep)
+		sb, err := runScale(*scale, *sweep)
 		if err != nil {
 			fatal(err)
 		}
@@ -243,7 +200,7 @@ func main() {
 			sb.Scenario, sb.Nodes, sb.BuildSeconds, sb.RunSeconds, sb.EventsPerSec, sb.LiveHeapBytesPerNode, sb.AllocsPerRun, sb.SweepRuns)
 	}
 	if *huge != "" {
-		sb, err := runScale(*huge, *arena, *sweep)
+		sb, err := runScale(*huge, *sweep)
 		if err != nil {
 			fatal(err)
 		}
@@ -292,6 +249,27 @@ func main() {
 	}
 }
 
+// selectFigures resolves -fig IDs against essat.FigureCatalog, accepting
+// "3" for "fig3"; with no IDs it selects every paper figure. With
+// studies it appends the catalog's ablation and robustness studies.
+func selectFigures(ids []string, studies bool) ([]essat.FigureInfo, error) {
+	catalog := essat.FigureCatalog()
+	var out []essat.FigureInfo
+	for _, id := range ids {
+		i := slices.IndexFunc(catalog, func(fi essat.FigureInfo) bool { return fi.ID == id || fi.ID == "fig"+id })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown figure %q (see essat-sim -list)", id)
+		}
+		out = append(out, catalog[i])
+	}
+	for _, fi := range catalog {
+		if (len(ids) == 0 && !fi.Study) || (studies && fi.Study) {
+			out = append(out, fi)
+		}
+	}
+	return out, nil
+}
+
 func fatal(err error) {
 	// os.Exit skips deferred handlers; flush any active CPU profile so a
 	// late error does not truncate -cpuprofile output (no-op otherwise).
@@ -303,12 +281,10 @@ func fatal(err error) {
 // runScale executes a scale-tier scenario once, timing the build stage
 // (topology, tree, per-node stacks) separately from the event-loop
 // drain — the same workload as the repo's BenchmarkLargeRun /
-// BenchmarkHugeRun — then repeats the identical spec sweepRuns times,
-// recording steady-state heap allocations per run. With useArena the
-// sweep reuses one arena (the first, timed run warms it), which is the
-// repeated-spec sweep the arenas were built for; without, every run
-// allocates from scratch.
-func runScale(path string, useArena bool, sweepRuns int) (*scaleBench, error) {
+// BenchmarkHugeRun — then repeats the identical spec sweepRuns times on
+// the same arena (the first, timed run warms it), recording
+// steady-state heap allocations per run.
+func runScale(path string, sweepRuns int) (*scaleBench, error) {
 	spec, err := essat.LoadSpec(path)
 	if err != nil {
 		return nil, err
@@ -317,10 +293,7 @@ func runScale(path string, useArena bool, sweepRuns int) (*scaleBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	var a *essat.Arena
-	if useArena {
-		a = essat.NewArenaWithCache(essat.NewDeployCache(0))
-	}
+	a := essat.NewArenaWithCache(essat.NewDeployCache(0))
 	var heap0, heap1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&heap0)
@@ -365,17 +338,17 @@ func runScale(path string, useArena bool, sweepRuns int) (*scaleBench, error) {
 	return sb, nil
 }
 
-// throughput snapshots the run counters accumulated since the last reset
-// into one figure's bench record.
-func throughput(id string, wall time.Duration) figBench {
-	runs, events, simSec := essat.RunCounters()
+// throughput turns one figure's work totals and wall time into its
+// bench record.
+func throughput(fig *essat.Figure, wall time.Duration) figBench {
+	simSec := fig.SimTime.Seconds()
 	return figBench{
-		ID:           id,
+		ID:           fig.ID,
 		WallSeconds:  wall.Seconds(),
-		Runs:         runs,
-		Events:       events,
+		Runs:         fig.Runs,
+		Events:       fig.Events,
 		SimSeconds:   simSec,
-		EventsPerSec: float64(events) / wall.Seconds(),
+		EventsPerSec: float64(fig.Events) / wall.Seconds(),
 		SimSecPerSec: simSec / wall.Seconds(),
 	}
 }

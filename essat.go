@@ -50,7 +50,6 @@ package essat
 
 import (
 	"context"
-	"io"
 	"math/rand"
 	"time"
 
@@ -190,27 +189,17 @@ func DefaultScenario(p Protocol, seed int64) Scenario {
 func Run(sc Scenario) (*Result, error) { return experiment.Run(sc) }
 
 // Budget bounds one run's resource consumption (wall-clock time, event
-// count); the zero value is unlimited. See RunContext.
+// count); the zero value is unlimited. See RunSpecContext.
 type Budget = experiment.Budget
 
 // BudgetExceededError reports a run terminated by its Budget.
 type BudgetExceededError = experiment.BudgetExceededError
 
 // PanicError reports a run whose protocol stack panicked mid-flight,
-// contained at the RunContext boundary. It carries the protocol, seed,
-// stack, and (for spec runs) the spec JSON — everything needed to
-// reproduce the crash.
+// contained at the Run, RunWith or RunSpecContext boundary. It carries
+// the protocol, seed, stack, and (for spec runs) the spec JSON —
+// everything needed to reproduce the crash.
 type PanicError = experiment.PanicError
-
-// RunContext is Run with cancellation, a resource budget, and panic
-// containment: the run stops early when ctx is done or the budget runs
-// out (returning ctx.Err() or a *BudgetExceededError), and a panicking
-// protocol stack is returned as a *PanicError instead of unwinding into
-// the caller. With a background context and zero budget it is exactly
-// Run.
-func RunContext(ctx context.Context, sc Scenario, b Budget) (*Result, error) {
-	return experiment.RunContextWith(ctx, nil, sc, b)
-}
 
 // RunSpecContext compiles and runs a declarative spec under ctx and the
 // budget; a contained panic's error carries the marshaled spec.
@@ -218,17 +207,8 @@ func RunSpecContext(ctx context.Context, s *Spec, b Budget) (*Result, error) {
 	return experiment.RunSpecContextWith(ctx, nil, s, b)
 }
 
-// Sim is a fully built scenario paused at time zero; see Build.
+// Sim is a fully built scenario paused at time zero; see BuildWith.
 type Sim = experiment.Sim
-
-// Build constructs a scenario's simulation without running it, for
-// callers that want to inspect or instrument the stack between the
-// explicit build → simulate → collect stages:
-//
-//	s, err := essat.Build(sc)
-//	s.Simulate()
-//	res := s.Collect()
-func Build(sc Scenario) (*Sim, error) { return experiment.Build(sc) }
 
 // Spec is the declarative, JSON-serializable description of one
 // scenario; see RunSpec, LoadSpec, and the Spec field docs.
@@ -312,18 +292,23 @@ type Arena = experiment.Arena
 // fields that determine placement.
 type DeployCache = experiment.DeployCache
 
-// NewArena returns an arena without a deployment cache.
-func NewArena() *Arena { return experiment.NewArena() }
-
 // NewArenaWithCache returns an arena serving deployments from cache;
-// several arenas may share one cache.
+// several arenas may share one cache, and a nil cache builds every
+// deployment afresh.
 func NewArenaWithCache(c *DeployCache) *Arena { return experiment.NewArenaWithCache(c) }
 
 // NewDeployCache returns a deployment cache bounded to max entries
 // (<= 0 selects the default size).
 func NewDeployCache(max int) *DeployCache { return experiment.NewDeployCache(max) }
 
-// BuildWith is Build executing on a reusable arena.
+// BuildWith constructs a scenario's simulation on a reusable arena (nil
+// for a fresh engine) without running it, for callers that want to
+// inspect or instrument the stack between the explicit build →
+// simulate → collect stages:
+//
+//	s, err := essat.BuildWith(nil, sc)
+//	s.Simulate()
+//	res := s.Collect()
 func BuildWith(a *Arena, sc Scenario) (*Sim, error) { return experiment.BuildWith(a, sc) }
 
 // RunWith is Run executing on a reusable arena; a nil arena is plain Run.
@@ -331,16 +316,13 @@ func RunWith(a *Arena, sc Scenario) (*Result, error) {
 	return experiment.RunContextWith(context.Background(), a, sc, Budget{})
 }
 
-// RunSpecWith compiles and runs a declarative spec on a reusable arena.
-func RunSpecWith(a *Arena, s *Spec) (*Result, error) {
-	return experiment.RunSpecContextWith(context.Background(), a, s, Budget{})
-}
-
-// FigureInfo names one figure driver; see FigureCatalog.
+// FigureInfo is one FigureCatalog entry: a figure's ID and printed
+// title, whether it is an ablation or robustness study, and its driver
+// at the default x range.
 type FigureInfo = experiment.FigureInfo
 
 // FigureCatalog lists every figure and study driver in presentation
-// order (the IDs accepted by essat-bench -fig).
+// order; it is the list essat-bench runs and essat-sim -list prints.
 func FigureCatalog() []FigureInfo { return experiment.FigureCatalog() }
 
 // QueryClasses builds the paper's three-class workload with rate ratio
@@ -443,19 +425,4 @@ func RobustnessFailures(o Options, failureCounts []int) (*Figure, error) {
 // selects a 0.5 J budget sized to the quick options.
 func Lifetime(o Options, batteryJ float64) (*Figure, error) {
 	return experiment.Lifetime(o, batteryJ)
-}
-
-// PrintFigure renders a figure as an aligned text table.
-func PrintFigure(w io.Writer, f *Figure) { f.Fprint(w) }
-
-// ResetRunCounters zeroes the global simulator-work counters used by
-// benchmarking tools (see RunCounters).
-func ResetRunCounters() { experiment.ResetRunCounters() }
-
-// RunCounters returns the number of Run invocations, simulator events
-// executed, and simulated seconds elapsed since the last ResetRunCounters,
-// aggregated across all goroutines. cmd/essat-bench derives events/sec
-// and simulated-seconds/sec from these for the BENCH_*.json reports.
-func RunCounters() (runs, events uint64, simSeconds float64) {
-	return experiment.RunCounters()
 }

@@ -146,7 +146,7 @@ func TestFigureDriversQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	essat.PrintFigure(&sb, fig)
+	fig.Fprint(&sb)
 	out := sb.String()
 	if !strings.Contains(out, "fig2") || !strings.Contains(out, "0.1") {
 		t.Fatalf("unexpected figure rendering:\n%s", out)

@@ -37,7 +37,7 @@ func TestLiveHeapPerNode(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	s, err := essat.Build(sc)
+	s, err := essat.BuildWith(nil, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

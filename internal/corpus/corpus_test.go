@@ -154,7 +154,7 @@ func FuzzCorpusSpec(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s does not compile: %v", it.ID, err)
 			}
-			if _, err := experiment.Build(sc); err != nil {
+			if _, err := experiment.BuildWith(nil, sc); err != nil {
 				t.Fatalf("%s does not build: %v", it.ID, err)
 			}
 		}

@@ -25,7 +25,7 @@ func AblationBreakEvenGuard(o Options) (*Figure, error) {
 		{"naive (tBE=0)", 0},
 	}
 	rates := []float64{1, 3, 5}
-	results, err := runMatrix(o, len(variants)*len(rates), func(i int, seed int64) Scenario {
+	results, work, err := runMatrix(o, len(variants)*len(rates), func(i int, seed int64) Scenario {
 		sc := o.scenario(DTSSS, seed)
 		rng := rand.New(rand.NewSource(seed * 7919))
 		sc.Queries = QueryClasses(rng, rates[i%len(rates)], 1, 10*time.Second)
@@ -45,11 +45,12 @@ func AblationBreakEvenGuard(o Options) (*Figure, error) {
 		series = append(series, s)
 	}
 	return &Figure{
-		ID:     "ablation-guard",
-		Title:  "Safe Sleep break-even guard vs naive sleep-any-gap (DTS-SS duty cycle)",
+		ID:     ablationGuardInfo.ID,
+		Title:  ablationGuardInfo.Title,
 		XLabel: "base rate (Hz)",
 		YLabel: "duty cycle (%)",
 		Series: series,
+		Work:   work,
 	}, nil
 }
 
@@ -68,7 +69,7 @@ func AblationBuffering(o Options) (*Figure, error) {
 		{"greedy early send", true},
 	}
 	rates := []float64{1, 3, 5}
-	results, err := runMatrix(o, len(variants)*len(rates), func(i int, seed int64) Scenario {
+	results, work, err := runMatrix(o, len(variants)*len(rates), func(i int, seed int64) Scenario {
 		sc := o.scenario(DTSSS, seed)
 		rng := rand.New(rand.NewSource(seed * 7919))
 		sc.Queries = QueryClasses(rng, rates[i%len(rates)], 1, 10*time.Second)
@@ -98,11 +99,12 @@ func AblationBuffering(o Options) (*Figure, error) {
 		fails = append(fails, sf)
 	}
 	return &Figure{
-		ID:     "ablation-buffering",
-		Title:  "Early-report buffering vs greedy early send (DTS-SS)",
+		ID:     ablationBufferingInfo.ID,
+		Title:  ablationBufferingInfo.Title,
 		XLabel: "base rate (Hz)",
 		YLabel: "duty cycle (%) / MAC failures per 1000 sends",
 		Series: append(duty, fails...),
+		Work:   work,
 	}, nil
 }
 
@@ -119,7 +121,7 @@ func AblationTreeConstruction(o Options) (*Figure, error) {
 		{"min-hop BFS tree", true},
 	}
 	rates := []float64{1, 3, 5}
-	results, err := runMatrix(o, len(variants)*len(rates), func(i int, seed int64) Scenario {
+	results, work, err := runMatrix(o, len(variants)*len(rates), func(i int, seed int64) Scenario {
 		sc := o.scenario(DTSSS, seed)
 		rng := rand.New(rand.NewSource(seed * 7919))
 		sc.Queries = QueryClasses(rng, rates[i%len(rates)], 1, 10*time.Second)
@@ -139,11 +141,12 @@ func AblationTreeConstruction(o Options) (*Figure, error) {
 		series = append(series, s)
 	}
 	return &Figure{
-		ID:     "ablation-tree",
-		Title:  "Setup-flood tree vs idealized BFS tree (DTS-SS duty cycle)",
+		ID:     ablationTreeInfo.ID,
+		Title:  ablationTreeInfo.Title,
 		XLabel: "base rate (Hz)",
 		YLabel: "duty cycle (%)",
 		Series: series,
+		Work:   work,
 	}, nil
 }
 
@@ -158,7 +161,7 @@ func RobustnessLoss(o Options, lossRates []float64) (*Figure, error) {
 		lossRates = []float64{0, 0.05, 0.1, 0.2}
 	}
 	protos := []Protocol{DTSSS, STSSS, NTSSS}
-	results, err := runMatrix(o, len(protos)*len(lossRates), func(i int, seed int64) Scenario {
+	results, work, err := runMatrix(o, len(protos)*len(lossRates), func(i int, seed int64) Scenario {
 		sc := o.scenario(protos[i/len(lossRates)], seed)
 		rng := rand.New(rand.NewSource(seed * 7919))
 		sc.Queries = QueryClasses(rng, 1, 1, 10*time.Second)
@@ -179,11 +182,12 @@ func RobustnessLoss(o Options, lossRates []float64) (*Figure, error) {
 		series = append(series, s)
 	}
 	return &Figure{
-		ID:     "robustness-loss",
-		Title:  "Root coverage under transient packet loss (§4.3 maintenance)",
+		ID:     robustnessLossInfo.ID,
+		Title:  robustnessLossInfo.Title,
 		XLabel: "loss rate (%)",
 		YLabel: "root coverage (% of tree)",
 		Series: series,
+		Work:   work,
 	}, nil
 }
 
@@ -196,7 +200,7 @@ func RobustnessFailures(o Options, failureCounts []int) (*Figure, error) {
 	if len(failureCounts) == 0 {
 		failureCounts = []int{0, 1, 2, 4}
 	}
-	results, err := runMatrix(o, len(failureCounts), func(i int, seed int64) Scenario {
+	results, work, err := runMatrix(o, len(failureCounts), func(i int, seed int64) Scenario {
 		fc := failureCounts[i]
 		sc := o.scenario(DTSSS, seed)
 		rng := rand.New(rand.NewSource(seed * 7919))
@@ -228,11 +232,12 @@ func RobustnessFailures(o Options, failureCounts []int) (*Figure, error) {
 			func(r *Result) float64 { return r.DutyCycle * 100 }))
 	}
 	return &Figure{
-		ID:     "robustness-failures",
-		Title:  "DTS-SS under mid-run node failures (§4.3 recovery)",
+		ID:     robustnessFailuresInfo.ID,
+		Title:  robustnessFailuresInfo.Title,
 		XLabel: "failed nodes",
 		YLabel: "coverage (% of survivors) / duty cycle (%)",
 		Series: []Series{cov, duty},
+		Work:   work,
 		Notes: []string{
 			"values above 100% are expected: victims contribute before dying, and during",
 			"re-parent handoffs a report can reach the root via both the old and new parent",

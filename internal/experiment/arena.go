@@ -30,14 +30,10 @@ type Arena struct {
 	cache *DeployCache
 }
 
-// NewArena returns an arena with no deployment cache: the engine and
-// its memory pools are reused across runs, but every run still builds
-// its own topology and tree.
-func NewArena() *Arena { return &Arena{} }
-
-// NewArenaWithCache returns an arena that additionally serves
-// deployments (topology + tree template) from cache. Several arenas may
-// share one cache.
+// NewArenaWithCache returns an arena that serves deployments
+// (topology + tree template) from cache; several arenas may share one
+// cache. With a nil cache the engine and its memory pools are reused
+// across runs, but every run still builds its own topology and tree.
 func NewArenaWithCache(cache *DeployCache) *Arena { return &Arena{cache: cache} }
 
 // Discard drops the arena's engine (keeping the deployment cache), so
@@ -52,7 +48,7 @@ func (a *Arena) Discard() {
 
 // engine returns the arena's reusable engine reset to seed, creating it
 // (with an attached sim.Arena) on first use. A nil *Arena returns a
-// fresh classic engine, preserving Build's historical behavior exactly.
+// fresh classic engine.
 func (a *Arena) engine(seed int64) *sim.Engine {
 	if a == nil {
 		return sim.New(seed)

@@ -85,7 +85,7 @@ func TestArenaMixedShapeSteadyState(t *testing.T) {
 		}
 		fresh[i] = res.Audit.Digest
 	}
-	a := NewArena()
+	a := NewArenaWithCache(nil)
 	var bytes [2]uint64
 	for pass := range bytes {
 		var m0, m1 runtime.MemStats
@@ -133,30 +133,5 @@ func TestArenaCacheKeyedBySeed(t *testing.T) {
 	hits, misses := a.cache.Stats()
 	if hits != 1 || misses != 2 {
 		t.Errorf("cache hits/misses = %d/%d, want 1/2", hits, misses)
-	}
-}
-
-// TestDisableArenaOptionMatches pins the benchmark baseline path:
-// running a figure grid with DisableArena set produces the same results
-// as the default arena-pooled grid.
-func TestDisableArenaOptionMatches(t *testing.T) {
-	sc := arenaScenario(NTSSS, 5)
-	jobsFor := func(disable bool) []*runJob {
-		jobs := []*runJob{
-			{build: func() Scenario { return sc }},
-			{build: func() Scenario { return arenaScenario(NTSSS, 6) }},
-		}
-		o := Options{Parallelism: 2, DisableArena: disable}
-		if err := runGrid(o, jobs); err != nil {
-			t.Fatalf("runGrid(disable=%t): %v", disable, err)
-		}
-		return jobs
-	}
-	pooled, classic := jobsFor(false), jobsFor(true)
-	for i := range pooled {
-		if pooled[i].res.Audit.Digest != classic[i].res.Audit.Digest {
-			t.Fatalf("job %d: pooled digest %s != classic %s",
-				i, pooled[i].res.Audit.Digest, classic[i].res.Audit.Digest)
-		}
 	}
 }

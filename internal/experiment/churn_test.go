@@ -204,7 +204,7 @@ func TestSpecDynamicsValidation(t *testing.T) {
 	}
 	sc := churnScenario(DTSSS, 1)
 	sc.Dynamics = []Dynamic{{Kind: dynamics.KindLinkLoss, Params: dynamics.Params{At: time.Second}}}
-	if _, err := Build(sc); err == nil {
+	if _, err := BuildWith(nil, sc); err == nil {
 		t.Fatal("invalid linkloss params accepted at build")
 	}
 }
@@ -215,7 +215,7 @@ func TestSpecDynamicsValidation(t *testing.T) {
 // it.
 func TestPermanentFailureWinsOverCrashRecovery(t *testing.T) {
 	// Probe the deterministic topology once to pick a non-root member.
-	probe, err := Build(churnScenario(DTSSS, 13))
+	probe, err := BuildWith(nil, churnScenario(DTSSS, 13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestPermanentFailureWinsOverCrashRecovery(t *testing.T) {
 	sc.Dynamics = []Dynamic{{Kind: dynamics.KindCrash,
 		Params: dynamics.Params{At: 8 * time.Second, Duration: 8 * time.Second, Node: &victim}}}
 	sc.Failures = []Failure{{At: 10 * time.Second, Node: node.NodeID(victim)}}
-	s, err := Build(sc)
+	s, err := BuildWith(nil, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestPermanentFailureWinsOverCrashRecovery(t *testing.T) {
 // fires while a node is crashed must still deregister the query there,
 // or the node resumes reporting a dead query after recovery.
 func TestQueryStopReachesCrashedNodes(t *testing.T) {
-	probe, err := Build(churnScenario(DTSSS, 17))
+	probe, err := BuildWith(nil, churnScenario(DTSSS, 17))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestQueryStopReachesCrashedNodes(t *testing.T) {
 	sc.QueryStops = []QueryStop{{At: 12 * time.Second, Query: 0}}
 	sc.Dynamics = []Dynamic{{Kind: dynamics.KindCrash,
 		Params: dynamics.Params{At: 8 * time.Second, Duration: 8 * time.Second, Node: &victim}}}
-	s, err := Build(sc)
+	s, err := BuildWith(nil, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func TestPeerFlowsThroughScenario(t *testing.T) {
 func TestPeerFlowRandomEndpointsAreDistinctMembers(t *testing.T) {
 	sc := extScenario(4)
 	sc.PeerFlows = []core.P2PSpec{{ID: -1, Src: -1, Dst: -1, Period: time.Second, Phase: 6 * time.Second}}
-	sm, err := Build(sc)
+	sm, err := BuildWith(nil, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,11 +45,6 @@ type Options struct {
 	// Audit runs every scenario under the cross-layer invariant auditor
 	// (pure observation: results are unchanged).
 	Audit bool
-	// DisableArena runs every scenario on a fresh engine, without the
-	// per-worker memory arenas and the shared deployment cache the grid
-	// otherwise reuses across runs. Results are byte-identical either
-	// way; benchmarks flip this to measure the arenas' effect.
-	DisableArena bool
 }
 
 // PaperOptions reproduces the paper's full experimental setting.
@@ -112,6 +107,17 @@ type Figure struct {
 	Series []Series
 	// Notes carries reproduction caveats surfaced by the driver.
 	Notes []string
+	// Work totals the simulation runs behind the figure; it is not
+	// printed.
+	Work
+}
+
+// Work totals the simulation work of a figure's run grid: the runs it
+// executed, the events they fired and the simulated time they covered.
+type Work struct {
+	Runs    int
+	Events  uint64
+	SimTime time.Duration
 }
 
 // Fprint renders the figure as an aligned text table, one row per x value.
@@ -159,7 +165,9 @@ func (f *Figure) Fprint(w io.Writer) {
 type runJob struct {
 	build func() Scenario
 	res   *Result
-	err   error
+	// simTime is the built scenario's duration.
+	simTime time.Duration
+	err     error
 }
 
 // runGrid executes jobs on a bounded worker pool of o.Parallelism
@@ -177,18 +185,16 @@ func runGrid(o Options, jobs []*runJob) error {
 	// worker assignment is dynamic and therefore nondeterministic under
 	// parallelism, which is safe precisely because every run's result is
 	// independent of its arena's history.
-	newArena := func() *Arena { return nil }
-	if !o.DisableArena {
-		cache := NewDeployCache(0)
-		newArena = func() *Arena { return NewArenaWithCache(cache) }
-	}
+	cache := NewDeployCache(0)
 	runOne := func(a *Arena, j *runJob) {
-		if j.res, j.err = RunContextWith(context.Background(), a, j.build(), Budget{}); j.err == nil {
+		sc := j.build()
+		j.simTime = sc.Duration
+		if j.res, j.err = RunContextWith(context.Background(), a, sc, Budget{}); j.err == nil {
 			j.err = auditErr(j.res)
 		}
 	}
 	if workers <= 1 {
-		a := newArena()
+		a := NewArenaWithCache(cache)
 		for _, j := range jobs {
 			runOne(a, j)
 			if j.err != nil {
@@ -203,7 +209,7 @@ func runGrid(o Options, jobs []*runJob) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			a := newArena()
+			a := NewArenaWithCache(cache)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(jobs) {
@@ -235,8 +241,8 @@ func auditErr(res *Result) error {
 
 // runMatrix runs build(i, seed) for every point index i and seed
 // BaseSeed..BaseSeed+Seeds-1 through one pooled grid and returns
-// results[i] in seed order.
-func runMatrix(o Options, n int, build func(i int, seed int64) Scenario) ([][]*Result, error) {
+// results[i] in seed order, with the grid's work totals.
+func runMatrix(o Options, n int, build func(i int, seed int64) Scenario) ([][]*Result, Work, error) {
 	jobs := make([]*runJob, 0, n*o.Seeds)
 	for i := 0; i < n; i++ {
 		for s := 0; s < o.Seeds; s++ {
@@ -246,18 +252,23 @@ func runMatrix(o Options, n int, build func(i int, seed int64) Scenario) ([][]*R
 		}
 	}
 	if err := runGrid(o, jobs); err != nil {
-		return nil, err
+		return nil, Work{}, err
 	}
+	var w Work
 	out := make([][]*Result, n)
 	k := 0
 	for i := range out {
 		out[i] = make([]*Result, o.Seeds)
 		for s := 0; s < o.Seeds; s++ {
-			out[i][s] = jobs[k].res
+			j := jobs[k]
+			out[i][s] = j.res
+			w.Runs++
+			w.Events += j.res.Events
+			w.SimTime += j.simTime
 			k++
 		}
 	}
-	return out, nil
+	return out, w, nil
 }
 
 // pointFrom aggregates metric over one point's seed-ordered results.
@@ -285,32 +296,64 @@ func (o Options) scenario(p Protocol, seed int64) Scenario {
 	return sc
 }
 
-// FigureInfo describes one figure driver for listings (essat-sim -list,
-// essat-bench -fig).
+// FigureInfo is one FigureCatalog entry: a figure's ID and the title
+// it prints, whether it is an ablation or robustness study rather than
+// one of the paper's figures, and its driver at the default x range.
 type FigureInfo struct {
 	ID    string
 	Title string
+	Study bool
+	Run   func(Options) (*Figure, error)
 }
 
+// The ID and title of every catalog figure, spelled once: each driver
+// stamps them on its Figure, and FigureCatalog lists them.
+var (
+	fig2Info     = FigureInfo{ID: "fig2", Title: "Impact of query deadline on duty cycle and query latency of STS-SS"}
+	fig3Info     = FigureInfo{ID: "fig3", Title: "Average duty cycle for three query classes when varying base rate"}
+	fig4Info     = FigureInfo{ID: "fig4", Title: "Average duty cycle for three query classes when varying number of queries per class"}
+	fig5Info     = FigureInfo{ID: "fig5", Title: "Distribution of duty cycles at different ranks (base rate 5 Hz)"}
+	fig6Info     = FigureInfo{ID: "fig6", Title: "Query latency for three query classes when varying base rate"}
+	fig7Info     = FigureInfo{ID: "fig7", Title: "Query latency for three query classes when varying the number of queries per class"}
+	fig8Info     = FigureInfo{ID: "fig8", Title: "Histogram of sleep intervals (TBE=0, base rate 5 Hz)"}
+	fig9Info     = FigureInfo{ID: "fig9", Title: "Impact of break-even time on DTS-SS duty cycle"}
+	overheadInfo = FigureInfo{ID: "overhead", Title: "DTS phase-update overhead (§4.2.3; paper: <1 bit per data report)"}
+
+	ablationGuardInfo      = FigureInfo{ID: "ablation-guard", Study: true, Title: "Safe Sleep break-even guard vs naive sleep-any-gap (DTS-SS duty cycle)"}
+	ablationBufferingInfo  = FigureInfo{ID: "ablation-buffering", Study: true, Title: "Early-report buffering vs greedy early send (DTS-SS)"}
+	ablationTreeInfo       = FigureInfo{ID: "ablation-tree", Study: true, Title: "Setup-flood tree vs idealized BFS tree (DTS-SS duty cycle)"}
+	robustnessLossInfo     = FigureInfo{ID: "robustness-loss", Study: true, Title: "Root coverage under transient packet loss (§4.3 maintenance)"}
+	robustnessFailuresInfo = FigureInfo{ID: "robustness-failures", Study: true, Title: "DTS-SS under mid-run node failures (§4.3 recovery)"}
+	lifetimeInfo           = FigureInfo{ID: "lifetime", Study: true, Title: "Network lifetime with finite batteries (§4.2.1; x: 1=DTS-SS 2=STS-SS 3=NTS-SS 4=SPAN)"}
+)
+
 // FigureCatalog lists every figure and study driver this package can
-// regenerate, in presentation order.
+// regenerate, in presentation order: the paper's figures first, then
+// the studies.
 func FigureCatalog() []FigureInfo {
+	with := func(info FigureInfo, run func(Options) (*Figure, error)) FigureInfo {
+		info.Run = run
+		return info
+	}
 	return []FigureInfo{
-		{"fig2", "Impact of query deadline on duty cycle and query latency of STS-SS"},
-		{"fig3", "Average duty cycle when varying base rate"},
-		{"fig4", "Average duty cycle when varying queries per class"},
-		{"fig5", "Distribution of duty cycles at different ranks"},
-		{"fig6", "Query latency when varying base rate"},
-		{"fig7", "Query latency when varying queries per class"},
-		{"fig8", "Histogram of sleep intervals (TBE=0)"},
-		{"fig9", "Impact of break-even time on DTS-SS duty cycle"},
-		{"overhead", "DTS phase-update overhead (§4.2.3)"},
-		{"ablation-guard", "Safe Sleep break-even guard vs naive sleep-any-gap"},
-		{"ablation-buffering", "Early-report buffering vs greedy early send"},
-		{"ablation-tree", "Setup-flood tree vs idealized BFS tree"},
-		{"robustness-loss", "Root coverage under transient packet loss (§4.3)"},
-		{"robustness-failures", "DTS-SS under mid-run node failures (§4.3)"},
-		{"lifetime", "Network lifetime with finite batteries (§4.2.1)"},
+		with(fig2Info, func(o Options) (*Figure, error) { return Fig2Deadline(o, nil) }),
+		with(fig3Info, func(o Options) (*Figure, error) { return Fig3DutyVsRate(o, nil) }),
+		with(fig4Info, func(o Options) (*Figure, error) { return Fig4DutyVsQueries(o, nil) }),
+		with(fig5Info, Fig5DutyByRank),
+		with(fig6Info, func(o Options) (*Figure, error) { return Fig6LatencyVsRate(o, nil) }),
+		with(fig7Info, func(o Options) (*Figure, error) { return Fig7LatencyVsQueries(o, nil) }),
+		with(fig8Info, func(o Options) (*Figure, error) {
+			fig, _, err := Fig8SleepHistogram(o)
+			return fig, err
+		}),
+		with(fig9Info, func(o Options) (*Figure, error) { return Fig9BreakEven(o, nil) }),
+		with(overheadInfo, func(o Options) (*Figure, error) { return OverheadPhaseUpdates(o, nil) }),
+		with(ablationGuardInfo, AblationBreakEvenGuard),
+		with(ablationBufferingInfo, AblationBuffering),
+		with(ablationTreeInfo, AblationTreeConstruction),
+		with(robustnessLossInfo, func(o Options) (*Figure, error) { return RobustnessLoss(o, nil) }),
+		with(robustnessFailuresInfo, func(o Options) (*Figure, error) { return RobustnessFailures(o, nil) }),
+		with(lifetimeInfo, func(o Options) (*Figure, error) { return Lifetime(o, 0) }),
 	}
 }
 
@@ -326,7 +369,7 @@ func Fig2Deadline(o Options, deadlines []time.Duration) (*Figure, error) {
 		}
 	}
 	const baseRate = 1.0
-	results, err := runMatrix(o, len(deadlines), func(i int, seed int64) Scenario {
+	results, work, err := runMatrix(o, len(deadlines), func(i int, seed int64) Scenario {
 		sc := o.scenario(STSSS, seed)
 		rng := rand.New(rand.NewSource(seed * 7919))
 		sc.Queries = QueryClasses(rng, baseRate, 1, 10*time.Second)
@@ -346,11 +389,12 @@ func Fig2Deadline(o Options, deadlines []time.Duration) (*Figure, error) {
 			func(r *Result) float64 { return r.Latency.Mean.Seconds() }))
 	}
 	return &Figure{
-		ID:     "fig2",
-		Title:  "Impact of query deadline on duty cycle and query latency of STS-SS",
+		ID:     fig2Info.ID,
+		Title:  fig2Info.Title,
 		XLabel: "deadline (s)",
 		YLabel: "duty cycle (%) / latency (s)",
 		Series: []Series{duty, lat},
+		Work:   work,
 	}, nil
 }
 
@@ -358,13 +402,13 @@ func Fig2Deadline(o Options, deadlines []time.Duration) (*Figure, error) {
 // pooled job grid and aggregates metric per point.
 func protocolSweep(o Options, protos []Protocol, xs []float64,
 	build func(p Protocol, x float64, seed int64) Scenario,
-	metric func(*Result) float64) ([]Series, error) {
+	metric func(*Result) float64) ([]Series, Work, error) {
 
-	results, err := runMatrix(o, len(protos)*len(xs), func(i int, seed int64) Scenario {
+	results, work, err := runMatrix(o, len(protos)*len(xs), func(i int, seed int64) Scenario {
 		return build(protos[i/len(xs)], xs[i%len(xs)], seed)
 	})
 	if err != nil {
-		return nil, err
+		return nil, Work{}, err
 	}
 	var out []Series
 	for pi, p := range protos {
@@ -374,7 +418,7 @@ func protocolSweep(o Options, protos []Protocol, xs []float64,
 		}
 		out = append(out, s)
 	}
-	return out, nil
+	return out, work, nil
 }
 
 // dutyProtocols are the protocols of Figures 3 and 4 (SYNC is omitted
@@ -388,7 +432,7 @@ func Fig3DutyVsRate(o Options, rates []float64) (*Figure, error) {
 	if len(rates) == 0 {
 		rates = []float64{1, 2, 3, 4, 5}
 	}
-	series, err := protocolSweep(o, dutyProtocols, rates,
+	series, work, err := protocolSweep(o, dutyProtocols, rates,
 		func(p Protocol, rate float64, seed int64) Scenario {
 			sc := o.scenario(p, seed)
 			rng := rand.New(rand.NewSource(seed * 7919))
@@ -400,11 +444,12 @@ func Fig3DutyVsRate(o Options, rates []float64) (*Figure, error) {
 		return nil, err
 	}
 	return &Figure{
-		ID:     "fig3",
-		Title:  "Average duty cycle for three query classes when varying base rate",
+		ID:     fig3Info.ID,
+		Title:  fig3Info.Title,
 		XLabel: "base rate (Hz)",
 		YLabel: "duty cycle (%)",
 		Series: series,
+		Work:   work,
 		Notes:  []string{"SYNC is fixed at 20% duty by construction and omitted, as in the paper"},
 	}, nil
 }
@@ -420,7 +465,7 @@ func Fig4DutyVsQueries(o Options, counts []int) (*Figure, error) {
 	for i, c := range counts {
 		xs[i] = float64(c)
 	}
-	series, err := protocolSweep(o, dutyProtocols, xs,
+	series, work, err := protocolSweep(o, dutyProtocols, xs,
 		func(p Protocol, x float64, seed int64) Scenario {
 			sc := o.scenario(p, seed)
 			rng := rand.New(rand.NewSource(seed * 104729))
@@ -432,11 +477,12 @@ func Fig4DutyVsQueries(o Options, counts []int) (*Figure, error) {
 		return nil, err
 	}
 	return &Figure{
-		ID:     "fig4",
-		Title:  "Average duty cycle for three query classes when varying number of queries per class",
+		ID:     fig4Info.ID,
+		Title:  fig4Info.Title,
 		XLabel: "queries/class",
 		YLabel: "duty cycle (%)",
 		Series: series,
+		Work:   work,
 	}, nil
 }
 
@@ -446,7 +492,7 @@ func Fig4DutyVsQueries(o Options, counts []int) (*Figure, error) {
 func Fig5DutyByRank(o Options) (*Figure, error) {
 	o = o.normalized()
 	protos := []Protocol{DTSSS, STSSS, NTSSS}
-	results, err := runMatrix(o, len(protos), func(i int, seed int64) Scenario {
+	results, work, err := runMatrix(o, len(protos), func(i int, seed int64) Scenario {
 		sc := o.scenario(protos[i], seed)
 		rng := rand.New(rand.NewSource(seed * 7919))
 		sc.Queries = QueryClasses(rng, 5, 1, 10*time.Second)
@@ -480,11 +526,12 @@ func Fig5DutyByRank(o Options) (*Figure, error) {
 		out = append(out, s)
 	}
 	return &Figure{
-		ID:     "fig5",
-		Title:  "Distribution of duty cycles at different ranks (base rate 5 Hz)",
+		ID:     fig5Info.ID,
+		Title:  fig5Info.Title,
 		XLabel: "rank (0=leaf)",
 		YLabel: "duty cycle (%)",
 		Series: out,
+		Work:   work,
 	}, nil
 }
 
@@ -498,7 +545,7 @@ func Fig6LatencyVsRate(o Options, rates []float64) (*Figure, error) {
 	if len(rates) == 0 {
 		rates = []float64{1, 2, 3, 4, 5}
 	}
-	series, err := protocolSweep(o, latencyProtocols, rates,
+	series, work, err := protocolSweep(o, latencyProtocols, rates,
 		func(p Protocol, rate float64, seed int64) Scenario {
 			sc := o.scenario(p, seed)
 			rng := rand.New(rand.NewSource(seed * 7919))
@@ -510,11 +557,12 @@ func Fig6LatencyVsRate(o Options, rates []float64) (*Figure, error) {
 		return nil, err
 	}
 	return &Figure{
-		ID:     "fig6",
-		Title:  "Query latency for three query classes when varying base rate",
+		ID:     fig6Info.ID,
+		Title:  fig6Info.Title,
 		XLabel: "base rate (Hz)",
 		YLabel: "query latency (s)",
 		Series: series,
+		Work:   work,
 		Notes:  []string{"SYNC saturates at high rates (queueing): latencies grow with run length"},
 	}, nil
 }
@@ -530,7 +578,7 @@ func Fig7LatencyVsQueries(o Options, counts []int) (*Figure, error) {
 	for i, c := range counts {
 		xs[i] = float64(c)
 	}
-	series, err := protocolSweep(o, latencyProtocols, xs,
+	series, work, err := protocolSweep(o, latencyProtocols, xs,
 		func(p Protocol, x float64, seed int64) Scenario {
 			sc := o.scenario(p, seed)
 			rng := rand.New(rand.NewSource(seed * 104729))
@@ -542,11 +590,12 @@ func Fig7LatencyVsQueries(o Options, counts []int) (*Figure, error) {
 		return nil, err
 	}
 	return &Figure{
-		ID:     "fig7",
-		Title:  "Query latency for three query classes when varying the number of queries per class",
+		ID:     fig7Info.ID,
+		Title:  fig7Info.Title,
 		XLabel: "queries/class",
 		YLabel: "query latency (s)",
 		Series: series,
+		Work:   work,
 	}, nil
 }
 
@@ -558,7 +607,7 @@ func Fig7LatencyVsQueries(o Options, counts []int) (*Figure, error) {
 func Fig8SleepHistogram(o Options) (*Figure, []float64, error) {
 	o = o.normalized()
 	protos := []Protocol{DTSSS, STSSS, NTSSS}
-	results, err := runMatrix(o, len(protos), func(i int, seed int64) Scenario {
+	results, work, err := runMatrix(o, len(protos), func(i int, seed int64) Scenario {
 		sc := o.scenario(protos[i], seed)
 		rng := rand.New(rand.NewSource(seed * 7919))
 		sc.Queries = QueryClasses(rng, 5, 1, 10*time.Second)
@@ -595,11 +644,12 @@ func Fig8SleepHistogram(o Options) (*Figure, []float64, error) {
 		below25 = append(below25, hist.FractionBelow(2500*time.Microsecond)*100)
 	}
 	fig := &Figure{
-		ID:     "fig8",
-		Title:  "Histogram of sleep intervals (TBE=0, base rate 5 Hz)",
+		ID:     fig8Info.ID,
+		Title:  fig8Info.Title,
 		XLabel: "sleep length (ms)",
 		YLabel: "count per 25 ms bin",
 		Series: out,
+		Work:   work,
 		Notes: []string{fmt.Sprintf("%% of sleeps < 2.5 ms: DTS-SS=%.2f%% STS-SS=%.2f%% NTS-SS=%.2f%% (paper: 6.33 / 0.85 / 0.40)",
 			below25[0], below25[1], below25[2])},
 	}
@@ -616,7 +666,7 @@ func Fig9BreakEven(o Options, rates []float64) (*Figure, error) {
 		rates = []float64{1, 2, 3, 4, 5}
 	}
 	tbes := []time.Duration{0, 2500 * time.Microsecond, 10 * time.Millisecond, 40 * time.Millisecond}
-	results, err := runMatrix(o, len(tbes)*len(rates), func(i int, seed int64) Scenario {
+	results, work, err := runMatrix(o, len(tbes)*len(rates), func(i int, seed int64) Scenario {
 		sc := o.scenario(DTSSS, seed)
 		rng := rand.New(rand.NewSource(seed * 7919))
 		sc.Queries = QueryClasses(rng, rates[i%len(rates)], 1, 10*time.Second)
@@ -636,11 +686,12 @@ func Fig9BreakEven(o Options, rates []float64) (*Figure, error) {
 		out = append(out, s)
 	}
 	return &Figure{
-		ID:     "fig9",
-		Title:  "Impact of break-even time on DTS-SS duty cycle",
+		ID:     fig9Info.ID,
+		Title:  fig9Info.Title,
 		XLabel: "base rate (Hz)",
 		YLabel: "duty cycle (%)",
 		Series: out,
+		Work:   work,
 	}, nil
 }
 
@@ -652,7 +703,7 @@ func OverheadPhaseUpdates(o Options, rates []float64) (*Figure, error) {
 	if len(rates) == 0 {
 		rates = []float64{1, 2, 3, 4, 5}
 	}
-	results, err := runMatrix(o, len(rates), func(i int, seed int64) Scenario {
+	results, work, err := runMatrix(o, len(rates), func(i int, seed int64) Scenario {
 		sc := o.scenario(DTSSS, seed)
 		rng := rand.New(rand.NewSource(seed * 7919))
 		sc.Queries = QueryClasses(rng, rates[i], 1, 10*time.Second)
@@ -667,10 +718,11 @@ func OverheadPhaseUpdates(o Options, rates []float64) (*Figure, error) {
 			func(r *Result) float64 { return r.PhaseUpdateBitsPerReport }))
 	}
 	return &Figure{
-		ID:     "overhead",
-		Title:  "DTS phase-update overhead (§4.2.3; paper: <1 bit per data report)",
+		ID:     overheadInfo.ID,
+		Title:  overheadInfo.Title,
 		XLabel: "base rate (Hz)",
 		YLabel: "piggybacked bits per data report",
 		Series: []Series{s},
+		Work:   work,
 	}, nil
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -55,7 +56,7 @@ func TestOptionsNormalization(t *testing.T) {
 
 func TestRunMatrixParallelAggregation(t *testing.T) {
 	o := Options{Duration: 6 * time.Second, Seeds: 3, Nodes: 25, Parallelism: 3}.normalized()
-	results, err := runMatrix(o, 1, func(i int, seed int64) Scenario {
+	results, work, err := runMatrix(o, 1, func(i int, seed int64) Scenario {
 		sc := DefaultScenario(DTSSS, seed)
 		sc.Topology = topology.Config{NumNodes: o.Nodes, AreaSide: 300, Range: 125}
 		sc.Duration = o.Duration
@@ -66,6 +67,9 @@ func TestRunMatrixParallelAggregation(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if work.Runs != 3 || work.SimTime != 3*o.Duration {
+		t.Fatalf("work = %+v, want 3 runs over %v", work, 3*o.Duration)
 	}
 	pt := pointFrom(42, results[0], func(r *Result) float64 { return r.DutyCycle })
 	if pt.X != 42 || pt.N != 3 {
@@ -99,6 +103,75 @@ func TestParallelSweepDeterminism(t *testing.T) {
 	par := render(8)
 	if seq != par {
 		t.Fatalf("figure output differs between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", seq, par)
+	}
+}
+
+// TestFigureWork checks that a figure reports the work of its own grid:
+// Fig. 3 at two rates and two seeds is 5 protocols × 2 rates × 2 seeds
+// = 20 runs, whose events sum to the figure's total. Two such figures
+// run concurrently must each report exactly their own runs.
+func TestFigureWork(t *testing.T) {
+	o := Options{Duration: 4 * time.Second, Seeds: 2, Nodes: 30, Parallelism: 2}
+	rates := []float64{1, 3}
+
+	var want uint64
+	for _, p := range dutyProtocols {
+		for _, rate := range rates {
+			for seed := int64(1); seed <= 2; seed++ {
+				sc := o.normalized().scenario(p, seed)
+				sc.Queries = QueryClasses(rand.New(rand.NewSource(seed*7919)), rate, 1, 10*time.Second)
+				res, err := Run(sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want += res.Events
+			}
+		}
+	}
+
+	figs := make([]*Figure, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range figs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			figs[i], errs[i] = Fig3DutyVsRate(o, rates)
+		}(i)
+	}
+	wg.Wait()
+	for i, fig := range figs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if fig.Runs != 20 || fig.Events != want || fig.SimTime != 20*o.Duration {
+			t.Errorf("figure %d work = %+v, want 20 runs, %d events, %v simulated",
+				i, fig.Work, want, 20*o.Duration)
+		}
+	}
+}
+
+// TestFigureCatalogDrivers runs every catalog entry on a tiny setting:
+// each driver returns the figure its entry names, with the entry's
+// title, and reports the work of a non-empty grid.
+func TestFigureCatalogDrivers(t *testing.T) {
+	o := Options{Duration: time.Second, Seeds: 1, Nodes: 20}
+	seen := map[string]bool{}
+	for _, info := range FigureCatalog() {
+		if seen[info.ID] {
+			t.Errorf("catalog lists %s twice", info.ID)
+		}
+		seen[info.ID] = true
+		fig, err := info.Run(o)
+		if err != nil {
+			t.Fatalf("%s: %v", info.ID, err)
+		}
+		if fig.ID != info.ID || fig.Title != info.Title {
+			t.Errorf("%s: driver returned %q %q, catalog says %q %q", info.ID, fig.ID, fig.Title, info.ID, info.Title)
+		}
+		if fig.Runs == 0 || fig.Events == 0 || fig.SimTime != time.Duration(fig.Runs)*o.Duration {
+			t.Errorf("%s: work = %+v", info.ID, fig.Work)
+		}
 	}
 }
 

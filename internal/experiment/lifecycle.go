@@ -143,20 +143,16 @@ func RunSpec(s *Spec) (*Result, error) {
 	return RunSpecContextWith(context.Background(), nil, s, Budget{})
 }
 
-// Build constructs the scenario's simulation without running it: place
-// the topology (via the generator registry), build the routing tree,
-// attach the protocol stack to every member (via the protocol
-// registry), and schedule queries, stops, flows, failures, and the
-// warm-up snapshot.
-func Build(sc Scenario) (*Sim, error) { return build(sc, nil) }
-
-// BuildWith is Build executing on a reusable Arena: the engine (event
-// freelist, typed memory pools) is reset and reused instead of
-// reallocated, and deployments (topology + routing-tree template) are
-// served from the arena's cache when an identical placement was built
-// before. Results are byte-identical to Build — the arena changes where
-// memory comes from, never what the run computes. A nil arena is plain
-// Build.
+// BuildWith constructs the scenario's simulation on arena a without
+// running it: place the topology (via the generator registry), build
+// the routing tree, attach the protocol stack to every member (via the
+// protocol registry), and schedule queries, stops, flows, failures, and
+// the warm-up snapshot. A nil arena builds on a fresh engine; a reused
+// arena's engine (event freelist, typed memory pools) is reset instead
+// of reallocated, and deployments (topology + routing-tree template)
+// are served from the arena's cache when an identical placement was
+// built before. Results are byte-identical either way — the arena
+// changes where memory comes from, never what the run computes.
 func BuildWith(a *Arena, sc Scenario) (*Sim, error) { return build(sc, a) }
 
 // RunContextWith runs the scenario on arena a (nil for a fresh engine)

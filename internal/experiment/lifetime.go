@@ -22,7 +22,7 @@ func Lifetime(o Options, batteryJ float64) (*Figure, error) {
 		batteryJ = 0.5
 	}
 	protos := []Protocol{DTSSS, STSSS, NTSSS, SPAN}
-	results, err := runMatrix(o, len(protos), func(i int, seed int64) Scenario {
+	results, work, err := runMatrix(o, len(protos), func(i int, seed int64) Scenario {
 		sc := o.scenario(protos[i], seed)
 		rng := rand.New(rand.NewSource(seed * 7919))
 		sc.Queries = QueryClasses(rng, 5, 1, 10*time.Second)
@@ -48,11 +48,12 @@ func Lifetime(o Options, batteryJ float64) (*Figure, error) {
 			func(r *Result) float64 { return float64(r.BatteryDeaths) }))
 	}
 	return &Figure{
-		ID:     "lifetime",
-		Title:  "Network lifetime with finite batteries (§4.2.1; x: 1=DTS-SS 2=STS-SS 3=NTS-SS 4=SPAN)",
+		ID:     lifetimeInfo.ID,
+		Title:  lifetimeInfo.Title,
 		XLabel: "protocol",
 		YLabel: "first battery death (s) / deaths",
 		Series: []Series{first, deaths},
+		Work:   work,
 		Notes: []string{
 			"batteries are deliberately tiny so deaths occur within the run; the paper's",
 			"claim is about the ORDER: rank-skewed protocols lose their first node sooner",

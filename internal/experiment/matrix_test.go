@@ -80,7 +80,7 @@ func TestStagedRunMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Build(smokeScenario(DTSSS, 9))
+	s, err := BuildWith(nil, smokeScenario(DTSSS, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestStagedRunMatchesRun(t *testing.T) {
 
 func TestBuildRejectsUnknownProtocol(t *testing.T) {
 	sc := smokeScenario("NO-SUCH", 1)
-	if _, err := Build(sc); err == nil {
+	if _, err := BuildWith(nil, sc); err == nil {
 		t.Fatal("Build accepted an unregistered protocol")
 	}
 }

@@ -91,7 +91,7 @@ func TestDiscModelNeverFades(t *testing.T) {
 func TestBFSTreeAvoidsGrayZoneLinks(t *testing.T) {
 	sc := modelScenario(DTSSS, "shadowing", map[string]float64{"sigma": 6}, "")
 	sc.BFSTree = true
-	s, err := Build(sc)
+	s, err := BuildWith(nil, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"bytes"
+	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -82,6 +84,39 @@ func allObservers(sc Scenario, capacity int) Scenario {
 	sc.TraceCapacity = capacity
 	sc.Sinks = []SinkChoice{{Name: "timeseries"}, {Name: "energy"}, {Name: "jsonl"}}
 	return sc
+}
+
+// TestCollectIdempotent: a second Collect on the same Sim, with every
+// observer attached, returns the first call's metrics and sink records
+// instead of feeding the node summaries to the sinks again.
+func TestCollectIdempotent(t *testing.T) {
+	s, err := BuildWith(nil, allObservers(smokeScenario(DTSSS, 3), 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Simulate()
+	first := s.Collect()
+	if len(first.Records) != 3 {
+		t.Fatalf("got %d records, want one per sink", len(first.Records))
+	}
+	want, err := json.Marshal(first.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	duty, energy, events := first.DutyCycle, first.EnergyMean, first.Events
+
+	again := s.Collect()
+	got, err := json.Marshal(again.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("second Collect changed the sink records:\n%s\nwant\n%s", got, want)
+	}
+	if again.DutyCycle != duty || again.EnergyMean != energy || again.Events != events {
+		t.Errorf("second Collect changed the metrics: duty %v energy %v events %d, want %v %v %d",
+			again.DutyCycle, again.EnergyMean, again.Events, duty, energy, events)
+	}
 }
 
 // TestObserversAllProtocols: every registered protocol runs with all

@@ -358,6 +358,9 @@ type Sim struct {
 	// firstDeath and batteryDeaths account battery exhaustion.
 	firstDeath    time.Duration
 	batteryDeaths int
+
+	// collected is the Result of the first Collect.
+	collected *Result
 }
 
 // builder is one build in progress: the Sim being assembled plus the
@@ -863,8 +866,13 @@ func (b *builder) meter() {
 func (s *Sim) Simulate() { _ = s.SimulateContext(context.Background(), Budget{}) }
 
 // Collect aggregates the run's metrics into a Result. Call it after
-// Simulate.
+// Simulate. Collecting feeds every node's summary to the run's metric
+// sinks, so it happens once: a repeated Collect returns the first
+// Result.
 func (s *Sim) Collect() *Result {
+	if s.collected != nil {
+		return s.collected
+	}
 	res := &Result{
 		Protocol:       s.Scenario.Protocol,
 		Seed:           s.Scenario.Seed,
@@ -880,10 +888,10 @@ func (s *Sim) Collect() *Result {
 	}
 	s.collectNodes(res)
 	s.collectFlows(res)
-	countRun(s.Scenario, res.Events)
 	if s.auditor != nil {
 		res.Audit = s.auditor.Summary()
 	}
+	s.collected = res
 	return res
 }
 

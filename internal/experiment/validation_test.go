@@ -94,7 +94,7 @@ func TestBuildRejectsMalformedConfigs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Build(tc.sc)
+			_, err := BuildWith(nil, tc.sc)
 			if err == nil {
 				t.Fatalf("Build accepted a malformed %s config", tc.name)
 			}
