@@ -22,6 +22,7 @@ package baseline
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/essat/essat/internal/mac"
@@ -46,26 +47,35 @@ type Greedy struct {
 	// delay (e.g. the PSM/SYNC beacon period). Zero disables the stretch.
 	PerHopDelay time.Duration
 
-	rank  func() int
-	specs map[query.ID]query.Spec
+	rank  Ranker
+	specs []query.Spec // registered queries, in registration order
 }
 
 var _ query.Shaper = (*Greedy)(nil)
 
-// NewGreedy returns a greedy no-op shaper. rank reports the node's
-// current rank and may be nil when PerHopDelay is unused.
-func NewGreedy(rank func() int) *Greedy {
-	if rank == nil {
-		rank = func() int { return 0 }
-	}
-	return &Greedy{rank: rank, specs: make(map[query.ID]query.Spec)}
+// Ranker reports a node's current rank in the routing tree (0 = leaf).
+// node.Node implements it.
+type Ranker interface {
+	Rank() int
+}
+
+// NewGreedy returns a greedy no-op shaper whose spec table is sized for
+// queries registrations. rank may be nil when PerHopDelay is unused
+// (the rank then reads 0).
+func NewGreedy(eng *sim.Engine, rank Ranker, queries int) *Greedy {
+	g := sim.ArenaGrab[Greedy](eng, "baseline.greedy")
+	*g = Greedy{rank: rank,
+		specs: sim.ArenaSlice[query.Spec](eng, "baseline.greedy.specs", queries)[:0]}
+	return g
 }
 
 // Name implements query.Shaper.
 func (g *Greedy) Name() string { return "greedy" }
 
 // QueryAdded implements query.Shaper.
-func (g *Greedy) QueryAdded(spec query.Spec, children []query.NodeID) { g.specs[spec.ID] = spec }
+func (g *Greedy) QueryAdded(spec query.Spec, children []query.NodeID) {
+	g.specs = append(g.specs, spec)
+}
 
 // ReportReady implements query.Shaper: send immediately, no piggyback.
 func (g *Greedy) ReportReady(q query.ID, k int, readyAt time.Duration) (time.Duration, time.Duration) {
@@ -86,20 +96,41 @@ func (g *Greedy) IntervalClosed(q query.ID, k int, missing []query.NodeID) {}
 
 // CollectDeadline implements query.Shaper.
 func (g *Greedy) CollectDeadline(q query.ID, k int) time.Duration {
-	spec := g.specs[q]
+	var spec query.Spec
+	if i := g.find(q); i >= 0 {
+		spec = g.specs[i]
+	}
 	frac := g.TimeoutFraction
 	if frac <= 0 {
 		frac = 0.75
 	}
 	wait := time.Duration(frac * float64(spec.Period))
-	if byHops := g.PerHopDelay * time.Duration(g.rank()+1); byHops > wait {
+	rank := 0
+	if g.rank != nil {
+		rank = g.rank.Rank()
+	}
+	if byHops := g.PerHopDelay * time.Duration(rank+1); byHops > wait {
 		wait = byHops
 	}
 	return spec.IntervalStart(k) + wait
 }
 
+// find returns the index of q's spec, or -1.
+func (g *Greedy) find(q query.ID) int {
+	for i := range g.specs {
+		if g.specs[i].ID == q {
+			return i
+		}
+	}
+	return -1
+}
+
 // QueryRemoved implements query.Shaper.
-func (g *Greedy) QueryRemoved(q query.ID) { delete(g.specs, q) }
+func (g *Greedy) QueryRemoved(q query.ID) {
+	if i := g.find(q); i >= 0 {
+		g.specs = append(g.specs[:i], g.specs[i+1:]...)
+	}
+}
 
 // ChildAdded implements query.Shaper.
 func (g *Greedy) ChildAdded(q query.ID, c query.NodeID) {}
@@ -158,7 +189,9 @@ func NewSyncPM(eng *sim.Engine, r *radio.Radio, cfg SyncConfig) (*SyncPM, error)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &SyncPM{eng: eng, radio: r, cfg: cfg}, nil
+	p := sim.ArenaGrab[SyncPM](eng, "baseline.sync")
+	*p = SyncPM{eng: eng, radio: r, cfg: cfg}
+	return p, nil
 }
 
 // Name implements node.PowerManager.
@@ -167,10 +200,15 @@ func (p *SyncPM) Name() string { return "SYNC" }
 // Start implements node.PowerManager.
 func (p *SyncPM) Start() { p.windowStart() }
 
+// SYNC's timer dispatchers: the events carry the SyncPM, so a period
+// allocates no closure.
+func syncWindowStart(x any) { x.(*SyncPM).windowStart() }
+func syncWindowEnd(x any)   { x.(*SyncPM).radio.TurnOff() }
+
 func (p *SyncPM) windowStart() {
 	p.radio.TurnOn()
-	p.eng.After(p.cfg.ActiveWindow, func() { p.radio.TurnOff() })
-	p.eng.After(p.cfg.Period, p.windowStart)
+	p.eng.AfterArg(p.cfg.ActiveWindow, syncWindowEnd, p)
+	p.eng.AfterArg(p.cfg.Period, syncWindowStart, p)
 }
 
 // --- PSM --------------------------------------------------------------------
@@ -207,12 +245,29 @@ func DefaultPsmConfig() PsmConfig {
 	}
 }
 
+// gatedReport is a report a power manager holds until its transfer
+// window: the arguments of the mac.Send it will make.
+type gatedReport struct {
+	dst     node.NodeID
+	payload any
+	bytes   int
+	cb      mac.SendCallback
+}
+
+// psmItem is a buffered PSM report. Items are pooled per node (arena
+// slabs recycled through a freelist), and an item is itself the MAC
+// send callback of its in-window transfer.
 type psmItem struct {
-	dst      node.NodeID
-	payload  any
-	bytes    int
-	cb       func(bool)
+	gatedReport
+	p        *PsmPM
 	attempts int
+}
+
+// psmAtim is one in-flight ATIM announcement, pooled like psmItem and
+// likewise its own MAC send callback.
+type psmAtim struct {
+	p   *PsmPM
+	dst node.NodeID
 }
 
 // PsmPM implements the PSM baseline at one node. Reports submitted by the
@@ -227,8 +282,14 @@ type PsmPM struct {
 	mac   *mac.MAC
 	cfg   PsmConfig
 
-	buf       []*psmItem
-	acked     map[node.NodeID]bool
+	buf []*psmItem
+	// announced and acked hold this beacon's ATIM destinations and the
+	// ones that acknowledged; both are cleared, not reallocated, at each
+	// beacon. A node reports to one parent, so they stay tiny.
+	announced []node.NodeID
+	acked     []node.NodeID
+	itemFree  []*psmItem
+	atimFree  []*psmAtim
 	inAtim    bool
 	holdUntil time.Duration
 	windowEnd time.Duration
@@ -244,6 +305,17 @@ type PsmPM struct {
 var _ node.PowerManager = (*PsmPM)(nil)
 var _ node.ReportGate = (*PsmPM)(nil)
 var _ node.ControlSink = (*PsmPM)(nil)
+var _ mac.IdleSink = (*PsmPM)(nil)
+
+// PSM's timer dispatchers: the events carry the PsmPM, so a beacon
+// allocates no closure.
+func psmBeacon(x any)  { x.(*PsmPM).beaconStart() }
+func psmAtimEnd(x any) { x.(*PsmPM).atimEnd() }
+func psmHoldEnd(x any) {
+	p := x.(*PsmPM)
+	p.sleepEv = nil
+	p.maybeSleep()
+}
 
 // Validate reports whether the configuration is runnable. It is the
 // check NewPsmPM enforces, exposed so config errors become build-time
@@ -266,8 +338,9 @@ func NewPsmPM(eng *sim.Engine, id node.NodeID, r *radio.Radio, m *mac.MAC, cfg P
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := &PsmPM{eng: eng, id: id, radio: r, mac: m, cfg: cfg, acked: make(map[node.NodeID]bool)}
-	m.SetIdleFunc(p.maybeSleep)
+	p := sim.ArenaGrab[PsmPM](eng, "baseline.psm")
+	*p = PsmPM{eng: eng, id: id, radio: r, mac: m, cfg: cfg}
+	m.SetIdleSink(p)
 	return p, nil
 }
 
@@ -279,8 +352,13 @@ func (p *PsmPM) Start() { p.beaconStart() }
 
 // SubmitReport implements node.ReportGate: buffer until the next beacon's
 // announcement cycle.
-func (p *PsmPM) SubmitReport(dst node.NodeID, payload any, bytes int, cb func(bool)) {
-	p.buf = append(p.buf, &psmItem{dst: dst, payload: payload, bytes: bytes, cb: cb})
+func (p *PsmPM) SubmitReport(dst node.NodeID, payload any, bytes int, cb mac.SendCallback) {
+	it := sim.TakeLast(&p.itemFree)
+	if it == nil {
+		it = sim.ArenaGrab[psmItem](p.eng, "baseline.psm.item")
+	}
+	*it = psmItem{gatedReport: gatedReport{dst: dst, payload: payload, bytes: bytes, cb: cb}, p: p}
+	p.buf = sim.ArenaAppend(p.eng, "baseline.psm.buf", p.buf, it)
 }
 
 // HandleControl implements node.ControlSink: an announcement naming this
@@ -294,6 +372,9 @@ func (p *PsmPM) HandleControl(src node.NodeID, msg any) {
 		p.extendHold(p.beaconBase() + p.cfg.AtimWindow + p.cfg.DataWindow)
 	}
 }
+
+// MACIdle implements mac.IdleSink: the drained MAC may let the node sleep.
+func (p *PsmPM) MACIdle() { p.maybeSleep() }
 
 // beaconBase returns the start time of the current beacon period.
 func (p *PsmPM) beaconBase() time.Duration {
@@ -312,11 +393,8 @@ func (p *PsmPM) extendHold(until time.Duration) {
 func (p *PsmPM) maybeSleep() {
 	now := p.eng.Now()
 	if now < p.holdUntil {
-		if p.sleepEv == nil || p.sleepEv.Canceled() {
-			p.sleepEv = p.eng.Schedule(p.holdUntil, func() {
-				p.sleepEv = nil
-				p.maybeSleep()
-			})
+		if p.sleepEv == nil {
+			p.sleepEv = p.eng.ScheduleArg(p.holdUntil, psmHoldEnd, p)
 		}
 		return
 	}
@@ -327,35 +405,45 @@ func (p *PsmPM) maybeSleep() {
 }
 
 func (p *PsmPM) beaconStart() {
-	p.eng.After(p.cfg.BeaconPeriod, p.beaconStart)
+	p.eng.AfterArg(p.cfg.BeaconPeriod, psmBeacon, p)
 	p.radio.TurnOn()
 	// Everyone listens through the ATIM window.
 	p.holdUntil = p.eng.Now() + p.cfg.AtimWindow
 	p.inAtim = true
-	p.acked = make(map[node.NodeID]bool)
-
-	if len(p.buf) > 0 {
-		announced := make(map[node.NodeID]bool)
-		for _, it := range p.buf {
-			if announced[it.dst] {
-				continue
-			}
-			announced[it.dst] = true
-			p.Announcements++
-			dst := it.dst
-			p.mac.Send(dst, AtimMsg{Dst: dst}, p.cfg.AtimBytes, func(ok bool) {
-				if !ok {
-					return // receiver missed the ATIM; retry next beacon
-				}
-				p.acked[dst] = true
-				if !p.inAtim {
-					// Late ATIM-ACK: the data window already started.
-					p.releaseNext()
-				}
-			})
+	p.acked = p.acked[:0]
+	p.announced = p.announced[:0]
+	for _, it := range p.buf {
+		if slices.Contains(p.announced, it.dst) {
+			continue
 		}
+		p.announced = sim.ArenaAppend(p.eng, "baseline.psm.announced", p.announced, it.dst)
+		p.Announcements++
+		a := sim.TakeLast(&p.atimFree)
+		if a == nil {
+			a = sim.ArenaGrab[psmAtim](p.eng, "baseline.psm.atim")
+		}
+		*a = psmAtim{p: p, dst: it.dst}
+		p.mac.Send(it.dst, AtimMsg{Dst: it.dst}, p.cfg.AtimBytes, a)
 	}
-	p.eng.After(p.cfg.AtimWindow, p.atimEnd)
+	p.eng.AfterArg(p.cfg.AtimWindow, psmAtimEnd, p)
+}
+
+// SendDone implements mac.SendCallback: the MAC-level acknowledgement of
+// an ATIM doubles as the ATIM-ACK.
+func (a *psmAtim) SendDone(ok bool) {
+	p, dst := a.p, a.dst
+	*a = psmAtim{}
+	p.atimFree = sim.ArenaAppend(p.eng, "baseline.psm.atimfree", p.atimFree, a)
+	if !ok {
+		return // receiver missed the ATIM; retry next beacon
+	}
+	if !slices.Contains(p.acked, dst) {
+		p.acked = sim.ArenaAppend(p.eng, "baseline.psm.acked", p.acked, dst)
+	}
+	if !p.inAtim {
+		// Late ATIM-ACK: the data window already started.
+		p.releaseNext()
+	}
 }
 
 func (p *PsmPM) atimEnd() {
@@ -385,7 +473,7 @@ func (p *PsmPM) releaseNext() {
 	// Pick the first frame whose destination acknowledged an ATIM.
 	idx := -1
 	for i, it := range p.buf {
-		if p.acked[it.dst] {
+		if slices.Contains(p.acked, it.dst) {
 			idx = i
 			break
 		}
@@ -394,28 +482,39 @@ func (p *PsmPM) releaseNext() {
 		p.maybeSleep()
 		return
 	}
+	// Remove it in place, keeping the buffer's order.
 	it := p.buf[idx]
-	p.buf = append(p.buf[:idx:idx], p.buf[idx+1:]...)
-	p.mac.Send(it.dst, it.payload, it.bytes, func(ok bool) {
-		switch {
-		case ok:
-			if it.cb != nil {
-				it.cb(true)
-			}
-		case it.attempts < 4:
-			// The receiver likely slept at the window boundary; try again
-			// next beacon rather than reporting a link failure.
-			it.attempts++
-			p.Rebuffered++
-			p.buf = append(p.buf, it)
-		default:
-			if it.cb != nil {
-				it.cb(false)
-			}
-		}
-		p.releaseNext()
-	})
+	n := idx + copy(p.buf[idx:], p.buf[idx+1:])
+	p.buf[n] = nil
+	p.buf = p.buf[:n]
+	p.mac.Send(it.dst, it.payload, it.bytes, it)
 }
 
-// phyBroadcast avoids importing phy just for the constant.
-const phyBroadcast node.NodeID = -1
+// SendDone implements mac.SendCallback for an in-window transfer.
+func (it *psmItem) SendDone(ok bool) {
+	p := it.p
+	switch {
+	case ok:
+		p.finish(it, true)
+	case it.attempts < 4:
+		// The receiver likely slept at the window boundary; try again
+		// next beacon rather than reporting a link failure.
+		it.attempts++
+		p.Rebuffered++
+		p.buf = sim.ArenaAppend(p.eng, "baseline.psm.buf", p.buf, it)
+	default:
+		p.finish(it, false)
+	}
+	p.releaseNext()
+}
+
+// finish recycles a delivered or abandoned item, then reports its fate
+// to the submitter.
+func (p *PsmPM) finish(it *psmItem, ok bool) {
+	cb := it.cb
+	*it = psmItem{}
+	p.itemFree = sim.ArenaAppend(p.eng, "baseline.psm.itemfree", p.itemFree, it)
+	if cb != nil {
+		cb.SendDone(ok)
+	}
+}

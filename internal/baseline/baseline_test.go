@@ -16,7 +16,7 @@ import (
 // --- Greedy -----------------------------------------------------------------
 
 func TestGreedySendsImmediately(t *testing.T) {
-	g := NewGreedy(nil)
+	g := NewGreedy(nil, nil, 1)
 	spec := query.Spec{ID: 1, Period: time.Second, Phase: 0}
 	g.QueryAdded(spec, nil)
 	at, phase := g.ReportReady(1, 3, 1234*time.Millisecond)
@@ -26,7 +26,7 @@ func TestGreedySendsImmediately(t *testing.T) {
 }
 
 func TestGreedyDeadlineFraction(t *testing.T) {
-	g := NewGreedy(nil)
+	g := NewGreedy(nil, nil, 1)
 	spec := query.Spec{ID: 1, Period: time.Second, Phase: 2 * time.Second}
 	g.QueryAdded(spec, nil)
 	if got := g.CollectDeadline(1, 0); got != 2750*time.Millisecond {
@@ -39,8 +39,8 @@ func TestGreedyDeadlineFraction(t *testing.T) {
 }
 
 func TestGreedyPerHopStretch(t *testing.T) {
-	rank := 3
-	g := NewGreedy(func() int { return rank })
+	rank := fixedRank(3)
+	g := NewGreedy(nil, &rank, 1)
 	g.PerHopDelay = 200 * time.Millisecond
 	spec := query.Spec{ID: 1, Period: 200 * time.Millisecond, Phase: 0}
 	g.QueryAdded(spec, nil)
@@ -54,6 +54,24 @@ func TestGreedyPerHopStretch(t *testing.T) {
 		t.Fatalf("CollectDeadline = %v at rank 0, want 200ms", got)
 	}
 }
+
+func TestGreedyQueryRemovedKeepsOthers(t *testing.T) {
+	g := NewGreedy(nil, nil, 2)
+	g.QueryAdded(query.Spec{ID: 1, Period: time.Second}, nil)
+	g.QueryAdded(query.Spec{ID: 2, Period: 2 * time.Second}, nil)
+	g.QueryRemoved(1)
+	if got := g.CollectDeadline(2, 0); got != 1500*time.Millisecond {
+		t.Fatalf("CollectDeadline(2) = %v after removing query 1, want 1.5s", got)
+	}
+	if got := g.CollectDeadline(1, 0); got != 0 {
+		t.Fatalf("CollectDeadline(1) = %v for a removed query, want 0", got)
+	}
+}
+
+// fixedRank is a Ranker whose rank the test sets directly.
+type fixedRank int
+
+func (r *fixedRank) Rank() int { return int(*r) }
 
 // --- SYNC -------------------------------------------------------------------
 
@@ -171,7 +189,7 @@ func TestPsmDeliversBufferedTraffic(t *testing.T) {
 	// Submit mid-beacon: the frame must wait for the next beacon's ATIM
 	// announcement, then transfer in the data window.
 	net.eng.Schedule(230*time.Millisecond, func() {
-		net.pms[0].SubmitReport(1, "report", 52, func(ok bool) { delivered = ok })
+		net.pms[0].SubmitReport(1, "report", 52, mac.SendFunc(func(ok bool) { delivered = ok }))
 	})
 	net.eng.Run(time.Second)
 	if !delivered {
@@ -190,11 +208,11 @@ func TestPsmDeliveryLatencyIsAboutOneBeacon(t *testing.T) {
 	var deliveredAt time.Duration
 	submitted := 230 * time.Millisecond
 	net.eng.Schedule(submitted, func() {
-		net.pms[0].SubmitReport(1, "x", 52, func(ok bool) {
+		net.pms[0].SubmitReport(1, "x", 52, mac.SendFunc(func(ok bool) {
 			if ok {
 				deliveredAt = net.eng.Now()
 			}
-		})
+		}))
 	})
 	net.eng.Run(2 * time.Second)
 	if deliveredAt == 0 {
@@ -247,11 +265,11 @@ func TestPsmMultiHopForwarding(t *testing.T) {
 		net.pms[0].SubmitReport(1, "hop1", 52, nil)
 	})
 	net.eng.Schedule(610*time.Millisecond, func() {
-		net.pms[1].SubmitReport(2, "hop2", 52, func(ok bool) {
+		net.pms[1].SubmitReport(2, "hop2", 52, mac.SendFunc(func(ok bool) {
 			if ok {
 				hop2At = net.eng.Now()
 			}
-		})
+		}))
 	})
 	net.eng.Run(2 * time.Second)
 	if len(net.got[1]) != 1 || len(net.got[2]) != 1 {

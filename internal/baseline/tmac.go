@@ -44,14 +44,24 @@ type TmacPM struct {
 	mac   *mac.MAC
 	cfg   TmacConfig
 
-	buf          []psmItem
+	buf          []gatedReport
 	lastActivity time.Duration
 	checkEv      *sim.Event
-	checkFn      func() // prebound TA-deadline callback
 }
 
 var _ node.PowerManager = (*TmacPM)(nil)
 var _ node.ReportGate = (*TmacPM)(nil)
+var _ mac.IdleSink = (*TmacPM)(nil)
+var _ radio.StateListener = (*TmacPM)(nil)
+
+// T-MAC's timer dispatchers: the events carry the TmacPM, so a frame
+// allocates no closure.
+func tmacFrame(x any) { x.(*TmacPM).frameStart() }
+func tmacCheck(x any) {
+	p := x.(*TmacPM)
+	p.checkEv = nil
+	p.maybeSleep()
+}
 
 // Validate reports whether the configuration is runnable. It is the
 // check NewTmacPM enforces, exposed so config errors become build-time
@@ -71,20 +81,23 @@ func NewTmacPM(eng *sim.Engine, r *radio.Radio, m *mac.MAC, cfg TmacConfig) (*Tm
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := &TmacPM{eng: eng, radio: r, mac: m, cfg: cfg}
-	p.checkFn = func() {
-		p.checkEv = nil
-		p.maybeSleep()
-	}
-	// Receptions and transmission completions are activation events.
-	r.Subscribe(func(old, new radio.State) {
-		if (old == radio.Rx || old == radio.Tx) && new == radio.Idle {
-			p.lastActivity = eng.Now()
-		}
-	})
-	m.SetIdleFunc(p.maybeSleep)
+	p := sim.ArenaGrab[TmacPM](eng, "baseline.tmac")
+	*p = TmacPM{eng: eng, radio: r, mac: m, cfg: cfg}
+	r.SubscribeState(p)
+	m.SetIdleSink(p)
 	return p, nil
 }
+
+// RadioStateChanged implements radio.StateListener: receptions and
+// transmission completions are activation events.
+func (p *TmacPM) RadioStateChanged(old, new radio.State) {
+	if (old == radio.Rx || old == radio.Tx) && new == radio.Idle {
+		p.lastActivity = p.eng.Now()
+	}
+}
+
+// MACIdle implements mac.IdleSink: the drained MAC may let the node sleep.
+func (p *TmacPM) MACIdle() { p.maybeSleep() }
 
 // Name implements node.PowerManager.
 func (p *TmacPM) Name() string { return "TMAC" }
@@ -94,12 +107,13 @@ func (p *TmacPM) Start() { p.frameStart() }
 
 // SubmitReport implements node.ReportGate: buffer until the next frame
 // start so the receiver is guaranteed awake when the exchange begins.
-func (p *TmacPM) SubmitReport(dst node.NodeID, payload any, bytes int, cb func(bool)) {
-	p.buf = append(p.buf, psmItem{dst: dst, payload: payload, bytes: bytes, cb: cb})
+func (p *TmacPM) SubmitReport(dst node.NodeID, payload any, bytes int, cb mac.SendCallback) {
+	p.buf = sim.ArenaAppend(p.eng, "baseline.tmac.buf", p.buf,
+		gatedReport{dst: dst, payload: payload, bytes: bytes, cb: cb})
 }
 
 func (p *TmacPM) frameStart() {
-	p.eng.After(p.cfg.FramePeriod, p.frameStart)
+	p.eng.AfterArg(p.cfg.FramePeriod, tmacFrame, p)
 	p.radio.TurnOn()
 	p.lastActivity = p.eng.Now()
 	for _, it := range p.buf {
@@ -119,7 +133,7 @@ func (p *TmacPM) scheduleCheck() {
 		p.checkEv.RescheduleTo(at)
 		return
 	}
-	p.checkEv = p.eng.Schedule(at, p.checkFn)
+	p.checkEv = p.eng.ScheduleArg(at, tmacCheck, p)
 }
 
 // maybeSleep powers down once TA expired with no activity and no pending
@@ -136,7 +150,7 @@ func (p *TmacPM) maybeSleep() {
 		return
 	}
 	if p.mac.Busy() {
-		return // re-entered from SetIdleFunc when the MAC drains
+		return // re-entered from MACIdle when the MAC drains
 	}
 	if p.checkEv != nil {
 		p.checkEv.Cancel()

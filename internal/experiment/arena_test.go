@@ -135,3 +135,42 @@ func TestArenaCacheKeyedBySeed(t *testing.T) {
 		t.Errorf("cache hits/misses = %d/%d, want 1/2", hits, misses)
 	}
 }
+
+// TestWarmArenaAllocsByProtocol holds every protocol to the arena's
+// steady-state promise: a third back-to-back run of the Fig. 6 scenario
+// (80 nodes, 20 s, base rate 5, seed 1) on one arena with a deployment
+// cache must allocate at most twice what DTS-SS's third run allocates.
+// The bound is relative so that it means the same on every Go release;
+// a baseline power manager that builds closures, maps or pooled items
+// per beacon exceeds it by an order of magnitude.
+func TestWarmArenaAllocsByProtocol(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 21 full 20 s scenarios")
+	}
+	warm := func(p Protocol) uint64 {
+		sc := DefaultScenario(p, 1)
+		sc.Duration = 20 * time.Second
+		sc.Queries = QueryClasses(rand.New(rand.NewSource(7919)), 5, 1, 10*time.Second)
+		a := NewArenaWithCache(NewDeployCache(0))
+		var alloc uint64
+		for i := 0; i < 3; i++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if _, err := RunContextWith(context.Background(), a, sc, Budget{}); err != nil {
+				t.Fatalf("%s run %d: %v", p, i, err)
+			}
+			runtime.ReadMemStats(&m1)
+			alloc = m1.TotalAlloc - m0.TotalAlloc
+		}
+		return alloc
+	}
+	ref := warm(DTSSS)
+	t.Logf("%s: %d B per warm run", DTSSS, ref)
+	for _, p := range []Protocol{STSSS, NTSSS, SPAN, PSM, SYNC, TMAC} {
+		got := warm(p)
+		t.Logf("%s: %d B per warm run (%.1fx %s)", p, got, float64(got)/float64(ref), DTSSS)
+		if got > 2*ref {
+			t.Errorf("%s: warm run allocated %d B, more than twice %s's %d B", p, got, DTSSS, ref)
+		}
+	}
+}

@@ -614,6 +614,15 @@ func (b *builder) observers() error {
 func (b *builder) stacks() error {
 	sc := &b.Scenario
 	b.Nodes = make(map[node.NodeID]*node.Node, len(b.members))
+	// Builders only read the context, so one serves every node; only
+	// Node and Sink change per node.
+	ctx := protocol.BuildContext{
+		Eng:      b.Eng,
+		Tree:     b.Tree,
+		QueryCfg: b.qCfg,
+		Queries:  len(sc.Queries),
+		Params:   b.params,
+	}
 	for _, id := range b.members {
 		n := node.New(b.Eng, id, b.Tree, b.Channel, b.rcfg, b.macCfg)
 		if sc.RecordSleepIntervals {
@@ -637,15 +646,8 @@ func (b *builder) stacks() error {
 				fan.RadioChanged(int(id), old, new, eng.Now())
 			})
 		}
-		if err := b.proto.Build(&protocol.BuildContext{
-			Eng:      b.Eng,
-			Node:     n,
-			Tree:     b.Tree,
-			Sink:     s,
-			QueryCfg: b.qCfg,
-			Queries:  len(sc.Queries),
-			Params:   b.params,
-		}); err != nil {
+		ctx.Node, ctx.Sink = n, s
+		if err := b.proto.Build(&ctx); err != nil {
 			return err
 		}
 		b.Nodes[id] = n

@@ -107,10 +107,23 @@ type AckInfoSink interface {
 	AckInfo(from phy.NodeID, info any)
 }
 
-// SendCallback reports the fate of a queued frame: true once the frame was
-// acknowledged (or, for broadcast, transmitted), false when the retry
-// limit was exhausted.
-type SendCallback func(ok bool)
+// SendCallback is told the fate of a queued frame: ok is true once the
+// frame was acknowledged (or, for broadcast, transmitted) and false when
+// the retry limit was exhausted. Per-frame senders (the query agent's
+// pooled reports, the baselines' buffered items) implement it on the
+// pooled object itself, so a send stores an existing pointer instead of
+// allocating a closure.
+type SendCallback interface {
+	SendDone(ok bool)
+}
+
+// SendFunc adapts a func to SendCallback, for tests and for senders off
+// the hot path. Converting a nil SendFunc yields a non-nil callback that
+// panics when called: pass a literal nil for "no callback".
+type SendFunc func(ok bool)
+
+// SendDone implements SendCallback.
+func (f SendFunc) SendDone(ok bool) { f(ok) }
 
 // Stats counts MAC-level outcomes for one station.
 type Stats struct {
@@ -231,7 +244,6 @@ type MAC struct {
 	// Lazily allocated: most stations never piggyback anything.
 	ackInfo map[ackKey]any
 
-	onIdle   func()
 	idleSink IdleSink
 	obs      Observer
 	stats    Stats
@@ -320,7 +332,7 @@ func (m *MAC) newHeader(kind frameKind, seq uint64, payload any) *header {
 // timers at the same instant).
 func (m *MAC) releaseHeader(h *header) {
 	h.payload = nil
-	m.hdrFree = append(m.hdrFree, h)
+	m.hdrFree = sim.ArenaAppend(m.eng, "mac.hdrfree", m.hdrFree, h)
 }
 
 // ID returns the node ID this MAC serves.
@@ -328,10 +340,6 @@ func (m *MAC) ID() phy.NodeID { return m.id }
 
 // Stats returns a copy of the station's counters.
 func (m *MAC) Stats() Stats { return m.stats }
-
-// SetUpper installs the upper-layer receiver. It must be called before the
-// simulation starts if the upper layer was not available at construction.
-func (m *MAC) SetUpper(u Upper) { m.upper = u }
 
 // AttachToAck piggybacks info on the acknowledgement this station is about
 // to send for the data frame it is currently delivering from src (valid
@@ -375,20 +383,16 @@ func (m *MAC) peerIndex(src phy.NodeID) int {
 // SetObserver installs a MAC decision observer (nil disables).
 func (m *MAC) SetObserver(o Observer) { m.obs = o }
 
-// SetIdleFunc installs a callback invoked whenever the MAC drains: queue
-// empty, no transmission in flight, no acknowledgement owed. Safe Sleep
-// uses it to re-evaluate whether the node may sleep.
-func (m *MAC) SetIdleFunc(f func()) { m.onIdle = f }
-
-// IdleSink is the interface form of the drained notification: hot
-// per-node subscribers implement it so installing them stores an
-// existing object instead of allocating a method-value closure.
+// IdleSink is notified whenever the MAC drains: queue empty, no
+// transmission in flight, no acknowledgement owed. Safe Sleep and the
+// PSM and T-MAC power managers implement it to re-evaluate whether the
+// node may sleep; installing one stores an existing object instead of
+// allocating a method-value closure.
 type IdleSink interface {
 	MACIdle()
 }
 
-// SetIdleSink installs an IdleSink, notified alongside any SetIdleFunc
-// callback.
+// SetIdleSink installs the station's IdleSink (nil disables).
 func (m *MAC) SetIdleSink(s IdleSink) { m.idleSink = s }
 
 // Busy reports whether the MAC has unfinished work: queued or in-flight
@@ -419,7 +423,7 @@ func (m *MAC) Send(dst phy.NodeID, payload any, bytes int, cb SendCallback) {
 		seq: m.nextSeq, enqueued: m.eng.Now()}
 	m.nextSeq++
 	m.stats.Enqueued++
-	m.queue = append(m.queue, item)
+	m.queue = sim.ArenaAppend(m.eng, "mac.queue", m.queue, item)
 	m.tryContend()
 }
 
@@ -570,13 +574,13 @@ func (m *MAC) finish(item *txItem, ok bool) {
 		m.stats.Failed++
 	}
 	if item.cb != nil {
-		item.cb(ok)
+		item.cb.SendDone(ok)
 	}
 	// The item left the queue and the callback ran: recycle it. The
 	// payload and callback references are dropped so the pool does not
 	// pin upper-layer objects.
 	*item = txItem{}
-	m.itemFree = append(m.itemFree, item)
+	m.itemFree = sim.ArenaAppend(m.eng, "mac.itemfree", m.itemFree, item)
 	if len(m.queue) > 0 {
 		m.tryContend()
 	} else {
@@ -585,13 +589,8 @@ func (m *MAC) finish(item *txItem, ok bool) {
 }
 
 func (m *MAC) notifyIdleIfDrained() {
-	if (m.onIdle != nil || m.idleSink != nil) && !m.Busy() {
-		if m.onIdle != nil {
-			m.onIdle()
-		}
-		if m.idleSink != nil {
-			m.idleSink.MACIdle()
-		}
+	if m.idleSink != nil && !m.Busy() {
+		m.idleSink.MACIdle()
 	}
 }
 
@@ -655,7 +654,7 @@ func (m *MAC) dataReceived(f *phy.Frame, hdr *header) {
 			m.lastSeq[pi] = hdr.seq
 		}
 		m.ackPending++
-		m.pendingAcks = append(m.pendingAcks, ackKey{src: f.Src, seq: hdr.seq})
+		m.pendingAcks = sim.ArenaAppend(m.eng, "mac.pendingacks", m.pendingAcks, ackKey{src: f.Src, seq: hdr.seq})
 		m.eng.AfterArg(m.cfg.SIFS, macFireAck, m)
 	}
 	if dup {

@@ -35,6 +35,13 @@ type testNet struct {
 // newChain builds n nodes in a 100m-spaced chain (adjacent-only links).
 func newChain(t *testing.T, n int, seed int64, chCfg phy.Config) *testNet {
 	t.Helper()
+	return newChainWith(t, n, seed, chCfg, nil)
+}
+
+// newChainWith is newChain with node i's upper layer taken from
+// uppers[i] when present; the others get a recording mockUpper.
+func newChainWith(t *testing.T, n int, seed int64, chCfg phy.Config, uppers map[int]Upper) *testNet {
+	t.Helper()
 	eng := sim.New(seed)
 	topo, err := topology.FromPositions(geom.LinePlacement(n, 100), 125)
 	if err != nil {
@@ -45,7 +52,11 @@ func newChain(t *testing.T, n int, seed int64, chCfg phy.Config) *testNet {
 	for i := 0; i < n; i++ {
 		r := radio.New(eng, radio.Config{})
 		u := &mockUpper{}
-		m := New(eng, ch, phy.NodeID(i), r, DefaultConfig(), u)
+		var up Upper = u
+		if custom, ok := uppers[i]; ok {
+			up = custom
+		}
+		m := New(eng, ch, phy.NodeID(i), r, DefaultConfig(), up)
 		net.radios = append(net.radios, r)
 		net.macs = append(net.macs, m)
 		net.uppers = append(net.uppers, u)
@@ -56,7 +67,7 @@ func newChain(t *testing.T, n int, seed int64, chCfg phy.Config) *testNet {
 func TestUnicastWithAck(t *testing.T) {
 	net := newChain(t, 2, 1, phy.DefaultConfig())
 	var ok *bool
-	net.macs[0].Send(1, "ping", 52, func(b bool) { ok = &b })
+	net.macs[0].Send(1, "ping", 52, SendFunc(func(b bool) { ok = &b }))
 	net.eng.Run(time.Second)
 
 	if ok == nil || !*ok {
@@ -80,7 +91,7 @@ func TestUnicastWithAck(t *testing.T) {
 func TestBroadcastNoAck(t *testing.T) {
 	net := newChain(t, 3, 1, phy.DefaultConfig())
 	done := false
-	net.macs[1].Send(phy.Broadcast, "hello", 52, func(b bool) { done = b })
+	net.macs[1].Send(phy.Broadcast, "hello", 52, SendFunc(func(b bool) { done = b }))
 	net.eng.Run(time.Second)
 	if !done {
 		t.Fatal("broadcast callback not invoked")
@@ -97,7 +108,7 @@ func TestSleepingReceiverExhaustsRetries(t *testing.T) {
 	net := newChain(t, 2, 1, phy.DefaultConfig())
 	net.radios[1].TurnOff()
 	var result *bool
-	net.macs[0].Send(1, "x", 52, func(b bool) { result = &b })
+	net.macs[0].Send(1, "x", 52, SendFunc(func(b bool) { result = &b }))
 	net.eng.Run(time.Second)
 	if result == nil {
 		t.Fatal("callback never invoked")
@@ -118,7 +129,7 @@ func TestReceiverWakesDuringRetries(t *testing.T) {
 	net := newChain(t, 2, 1, phy.DefaultConfig())
 	net.radios[1].TurnOff()
 	var result *bool
-	net.macs[0].Send(1, "x", 52, func(b bool) { result = &b })
+	net.macs[0].Send(1, "x", 52, SendFunc(func(b bool) { result = &b }))
 	// Wake the receiver after the first couple of attempts fail.
 	net.eng.Schedule(2*time.Millisecond, func() { net.radios[1].TurnOn() })
 	net.eng.Run(time.Second)
@@ -134,7 +145,7 @@ func TestSenderRadioOffPausesAndResumes(t *testing.T) {
 	net := newChain(t, 2, 1, phy.DefaultConfig())
 	net.radios[0].TurnOff()
 	got := false
-	net.macs[0].Send(1, "x", 52, func(b bool) { got = b })
+	net.macs[0].Send(1, "x", 52, SendFunc(func(b bool) { got = b }))
 	net.eng.Run(100 * time.Millisecond)
 	if got {
 		t.Fatal("frame sent while radio off")
@@ -167,16 +178,16 @@ func TestContendingSendersBothSucceed(t *testing.T) {
 	// plus retries must get both frames through.
 	net := newChain(t, 3, 7, phy.DefaultConfig())
 	oks := 0
-	net.macs[0].Send(1, "a", 52, func(b bool) {
+	net.macs[0].Send(1, "a", 52, SendFunc(func(b bool) {
 		if b {
 			oks++
 		}
-	})
-	net.macs[2].Send(1, "b", 52, func(b bool) {
+	}))
+	net.macs[2].Send(1, "b", 52, SendFunc(func(b bool) {
 		if b {
 			oks++
 		}
-	})
+	}))
 	net.eng.Run(time.Second)
 	if oks != 2 {
 		t.Fatalf("%d of 2 contending sends succeeded", oks)
@@ -206,11 +217,11 @@ func TestManyContendersAllDeliver(t *testing.T) {
 	// Nodes 1..5 all send to node 0 simultaneously.
 	succ := 0
 	for i := 1; i < 6; i++ {
-		macs[i].Send(0, i, 52, func(b bool) {
+		macs[i].Send(0, i, 52, SendFunc(func(b bool) {
 			if b {
 				succ++
 			}
-		})
+		}))
 	}
 	eng.Run(time.Second)
 	if succ != 5 {
@@ -230,11 +241,11 @@ func TestDuplicateFilteringUnderAckLoss(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		net.eng.Schedule(time.Duration(i)*20*time.Millisecond, func() {
-			net.macs[0].Send(1, i, 52, func(b bool) {
+			net.macs[0].Send(1, i, 52, SendFunc(func(b bool) {
 				if b {
 					succ++
 				}
-			})
+			}))
 		})
 	}
 	net.eng.Run(5 * time.Second)
@@ -268,16 +279,16 @@ func TestHiddenTerminalsEventuallyDeliver(t *testing.T) {
 		i := i
 		at := time.Duration(i) * 5 * time.Millisecond
 		net.eng.Schedule(at, func() {
-			net.macs[0].Send(1, i, 52, func(b bool) {
+			net.macs[0].Send(1, i, 52, SendFunc(func(b bool) {
 				if b {
 					succ++
 				}
-			})
-			net.macs[2].Send(1, 100+i, 52, func(b bool) {
+			}))
+			net.macs[2].Send(1, 100+i, 52, SendFunc(func(b bool) {
 				if b {
 					succ++
 				}
-			})
+			}))
 		})
 	}
 	net.eng.Run(2 * time.Second)
@@ -286,25 +297,30 @@ func TestHiddenTerminalsEventuallyDeliver(t *testing.T) {
 	}
 }
 
+// idleCounter is an IdleSink that counts drained notifications.
+type idleCounter int
+
+func (c *idleCounter) MACIdle() { *c++ }
+
 func TestIdleCallback(t *testing.T) {
 	net := newChain(t, 2, 1, phy.DefaultConfig())
-	idleCalls := 0
-	net.macs[0].SetIdleFunc(func() { idleCalls++ })
+	var idle idleCounter
+	net.macs[0].SetIdleSink(&idle)
 	net.macs[0].Send(1, "x", 52, nil)
-	if idleCalls != 0 {
-		t.Fatal("idle callback fired while frame pending")
+	if idle != 0 {
+		t.Fatal("idle sink notified while frame pending")
 	}
 	net.eng.Run(time.Second)
-	if idleCalls == 0 {
-		t.Fatal("idle callback not fired after drain")
+	if idle == 0 {
+		t.Fatal("idle sink not notified after drain")
 	}
 }
 
 func TestBusyWhileOwingAck(t *testing.T) {
-	net := newChain(t, 2, 1, phy.DefaultConfig())
+	var net *testNet
 	busyDuringDeliver := false
 	checker := &deliverChecker{f: func() { busyDuringDeliver = net.macs[1].Busy() }}
-	net.macs[1].SetUpper(checker)
+	net = newChainWith(t, 2, 1, phy.DefaultConfig(), map[int]Upper{1: checker})
 	net.macs[0].Send(1, "x", 52, nil)
 	net.eng.Run(time.Second)
 	if !busyDuringDeliver {

@@ -57,11 +57,11 @@ func TestEIFSAfterCorruptedReception(t *testing.T) {
 	// Node 1 has a frame for node 2 queued during the collision.
 	var sentAt time.Duration
 	net.eng.Schedule(150*time.Microsecond, func() {
-		net.macs[1].Send(2, "c", 52, func(ok bool) {
+		net.macs[1].Send(2, "c", 52, SendFunc(func(ok bool) {
 			if ok {
 				sentAt = net.eng.Now()
 			}
-		})
+		}))
 	})
 	net.eng.Run(time.Second)
 	if sentAt == 0 {
@@ -79,21 +79,22 @@ func TestEIFSAfterCorruptedReception(t *testing.T) {
 }
 
 func TestAttachToAckRoundTrip(t *testing.T) {
-	net := newChain(t, 2, 3, phy.DefaultConfig())
 	type token struct{ V int }
 
 	// Receiver attaches info during Deliver; the sender's upper, an
 	// AckInfoSink, must observe it.
+	var net *testNet
 	attachOK := false
-	net.macs[1].SetUpper(&deliverChecker{f: func() {
+	receiver := &deliverChecker{f: func() {
 		attachOK = net.macs[1].AttachToAck(0, token{V: 42})
-	}})
+	}}
 	var got any
-	net.macs[0].SetUpper(ackInfoRecorder(func(from phy.NodeID, info any) {
+	sender := ackInfoRecorder(func(from phy.NodeID, info any) {
 		if from == 1 {
 			got = info
 		}
-	}))
+	})
+	net = newChainWith(t, 2, 3, phy.DefaultConfig(), map[int]Upper{0: sender, 1: receiver})
 
 	net.macs[0].Send(1, "data", 52, nil)
 	net.eng.Run(time.Second)
@@ -130,7 +131,7 @@ func TestNAVStarvationFreedom(t *testing.T) {
 		net.macs[1].Send(0, i, 52, nil)
 	}
 	done := false
-	net.macs[2].Send(1, "mine", 52, func(ok bool) { done = ok })
+	net.macs[2].Send(1, "mine", 52, SendFunc(func(ok bool) { done = ok }))
 	net.eng.Run(time.Second)
 	if !done {
 		t.Fatal("overhearing node starved by NAV")

@@ -40,7 +40,7 @@ type PowerManager interface {
 // submissions so they can be buffered until the protocol's transfer
 // window (PSM's ATIM announcement cycle).
 type ReportGate interface {
-	SubmitReport(dst NodeID, payload any, bytes int, cb func(ok bool))
+	SubmitReport(dst NodeID, payload any, bytes int, cb mac.SendCallback)
 }
 
 // ControlSink is an optional PowerManager capability: receiving the power
@@ -202,7 +202,7 @@ func (n *Node) Recover() {
 
 // SendReport implements query.Host, routing agent reports through the
 // power manager's gate when one is installed.
-func (n *Node) SendReport(dst NodeID, payload any, bytes int, cb func(ok bool)) {
+func (n *Node) SendReport(dst NodeID, payload any, bytes int, cb mac.SendCallback) {
 	if n.killed {
 		return
 	}
@@ -286,12 +286,17 @@ func (n *Node) RequestPhaseUpdate(child query.NodeID, q query.ID) {
 // Children implements core.DisseminationEnv.
 func (n *Node) Children() []query.NodeID { return n.tree.Children(n.id) }
 
-// SendData implements core.DisseminationEnv.
+// SendData implements core.DisseminationEnv. A nil cb stays a nil
+// callback: the MAC skips it rather than calling a nil func.
 func (n *Node) SendData(dst query.NodeID, payload any, bytes int, cb func(ok bool)) {
 	if n.killed {
 		return
 	}
-	n.MAC.Send(dst, payload, bytes, cb)
+	var done mac.SendCallback
+	if cb != nil {
+		done = mac.SendFunc(cb)
+	}
+	n.MAC.Send(dst, payload, bytes, done)
 }
 
 // --- §4.3 failure recovery --------------------------------------------------

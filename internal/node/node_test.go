@@ -219,6 +219,20 @@ func TestEnvImplementation(t *testing.T) {
 	}
 }
 
+// TestSendDataCallback checks the dissemination send path adapts its
+// func callback for the MAC and keeps a nil callback nil: the MAC must
+// skip it rather than call a nil func.
+func TestSendDataCallback(t *testing.T) {
+	eng, _, _, nodes, _ := buildNet(t, meshPositions(), 0)
+	nodes[1].SendData(0, "no callback", 52, nil)
+	var done, ok bool
+	nodes[1].SendData(0, "with callback", 52, func(sent bool) { done, ok = true, sent })
+	eng.Run(time.Second)
+	if !done || !ok {
+		t.Fatalf("callback done=%v ok=%v, want a successful completion", done, ok)
+	}
+}
+
 func TestPhaseRequestViaAckReachesShaper(t *testing.T) {
 	// Two-node chain: 0 (root) — 1. Drive the MAC directly: node 1 sends
 	// a report; during delivery the root attaches a phase request to the

@@ -321,10 +321,6 @@ func (c *Channel) LinkLoss(src, dst NodeID) float64 {
 	return c.linkLoss[linkKey{src: src, dst: dst}]
 }
 
-// NumStations returns the size of the channel's dense station ID space.
-// MACs use it to size per-peer bookkeeping slices.
-func (c *Channel) NumStations() int { return len(c.stations) }
-
 // Neighbors returns the candidate-neighbor list of node id, sorted
 // ascending — the exact set of stations frames from id can reach (and,
 // by range symmetry, the set id can receive from). MACs use it to size

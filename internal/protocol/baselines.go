@@ -30,7 +30,7 @@ func (psmBuilder) Build(ctx *BuildContext) error {
 		return err
 	}
 	n.InstallPM(pm)
-	g := baseline.NewGreedy(n.Rank)
+	g := baseline.NewGreedy(ctx.Eng, n, ctx.Queries)
 	g.PerHopDelay = cfg.BeaconPeriod
 	n.InstallAgent(g, ctx.Sink, ctx.QueryCfg, ctx.Queries)
 	return nil
@@ -51,7 +51,7 @@ func (syncBuilder) Build(ctx *BuildContext) error {
 		return err
 	}
 	n.InstallPM(pm)
-	g := baseline.NewGreedy(n.Rank)
+	g := baseline.NewGreedy(ctx.Eng, n, ctx.Queries)
 	g.PerHopDelay = cfg.Period
 	n.InstallAgent(g, ctx.Sink, ctx.QueryCfg, ctx.Queries)
 	return nil
@@ -72,7 +72,7 @@ func (tmacBuilder) Build(ctx *BuildContext) error {
 		return err
 	}
 	n.InstallPM(pm)
-	g := baseline.NewGreedy(n.Rank)
+	g := baseline.NewGreedy(ctx.Eng, n, ctx.Queries)
 	g.PerHopDelay = cfg.FramePeriod
 	n.InstallAgent(g, ctx.Sink, ctx.QueryCfg, ctx.Queries)
 	return nil

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/essat/essat/internal/mac"
 	"github.com/essat/essat/internal/routing"
 	"github.com/essat/essat/internal/sim"
 	"github.com/essat/essat/internal/topology"
@@ -127,7 +128,7 @@ type Sink interface {
 }
 
 // SendFunc submits a payload toward dst; cb reports MAC-level success.
-type SendFunc func(dst NodeID, payload any, bytes int, cb func(ok bool))
+type SendFunc func(dst NodeID, payload any, bytes int, cb mac.SendCallback)
 
 // Host is the node-side environment of an Agent: the transmit path and
 // the failure-detection notifications. The node implements it directly,
@@ -136,7 +137,7 @@ type SendFunc func(dst NodeID, payload any, bytes int, cb func(ok bool))
 type Host interface {
 	// SendReport submits a payload toward dst; cb reports MAC-level
 	// success.
-	SendReport(dst NodeID, payload any, bytes int, cb func(ok bool))
+	SendReport(dst NodeID, payload any, bytes int, cb mac.SendCallback)
 	// ChildFailed fires when a child missed FailureThreshold consecutive
 	// intervals.
 	ChildFailed(child NodeID)
@@ -154,7 +155,7 @@ type HostFuncs struct {
 }
 
 // SendReport implements Host.
-func (h *HostFuncs) SendReport(dst NodeID, payload any, bytes int, cb func(ok bool)) {
+func (h *HostFuncs) SendReport(dst NodeID, payload any, bytes int, cb mac.SendCallback) {
 	h.Send(dst, payload, bytes, cb)
 }
 
@@ -391,14 +392,17 @@ func (rt *runtime) dropMiss(c NodeID) {
 	}
 }
 
-// txReport is a pooled in-flight report: the Report payload plus the
-// prebound MAC-completion callback that references it. The submit timer
-// dispatches through a shared package-level func.
+// txReport is a pooled in-flight report: the Report payload, and the
+// MAC-completion callback itself (mac.SendCallback), so a pooled slot
+// needs no closure. The submit timer dispatches through a shared
+// package-level func.
 type txReport struct {
-	rep  Report
-	rt   *runtime
-	cbFn func(ok bool)
+	rep Report
+	rt  *runtime
 }
+
+// SendDone implements mac.SendCallback.
+func (tr *txReport) SendDone(ok bool) { tr.rt.a.sendDone(tr, ok) }
 
 // txSubmit is the send-time dispatcher shared by every in-flight report.
 func txSubmit(x any) {
@@ -489,17 +493,15 @@ func (a *Agent) newInterval(rt *runtime, k int) *interval {
 // releaseInterval recycles a closed interval with no pending timeout.
 func (a *Agent) releaseInterval(iv *interval) {
 	iv.rt = nil
-	a.ivFree = append(a.ivFree, iv)
+	a.ivFree = sim.ArenaAppend(a.eng, "query.ivfree", a.ivFree, iv)
 }
 
-// newTxReport takes a report from the pool (or grabs an arena slab,
-// creating its prebound MAC callback) and binds it to rt.
+// newTxReport takes a report from the pool (or grabs an arena slab) and
+// binds it to rt.
 func (a *Agent) newTxReport(rt *runtime) *txReport {
 	tr := sim.TakeLast(&a.trFree)
 	if tr == nil {
 		tr = sim.ArenaGrab[txReport](a.eng, "query.txreport")
-		trp := tr
-		tr.cbFn = func(ok bool) { a.sendDone(trp, ok) }
 	}
 	tr.rt = rt
 	return tr
@@ -507,7 +509,7 @@ func (a *Agent) newTxReport(rt *runtime) *txReport {
 
 func (a *Agent) releaseTxReport(tr *txReport) {
 	tr.rt = nil
-	a.trFree = append(a.trFree, tr)
+	a.trFree = sim.ArenaAppend(a.eng, "query.trfree", a.trFree, tr)
 }
 
 // NewAgent wires a query agent. sink may be nil (non-root nodes); host
@@ -620,7 +622,7 @@ func (a *Agent) startInterval(rt *runtime, k int) {
 	iv.value = a.cfg.Sampler(rt.spec.ID, k)
 	iv.coverage = 1
 	a.stats.Samples++
-	rt.intervals = append(rt.intervals, iv)
+	rt.intervals = sim.ArenaAppend(a.eng, "query.rt.intervals.grow", rt.intervals, iv)
 	for _, c := range a.tree.Children(a.id) {
 		iv.expected = append(iv.expected, c)
 		iv.got = append(iv.got, false)
@@ -738,7 +740,7 @@ func (a *Agent) submit(rt *runtime, tr *txReport) {
 	} else {
 		a.stats.ReportsSent++
 	}
-	a.host.SendReport(parent, rep, bytes, tr.cbFn)
+	a.host.SendReport(parent, rep, bytes, tr)
 }
 
 // sendDone is the MAC-completion path for a submitted report. The MAC is

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/essat/essat/internal/geom"
+	"github.com/essat/essat/internal/mac"
 	"github.com/essat/essat/internal/routing"
 	"github.com/essat/essat/internal/sim"
 	"github.com/essat/essat/internal/topology"
@@ -71,7 +72,7 @@ type sentRec struct {
 	dst   NodeID
 	rep   *Report
 	bytes int
-	cb    func(bool)
+	cb    mac.SendCallback
 }
 
 type testSink struct {
@@ -105,7 +106,7 @@ func chainFixture(t *testing.T) (*sim.Engine, *routing.Tree, *Agent, *stubShaper
 	}
 	sh := newStubShaper()
 	var sent []sentRec
-	host := &HostFuncs{Send: func(dst NodeID, payload any, bytes int, cb func(bool)) {
+	host := &HostFuncs{Send: func(dst NodeID, payload any, bytes int, cb mac.SendCallback) {
 		sent = append(sent, sentRec{dst: dst, rep: payload.(*Report), bytes: bytes, cb: cb})
 	}}
 	a := NewAgent(eng, 1, tree, sh, host, nil, DefaultConfig(), 1)
@@ -170,7 +171,7 @@ func TestAggregationAndForwarding(t *testing.T) {
 		t.Fatalf("shaper calls = %v", sh.calls)
 	}
 	// MAC confirms → ReportSent.
-	(*sent)[0].cb(true)
+	(*sent)[0].cb.SendDone(true)
 	if sh.count("sent") != 1 {
 		t.Fatal("ReportSent not invoked on MAC success")
 	}
@@ -278,7 +279,7 @@ func TestReportFailedHookAndFailureDetection(t *testing.T) {
 		if len(*sent) != k+1 {
 			t.Fatalf("after interval %d: sent = %d, want %d", k, len(*sent), k+1)
 		}
-		(*sent)[k].cb(false)
+		(*sent)[k].cb.SendDone(false)
 	}
 	if sh.count("failed") != 3 {
 		t.Fatalf("ReportFailed calls = %d, want 3", sh.count("failed"))
@@ -328,7 +329,7 @@ func TestRootRecordsArrivalsAndClosures(t *testing.T) {
 	tree, _ := routing.BuildBFS(topo, 0, 0)
 	sink := &testSink{}
 	sh := newStubShaper()
-	a := NewAgent(eng, 0, tree, sh, &HostFuncs{Send: func(NodeID, any, int, func(bool)) {
+	a := NewAgent(eng, 0, tree, sh, &HostFuncs{Send: func(NodeID, any, int, mac.SendCallback) {
 		t.Fatal("root must not send reports")
 	}}, sink, DefaultConfig(), 1)
 	if err := a.Register(spec); err != nil {
@@ -389,7 +390,7 @@ func TestPhaseBytesAddedWhenPiggybacking(t *testing.T) {
 	sh := newStubShaper()
 	var sent []sentRec
 	phaseShaper := &phaseStub{stubShaper: sh}
-	a := NewAgent(eng, 2, tree, phaseShaper, &HostFuncs{Send: func(dst NodeID, payload any, bytes int, cb func(bool)) {
+	a := NewAgent(eng, 2, tree, phaseShaper, &HostFuncs{Send: func(dst NodeID, payload any, bytes int, cb mac.SendCallback) {
 		sent = append(sent, sentRec{dst: dst, rep: payload.(*Report), bytes: bytes, cb: cb})
 	}}, nil, DefaultConfig(), 1)
 	if err := a.Register(spec); err != nil {

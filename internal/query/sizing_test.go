@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/essat/essat/internal/geom"
+	"github.com/essat/essat/internal/mac"
 	"github.com/essat/essat/internal/routing"
 	"github.com/essat/essat/internal/sim"
 	"github.com/essat/essat/internal/topology"
@@ -46,7 +47,7 @@ func TestAgentTablesSizedByChildren(t *testing.T) {
 					eng.SetArena(sim.NewArena())
 				}
 				want := len(tree.Children(id))
-				host := &HostFuncs{Send: func(NodeID, any, int, func(bool)) {}}
+				host := &HostFuncs{Send: func(NodeID, any, int, mac.SendCallback) {}}
 				var sink Sink
 				if id == 0 {
 					sink = &testSink{}

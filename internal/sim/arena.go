@@ -64,6 +64,19 @@ func ArenaSlice[T any](e *Engine, tag string, n int) []T {
 	return slicePoolFor[T](e.arena, tag).get(n)
 }
 
+// ArenaAppend appends v to s like the built-in append, but when s is
+// full it moves to an arena slice from the pool named tag, of twice the
+// capacity (one element for an empty s). A per-run queue or freelist that starts
+// empty and grows the same way every run therefore re-slices the same
+// backing arrays on a warm arena instead of regrowing on the heap.
+func ArenaAppend[T any](e *Engine, tag string, s []T, v T) []T {
+	if len(s) == cap(s) {
+		grown := ArenaSlice[T](e, tag, max(2*cap(s), 1))
+		s = grown[:copy(grown, s)]
+	}
+	return append(s, v)
+}
+
 // ArenaGrab returns a pointer to a zeroed T from the engine's arena
 // slab named tag, or new(T) when the engine has no arena. Each tag must
 // always be used with the same type.

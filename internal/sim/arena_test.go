@@ -68,7 +68,7 @@ func TestResetDrainsPendingEvents(t *testing.T) {
 	}
 	// The recycled structs must come back clean.
 	ev := e.Schedule(time.Second, fn)
-	if ev.Canceled() {
+	if ev.canceled {
 		t.Fatal("recycled event inherited a stale canceled flag across Reset")
 	}
 	e.RunAll()
@@ -151,6 +151,39 @@ func TestArenaSliceZeroedAndSized(t *testing.T) {
 	}
 	if s5 := ArenaSlice[int](e, "t", 5); cap(s5) != 5 {
 		t.Fatalf("a new slot's first request: cap %d, want exactly 5", cap(s5))
+	}
+}
+
+// TestArenaAppendReusesGrowth checks ArenaAppend keeps the built-in
+// append's contents while growing from the arena: a warm run that grows
+// a slice the same way as the run before allocates nothing, and without
+// an arena it still appends.
+func TestArenaAppendReusesGrowth(t *testing.T) {
+	e := New(1)
+	e.SetArena(NewArena())
+	var s []int
+	fill := func() {
+		e.Reset(1)
+		s = nil
+		for i := 0; i < 20; i++ {
+			s = ArenaAppend(e, "t", s, i)
+		}
+	}
+	fill()
+	for i, v := range s {
+		if v != i {
+			t.Fatalf("s[%d] = %d, want %d", i, v, i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, fill); allocs != 0 {
+		t.Errorf("warm regrowth allocates %.1f objects/op, want 0", allocs)
+	}
+	var plain []int
+	for i := 0; i < 5; i++ {
+		plain = ArenaAppend(New(1), "t", plain, i)
+	}
+	if len(plain) != 5 || plain[4] != 4 {
+		t.Fatalf("fallback append = %v, want [0 1 2 3 4]", plain)
 	}
 }
 

@@ -85,9 +85,6 @@ type Event struct {
 // At returns the virtual time at which the event is scheduled to fire.
 func (ev *Event) At() time.Duration { return ev.at }
 
-// Canceled reports whether Cancel was called on the event.
-func (ev *Event) Canceled() bool { return ev.canceled }
-
 // Cancel prevents the event from firing. The event is unlinked from the
 // scheduler immediately — O(1), no tombstone — and its struct becomes
 // eligible for reuse by the next Schedule, so the handle is dead after

@@ -75,8 +75,8 @@ func TestCancelPreventsExecution(t *testing.T) {
 	fired := false
 	ev := e.Schedule(time.Second, func() { fired = true })
 	ev.Cancel()
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if !ev.canceled {
+		t.Fatal("canceled = false after Cancel")
 	}
 	e.RunAll()
 	if fired {
@@ -269,7 +269,7 @@ func TestEventRecycledAfterFire(t *testing.T) {
 	if ev1 != ev2 {
 		t.Fatal("fired event was not recycled by the next Schedule")
 	}
-	if ev2.Canceled() {
+	if ev2.canceled {
 		t.Fatal("recycled event inherited a stale canceled flag")
 	}
 	if ev2.At() != time.Second {
@@ -289,7 +289,7 @@ func TestEventRecycledAfterCancel(t *testing.T) {
 	if ev1 != ev2 {
 		t.Fatal("canceled event was not recycled by the next Schedule")
 	}
-	if ev2.Canceled() {
+	if ev2.canceled {
 		t.Fatal("recycled event inherited a stale canceled flag")
 	}
 	e.RunAll()
