@@ -83,7 +83,7 @@ func NewTmacPM(eng *sim.Engine, r *radio.Radio, m *mac.MAC, cfg TmacConfig) (*Tm
 	}
 	p := sim.ArenaGrab[TmacPM](eng, "baseline.tmac")
 	*p = TmacPM{eng: eng, radio: r, mac: m, cfg: cfg}
-	r.SubscribeState(p)
+	r.Subscribe(p)
 	m.SetIdleSink(p)
 	return p, nil
 }

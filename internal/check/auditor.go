@@ -5,10 +5,11 @@
 //
 // The auditor hooks into four layers through their observer interfaces
 // (sim.Observer, phy.Observer, mac.Observer, core.SleepObserver), into
-// every radio via the existing Subscribe listener, and into the root's
-// metric sink via WrapSink. All hooks run synchronously on the single
-// simulation goroutine, in event order, and touch nothing: no events
-// are scheduled, no random numbers drawn, no layer state mutated. A run
+// every watched radio through RadioChanged, which the run's per-node
+// radio listener calls, and into the root's metric sink via WrapSink.
+// All hooks run synchronously on the single simulation goroutine, in
+// event order, and touch nothing: no events are scheduled, no random
+// numbers drawn, no layer state mutated. A run
 // with the auditor enabled is therefore byte-identical to the same run
 // without it — which the golden-trace regression suite depends on.
 //
@@ -109,6 +110,7 @@ type Auditor struct {
 type watchedRadio struct {
 	id         query.NodeID
 	r          *radio.Radio
+	profile    radio.PowerProfile
 	lastEnergy float64
 }
 
@@ -235,19 +237,20 @@ func (a *Auditor) Slept(node query.NodeID, now, twakeup, breakEven time.Duration
 
 // --- radio / energy --------------------------------------------------------
 
-// WatchRadio subscribes the auditor to a radio's state changes: every
-// transition is digested, time accounting re-validated, and cumulative
-// energy checked monotone. Call before the simulation starts.
-func (a *Auditor) WatchRadio(id query.NodeID, r *radio.Radio, profile radio.PowerProfile) {
-	a.radios = append(a.radios, watchedRadio{id: id, r: r})
-	idx := len(a.radios) - 1
-	r.Subscribe(func(old, new radio.State) {
-		a.radioChanged(idx, old, new, profile)
-	})
+// WatchRadio registers a radio with the auditor and returns the handle
+// its transitions are reported under. It subscribes nothing: the caller
+// forwards every state change of r to RadioChanged. Call before the
+// simulation starts.
+func (a *Auditor) WatchRadio(id query.NodeID, r *radio.Radio, profile radio.PowerProfile) int {
+	a.radios = append(a.radios, watchedRadio{id: id, r: r, profile: profile})
+	return len(a.radios) - 1
 }
 
-func (a *Auditor) radioChanged(idx int, old, new radio.State, profile radio.PowerProfile) {
-	w := &a.radios[idx]
+// RadioChanged observes one state change of the radio that WatchRadio
+// returned handle h for: the transition is digested, time accounting
+// re-validated, and cumulative energy checked monotone.
+func (a *Auditor) RadioChanged(h int, old, new radio.State) {
+	w := &a.radios[h]
 	now := a.clock()
 	a.mix(tagRadio, uint64(int64(w.id)), uint64(old), uint64(new), uint64(now))
 
@@ -266,7 +269,7 @@ func (a *Auditor) radioChanged(idx int, old, new radio.State, profile radio.Powe
 	}
 
 	// Energy: consumption is a non-decreasing, non-negative integral.
-	e := w.r.Energy(profile)
+	e := w.r.Energy(w.profile)
 	if e < w.lastEnergy || e < 0 {
 		a.violate("energy-monotone", "node %d energy fell from %g J to %g J", w.id, w.lastEnergy, e)
 	}

@@ -165,13 +165,22 @@ func TestCleanObservationsStayClean(t *testing.T) {
 	}
 }
 
+// radioForward is a test listener passing a radio's transitions to the
+// auditor under its watch handle, as a run's per-node listener does.
+type radioForward struct {
+	a *Auditor
+	h int
+}
+
+func (f radioForward) RadioStateChanged(old, new radio.State) { f.a.RadioChanged(f.h, old, new) }
+
 // TestRadioWatchCatchesAccountingDrift builds a real radio, then
 // verifies the watcher accepts its (correct) accounting, and that the
 // digest reflects transitions.
 func TestRadioWatchCatchesAccountingDrift(t *testing.T) {
 	a, eng := newTestAuditor()
 	r := radio.New(eng, radio.Config{TurnOnDelay: time.Millisecond, TurnOffDelay: time.Millisecond})
-	a.WatchRadio(5, r, radio.Mica2Power())
+	r.Subscribe(radioForward{a: a, h: a.WatchRadio(5, r, radio.Mica2Power())})
 	eng.Schedule(10*time.Millisecond, r.TurnOff)
 	eng.Schedule(30*time.Millisecond, r.TurnOn)
 	eng.Run(50 * time.Millisecond)

@@ -201,7 +201,7 @@ func NewSafeSleep(eng *sim.Engine, r *radio.Radio, opts SafeSleepOptions) *SafeS
 	// and — critically — after overhearing a neighbor's frame addressed to
 	// someone else, which would otherwise leave the node awake until its
 	// next scheduled event.
-	r.SubscribeState(ss)
+	r.Subscribe(ss)
 	return ss
 }
 

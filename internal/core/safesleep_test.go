@@ -206,16 +206,64 @@ func TestReSleepAfterReceptionEnds(t *testing.T) {
 	}
 }
 
+// sleepLog is a test listener recording completed Off periods, as a
+// run's radio listener does for the Fig. 8 histogram.
+type sleepLog struct {
+	eng       *sim.Engine
+	start     time.Duration
+	intervals []time.Duration
+}
+
+func (l *sleepLog) RadioStateChanged(old, new radio.State) {
+	if new == radio.Off {
+		l.start = l.eng.Now()
+	} else if old == radio.Off {
+		l.intervals = append(l.intervals, l.eng.Now()-l.start)
+	}
+}
+
 func TestBreakEvenZeroSleepsThroughTinyGaps(t *testing.T) {
-	eng, r, ss := newSS(t, radio.Config{}, SafeSleepOptions{BreakEven: 0})
-	r.RecordSleepIntervals()
+	eng := sim.New(1)
+	r := radio.New(eng, radio.Config{})
+	// Subscribed before Safe Sleep, where a run installs its listener.
+	log := &sleepLog{eng: eng}
+	r.Subscribe(log)
+	ss := NewSafeSleep(eng, r, SafeSleepOptions{BreakEven: 0})
 	ss.UpdateNextSend(1, eng.Now()+time.Millisecond)
 	eng.Run(time.Millisecond)
-	if got := len(r.SleepIntervals()); got != 1 {
+	if got := len(log.intervals); got != 1 {
 		t.Fatalf("recorded %d sleep intervals, want 1 (TBE=0 sleeps any gap)", got)
 	}
-	if r.SleepIntervals()[0] != time.Millisecond {
-		t.Fatalf("sleep interval = %v, want 1ms", r.SleepIntervals()[0])
+	if log.intervals[0] != time.Millisecond {
+		t.Fatalf("sleep interval = %v, want 1ms", log.intervals[0])
+	}
+}
+
+// TestSleepLogSubscribedBeforeSafeSleep: an unexpected wake-up (here a
+// bare TurnOn, as node recovery issues) finds nothing due, so Safe Sleep
+// turns the radio off again inside the Off→Idle notification. A sleep
+// log subscribed before Safe Sleep, where a run subscribes its radio
+// listener, records the sleep that the wake-up ended. One subscribed
+// after sees the nested sleep begin first and records zero instead.
+func TestSleepLogSubscribedBeforeSafeSleep(t *testing.T) {
+	eng := sim.New(1)
+	r := radio.New(eng, radio.Config{})
+	before := &sleepLog{eng: eng}
+	r.Subscribe(before)
+	ss := NewSafeSleep(eng, r, SafeSleepOptions{BreakEven: 0})
+	after := &sleepLog{eng: eng}
+	r.Subscribe(after)
+	ss.UpdateNextSend(1, 100*time.Millisecond)
+	eng.Schedule(30*time.Millisecond, r.TurnOn)
+	eng.Run(50 * time.Millisecond)
+	if r.State() != radio.Off {
+		t.Fatalf("radio state = %v, want off: Safe Sleep should re-sleep", r.State())
+	}
+	if len(before.intervals) != 1 || before.intervals[0] != 30*time.Millisecond {
+		t.Errorf("log before Safe Sleep = %v, want [30ms]", before.intervals)
+	}
+	if len(after.intervals) != 1 || after.intervals[0] != 0 {
+		t.Errorf("log after Safe Sleep = %v, want [0s]", after.intervals)
 	}
 }
 

@@ -599,6 +599,19 @@ func Fig7LatencyVsQueries(o Options, counts []int) (*Figure, error) {
 	}, nil
 }
 
+// fig8Scenario is one Fig. 8 run: the 5 Hz workload with TBE = 0 and
+// instantaneous radio transitions, recording every sleep interval.
+func fig8Scenario(o Options, p Protocol, seed int64) Scenario {
+	sc := o.scenario(p, seed)
+	rng := rand.New(rand.NewSource(seed * 7919))
+	sc.Queries = QueryClasses(rng, 5, 1, 10*time.Second)
+	sc.SSBreakEven = 0
+	sc.RadioCfg.TurnOnDelay = 0
+	sc.RadioCfg.TurnOffDelay = 0
+	sc.RecordSleepIntervals = true
+	return sc
+}
+
 // Fig8SleepHistogram reproduces Figure 8: the histogram of sleep-interval
 // lengths with TBE = 0 for the three ESSAT protocols, in 25 ms bins up to
 // 200 ms. The paper reads off the fraction of intervals shorter than the
@@ -608,14 +621,7 @@ func Fig8SleepHistogram(o Options) (*Figure, []float64, error) {
 	o = o.normalized()
 	protos := []Protocol{DTSSS, STSSS, NTSSS}
 	results, work, err := runMatrix(o, len(protos), func(i int, seed int64) Scenario {
-		sc := o.scenario(protos[i], seed)
-		rng := rand.New(rand.NewSource(seed * 7919))
-		sc.Queries = QueryClasses(rng, 5, 1, 10*time.Second)
-		sc.SSBreakEven = 0
-		sc.RadioCfg.TurnOnDelay = 0
-		sc.RadioCfg.TurnOffDelay = 0
-		sc.RecordSleepIntervals = true
-		return sc
+		return fig8Scenario(o, protos[i], seed)
 	})
 	if err != nil {
 		return nil, nil, err

@@ -2,7 +2,9 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/fnv"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -198,6 +200,93 @@ func TestNoObserverGates(t *testing.T) {
 			}
 			if !found {
 				t.Errorf("no traced event mentions %q", tc.detail)
+			}
+		})
+	}
+}
+
+// TestSleepIntervalsWithEveryObserver pins the Fig. 8 sleep log, which a
+// run's radio listener keeps next to the tracer, the auditor and the
+// radio sinks. Each ESSAT protocol's Fig. 8 run records the same
+// intervals, in the same order, alone and with every observer attached,
+// and matches the count, sum and order-sensitive hash the log recorded
+// when the radio kept it itself. (Why the listener sits before Safe
+// Sleep is pinned in core's TestSleepLogSubscribedBeforeSafeSleep.)
+func TestSleepIntervalsWithEveryObserver(t *testing.T) {
+	pins := []struct {
+		p    Protocol
+		n    int
+		sum  time.Duration
+		hash uint64
+	}{
+		{DTSSS, 14636, 1247751510870, 0x3fc8291d8a8e7ec7},
+		{STSSS, 15140, 1255501396090, 0xc5437a94205ecc20},
+		{NTSSS, 10096, 1226575361646, 0xd8d21e806c38920b},
+	}
+	o := Options{Duration: 20 * time.Second, Seeds: 1}.normalized()
+	for _, pin := range pins {
+		t.Run(string(pin.p), func(t *testing.T) {
+			bare := fig8Scenario(o, pin.p, 1)
+			for _, sc := range []Scenario{bare, allObservers(bare, 64)} {
+				name := "bare"
+				if sc.Audit {
+					name = "observed"
+				}
+				res, err := Run(sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var sum time.Duration
+				h := fnv.New64a()
+				var buf [8]byte
+				for _, d := range res.SleepIntervals {
+					sum += d
+					binary.LittleEndian.PutUint64(buf[:], uint64(d))
+					h.Write(buf[:])
+				}
+				if n := len(res.SleepIntervals); n != pin.n || sum != pin.sum || h.Sum64() != pin.hash {
+					t.Errorf("%s: %d intervals, sum %d, hash %016x; want %d, %d, %016x",
+						name, n, int64(sum), h.Sum64(), pin.n, int64(pin.sum), pin.hash)
+				}
+				if sc.Audit && res.Audit.Total != 0 {
+					t.Errorf("%s: %d invariant violations, first: %s", name, res.Audit.Total, res.Audit.Violations[0])
+				}
+			}
+		})
+	}
+}
+
+// TestRadioTapOnlyWithObservers: a member radio gets its one observer
+// listener exactly when some observer reads radio transitions, and a
+// bare run subscribes none.
+func TestRadioTapOnlyWithObservers(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Scenario)
+		want bool
+	}{
+		{"bare", func(*Scenario) {}, false},
+		{"energy-sink", func(sc *Scenario) { sc.Sinks = []SinkChoice{{Name: "energy"}} }, false},
+		{"tracer", func(sc *Scenario) { sc.TraceCapacity = 8 }, true},
+		{"auditor", func(sc *Scenario) { sc.Audit = true }, true},
+		{"timeseries-sink", func(sc *Scenario) { sc.Sinks = []SinkChoice{{Name: "timeseries"}} }, true},
+		{"sleep-log", func(sc *Scenario) { sc.RecordSleepIntervals = true }, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := smokeScenario(DTSSS, 1)
+			tc.mut(&sc)
+			s, err := BuildWith(nil, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.taps != nil; got != tc.want {
+				t.Fatalf("taps installed = %v, want %v", got, tc.want)
+			}
+			for _, id := range s.Tree.Members() {
+				if got := s.taps != nil && s.taps[id] != nil; got != tc.want {
+					t.Fatalf("member %d tapped = %v, want %v", id, got, tc.want)
+				}
 			}
 		})
 	}

@@ -123,6 +123,8 @@ type Scenario struct {
 	NoBuffering bool
 
 	// MAC and channel parameters; zero values select the defaults.
+	// ChannelCfg.Propagation must stay nil: the model is chosen by name
+	// (Propagation below), and a wired-in model is refused at build.
 	MACCfg     mac.Config
 	ChannelCfg phy.Config
 	// Propagation selects the channel propagation model by registry name
@@ -355,6 +357,10 @@ type Sim struct {
 	activeAt0 []time.Duration
 	energyAt0 []float64
 
+	// taps holds each member's radio listener by node ID; nil when no
+	// observer watches the radios.
+	taps []*radioTap
+
 	// firstDeath and batteryDeaths account battery exhaustion.
 	firstDeath    time.Duration
 	batteryDeaths int
@@ -411,16 +417,15 @@ func (b *builder) resolveModels() error {
 	if b.proto, ok = protocol.Lookup(sc.Protocol); !ok {
 		return fmt.Errorf("experiment: unknown protocol %q (registered: %v)", sc.Protocol, protocol.All())
 	}
+	if sc.ChannelCfg.Propagation != nil {
+		return fmt.Errorf("experiment: ChannelCfg.Propagation is not supported; set Scenario.Propagation to a registered model name (%v)", phy.PropagationNames())
+	}
 	// The propagation model shapes the candidate graph and both channels
 	// (setup flood and run), the energy profile everything that meters
 	// joules.
 	prop, err := phy.NewPropagation(sc.Propagation, sc.PropagationParams)
 	if err != nil {
 		return err
-	}
-	if sc.ChannelCfg.Propagation != nil {
-		// An explicitly wired model (imperative API) wins over the name.
-		prop = sc.ChannelCfg.Propagation
 	}
 	b.prop = prop
 	profName := sc.RadioProfile
@@ -496,15 +501,10 @@ func (b *builder) resolveModels() error {
 // arena with a cache can reuse a previous build's topology and tree
 // template. The engine's rng stream must stay identical either way: on a
 // hit, Replay burns exactly the draws the generator would have consumed.
-// Caching is skipped when an imperative ChannelCfg.Propagation override
-// is wired in — that model has no name to key on.
 func (b *builder) deploy() (err error) {
 	sc := &b.Scenario
 	b.Eng = b.arena.engine(sc.Seed)
 	cache := b.arena.deployCache()
-	if cache != nil && sc.ChannelCfg.Propagation != nil {
-		cache = nil
-	}
 	var key string
 	if cache != nil {
 		key = deployKey(*sc)
@@ -623,12 +623,16 @@ func (b *builder) stacks() error {
 		Queries:  len(sc.Queries),
 		Params:   b.params,
 	}
+	if b.tracer != nil || b.auditor != nil || b.fan.WantsRadio() || sc.RecordSleepIntervals {
+		b.taps = sim.ArenaSlice[*radioTap](b.Eng, "experiment.taps", b.Topo.NumNodes())
+	}
 	for _, id := range b.members {
 		n := node.New(b.Eng, id, b.Tree, b.Channel, b.rcfg, b.macCfg)
-		if sc.RecordSleepIntervals {
-			n.Radio.RecordSleepIntervals()
-		}
 		n.SetTracer(b.tracer)
+		if b.taps != nil {
+			// Between the MAC and the protocol stack: see radioTap.
+			b.taps[id] = b.tap(id, n.Radio)
+		}
 		var s query.Sink
 		if id == b.root {
 			s = b.fan
@@ -638,13 +642,6 @@ func (b *builder) stacks() error {
 		}
 		if b.auditor != nil {
 			n.MAC.SetObserver(b.auditor)
-			b.auditor.WatchRadio(id, n.Radio, b.profile)
-		}
-		if b.fan.WantsRadio() {
-			id, fan, eng := id, b.fan, b.Eng
-			n.Radio.Subscribe(func(old, new radio.State) {
-				fan.RadioChanged(int(id), old, new, eng.Now())
-			})
 		}
 		ctx.Node, ctx.Sink = n, s
 		if err := b.proto.Build(&ctx); err != nil {
@@ -1080,7 +1077,7 @@ func (s *Sim) collectNodes(res *Result) {
 		res.MACRetries += mst.Retries
 
 		if sc.RecordSleepIntervals {
-			res.SleepIntervals = append(res.SleepIntervals, n.Radio.SleepIntervals()...)
+			res.SleepIntervals = append(res.SleepIntervals, s.taps[id].sleeps...)
 		}
 		if dts, ok := n.Agent.Shaper().(*core.DTS); ok {
 			res.PhaseShifts += dts.Stats().PhaseShifts

@@ -35,29 +35,12 @@ func (p Point) InRange(q Point, r float64) bool {
 	return p.Dist2(q) <= r*r
 }
 
-// Midpoint returns the point halfway between p and q.
-func (p Point) Midpoint(q Point) Point {
-	return Point{X: (p.X + q.X) / 2, Y: (p.Y + q.Y) / 2}
-}
-
 // UniformPlacement returns n points drawn uniformly at random from the
 // side×side square with origin (0,0), using rng for reproducibility.
 func UniformPlacement(rng *rand.Rand, n int, side float64) []Point {
 	pts := make([]Point, n)
 	for i := range pts {
 		pts[i] = Point{X: rng.Float64() * side, Y: rng.Float64() * side}
-	}
-	return pts
-}
-
-// GridPlacement returns points on a rows×cols grid with the given spacing,
-// starting at origin. It is useful for deterministic examples and tests.
-func GridPlacement(rows, cols int, spacing float64) []Point {
-	pts := make([]Point, 0, rows*cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			pts = append(pts, Point{X: float64(c) * spacing, Y: float64(r) * spacing})
-		}
 	}
 	return pts
 }

@@ -83,17 +83,6 @@ func TestUniformPlacementDeterministic(t *testing.T) {
 	}
 }
 
-func TestGridPlacement(t *testing.T) {
-	pts := GridPlacement(2, 3, 10)
-	if len(pts) != 6 {
-		t.Fatalf("got %d points, want 6", len(pts))
-	}
-	want := Point{20, 10}
-	if pts[5] != want {
-		t.Fatalf("pts[5] = %v, want %v", pts[5], want)
-	}
-}
-
 func TestLinePlacement(t *testing.T) {
 	pts := LinePlacement(4, 100)
 	for i, p := range pts {
@@ -128,11 +117,5 @@ func TestClosest(t *testing.T) {
 	pts = []Point{{1, 0}, {-1, 0}}
 	if got := Closest(pts, Point{0, 0}); got != 0 {
 		t.Fatalf("Closest tie = %d, want 0", got)
-	}
-}
-
-func TestMidpoint(t *testing.T) {
-	if got := (Point{0, 0}).Midpoint(Point{4, 6}); got != (Point{2, 3}) {
-		t.Fatalf("Midpoint = %v, want (2,3)", got)
 	}
 }

@@ -313,7 +313,7 @@ func New(eng *sim.Engine, ch *phy.Channel, id phy.NodeID, r *radio.Radio, cfg Co
 		seen:       sim.ArenaSlice[bool](eng, "mac.seen", len(peers)),
 	}
 	ch.Attach(id, r, m)
-	r.SubscribeState(m)
+	r.Subscribe(m)
 	return m
 }
 

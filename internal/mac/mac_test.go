@@ -200,7 +200,8 @@ func TestContendingSendersBothSucceed(t *testing.T) {
 func TestManyContendersAllDeliver(t *testing.T) {
 	// A 5-node star cannot exist on a chain; use a dense cluster instead.
 	eng := sim.New(3)
-	pts := geom.GridPlacement(2, 3, 50) // all within 125m of each other
+	// A 2×3 grid at 50 m spacing: all within 125 m of each other.
+	pts := []geom.Point{{X: 0, Y: 0}, {X: 50, Y: 0}, {X: 100, Y: 0}, {X: 0, Y: 50}, {X: 50, Y: 50}, {X: 100, Y: 50}}
 	topo, err := topology.FromPositions(pts, 125)
 	if err != nil {
 		t.Fatal(err)

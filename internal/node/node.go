@@ -89,21 +89,10 @@ func New(eng *sim.Engine, id NodeID, tree *routing.Tree, ch *phy.Channel, radioC
 func (n *Node) ID() NodeID { return n.id }
 
 // SetTracer attaches a structured event tracer recording this node's
-// radio transitions and recovery actions. Pass before the run starts.
-func (n *Node) SetTracer(tr *trace.Tracer) {
-	n.tracer = tr
-	if !tr.Enabled() {
-		return
-	}
-	n.Radio.Subscribe(func(old, new radio.State) {
-		switch {
-		case new == radio.Off:
-			tr.Record(n.id, trace.RadioSleep, "")
-		case new == radio.Idle && (old == radio.TurningOn || old == radio.Off):
-			tr.Record(n.id, trace.RadioWake, "")
-		}
-	})
-}
+// §4.3 recovery actions (crash, recovery, child declared dead,
+// re-parenting). Radio transitions reach a tracer through the run's
+// radio listener, not the node. Pass before the run starts.
+func (n *Node) SetTracer(tr *trace.Tracer) { n.tracer = tr }
 
 // InstallSleep attaches a Safe Sleep scheduler and wires the MAC-drained
 // notification into its state check.

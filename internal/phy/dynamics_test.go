@@ -56,8 +56,13 @@ func TestLinkLossClearedRestoresDelivery(t *testing.T) {
 func TestSuspendResumeRestoresReception(t *testing.T) {
 	eng, ch, radios, rxs := testNet(t, 2, DefaultConfig())
 	ch.Suspend(1)
-	if radios[1].State() != radio.Off || !radios[1].Dead() {
-		t.Fatalf("suspended radio state %v dead=%v", radios[1].State(), radios[1].Dead())
+	if radios[1].State() != radio.Off {
+		t.Fatalf("suspended radio state %v, want off", radios[1].State())
+	}
+	// The hardware is down: a stale wake-up leaves it off.
+	radios[1].TurnOn()
+	if radios[1].State() != radio.Off {
+		t.Fatalf("suspended radio state %v after TurnOn, want off", radios[1].State())
 	}
 	ch.StartTx(0, 1, 52, "lost")
 	eng.Run(eng.Now() + 10*time.Millisecond)

@@ -82,7 +82,7 @@ func TestChannelConservationProperty(t *testing.T) {
 		st := ch.Stats()
 		maxNb := 0
 		for i := 0; i < topo.NumNodes(); i++ {
-			if d := topo.Degree(NodeID(i)); d > maxNb {
+			if d := len(topo.Neighbors(NodeID(i))); d > maxNb {
 				maxNb = d
 			}
 		}

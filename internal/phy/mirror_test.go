@@ -47,7 +47,7 @@ func TestStationMirrorsRadioState(t *testing.T) {
 		radios[i] = radio.New(eng, rcfg)
 		ch.Attach(NodeID(i), radios[i], &mockRx{})
 		checks[i] = &mirrorCheck{t: t, ch: ch, id: NodeID(i), r: radios[i]}
-		radios[i].SubscribeState(checks[i])
+		radios[i].Subscribe(checks[i])
 	}
 	settled := func(step string) {
 		t.Helper()

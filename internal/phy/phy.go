@@ -278,7 +278,7 @@ func (c *Channel) Attach(id NodeID, r *radio.Radio, rx Receiver) {
 		panic(fmt.Sprintf("phy: node %d attached twice", id))
 	}
 	*st = station{id: id, radio: r, rx: rx, state: r.State(), enabled: true}
-	r.SubscribeState(st)
+	r.Subscribe(st)
 }
 
 // RadioStateChanged implements radio.StateListener: it updates the state

@@ -77,13 +77,6 @@ func LookupProfile(name string) (EnergyProfile, bool) { return profiles.Lookup(n
 // ProfileNames lists every registered profile in presentation order.
 func ProfileNames() []string { return profiles.Names() }
 
-// PaperProfile returns the default profile: the paper's cost model,
-// byte-identical to the historical Mica2Config + Mica2Power pair.
-func PaperProfile() EnergyProfile {
-	p, _ := LookupProfile(Paper)
-	return p
-}
-
 func init() {
 	// paper: the constants the harness has always used — the §4.1 model
 	// with the 2.5 ms MICA2 wake-up the paper cites, Ptrans = Pidle, and

@@ -25,7 +25,10 @@ func TestProfileRegistry(t *testing.T) {
 // the package's historical constants: swapping the hardcoded Mica2
 // pair for the registry must not move a single number.
 func TestPaperProfileMatchesLegacyConstants(t *testing.T) {
-	p := PaperProfile()
+	p, ok := LookupProfile(Paper)
+	if !ok {
+		t.Fatal("paper profile not registered")
+	}
 	if p.Config() != Mica2Config() {
 		t.Errorf("paper profile config %+v != Mica2Config %+v", p.Config(), Mica2Config())
 	}

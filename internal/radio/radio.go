@@ -76,17 +76,10 @@ func (c Config) BreakEven() time.Duration {
 	return c.TurnOnDelay + c.TurnOffDelay
 }
 
-// Listener observes radio state changes.
-type Listener func(old, new State)
-
-// RadioStateChanged implements StateListener, so a bare func can be
-// subscribed via Subscribe.
-func (l Listener) RadioStateChanged(old, new State) { l(old, new) }
-
-// StateListener observes radio state changes through an interface
-// method. Hot subscribers (the channel, the MAC, Safe Sleep) implement
-// it directly so subscribing stores an existing object instead of
-// allocating a closure per node per run.
+// StateListener observes radio state changes. Subscribers (the channel,
+// the MAC, Safe Sleep, a run's observer tap) implement it on an object
+// they already hold, so subscribing allocates no closure per node per
+// run.
 type StateListener interface {
 	RadioStateChanged(old, new State)
 }
@@ -104,20 +97,15 @@ type Radio struct {
 	// listeners is backed by inline while a node's stack subscribes at
 	// most three (channel station, MAC, Safe Sleep or a power manager):
 	// a state change then notifies them without leaving the radio's own
-	// cache lines. A fourth subscriber (the auditor, a tracer, a radio
-	// sink) moves the slice to the heap.
+	// cache lines. A fourth subscriber (a run's observer tap) moves the
+	// slice to the heap.
 	listeners []StateListener
 	inline    [3]StateListener
 
 	transition *sim.Event
 	pendingOff bool // TurnOff requested during Tx; applied at EndTx
 	pendingOn  bool // TurnOn requested during TurningOff; applied at Off
-
-	recordSleep    bool
-	sleepStart     time.Duration
-	sleepIntervals []time.Duration
-
-	dead bool
+	dead       bool // shut down and not restored: TurnOn is ignored
 }
 
 // Transition-complete dispatchers, shared by every radio: transitions
@@ -159,23 +147,9 @@ func (r *Radio) IsOn() bool { return r.state == Idle || r.state == Rx || r.state
 // CanReceive reports whether the radio can begin receiving a new frame.
 func (r *Radio) CanReceive() bool { return r.state == Idle }
 
-// Subscribe registers a listener func for state changes. Listeners are
-// invoked synchronously in registration order. Boxing the func allocates;
-// hot per-node subscribers should implement StateListener and use
-// SubscribeState instead.
-func (r *Radio) Subscribe(l Listener) { r.SubscribeState(l) }
-
-// SubscribeState registers a StateListener for state changes, sharing
-// the registration order with Subscribe.
-func (r *Radio) SubscribeState(l StateListener) { r.listeners = append(r.listeners, l) }
-
-// RecordSleepIntervals enables recording of completed Off-period lengths,
-// used for the paper's sleep-interval histogram (Fig. 8).
-func (r *Radio) RecordSleepIntervals() { r.recordSleep = true }
-
-// SleepIntervals returns the recorded completed Off periods. The returned
-// slice is owned by the radio; callers must not modify it.
-func (r *Radio) SleepIntervals() []time.Duration { return r.sleepIntervals }
+// Subscribe registers a listener for state changes. Listeners are
+// invoked synchronously in registration order.
+func (r *Radio) Subscribe(l StateListener) { r.listeners = append(r.listeners, l) }
 
 func (r *Radio) setState(s State) {
 	if s == r.state {
@@ -186,14 +160,6 @@ func (r *Radio) setState(s State) {
 	old := r.state
 	r.state = s
 	r.lastChange = now
-
-	if r.recordSleep {
-		if s == Off {
-			r.sleepStart = now
-		} else if old == Off {
-			r.sleepIntervals = append(r.sleepIntervals, now-r.sleepStart)
-		}
-	}
 	for _, l := range r.listeners {
 		l.RadioStateChanged(old, s)
 	}
@@ -219,9 +185,6 @@ func (r *Radio) Shutdown() {
 // Restore reverses a Shutdown: the hardware is usable again, still Off.
 // The caller decides when to TurnOn. No-op on a live radio.
 func (r *Radio) Restore() { r.dead = false }
-
-// Dead reports whether the radio was shut down and not restored.
-func (r *Radio) Dead() bool { return r.dead }
 
 // TurnOn initiates the Off→Idle transition. It is a no-op if the radio is
 // already on or turning on, or if the radio was shut down. If called

@@ -3,6 +3,7 @@ package radio
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/essat/essat/internal/sim"
 )
@@ -168,16 +169,33 @@ func TestDutyCycleAtTimeZero(t *testing.T) {
 	}
 }
 
+// sleepLog is a test listener recording completed Off periods, the way
+// a run's observer tap feeds the Fig. 8 histogram.
+type sleepLog struct {
+	eng       *sim.Engine
+	start     time.Duration
+	intervals []time.Duration
+}
+
+func (l *sleepLog) RadioStateChanged(old, new State) {
+	if new == Off {
+		l.start = l.eng.Now()
+	} else if old == Off {
+		l.intervals = append(l.intervals, l.eng.Now()-l.start)
+	}
+}
+
 func TestSleepIntervalRecording(t *testing.T) {
 	eng, r := newTestRadio(t, Config{})
-	r.RecordSleepIntervals()
+	log := &sleepLog{eng: eng}
+	r.Subscribe(log)
 	eng.Schedule(10*time.Millisecond, func() { r.TurnOff() })
 	eng.Schedule(40*time.Millisecond, func() { r.TurnOn() })
 	eng.Schedule(50*time.Millisecond, func() { r.TurnOff() })
 	eng.Schedule(52*time.Millisecond, func() { r.TurnOn() })
 	eng.Run(100 * time.Millisecond)
 
-	got := r.SleepIntervals()
+	got := log.intervals
 	if len(got) != 2 {
 		t.Fatalf("recorded %d intervals, want 2: %v", len(got), got)
 	}
@@ -186,10 +204,15 @@ func TestSleepIntervalRecording(t *testing.T) {
 	}
 }
 
+// transitionLog is a test listener recording every new state.
+type transitionLog []State
+
+func (l *transitionLog) RadioStateChanged(_, s State) { *l = append(*l, s) }
+
 func TestListeners(t *testing.T) {
 	_, r := newTestRadio(t, Config{})
-	var transitions []State
-	r.Subscribe(func(_, s State) { transitions = append(transitions, s) })
+	var transitions transitionLog
+	r.Subscribe(&transitions)
 	r.BeginRx()
 	r.EndRx()
 	r.TurnOff()
@@ -238,5 +261,17 @@ func TestTurnOnCancelsPendingOff(t *testing.T) {
 	eng.Run(time.Second)
 	if r.State() != Idle {
 		t.Fatalf("state = %v, want idle (pending off should be canceled)", r.State())
+	}
+}
+
+// TestRadioCarriesNoObserverState: observers reach a radio through one
+// subscribed listener, so the struct every hot path loads holds no
+// recorder of its own (184 B on 64-bit platforms).
+func TestRadioCarriesNoObserverState(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("size pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Radio{}); got > 184 {
+		t.Fatalf("radio.Radio is %d B, want at most 184", got)
 	}
 }

@@ -136,10 +136,6 @@ func (t *Tree) Clone() *Tree {
 // Root returns the tree root.
 func (t *Tree) Root() NodeID { return t.root }
 
-// IsMember reports whether id participates in the tree (it may have since
-// failed; see Alive).
-func (t *Tree) IsMember(id NodeID) bool { return t.member[id] }
-
 // Alive reports whether id is a live tree member.
 func (t *Tree) Alive(id NodeID) bool { return t.member[id] && t.alive[id] }
 

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -95,8 +96,8 @@ func TestDistanceLimitExcludesFarNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Nodes at 0,100,200,300 are within 300m; 400,500 are not.
-	if !tree.IsMember(3) || tree.IsMember(4) {
-		t.Fatalf("membership wrong: member(3)=%v member(4)=%v", tree.IsMember(3), tree.IsMember(4))
+	if got := tree.Members(); !slices.Equal(got, []NodeID{0, 1, 2, 3}) {
+		t.Fatalf("members = %v, want [0 1 2 3]", got)
 	}
 	if tree.Level(4) != -1 || tree.Rank(4) != -1 || tree.Parent(4) != None {
 		t.Fatal("non-member should have sentinel level/rank/parent")
@@ -120,7 +121,7 @@ func TestUnreachableWithinDistanceExcluded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.IsMember(1) {
+	if slices.Contains(tree.Members(), 1) {
 		t.Fatal("radio-unreachable node became a member")
 	}
 }
@@ -210,8 +211,11 @@ func TestMarkDead(t *testing.T) {
 	if tree.Alive(1) {
 		t.Fatal("failed node still alive")
 	}
-	if tree.IsMember(1) != true {
-		t.Fatal("failed node should remain a (dead) member for bookkeeping")
+	if slices.Contains(tree.Members(), 1) {
+		t.Fatal("failed node still listed among the live members")
+	}
+	if tree.Level(1) != 1 {
+		t.Fatalf("failed node has level %d, want 1: it should remain a (dead) member for bookkeeping", tree.Level(1))
 	}
 	if tree.Size() != 3 {
 		t.Fatalf("Size = %d after failure, want 3", tree.Size())

@@ -1,7 +1,8 @@
 package stats
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"github.com/essat/essat/internal/query"
@@ -14,10 +15,12 @@ type intervalRec struct {
 	closed      bool
 }
 
-// queryRec accumulates one query's root-side observations.
+// queryRec accumulates one query's root-side observations. intervals
+// is indexed by interval number; an entry the root never heard about
+// stays zero, neither closed nor carrying a latency.
 type queryRec struct {
 	spec      query.Spec
-	intervals map[int]*intervalRec
+	intervals []intervalRec
 }
 
 // RootSink records per-report and per-interval observations at the tree
@@ -25,7 +28,11 @@ type queryRec struct {
 // for any source's data to reach the root — measured per interval as the
 // latency of the last report arriving for that interval, then averaged.
 type RootSink struct {
-	queries map[query.ID]*queryRec
+	// queries is sorted by query ID at construction (agents refuse
+	// duplicate IDs). Aggregation walks it in (query ID, interval)
+	// order, so float accumulation and slice order are the same in
+	// every identical run.
+	queries []queryRec
 	// MeasureFrom discards intervals whose nominal start precedes this
 	// time (warm-up exclusion).
 	MeasureFrom time.Duration
@@ -51,71 +58,44 @@ func (s *RootSink) Finish(RunMeta) *Record { return nil }
 
 // NewRootSink creates a sink for the given query specs.
 func NewRootSink(specs []query.Spec) *RootSink {
-	s := &RootSink{queries: make(map[query.ID]*queryRec)}
-	for _, spec := range specs {
-		s.queries[spec.ID] = &queryRec{spec: spec, intervals: make(map[int]*intervalRec)}
+	s := &RootSink{queries: make([]queryRec, len(specs))}
+	for i, spec := range specs {
+		s.queries[i].spec = spec
 	}
+	slices.SortFunc(s.queries, func(a, b queryRec) int { return cmp.Compare(a.spec.ID, b.spec.ID) })
 	return s
 }
 
-func (s *RootSink) rec(q query.ID, k int) (*queryRec, *intervalRec, bool) {
-	qr, ok := s.queries[q]
+// rec returns the record of query q's interval k, growing the query's
+// interval slice to reach it, or nil for an unknown query, a negative
+// interval, or one that starts before MeasureFrom.
+func (s *RootSink) rec(q query.ID, k int) *intervalRec {
+	i, ok := slices.BinarySearchFunc(s.queries, q, func(qr queryRec, q query.ID) int { return cmp.Compare(qr.spec.ID, q) })
 	if !ok {
-		return nil, nil, false
+		return nil
 	}
-	if qr.spec.IntervalStart(k) < s.MeasureFrom {
-		return qr, nil, false
+	qr := &s.queries[i]
+	if k < 0 || qr.spec.IntervalStart(k) < s.MeasureFrom {
+		return nil
 	}
-	ir, ok := qr.intervals[k]
-	if !ok {
-		ir = &intervalRec{}
-		qr.intervals[k] = ir
+	for len(qr.intervals) <= k {
+		qr.intervals = append(qr.intervals, intervalRec{})
 	}
-	return qr, ir, true
+	return &qr.intervals[k]
 }
 
 // ReportArrived implements query.Sink.
 func (s *RootSink) ReportArrived(q query.ID, k int, latency time.Duration, coverage int) {
-	_, ir, ok := s.rec(q, k)
-	if !ok {
-		return
-	}
-	if latency > ir.lastArrival {
+	if ir := s.rec(q, k); ir != nil && latency > ir.lastArrival {
 		ir.lastArrival = latency
 	}
 }
 
 // IntervalClosed implements query.Sink.
 func (s *RootSink) IntervalClosed(q query.ID, k int, latency time.Duration, coverage int) {
-	_, ir, ok := s.rec(q, k)
-	if !ok {
-		return
-	}
-	ir.closed = true
-	ir.coverage = coverage
-}
-
-// sortedQueries returns the query records in ID order, and forEach
-// visits one query's intervals in index order. Aggregation must not
-// follow map order: float accumulation and slice order would then vary
-// between identical runs.
-func (s *RootSink) sortedQueries() []*queryRec {
-	out := make([]*queryRec, 0, len(s.queries))
-	for _, qr := range s.queries {
-		out = append(out, qr)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].spec.ID < out[j].spec.ID })
-	return out
-}
-
-func (qr *queryRec) forEach(fn func(*intervalRec)) {
-	ks := make([]int, 0, len(qr.intervals))
-	for k := range qr.intervals {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	for _, k := range ks {
-		fn(qr.intervals[k])
+	if ir := s.rec(q, k); ir != nil {
+		ir.closed = true
+		ir.coverage = coverage
 	}
 }
 
@@ -124,13 +104,12 @@ func (qr *queryRec) forEach(fn func(*intervalRec)) {
 // skipped.
 func (s *RootSink) LatencyByClass() map[int][]time.Duration {
 	out := make(map[int][]time.Duration)
-	for _, qr := range s.sortedQueries() {
-		qr := qr
-		qr.forEach(func(ir *intervalRec) {
+	for _, qr := range s.queries {
+		for _, ir := range qr.intervals {
 			if ir.lastArrival > 0 {
 				out[qr.spec.Class] = append(out[qr.spec.Class], ir.lastArrival)
 			}
-		})
+		}
 	}
 	return out
 }
@@ -138,12 +117,12 @@ func (s *RootSink) LatencyByClass() map[int][]time.Duration {
 // Latencies returns all per-interval completion latencies.
 func (s *RootSink) Latencies() []time.Duration {
 	var out []time.Duration
-	for _, qr := range s.sortedQueries() {
-		qr.forEach(func(ir *intervalRec) {
+	for _, qr := range s.queries {
+		for _, ir := range qr.intervals {
 			if ir.lastArrival > 0 {
 				out = append(out, ir.lastArrival)
 			}
-		})
+		}
 	}
 	return out
 }
@@ -152,12 +131,12 @@ func (s *RootSink) Latencies() []time.Duration {
 // how many source samples the root's aggregate folded in per interval.
 func (s *RootSink) MeanCoverage() float64 {
 	var w Welford
-	for _, qr := range s.sortedQueries() {
-		qr.forEach(func(ir *intervalRec) {
+	for _, qr := range s.queries {
+		for _, ir := range qr.intervals {
 			if ir.closed {
 				w.Add(float64(ir.coverage))
 			}
-		})
+		}
 	}
 	return w.Mean()
 }

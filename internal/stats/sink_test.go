@@ -81,3 +81,26 @@ func TestRootSinkUnknownQueryIgnored(t *testing.T) {
 		t.Fatal("unknown query leaked into metrics")
 	}
 }
+
+// TestRootSinkAggregatesInQueryIntervalOrder: aggregation follows
+// (query ID, interval) order whatever the spec order and arrival order,
+// and negative intervals are ignored.
+func TestRootSinkAggregatesInQueryIntervalOrder(t *testing.T) {
+	specs := sinkSpecs()
+	s := NewRootSink([]query.Spec{specs[1], specs[0]})
+	s.ReportArrived(2, 1, 4*time.Millisecond, 1)
+	s.ReportArrived(1, 3, 3*time.Millisecond, 1)
+	s.ReportArrived(2, 0, 5*time.Millisecond, 1)
+	s.ReportArrived(1, 0, 1*time.Millisecond, 1)
+	s.ReportArrived(1, -1, 9*time.Millisecond, 1)
+	got := s.Latencies()
+	want := []time.Duration{1 * time.Millisecond, 3 * time.Millisecond, 5 * time.Millisecond, 4 * time.Millisecond}
+	if len(got) != len(want) {
+		t.Fatalf("latencies = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("latencies = %v, want %v", got, want)
+		}
+	}
+}

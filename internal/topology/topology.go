@@ -198,11 +198,6 @@ func (t *Topology) Neighbors(id NodeID) []NodeID {
 	return t.flat[t.offsets[id]:t.offsets[id+1]]
 }
 
-// Degree returns the number of neighbors of id.
-func (t *Topology) Degree(id NodeID) int {
-	return int(t.offsets[id+1] - t.offsets[id])
-}
-
 // Connected reports whether a and b can hear each other at all: within
 // the candidate-neighbor radius (the nominal range under the unit-disc
 // default, the model's MaxRange under gray-zone propagation).
@@ -214,12 +209,6 @@ func (t *Topology) Connected(a, b NodeID) bool {
 // the paper's root-selection policy.
 func (t *Topology) CentralNode() NodeID {
 	return NodeID(geom.Closest(t.positions, geom.Centroid(t.positions)))
-}
-
-// CentralNodeOf returns the node closest to an explicit area center, for
-// deployments where the centroid of placed nodes is not the area center.
-func (t *Topology) CentralNodeOf(center geom.Point) NodeID {
-	return NodeID(geom.Closest(t.positions, center))
 }
 
 // Levels returns the hop distance from root to every node via BFS over the
@@ -259,32 +248,4 @@ func (t *Topology) WithinDistance(id NodeID, d float64) []NodeID {
 		}
 	}
 	return out
-}
-
-// IsConnectedSubset reports whether every node in ids can reach root using
-// only hops within the set (root included implicitly).
-func (t *Topology) IsConnectedSubset(root NodeID, ids []NodeID) bool {
-	in := make(map[NodeID]bool, len(ids)+1)
-	in[root] = true
-	for _, id := range ids {
-		in[id] = true
-	}
-	seen := map[NodeID]bool{root: true}
-	queue := []NodeID{root}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range t.Neighbors(cur) {
-			if in[nb] && !seen[nb] {
-				seen[nb] = true
-				queue = append(queue, nb)
-			}
-		}
-	}
-	for _, id := range ids {
-		if !seen[id] {
-			return false
-		}
-	}
-	return true
 }

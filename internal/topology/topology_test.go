@@ -36,11 +36,11 @@ func TestChainTopology(t *testing.T) {
 	topo := mustFromPositions(t, geom.LinePlacement(5, 100), 125)
 	// Each interior node reaches exactly its two neighbors at 100m spacing
 	// with 125m range.
-	if got := topo.Degree(0); got != 1 {
-		t.Fatalf("Degree(0) = %d, want 1", got)
+	if got := len(topo.Neighbors(0)); got != 1 {
+		t.Fatalf("node 0 has %d neighbors, want 1", got)
 	}
-	if got := topo.Degree(2); got != 2 {
-		t.Fatalf("Degree(2) = %d, want 2", got)
+	if got := len(topo.Neighbors(2)); got != 2 {
+		t.Fatalf("node 2 has %d neighbors, want 2", got)
 	}
 	if !topo.Connected(1, 2) {
 		t.Error("adjacent chain nodes not connected")
@@ -107,9 +107,6 @@ func TestCentralNode(t *testing.T) {
 	if got := topo.CentralNode(); got != 2 {
 		t.Fatalf("CentralNode = %d, want 2", got)
 	}
-	if got := topo.CentralNodeOf(geom.Point{X: 0, Y: 0}); got != 0 {
-		t.Fatalf("CentralNodeOf(origin) = %d, want 0", got)
-	}
 }
 
 func TestWithinDistance(t *testing.T) {
@@ -146,16 +143,6 @@ func TestPaperScaleDeploymentIsMostlyConnected(t *testing.T) {
 		if reachable < 70 {
 			t.Errorf("seed %d: only %d/80 nodes reachable", seed, reachable)
 		}
-	}
-}
-
-func TestIsConnectedSubset(t *testing.T) {
-	topo := mustFromPositions(t, geom.LinePlacement(5, 100), 125)
-	if !topo.IsConnectedSubset(0, []NodeID{1, 2, 3}) {
-		t.Error("contiguous chain prefix should be connected")
-	}
-	if topo.IsConnectedSubset(0, []NodeID{1, 3}) {
-		t.Error("chain with gap should not be connected")
 	}
 }
 
