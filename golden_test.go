@@ -97,6 +97,10 @@ func goldenSuite() map[string][]goldenRun {
 	// Node crashes and recoveries: Suspend/Resume rebuild a returning
 	// station's carrier count from the channel's in-flight list.
 	suite["dynamics_crash.json"] = []goldenRun{{label: "as-checked-in", build: fromFile("testdata/dynamics_crash.json", 0)}}
+	// The §3 flows: one dissemination flow and two peer flows over a
+	// tree that re-parents after a failure, so the relay's live hop
+	// index and next hops are pinned through a tree change.
+	suite["flows.json"] = []goldenRun{{label: "as-checked-in", build: fromFile("testdata/flows.json", 0)}}
 	// T-MAC's power manager subscribes its own radio listener after the
 	// channel station and the MAC.
 	suite["tmac"] = []goldenRun{{label: "fig3/rate=5", build: figScenario(essat.TMAC, 5)}}
