@@ -715,53 +715,55 @@ func (b *builder) workload() error {
 	return nil
 }
 
-// flows registers the §3 extension flows: peer-to-peer flows (drawing
-// random endpoints from the engine rng) and downstream dissemination.
+// flows registers the §3 extension flows on every member: peer-to-peer
+// flows (drawing random endpoints from the engine rng), then downstream
+// dissemination.
 func (b *builder) flows() error {
 	sc, members := &b.Scenario, b.members
-	if len(sc.PeerFlows) > 0 {
-		for _, id := range members {
-			b.Nodes[id].InstallP2P(nil)
-		}
-		// Resolve random endpoints into this build's own copy: the
-		// caller's slice must stay reusable for an identical rerun.
-		sc.PeerFlows = append([]core.P2PSpec(nil), sc.PeerFlows...)
-		for i := range sc.PeerFlows {
-			fl := &sc.PeerFlows[i]
-			if fl.Src < 0 || fl.Dst < 0 {
-				fl.Src = members[b.Eng.Rand().Intn(len(members))]
-				for {
-					fl.Dst = members[b.Eng.Rand().Intn(len(members))]
-					if fl.Dst != fl.Src {
-						break
-					}
-				}
-			}
-			path := b.Tree.Path(fl.Src, fl.Dst)
-			if path == nil {
-				return fmt.Errorf("experiment: no path for peer flow %d (%d→%d)", fl.ID, fl.Src, fl.Dst)
-			}
-			for _, id := range members {
-				if err := b.Nodes[id].Peer.Register(*fl, path); err != nil {
-					return err
-				}
+	if len(sc.PeerFlows) == 0 && len(sc.Dissemination) == 0 {
+		return nil
+	}
+	for _, ds := range sc.Dissemination {
+		for _, q := range sc.Queries {
+			if q.ID == ds.ID {
+				return fmt.Errorf("experiment: dissemination flow %d collides with a query ID", ds.ID)
 			}
 		}
 	}
-	if len(sc.Dissemination) > 0 {
-		for _, id := range members {
-			b.Nodes[id].InstallDisseminator(nil)
-		}
-		for _, ds := range sc.Dissemination {
-			for _, q := range sc.Queries {
-				if q.ID == ds.ID {
-					return fmt.Errorf("experiment: dissemination flow %d collides with a query ID", ds.ID)
+	for _, id := range members {
+		b.Nodes[id].InstallRelay(nil)
+	}
+	// Register flow by flow, each on every member in ID order: the
+	// registrations schedule events, so their order is the run's
+	// same-instant tie-break. Random endpoints resolve into this build's
+	// own copy: the caller's slice must stay reusable for an identical
+	// rerun.
+	sc.PeerFlows = append([]core.P2PSpec(nil), sc.PeerFlows...)
+	for i := range sc.PeerFlows {
+		fl := &sc.PeerFlows[i]
+		if fl.Src < 0 || fl.Dst < 0 {
+			fl.Src = members[b.Eng.Rand().Intn(len(members))]
+			for {
+				fl.Dst = members[b.Eng.Rand().Intn(len(members))]
+				if fl.Dst != fl.Src {
+					break
 				}
 			}
-			for _, id := range members {
-				if err := b.Nodes[id].Diss.Register(ds); err != nil {
-					return err
-				}
+		}
+		path := b.Tree.Path(fl.Src, fl.Dst)
+		if path == nil {
+			return fmt.Errorf("experiment: no path for peer flow %d (%d→%d)", fl.ID, fl.Src, fl.Dst)
+		}
+		for _, id := range members {
+			if err := b.Nodes[id].Flows.Peer(*fl, path); err != nil {
+				return err
+			}
+		}
+	}
+	for _, ds := range sc.Dissemination {
+		for _, id := range members {
+			if err := b.Nodes[id].Flows.Disseminate(ds); err != nil {
+				return err
 			}
 		}
 	}
@@ -1118,57 +1120,47 @@ func (s *Sim) collectNodes(res *Result) {
 }
 
 // collectFlows computes the §3 extension flows' delivery and latency.
+// Peer delivery counts every member; dissemination delivery counts the
+// live ones, each non-root member expecting every released message.
 func (s *Sim) collectFlows(res *Result) {
 	sc, tree := &s.Scenario, s.Tree
-	if len(sc.PeerFlows) > 0 {
-		var consumed, originated uint64
-		var latSum time.Duration
-		for _, id := range tree.Members() {
-			n, ok := s.Nodes[id]
-			if !ok || n.Peer == nil {
-				continue
-			}
-			st := n.Peer.Stats()
+	var consumed, originated, received, expected uint64
+	var peerLat, dissLat time.Duration
+	for _, id := range tree.Members() {
+		n := s.Nodes[id]
+		if n == nil || n.Flows == nil {
+			continue
+		}
+		for _, fl := range sc.PeerFlows {
+			st := n.Flows.Stats(fl.ID)
 			consumed += st.Consumed
 			originated += st.Originated
-			latSum += st.LatencySum
+			peerLat += st.LatencySum
 		}
-		if originated > 0 {
-			res.P2PDelivery = float64(consumed) / float64(originated)
+		if n.Killed() {
+			continue
 		}
-		if consumed > 0 {
-			res.P2PLatency = latSum / time.Duration(consumed)
+		for _, fl := range sc.Dissemination {
+			st := n.Flows.Stats(fl.ID)
+			received += st.Consumed
+			dissLat += st.LatencySum
+			if id != tree.Root() && fl.Phase < sc.Duration {
+				// Messages are released at Phase + k·Period < Duration.
+				expected += uint64((sc.Duration-fl.Phase-1)/fl.Period) + 1
+			}
 		}
 	}
-	if len(sc.Dissemination) > 0 {
-		var received uint64
-		var latSum time.Duration
-		var expected uint64
-		for _, id := range tree.Members() {
-			n, ok := s.Nodes[id]
-			if !ok || n.Killed() || n.Diss == nil {
-				continue
-			}
-			ds := n.Diss.Stats()
-			received += ds.Received
-			latSum += ds.LatencySum
-			if id != tree.Root() {
-				for _, fl := range sc.Dissemination {
-					if fl.Phase >= sc.Duration {
-						continue
-					}
-					// Commands are released at Phase + k·Period < Duration.
-					intervals := int64((sc.Duration-fl.Phase-1)/fl.Period) + 1
-					expected += uint64(intervals)
-				}
-			}
-		}
-		if expected > 0 {
-			res.DisseminationDelivery = float64(received) / float64(expected)
-		}
-		if received > 0 {
-			res.DisseminationLatency = latSum / time.Duration(received)
-		}
+	if originated > 0 {
+		res.P2PDelivery = float64(consumed) / float64(originated)
+	}
+	if consumed > 0 {
+		res.P2PLatency = peerLat / time.Duration(consumed)
+	}
+	if expected > 0 {
+		res.DisseminationDelivery = float64(received) / float64(expected)
+	}
+	if received > 0 {
+		res.DisseminationLatency = dissLat / time.Duration(received)
 	}
 }
 

@@ -58,10 +58,9 @@ type Node struct {
 	Radio *radio.Radio
 	MAC   *mac.MAC
 	Agent *query.Agent
-	SS    *core.SafeSleep    // nil for baseline power managers
-	PM    PowerManager       // nil for ESSAT protocols
-	Diss  *core.Disseminator // nil unless InstallDisseminator was called
-	Peer  *core.P2P          // nil unless InstallP2P was called
+	SS    *core.SafeSleep // nil for baseline power managers
+	PM    PowerManager    // nil for ESSAT protocols
+	Flows *core.Relay     // nil unless InstallRelay was called
 
 	gate   ReportGate
 	ctrl   ControlSink
@@ -73,7 +72,7 @@ var _ mac.Upper = (*Node)(nil)
 var _ mac.AckInfoSink = (*Node)(nil)
 var _ query.Host = (*Node)(nil)
 var _ core.Env = (*Node)(nil)
-var _ core.DisseminationEnv = (*Node)(nil)
+var _ core.RelayEnv = (*Node)(nil)
 
 // New builds the bottom half of a node (radio + MAC) attached to the
 // channel. InstallAgent must be called before the simulation starts.
@@ -118,18 +117,12 @@ func (n *Node) AckInfo(from NodeID, info any) {
 	}
 }
 
-// InstallDisseminator attaches the downstream dissemination handler
-// (the §3 extension). deliver may be nil.
-func (n *Node) InstallDisseminator(deliver func(*core.Command)) *core.Disseminator {
-	n.Diss = core.NewDisseminator(n.eng, n, n.SS, func() int { return n.tree.Level(n.id) }, deliver)
-	return n.Diss
-}
-
-// InstallP2P attaches the peer-to-peer flow handler (the §3 extension).
-// deliver may be nil.
-func (n *Node) InstallP2P(deliver func(*core.P2PMessage)) *core.P2P {
-	n.Peer = core.NewP2P(n.eng, n, n.SS, deliver)
-	return n.Peer
+// InstallRelay attaches the §3 flow relay (dissemination and
+// peer-to-peer flows). deliver, which may be nil, sees every message the
+// node consumes.
+func (n *Node) InstallRelay(deliver func(*core.FlowMessage)) *core.Relay {
+	n.Flows = core.NewRelay(n.eng, n, n.SS, deliver)
+	return n.Flows
 }
 
 // InstallPM attaches a baseline power manager, discovering its optional
@@ -215,13 +208,9 @@ func (n *Node) Deliver(src NodeID, payload any, bytes int) {
 		n.Agent.ChildAdded(src)
 	case core.PhaseRequest:
 		n.Agent.HandleControl(src, msg)
-	case *core.Command:
-		if n.Diss != nil {
-			n.Diss.HandleCommand(src, msg)
-		}
-	case *core.P2PMessage:
-		if n.Peer != nil {
-			n.Peer.HandleMessage(src, msg)
+	case *core.FlowMessage:
+		if n.Flows != nil {
+			n.Flows.Handle(src, msg)
 		}
 	default:
 		if n.ctrl != nil {
@@ -272,10 +261,13 @@ func (n *Node) RequestPhaseUpdate(child query.NodeID, q query.ID) {
 	n.MAC.Send(child, req, core.ControlBytes, nil)
 }
 
-// Children implements core.DisseminationEnv.
+// Level implements core.RelayEnv.
+func (n *Node) Level() int { return n.tree.Level(n.id) }
+
+// Children implements core.RelayEnv.
 func (n *Node) Children() []query.NodeID { return n.tree.Children(n.id) }
 
-// SendData implements core.DisseminationEnv. A nil cb stays a nil
+// SendData implements core.RelayEnv. A nil cb stays a nil
 // callback: the MAC skips it rather than calling a nil func.
 func (n *Node) SendData(dst query.NodeID, payload any, bytes int, cb func(ok bool)) {
 	if n.killed {

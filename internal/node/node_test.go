@@ -219,7 +219,7 @@ func TestEnvImplementation(t *testing.T) {
 	}
 }
 
-// TestSendDataCallback checks the dissemination send path adapts its
+// TestSendDataCallback checks the flow relay's send path adapts its
 // func callback for the MAC and keeps a nil callback nil: the MAC must
 // skip it rather than call a nil func.
 func TestSendDataCallback(t *testing.T) {
