@@ -360,9 +360,6 @@ func runOne(ctx context.Context, dir string, cfg RunConfig, j *Journal, arena *e
 			var be *experiment.BudgetExceededError
 			switch {
 			case errors.As(runErr, &pe):
-				// A panicked stack may have left the arena's engine
-				// inconsistent; drop it before the next run.
-				arena.Discard()
 				qdir, qerr := quarantine(dir, it, attempt, pe)
 				if qerr != nil {
 					return nil, qerr

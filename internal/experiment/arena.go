@@ -36,11 +36,11 @@ type Arena struct {
 // across runs, but every run still builds its own topology and tree.
 func NewArenaWithCache(cache *DeployCache) *Arena { return &Arena{cache: cache} }
 
-// Discard drops the arena's engine (keeping the deployment cache), so
-// the next run builds a fresh one. Hosts call it after a contained
-// panic: a stack that panicked mid-event may have left engine state
-// inconsistent in ways Reset cannot see.
-func (a *Arena) Discard() {
+// discard drops the arena's engine (keeping the deployment cache), so
+// the next run builds a fresh one. RunContextWith calls it on a
+// contained panic: a stack that panicked mid-event may have left engine
+// state inconsistent in ways Reset cannot see.
+func (a *Arena) discard() {
 	if a != nil {
 		a.eng = nil
 	}

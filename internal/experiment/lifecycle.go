@@ -159,13 +159,14 @@ func BuildWith(a *Arena, sc Scenario) (*Sim, error) { return build(sc, a) }
 // with the three robustness properties a long-running host needs: the
 // run can be canceled through ctx, bounded by a resource budget, and a
 // panic anywhere in Build, the event loop, or Collect is contained into
-// a *PanicError instead of unwinding into the caller's process. After a
-// contained panic the caller should Discard the arena before reusing
-// it. With a background context and no budget it is Run, and every
-// golden digest is unchanged.
+// a *PanicError instead of unwinding into the caller's process. A
+// contained panic also drops the arena's engine, so the arena is safe
+// to reuse. With a background context and no budget it is Run, and
+// every golden digest is unchanged.
 func RunContextWith(ctx context.Context, a *Arena, sc Scenario, b Budget) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			a.discard()
 			res = nil
 			err = &PanicError{Protocol: sc.Protocol, Seed: sc.Seed, Value: r, Stack: debug.Stack()}
 		}

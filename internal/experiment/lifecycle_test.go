@@ -149,6 +149,33 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
+// TestPanicDiscardsArena: a contained panic drops the arena's engine by
+// itself, so a clean run on the same arena matches a fresh-arena run.
+func TestPanicDiscardsArena(t *testing.T) {
+	sc := lifecycleScenario(DTSSS, 9)
+	sc.Audit = true
+	ref, err := RunContextWith(context.Background(), NewArenaWithCache(nil), sc, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	a := NewArenaWithCache(nil)
+	var pe *PanicError
+	if _, err := RunContextWith(context.Background(), a, lifecycleScenario(panicProtoName, 9), Budget{}); !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *PanicError", err)
+	}
+	if a.eng != nil {
+		t.Fatal("arena kept the engine of a panicked run")
+	}
+	res, err := RunContextWith(context.Background(), a, sc, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Audit.Digest != ref.Audit.Digest {
+		t.Fatalf("digest after a panic on the arena %s != fresh-arena %s", res.Audit.Digest, ref.Audit.Digest)
+	}
+}
+
 // TestCanceledThenRerunDigest verifies a terminated run leaves no state
 // behind that could perturb a later run: the rerun's audit digest
 // matches a run that never shared a process with a cancellation.
