@@ -347,7 +347,8 @@ type Sim struct {
 	Topo     *topology.Topology
 	Tree     *routing.Tree
 	Channel  *phy.Channel
-	Nodes    map[node.NodeID]*node.Node
+	// Nodes holds each member's stack by node ID; non-members are nil.
+	Nodes []*node.Node
 
 	sink      *stats.RootSink
 	fan       *stats.Fanout
@@ -613,7 +614,7 @@ func (b *builder) observers() error {
 // onto every other node so the channel's station table is complete.
 func (b *builder) stacks() error {
 	sc := &b.Scenario
-	b.Nodes = make(map[node.NodeID]*node.Node, len(b.members))
+	b.Nodes = sim.ArenaSlice[*node.Node](b.Eng, "experiment.nodes", b.Topo.NumNodes())
 	// Builders only read the context, so one serves every node; only
 	// Node and Sink change per node.
 	ctx := protocol.BuildContext{
@@ -649,14 +650,13 @@ func (b *builder) stacks() error {
 		}
 		b.Nodes[id] = n
 	}
-	for i := 0; i < b.Topo.NumNodes(); i++ {
-		id := node.NodeID(i)
-		if _, ok := b.Nodes[id]; ok {
+	for id, n := range b.Nodes {
+		if n != nil {
 			continue
 		}
 		r := radio.New(b.Eng, b.rcfg)
 		// Constructing the MAC attaches the station to the channel.
-		mac.New(b.Eng, b.Channel, id, r, b.macCfg, discard{})
+		mac.New(b.Eng, b.Channel, node.NodeID(id), r, b.macCfg, discard{})
 		r.TurnOff()
 	}
 	return nil
@@ -674,7 +674,7 @@ func (b *builder) workload() error {
 			}
 		}
 		if sc.SetupSlot > 0 {
-			scheduleSetupSlot(b.Eng, b.members, b.Nodes, spec, sc.SetupSlot)
+			b.scheduleSetupSlot(spec)
 		}
 	}
 	// Stops sweep the build-time member list, not tree.Members() at stop
@@ -791,7 +791,7 @@ func (b *builder) faults() error {
 			// dynamics layer has temporarily crashed still reads as killed,
 			// but a configured failure must make its death permanent (the
 			// channel refuses to Resume a Disabled station).
-			if n, ok := nodes[v]; ok && !fch.Disabled(v) {
+			if n := nodes[v]; n != nil && !fch.Disabled(v) {
 				n.Kill()
 				fch.Disable(v)
 			}
@@ -801,14 +801,9 @@ func (b *builder) faults() error {
 		return nil
 	}
 	h := &dynHost{
-		eng:     b.Eng,
-		tree:    b.Tree,
-		ch:      b.Channel,
-		topo:    b.Topo,
-		nodes:   b.Nodes,
+		Sim:     b.Sim,
 		nodeIDs: b.members,
-		auditor: b.auditor,
-		crashed: make(map[node.NodeID]bool),
+		crashed: sim.ArenaSlice[bool](b.Eng, "experiment.crashed", b.Topo.NumNodes()),
 	}
 	for i, d := range sc.Dynamics {
 		inj, err := dynamics.Build(d.Kind, d.Params, sc.Seed, i)
@@ -898,58 +893,53 @@ func (s *Sim) Collect() *Result {
 
 // dynHost adapts the built simulation to the dynamics.Host surface.
 type dynHost struct {
-	eng   *sim.Engine
-	tree  *routing.Tree
-	ch    *phy.Channel
-	topo  *topology.Topology
-	nodes map[node.NodeID]*node.Node
+	*Sim
 	// nodeIDs is the build-time member list in ID order — unlike
 	// tree.Members(), it keeps nodes the failure detector later marks
 	// dead, which RemoveQuery must still reach.
 	nodeIDs []node.NodeID
-	auditor *check.Auditor
-	// crashed tracks nodes this layer took down, so Recover never
-	// resurrects a node killed by other means (failure injection,
-	// battery exhaustion).
-	crashed map[node.NodeID]bool
+	// crashed marks, by node ID, the nodes this layer took down, so
+	// Recover never resurrects a node killed by other means (failure
+	// injection, battery exhaustion).
+	crashed []bool
 }
 
 var _ dynamics.Host = (*dynHost)(nil)
 
-func (h *dynHost) Eng() *sim.Engine                               { return h.eng }
-func (h *dynHost) Members() []topology.NodeID                     { return h.tree.Members() }
-func (h *dynHost) Root() topology.NodeID                          { return h.tree.Root() }
-func (h *dynHost) Neighbors(id topology.NodeID) []topology.NodeID { return h.topo.Neighbors(id) }
+func (h *dynHost) Eng() *sim.Engine                               { return h.Sim.Eng }
+func (h *dynHost) Members() []topology.NodeID                     { return h.Tree.Members() }
+func (h *dynHost) Root() topology.NodeID                          { return h.Tree.Root() }
+func (h *dynHost) Neighbors(id topology.NodeID) []topology.NodeID { return h.Topo.Neighbors(id) }
 
 func (h *dynHost) Crash(id topology.NodeID) {
-	n := h.nodes[id]
-	if n == nil || n.Killed() || id == h.tree.Root() {
+	n := h.Nodes[id]
+	if n == nil || n.Killed() || id == h.Tree.Root() {
 		return
 	}
 	n.Crash()
-	h.ch.Suspend(id)
+	h.Channel.Suspend(id)
 	h.crashed[id] = true
 }
 
 func (h *dynHost) Recover(id topology.NodeID) {
-	n := h.nodes[id]
+	n := h.Nodes[id]
 	if n == nil || !h.crashed[id] {
 		return
 	}
-	delete(h.crashed, id)
-	if h.ch.Disabled(id) {
+	h.crashed[id] = false
+	if h.Channel.Disabled(id) {
 		// Permanently failed (failure injection, battery exhaustion)
 		// while it was down: the crash outage does not end in recovery.
 		return
 	}
-	h.ch.Resume(id)
+	h.Channel.Resume(id)
 	n.Recover()
 }
 
 func (h *dynHost) SetLinkLoss(a, b topology.NodeID, p float64) {
 	// The injector validated its peak < 1 at build time, so the only
 	// error SetLinkLoss can return is unreachable from here.
-	_ = h.ch.SetLinkLoss(a, b, p)
+	_ = h.Channel.SetLinkLoss(a, b, p)
 }
 
 func (h *dynHost) AddQuery(spec query.Spec) error {
@@ -957,7 +947,7 @@ func (h *dynHost) AddQuery(spec query.Spec) error {
 		h.auditor.RegisterQuery(spec)
 	}
 	for _, id := range h.nodeIDs {
-		n := h.nodes[id]
+		n := h.Nodes[id]
 		if n.Killed() {
 			continue // offline during setup: it misses the query
 		}
@@ -972,7 +962,7 @@ func (h *dynHost) RemoveQuery(id query.ID) {
 	// Deregister everywhere, crashed nodes included: a node recovering
 	// after the burst ended must not keep producing burst reports.
 	for _, nid := range h.nodeIDs {
-		h.nodes[nid].Agent.Deregister(id)
+		h.Nodes[nid].Agent.Deregister(id)
 	}
 }
 
@@ -980,7 +970,8 @@ func (h *dynHost) RemoveQuery(id query.ID) {
 // query: all ESSAT nodes hold their radios on during
 // [phase−slot, phase], and the setup request floods down the tree on the
 // air (each member rebroadcasts once, jittered inside the slot).
-func scheduleSetupSlot(eng *sim.Engine, members []node.NodeID, nodes map[node.NodeID]*node.Node, spec query.Spec, slot time.Duration) {
+func (b *builder) scheduleSetupSlot(spec query.Spec) {
+	eng, members, nodes, slot := b.Eng, b.members, b.Nodes, b.Scenario.SetupSlot
 	start := spec.Phase - slot
 	if start < 0 {
 		start = 0
@@ -1049,8 +1040,8 @@ func (s *Sim) collectNodes(res *Result) {
 	var reports, phaseUpdates uint64
 	// Iterate in ID order so float accumulation is deterministic.
 	for _, id := range tree.Members() {
-		n, ok := s.Nodes[id]
-		if !ok || n.Killed() {
+		n := s.Nodes[id]
+		if n == nil || n.Killed() {
 			continue
 		}
 		active := float64(n.Radio.ActiveTime() - s.activeAt0[id])
