@@ -66,6 +66,28 @@ func NewRootSink(specs []query.Spec) *RootSink {
 	return s
 }
 
+// reserve sizes every query's interval slice for a run of the given
+// duration, in one backing array: ⌈(duration−φ)/P⌉ intervals start
+// before the run ends. Each slice is capped at its share, so rec's
+// append still grows one past it safely.
+func (s *RootSink) reserve(duration time.Duration) {
+	count := func(sp query.Spec) int {
+		if sp.Period <= 0 || duration <= sp.Phase {
+			return 0
+		}
+		return int((duration - sp.Phase + sp.Period - 1) / sp.Period)
+	}
+	total := 0
+	for _, qr := range s.queries {
+		total += count(qr.spec)
+	}
+	all := make([]intervalRec, total)
+	for i := range s.queries {
+		n := count(s.queries[i].spec)
+		s.queries[i].intervals, all = all[:0:n], all[n:]
+	}
+}
+
 // rec returns the record of query q's interval k, growing the query's
 // interval slice to reach it, or nil for an unknown query, a negative
 // interval, or one that starts before MeasureFrom.

@@ -104,3 +104,33 @@ func TestRootSinkAggregatesInQueryIntervalOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestRootSinkReserve: a sink sized for the run records every interval
+// that starts before the run ends without growing, and an interval past
+// the reservation grows its own query's slice without overwriting the
+// next query's share of the backing array.
+func TestRootSinkReserve(t *testing.T) {
+	s := NewRootSink(sinkSpecs())
+	s.reserve(4 * time.Second) // query 1: intervals 0..3; query 2: 0..1
+	if c1, c2 := cap(s.queries[0].intervals), cap(s.queries[1].intervals); c1 != 4 || c2 != 2 {
+		t.Fatalf("reserved capacities (%d, %d), want (4, 2)", c1, c2)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		s.ReportArrived(1, 3, time.Millisecond, 1)
+		s.ReportArrived(2, 1, time.Millisecond, 1)
+	}); allocs != 0 {
+		t.Fatalf("recording reserved intervals allocated %v times", allocs)
+	}
+	s.ReportArrived(2, 0, 7*time.Millisecond, 1)
+	s.ReportArrived(1, 5, 9*time.Millisecond, 1) // past the reservation
+	want := []time.Duration{time.Millisecond, 9 * time.Millisecond, 7 * time.Millisecond, time.Millisecond}
+	got := s.Latencies()
+	if len(got) != len(want) {
+		t.Fatalf("latencies = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("latencies = %v, want %v", got, want)
+		}
+	}
+}

@@ -16,6 +16,7 @@ func init() {
 		}
 		s := NewRootSink(cfg.Queries)
 		s.MeasureFrom = cfg.MeasureFrom
+		s.reserve(cfg.Duration)
 		return s, nil
 	})
 	RegisterSink(SinkTimeseries, 1, newTimeseriesSink)
