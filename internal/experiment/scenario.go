@@ -1115,6 +1115,9 @@ func (s *Sim) collectNodes(res *Result) {
 // live ones, each non-root member expecting every released message.
 func (s *Sim) collectFlows(res *Result) {
 	sc, tree := &s.Scenario, s.Tree
+	if len(sc.PeerFlows) == 0 && len(sc.Dissemination) == 0 {
+		return
+	}
 	var consumed, originated, received, expected uint64
 	var peerLat, dissLat time.Duration
 	for _, id := range tree.Members() {
