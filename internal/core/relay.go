@@ -54,8 +54,8 @@ type P2PSpec struct {
 	HopAllowance time.Duration
 }
 
-// FlowBytes is the on-air size of a flow message.
-const FlowBytes = 52
+// flowBytes is the on-air size of a flow message.
+const flowBytes = 52
 
 // flowKey is the synthetic Safe Sleep child under which a node expects a
 // flow's previous hop. Flow IDs are unique, and Safe Sleep reads only
@@ -285,7 +285,7 @@ func (r *Relay) forward(fl *flow, msg *FlowMessage) {
 	}
 	r.eng.Schedule(sendAt, func() {
 		for _, c := range next {
-			r.env.SendData(c, msg, FlowBytes, func(ok bool) {
+			r.env.SendData(c, msg, flowBytes, func(ok bool) {
 				if ok {
 					fl.stats.Forwarded++
 				} else {

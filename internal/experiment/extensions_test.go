@@ -48,6 +48,13 @@ func TestDisseminationIDCollisionRejected(t *testing.T) {
 	if _, err := Run(sc); err == nil {
 		t.Fatal("ID collision between query and dissemination accepted")
 	}
+	// Flows share one Safe Sleep ID space at each node, so a peer flow
+	// may not reuse a dissemination flow's ID either.
+	sc.Dissemination[0].ID = -1
+	sc.PeerFlows = []core.P2PSpec{{ID: -1, Src: -1, Dst: -1, Period: time.Second}}
+	if _, err := Run(sc); err == nil {
+		t.Fatal("ID collision between dissemination and peer flow accepted")
+	}
 }
 
 func TestPeerFlowsThroughScenario(t *testing.T) {
