@@ -293,3 +293,17 @@ func TestQueryStopReachesCrashedNodes(t *testing.T) {
 		}
 	}
 }
+
+// TestVictimOutsideDeploymentIgnored: a failure or a crash pinned to a
+// node ID the deployment does not have does nothing, as a pin to a
+// non-member does.
+func TestVictimOutsideDeploymentIgnored(t *testing.T) {
+	sc := churnScenario(DTSSS, 13)
+	outside := sc.Topology.NumNodes + 5
+	sc.Dynamics = []Dynamic{{Kind: dynamics.KindCrash,
+		Params: dynamics.Params{At: 4 * time.Second, Duration: 2 * time.Second, Node: &outside}}}
+	sc.Failures = []Failure{{At: 5 * time.Second, Node: node.NodeID(outside)}}
+	if _, err := Run(sc); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -785,13 +785,13 @@ func (b *builder) faults() error {
 		if victim == routing.None || victim == b.root {
 			continue
 		}
-		v, fch, nodes := victim, b.Channel, b.Nodes
+		v, fch, sm := victim, b.Channel, b.Sim
 		b.Eng.Schedule(f.At, func() {
 			// Guard on permanent disablement, not Killed(): a node the
 			// dynamics layer has temporarily crashed still reads as killed,
 			// but a configured failure must make its death permanent (the
 			// channel refuses to Resume a Disabled station).
-			if n := nodes[v]; n != nil && !fch.Disabled(v) {
+			if n := sm.stack(v); n != nil && !fch.Disabled(v) {
 				n.Kill()
 				fch.Disable(v)
 			}
@@ -891,6 +891,15 @@ func (s *Sim) Collect() *Result {
 	return res
 }
 
+// stack returns node id's stack, or nil for a non-member or an ID
+// outside the deployment (a failure or crash pinned to one is a no-op).
+func (s *Sim) stack(id node.NodeID) *node.Node {
+	if id < 0 || int(id) >= len(s.Nodes) {
+		return nil
+	}
+	return s.Nodes[id]
+}
+
 // dynHost adapts the built simulation to the dynamics.Host surface.
 type dynHost struct {
 	*Sim
@@ -912,7 +921,7 @@ func (h *dynHost) Root() topology.NodeID                          { return h.Tre
 func (h *dynHost) Neighbors(id topology.NodeID) []topology.NodeID { return h.Topo.Neighbors(id) }
 
 func (h *dynHost) Crash(id topology.NodeID) {
-	n := h.Nodes[id]
+	n := h.stack(id)
 	if n == nil || n.Killed() || id == h.Tree.Root() {
 		return
 	}
@@ -922,7 +931,7 @@ func (h *dynHost) Crash(id topology.NodeID) {
 }
 
 func (h *dynHost) Recover(id topology.NodeID) {
-	n := h.Nodes[id]
+	n := h.stack(id)
 	if n == nil || !h.crashed[id] {
 		return
 	}
