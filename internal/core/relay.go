@@ -244,7 +244,7 @@ func (r *Relay) generate(fl *flow, k int) {
 }
 
 // Handle processes a flow message received from the previous hop.
-func (r *Relay) Handle(from query.NodeID, msg *FlowMessage) {
+func (r *Relay) Handle(msg *FlowMessage) {
 	fl := r.find(msg.Flow)
 	if fl == nil || fl.pos < 0 {
 		return

@@ -117,7 +117,7 @@ func slot(k, h int) time.Duration {
 }
 
 func (f *relayFixture) handleAt(at time.Duration, k int) {
-	f.eng.Schedule(at, func() { f.r.Handle(0, &FlowMessage{Flow: rspec.ID, Interval: k}) })
+	f.eng.Schedule(at, func() { f.r.Handle(&FlowMessage{Flow: rspec.ID, Interval: k}) })
 }
 
 func TestRelay(t *testing.T) {
@@ -246,7 +246,7 @@ func TestRelayPathOnly(t *testing.T) {
 	if f.ss.hasRecv(bad.ID, flowKey) {
 		t.Error("off-path node armed a reception")
 	}
-	f.eng.Schedule(time.Second, func() { f.r.Handle(2, &FlowMessage{Flow: bad.ID}) })
+	f.eng.Schedule(time.Second, func() { f.r.Handle(&FlowMessage{Flow: bad.ID}) })
 	f.eng.Run(2 * time.Second)
 	if st := f.r.Stats(bad.ID); st != (FlowStats{}) || len(f.env.sent) != 0 || len(f.delivered) != 0 {
 		t.Fatalf("off-path node participated: %+v sent=%v delivered=%v", st, f.env.sent, f.delivered)
@@ -260,7 +260,7 @@ func TestRelayTreeLevelIsLive(t *testing.T) {
 	f := newRelayFixture(t, relayShapes[0], middle) // level 2, h = 3
 	f.eng.Schedule(slot(0, 2), func() {
 		f.env.level = 1
-		f.r.Handle(0, &FlowMessage{Flow: rspec.ID, Interval: 0})
+		f.r.Handle(&FlowMessage{Flow: rspec.ID, Interval: 0})
 	})
 	f.eng.Run(slot(1, 0))
 	if got := f.ss.recvTime(rspec.ID, flowKey); got != slot(1, 1) {

@@ -210,7 +210,7 @@ func (n *Node) Deliver(src NodeID, payload any, bytes int) {
 		n.Agent.HandleControl(src, msg)
 	case *core.FlowMessage:
 		if n.Flows != nil {
-			n.Flows.Handle(src, msg)
+			n.Flows.Handle(msg)
 		}
 	default:
 		if n.ctrl != nil {
