@@ -430,7 +430,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		var be *experiment.BudgetExceededError
 		switch {
 		case errors.As(err, &pe):
-			// The run already dropped the arena's engine.
 			s.panics.Add(1)
 			s.logf("panic: protocol %s seed %d: %v\n%s", pe.Protocol, pe.Seed, pe.Value, pe.Stack)
 			writeJSON(w, http.StatusInternalServerError, ErrorResponse{
