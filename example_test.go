@@ -47,7 +47,7 @@ func ExampleQueryClasses() {
 func ExampleScenario_failures() {
 	sc := essat.DefaultScenario(essat.DTSSS, 3)
 	sc.Duration = 40 * time.Second
-	sc.QueryCfg.FailureThreshold = 3
+	sc.FailureThreshold = 3
 	sc.Failures = []essat.Failure{{At: 15 * time.Second, Node: -1}}
 	rng := rand.New(rand.NewSource(3))
 	sc.Queries = essat.QueryClasses(rng, 1.0, 1, 5*time.Second)

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -115,8 +116,8 @@ func TestSyncWindowsAreSynchronized(t *testing.T) {
 func TestSyncConfigValidation(t *testing.T) {
 	eng := sim.New(1)
 	r := radio.New(eng, radio.Config{})
-	if _, err := NewSyncPM(eng, r, SyncConfig{Period: time.Second, ActiveWindow: 2 * time.Second}); err == nil {
-		t.Error("invalid SYNC config accepted")
+	if _, err := NewSyncPM(eng, r, SyncConfig{Period: time.Second, ActiveWindow: 2 * time.Second}); err == nil || !strings.Contains(err.Error(), "SYNC") {
+		t.Errorf("NewSyncPM = %v, want a SYNC config error", err)
 	}
 }
 
@@ -281,10 +282,21 @@ func TestPsmMultiHopForwarding(t *testing.T) {
 }
 
 func TestPsmConfigValidation(t *testing.T) {
-	eng := sim.New(1)
-	r := radio.New(eng, radio.Config{})
-	// The invalid config must be rejected before the (nil) MAC is touched.
-	if _, err := NewPsmPM(eng, 0, r, nil, PsmConfig{BeaconPeriod: 100 * time.Millisecond, AtimWindow: 80 * time.Millisecond, DataWindow: 80 * time.Millisecond}); err == nil {
-		t.Error("invalid PSM config accepted")
+	for _, tc := range []struct {
+		name string
+		cfg  PsmConfig
+	}{
+		{"ATIM window beyond the beacon period", PsmConfig{BeaconPeriod: 100 * time.Millisecond, AtimWindow: 120 * time.Millisecond}},
+		{"windows beyond the beacon period", PsmConfig{BeaconPeriod: 100 * time.Millisecond, AtimWindow: 80 * time.Millisecond, DataWindow: 80 * time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.New(1)
+			r := radio.New(eng, radio.Config{})
+			// The invalid config must be rejected before the (nil) MAC is
+			// touched.
+			if _, err := NewPsmPM(eng, 0, r, nil, tc.cfg); err == nil || !strings.Contains(err.Error(), "PSM") {
+				t.Errorf("NewPsmPM = %v, want a PSM config error", err)
+			}
+		})
 	}
 }

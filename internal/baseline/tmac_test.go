@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -132,7 +133,7 @@ func TestTmacFramesAreSynchronized(t *testing.T) {
 func TestTmacConfigValidation(t *testing.T) {
 	eng := sim.New(1)
 	r := radio.New(eng, radio.Config{})
-	if _, err := NewTmacPM(eng, r, nil, TmacConfig{FramePeriod: 10 * time.Millisecond, TA: 20 * time.Millisecond}); err == nil {
-		t.Error("TA > FramePeriod accepted")
+	if _, err := NewTmacPM(eng, r, nil, TmacConfig{FramePeriod: 10 * time.Millisecond, TA: 20 * time.Millisecond}); err == nil || !strings.Contains(err.Error(), "T-MAC") {
+		t.Errorf("NewTmacPM = %v, want a T-MAC config error for TA > FramePeriod", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/essat/essat/internal/mac"
 	"github.com/essat/essat/internal/query"
 	"github.com/essat/essat/internal/sim"
 )
@@ -92,8 +93,9 @@ type RelayEnv interface {
 	Level() int
 	// Children returns the node's current tree children.
 	Children() []query.NodeID
-	// SendData transmits a payload to a neighbor with delivery callback.
-	SendData(dst query.NodeID, payload any, bytes int, cb func(ok bool))
+	// SendData transmits a payload to a neighbor; cb, which may be nil,
+	// reports MAC-level success.
+	SendData(dst query.NodeID, payload any, bytes int, cb mac.SendCallback)
 }
 
 // flow is one registered flow at one node.
@@ -109,6 +111,16 @@ type flow struct {
 	// mod 8: the dedup window against copies handed off twice.
 	seen  [8]int
 	stats FlowStats
+}
+
+// SendDone implements mac.SendCallback: a flow is the completion
+// callback of its own copies, so relaying one costs no closure.
+func (fl *flow) SendDone(ok bool) {
+	if ok {
+		fl.stats.Forwarded++
+	} else {
+		fl.stats.ForwardFailures++
+	}
 }
 
 // slot returns s(k, h), the start of hop h's relay slot for message k.
@@ -285,13 +297,7 @@ func (r *Relay) forward(fl *flow, msg *FlowMessage) {
 	}
 	r.eng.Schedule(sendAt, func() {
 		for _, c := range next {
-			r.env.SendData(c, msg, flowBytes, func(ok bool) {
-				if ok {
-					fl.stats.Forwarded++
-				} else {
-					fl.stats.ForwardFailures++
-				}
-			})
+			r.env.SendData(c, msg, flowBytes, fl)
 		}
 		if r.ss != nil {
 			r.ss.UpdateNextSend(fl.id, fl.slot(msg.Interval+1, r.hopIndex(fl)))

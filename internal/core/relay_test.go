@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/essat/essat/internal/mac"
 	"github.com/essat/essat/internal/query"
 	"github.com/essat/essat/internal/radio"
 	"github.com/essat/essat/internal/sim"
@@ -28,12 +29,12 @@ type sentCopy struct {
 func (f *fakeRelayEnv) Level() int               { return f.level }
 func (f *fakeRelayEnv) Children() []query.NodeID { return f.children }
 
-func (f *fakeRelayEnv) SendData(dst query.NodeID, payload any, bytes int, cb func(bool)) {
+func (f *fakeRelayEnv) SendData(dst query.NodeID, payload any, bytes int, cb mac.SendCallback) {
 	f.sent = append(f.sent, sentCopy{dst, payload.(*FlowMessage).Interval, f.eng.Now()})
 	ok := !f.failNext
 	f.failNext = false
 	if cb != nil {
-		cb(ok)
+		cb.SendDone(ok)
 	}
 }
 

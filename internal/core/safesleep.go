@@ -83,21 +83,14 @@ type SafeSleepOptions struct {
 	// radio hardware so the paper's TBE sensitivity experiments (Fig. 8,
 	// Fig. 9) can sweep it.
 	BreakEven time.Duration
-	// WakeAhead is how long before the next expected event the radio is
-	// woken, normally tOFF→ON. Negative means "use the radio's turn-on
-	// delay".
-	WakeAhead time.Duration
 	// MACBusy reports whether the MAC still has unfinished work; SS never
 	// sleeps a node with pending traffic. Nil means "never busy". An
 	// interface rather than a func so the standard wiring (the node's
-	// MAC) costs no per-node closure; wrap a func with BusyFunc.
+	// MAC) costs no per-node closure.
 	MACBusy BusyReporter
 	// Disabled turns SS into a no-op (always-on node): used for SPAN
 	// backbone nodes and as an ablation.
 	Disabled bool
-	// AwakeUntil keeps the radio on until the given time regardless of
-	// the schedule (the paper's query setup slot).
-	AwakeUntil time.Duration
 	// Queries and Children size the node's tables to its need: Safe
 	// Sleep keeps one send row per query and one receive row per (query,
 	// child), and the shaper one schedule entry per query. Zero reserves
@@ -111,12 +104,6 @@ type SafeSleepOptions struct {
 type BusyReporter interface {
 	Busy() bool
 }
-
-// BusyFunc adapts a plain func to BusyReporter (tests, ad-hoc wiring).
-type BusyFunc func() bool
-
-// Busy implements BusyReporter.
-func (f BusyFunc) Busy() bool { return f() }
 
 // sendEntry and recvEntry are the rows of SafeSleep's expectation tables.
 type sendEntry struct {
@@ -139,6 +126,12 @@ type SafeSleep struct {
 	eng   *sim.Engine
 	radio *radio.Radio
 	opts  SafeSleepOptions
+	// wakeAhead is tOFF→ON: the radio is woken this long before the next
+	// expected event.
+	wakeAhead time.Duration
+	// awakeUntil keeps the radio on until then regardless of the
+	// schedule (the paper's query setup slot, see HoldAwake).
+	awakeUntil time.Duration
 
 	// nextSend and nextRecv are small linear tables (a handful of queries
 	// and children per node); linear lookups beat maps at this size.
@@ -169,26 +162,26 @@ func ssWake(x any) {
 
 func ssCheck(x any) { x.(*SafeSleep).CheckState() }
 
-// macNeverBusy is the default BusyReporter: a node with no MAC wired in
+// neverBusy is the default BusyReporter: a node with no MAC wired in
 // never has pending traffic.
-var macNeverBusy BusyReporter = BusyFunc(func() bool { return false })
+type neverBusy struct{}
+
+func (neverBusy) Busy() bool { return false }
 
 // NewSafeSleep creates a Safe Sleep scheduler driving the given radio.
 func NewSafeSleep(eng *sim.Engine, r *radio.Radio, opts SafeSleepOptions) *SafeSleep {
 	if opts.BreakEven < 0 {
 		opts.BreakEven = r.Config().BreakEven()
 	}
-	if opts.WakeAhead < 0 {
-		opts.WakeAhead = r.Config().TurnOnDelay
-	}
 	if opts.MACBusy == nil {
-		opts.MACBusy = macNeverBusy
+		opts.MACBusy = neverBusy{}
 	}
 	ss := sim.ArenaGrab[SafeSleep](eng, "core.safesleep")
 	*ss = SafeSleep{
-		eng:   eng,
-		radio: r,
-		opts:  opts,
+		eng:       eng,
+		radio:     r,
+		opts:      opts,
+		wakeAhead: r.Config().TurnOnDelay,
 		// The expectation tables hold exactly the rows the node's queries
 		// and children will register, so they never regrow while the
 		// build registers them, and a leaf reserves no receive rows.
@@ -232,10 +225,10 @@ func (ss *SafeSleep) Disabled() bool { return ss.opts.Disabled }
 // setup slot: "during the setup slot, all nodes keep their radio on").
 // The radio is woken immediately if asleep.
 func (ss *SafeSleep) HoldAwake(until time.Duration) {
-	if until <= ss.opts.AwakeUntil {
+	if until <= ss.awakeUntil {
 		return
 	}
-	ss.opts.AwakeUntil = until
+	ss.awakeUntil = until
 	if ss.opts.Disabled {
 		return
 	}
@@ -400,7 +393,7 @@ func (ss *SafeSleep) CheckState() {
 		ss.ensureAwake()
 		return
 	}
-	if now < ss.opts.AwakeUntil {
+	if now < ss.awakeUntil {
 		return // inside the setup slot: stay on
 	}
 	if ss.opts.MACBusy.Busy() {
@@ -436,7 +429,7 @@ func (ss *SafeSleep) ensureAwake() {
 }
 
 func (ss *SafeSleep) scheduleWake(twakeup time.Duration) {
-	at := twakeup - ss.opts.WakeAhead
+	at := twakeup - ss.wakeAhead
 	if now := ss.eng.Now(); at < now {
 		at = now
 	}

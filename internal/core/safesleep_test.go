@@ -19,7 +19,7 @@ func newSS(t *testing.T, radioCfg radio.Config, opts SafeSleepOptions) (*sim.Eng
 
 func TestSleepsUntilNextExpectedEvent(t *testing.T) {
 	cfg := radio.Config{TurnOnDelay: 2 * time.Millisecond, TurnOffDelay: time.Millisecond}
-	eng, r, ss := newSS(t, cfg, SafeSleepOptions{BreakEven: -1, WakeAhead: -1})
+	eng, r, ss := newSS(t, cfg, SafeSleepOptions{BreakEven: -1})
 
 	ss.UpdateNextSend(1, 100*time.Millisecond)
 	if r.State() != radio.TurningOff {
@@ -38,7 +38,7 @@ func TestSleepsUntilNextExpectedEvent(t *testing.T) {
 
 func TestShortGapSuppressed(t *testing.T) {
 	cfg := radio.Config{TurnOnDelay: 2 * time.Millisecond, TurnOffDelay: time.Millisecond}
-	eng, r, ss := newSS(t, cfg, SafeSleepOptions{BreakEven: -1, WakeAhead: -1})
+	eng, r, ss := newSS(t, cfg, SafeSleepOptions{BreakEven: -1})
 
 	// Free for 2ms < tBE (3ms): stay awake.
 	ss.UpdateNextSend(1, eng.Now()+2*time.Millisecond)
@@ -69,7 +69,7 @@ func TestBusyWhenExpectedTimeInPast(t *testing.T) {
 
 func TestEarliestOfSendAndReceiveWins(t *testing.T) {
 	cfg := radio.Config{TurnOnDelay: 2 * time.Millisecond, TurnOffDelay: time.Millisecond}
-	eng, r, ss := newSS(t, cfg, SafeSleepOptions{BreakEven: -1, WakeAhead: -1})
+	eng, r, ss := newSS(t, cfg, SafeSleepOptions{BreakEven: -1})
 	ss.UpdateNextSend(1, 500*time.Millisecond)
 	ss.UpdateNextReceive(1, 3, 100*time.Millisecond)
 	eng.Run(98 * time.Millisecond)
@@ -82,10 +82,15 @@ func TestEarliestOfSendAndReceiveWins(t *testing.T) {
 	}
 }
 
+// busyFunc adapts a func to BusyReporter.
+type busyFunc func() bool
+
+func (f busyFunc) Busy() bool { return f() }
+
 func TestMACBusyBlocksSleep(t *testing.T) {
 	busy := true
 	eng, r, ss := newSS(t, radio.Config{}, SafeSleepOptions{
-		MACBusy: BusyFunc(func() bool { return busy }),
+		MACBusy: busyFunc(func() bool { return busy }),
 	})
 	ss.UpdateNextSend(1, 500*time.Millisecond)
 	if r.State() != radio.Idle {
@@ -112,7 +117,8 @@ func TestDisabledNeverSleeps(t *testing.T) {
 }
 
 func TestSetupSlotKeepsRadioOn(t *testing.T) {
-	eng, r, ss := newSS(t, radio.Config{}, SafeSleepOptions{AwakeUntil: 100 * time.Millisecond})
+	eng, r, ss := newSS(t, radio.Config{}, SafeSleepOptions{})
+	ss.HoldAwake(100 * time.Millisecond)
 	ss.UpdateNextSend(1, time.Second)
 	if r.State() != radio.Idle {
 		t.Fatal("node slept inside the setup slot")
@@ -267,14 +273,21 @@ func TestSleepLogSubscribedBeforeSafeSleep(t *testing.T) {
 	}
 }
 
+// TestDefaultsDeriveFromRadio: tBE defaults to the radio's break-even
+// time, and a sleeping radio is woken tOFF→ON before twakeup.
 func TestDefaultsDeriveFromRadio(t *testing.T) {
 	cfg := radio.Mica2Config()
-	_, _, ss := newSS(t, cfg, SafeSleepOptions{BreakEven: -1, WakeAhead: -1})
+	_, _, ss := newSS(t, cfg, SafeSleepOptions{BreakEven: -1})
 	if ss.opts.BreakEven != cfg.BreakEven() {
 		t.Fatalf("BreakEven = %v, want %v", ss.opts.BreakEven, cfg.BreakEven())
 	}
-	if ss.opts.WakeAhead != cfg.TurnOnDelay {
-		t.Fatalf("WakeAhead = %v, want %v", ss.opts.WakeAhead, cfg.TurnOnDelay)
+	const twakeup = 100 * time.Millisecond
+	ss.UpdateNextSend(1, twakeup)
+	if ss.wakeEv == nil {
+		t.Fatal("no wake-up armed for a distant snext")
+	}
+	if got, want := ss.wakeEv.At(), twakeup-cfg.TurnOnDelay; got != want {
+		t.Fatalf("wake-up at %v, want twakeup − tOFF→ON = %v", got, want)
 	}
 }
 

@@ -52,10 +52,6 @@ type ShaperStats struct {
 type NTS struct {
 	env Env
 	ss  *SafeSleep
-	// TimeoutDeadline is D in the NTS timeout tTO(d) = (d+1)·D/M; the
-	// paper's experiments use the query period, which is what a zero
-	// value selects.
-	TimeoutDeadline time.Duration
 
 	specs []query.Spec
 	stats ShaperStats
@@ -118,7 +114,8 @@ func (n *NTS) IntervalClosed(q query.ID, k int, missing []query.NodeID) {
 }
 
 // CollectDeadline implements the §4.3 NTS timeout tTO(d) = (d+1)·D/M
-// after the interval start.
+// after the interval start, with D the query period as in the paper's
+// experiments.
 func (n *NTS) CollectDeadline(q query.ID, k int) time.Duration {
 	spec := specFor(n.specs, q)
 	d := n.env.Rank()
@@ -126,11 +123,7 @@ func (n *NTS) CollectDeadline(q query.ID, k int) time.Duration {
 	if m < 1 {
 		m = 1
 	}
-	deadline := n.TimeoutDeadline
-	if deadline <= 0 {
-		deadline = spec.Period
-	}
-	return spec.IntervalStart(k) + time.Duration(d+1)*deadline/time.Duration(m)
+	return spec.IntervalStart(k) + time.Duration(d+1)*spec.Period/time.Duration(m)
 }
 
 // QueryRemoved implements query.Shaper.
@@ -361,9 +354,6 @@ func (st *dtsQueryState) child(c query.NodeID) *dtsChild {
 type DTS struct {
 	env Env
 	ss  *SafeSleep
-	// TimeoutSlack is tTO in the DTS collection deadline
-	// max_c(r(k,c)) + tTO (§4.3).
-	TimeoutSlack time.Duration
 	// NoBuffering disables holding early reports until s(k) (ablation).
 	// Schedule bookkeeping is unchanged, so early sends hit sleeping
 	// receivers and fall back to MAC retries.
@@ -381,10 +371,9 @@ var _ query.Shaper = (*DTS)(nil)
 func NewDTS(env Env, ss *SafeSleep) *DTS {
 	d := sim.ArenaGrab[DTS](ss.eng, "core.dts")
 	*d = DTS{
-		env:          env,
-		ss:           ss,
-		TimeoutSlack: 50 * time.Millisecond,
-		q:            sim.ArenaSlice[*dtsQueryState](ss.eng, "core.dts.q", ss.opts.Queries)[:0],
+		env: env,
+		ss:  ss,
+		q:   sim.ArenaSlice[*dtsQueryState](ss.eng, "core.dts.q", ss.opts.Queries)[:0],
 	}
 	return d
 }
@@ -524,6 +513,10 @@ func (d *DTS) ReportReceived(q query.ID, c query.NodeID, k int, phase time.Durat
 // eventually removes dead children.
 func (d *DTS) IntervalClosed(q query.ID, k int, missing []query.NodeID) {}
 
+// dtsTimeoutSlack is tTO in the DTS collection deadline
+// max_c(r(k,c)) + tTO (§4.3).
+const dtsTimeoutSlack = 50 * time.Millisecond
+
 // CollectDeadline implements the §4.3 DTS timeout max_c(r(k,c)) + tTO.
 func (d *DTS) CollectDeadline(q query.ID, k int) time.Duration {
 	st := d.state(q)
@@ -533,7 +526,7 @@ func (d *DTS) CollectDeadline(q query.ID, k int) time.Duration {
 			dl = t
 		}
 	}
-	return dl + d.TimeoutSlack
+	return dl + dtsTimeoutSlack
 }
 
 // QueryRemoved implements query.Shaper.

@@ -351,7 +351,6 @@ func TestDTSChildRemovedForgetsState(t *testing.T) {
 func TestDTSCollectDeadline(t *testing.T) {
 	_, env, ss := shaperFixture(t, 2, 4)
 	d := NewDTS(env, ss)
-	d.TimeoutSlack = 50 * time.Millisecond
 	d.QueryAdded(testSpec, []query.NodeID{7, 8})
 	// Children at r(0)=φ: deadline = max(rnext) + tTO = 2s + 50ms.
 	if got := d.CollectDeadline(1, 0); got != 2050*time.Millisecond {

@@ -166,7 +166,7 @@ func RobustnessLoss(o Options, lossRates []float64) (*Figure, error) {
 		rng := rand.New(rand.NewSource(seed * 7919))
 		sc.Queries = QueryClasses(rng, 1, 1, 10*time.Second)
 		sc.LossRate = lossRates[i%len(lossRates)]
-		sc.QueryCfg.FailureThreshold = 3
+		sc.FailureThreshold = 3
 		return sc
 	})
 	if err != nil {
@@ -205,7 +205,7 @@ func RobustnessFailures(o Options, failureCounts []int) (*Figure, error) {
 		sc := o.scenario(DTSSS, seed)
 		rng := rand.New(rand.NewSource(seed * 7919))
 		sc.Queries = QueryClasses(rng, 1, 1, 10*time.Second)
-		sc.QueryCfg.FailureThreshold = 3
+		sc.FailureThreshold = 3
 		for j := 0; j < fc; j++ {
 			sc.Failures = append(sc.Failures, Failure{
 				At:   sc.Duration/4 + time.Duration(j)*sc.Duration/8,

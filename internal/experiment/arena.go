@@ -162,9 +162,9 @@ func (c *DeployCache) store(key string, dep *deployment) {
 // placement and tree construction: the seed (placement draws and the
 // flood's derived seed), the topology config, the tree policy, and the
 // propagation model name + params (candidate radius, flood channel
-// model, flood round count). Everything else — duration, queries, MAC
-// and channel tuning, loss rate, radio profile, failures — shapes the
-// run, not the deployment. Callers must set Topology.NeighborRange
+// model, flood round count). Everything else — duration, queries, loss
+// rate, radio profile and latency override, failures — shapes the run,
+// not the deployment. Callers must set Topology.NeighborRange
 // before keying (build does, from the resolved model's MaxRange).
 func deployKey(sc Scenario) string {
 	var b strings.Builder

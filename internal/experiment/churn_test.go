@@ -19,7 +19,7 @@ func churnScenario(p Protocol, seed int64) Scenario {
 	sc.Topology.AreaSide = 400
 	sc.Duration = 30 * time.Second
 	sc.MeasureFrom = 5 * time.Second
-	sc.QueryCfg.FailureThreshold = 3
+	sc.FailureThreshold = 3
 	sc.Queries = QueryClasses(rand.New(rand.NewSource(seed*7919)), 1.0, 1, 5*time.Second)
 	return sc
 }

@@ -95,7 +95,7 @@ func TestPeerFlowRandomEndpointsAreDistinctMembers(t *testing.T) {
 
 func TestExtensionsCoexistWithFailures(t *testing.T) {
 	sc := extScenario(5)
-	sc.QueryCfg.FailureThreshold = 3
+	sc.FailureThreshold = 3
 	sc.Failures = []Failure{{At: 12 * time.Second, Node: -1}}
 	sc.Dissemination = []core.DisseminationSpec{{ID: -1, Period: 2 * time.Second, Phase: 6 * time.Second}}
 	sc.PeerFlows = []core.P2PSpec{{ID: -2, Src: -1, Dst: -1, Period: time.Second, Phase: 6 * time.Second}}

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/essat/essat/internal/radio"
 	"github.com/essat/essat/internal/stats"
 )
 
@@ -606,8 +607,7 @@ func fig8Scenario(o Options, p Protocol, seed int64) Scenario {
 	rng := rand.New(rand.NewSource(seed * 7919))
 	sc.Queries = QueryClasses(rng, 5, 1, 10*time.Second)
 	sc.SSBreakEven = 0
-	sc.RadioCfg.TurnOnDelay = 0
-	sc.RadioCfg.TurnOffDelay = 0
+	sc.RadioCfg = &radio.Config{}
 	sc.RecordSleepIntervals = true
 	return sc
 }

@@ -213,3 +213,33 @@ func TestBFSTreeScenario(t *testing.T) {
 		t.Fatal("BFS-tree scenario produced no results")
 	}
 }
+
+// TestFig8RadiosTransitionInstantly: Fig. 8 measures sleep intervals
+// under instantaneous radio transitions, so every member radio of a
+// Fig. 8 run has zero turn-on and turn-off delays, while a scenario
+// with no radio override keeps the profile's latencies.
+func TestFig8RadiosTransitionInstantly(t *testing.T) {
+	o := Options{Duration: 5 * time.Second, Seeds: 1}.normalized()
+	for _, tc := range []struct {
+		name    string
+		sc      Scenario
+		instant bool
+	}{
+		{"fig8", fig8Scenario(o, DTSSS, 1), true},
+		{"profile", smokeScenario(DTSSS, 1), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := BuildWith(nil, tc.sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range s.Tree.Members() {
+				cfg := s.Nodes[id].Radio.Config()
+				if instant := cfg.TurnOnDelay == 0 && cfg.TurnOffDelay == 0; instant != tc.instant {
+					t.Fatalf("member %d: TurnOnDelay %v, TurnOffDelay %v; want instantaneous = %v",
+						id, cfg.TurnOnDelay, cfg.TurnOffDelay, tc.instant)
+				}
+			}
+		})
+	}
+}

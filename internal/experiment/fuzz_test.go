@@ -60,7 +60,7 @@ func FuzzDynamicsSpec(f *testing.F) {
 		sc.Topology.AreaSide = 250
 		sc.Duration = 12 * time.Second
 		sc.MeasureFrom = 2 * time.Second
-		sc.QueryCfg.FailureThreshold = 3
+		sc.FailureThreshold = 3
 		sc.Queries = QueryClasses(rand.New(rand.NewSource(seed*7919+1)), 1.0, 1, 3*time.Second)
 		sc.Audit = true
 		sc.Dynamics = []Dynamic{d}

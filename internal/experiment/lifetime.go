@@ -28,7 +28,7 @@ func Lifetime(o Options, batteryJ float64) (*Figure, error) {
 		sc.Queries = QueryClasses(rng, 5, 1, 10*time.Second)
 		sc.BatteryJ = batteryJ
 		// Failure detection on: survivors must route around the dead.
-		sc.QueryCfg.FailureThreshold = 3
+		sc.FailureThreshold = 3
 		return sc
 	})
 	if err != nil {

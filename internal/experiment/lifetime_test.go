@@ -16,7 +16,7 @@ func TestBatteryDeathsOccurAndNetworkSurvives(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sc.Queries = QueryClasses(rng, 5, 1, 5*time.Second)
 	sc.BatteryJ = 0.15 // tiny: guarantees deaths within the run
-	sc.QueryCfg.FailureThreshold = 3
+	sc.FailureThreshold = 3
 
 	res, err := Run(sc)
 	if err != nil {
@@ -73,7 +73,7 @@ func TestSpanDiesFirst(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		sc.Queries = QueryClasses(rng, 5, 1, 5*time.Second)
 		sc.BatteryJ = 0.5
-		sc.QueryCfg.FailureThreshold = 3
+		sc.FailureThreshold = 3
 		res, err := Run(sc)
 		if err != nil {
 			t.Fatal(err)

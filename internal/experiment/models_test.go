@@ -3,11 +3,9 @@ package experiment
 import (
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
-	"github.com/essat/essat/internal/phy"
 	"github.com/essat/essat/internal/radio"
 )
 
@@ -130,17 +128,6 @@ func TestBuildRejectsBadModels(t *testing.T) {
 	sc.LossRate = 1.5
 	if _, err := Run(sc); err == nil {
 		t.Error("out-of-range loss rate did not fail Build")
-	}
-	// A model wired into the channel config is refused, not ignored:
-	// the name in Scenario.Propagation is the only way to choose one.
-	sc = modelScenario(DTSSS, "", nil, "")
-	prop, err := phy.NewPropagation("shadowing", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.ChannelCfg.Propagation = prop
-	if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), "Scenario.Propagation") {
-		t.Errorf("wired-in ChannelCfg.Propagation: err = %v, want a refusal naming Scenario.Propagation", err)
 	}
 }
 

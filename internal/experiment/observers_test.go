@@ -171,7 +171,7 @@ func TestNoObserverGates(t *testing.T) {
 				At: 8 * time.Second, Duration: 8 * time.Second, Count: 2}}}
 		}, "recovered"},
 		{"failure-detector", func(sc *Scenario) {
-			sc.QueryCfg.FailureThreshold = 3
+			sc.FailureThreshold = 3
 			sc.Dynamics = []Dynamic{{Kind: "crash", Params: dynamics.Params{
 				At: 8 * time.Second, Count: 2}}}
 		}, "declared dead"},
@@ -207,11 +207,11 @@ func TestNoObserverGates(t *testing.T) {
 
 // TestSleepIntervalsWithEveryObserver pins the Fig. 8 sleep log, which a
 // run's radio listener keeps next to the tracer, the auditor and the
-// radio sinks. Each ESSAT protocol's Fig. 8 run records the same
-// intervals, in the same order, alone and with every observer attached,
-// and matches the count, sum and order-sensitive hash the log recorded
-// when the radio kept it itself. (Why the listener sits before Safe
-// Sleep is pinned in core's TestSleepLogSubscribedBeforeSafeSleep.)
+// radio sinks. Each ESSAT protocol's Fig. 8 run (instantaneous radio
+// transitions) records the same intervals, in the same order, alone and
+// with every observer attached, and matches a pinned count, sum and
+// order-sensitive hash. (Why the listener sits before Safe Sleep is
+// pinned in core's TestSleepLogSubscribedBeforeSafeSleep.)
 func TestSleepIntervalsWithEveryObserver(t *testing.T) {
 	pins := []struct {
 		p    Protocol
@@ -219,9 +219,9 @@ func TestSleepIntervalsWithEveryObserver(t *testing.T) {
 		sum  time.Duration
 		hash uint64
 	}{
-		{DTSSS, 14636, 1247751510870, 0x3fc8291d8a8e7ec7},
-		{STSSS, 15140, 1255501396090, 0xc5437a94205ecc20},
-		{NTSSS, 10096, 1226575361646, 0xd8d21e806c38920b},
+		{DTSSS, 14648, 1292438700892, 0xf5c5f34923e778c3},
+		{STSSS, 15224, 1300329154404, 0x0784447dc7cc9a01},
+		{NTSSS, 10048, 1253714010978, 0x37f8c80253f22ee1},
 	}
 	o := Options{Duration: 20 * time.Second, Seeds: 1}.normalized()
 	for _, pin := range pins {

@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"time"
 
-	"github.com/essat/essat/internal/baseline"
 	"github.com/essat/essat/internal/check"
 	"github.com/essat/essat/internal/core"
 	"github.com/essat/essat/internal/dynamics"
@@ -106,9 +105,10 @@ type Scenario struct {
 	// exhaustion, lifetime, the auditor's energy invariant), and Safe
 	// Sleep's derived break-even time.
 	RadioProfile string
-	// RadioCfg overrides the profile's transition latencies when
-	// non-zero; leave zero to use the profile's hardware numbers.
-	RadioCfg radio.Config
+	// RadioCfg, when non-nil, replaces the profile's transition
+	// latencies; nil keeps the profile's hardware numbers. Fig. 8 sets
+	// &radio.Config{} for instantaneous transitions.
+	RadioCfg *radio.Config
 	// SSBreakEven is the Safe Sleep tBE parameter; negative selects the
 	// radio's intrinsic break-even time (Fig. 8/9 sweep it explicitly).
 	SSBreakEven time.Duration
@@ -122,11 +122,6 @@ type Scenario struct {
 	// NoBuffering disables STS/DTS early-report buffering (ablation).
 	NoBuffering bool
 
-	// MAC and channel parameters; zero values select the defaults.
-	// ChannelCfg.Propagation must stay nil: the model is chosen by name
-	// (Propagation below), and a wired-in model is refused at build.
-	MACCfg     mac.Config
-	ChannelCfg phy.Config
 	// Propagation selects the channel propagation model by registry name
 	// ("disc", "shadowing", "dual-disc"); empty keeps the unit-disc
 	// channel of the paper. PropagationParams passes the model's knobs
@@ -136,9 +131,11 @@ type Scenario struct {
 	// LossRate injects independent per-delivery loss.
 	LossRate float64
 
-	// QueryCfg tunes the agent; zero FailureThreshold disables failure
-	// detection (the paper's main experiments have no failures).
-	QueryCfg query.Config
+	// FailureThreshold is how many consecutive missed intervals or
+	// failed sends make a node declare its neighbor failed (§4.3); zero
+	// disables failure detection (the paper's main experiments have no
+	// failures).
+	FailureThreshold int
 
 	// Failures to inject.
 	Failures []Failure
@@ -193,12 +190,6 @@ type Scenario struct {
 	// selection — and their records land in Result.Records in this
 	// order.
 	Sinks []SinkChoice
-
-	// SyncCfg, PsmCfg and TmacCfg tune the baselines; zero values select
-	// defaults.
-	SyncCfg baseline.SyncConfig
-	PsmCfg  baseline.PsmConfig
-	TmacCfg baseline.TmacConfig
 }
 
 // SinkChoice names one metric sink plus its parameters (validated by
@@ -219,9 +210,6 @@ func DefaultScenario(p Protocol, seed int64) Scenario {
 		Duration:    200 * time.Second,
 		MeasureFrom: 10 * time.Second,
 		SSBreakEven: -1,
-		MACCfg:      mac.DefaultConfig(),
-		ChannelCfg:  phy.DefaultConfig(),
-		QueryCfg:    query.Config{ReportBytes: 52, PhaseBytes: 4},
 	}
 }
 
@@ -379,7 +367,6 @@ type builder struct {
 	prop   phy.Propagation
 	rcfg   radio.Config
 	chCfg  phy.Config
-	macCfg mac.Config
 	qCfg   query.Config
 	params protocol.Params
 
@@ -404,8 +391,8 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 }
 
 // resolveModels validates the scenario and resolves every registry name
-// and defaulted config: protocol, propagation model, energy profile,
-// radio, channel, MAC, query, and protocol parameters.
+// and derived config: protocol, propagation model, energy profile,
+// radio, channel, query, and protocol parameters.
 func (b *builder) resolveModels() error {
 	sc := &b.Scenario
 	if len(sc.Queries) == 0 {
@@ -417,9 +404,6 @@ func (b *builder) resolveModels() error {
 	var ok bool
 	if b.proto, ok = protocol.Lookup(sc.Protocol); !ok {
 		return fmt.Errorf("experiment: unknown protocol %q (registered: %v)", sc.Protocol, protocol.All())
-	}
-	if sc.ChannelCfg.Propagation != nil {
-		return fmt.Errorf("experiment: ChannelCfg.Propagation is not supported; set Scenario.Propagation to a registered model name (%v)", phy.PropagationNames())
 	}
 	// The propagation model shapes the candidate graph and both channels
 	// (setup flood and run), the energy profile everything that meters
@@ -438,38 +422,25 @@ func (b *builder) resolveModels() error {
 		return fmt.Errorf("experiment: unknown radio profile %q (registered: %v)", sc.RadioProfile, radio.ProfileNames())
 	}
 	b.profile = prof.Power
-	b.rcfg = sc.RadioCfg
-	if b.rcfg == (radio.Config{}) {
-		b.rcfg = prof.Config()
+	b.rcfg = prof.Config()
+	if sc.RadioCfg != nil {
+		b.rcfg = *sc.RadioCfg
 	}
 
 	// Gray-zone models deliver past the nominal range: widen the
 	// candidate-neighbor graph to the model's conservative maximum.
 	sc.Topology.NeighborRange = prop.MaxRange(sc.Topology.Range)
 
-	b.chCfg = sc.ChannelCfg
-	if b.chCfg.BitRate == 0 {
-		b.chCfg = phy.DefaultConfig()
-	}
+	b.chCfg = phy.DefaultConfig()
 	b.chCfg.LossRate = sc.LossRate
 	b.chCfg.Propagation = prop
 
-	// Validate the MAC and query configs after defaulting: the
-	// constructors only panic on invalid configs (a backstop against
-	// imperative misuse), and a malformed scenario must surface as a
-	// returned build error, never a crashed worker.
-	b.macCfg = sc.MACCfg
-	if b.macCfg.SlotTime == 0 {
-		b.macCfg = mac.DefaultConfig()
-	}
-	if err := b.macCfg.Validate(); err != nil {
-		return err
-	}
-	b.qCfg = sc.QueryCfg
-	if b.qCfg.ReportBytes == 0 {
-		b.qCfg.ReportBytes = 52
-		b.qCfg.PhaseBytes = 4
-	}
+	// The failure threshold arrives from spec input: validate it here,
+	// since the agent constructor only panics on an invalid config (a
+	// backstop against imperative misuse), and a malformed scenario must
+	// surface as a returned build error, never a crashed worker.
+	b.qCfg = query.DefaultConfig()
+	b.qCfg.FailureThreshold = sc.FailureThreshold
 	if err := b.qCfg.Validate(); err != nil {
 		return err
 	}
@@ -479,15 +450,12 @@ func (b *builder) resolveModels() error {
 		DisableSafeSleep: sc.DisableSafeSleep,
 		STSDeadline:      sc.STSDeadline,
 		NoBuffering:      sc.NoBuffering,
-		SyncCfg:          sc.SyncCfg,
-		PsmCfg:           sc.PsmCfg,
-		TmacCfg:          sc.TmacCfg,
 	}
 	// Safe Sleep's intrinsic tBE comes from the energy profile (the
 	// paper's equal-power assumption makes it tON+tOFF; radios with
-	// cheaper transitions break even sooner). An explicit RadioCfg keeps
-	// the historical radio-intrinsic fallback.
-	if b.params.SSBreakEven < 0 && sc.RadioCfg == (radio.Config{}) {
+	// cheaper transitions break even sooner). A RadioCfg override keeps
+	// the radio-intrinsic fallback: the override's tON+tOFF.
+	if b.params.SSBreakEven < 0 && sc.RadioCfg == nil {
 		b.params.SSBreakEven = prof.BreakEven()
 	}
 	return nil
@@ -628,7 +596,7 @@ func (b *builder) stacks() error {
 		b.taps = sim.ArenaSlice[*radioTap](b.Eng, "experiment.taps", b.Topo.NumNodes())
 	}
 	for _, id := range b.members {
-		n := node.New(b.Eng, id, b.Tree, b.Channel, b.rcfg, b.macCfg)
+		n := node.New(b.Eng, id, b.Tree, b.Channel, b.rcfg)
 		n.SetTracer(b.tracer)
 		if b.taps != nil {
 			// Between the MAC and the protocol stack: see radioTap.
@@ -656,7 +624,7 @@ func (b *builder) stacks() error {
 		}
 		r := radio.New(b.Eng, b.rcfg)
 		// Constructing the MAC attaches the station to the channel.
-		mac.New(b.Eng, b.Channel, node.NodeID(id), r, b.macCfg, discard{})
+		mac.New(b.Eng, b.Channel, node.NodeID(id), r, mac.DefaultConfig(), discard{})
 		r.TurnOff()
 	}
 	return nil
@@ -1092,7 +1060,7 @@ func (s *Sim) collectNodes(res *Result) {
 		res.DutyByRank[r] = w.Mean()
 	}
 	if reports > 0 {
-		bits := float64(phaseUpdates) * float64(qPhaseBytes(*sc)) * 8
+		bits := float64(phaseUpdates) * float64(query.DefaultConfig().PhaseBytes) * 8
 		res.PhaseUpdateBitsPerReport = bits / float64(reports)
 	}
 
@@ -1165,11 +1133,4 @@ func (s *Sim) collectFlows(res *Result) {
 	if received > 0 {
 		res.DisseminationLatency = dissLat / time.Duration(received)
 	}
-}
-
-func qPhaseBytes(sc Scenario) int {
-	if sc.QueryCfg.PhaseBytes > 0 {
-		return sc.QueryCfg.PhaseBytes
-	}
-	return 4
 }

@@ -379,7 +379,7 @@ func (s *Spec) Scenario() (Scenario, error) {
 	sc.NoBuffering = s.NoBuffering
 
 	sc.LossRate = s.Loss
-	sc.QueryCfg.FailureThreshold = s.FailureThreshold
+	sc.FailureThreshold = s.FailureThreshold
 	for _, f := range s.Failures {
 		victim := -1
 		if f.Node != nil {

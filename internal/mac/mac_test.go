@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -359,19 +360,38 @@ func TestSendToSelfPanics(t *testing.T) {
 	net.macs[0].Send(0, "x", 52, nil)
 }
 
+// TestConfigValidation: each Validate rule rejects its malformed config
+// with an error naming the knob, and New refuses it with a panic.
 func TestConfigValidation(t *testing.T) {
-	eng := sim.New(1)
-	topo, _ := topology.FromPositions(geom.LinePlacement(2, 100), 125)
-	ch, _ := phy.NewChannel(eng, topo, phy.DefaultConfig())
-	r := radio.New(eng, radio.Config{})
-	bad := DefaultConfig()
-	bad.CWMin = 0
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid config did not panic")
-		}
-	}()
-	New(eng, ch, 0, r, bad, &mockUpper{})
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+		want string
+	}{
+		{"timing", func(c *Config) { c.SIFS = 0 }, "SIFS"},
+		{"zero CWMin", func(c *Config) { c.CWMin = 0 }, "CWMin"},
+		{"CWMin above CWMax", func(c *Config) { c.CWMin, c.CWMax = 8, 4 }, "CWMin"},
+		{"retry limit", func(c *Config) { c.RetryLimit = -1 }, "retry"},
+		{"ack frame size", func(c *Config) { c.AckBytes = 0 }, "AckBytes"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := DefaultConfig()
+			tc.mut(&bad)
+			if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate = %v, want an error mentioning %q", err, tc.want)
+			}
+			eng := sim.New(1)
+			topo, _ := topology.FromPositions(geom.LinePlacement(2, 100), 125)
+			ch, _ := phy.NewChannel(eng, topo, phy.DefaultConfig())
+			r := radio.New(eng, radio.Config{})
+			defer func() {
+				if recover() == nil {
+					t.Error("invalid config did not panic")
+				}
+			}()
+			New(eng, ch, 0, r, bad, &mockUpper{})
+		})
+	}
 }
 
 func TestDeterministicGivenSeed(t *testing.T) {

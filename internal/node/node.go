@@ -74,13 +74,14 @@ var _ query.Host = (*Node)(nil)
 var _ core.Env = (*Node)(nil)
 var _ core.RelayEnv = (*Node)(nil)
 
-// New builds the bottom half of a node (radio + MAC) attached to the
-// channel. InstallAgent must be called before the simulation starts.
-func New(eng *sim.Engine, id NodeID, tree *routing.Tree, ch *phy.Channel, radioCfg radio.Config, macCfg mac.Config) *Node {
+// New builds the bottom half of a node (radio + a MAC with the default
+// parameters) attached to the channel. InstallAgent must be called
+// before the simulation starts.
+func New(eng *sim.Engine, id NodeID, tree *routing.Tree, ch *phy.Channel, radioCfg radio.Config) *Node {
 	n := sim.ArenaGrab[Node](eng, "node.node")
 	*n = Node{id: id, eng: eng, tree: tree}
 	n.Radio = radio.New(eng, radioCfg)
-	n.MAC = mac.New(eng, ch, id, n.Radio, macCfg, n)
+	n.MAC = mac.New(eng, ch, id, n.Radio, mac.DefaultConfig(), n)
 	return n
 }
 
@@ -267,17 +268,12 @@ func (n *Node) Level() int { return n.tree.Level(n.id) }
 // Children implements core.RelayEnv.
 func (n *Node) Children() []query.NodeID { return n.tree.Children(n.id) }
 
-// SendData implements core.RelayEnv. A nil cb stays a nil
-// callback: the MAC skips it rather than calling a nil func.
-func (n *Node) SendData(dst query.NodeID, payload any, bytes int, cb func(ok bool)) {
+// SendData implements core.RelayEnv.
+func (n *Node) SendData(dst query.NodeID, payload any, bytes int, cb mac.SendCallback) {
 	if n.killed {
 		return
 	}
-	var done mac.SendCallback
-	if cb != nil {
-		done = mac.SendFunc(cb)
-	}
-	n.MAC.Send(dst, payload, bytes, done)
+	n.MAC.Send(dst, payload, bytes, cb)
 }
 
 // --- §4.3 failure recovery --------------------------------------------------

@@ -48,9 +48,9 @@ func buildNet(t *testing.T, pts []geom.Point, failureThreshold int) (*sim.Engine
 
 	nodes := make(map[NodeID]*Node)
 	for _, id := range tree.Members() {
-		n := New(eng, id, tree, ch, radio.Config{TurnOnDelay: time.Millisecond, TurnOffDelay: 500 * time.Microsecond}, mac.DefaultConfig())
+		n := New(eng, id, tree, ch, radio.Config{TurnOnDelay: time.Millisecond, TurnOffDelay: 500 * time.Microsecond})
 		ss := core.NewSafeSleep(eng, n.Radio, core.SafeSleepOptions{
-			BreakEven: -1, WakeAhead: -1, MACBusy: n.MAC,
+			BreakEven: -1, MACBusy: n.MAC,
 		})
 		n.InstallSleep(ss)
 		var s query.Sink
@@ -219,14 +219,13 @@ func TestEnvImplementation(t *testing.T) {
 	}
 }
 
-// TestSendDataCallback checks the flow relay's send path adapts its
-// func callback for the MAC and keeps a nil callback nil: the MAC must
-// skip it rather than call a nil func.
+// TestSendDataCallback checks the flow relay's send path hands its
+// callback to the MAC, and that a nil callback is skipped.
 func TestSendDataCallback(t *testing.T) {
 	eng, _, _, nodes, _ := buildNet(t, meshPositions(), 0)
 	nodes[1].SendData(0, "no callback", 52, nil)
 	var done, ok bool
-	nodes[1].SendData(0, "with callback", 52, func(sent bool) { done, ok = true, sent })
+	nodes[1].SendData(0, "with callback", 52, mac.SendFunc(func(sent bool) { done, ok = true, sent }))
 	eng.Run(time.Second)
 	if !done || !ok {
 		t.Fatalf("callback done=%v ok=%v, want a successful completion", done, ok)
@@ -252,7 +251,7 @@ func TestPhaseRequestViaAckReachesShaper(t *testing.T) {
 	nodes := make(map[NodeID]*Node)
 	var shapers []*core.DTS
 	for _, id := range tree.Members() {
-		n := New(eng, id, tree, ch, radio.Config{}, mac.DefaultConfig())
+		n := New(eng, id, tree, ch, radio.Config{})
 		ss := core.NewSafeSleep(eng, n.Radio, core.SafeSleepOptions{Disabled: true})
 		d := core.NewDTS(n, ss)
 		n.InstallAgent(d, nil, query.DefaultConfig(), 1)

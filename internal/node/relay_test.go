@@ -6,7 +6,6 @@ import (
 
 	"github.com/essat/essat/internal/core"
 	"github.com/essat/essat/internal/geom"
-	"github.com/essat/essat/internal/mac"
 	"github.com/essat/essat/internal/phy"
 	"github.com/essat/essat/internal/query"
 	"github.com/essat/essat/internal/radio"
@@ -90,8 +89,8 @@ func TestRelayEndToEnd(t *testing.T) {
 			nodes := make(map[NodeID]*Node)
 			for _, id := range tree.Members() {
 				id := id
-				n := New(eng, id, tree, ch, radio.Config{TurnOnDelay: time.Millisecond, TurnOffDelay: 500 * time.Microsecond}, mac.DefaultConfig())
-				ss := core.NewSafeSleep(eng, n.Radio, core.SafeSleepOptions{BreakEven: -1, WakeAhead: -1, MACBusy: n.MAC})
+				n := New(eng, id, tree, ch, radio.Config{TurnOnDelay: time.Millisecond, TurnOffDelay: 500 * time.Microsecond})
+				ss := core.NewSafeSleep(eng, n.Radio, core.SafeSleepOptions{BreakEven: -1, MACBusy: n.MAC})
 				n.InstallSleep(ss)
 				n.InstallAgent(core.NewDTS(n, ss), nil, query.DefaultConfig(), 1)
 				n.InstallRelay(func(m *core.FlowMessage) { consumed[id] = append(consumed[id], m.Interval) })

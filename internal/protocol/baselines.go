@@ -21,10 +21,7 @@ func (psmBuilder) Protocol() Protocol { return PSM }
 
 func (psmBuilder) Build(ctx *BuildContext) error {
 	n := ctx.Node
-	cfg := ctx.Params.PsmCfg
-	if cfg.BeaconPeriod == 0 {
-		cfg = baseline.DefaultPsmConfig()
-	}
+	cfg := baseline.DefaultPsmConfig()
 	pm, err := baseline.NewPsmPM(ctx.Eng, n.ID(), n.Radio, n.MAC, cfg)
 	if err != nil {
 		return err
@@ -42,10 +39,7 @@ func (syncBuilder) Protocol() Protocol { return SYNC }
 
 func (syncBuilder) Build(ctx *BuildContext) error {
 	n := ctx.Node
-	cfg := ctx.Params.SyncCfg
-	if cfg.Period == 0 {
-		cfg = baseline.DefaultSyncConfig()
-	}
+	cfg := baseline.DefaultSyncConfig()
 	pm, err := baseline.NewSyncPM(ctx.Eng, n.Radio, cfg)
 	if err != nil {
 		return err
@@ -63,10 +57,7 @@ func (tmacBuilder) Protocol() Protocol { return TMAC }
 
 func (tmacBuilder) Build(ctx *BuildContext) error {
 	n := ctx.Node
-	cfg := ctx.Params.TmacCfg
-	if cfg.FramePeriod == 0 {
-		cfg = baseline.DefaultTmacConfig()
-	}
+	cfg := baseline.DefaultTmacConfig()
 	pm, err := baseline.NewTmacPM(ctx.Eng, n.Radio, n.MAC, cfg)
 	if err != nil {
 		return err

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/essat/essat/internal/baseline"
 	"github.com/essat/essat/internal/core"
 	"github.com/essat/essat/internal/node"
 	"github.com/essat/essat/internal/query"
@@ -42,7 +41,8 @@ const (
 // builders. Zero values select each protocol's defaults, with one
 // exception inherited from Safe Sleep: SSBreakEven zero means a literal
 // tBE of zero (sleep through any gap); negative selects the radio's
-// intrinsic break-even time.
+// intrinsic break-even time. The baselines (PSM, SYNC, T-MAC) always
+// run their package defaults.
 type Params struct {
 	// SSBreakEven is the Safe Sleep tBE parameter (negative = radio
 	// intrinsic).
@@ -54,11 +54,6 @@ type Params struct {
 	STSDeadline time.Duration
 	// NoBuffering disables STS/DTS early-report buffering (ablation).
 	NoBuffering bool
-	// SyncCfg, PsmCfg and TmacCfg tune the baselines; zero values select
-	// defaults.
-	SyncCfg baseline.SyncConfig
-	PsmCfg  baseline.PsmConfig
-	TmacCfg baseline.TmacConfig
 }
 
 // BuildContext is everything a Builder may use to attach a protocol
@@ -70,7 +65,7 @@ type BuildContext struct {
 	Tree *routing.Tree
 	// Sink receives completed query intervals; non-nil only at the root.
 	Sink query.Sink
-	// QueryCfg tunes the node's query agent.
+	// QueryCfg is the node's query agent config, resolved once per run.
 	QueryCfg query.Config
 	// Queries is how many queries the run registers at every node. With
 	// the node's children in Tree it sizes the per-query and per-child
@@ -129,7 +124,6 @@ func newSafeSleep(ctx *BuildContext, disabled bool) *core.SafeSleep {
 	n := ctx.Node
 	return core.NewSafeSleep(ctx.Eng, n.Radio, core.SafeSleepOptions{
 		BreakEven: ctx.Params.SSBreakEven,
-		WakeAhead: -1,
 		MACBusy:   n.MAC,
 		Disabled:  disabled || ctx.Params.DisableSafeSleep,
 		Queries:   ctx.Queries,

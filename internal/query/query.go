@@ -1,7 +1,9 @@
 // Package query implements the paper's workload model (§3): a generic
 // query service in which every node in a routing tree produces a data
 // report each query period, aggregates its children's reports with its
-// own sample, and forwards the aggregate toward the root.
+// own sample, and forwards the aggregate toward the root. An aggregate
+// carries its coverage, the number of source samples it folds; no
+// measured value is modelled, since no metric reads one.
 //
 // The Agent is deliberately power-management agnostic: all timing policy
 // is delegated to a Shaper (traffic shaper + sleep-scheduler bookkeeping),
@@ -61,8 +63,6 @@ type Report struct {
 	Interval int
 	// Coverage counts the source samples folded into this aggregate.
 	Coverage int
-	// Value is the aggregate value (max-aggregation by default).
-	Value float64
 	// Phase is a DTS phase update piggybacked on the report: the sender's
 	// expected send time of its next report. NoPhase when absent.
 	Phase time.Duration
@@ -127,9 +127,6 @@ type Sink interface {
 	IntervalClosed(q ID, interval int, latency time.Duration, coverage int)
 }
 
-// SendFunc submits a payload toward dst; cb reports MAC-level success.
-type SendFunc func(dst NodeID, payload any, bytes int, cb mac.SendCallback)
-
 // Host is the node-side environment of an Agent: the transmit path and
 // the failure-detection notifications. The node implements it directly,
 // so wiring an agent stores one interface value instead of binding a
@@ -146,45 +143,6 @@ type Host interface {
 	ParentFailed()
 }
 
-// HostFuncs adapts plain funcs to Host (tests, ad-hoc wiring). Nil
-// failure handlers are no-ops; Send must be set.
-type HostFuncs struct {
-	Send           SendFunc
-	OnChildFailed  func(child NodeID)
-	OnParentFailed func()
-}
-
-// SendReport implements Host.
-func (h *HostFuncs) SendReport(dst NodeID, payload any, bytes int, cb mac.SendCallback) {
-	h.Send(dst, payload, bytes, cb)
-}
-
-// ChildFailed implements Host.
-func (h *HostFuncs) ChildFailed(child NodeID) {
-	if h.OnChildFailed != nil {
-		h.OnChildFailed(child)
-	}
-}
-
-// ParentFailed implements Host.
-func (h *HostFuncs) ParentFailed() {
-	if h.OnParentFailed != nil {
-		h.OnParentFailed()
-	}
-}
-
-// AggFunc folds two aggregate values. The default is max, typical for
-// threshold-detection queries.
-type AggFunc func(a, b float64) float64
-
-// MaxAgg is the default aggregation function.
-func MaxAgg(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Config parameterizes an Agent.
 type Config struct {
 	// ReportBytes is the on-air size of a data report (52 in the paper).
@@ -195,11 +153,6 @@ type Config struct {
 	// (child side) or failed transmissions (parent side) before the node
 	// declares its neighbor failed. Zero disables failure detection.
 	FailureThreshold int
-	// Agg is the aggregation function; nil means MaxAgg.
-	Agg AggFunc
-	// Sampler produces this node's local measurement for interval k.
-	// Nil installs a deterministic default.
-	Sampler func(q ID, k int) float64
 }
 
 // DefaultConfig matches the paper's setup: 52-byte reports, 4-byte phase
@@ -253,7 +206,6 @@ type Stats struct {
 // event argument, so steady-state interval turnover is allocation-free.
 type interval struct {
 	k        int
-	value    float64
 	coverage int
 	expected []NodeID // children owed for this interval
 	got      []bool   // parallel to expected
@@ -419,7 +371,6 @@ type Agent struct {
 	host   Host
 	sink   Sink
 	cfg    Config
-	agg    AggFunc
 
 	// queries holds the registered runtimes in ascending spec.ID, so
 	// every maintenance walk (which mutates shaper and sleep state, and
@@ -479,7 +430,6 @@ func (a *Agent) newInterval(rt *runtime, k int) *interval {
 		iv.got = sim.ArenaSlice[bool](a.eng, "query.iv.got", children)
 	}
 	iv.k = k
-	iv.value = 0
 	iv.coverage = 0
 	iv.expected = iv.expected[:0]
 	iv.got = iv.got[:0]
@@ -520,13 +470,6 @@ func NewAgent(eng *sim.Engine, id NodeID, tree *routing.Tree, shaper Shaper, hos
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	agg := cfg.Agg
-	if agg == nil {
-		agg = MaxAgg
-	}
-	if cfg.Sampler == nil {
-		cfg.Sampler = func(q ID, k int) float64 { return float64(id) }
-	}
 	a := sim.ArenaGrab[Agent](eng, "query.agent")
 	*a = Agent{
 		eng:     eng,
@@ -536,7 +479,6 @@ func NewAgent(eng *sim.Engine, id NodeID, tree *routing.Tree, shaper Shaper, hos
 		host:    host,
 		sink:    sink,
 		cfg:     cfg,
-		agg:     agg,
 		queries: sim.ArenaSlice[*runtime](eng, "query.queries", queries)[:0],
 	}
 	return a
@@ -619,7 +561,6 @@ func (a *Agent) startInterval(rt *runtime, k int) {
 	a.eng.ScheduleArg(rt.spec.IntervalStart(k+1), queryTick, rt)
 
 	iv := a.newInterval(rt, k)
-	iv.value = a.cfg.Sampler(rt.spec.ID, k)
 	iv.coverage = 1
 	a.stats.Samples++
 	rt.intervals = sim.ArenaAppend(a.eng, "query.rt.intervals.grow", rt.intervals, iv)
@@ -690,7 +631,7 @@ func (a *Agent) closeInterval(rt *runtime, iv *interval) {
 	}
 
 	tr := a.newTxReport(rt)
-	tr.rep = Report{Query: rt.spec.ID, Interval: iv.k, Coverage: iv.coverage, Value: iv.value}
+	tr.rep = Report{Query: rt.spec.ID, Interval: iv.k, Coverage: iv.coverage}
 	sendAt, phase := a.shaper.ReportReady(rt.spec.ID, iv.k, a.eng.Now())
 	tr.rep.Phase = phase
 	if now := a.eng.Now(); sendAt < now {
@@ -826,7 +767,6 @@ func (a *Agent) HandleReport(from NodeID, rep *Report) {
 		}
 		iv.extraGot = append(iv.extraGot, from)
 	}
-	iv.value = a.agg(iv.value, rep.Value)
 	iv.coverage += rep.Coverage
 
 	for i := range iv.expected {
@@ -843,7 +783,6 @@ func (a *Agent) HandleReport(from NodeID, rep *Report) {
 // deadlines fired, so root-side latency reflects true end-to-end delay.
 func (a *Agent) handleLate(rt *runtime, rep *Report) {
 	if iv := rt.interval(rep.Interval); iv != nil && !iv.closed {
-		iv.value = a.agg(iv.value, rep.Value)
 		iv.coverage += rep.Coverage
 		return
 	}
@@ -855,7 +794,6 @@ func (a *Agent) handleLate(rt *runtime, rep *Report) {
 		Query:       rep.Query,
 		Interval:    rep.Interval,
 		Coverage:    rep.Coverage,
-		Value:       rep.Value,
 		Phase:       NoPhase,
 		PassThrough: true,
 	}

@@ -75,6 +75,30 @@ type sentRec struct {
 	cb    mac.SendCallback
 }
 
+// testHost is a Host built from funcs. Nil failure handlers are no-ops;
+// Send must be set.
+type testHost struct {
+	Send           func(dst NodeID, payload any, bytes int, cb mac.SendCallback)
+	OnChildFailed  func(child NodeID)
+	OnParentFailed func()
+}
+
+func (h *testHost) SendReport(dst NodeID, payload any, bytes int, cb mac.SendCallback) {
+	h.Send(dst, payload, bytes, cb)
+}
+
+func (h *testHost) ChildFailed(child NodeID) {
+	if h.OnChildFailed != nil {
+		h.OnChildFailed(child)
+	}
+}
+
+func (h *testHost) ParentFailed() {
+	if h.OnParentFailed != nil {
+		h.OnParentFailed()
+	}
+}
+
 type testSink struct {
 	arrivals  []time.Duration
 	closures  []int // coverage per closed interval
@@ -93,7 +117,7 @@ func (s *testSink) IntervalClosed(q ID, k int, latency time.Duration, coverage i
 // chainFixture builds a 3-node chain tree (0=root, 1 middle, 2 leaf) and
 // an agent for the middle node with captured sends. Tests hook failure
 // detection by setting the returned host's handler fields.
-func chainFixture(t *testing.T) (*sim.Engine, *routing.Tree, *Agent, *stubShaper, *[]sentRec, *HostFuncs) {
+func chainFixture(t *testing.T) (*sim.Engine, *routing.Tree, *Agent, *stubShaper, *[]sentRec, *testHost) {
 	t.Helper()
 	eng := sim.New(1)
 	topo, err := topology.FromPositions(geom.LinePlacement(3, 100), 125)
@@ -106,7 +130,7 @@ func chainFixture(t *testing.T) (*sim.Engine, *routing.Tree, *Agent, *stubShaper
 	}
 	sh := newStubShaper()
 	var sent []sentRec
-	host := &HostFuncs{Send: func(dst NodeID, payload any, bytes int, cb mac.SendCallback) {
+	host := &testHost{Send: func(dst NodeID, payload any, bytes int, cb mac.SendCallback) {
 		sent = append(sent, sentRec{dst: dst, rep: payload.(*Report), bytes: bytes, cb: cb})
 	}}
 	a := NewAgent(eng, 1, tree, sh, host, nil, DefaultConfig(), 1)
@@ -150,7 +174,7 @@ func TestAggregationAndForwarding(t *testing.T) {
 	}
 	// Child 2's report for interval 0 arrives 50ms into the interval.
 	eng.Schedule(150*time.Millisecond, func() {
-		a.HandleReport(2, &Report{Query: 1, Interval: 0, Coverage: 1, Value: 42, Phase: NoPhase})
+		a.HandleReport(2, &Report{Query: 1, Interval: 0, Coverage: 1, Phase: NoPhase})
 	})
 	eng.Run(300 * time.Millisecond)
 
@@ -160,9 +184,6 @@ func TestAggregationAndForwarding(t *testing.T) {
 	rep := (*sent)[0].rep
 	if rep.Coverage != 2 {
 		t.Fatalf("coverage = %d, want 2 (own sample + child)", rep.Coverage)
-	}
-	if rep.Value != 42 {
-		t.Fatalf("value = %v, want max(1, 42) = 42", rep.Value)
 	}
 	if (*sent)[0].dst != 0 {
 		t.Fatalf("sent to %d, want parent 0", (*sent)[0].dst)
@@ -205,7 +226,7 @@ func TestLateReportForwardedAsPassThrough(t *testing.T) {
 	}
 	// Child's interval-0 report arrives after the interval timed out.
 	eng.Schedule(950*time.Millisecond, func() {
-		a.HandleReport(2, &Report{Query: 1, Interval: 0, Coverage: 5, Value: 9, Phase: NoPhase})
+		a.HandleReport(2, &Report{Query: 1, Interval: 0, Coverage: 5, Phase: NoPhase})
 	})
 	eng.Run(time.Second)
 	var passThroughs int
@@ -238,11 +259,11 @@ func TestPassThroughMergedIntoOpenInterval(t *testing.T) {
 	// A pass-through from a grandchild arrives while interval 0 is open:
 	// it must merge, not forward separately.
 	eng.Schedule(200*time.Millisecond, func() {
-		a.HandleReport(2, &Report{Query: 1, Interval: 0, Coverage: 3, Value: 7, PassThrough: true, Phase: NoPhase})
+		a.HandleReport(2, &Report{Query: 1, Interval: 0, Coverage: 3, PassThrough: true, Phase: NoPhase})
 	})
 	// Then the child's own report closes the interval.
 	eng.Schedule(300*time.Millisecond, func() {
-		a.HandleReport(2, &Report{Query: 1, Interval: 0, Coverage: 1, Value: 2, Phase: NoPhase})
+		a.HandleReport(2, &Report{Query: 1, Interval: 0, Coverage: 1, Phase: NoPhase})
 	})
 	eng.Run(time.Second)
 	if len(*sent) != 1 {
@@ -271,7 +292,7 @@ func TestReportFailedHookAndFailureDetection(t *testing.T) {
 	for k := 0; k < 3; k++ {
 		k := k
 		eng.Schedule(spec.IntervalStart(k)+50*time.Millisecond, func() {
-			a.HandleReport(2, &Report{Query: 1, Interval: k, Coverage: 1, Value: 1, Phase: NoPhase})
+			a.HandleReport(2, &Report{Query: 1, Interval: k, Coverage: 1, Phase: NoPhase})
 		})
 	}
 	for k := 0; k < 3; k++ {
@@ -329,14 +350,14 @@ func TestRootRecordsArrivalsAndClosures(t *testing.T) {
 	tree, _ := routing.BuildBFS(topo, 0, 0)
 	sink := &testSink{}
 	sh := newStubShaper()
-	a := NewAgent(eng, 0, tree, sh, &HostFuncs{Send: func(NodeID, any, int, mac.SendCallback) {
+	a := NewAgent(eng, 0, tree, sh, &testHost{Send: func(NodeID, any, int, mac.SendCallback) {
 		t.Fatal("root must not send reports")
 	}}, sink, DefaultConfig(), 1)
 	if err := a.Register(spec); err != nil {
 		t.Fatal(err)
 	}
 	eng.Schedule(160*time.Millisecond, func() {
-		a.HandleReport(1, &Report{Query: 1, Interval: 0, Coverage: 1, Value: 3, Phase: NoPhase})
+		a.HandleReport(1, &Report{Query: 1, Interval: 0, Coverage: 1, Phase: NoPhase})
 	})
 	eng.Run(500 * time.Millisecond)
 	if len(sink.arrivals) != 1 || sink.arrivals[0] != 60*time.Millisecond {
@@ -356,7 +377,7 @@ func TestStalePayloadFromNonChildNotTreatedAsScheduled(t *testing.T) {
 	// shaper's per-child schedule.
 	_ = tree
 	eng.Schedule(150*time.Millisecond, func() {
-		a.HandleReport(0, &Report{Query: 1, Interval: 0, Coverage: 1, Value: 1, Phase: NoPhase})
+		a.HandleReport(0, &Report{Query: 1, Interval: 0, Coverage: 1, Phase: NoPhase})
 	})
 	eng.Run(200 * time.Millisecond)
 	if sh.count("received") != 0 {
@@ -390,7 +411,7 @@ func TestPhaseBytesAddedWhenPiggybacking(t *testing.T) {
 	sh := newStubShaper()
 	var sent []sentRec
 	phaseShaper := &phaseStub{stubShaper: sh}
-	a := NewAgent(eng, 2, tree, phaseShaper, &HostFuncs{Send: func(dst NodeID, payload any, bytes int, cb mac.SendCallback) {
+	a := NewAgent(eng, 2, tree, phaseShaper, &testHost{Send: func(dst NodeID, payload any, bytes int, cb mac.SendCallback) {
 		sent = append(sent, sentRec{dst: dst, rep: payload.(*Report), bytes: bytes, cb: cb})
 	}}, nil, DefaultConfig(), 1)
 	if err := a.Register(spec); err != nil {
@@ -412,12 +433,6 @@ type phaseStub struct{ *stubShaper }
 
 func (p *phaseStub) ReportReady(q ID, k int, readyAt time.Duration) (time.Duration, time.Duration) {
 	return readyAt, readyAt + time.Second
-}
-
-func TestMaxAgg(t *testing.T) {
-	if MaxAgg(3, 5) != 5 || MaxAgg(5, 3) != 5 {
-		t.Fatal("MaxAgg broken")
-	}
 }
 
 func TestStopBreaksAndResumeRestartsIntervalChain(t *testing.T) {

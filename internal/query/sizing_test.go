@@ -47,7 +47,7 @@ func TestAgentTablesSizedByChildren(t *testing.T) {
 					eng.SetArena(sim.NewArena())
 				}
 				want := len(tree.Children(id))
-				host := &HostFuncs{Send: func(NodeID, any, int, mac.SendCallback) {}}
+				host := &testHost{Send: func(NodeID, any, int, mac.SendCallback) {}}
 				var sink Sink
 				if id == 0 {
 					sink = &testSink{}
