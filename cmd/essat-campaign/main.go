@@ -1,21 +1,21 @@
 // Command essat-campaign orchestrates crash-safe batch campaigns over
 // generated workload corpora:
 //
-//	essat-campaign gen -dir corpus/ -seed 42 -count 252 [-shards 4]
-//	essat-campaign run -dir corpus/ [-shard 0] [-workers 8] [-max-events 5000000]
-//	essat-campaign resume -dir corpus/ [-shard 0]
+//	essat-campaign gen -dir corpus/ -seed 42 -count 252
+//	essat-campaign run -dir corpus/ [-workers 8] [-max-events 5000000]
+//	essat-campaign resume -dir corpus/
 //	essat-campaign status -dir corpus/
 //	essat-campaign merge -dir corpus/
 //
 // gen writes a seeded, reproducible corpus (spec files + manifest);
-// run executes one shard on a bounded worker pool, journaling every
-// outcome to an append-only JSONL write-ahead log, fsync'd in batches.
+// run executes it on a bounded worker pool, journaling every outcome
+// to an append-only JSONL write-ahead log, fsync'd in batches.
 // SIGINT/SIGTERM checkpoints the journal and exits resumable; resume
 // replays the journal (tolerating a torn final line), skips completed
 // specs, and finishes the rest. Whichever invocation completes the
-// final spec merges every shard journal into results.jsonl — one
-// deterministic line per spec, byte-identical whether the campaign ran
-// uninterrupted or was killed and resumed any number of times.
+// final spec merges the journal into results.jsonl — one deterministic
+// line per spec, byte-identical whether the campaign ran uninterrupted
+// or was killed and resumed any number of times.
 //
 // Specs that exhaust their budget retry with jittered backoff up to a
 // cap; specs that panic leave a repro bundle (spec + seed + stack)
@@ -77,9 +77,9 @@ func usage() {
 
 commands:
   gen     generate a seeded corpus (specs + manifest) into -dir
-  run     run one shard of the campaign, journaling outcomes
+  run     run the campaign, journaling outcomes
   resume  continue an interrupted run from its journal
-  status  report per-shard progress
+  status  report progress
   merge   write the merged result set (requires a complete campaign)
 
 run 'essat-campaign <command> -h' for command flags
@@ -91,7 +91,6 @@ func cmdGen(args []string) error {
 	dir := fs.String("dir", "", "corpus directory to create (required)")
 	seed := fs.Int64("seed", 1, "corpus seed; same seed+count regenerates identical specs")
 	count := fs.Int("count", 252, "number of specs (252 = one full protocol×topology×propagation×radio cross-product)")
-	shards := fs.Int("shards", 1, "shard count the campaign will run as")
 	maxNodes := fs.Int("max-nodes", 48, "largest deployment size to draw")
 	maxDur := fs.Duration("max-duration", 6*time.Second, "longest simulated duration to draw")
 	fs.Parse(args)
@@ -103,10 +102,10 @@ func cmdGen(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := corpus.Write(*dir, cfg, items, *shards); err != nil {
+	if err := corpus.Write(*dir, cfg, items); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d specs (%d shards) to %s\n", len(items), *shards, *dir)
+	fmt.Printf("wrote %d specs to %s\n", len(items), *dir)
 	return nil
 }
 
@@ -117,7 +116,6 @@ func cmdRun(args []string, resume bool) error {
 	}
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	dir := fs.String("dir", "", "corpus directory (required)")
-	shard := fs.Int("shard", 0, "shard to run (0-based)")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	maxEvents := fs.Uint64("max-events", 20_000_000, "per-run event budget (0 = unlimited)")
 	wallClock := fs.Duration("wall-clock", 0, "per-run wall-clock budget (0 = unlimited)")
@@ -135,7 +133,6 @@ func cmdRun(args []string, resume bool) error {
 	defer stop()
 
 	cfg := campaign.RunConfig{
-		Shard:      *shard,
 		Workers:    *workers,
 		Budget:     experiment.Budget{MaxEvents: *maxEvents, WallClock: *wallClock},
 		MaxRetries: *retries,
@@ -149,11 +146,9 @@ func cmdRun(args []string, resume bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("shard %d: %d specs, %d completed, %d failed (%d quarantined), %d skipped, %d retries\n",
-		sum.Shard, sum.Total, sum.Completed, sum.Failed, sum.Quarantined, sum.Skipped, sum.Retries)
-	if sum.ResultsPath != "" {
-		fmt.Printf("campaign complete: merged results at %s\n", sum.ResultsPath)
-	}
+	fmt.Printf("%d specs: %d completed, %d failed (%d quarantined), %d skipped, %d retries\n",
+		sum.Total, sum.Completed, sum.Failed, sum.Quarantined, sum.Skipped, sum.Retries)
+	fmt.Printf("campaign complete: merged results at %s\n", sum.ResultsPath)
 	return nil
 }
 
@@ -168,12 +163,8 @@ func cmdStatus(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d specs across %d shard(s): %d done, %d failed, %d pending\n",
-		st.Specs, st.Shards, st.Done, st.Failed, st.Pending)
-	for _, ss := range st.PerShard {
-		fmt.Printf("  shard %d: %d/%d done, %d failed, %d pending\n",
-			ss.Shard, ss.Done, ss.Total, ss.Failed, ss.Pending)
-	}
+	fmt.Printf("%d specs: %d done, %d failed, %d pending\n",
+		st.Specs, st.Done, st.Failed, st.Pending)
 	if st.Merged {
 		fmt.Println("merged: results.jsonl present")
 	}

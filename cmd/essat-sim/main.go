@@ -473,8 +473,14 @@ func printResult(spec *essat.Spec, last *essat.Result, duty, lat stats.Welford, 
 		fmt.Printf("radio          %s\n", spec.Radio.Profile)
 	}
 	fmt.Printf("tree           %d members, max rank %d\n", last.TreeSize, last.MaxRank)
-	fmt.Printf("duty cycle     %.2f%% ± %.2f (90%% CI over %d seeds)\n", duty.Mean(), duty.CI90(), duty.N())
-	fmt.Printf("query latency  %.3fs ± %.3f (mean of per-interval max-source latency)\n", lat.Mean(), lat.CI90())
+	// One seed is one sample: print no interval rather than ± 0.
+	if duty.N() < 2 {
+		fmt.Printf("duty cycle     %.2f%%\n", duty.Mean())
+		fmt.Printf("query latency  %.3fs (mean of per-interval max-source latency)\n", lat.Mean())
+	} else {
+		fmt.Printf("duty cycle     %.2f%% ± %.2f (90%% CI over %d seeds)\n", duty.Mean(), duty.CI90(), duty.N())
+		fmt.Printf("query latency  %.3fs ± %.3f (mean of per-interval max-source latency)\n", lat.Mean(), lat.CI90())
+	}
 	fmt.Printf("coverage       %.1f of %d sources per interval (last seed)\n", last.Coverage, last.TreeSize)
 	fmt.Printf("energy         mean %.2f J, worst node %.2f J over the window; est. lifetime %.1f days\n",
 		last.EnergyMean, last.EnergyMax, last.NetworkLifetime.Hours()/24)

@@ -123,6 +123,11 @@ func TestSyncConfigValidation(t *testing.T) {
 
 // --- PSM --------------------------------------------------------------------
 
+// sendFunc adapts a func to mac.SendCallback.
+type sendFunc func(ok bool)
+
+func (f sendFunc) SendDone(ok bool) { f(ok) }
+
 type psmNet struct {
 	eng    *sim.Engine
 	radios []*radio.Radio
@@ -190,7 +195,7 @@ func TestPsmDeliversBufferedTraffic(t *testing.T) {
 	// Submit mid-beacon: the frame must wait for the next beacon's ATIM
 	// announcement, then transfer in the data window.
 	net.eng.Schedule(230*time.Millisecond, func() {
-		net.pms[0].SubmitReport(1, "report", 52, mac.SendFunc(func(ok bool) { delivered = ok }))
+		net.pms[0].SubmitReport(1, "report", 52, sendFunc(func(ok bool) { delivered = ok }))
 	})
 	net.eng.Run(time.Second)
 	if !delivered {
@@ -209,7 +214,7 @@ func TestPsmDeliveryLatencyIsAboutOneBeacon(t *testing.T) {
 	var deliveredAt time.Duration
 	submitted := 230 * time.Millisecond
 	net.eng.Schedule(submitted, func() {
-		net.pms[0].SubmitReport(1, "x", 52, mac.SendFunc(func(ok bool) {
+		net.pms[0].SubmitReport(1, "x", 52, sendFunc(func(ok bool) {
 			if ok {
 				deliveredAt = net.eng.Now()
 			}
@@ -266,7 +271,7 @@ func TestPsmMultiHopForwarding(t *testing.T) {
 		net.pms[0].SubmitReport(1, "hop1", 52, nil)
 	})
 	net.eng.Schedule(610*time.Millisecond, func() {
-		net.pms[1].SubmitReport(2, "hop2", 52, mac.SendFunc(func(ok bool) {
+		net.pms[1].SubmitReport(2, "hop2", 52, sendFunc(func(ok bool) {
 			if ok {
 				hop2At = net.eng.Now()
 			}

@@ -72,7 +72,7 @@ func TestTmacDeliversBufferedFrame(t *testing.T) {
 	net := newTmacNet(t, 2)
 	delivered := false
 	net.eng.Schedule(230*time.Millisecond, func() {
-		net.pms[0].SubmitReport(1, "report", 52, mac.SendFunc(func(ok bool) { delivered = ok }))
+		net.pms[0].SubmitReport(1, "report", 52, sendFunc(func(ok bool) { delivered = ok }))
 	})
 	net.eng.Run(time.Second)
 	if !delivered {

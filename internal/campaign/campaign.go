@@ -27,8 +27,8 @@ var ErrInterrupted = errors.New("campaign: interrupted (journal checkpointed, re
 // redo finished work.
 var ErrJournalExists = errors.New("campaign: journal already has records; use resume")
 
-// ErrIncomplete reports a merge attempted before every spec in every
-// shard has a terminal record.
+// ErrIncomplete reports a merge attempted before every spec has a
+// terminal record.
 var ErrIncomplete = errors.New("campaign: not all specs have terminal records yet")
 
 // ResultsName is the merged result set's filename inside a campaign
@@ -38,14 +38,13 @@ const ResultsName = "results.jsonl"
 // quarantineDir is the subdirectory collecting panic repro bundles.
 const quarantineDir = "quarantine"
 
-// journalName returns the journal filename for one shard.
-func journalName(shard int) string { return fmt.Sprintf("journal-%03d.jsonl", shard) }
+// journalName is the campaign's write-ahead journal inside its
+// directory. The numbered name is kept so directories written when a
+// campaign could span several journals still resume.
+const journalName = "journal-000.jsonl"
 
-// RunConfig parameterizes one shard run.
+// RunConfig parameterizes one campaign run.
 type RunConfig struct {
-	// Shard selects which shard of the corpus manifest to run (0-based);
-	// item i belongs to shard i mod manifest.Shards.
-	Shard int
 	// Workers is the bounded worker pool size; <=0 selects GOMAXPROCS.
 	Workers int
 	// Budget bounds each run; the zero value is unlimited. Campaigns
@@ -119,8 +118,7 @@ func retryDelay(base time.Duration, attempt int, rng *rand.Rand) time.Duration {
 
 // Summary reports what one Run did.
 type Summary struct {
-	Shard int
-	// Total is the shard's spec count; Skipped how many already had
+	// Total is the corpus's spec count; Skipped how many already had
 	// terminal records when the run started (resume).
 	Total   int
 	Skipped int
@@ -134,14 +132,14 @@ type Summary struct {
 	// Interrupted reports the run stopped on context cancellation with
 	// work remaining; the journal is checkpointed and resumable.
 	Interrupted bool
-	// ResultsPath is the merged result set, written when this run
-	// brought the whole campaign (all shards) to completion.
+	// ResultsPath is the merged result set, written by every run that
+	// is not interrupted.
 	ResultsPath string
 }
 
-// Run executes one shard of the corpus campaign at dir on a bounded
-// worker pool, journaling every outcome. Each worker owns a reusable
-// experiment arena; all workers share one deployment cache. Audit is
+// Run executes the corpus campaign at dir on a bounded worker pool,
+// journaling every outcome. Each worker owns a reusable experiment
+// arena; all workers share one deployment cache. Audit is
 // forced on for every run so each done record carries the invariant
 // auditor's trace digest.
 //
@@ -153,23 +151,16 @@ type Summary struct {
 // individual failures. Context cancellation checkpoints the journal
 // and returns ErrInterrupted.
 //
-// When the run completes the final outstanding spec of the final shard
-// it also writes the merged result set (see Merge).
+// A run that is not interrupted ends with every spec journaled and
+// writes the merged result set (see Merge).
 func Run(ctx context.Context, dir string, cfg RunConfig) (*Summary, error) {
 	cfg = cfg.withDefaults()
-	man, items, err := corpus.Load(dir)
+	_, items, err := corpus.Load(dir)
 	if err != nil {
 		return nil, err
 	}
-	shards := man.Shards
-	if shards <= 0 {
-		shards = 1
-	}
-	if cfg.Shard < 0 || cfg.Shard >= shards {
-		return nil, fmt.Errorf("campaign: shard %d outside [0,%d)", cfg.Shard, shards)
-	}
 
-	jpath := filepath.Join(dir, journalName(cfg.Shard))
+	jpath := filepath.Join(dir, journalName)
 	recs, err := ReadJournal(jpath)
 	if err != nil {
 		return nil, err
@@ -179,13 +170,9 @@ func Run(ctx context.Context, dir string, cfg RunConfig) (*Summary, error) {
 	}
 	prog := Replay(recs)
 
-	sum := &Summary{Shard: cfg.Shard}
+	sum := &Summary{Total: len(items)}
 	var pending []corpus.Item
 	for _, it := range items {
-		if it.Index%shards != cfg.Shard {
-			continue
-		}
-		sum.Total++
 		if _, done := prog.Terminal[it.Index]; done {
 			sum.Skipped++
 			continue
@@ -213,14 +200,12 @@ func Run(ctx context.Context, dir string, cfg RunConfig) (*Summary, error) {
 	if sum.Interrupted {
 		return sum, ErrInterrupted
 	}
-	// This shard is complete; if every shard is, write the merged
-	// result set. Racing shard processes both observing completion is
-	// benign: Merge is deterministic and writes atomically.
-	if path, err := Merge(dir); err == nil {
-		sum.ResultsPath = path
-	} else if !errors.Is(err, ErrIncomplete) {
+	// Every spec now has a terminal record: write the merged result set.
+	path, err := Merge(dir)
+	if err != nil {
 		return nil, err
 	}
+	sum.ResultsPath = path
 	return sum, nil
 }
 
@@ -446,9 +431,9 @@ func quarantine(root string, it corpus.Item, attempt int, pe *experiment.PanicEr
 	return rel, nil
 }
 
-// Merge folds every shard journal into the campaign's merged result
-// set, dir/results.jsonl: one deterministic ResultRecord line per spec
-// in manifest (index) order. It fails with ErrIncomplete if any spec
+// Merge folds the campaign journal into the merged result set,
+// dir/results.jsonl: one deterministic ResultRecord line per spec in
+// manifest (index) order. It fails with ErrIncomplete if any spec
 // lacks a terminal record. The file is written atomically (temp +
 // rename), and its bytes depend only on the terminal outcomes — never
 // on worker interleaving, retries, restarts, or resumes — which is the
@@ -458,22 +443,11 @@ func Merge(dir string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	shards := man.Shards
-	if shards <= 0 {
-		shards = 1
+	recs, err := ReadJournal(filepath.Join(dir, journalName))
+	if err != nil {
+		return "", err
 	}
-	terminal := make(map[int]Record)
-	for s := 0; s < shards; s++ {
-		recs, err := ReadJournal(filepath.Join(dir, journalName(s)))
-		if err != nil {
-			return "", err
-		}
-		for idx, rec := range Replay(recs).Terminal {
-			if _, dup := terminal[idx]; !dup {
-				terminal[idx] = rec
-			}
-		}
-	}
+	terminal := Replay(recs).Terminal
 
 	var buf []byte
 	for _, e := range man.Specs {
@@ -489,10 +463,10 @@ func Merge(dir string) (string, error) {
 		buf = append(buf, '\n')
 	}
 
-	// A unique temp file per caller: racing shard processes can both
-	// reach Merge, and a shared temp path would let their truncates and
-	// writes interleave. Rename is atomic and both write identical
-	// bytes, so whichever lands last is still correct.
+	// A unique temp file per caller: a `merge` racing the run that
+	// completes the campaign would otherwise interleave truncates and
+	// writes on a shared temp path. Rename is atomic and both write
+	// identical bytes, so whichever lands last is still correct.
 	path := filepath.Join(dir, ResultsName)
 	tmp, err := os.CreateTemp(dir, ResultsName+".tmp-")
 	if err != nil {
@@ -519,62 +493,40 @@ func Merge(dir string) (string, error) {
 	return path, nil
 }
 
-// Status summarizes a campaign directory's progress per shard.
+// Status summarizes a campaign directory's progress.
 type Status struct {
-	Specs  int
-	Shards int
-	// Done, Failed, and Pending count specs by terminal state across
-	// all shard journals; PerShard breaks pending down by shard.
-	Done     int
-	Failed   int
-	Pending  int
-	PerShard []ShardStatus
+	// Specs counts the corpus; Done, Failed, and Pending count its
+	// specs by terminal state in the journal.
+	Specs   int
+	Done    int
+	Failed  int
+	Pending int
 	// Merged reports whether results.jsonl exists.
 	Merged bool
 }
 
-// ShardStatus is one shard's progress.
-type ShardStatus struct {
-	Shard, Total, Done, Failed, Pending int
-}
-
-// ReadStatus reads the manifest and every shard journal at dir.
+// ReadStatus reads the manifest and the journal at dir.
 func ReadStatus(dir string) (*Status, error) {
 	man, err := readManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	shards := man.Shards
-	if shards <= 0 {
-		shards = 1
+	recs, err := ReadJournal(filepath.Join(dir, journalName))
+	if err != nil {
+		return nil, err
 	}
-	st := &Status{Specs: len(man.Specs), Shards: shards}
-	for s := 0; s < shards; s++ {
-		recs, err := ReadJournal(filepath.Join(dir, journalName(s)))
-		if err != nil {
-			return nil, err
+	prog := Replay(recs)
+	st := &Status{Specs: len(man.Specs)}
+	for _, e := range man.Specs {
+		rec, ok := prog.Terminal[e.Index]
+		switch {
+		case !ok:
+			st.Pending++
+		case rec.Op == OpDone:
+			st.Done++
+		default:
+			st.Failed++
 		}
-		prog := Replay(recs)
-		ss := ShardStatus{Shard: s}
-		for _, e := range man.Specs {
-			if e.Index%shards != s {
-				continue
-			}
-			ss.Total++
-			rec, ok := prog.Terminal[e.Index]
-			switch {
-			case !ok:
-				ss.Pending++
-			case rec.Op == OpDone:
-				ss.Done++
-			default:
-				ss.Failed++
-			}
-		}
-		st.Done += ss.Done
-		st.Failed += ss.Failed
-		st.Pending += ss.Pending
-		st.PerShard = append(st.PerShard, ss)
 	}
 	if _, err := os.Stat(filepath.Join(dir, ResultsName)); err == nil {
 		st.Merged = true

@@ -45,7 +45,7 @@ func init() {
 
 // genCorpus writes a small fast corpus (24-node, 3s runs) to a temp
 // dir and returns the dir.
-func genCorpus(t *testing.T, count, shards int) string {
+func genCorpus(t *testing.T, count int) string {
 	t.Helper()
 	dir := t.TempDir()
 	cfg := corpus.Config{Seed: 7, Count: count, MaxNodes: 24, MaxDuration: 3 * time.Second}
@@ -53,7 +53,7 @@ func genCorpus(t *testing.T, count, shards int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := corpus.Write(dir, cfg, items, shards); err != nil {
+	if err := corpus.Write(dir, cfg, items); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -213,7 +213,7 @@ func TestCampaignResumeDigestMatch(t *testing.T) {
 	const count = 4
 
 	// Reference: uninterrupted.
-	refDir := genCorpus(t, count, 1)
+	refDir := genCorpus(t, count)
 	refSum, err := Run(context.Background(), refDir, RunConfig{Workers: 2, SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestCampaignResumeDigestMatch(t *testing.T) {
 	}
 
 	// Interrupted: cancel after the first terminal record, mid-campaign.
-	intDir := genCorpus(t, count, 1)
+	intDir := genCorpus(t, count)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var terminal atomic.Int32
@@ -243,13 +243,20 @@ func TestCampaignResumeDigestMatch(t *testing.T) {
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
 	}
-	recs, err := ReadJournal(filepath.Join(intDir, journalName(0)))
+	recs, err := ReadJournal(filepath.Join(intDir, journalName))
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog := Replay(recs)
 	if len(prog.Terminal) == 0 || len(prog.Terminal) >= count {
 		t.Fatalf("interrupted journal has %d terminal records, want mid-campaign (0 < n < %d)", len(prog.Terminal), count)
+	}
+	st, err := ReadStatus(intDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Specs != count || st.Done+st.Failed != len(prog.Terminal) || st.Pending != count-len(prog.Terminal) || st.Merged {
+		t.Fatalf("status of interrupted campaign = %+v, want %d journaled, %d pending, unmerged", st, len(prog.Terminal), count-len(prog.Terminal))
 	}
 
 	// Resume: skips completed specs, finishes the rest, merges.
@@ -275,7 +282,7 @@ func TestCampaignResumeDigestMatch(t *testing.T) {
 // TestCampaignRefusesStaleJournal: a fresh `run` against a campaign
 // that already has journal records must refuse, pointing at resume.
 func TestCampaignRefusesStaleJournal(t *testing.T) {
-	dir := genCorpus(t, 1, 1)
+	dir := genCorpus(t, 1)
 	if _, err := Run(context.Background(), dir, RunConfig{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +303,7 @@ func TestCampaignRefusesStaleJournal(t *testing.T) {
 // retries up to the cap with backoff, then lands a terminal budget
 // failure with a deterministic (wall-clock-free) message.
 func TestCampaignBudgetRetry(t *testing.T) {
-	dir := genCorpus(t, 1, 1)
+	dir := genCorpus(t, 1)
 	sum, err := Run(context.Background(), dir, RunConfig{
 		Workers:      1,
 		Budget:       experiment.Budget{MaxEvents: 200},
@@ -310,7 +317,7 @@ func TestCampaignBudgetRetry(t *testing.T) {
 	if sum.Failed != 1 || sum.Retries != 2 || sum.Quarantined != 0 {
 		t.Fatalf("summary = %+v, want 1 failed after 2 retries, none quarantined", sum)
 	}
-	recs, err := ReadJournal(filepath.Join(dir, journalName(0)))
+	recs, err := ReadJournal(filepath.Join(dir, journalName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +351,7 @@ func TestCampaignQuarantine(t *testing.T) {
 		{Index: 0, ID: "0000-campaign-panic", Spec: specs[0]},
 		{Index: 1, ID: "0001-nts-ss", Spec: specs[1]},
 	}
-	if err := corpus.Write(dir, corpus.Config{Seed: 3, Count: 2}, items, 1); err != nil {
+	if err := corpus.Write(dir, corpus.Config{Seed: 3, Count: 2}, items); err != nil {
 		t.Fatal(err)
 	}
 
@@ -420,7 +427,7 @@ func TestCampaignWorkerErrorNoDeadlock(t *testing.T) {
 		{Index: 0, ID: "0000-campaign-panic", Spec: specs[0]},
 		{Index: 1, ID: "0001-nts-ss", Spec: specs[1]},
 	}
-	if err := corpus.Write(dir, corpus.Config{Seed: 3, Count: 2}, items, 1); err != nil {
+	if err := corpus.Write(dir, corpus.Config{Seed: 3, Count: 2}, items); err != nil {
 		t.Fatal(err)
 	}
 	// A regular file where the quarantine directory belongs makes the
@@ -461,87 +468,37 @@ func TestRetryDelayOverflowSafe(t *testing.T) {
 	}
 }
 
-// TestCampaignSharded: a sharded campaign merges only once every shard
-// completes, and Merge alone reports incompleteness before that.
-func TestCampaignSharded(t *testing.T) {
-	dir := genCorpus(t, 4, 2)
-	if _, err := Merge(dir); !errors.Is(err, ErrIncomplete) {
-		t.Fatalf("Merge of unstarted campaign returned %v, want ErrIncomplete", err)
-	}
-	sum0, err := Run(context.Background(), dir, RunConfig{Shard: 0, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum0.Total != 2 || sum0.ResultsPath != "" {
-		t.Fatalf("shard 0 = %+v, want 2 specs and no premature merge", sum0)
-	}
-	st, err := ReadStatus(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Done != 2 || st.Pending != 2 || st.Merged {
-		t.Fatalf("status after shard 0 = %+v, want 2 done, 2 pending, unmerged", st)
-	}
-	sum1, err := Run(context.Background(), dir, RunConfig{Shard: 1, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum1.ResultsPath == "" {
-		t.Fatal("final shard did not merge the campaign")
-	}
-	data, err := os.ReadFile(sum1.ResultsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := bytes.Count(data, []byte{'\n'}); n != 4 {
-		t.Fatalf("merged result set has %d lines, want 4", n)
-	}
-}
-
-// TestCampaignMergeShardInvariant runs the same records-bearing corpus
-// unsharded and split across two shards (completed out of order) and
-// requires byte-identical merged results — the property CI's shard-merge
-// step enforces end to end.
-func TestCampaignMergeShardInvariant(t *testing.T) {
-	read := func(dir string, shards int) []byte {
+// TestCampaignMergeWorkerInvariant runs the same records-bearing corpus
+// on one worker and on four and requires byte-identical merged results:
+// merge order is manifest order, not completion order.
+func TestCampaignMergeWorkerInvariant(t *testing.T) {
+	read := func(workers int) []byte {
 		t.Helper()
-		ctx := context.Background()
-		var path string
-		if shards == 1 {
-			sum, err := Run(ctx, dir, RunConfig{Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			path = sum.ResultsPath
-		} else {
-			// Finish shards in reverse order: merge output is pinned to
-			// manifest order, not completion order.
-			for s := shards - 1; s >= 0; s-- {
-				sum, err := Run(ctx, dir, RunConfig{Shard: s, Workers: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				path = sum.ResultsPath
-			}
+		// genCorpus seeds every dir identically, so the specs match and
+		// half of them carry results blocks (corpus attaches sinks to
+		// every 4th spec in two flavors).
+		dir := genCorpus(t, 8)
+		if _, err := Merge(dir); !errors.Is(err, ErrIncomplete) {
+			t.Fatalf("Merge of unstarted campaign returned %v, want ErrIncomplete", err)
 		}
-		if path == "" {
-			t.Fatal("campaign did not merge")
+		sum, err := Run(context.Background(), dir, RunConfig{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
-		data, err := os.ReadFile(path)
+		if sum.ResultsPath == "" {
+			t.Fatalf("campaign on %d workers did not merge", workers)
+		}
+		data, err := os.ReadFile(sum.ResultsPath)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return data
 	}
-	// genCorpus seeds both dirs identically, so the specs match and a
-	// quarter of them carry results blocks (corpus attaches sinks to
-	// every 4th spec in two flavors).
-	plain := read(genCorpus(t, 8, 1), 1)
-	sharded := read(genCorpus(t, 8, 2), 2)
-	if !bytes.Equal(plain, sharded) {
-		t.Fatalf("sharded merge differs from unsharded:\n%s\n---\n%s", plain, sharded)
+	serial, pooled := read(1), read(4)
+	if !bytes.Equal(serial, pooled) {
+		t.Fatalf("4-worker merge differs from 1-worker merge:\n%s\n---\n%s", serial, pooled)
 	}
-	if !bytes.Contains(plain, []byte(`"records"`)) {
+	if !bytes.Contains(serial, []byte(`"records"`)) {
 		t.Fatal("merged results carry no sink records; corpus should attach sinks")
 	}
 }

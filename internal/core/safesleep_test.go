@@ -276,7 +276,8 @@ func TestSleepLogSubscribedBeforeSafeSleep(t *testing.T) {
 // TestDefaultsDeriveFromRadio: tBE defaults to the radio's break-even
 // time, and a sleeping radio is woken tOFF→ON before twakeup.
 func TestDefaultsDeriveFromRadio(t *testing.T) {
-	cfg := radio.Mica2Config()
+	paper, _ := radio.LookupProfile(radio.Paper)
+	cfg := paper.Config()
 	_, _, ss := newSS(t, cfg, SafeSleepOptions{BreakEven: -1})
 	if ss.opts.BreakEven != cfg.BreakEven() {
 		t.Fatalf("BreakEven = %v, want %v", ss.opts.BreakEven, cfg.BreakEven())

@@ -7,7 +7,7 @@
 // A corpus is the campaign layer's workload (the ReqBench workload.py
 // analogue): Generate is pure and deterministic in its Config — the
 // same seed and count always produce byte-identical specs — so a
-// campaign can be regenerated, sharded, or resumed anywhere without
+// campaign can be regenerated or resumed anywhere without
 // shipping the spec files themselves. Every emitted spec is strictly
 // valid by construction: it round-trips through the strict JSON parser
 // and compiles through Spec.Scenario, a property Generate re-checks
@@ -221,7 +221,7 @@ func buildSpec(rng *rand.Rand, cfg Config, idx int, proto, gen, prop, prof, dyn 
 
 	// Results pipeline coverage: half the corpus requests metric sinks,
 	// so campaign runs continuously prove sink records survive
-	// journaling, sharding, and merges byte-identically. The draw comes
+	// journaling and merges byte-identically. The draw comes
 	// after every existing one, keeping pre-results corpora reproducible
 	// from the same seeds.
 	switch idx % 4 {
@@ -269,13 +269,10 @@ func round2(v float64) float64 { return math.Round(v*100) / 100 }
 // identity + content hash of every spec file, so a loader can detect a
 // corrupted or hand-edited corpus before a campaign runs against it.
 type Manifest struct {
-	Version int   `json:"version"`
-	Seed    int64 `json:"seed"`
-	Count   int   `json:"count"`
-	// Shards is the number of shards the corpus is intended to run as
-	// (item i belongs to shard i mod Shards); 1 when unsharded.
-	Shards int             `json:"shards"`
-	Specs  []ManifestEntry `json:"specs"`
+	Version int             `json:"version"`
+	Seed    int64           `json:"seed"`
+	Count   int             `json:"count"`
+	Specs   []ManifestEntry `json:"specs"`
 }
 
 // ManifestEntry names one spec file and pins its content.
@@ -293,17 +290,13 @@ const ManifestName = "manifest.json"
 const specDir = "specs"
 
 // Write materializes a corpus: one strict-JSON spec file per item under
-// dir/specs plus dir/manifest.json. shards records the intended shard
-// count (<=0 selects 1).
-func Write(dir string, cfg Config, items []Item, shards int) error {
+// dir/specs plus dir/manifest.json.
+func Write(dir string, cfg Config, items []Item) error {
 	cfg = cfg.withDefaults()
-	if shards <= 0 {
-		shards = 1
-	}
 	if err := os.MkdirAll(filepath.Join(dir, specDir), 0o755); err != nil {
 		return err
 	}
-	m := Manifest{Version: 1, Seed: cfg.Seed, Count: len(items), Shards: shards}
+	m := Manifest{Version: 1, Seed: cfg.Seed, Count: len(items)}
 	for _, it := range items {
 		data, err := json.MarshalIndent(it.Spec, "", "  ")
 		if err != nil {

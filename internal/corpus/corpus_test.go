@@ -82,8 +82,9 @@ func TestGenerateCoversCrossProduct(t *testing.T) {
 	}
 }
 
-// TestWriteLoadRoundTrip: a written corpus loads back identically, and
-// Load refuses a spec file whose bytes no longer match the manifest.
+// TestWriteLoadRoundTrip: a written corpus loads back identically, a
+// manifest that still carries the retired "shards" key loads, and Load
+// refuses a spec file whose bytes no longer match the manifest.
 func TestWriteLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Seed: 9, Count: 8}
@@ -91,7 +92,7 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(dir, cfg, items, 3); err != nil {
+	if err := Write(dir, cfg, items); err != nil {
 		t.Fatal(err)
 	}
 
@@ -99,8 +100,8 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.Seed != 9 || man.Count != 8 || man.Shards != 3 {
-		t.Fatalf("manifest = {seed %d, count %d, shards %d}, want {9, 8, 3}", man.Seed, man.Count, man.Shards)
+	if man.Seed != 9 || man.Count != 8 {
+		t.Fatalf("manifest = {seed %d, count %d}, want {9, 8}", man.Seed, man.Count)
 	}
 	if len(loaded) != len(items) {
 		t.Fatalf("loaded %d items, want %d", len(loaded), len(items))
@@ -111,6 +112,25 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 		if loaded[i].ID != items[i].ID || !bytes.Equal(want, got) {
 			t.Fatalf("item %d did not round-trip", i)
 		}
+	}
+
+	// Manifests written when a corpus could be split across machines
+	// carry a "shards" key; it is ignored.
+	mpath := filepath.Join(dir, ManifestName)
+	mdata, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(mdata, []byte(`"count": 8,`), []byte(`"count": 8,
+  "shards": 1,`), 1)
+	if bytes.Equal(old, mdata) {
+		t.Fatal("manifest layout changed; cannot insert the retired shards key")
+	}
+	if err := os.WriteFile(mpath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if man, loaded, err := Load(dir); err != nil || man.Count != 8 || len(loaded) != len(items) {
+		t.Fatalf("manifest with a shards key: Load = (%v, %d items, %v), want 8 items", man, len(loaded), err)
 	}
 
 	// Tamper with one spec file: Load must detect the hash mismatch.

@@ -31,6 +31,13 @@ func newFakeHost() *fakeHost {
 }
 
 func (h *fakeHost) Eng() *sim.Engine { return h.eng }
+
+// drain fires the host engine's events until its queue is empty.
+func (h *fakeHost) drain() {
+	for h.eng.Step() {
+	}
+}
+
 func (h *fakeHost) Members() []topology.NodeID {
 	out := make([]topology.NodeID, 10)
 	for i := range out {
@@ -76,7 +83,7 @@ func schedule(t *testing.T, h Host, kind string, p Params, seed int64) {
 func TestCrashInjectorCrashesAndRecovers(t *testing.T) {
 	h := newFakeHost()
 	schedule(t, h, KindCrash, Params{At: time.Second, Duration: 2 * time.Second, Count: 3}, 1)
-	h.eng.RunAll()
+	h.drain()
 	var crashes, recoveries int
 	for _, l := range h.log {
 		switch {
@@ -97,7 +104,7 @@ func TestCrashInjectorCrashesAndRecovers(t *testing.T) {
 func TestCrashInjectorPermanentWithoutDuration(t *testing.T) {
 	h := newFakeHost()
 	schedule(t, h, KindCrash, Params{At: time.Second, Count: 2}, 1)
-	h.eng.RunAll()
+	h.drain()
 	if len(h.crashed) != 2 {
 		t.Fatalf("want 2 permanently crashed nodes, got %v", h.crashed)
 	}
@@ -107,7 +114,7 @@ func TestCrashInjectorNeverTargetsRoot(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		h := newFakeHost()
 		schedule(t, h, KindCrash, Params{At: time.Second, Count: 9}, seed)
-		h.eng.RunAll()
+		h.drain()
 		if h.crashed[0] {
 			t.Fatalf("seed %d crashed the root", seed)
 		}
@@ -115,7 +122,7 @@ func TestCrashInjectorNeverTargetsRoot(t *testing.T) {
 	// A pinned root target is silently dropped.
 	h := newFakeHost()
 	schedule(t, h, KindCrash, Params{At: time.Second, Node: pin(0)}, 1)
-	h.eng.RunAll()
+	h.drain()
 	if len(h.log) != 0 {
 		t.Fatalf("pinned-root crash acted: %v", h.log)
 	}
@@ -125,7 +132,7 @@ func TestCrashInjectorDeterministicVictims(t *testing.T) {
 	run := func() []string {
 		h := newFakeHost()
 		schedule(t, h, KindCrash, Params{At: time.Second, Duration: time.Second, Count: 4}, 7)
-		h.eng.RunAll()
+		h.drain()
 		return h.log
 	}
 	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
@@ -146,7 +153,7 @@ func TestLinkLossRampPeaksAndClears(t *testing.T) {
 	}
 
 	// After the episode everything is cleared.
-	h.eng.RunAll()
+	h.drain()
 	for k, p := range h.loss {
 		if p != 0 {
 			t.Fatalf("link %v still lossy (%g) after the episode", k, p)
@@ -184,7 +191,7 @@ func TestBurstAddsAndRemovesQueries(t *testing.T) {
 			t.Fatalf("burst phase %v outside first period after start", spec.Phase)
 		}
 	}
-	h.eng.RunAll()
+	h.drain()
 	if len(h.queries) != 0 {
 		t.Fatalf("queries survive the burst: %v", h.queries)
 	}

@@ -84,7 +84,9 @@ func (o Options) normalized() Options {
 }
 
 // Point is one aggregated data point of a figure series: the mean of a
-// metric over seeds with its 90% confidence half-width.
+// metric over N seeds with its 90% confidence half-width. With N < 2
+// there is no interval (CI90 is 0), and Fprint prints the sample count
+// instead.
 type Point struct {
 	X    float64
 	Mean float64
@@ -149,7 +151,11 @@ func (f *Figure) Fprint(w io.Writer) {
 			cell := ""
 			for _, p := range s.Points {
 				if p.X == x {
-					cell = fmt.Sprintf("%10.3f ±%8.3f", p.Mean, p.CI90)
+					if p.N < 2 {
+						cell = fmt.Sprintf("%10.3f %9s", p.Mean, fmt.Sprintf("n=%d", p.N))
+					} else {
+						cell = fmt.Sprintf("%10.3f ±%8.3f", p.Mean, p.CI90)
+					}
 					break
 				}
 			}
@@ -489,7 +495,11 @@ func Fig4DutyVsQueries(o Options, counts []int) (*Figure, error) {
 
 // Fig5DutyByRank reproduces Figure 5: the distribution of duty cycles
 // across tree ranks for the three ESSAT protocols at a 5 Hz base rate.
-// NTS-SS grows linearly with rank (Eq. 1); STS-SS and DTS-SS stay flat.
+// NTS-SS grows linearly with rank (Eq. 1). STS-SS and DTS-SS rise with
+// rank as well (at paper scale from 16.7/16.3% at the leaves to
+// 50.8/50.2% at rank 5), so the shape test checks only that NTS-SS's
+// slope is steeper than DTS-SS's. A rank that only one seed's tree
+// reaches is a single sample and prints without an interval.
 func Fig5DutyByRank(o Options) (*Figure, error) {
 	o = o.normalized()
 	protos := []Protocol{DTSSS, STSSS, NTSSS}
@@ -638,12 +648,14 @@ func Fig8SleepHistogram(o Options) (*Figure, []float64, error) {
 				hist.Add(d)
 			}
 		}
+		// Each bin is one count pooled over every seed, not a mean
+		// over seeds: a single sample with no interval.
 		s := Series{Name: string(p)}
 		for i, c := range hist.Counts() {
 			s.Points = append(s.Points, Point{
 				X:    (time.Duration(i+1) * hist.BinWidth()).Seconds() * 1000,
 				Mean: float64(c),
-				N:    int(hist.Total()),
+				N:    1,
 			})
 		}
 		out = append(out, s)

@@ -17,7 +17,7 @@ func TestFigureFprint(t *testing.T) {
 		XLabel: "x",
 		YLabel: "y",
 		Series: []Series{
-			{Name: "a", Points: []Point{{X: 1, Mean: 10, CI90: 0.5, N: 3}, {X: 2, Mean: 20, CI90: 1, N: 3}}},
+			{Name: "a", Points: []Point{{X: 1, Mean: 10, CI90: 0.5, N: 3}, {X: 2, Mean: 20, CI90: 1, N: 3}, {X: 5, Mean: 50.8125, N: 1}}},
 			{Name: "b", Points: []Point{{X: 2, Mean: 5, CI90: 0.1, N: 3}}},
 		},
 		Notes: []string{"a note"},
@@ -31,15 +31,25 @@ func TestFigureFprint(t *testing.T) {
 		}
 	}
 	// Row for x=1 must leave series b's cell empty, not misaligned.
-	lines := strings.Split(out, "\n")
-	var x1 string
-	for _, l := range lines {
-		if strings.HasPrefix(l, "1") {
+	var x1, x5 string
+	for _, l := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasPrefix(l, "1 "):
 			x1 = l
+		case strings.HasPrefix(l, "5 "):
+			x5 = l
 		}
 	}
 	if strings.Contains(x1, "5.000") {
 		t.Errorf("x=1 row contains series b's x=2 value: %q", x1)
+	}
+	if !strings.Contains(x1, "10.000 ±   0.500") {
+		t.Errorf("x=1 row lost its interval: %q", x1)
+	}
+	// One sample has no interval: the cell prints the mean and its count,
+	// never ± 0, in the width of an interval cell.
+	if !strings.Contains(x5, "50.812       n=1") || strings.Contains(x5, "±") {
+		t.Errorf("x=5 row (one sample) = %q, want the mean and n=1 with no ±", x5)
 	}
 }
 

@@ -17,7 +17,7 @@ func TestContentionWindowResetAfterSuccess(t *testing.T) {
 	// growth up to CWMax.
 	net.radios[1].TurnOff()
 	failed := false
-	net.macs[0].Send(1, "doomed", 52, SendFunc(func(ok bool) { failed = !ok }))
+	net.macs[0].Send(1, "doomed", 52, sendFunc(func(ok bool) { failed = !ok }))
 	net.eng.Run(2 * time.Second)
 	if !failed {
 		t.Fatal("precondition: first frame should fail")
@@ -26,7 +26,7 @@ func TestContentionWindowResetAfterSuccess(t *testing.T) {
 	net.radios[1].TurnOn()
 	start := net.eng.Now()
 	var doneAt time.Duration
-	net.macs[0].Send(1, "easy", 52, SendFunc(func(ok bool) {
+	net.macs[0].Send(1, "easy", 52, sendFunc(func(ok bool) {
 		if ok {
 			doneAt = net.eng.Now()
 		}
@@ -69,7 +69,7 @@ func TestBroadcastDoesNotRetry(t *testing.T) {
 	net := newChain(t, 2, 11, phy.DefaultConfig())
 	net.radios[1].TurnOff()
 	ok := false
-	net.macs[0].Send(phy.Broadcast, "bcast", 52, SendFunc(func(b bool) { ok = b }))
+	net.macs[0].Send(phy.Broadcast, "bcast", 52, sendFunc(func(b bool) { ok = b }))
 	net.eng.Run(time.Second)
 	if !ok {
 		t.Fatal("broadcast must report success after transmission")
@@ -85,12 +85,12 @@ func TestInterleavedBidirectionalTraffic(t *testing.T) {
 	net := newChain(t, 2, 12, phy.DefaultConfig())
 	done := 0
 	for i := 0; i < 10; i++ {
-		net.macs[0].Send(1, i, 52, SendFunc(func(b bool) {
+		net.macs[0].Send(1, i, 52, sendFunc(func(b bool) {
 			if b {
 				done++
 			}
 		}))
-		net.macs[1].Send(0, 100+i, 52, SendFunc(func(b bool) {
+		net.macs[1].Send(0, 100+i, 52, sendFunc(func(b bool) {
 			if b {
 				done++
 			}

@@ -117,14 +117,6 @@ type SendCallback interface {
 	SendDone(ok bool)
 }
 
-// SendFunc adapts a func to SendCallback, for tests and for senders off
-// the hot path. Converting a nil SendFunc yields a non-nil callback that
-// panics when called: pass a literal nil for "no callback".
-type SendFunc func(ok bool)
-
-// SendDone implements SendCallback.
-func (f SendFunc) SendDone(ok bool) { f(ok) }
-
 // Stats counts MAC-level outcomes for one station.
 type Stats struct {
 	// Enqueued counts frames accepted from the upper layer.

@@ -12,6 +12,11 @@ import (
 	"github.com/essat/essat/internal/topology"
 )
 
+// sendFunc adapts a func to SendCallback.
+type sendFunc func(ok bool)
+
+func (f sendFunc) SendDone(ok bool) { f(ok) }
+
 type recvRec struct {
 	src     phy.NodeID
 	payload any
@@ -68,7 +73,7 @@ func newChainWith(t *testing.T, n int, seed int64, chCfg phy.Config, uppers map[
 func TestUnicastWithAck(t *testing.T) {
 	net := newChain(t, 2, 1, phy.DefaultConfig())
 	var ok *bool
-	net.macs[0].Send(1, "ping", 52, SendFunc(func(b bool) { ok = &b }))
+	net.macs[0].Send(1, "ping", 52, sendFunc(func(b bool) { ok = &b }))
 	net.eng.Run(time.Second)
 
 	if ok == nil || !*ok {
@@ -92,7 +97,7 @@ func TestUnicastWithAck(t *testing.T) {
 func TestBroadcastNoAck(t *testing.T) {
 	net := newChain(t, 3, 1, phy.DefaultConfig())
 	done := false
-	net.macs[1].Send(phy.Broadcast, "hello", 52, SendFunc(func(b bool) { done = b }))
+	net.macs[1].Send(phy.Broadcast, "hello", 52, sendFunc(func(b bool) { done = b }))
 	net.eng.Run(time.Second)
 	if !done {
 		t.Fatal("broadcast callback not invoked")
@@ -109,7 +114,7 @@ func TestSleepingReceiverExhaustsRetries(t *testing.T) {
 	net := newChain(t, 2, 1, phy.DefaultConfig())
 	net.radios[1].TurnOff()
 	var result *bool
-	net.macs[0].Send(1, "x", 52, SendFunc(func(b bool) { result = &b }))
+	net.macs[0].Send(1, "x", 52, sendFunc(func(b bool) { result = &b }))
 	net.eng.Run(time.Second)
 	if result == nil {
 		t.Fatal("callback never invoked")
@@ -130,7 +135,7 @@ func TestReceiverWakesDuringRetries(t *testing.T) {
 	net := newChain(t, 2, 1, phy.DefaultConfig())
 	net.radios[1].TurnOff()
 	var result *bool
-	net.macs[0].Send(1, "x", 52, SendFunc(func(b bool) { result = &b }))
+	net.macs[0].Send(1, "x", 52, sendFunc(func(b bool) { result = &b }))
 	// Wake the receiver after the first couple of attempts fail.
 	net.eng.Schedule(2*time.Millisecond, func() { net.radios[1].TurnOn() })
 	net.eng.Run(time.Second)
@@ -146,7 +151,7 @@ func TestSenderRadioOffPausesAndResumes(t *testing.T) {
 	net := newChain(t, 2, 1, phy.DefaultConfig())
 	net.radios[0].TurnOff()
 	got := false
-	net.macs[0].Send(1, "x", 52, SendFunc(func(b bool) { got = b }))
+	net.macs[0].Send(1, "x", 52, sendFunc(func(b bool) { got = b }))
 	net.eng.Run(100 * time.Millisecond)
 	if got {
 		t.Fatal("frame sent while radio off")
@@ -179,12 +184,12 @@ func TestContendingSendersBothSucceed(t *testing.T) {
 	// plus retries must get both frames through.
 	net := newChain(t, 3, 7, phy.DefaultConfig())
 	oks := 0
-	net.macs[0].Send(1, "a", 52, SendFunc(func(b bool) {
+	net.macs[0].Send(1, "a", 52, sendFunc(func(b bool) {
 		if b {
 			oks++
 		}
 	}))
-	net.macs[2].Send(1, "b", 52, SendFunc(func(b bool) {
+	net.macs[2].Send(1, "b", 52, sendFunc(func(b bool) {
 		if b {
 			oks++
 		}
@@ -219,7 +224,7 @@ func TestManyContendersAllDeliver(t *testing.T) {
 	// Nodes 1..5 all send to node 0 simultaneously.
 	succ := 0
 	for i := 1; i < 6; i++ {
-		macs[i].Send(0, i, 52, SendFunc(func(b bool) {
+		macs[i].Send(0, i, 52, sendFunc(func(b bool) {
 			if b {
 				succ++
 			}
@@ -243,7 +248,7 @@ func TestDuplicateFilteringUnderAckLoss(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		net.eng.Schedule(time.Duration(i)*20*time.Millisecond, func() {
-			net.macs[0].Send(1, i, 52, SendFunc(func(b bool) {
+			net.macs[0].Send(1, i, 52, sendFunc(func(b bool) {
 				if b {
 					succ++
 				}
@@ -281,12 +286,12 @@ func TestHiddenTerminalsEventuallyDeliver(t *testing.T) {
 		i := i
 		at := time.Duration(i) * 5 * time.Millisecond
 		net.eng.Schedule(at, func() {
-			net.macs[0].Send(1, i, 52, SendFunc(func(b bool) {
+			net.macs[0].Send(1, i, 52, sendFunc(func(b bool) {
 				if b {
 					succ++
 				}
 			}))
-			net.macs[2].Send(1, 100+i, 52, SendFunc(func(b bool) {
+			net.macs[2].Send(1, 100+i, 52, sendFunc(func(b bool) {
 				if b {
 					succ++
 				}

@@ -57,7 +57,7 @@ func TestEIFSAfterCorruptedReception(t *testing.T) {
 	// Node 1 has a frame for node 2 queued during the collision.
 	var sentAt time.Duration
 	net.eng.Schedule(150*time.Microsecond, func() {
-		net.macs[1].Send(2, "c", 52, SendFunc(func(ok bool) {
+		net.macs[1].Send(2, "c", 52, sendFunc(func(ok bool) {
 			if ok {
 				sentAt = net.eng.Now()
 			}
@@ -131,7 +131,7 @@ func TestNAVStarvationFreedom(t *testing.T) {
 		net.macs[1].Send(0, i, 52, nil)
 	}
 	done := false
-	net.macs[2].Send(1, "mine", 52, SendFunc(func(ok bool) { done = ok }))
+	net.macs[2].Send(1, "mine", 52, sendFunc(func(ok bool) { done = ok }))
 	net.eng.Run(time.Second)
 	if !done {
 		t.Fatal("overhearing node starved by NAV")

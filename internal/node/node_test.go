@@ -6,7 +6,6 @@ import (
 
 	"github.com/essat/essat/internal/core"
 	"github.com/essat/essat/internal/geom"
-	"github.com/essat/essat/internal/mac"
 	"github.com/essat/essat/internal/phy"
 	"github.com/essat/essat/internal/query"
 	"github.com/essat/essat/internal/radio"
@@ -15,6 +14,11 @@ import (
 	"github.com/essat/essat/internal/stats"
 	"github.com/essat/essat/internal/topology"
 )
+
+// sendFunc adapts a func to mac.SendCallback.
+type sendFunc func(ok bool)
+
+func (f sendFunc) SendDone(ok bool) { f(ok) }
 
 // closeCounter is the root's sink: a RootSink that also counts the
 // intervals the root closes.
@@ -225,7 +229,7 @@ func TestSendDataCallback(t *testing.T) {
 	eng, _, _, nodes, _ := buildNet(t, meshPositions(), 0)
 	nodes[1].SendData(0, "no callback", 52, nil)
 	var done, ok bool
-	nodes[1].SendData(0, "with callback", 52, mac.SendFunc(func(sent bool) { done, ok = true, sent }))
+	nodes[1].SendData(0, "with callback", 52, sendFunc(func(sent bool) { done, ok = true, sent }))
 	eng.Run(time.Second)
 	if !done || !ok {
 		t.Fatalf("callback done=%v ok=%v, want a successful completion", done, ok)

@@ -41,9 +41,6 @@ func TestLinkLossClearedRestoresDelivery(t *testing.T) {
 	eng, ch, _, rxs := testNet(t, 2, DefaultConfig())
 	ch.SetLinkLoss(0, 1, 0.999)
 	ch.SetLinkLoss(0, 1, 0)
-	if got := ch.LinkLoss(0, 1); got != 0 {
-		t.Fatalf("LinkLoss after clear = %g", got)
-	}
 	for i := 0; i < 20; i++ {
 		ch.StartTx(0, 1, 52, "x")
 		eng.Run(eng.Now() + 10*time.Millisecond)

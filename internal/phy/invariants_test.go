@@ -23,7 +23,7 @@ func TestChannelConservationProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		eng := sim.New(seed)
-		topo, err := topology.NewRandom(eng.Rand(), topology.Config{
+		topo, err := topology.New(eng.Rand(), topology.Config{
 			NumNodes: 12, AreaSide: 300, Range: 125,
 		})
 		if err != nil {

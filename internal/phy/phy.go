@@ -316,11 +316,6 @@ func (c *Channel) SetLinkLoss(src, dst NodeID, p float64) error {
 	return nil
 }
 
-// LinkLoss returns the configured drop probability of src→dst (0 = none).
-func (c *Channel) LinkLoss(src, dst NodeID) float64 {
-	return c.linkLoss[linkKey{src: src, dst: dst}]
-}
-
 // Neighbors returns the candidate-neighbor list of node id, sorted
 // ascending — the exact set of stations frames from id can reach (and,
 // by range symmetry, the set id can receive from). MACs use it to size

@@ -29,8 +29,8 @@ func TestPaperProfileMatchesLegacyConstants(t *testing.T) {
 	if !ok {
 		t.Fatal("paper profile not registered")
 	}
-	if p.Config() != Mica2Config() {
-		t.Errorf("paper profile config %+v != Mica2Config %+v", p.Config(), Mica2Config())
+	if p.Config() != mica2Config {
+		t.Errorf("paper profile config %+v != %+v", p.Config(), mica2Config)
 	}
 	if p.Power != Mica2Power() {
 		t.Errorf("paper profile power %+v != Mica2Power %+v", p.Power, Mica2Power())
@@ -38,7 +38,7 @@ func TestPaperProfileMatchesLegacyConstants(t *testing.T) {
 	// Under the equal-power assumption the derived break-even time is
 	// exactly tOFF→ON + tON→OFF, the paper's §4.1 rule — and exactly
 	// what Safe Sleep historically read from the radio config.
-	if got, want := p.BreakEven(), Mica2Config().BreakEven(); got != want {
+	if got, want := p.BreakEven(), mica2Config.BreakEven(); got != want {
 		t.Errorf("paper break-even %v, want %v", got, want)
 	}
 }

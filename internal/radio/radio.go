@@ -64,12 +64,6 @@ type Config struct {
 	TurnOffDelay time.Duration
 }
 
-// Mica2Config returns transition latencies representative of the MICA2
-// CC1000 radio: the paper cites 2.5 ms as its average wake-up delay.
-func Mica2Config() Config {
-	return Config{TurnOnDelay: 2500 * time.Microsecond, TurnOffDelay: 500 * time.Microsecond}
-}
-
 // BreakEven returns the break-even time tBE for this radio under the
 // equal-power assumption: tOFF→ON + tON→OFF.
 func (c Config) BreakEven() time.Duration {

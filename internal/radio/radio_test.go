@@ -8,6 +8,10 @@ import (
 	"github.com/essat/essat/internal/sim"
 )
 
+// mica2Config is the paper profile's transition latencies: the 2.5 ms
+// MICA2 wake-up the paper cites and a 0.5 ms turn-off.
+var mica2Config = Config{TurnOnDelay: 2500 * time.Microsecond, TurnOffDelay: 500 * time.Microsecond}
+
 func newTestRadio(t *testing.T, cfg Config) (*sim.Engine, *Radio) {
 	t.Helper()
 	eng := sim.New(1)
@@ -15,7 +19,7 @@ func newTestRadio(t *testing.T, cfg Config) (*sim.Engine, *Radio) {
 }
 
 func TestStartsIdle(t *testing.T) {
-	_, r := newTestRadio(t, Mica2Config())
+	_, r := newTestRadio(t, mica2Config)
 	if r.State() != Idle {
 		t.Fatalf("initial state = %v, want idle", r.State())
 	}
@@ -25,7 +29,7 @@ func TestStartsIdle(t *testing.T) {
 }
 
 func TestTurnOffOn(t *testing.T) {
-	eng, r := newTestRadio(t, Mica2Config())
+	eng, r := newTestRadio(t, mica2Config)
 	r.TurnOff()
 	if r.State() != TurningOff {
 		t.Fatalf("state = %v, want turning-off", r.State())
@@ -57,7 +61,7 @@ func TestZeroDelayTransitionsAreImmediate(t *testing.T) {
 }
 
 func TestTurnOnWhileTurningOffQueues(t *testing.T) {
-	eng, r := newTestRadio(t, Mica2Config())
+	eng, r := newTestRadio(t, mica2Config)
 	r.TurnOff()
 	r.TurnOn() // queued until Off is reached
 	eng.Run(time.Second)
@@ -67,7 +71,7 @@ func TestTurnOnWhileTurningOffQueues(t *testing.T) {
 }
 
 func TestTurnOffDuringTurningOnRevertsImmediately(t *testing.T) {
-	eng, r := newTestRadio(t, Mica2Config())
+	eng, r := newTestRadio(t, mica2Config)
 	r.TurnOff()
 	eng.Run(time.Second)
 	r.TurnOn()
@@ -235,7 +239,7 @@ func TestBreakEven(t *testing.T) {
 }
 
 func TestRedundantTurnOnOffAreNoOps(t *testing.T) {
-	eng, r := newTestRadio(t, Mica2Config())
+	eng, r := newTestRadio(t, mica2Config)
 	r.TurnOn() // already idle
 	if r.State() != Idle {
 		t.Fatalf("state = %v, want idle", r.State())

@@ -93,7 +93,7 @@ func TestBuildFloodNoDistanceLimit(t *testing.T) {
 func TestBuildFloodRandomDeploymentsProduceValidTrees(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		topo, err := topology.NewRandom(rng, topology.DefaultConfig())
+		topo, err := topology.New(rng, topology.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,12 @@ func TestBuildFloodRandomDeploymentsProduceValidTrees(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		// The flood should cover nearly every node within 300m of the root.
-		eligible := len(topo.WithinDistance(root, 300)) + 1
+		eligible := 0
+		for i := 0; i < topo.NumNodes(); i++ {
+			if topo.Position(NodeID(i)).InRange(topo.Position(root), 300) {
+				eligible++
+			}
+		}
 		if tree.Size() < eligible*8/10 {
 			t.Errorf("seed %d: tree covers %d of %d eligible nodes", seed, tree.Size(), eligible)
 		}
@@ -123,7 +128,7 @@ func TestBuildFloodRandomDeploymentsProduceValidTrees(t *testing.T) {
 
 func TestBuildFloodDeterministicPerSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	topo, err := topology.NewRandom(rng, topology.Config{NumNodes: 40, AreaSide: 400, Range: 125})
+	topo, err := topology.New(rng, topology.Config{NumNodes: 40, AreaSide: 400, Range: 125})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestPathDeadEndpoint(t *testing.T) {
 func TestPathProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		topo, err := topology.NewRandom(rng, topology.Config{NumNodes: 30, AreaSide: 350, Range: 125})
+		topo, err := topology.New(rng, topology.Config{NumNodes: 30, AreaSide: 350, Range: 125})
 		if err != nil {
 			return false
 		}

@@ -201,20 +201,6 @@ func (t *Tree) Size() int {
 	return n
 }
 
-// SubtreeSize returns the number of live nodes in the subtree rooted at
-// id, including id itself: the number of source samples an aggregate from
-// id can cover.
-func (t *Tree) SubtreeSize(id NodeID) int {
-	if !t.Alive(id) {
-		return 0
-	}
-	n := 1
-	for _, c := range t.children[id] {
-		n += t.SubtreeSize(c)
-	}
-	return n
-}
-
 // InSubtree reports whether candidate lies in the subtree rooted at id.
 func (t *Tree) InSubtree(id, candidate NodeID) bool {
 	for cur := candidate; cur != None; cur = t.parent[cur] {

@@ -81,9 +81,6 @@ func TestYTreeRanks(t *testing.T) {
 	if tree.Rank(1) != 1 || tree.Rank(0) != 2 {
 		t.Fatalf("ranks: r(1)=%d r(0)=%d, want 1, 2", tree.Rank(1), tree.Rank(0))
 	}
-	if tree.SubtreeSize(1) != 3 || tree.SubtreeSize(0) != 4 {
-		t.Fatalf("subtree sizes wrong: %d, %d", tree.SubtreeSize(1), tree.SubtreeSize(0))
-	}
 }
 
 func TestDistanceLimitExcludesFarNodes(t *testing.T) {
@@ -293,7 +290,7 @@ func TestChainRanks(t *testing.T) {
 func TestTreeInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		topo, err := topology.NewRandom(rng, topology.Config{NumNodes: 40, AreaSide: 400, Range: 125})
+		topo, err := topology.New(rng, topology.Config{NumNodes: 40, AreaSide: 400, Range: 125})
 		if err != nil {
 			return false
 		}

@@ -20,7 +20,7 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 			}
 		}
 		e.Schedule(0, step)
-		e.RunAll()
+		drain(e)
 		return out
 	}
 	fresh := trace(New(42))
@@ -63,7 +63,7 @@ func TestResetDrainsPendingEvents(t *testing.T) {
 	if got := len(e.free); got != len(delays) {
 		t.Fatalf("freelist holds %d events after Reset, want %d", got, len(delays))
 	}
-	if n := e.RunAll(); n != 0 || fired != 0 {
+	if n := drain(e); n != 0 || fired != 0 {
 		t.Fatalf("reset engine fired %d events (%d callbacks), want 0", n, fired)
 	}
 	// The recycled structs must come back clean.
@@ -71,7 +71,7 @@ func TestResetDrainsPendingEvents(t *testing.T) {
 	if ev.canceled {
 		t.Fatal("recycled event inherited a stale canceled flag across Reset")
 	}
-	e.RunAll()
+	drain(e)
 	if fired != 1 {
 		t.Fatalf("post-reset schedule fired %d times, want 1", fired)
 	}
@@ -92,7 +92,7 @@ func TestSteadyStateZeroAllocAcrossResets(t *testing.T) {
 			_ = ArenaGrab[Event](e, "test.slab")
 			e.Schedule(time.Duration(i)*time.Microsecond, fn)
 		}
-		e.RunAll()
+		drain(e)
 	}
 	cycle() // warm-up: populate freelist, slabs, and backing arrays
 	allocs := testing.AllocsPerRun(100, cycle)

@@ -588,15 +588,6 @@ func (e *Engine) RunChecked(until time.Duration, maxEvents uint64, check func() 
 	return e.processed - start, nil
 }
 
-// RunAll executes events until the queue is empty. It is intended for
-// tests; production scenarios should bound execution with Run.
-func (e *Engine) RunAll() uint64 {
-	start := e.processed
-	for e.Step() {
-	}
-	return e.processed - start
-}
-
 // --- overflow heap ---------------------------------------------------------
 
 // evLess orders events by (at, seq): earlier time first, FIFO at ties.

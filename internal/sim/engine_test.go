@@ -10,6 +10,16 @@ import (
 	"time"
 )
 
+// drain fires events until the queue is empty and returns how many
+// fired.
+func drain(e *Engine) uint64 {
+	var n uint64
+	for e.Step() {
+		n++
+	}
+	return n
+}
+
 func TestNewEngineStartsAtZero(t *testing.T) {
 	e := New(1)
 	if e.Now() != 0 {
@@ -50,7 +60,7 @@ func TestFIFOOrderingAtSameInstant(t *testing.T) {
 		i := i
 		e.Schedule(time.Second, func() { fired = append(fired, i) })
 	}
-	e.RunAll()
+	drain(e)
 	for i, v := range fired {
 		if v != i {
 			t.Fatalf("fired[%d] = %d, want %d (FIFO tie-break violated)", i, v, i)
@@ -64,7 +74,7 @@ func TestAfterSchedulesRelative(t *testing.T) {
 	e.Schedule(3*time.Second, func() {
 		e.After(2*time.Second, func() { at = e.Now() })
 	})
-	e.RunAll()
+	drain(e)
 	if at != 5*time.Second {
 		t.Fatalf("nested After fired at %v, want 5s", at)
 	}
@@ -78,7 +88,7 @@ func TestCancelPreventsExecution(t *testing.T) {
 	if !ev.canceled {
 		t.Fatal("canceled = false after Cancel")
 	}
-	e.RunAll()
+	drain(e)
 	if fired {
 		t.Fatal("canceled event fired")
 	}
@@ -89,8 +99,8 @@ func TestCancelIsIdempotent(t *testing.T) {
 	ev := e.Schedule(time.Second, func() {})
 	ev.Cancel()
 	ev.Cancel()
-	if n := e.RunAll(); n != 0 {
-		t.Fatalf("RunAll() = %d events, want 0", n)
+	if n := drain(e); n != 0 {
+		t.Fatalf("drain fired %d events, want 0", n)
 	}
 }
 
@@ -139,7 +149,7 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		}()
 		e.Schedule(500*time.Millisecond, func() {})
 	})
-	e.RunAll()
+	drain(e)
 }
 
 func TestNilCallbackPanics(t *testing.T) {
@@ -163,7 +173,7 @@ func TestEventsScheduledDuringExecution(t *testing.T) {
 		}
 	}
 	e.Schedule(0, tick)
-	e.RunAll()
+	drain(e)
 	if count != 100 {
 		t.Fatalf("count = %d, want 100", count)
 	}
@@ -177,7 +187,7 @@ func TestProcessedCounts(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		e.Schedule(time.Duration(i)*time.Second, func() {})
 	}
-	e.RunAll()
+	drain(e)
 	if e.Processed() != 5 {
 		t.Fatalf("Processed() = %d, want 5", e.Processed())
 	}
@@ -196,7 +206,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 			}
 		}
 		e.Schedule(0, step)
-		e.RunAll()
+		drain(e)
 		return out
 	}
 	a, b := trace(42), trace(42)
@@ -240,7 +250,7 @@ func TestEventOrderInvariant(t *testing.T) {
 			scheduled = append(scheduled, r)
 			e.Schedule(at, func() { fired = append(fired, r) })
 		}
-		e.RunAll()
+		drain(e)
 		if len(fired) != n {
 			return false
 		}
@@ -264,7 +274,7 @@ func TestEventOrderInvariant(t *testing.T) {
 func TestEventRecycledAfterFire(t *testing.T) {
 	e := New(1)
 	ev1 := e.Schedule(time.Millisecond, func() {})
-	e.RunAll()
+	drain(e)
 	ev2 := e.Schedule(time.Second, func() {})
 	if ev1 != ev2 {
 		t.Fatal("fired event was not recycled by the next Schedule")
@@ -283,7 +293,7 @@ func TestEventRecycledAfterCancel(t *testing.T) {
 	e := New(1)
 	ev1 := e.Schedule(time.Millisecond, func() { t.Error("canceled event fired") })
 	ev1.Cancel()
-	e.RunAll() // discards the canceled event
+	drain(e) // discards the canceled event
 	fired := false
 	ev2 := e.Schedule(time.Second, func() { fired = true })
 	if ev1 != ev2 {
@@ -292,7 +302,7 @@ func TestEventRecycledAfterCancel(t *testing.T) {
 	if ev2.canceled {
 		t.Fatal("recycled event inherited a stale canceled flag")
 	}
-	e.RunAll()
+	drain(e)
 	if !fired {
 		t.Fatal("recycled event did not fire")
 	}
@@ -306,7 +316,7 @@ func TestFIFOOrderingAcrossReuse(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		e.Schedule(time.Duration(i)*time.Millisecond, func() {})
 	}
-	e.RunAll()
+	drain(e)
 	var fired []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -315,7 +325,7 @@ func TestFIFOOrderingAcrossReuse(t *testing.T) {
 	// Interleave a cancellation to exercise discard + reuse in one pass.
 	ev := e.Schedule(time.Second, func() { t.Error("canceled event fired") })
 	ev.Cancel()
-	e.RunAll()
+	drain(e)
 	if len(fired) != 10 {
 		t.Fatalf("fired %d events, want 10", len(fired))
 	}
@@ -340,7 +350,7 @@ func TestRescheduleInsideCallbackReusesEvent(t *testing.T) {
 		}
 	}
 	e.Schedule(0, tick)
-	e.RunAll()
+	drain(e)
 	if count != 1000 {
 		t.Fatalf("count = %d, want 1000", count)
 	}
@@ -356,7 +366,7 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 		for j := 0; j < 1000; j++ {
 			e.Schedule(time.Duration(j)*time.Microsecond, func() {})
 		}
-		e.RunAll()
+		drain(e)
 	}
 }
 
@@ -371,7 +381,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		e.Schedule(time.Duration(i)*time.Microsecond, fn)
 	}
-	e.RunAll()
+	drain(e)
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.After(time.Microsecond, fn)
 		e.Step()
@@ -406,7 +416,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	for i := 0; i < timers && i < b.N; i++ {
 		e.Schedule(time.Duration(i)*time.Microsecond, ticks[i])
 	}
-	e.RunAll()
+	drain(e)
 	b.StopTimer()
 	if b.Elapsed() > 0 {
 		b.ReportMetric(float64(e.Processed())/b.Elapsed().Seconds(), "events/sec")
@@ -465,7 +475,7 @@ func BenchmarkTimerWheelChurn(b *testing.B) {
 		}
 	}
 	e.Schedule(0, tick)
-	e.RunAll()
+	drain(e)
 }
 
 // TestPendingCountsLiveEventsOnly is the regression test for Pending():
@@ -498,7 +508,7 @@ func TestPendingCountsLiveEventsOnly(t *testing.T) {
 	if got := e.Pending(); got != 2 {
 		t.Fatalf("Pending() = %d after overflow cancel, want 2", got)
 	}
-	e.RunAll()
+	drain(e)
 	if got := e.Pending(); got != 0 {
 		t.Fatalf("Pending() = %d after drain, want 0", got)
 	}
@@ -516,7 +526,7 @@ func TestCancelThenFireSameTick(t *testing.T) {
 	e.Schedule(500*time.Nanosecond, func() { fired = append(fired, 2) })
 	_ = a
 	a.Cancel()
-	e.RunAll()
+	drain(e)
 	if len(fired) != 2 || fired[0] != 1 || fired[1] != 2 {
 		t.Fatalf("fired = %v, want [1 2] (sub-tick order with mid-slot cancel)", fired)
 	}
@@ -542,7 +552,7 @@ func TestRescheduleAcrossWheelLevels(t *testing.T) {
 	if got := e.Pending(); got != 1 {
 		t.Fatalf("Pending() = %d, want 1 (reschedule must not duplicate)", got)
 	}
-	e.RunAll()
+	drain(e)
 	if len(firedAt) != 1 || firedAt[0] != 30*time.Minute {
 		t.Fatalf("firedAt = %v, want exactly [30m]", firedAt)
 	}
@@ -557,7 +567,7 @@ func TestRescheduleOrdersAsNewest(t *testing.T) {
 	a := e.Schedule(time.Second, func() { fired = append(fired, "a") })
 	e.Schedule(time.Second, func() { fired = append(fired, "b") })
 	a.RescheduleTo(time.Second) // same instant, but now the newest
-	e.RunAll()
+	drain(e)
 	if len(fired) != 2 || fired[0] != "b" || fired[1] != "a" {
 		t.Fatalf("fired = %v, want [b a]", fired)
 	}
@@ -568,7 +578,7 @@ func TestRescheduleOrdersAsNewest(t *testing.T) {
 func TestRescheduleUnscheduledPanics(t *testing.T) {
 	e := New(1)
 	ev := e.Schedule(time.Millisecond, func() {})
-	e.RunAll()
+	drain(e)
 	defer func() {
 		if recover() == nil {
 			t.Error("RescheduleTo on a fired event did not panic")
@@ -583,7 +593,7 @@ func TestRescheduleUnscheduledPanics(t *testing.T) {
 func TestZeroDelaySelfReschedule(t *testing.T) {
 	e := New(1)
 	e.Schedule(time.Millisecond, func() {}) // move now off zero first
-	e.RunAll()
+	drain(e)
 	count := 0
 	var tick func()
 	tick = func() {
@@ -593,7 +603,7 @@ func TestZeroDelaySelfReschedule(t *testing.T) {
 		}
 	}
 	e.After(0, tick)
-	e.RunAll()
+	drain(e)
 	if count != 500 {
 		t.Fatalf("count = %d, want 500", count)
 	}
@@ -624,7 +634,7 @@ func TestOverflowHeapPromotion(t *testing.T) {
 	e.Schedule(89*time.Minute, func() {
 		e.After(time.Minute+time.Millisecond, record) // 90min+1ms
 	})
-	e.RunAll()
+	drain(e)
 	want := []time.Duration{
 		time.Second,
 		90 * time.Minute,
@@ -655,7 +665,7 @@ func TestCancelInOverflowHeap(t *testing.T) {
 	evs[0].Cancel() // heap minimum
 	evs[3].Cancel() // interior
 	evs[5].Cancel() // last
-	e.RunAll()
+	drain(e)
 	want := []time.Duration{3 * time.Hour, 4 * time.Hour, 6 * time.Hour}
 	if len(fired) != len(want) {
 		t.Fatalf("fired %v, want %v", fired, want)
@@ -706,7 +716,7 @@ func TestWheelStress(t *testing.T) {
 				it.canceled = true
 			}
 		}
-		e.RunAll()
+		drain(e)
 		// Expected: live items sorted by (at, seq).
 		var want []*item
 		for _, it := range items {
@@ -781,14 +791,14 @@ func TestScheduleNearAfterDeadlinePeek(t *testing.T) {
 	e.Schedule(2*time.Millisecond, record)
 	e.Schedule(90*time.Minute, record)
 	done := make(chan uint64, 1)
-	go func() { done <- e.RunAll() }()
+	go func() { done <- drain(e) }()
 	select {
 	case n := <-done:
 		if n != 3 {
-			t.Fatalf("RunAll fired %d events, want 3", n)
+			t.Fatalf("drain fired %d events, want 3", n)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("RunAll livelocked (cursor advanced past now by the deadline peek)")
+		t.Fatal("drain livelocked (cursor advanced past now by the deadline peek)")
 	}
 	want := []time.Duration{2 * time.Millisecond, 90 * time.Minute, 100 * time.Minute}
 	for i := range want {
@@ -800,7 +810,7 @@ func TestScheduleNearAfterDeadlinePeek(t *testing.T) {
 	e.Schedule(e.Now()+time.Hour, record)
 	e.Run(e.Now() + time.Minute)
 	e.Schedule(e.Now()+time.Second, record)
-	e.RunAll()
+	drain(e)
 	if len(fired) != 5 {
 		t.Fatalf("fired %d events total, want 5", len(fired))
 	}
@@ -921,7 +931,7 @@ func TestDifferentialAgainstSortedModel(t *testing.T) {
 			}
 		}
 		// Drain everything.
-		e.RunAll()
+		drain(e)
 		runModel(1 << 62)
 		if len(fired) != len(want) {
 			t.Fatalf("seed %d drain: fired %d events, model fired %d", seed, len(fired), len(want))
@@ -1171,7 +1181,7 @@ func TestAdversarialCoarseSlotOrder(t *testing.T) {
 	midFar := horizon + time.Minute + time.Duration(perSlot/20)*time.Millisecond
 	m.e.Run(midFar)
 	m.check(midFar)
-	m.e.RunAll()
+	drain(m.e)
 	m.check(1 << 62)
 	m.verifySorted()
 }
@@ -1200,7 +1210,7 @@ func TestObserverSeesEveryPopInOrder(t *testing.T) {
 	e.Schedule(5*time.Millisecond, func() {
 		e.After(time.Millisecond, func() {})
 	})
-	e.RunAll()
+	drain(e)
 	if len(rec.ats) != 5 {
 		t.Fatalf("observer saw %d pops, want 5", len(rec.ats))
 	}
@@ -1213,7 +1223,7 @@ func TestObserverSeesEveryPopInOrder(t *testing.T) {
 	// Disabling the observer stops the stream.
 	e.SetObserver(nil)
 	e.Schedule(e.Now()+time.Millisecond, func() {})
-	e.RunAll()
+	drain(e)
 	if len(rec.ats) != 5 {
 		t.Fatalf("disabled observer still saw pops: %d", len(rec.ats))
 	}

@@ -48,7 +48,8 @@ func GeneratorNames() []string { return generators.Names() }
 
 // New builds the deployment described by cfg, dispatching on
 // cfg.Generator through the registry. An empty Generator selects
-// uniform-random placement, byte-identical to NewRandom.
+// uniform-random placement (geom.UniformPlacement), the paper's
+// deployment.
 func New(rng *rand.Rand, cfg Config) (*Topology, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"github.com/essat/essat/internal/geom"
 )
 
 func TestGeneratorRegistry(t *testing.T) {
@@ -65,21 +67,22 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	}
 }
 
-// TestNewUniformMatchesNewRandom is the byte-identity guard for the
-// default path: dispatching through the registry must consume the rng
-// exactly as the legacy constructor.
-func TestNewUniformMatchesNewRandom(t *testing.T) {
+// TestNewUniformMatchesPlacement is the byte-identity guard for the
+// default path: dispatching an empty Generator through the registry
+// must consume the rng exactly as a direct uniform placement does.
+func TestNewUniformMatchesPlacement(t *testing.T) {
 	cfg := Config{NumNodes: 80, AreaSide: 500, Range: 125}
-	a, err := NewRandom(rand.New(rand.NewSource(42)), cfg)
+	a, err := New(rand.New(rand.NewSource(42)), cfg) // empty Generator
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(rand.New(rand.NewSource(42)), cfg) // empty Generator
+	pts := geom.UniformPlacement(rand.New(rand.NewSource(42)), cfg.NumNodes, cfg.AreaSide)
+	b, err := FromPositions(pts, cfg.Range)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Positions(), b.Positions()) {
-		t.Fatal("New with empty generator differs from NewRandom")
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("New with empty generator differs from UniformPlacement + FromPositions")
 	}
 }
 

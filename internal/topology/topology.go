@@ -8,7 +8,6 @@ package topology
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"github.com/essat/essat/internal/geom"
@@ -62,16 +61,6 @@ type Config struct {
 // evaluation: 80 nodes in a 500x500 m² area with 125 m range.
 func DefaultConfig() Config {
 	return Config{NumNodes: 80, AreaSide: 500, Range: 125}
-}
-
-// NewRandom places cfg.NumNodes nodes uniformly at random using rng,
-// ignoring cfg.Generator. Prefer New, which dispatches on it.
-func NewRandom(rng *rand.Rand, cfg Config) (*Topology, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	pts := geom.UniformPlacement(rng, cfg.NumNodes, cfg.AreaSide)
-	return fromPositions(pts, cfg.Range, cfg.NeighborRange)
 }
 
 // FromPositions builds a topology from explicit positions, computing the
@@ -186,11 +175,6 @@ func (t *Topology) NeighborRange() float64 { return t.neighborR }
 // Position returns the position of node id.
 func (t *Topology) Position(id NodeID) geom.Point { return t.positions[id] }
 
-// Positions returns a copy of all node positions, indexed by NodeID.
-func (t *Topology) Positions() []geom.Point {
-	return append([]geom.Point(nil), t.positions...)
-}
-
 // Neighbors returns the nodes within communication range of id. The
 // returned slice is a view into the shared CSR slab and must not be
 // modified.
@@ -209,43 +193,4 @@ func (t *Topology) Connected(a, b NodeID) bool {
 // the paper's root-selection policy.
 func (t *Topology) CentralNode() NodeID {
 	return NodeID(geom.Closest(t.positions, geom.Centroid(t.positions)))
-}
-
-// Levels returns the hop distance from root to every node via BFS over the
-// connectivity graph, with -1 for unreachable nodes.
-func (t *Topology) Levels(root NodeID) []int {
-	levels := make([]int, len(t.positions))
-	for i := range levels {
-		levels[i] = -1
-	}
-	levels[root] = 0
-	queue := []NodeID{root}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range t.Neighbors(cur) {
-			if levels[nb] == -1 {
-				levels[nb] = levels[cur] + 1
-				queue = append(queue, nb)
-			}
-		}
-	}
-	return levels
-}
-
-// WithinDistance returns the IDs of all nodes whose Euclidean distance to
-// node id is at most d meters, excluding id itself. The paper restricts the
-// routing tree to nodes within 300 m of the root.
-func (t *Topology) WithinDistance(id NodeID, d float64) []NodeID {
-	var out []NodeID
-	p := t.positions[id]
-	for j := range t.positions {
-		if NodeID(j) == id {
-			continue
-		}
-		if p.InRange(t.positions[j], d) {
-			out = append(out, NodeID(j))
-		}
-	}
-	return out
 }

@@ -19,15 +19,15 @@ func mustFromPositions(t *testing.T, pts []geom.Point, r float64) *Topology {
 	return topo
 }
 
-func TestNewRandomValidation(t *testing.T) {
+func TestNewValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if _, err := NewRandom(rng, Config{NumNodes: 0, AreaSide: 10, Range: 5}); err == nil {
+	if _, err := New(rng, Config{NumNodes: 0, AreaSide: 10, Range: 5}); err == nil {
 		t.Error("want error for zero nodes")
 	}
-	if _, err := NewRandom(rng, Config{NumNodes: 5, AreaSide: -1, Range: 5}); err == nil {
+	if _, err := New(rng, Config{NumNodes: 5, AreaSide: -1, Range: 5}); err == nil {
 		t.Error("want error for negative area")
 	}
-	if _, err := NewRandom(rng, Config{NumNodes: 5, AreaSide: 10, Range: 0}); err == nil {
+	if _, err := New(rng, Config{NumNodes: 5, AreaSide: 10, Range: 0}); err == nil {
 		t.Error("want error for zero range")
 	}
 }
@@ -56,7 +56,7 @@ func TestChainTopology(t *testing.T) {
 func TestNeighborSymmetryProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		topo, err := NewRandom(rng, Config{NumNodes: 30, AreaSide: 300, Range: 100})
+		topo, err := New(rng, Config{NumNodes: 30, AreaSide: 300, Range: 100})
 		if err != nil {
 			return false
 		}
@@ -81,25 +81,6 @@ func TestNeighborSymmetryProperty(t *testing.T) {
 	}
 }
 
-func TestLevelsChain(t *testing.T) {
-	topo := mustFromPositions(t, geom.LinePlacement(5, 100), 125)
-	levels := topo.Levels(0)
-	for i, want := range []int{0, 1, 2, 3, 4} {
-		if levels[i] != want {
-			t.Fatalf("levels[%d] = %d, want %d", i, levels[i], want)
-		}
-	}
-}
-
-func TestLevelsUnreachable(t *testing.T) {
-	pts := []geom.Point{{X: 0}, {X: 100}, {X: 1000}}
-	topo := mustFromPositions(t, pts, 125)
-	levels := topo.Levels(0)
-	if levels[2] != -1 {
-		t.Fatalf("levels[2] = %d, want -1 (unreachable)", levels[2])
-	}
-}
-
 func TestCentralNode(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 5, Y: 1}, {X: 0, Y: 10}, {X: 10, Y: 10}}
 	topo := mustFromPositions(t, pts, 50)
@@ -109,17 +90,20 @@ func TestCentralNode(t *testing.T) {
 	}
 }
 
-func TestWithinDistance(t *testing.T) {
-	topo := mustFromPositions(t, geom.LinePlacement(5, 100), 125)
-	got := topo.WithinDistance(0, 300)
-	if len(got) != 3 {
-		t.Fatalf("WithinDistance = %v, want 3 nodes", got)
-	}
-	for _, id := range got {
-		if id == 0 {
-			t.Fatal("WithinDistance includes the node itself")
+// countReachable counts the nodes connected to root, root included.
+func countReachable(topo *Topology, root NodeID) int {
+	seen := make([]bool, topo.NumNodes())
+	seen[root] = true
+	queue := []NodeID{root}
+	for i := 0; i < len(queue); i++ {
+		for _, nb := range topo.Neighbors(queue[i]) {
+			if !seen[nb] {
+				seen[nb] = true
+				queue = append(queue, nb)
+			}
 		}
 	}
+	return len(queue)
 }
 
 func TestPaperScaleDeploymentIsMostlyConnected(t *testing.T) {
@@ -128,30 +112,13 @@ func TestPaperScaleDeploymentIsMostlyConnected(t *testing.T) {
 	// handful of seeds and require the vast majority of nodes reachable.
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		topo, err := NewRandom(rng, DefaultConfig())
+		topo, err := New(rng, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		root := topo.CentralNode()
-		levels := topo.Levels(root)
-		reachable := 0
-		for _, l := range levels {
-			if l >= 0 {
-				reachable++
-			}
-		}
-		if reachable < 70 {
+		if reachable := countReachable(topo, topo.CentralNode()); reachable < 70 {
 			t.Errorf("seed %d: only %d/80 nodes reachable", seed, reachable)
 		}
-	}
-}
-
-func TestPositionsReturnsCopy(t *testing.T) {
-	topo := mustFromPositions(t, geom.LinePlacement(3, 100), 125)
-	ps := topo.Positions()
-	ps[0] = geom.Point{X: 999}
-	if topo.Position(0).X == 999 {
-		t.Error("Positions() exposed internal storage")
 	}
 }
 
