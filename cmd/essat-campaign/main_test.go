@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -63,11 +64,20 @@ func TestCLISmoke(t *testing.T) {
 		t.Errorf("resume of a finished campaign: %v", err)
 	}
 
-	// Campaign sharding is gone: its flags are refused, not ignored.
-	if _, err := run("gen", "-dir", filepath.Join(t.TempDir(), "sharded"), "-count", "2", "-shards", "2"); err == nil {
-		t.Error("gen -shards 2 exited 0")
-	}
-	if _, err := run("run", "-dir", dir, "-shard", "1"); err == nil {
-		t.Error("run -shard 1 exited 0")
+	// Campaign sharding is gone: the flag parser refuses its flags
+	// rather than ignoring them.
+	for _, args := range [][]string{
+		{"gen", "-dir", filepath.Join(t.TempDir(), "sharded"), "-count", "2", "-shards", "2"},
+		{"run", "-dir", dir, "-shard", "1"},
+		{"resume", "-dir", dir, "-shard", "1"},
+	} {
+		name := strings.Join([]string{args[0], args[len(args)-2], args[len(args)-1]}, " ")
+		t.Run(name, func(t *testing.T) {
+			_, err := run(args...)
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Errorf("%s: %v, want the flag parser's exit status 2", name, err)
+			}
+		})
 	}
 }

@@ -502,3 +502,95 @@ func TestCampaignMergeWorkerInvariant(t *testing.T) {
 		t.Fatal("merged results carry no sink records; corpus should attach sinks")
 	}
 }
+
+// TestCampaignRetiredShardLayout pins how directories written when a
+// campaign could be split into shards still run: the manifest's
+// "shards" key is ignored, and only journal-000.jsonl is read, so specs
+// recorded in another journal run again and the merge is unchanged.
+func TestCampaignRetiredShardLayout(t *testing.T) {
+	const count = 4
+	refDir := genCorpus(t, count)
+	refSum, err := Run(context.Background(), refDir, RunConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refResults, err := os.ReadFile(refSum.ResultsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refJournal, err := os.ReadFile(filepath.Join(refDir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// retiredDir writes the corpus with the manifest key a sharded
+	// campaign carried.
+	retiredDir := func(t *testing.T) string {
+		t.Helper()
+		dir := genCorpus(t, count)
+		mpath := filepath.Join(dir, corpus.ManifestName)
+		data, err := os.ReadFile(mpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := bytes.Replace(data, []byte(`"count": 4,`), []byte(`"count": 4,
+  "shards": 2,`), 1)
+		if bytes.Equal(old, data) {
+			t.Fatal("manifest layout changed; cannot insert the retired shards key")
+		}
+		if err := os.WriteFile(mpath, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	merged := func(t *testing.T, sum *Summary) []byte {
+		t.Helper()
+		if sum.ResultsPath == "" {
+			t.Fatalf("run = %+v, want a merged result set", sum)
+		}
+		data, err := os.ReadFile(sum.ResultsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	t.Run("shards key ignored", func(t *testing.T) {
+		dir := retiredDir(t)
+		sum, err := Run(context.Background(), dir, RunConfig{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := merged(t, sum); !bytes.Equal(got, refResults) {
+			t.Fatalf("merged results differ from a corpus without the shards key:\n%s---\n%s", got, refResults)
+		}
+		st, err := ReadStatus(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Specs != count || st.Done+st.Failed != count || st.Pending != 0 || !st.Merged {
+			t.Fatalf("status = %+v, want %d specs journaled and merged", st, count)
+		}
+	})
+
+	t.Run("other journal rerun", func(t *testing.T) {
+		dir := retiredDir(t)
+		other := filepath.Join(dir, "journal-001.jsonl")
+		if err := os.WriteFile(other, refJournal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sum, err := Run(context.Background(), dir, RunConfig{Workers: 2, Resume: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Skipped != 0 || sum.Completed != count {
+			t.Fatalf("resume = %+v, want all %d specs rerun into %s", sum, count, journalName)
+		}
+		if got := merged(t, sum); !bytes.Equal(got, refResults) {
+			t.Fatalf("merged results differ from the reference:\n%s---\n%s", got, refResults)
+		}
+		if data, err := os.ReadFile(other); err != nil || !bytes.Equal(data, refJournal) {
+			t.Fatalf("journal-001.jsonl changed (err %v); it must be left unread", err)
+		}
+	})
+}
