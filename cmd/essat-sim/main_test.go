@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // TestCLISmoke builds essat-sim and drives it end to end: the registry
 // listing, a short audited run, -trace on a loaded spec, and the exit
-// codes of two invalid invocations.
+// codes of three invalid invocations.
 func TestCLISmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -43,6 +44,12 @@ func TestCLISmoke(t *testing.T) {
 			t.Errorf("-list does not name protocol %s", p)
 		}
 	}
+	// The root recorder is attached to every run, not offered as a sink.
+	_, sinkList, _ := strings.Cut(list, "-sinks):\n")
+	sinkList, _, _ = strings.Cut(sinkList, "\n\n")
+	if sinks := strings.Fields(sinkList); !slices.Contains(sinks, "jsonl") || slices.Contains(sinks, "root") {
+		t.Errorf("-list metric sinks = %v, want jsonl and no root", sinks)
+	}
 
 	short := []string{"-protocol", "DTS-SS", "-rate", "2", "-duration", "5s", "-seed", "7", "-audit"}
 	if out, err := run(short...); err != nil || !strings.Contains(out, "duty cycle") {
@@ -64,5 +71,8 @@ func TestCLISmoke(t *testing.T) {
 	// The sharded engine is gone: its flag is refused, not ignored.
 	if _, err := run(append(short, "-shards", "2")...); err == nil {
 		t.Error("-shards 2 exited 0")
+	}
+	if _, err := run(append(short, "-sinks", "root")...); err == nil {
+		t.Error("-sinks root exited 0")
 	}
 }

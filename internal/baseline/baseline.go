@@ -21,7 +21,6 @@
 package baseline
 
 import (
-	"fmt"
 	"slices"
 	"time"
 
@@ -146,52 +145,30 @@ func (g *Greedy) ControlReceived(from query.NodeID, msg any) {}
 
 // --- SYNC -------------------------------------------------------------------
 
-// SyncConfig parameterizes the SYNC fixed-duty-cycle protocol.
-type SyncConfig struct {
-	// Period of the shared schedule (0.2 s in the paper).
-	Period time.Duration
-	// ActiveWindow is the awake prefix of each period (20% duty → 40 ms).
-	ActiveWindow time.Duration
-}
+// The paper's SYNC schedule: a 20% duty cycle with a 0.2 s period.
+const (
+	// SyncPeriod is the period of the shared schedule.
+	SyncPeriod = 200 * time.Millisecond
+	// syncActiveWindow is the awake prefix of each period.
+	syncActiveWindow = 40 * time.Millisecond
+)
 
-// DefaultSyncConfig returns the paper's SYNC configuration: 20% duty
-// cycle with a 0.2 s period.
-func DefaultSyncConfig() SyncConfig {
-	return SyncConfig{Period: 200 * time.Millisecond, ActiveWindow: 40 * time.Millisecond}
-}
-
-// SyncPM keeps the radio on for the first ActiveWindow of every Period,
-// synchronized across all nodes. The MAC transmits only while the radio
-// is on, so frames queue until the next shared active window.
+// SyncPM keeps the radio on for the first syncActiveWindow of every
+// SyncPeriod, synchronized across all nodes. The MAC transmits only
+// while the radio is on, so frames queue until the next shared active
+// window.
 type SyncPM struct {
 	eng   *sim.Engine
 	radio *radio.Radio
-	cfg   SyncConfig
 }
 
 var _ node.PowerManager = (*SyncPM)(nil)
 
-// Validate reports whether the configuration is runnable. It is the
-// check NewSyncPM enforces, exposed so config errors become build-time
-// errors instead of panics.
-func (c SyncConfig) Validate() error {
-	if c.Period <= 0 || c.ActiveWindow <= 0 || c.ActiveWindow > c.Period {
-		return fmt.Errorf("baseline: SYNC needs 0 < ActiveWindow <= Period, got window %v, period %v", c.ActiveWindow, c.Period)
-	}
-	return nil
-}
-
-// NewSyncPM creates a SYNC power manager for one node. An invalid
-// config is an error, not a panic: baselines are reachable from
-// declarative specs, and a malformed spec must never take down the
-// process hosting the run.
-func NewSyncPM(eng *sim.Engine, r *radio.Radio, cfg SyncConfig) (*SyncPM, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// NewSyncPM creates a SYNC power manager for one node.
+func NewSyncPM(eng *sim.Engine, r *radio.Radio) *SyncPM {
 	p := sim.ArenaGrab[SyncPM](eng, "baseline.sync")
-	*p = SyncPM{eng: eng, radio: r, cfg: cfg}
-	return p, nil
+	*p = SyncPM{eng: eng, radio: r}
+	return p
 }
 
 // Name implements node.PowerManager.
@@ -207,8 +184,8 @@ func syncWindowEnd(x any)   { x.(*SyncPM).radio.TurnOff() }
 
 func (p *SyncPM) windowStart() {
 	p.radio.TurnOn()
-	p.eng.AfterArg(p.cfg.ActiveWindow, syncWindowEnd, p)
-	p.eng.AfterArg(p.cfg.Period, syncWindowStart, p)
+	p.eng.AfterArg(syncActiveWindow, syncWindowEnd, p)
+	p.eng.AfterArg(SyncPeriod, syncWindowStart, p)
 }
 
 // --- PSM --------------------------------------------------------------------
@@ -221,29 +198,19 @@ type AtimMsg struct {
 	Dst node.NodeID
 }
 
-// PsmConfig parameterizes the PSM baseline.
-type PsmConfig struct {
-	// BeaconPeriod is the full cycle (0.2 s in the paper).
-	BeaconPeriod time.Duration
-	// AtimWindow is the all-awake announcement window (0.025 s).
-	AtimWindow time.Duration
-	// DataWindow is the advertisement window following the ATIM window
-	// (0.1 s): an announced receiver stays awake at least this long after
+// The paper's PSM schedule.
+const (
+	// PsmBeaconPeriod is the full cycle.
+	PsmBeaconPeriod = 200 * time.Millisecond
+	// psmAtimWindow is the all-awake announcement window.
+	psmAtimWindow = 25 * time.Millisecond
+	// psmDataWindow is the advertisement window following the ATIM
+	// window: an announced receiver stays awake at least this long after
 	// the ATIM window, extended while traffic keeps arriving.
-	DataWindow time.Duration
-	// AtimBytes is the on-air size of an announcement.
-	AtimBytes int
-}
-
-// DefaultPsmConfig returns the paper's PSM configuration.
-func DefaultPsmConfig() PsmConfig {
-	return PsmConfig{
-		BeaconPeriod: 200 * time.Millisecond,
-		AtimWindow:   25 * time.Millisecond,
-		DataWindow:   100 * time.Millisecond,
-		AtimBytes:    14,
-	}
-}
+	psmDataWindow = 100 * time.Millisecond
+	// psmAtimBytes is the on-air size of an announcement.
+	psmAtimBytes = 14
+)
 
 // gatedReport is a report a power manager holds until its transfer
 // window: the arguments of the mac.Send it will make.
@@ -280,7 +247,6 @@ type PsmPM struct {
 	id    node.NodeID
 	radio *radio.Radio
 	mac   *mac.MAC
-	cfg   PsmConfig
 
 	buf []*psmItem
 	// announced and acked hold this beacon's ATIM destinations and the
@@ -317,31 +283,12 @@ func psmHoldEnd(x any) {
 	p.maybeSleep()
 }
 
-// Validate reports whether the configuration is runnable. It is the
-// check NewPsmPM enforces, exposed so config errors become build-time
-// errors instead of panics.
-func (c PsmConfig) Validate() error {
-	if c.BeaconPeriod <= 0 || c.AtimWindow <= 0 || c.AtimWindow > c.BeaconPeriod {
-		return fmt.Errorf("baseline: PSM needs 0 < AtimWindow <= BeaconPeriod, got window %v, period %v", c.AtimWindow, c.BeaconPeriod)
-	}
-	if c.DataWindow < 0 || c.AtimWindow+c.DataWindow > c.BeaconPeriod {
-		return fmt.Errorf("baseline: PSM windows (%v + %v) exceed the beacon period %v", c.AtimWindow, c.DataWindow, c.BeaconPeriod)
-	}
-	return nil
-}
-
-// NewPsmPM creates a PSM power manager for one node. An invalid config
-// is an error, not a panic: baselines are reachable from declarative
-// specs, and a malformed spec must never take down the process hosting
-// the run.
-func NewPsmPM(eng *sim.Engine, id node.NodeID, r *radio.Radio, m *mac.MAC, cfg PsmConfig) (*PsmPM, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// NewPsmPM creates a PSM power manager for one node.
+func NewPsmPM(eng *sim.Engine, id node.NodeID, r *radio.Radio, m *mac.MAC) *PsmPM {
 	p := sim.ArenaGrab[PsmPM](eng, "baseline.psm")
-	*p = PsmPM{eng: eng, id: id, radio: r, mac: m, cfg: cfg}
+	*p = PsmPM{eng: eng, id: id, radio: r, mac: m}
 	m.SetIdleSink(p)
-	return p, nil
+	return p
 }
 
 // Name implements node.PowerManager.
@@ -369,7 +316,7 @@ func (p *PsmPM) HandleControl(src node.NodeID, msg any) {
 		return
 	}
 	if atim.Dst == p.id {
-		p.extendHold(p.beaconBase() + p.cfg.AtimWindow + p.cfg.DataWindow)
+		p.extendHold(p.beaconBase() + psmAtimWindow + psmDataWindow)
 	}
 }
 
@@ -378,7 +325,7 @@ func (p *PsmPM) MACIdle() { p.maybeSleep() }
 
 // beaconBase returns the start time of the current beacon period.
 func (p *PsmPM) beaconBase() time.Duration {
-	return p.eng.Now() / p.cfg.BeaconPeriod * p.cfg.BeaconPeriod
+	return p.eng.Now() / PsmBeaconPeriod * PsmBeaconPeriod
 }
 
 func (p *PsmPM) extendHold(until time.Duration) {
@@ -405,10 +352,10 @@ func (p *PsmPM) maybeSleep() {
 }
 
 func (p *PsmPM) beaconStart() {
-	p.eng.AfterArg(p.cfg.BeaconPeriod, psmBeacon, p)
+	p.eng.AfterArg(PsmBeaconPeriod, psmBeacon, p)
 	p.radio.TurnOn()
 	// Everyone listens through the ATIM window.
-	p.holdUntil = p.eng.Now() + p.cfg.AtimWindow
+	p.holdUntil = p.eng.Now() + psmAtimWindow
 	p.inAtim = true
 	p.acked = p.acked[:0]
 	p.announced = p.announced[:0]
@@ -423,9 +370,9 @@ func (p *PsmPM) beaconStart() {
 			a = sim.ArenaGrab[psmAtim](p.eng, "baseline.psm.atim")
 		}
 		*a = psmAtim{p: p, dst: it.dst}
-		p.mac.Send(it.dst, AtimMsg{Dst: it.dst}, p.cfg.AtimBytes, a)
+		p.mac.Send(it.dst, AtimMsg{Dst: it.dst}, psmAtimBytes, a)
 	}
-	p.eng.AfterArg(p.cfg.AtimWindow, psmAtimEnd, p)
+	p.eng.AfterArg(psmAtimWindow, psmAtimEnd, p)
 }
 
 // SendDone implements mac.SendCallback: the MAC-level acknowledgement of
@@ -454,7 +401,7 @@ func (p *PsmPM) atimEnd() {
 	// boundary both ends share, so the receiver can sleep at its end
 	// without stranding a sender mid-burst.
 	p.inAtim = false
-	p.windowEnd = p.eng.Now() + p.cfg.DataWindow
+	p.windowEnd = p.eng.Now() + psmDataWindow
 	p.releaseNext()
 }
 

@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -79,11 +78,7 @@ func (r *fixedRank) Rank() int { return int(*r) }
 func TestSyncDutyCycleIsFixed(t *testing.T) {
 	eng := sim.New(1)
 	r := radio.New(eng, radio.Config{})
-	pm, err := NewSyncPM(eng, r, DefaultSyncConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm.Start()
+	NewSyncPM(eng, r).Start()
 	eng.Run(10 * time.Second)
 	duty := r.DutyCycle()
 	if duty < 0.19 || duty > 0.21 {
@@ -95,10 +90,8 @@ func TestSyncWindowsAreSynchronized(t *testing.T) {
 	eng := sim.New(1)
 	r1 := radio.New(eng, radio.Config{})
 	r2 := radio.New(eng, radio.Config{})
-	pm1, _ := NewSyncPM(eng, r1, DefaultSyncConfig())
-	pm2, _ := NewSyncPM(eng, r2, DefaultSyncConfig())
-	pm1.Start()
-	pm2.Start()
+	NewSyncPM(eng, r1).Start()
+	NewSyncPM(eng, r2).Start()
 	mismatches := 0
 	for probe := 10 * time.Millisecond; probe < 2*time.Second; probe += 17 * time.Millisecond {
 		eng.Schedule(probe, func() {
@@ -110,14 +103,6 @@ func TestSyncWindowsAreSynchronized(t *testing.T) {
 	eng.Run(2 * time.Second)
 	if mismatches != 0 {
 		t.Fatalf("%d probe points with unsynchronized radios", mismatches)
-	}
-}
-
-func TestSyncConfigValidation(t *testing.T) {
-	eng := sim.New(1)
-	r := radio.New(eng, radio.Config{})
-	if _, err := NewSyncPM(eng, r, SyncConfig{Period: time.Second, ActiveWindow: 2 * time.Second}); err == nil || !strings.Contains(err.Error(), "SYNC") {
-		t.Errorf("NewSyncPM = %v, want a SYNC config error", err)
 	}
 }
 
@@ -157,16 +142,13 @@ func newPsmNet(t *testing.T, n int) *psmNet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, _ := phy.NewChannel(eng, topo, phy.DefaultConfig())
+	ch, _ := phy.NewChannel(eng, topo, phy.Config{})
 	net := &psmNet{eng: eng, got: make([][]any, n)}
 	for i := 0; i < n; i++ {
 		r := radio.New(eng, radio.Config{})
 		tap := &deliverTap{net: net, id: i}
-		m := mac.New(eng, ch, phy.NodeID(i), r, mac.DefaultConfig(), tap)
-		pm, err := NewPsmPM(eng, phy.NodeID(i), r, m, DefaultPsmConfig())
-		if err != nil {
-			panic(err)
-		}
+		m := mac.New(eng, ch, phy.NodeID(i), r, tap)
+		pm := NewPsmPM(eng, phy.NodeID(i), r, m)
 		net.radios = append(net.radios, r)
 		net.macs = append(net.macs, m)
 		net.pms = append(net.pms, pm)
@@ -283,25 +265,5 @@ func TestPsmMultiHopForwarding(t *testing.T) {
 	}
 	if hop2At < 800*time.Millisecond {
 		t.Fatalf("second hop at %v, want after the 800ms beacon", hop2At)
-	}
-}
-
-func TestPsmConfigValidation(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  PsmConfig
-	}{
-		{"ATIM window beyond the beacon period", PsmConfig{BeaconPeriod: 100 * time.Millisecond, AtimWindow: 120 * time.Millisecond}},
-		{"windows beyond the beacon period", PsmConfig{BeaconPeriod: 100 * time.Millisecond, AtimWindow: 80 * time.Millisecond, DataWindow: 80 * time.Millisecond}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			eng := sim.New(1)
-			r := radio.New(eng, radio.Config{})
-			// The invalid config must be rejected before the (nil) MAC is
-			// touched.
-			if _, err := NewPsmPM(eng, 0, r, nil, tc.cfg); err == nil || !strings.Contains(err.Error(), "PSM") {
-				t.Errorf("NewPsmPM = %v, want a PSM config error", err)
-			}
-		})
 	}
 }

@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/essat/essat/internal/mac"
@@ -10,25 +9,19 @@ import (
 	"github.com/essat/essat/internal/sim"
 )
 
-// TmacConfig parameterizes the T-MAC baseline (van Dam & Langendoen,
-// SenSys'03 — reference [12] of the paper). T-MAC is SYNC with an
-// adaptive active window: all nodes wake at synchronized frame starts
-// and each stays awake only until no activation event (reception,
-// transmission end) has occurred for the timeout TA.
-type TmacConfig struct {
-	// FramePeriod is the synchronized wake-up period.
-	FramePeriod time.Duration
-	// TA is the activation timeout: the node sleeps once the channel has
-	// been uneventful for this long. Must cover a contention round plus a
-	// frame exchange.
-	TA time.Duration
-}
-
-// DefaultTmacConfig matches the evaluation's 0.2 s frame with a TA
-// covering roughly a worst-case contention window plus one exchange.
-func DefaultTmacConfig() TmacConfig {
-	return TmacConfig{FramePeriod: 200 * time.Millisecond, TA: 15 * time.Millisecond}
-}
+// The T-MAC baseline (van Dam & Langendoen, SenSys'03 — reference [12]
+// of the paper) is SYNC with an adaptive active window: all nodes wake
+// at synchronized frame starts and each stays awake only until no
+// activation event (reception, transmission end) has occurred for the
+// timeout TA. Its frame matches the evaluation's 0.2 s schedules.
+const (
+	// TmacFramePeriod is the synchronized wake-up period.
+	TmacFramePeriod = 200 * time.Millisecond
+	// tmacTA is the activation timeout: the node sleeps once the channel
+	// has been uneventful for this long. It covers roughly a worst-case
+	// contention window plus one frame exchange.
+	tmacTA = 15 * time.Millisecond
+)
 
 // TmacPM implements the T-MAC baseline at one node. Reports submitted
 // mid-frame are buffered and released at the next synchronized frame
@@ -42,7 +35,6 @@ type TmacPM struct {
 	eng   *sim.Engine
 	radio *radio.Radio
 	mac   *mac.MAC
-	cfg   TmacConfig
 
 	buf          []gatedReport
 	lastActivity time.Duration
@@ -63,29 +55,13 @@ func tmacCheck(x any) {
 	p.maybeSleep()
 }
 
-// Validate reports whether the configuration is runnable. It is the
-// check NewTmacPM enforces, exposed so config errors become build-time
-// errors instead of panics.
-func (c TmacConfig) Validate() error {
-	if c.FramePeriod <= 0 || c.TA <= 0 || c.TA > c.FramePeriod {
-		return fmt.Errorf("baseline: T-MAC needs 0 < TA <= FramePeriod, got TA %v, frame %v", c.TA, c.FramePeriod)
-	}
-	return nil
-}
-
-// NewTmacPM creates a T-MAC power manager for one node. An invalid
-// config is an error, not a panic: baselines are reachable from
-// declarative specs, and a malformed spec must never take down the
-// process hosting the run.
-func NewTmacPM(eng *sim.Engine, r *radio.Radio, m *mac.MAC, cfg TmacConfig) (*TmacPM, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// NewTmacPM creates a T-MAC power manager for one node.
+func NewTmacPM(eng *sim.Engine, r *radio.Radio, m *mac.MAC) *TmacPM {
 	p := sim.ArenaGrab[TmacPM](eng, "baseline.tmac")
-	*p = TmacPM{eng: eng, radio: r, mac: m, cfg: cfg}
+	*p = TmacPM{eng: eng, radio: r, mac: m}
 	r.Subscribe(p)
 	m.SetIdleSink(p)
-	return p, nil
+	return p
 }
 
 // RadioStateChanged implements radio.StateListener: receptions and
@@ -113,7 +89,7 @@ func (p *TmacPM) SubmitReport(dst node.NodeID, payload any, bytes int, cb mac.Se
 }
 
 func (p *TmacPM) frameStart() {
-	p.eng.AfterArg(p.cfg.FramePeriod, tmacFrame, p)
+	p.eng.AfterArg(TmacFramePeriod, tmacFrame, p)
 	p.radio.TurnOn()
 	p.lastActivity = p.eng.Now()
 	for _, it := range p.buf {
@@ -124,7 +100,7 @@ func (p *TmacPM) frameStart() {
 }
 
 func (p *TmacPM) scheduleCheck() {
-	at := p.lastActivity + p.cfg.TA
+	at := p.lastActivity + tmacTA
 	if now := p.eng.Now(); at <= now {
 		return // deadline already passed; the MAC idle callback re-checks
 	}
@@ -145,7 +121,7 @@ func (p *TmacPM) maybeSleep() {
 		return
 	}
 	now := p.eng.Now()
-	if now < p.lastActivity+p.cfg.TA {
+	if now < p.lastActivity+tmacTA {
 		p.scheduleCheck()
 		return
 	}

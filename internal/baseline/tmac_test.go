@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -37,15 +36,12 @@ func newTmacNet(t *testing.T, n int) *tmacNet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, _ := phy.NewChannel(eng, topo, phy.DefaultConfig())
+	ch, _ := phy.NewChannel(eng, topo, phy.Config{})
 	net := &tmacNet{eng: eng, got: make([][]any, n)}
 	for i := 0; i < n; i++ {
 		r := radio.New(eng, radio.Config{})
-		m := mac.New(eng, ch, phy.NodeID(i), r, mac.DefaultConfig(), &tmacTap{net: net, id: i})
-		pm, err := NewTmacPM(eng, r, m, DefaultTmacConfig())
-		if err != nil {
-			panic(err)
-		}
+		m := mac.New(eng, ch, phy.NodeID(i), r, &tmacTap{net: net, id: i})
+		pm := NewTmacPM(eng, r, m)
 		net.radios = append(net.radios, r)
 		net.macs = append(net.macs, m)
 		net.pms = append(net.pms, pm)
@@ -127,13 +123,5 @@ func TestTmacFramesAreSynchronized(t *testing.T) {
 	net.eng.Run(1100 * time.Millisecond)
 	if mismatches != 0 {
 		t.Fatalf("%d sleeping nodes at frame starts", mismatches)
-	}
-}
-
-func TestTmacConfigValidation(t *testing.T) {
-	eng := sim.New(1)
-	r := radio.New(eng, radio.Config{})
-	if _, err := NewTmacPM(eng, r, nil, TmacConfig{FramePeriod: 10 * time.Millisecond, TA: 20 * time.Millisecond}); err == nil || !strings.Contains(err.Error(), "T-MAC") {
-		t.Errorf("NewTmacPM = %v, want a T-MAC config error for TA > FramePeriod", err)
 	}
 }

@@ -27,12 +27,9 @@ const campaignPanicName protocol.Protocol = "campaign-panic"
 
 func (p *campaignPanicProto) Protocol() protocol.Protocol { return campaignPanicName }
 
-func (p *campaignPanicProto) Build(ctx *protocol.BuildContext) error {
-	if err := p.delegate.Build(ctx); err != nil {
-		return err
-	}
+func (p *campaignPanicProto) Build(ctx *protocol.BuildContext) {
+	p.delegate.Build(ctx)
 	ctx.Eng.After(500*time.Millisecond, func() { panic("injected campaign bug") })
-	return nil
 }
 
 func init() {

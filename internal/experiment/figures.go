@@ -126,7 +126,16 @@ type Work struct {
 // Fprint renders the figure as an aligned text table, one row per x value.
 func (f *Figure) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s ==\n", f.ID, f.Title)
-	fmt.Fprintf(w, "   (y = %s, mean ± 90%% CI over seeds)\n", f.YLabel)
+	// Claim an interval only where a cell prints one.
+	spread := ""
+	for _, s := range f.Series {
+		for _, p := range s.Points {
+			if p.N >= 2 {
+				spread = ", mean ± 90% CI over seeds"
+			}
+		}
+	}
+	fmt.Fprintf(w, "   (y = %s%s)\n", f.YLabel, spread)
 	fmt.Fprintf(w, "%-12s", f.XLabel)
 	for _, s := range f.Series {
 		fmt.Fprintf(w, " %22s", s.Name)
@@ -665,7 +674,7 @@ func Fig8SleepHistogram(o Options) (*Figure, []float64, error) {
 		ID:     fig8Info.ID,
 		Title:  fig8Info.Title,
 		XLabel: "sleep length (ms)",
-		YLabel: "count per 25 ms bin",
+		YLabel: "count per 25 ms bin, pooled over seeds",
 		Series: out,
 		Work:   work,
 		Notes: []string{fmt.Sprintf("%% of sleeps < 2.5 ms: DTS-SS=%.2f%% STS-SS=%.2f%% NTS-SS=%.2f%% (paper: 6.33 / 0.85 / 0.40)",

@@ -51,6 +51,18 @@ func TestFigureFprint(t *testing.T) {
 	if !strings.Contains(x5, "50.812       n=1") || strings.Contains(x5, "±") {
 		t.Errorf("x=5 row (one sample) = %q, want the mean and n=1 with no ±", x5)
 	}
+	if !strings.Contains(out, "(y = y, mean ± 90% CI over seeds)") {
+		t.Errorf("header of a table with intervals does not name them:\n%s", out)
+	}
+
+	// A table whose cells are all single samples claims no interval.
+	pooled := &Figure{ID: "pooled", XLabel: "x", YLabel: "count",
+		Series: []Series{{Name: "a", Points: []Point{{X: 1, Mean: 4, N: 1}, {X: 2, Mean: 7, N: 1}}}}}
+	sb.Reset()
+	pooled.Fprint(&sb)
+	if out := sb.String(); !strings.Contains(out, "(y = count)\n") || strings.Contains(out, "CI") {
+		t.Errorf("header of a table with no interval claims one:\n%s", out)
+	}
 }
 
 func TestOptionsNormalization(t *testing.T) {

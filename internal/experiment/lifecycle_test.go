@@ -21,12 +21,9 @@ const panicProtoName protocol.Protocol = "panic-mid-run"
 
 func (p *panicProto) Protocol() protocol.Protocol { return panicProtoName }
 
-func (p *panicProto) Build(ctx *protocol.BuildContext) error {
-	if err := p.delegate.Build(ctx); err != nil {
-		return err
-	}
+func (p *panicProto) Build(ctx *protocol.BuildContext) {
+	p.delegate.Build(ctx)
 	ctx.Eng.After(2*time.Second, func() { panic("injected protocol bug") })
-	return nil
 }
 
 func init() {

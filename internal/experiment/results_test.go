@@ -44,6 +44,9 @@ func TestResultsSpecErrors(t *testing.T) {
 	}{
 		{"empty-sinks", &ResultsSpec{}},
 		{"unknown-sink", &ResultsSpec{Sinks: []SinkSpec{{Name: "flamegraph"}}}},
+		// The root recorder is attached to every run and emits no
+		// record, so it is not a sink a spec can name.
+		{"root-sink", &ResultsSpec{Sinks: []SinkSpec{{Name: "root"}}}},
 		{"duplicate-sink", &ResultsSpec{Sinks: []SinkSpec{{Name: "energy"}, {Name: "energy"}}}},
 		{"bad-params", &ResultsSpec{Sinks: []SinkSpec{{Name: "timeseries", Params: map[string]float64{"bucket_ms": -1}}}}},
 		{"unknown-param", &ResultsSpec{Sinks: []SinkSpec{{Name: "jsonl", Params: map[string]float64{"x": 1}}}}},

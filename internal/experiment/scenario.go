@@ -382,10 +382,14 @@ type builder struct {
 // fix the event sequence numbers.
 func build(sc Scenario, a *Arena) (*Sim, error) {
 	b := &builder{Sim: &Sim{Scenario: sc}, arena: a}
-	for _, stage := range []func() error{b.resolveModels, b.deploy, b.channel, b.observers, b.stacks, b.workload} {
+	for _, stage := range []func() error{b.resolveModels, b.deploy, b.channel, b.observers} {
 		if err := stage(); err != nil {
 			return nil, err
 		}
+	}
+	b.stacks()
+	if err := b.workload(); err != nil {
+		return nil, err
 	}
 	return b.Sim, nil
 }
@@ -431,9 +435,7 @@ func (b *builder) resolveModels() error {
 	// candidate-neighbor graph to the model's conservative maximum.
 	sc.Topology.NeighborRange = prop.MaxRange(sc.Topology.Range)
 
-	b.chCfg = phy.DefaultConfig()
-	b.chCfg.LossRate = sc.LossRate
-	b.chCfg.Propagation = prop
+	b.chCfg = phy.Config{LossRate: sc.LossRate, Propagation: prop}
 
 	// The failure threshold arrives from spec input: validate it here,
 	// since the agent constructor only panics on an invalid config (a
@@ -532,25 +534,17 @@ func (b *builder) channel() (err error) {
 // selection of them.
 func (b *builder) observers() error {
 	sc := &b.Scenario
-	// The root recorder comes off the sink registry like any other sink
-	// (proving the port), extra sinks follow in configuration order, and
-	// a fanout dispatches every hook to all of them.
+	// The root recorder feeding Result is attached first, the configured
+	// sinks follow in configuration order, and a fanout dispatches every
+	// hook to all of them.
 	sinkCfg := stats.SinkConfig{
-		Queries:     sc.Queries,
 		Duration:    sc.Duration,
 		MeasureFrom: sc.MeasureFrom,
 		Nodes:       b.Topo.NumNodes(),
 	}
-	rootObs, err := stats.NewSink(stats.SinkRoot, sinkCfg)
-	if err != nil {
-		return err
-	}
-	b.sink = rootObs.(*stats.RootSink)
+	b.sink = stats.NewRootSink(sc.Queries, sc.MeasureFrom, sc.Duration)
 	observers := []stats.Sink{b.sink}
 	for _, choice := range sc.Sinks {
-		if choice.Name == stats.SinkRoot {
-			continue // always attached first
-		}
 		cfg := sinkCfg
 		cfg.Params = choice.Params
 		extra, err := stats.NewSink(choice.Name, cfg)
@@ -580,7 +574,7 @@ func (b *builder) observers() error {
 // stacks wires a node — radio, MAC, and the protocol stack from the
 // registry — onto every tree member in member order, then a dark station
 // onto every other node so the channel's station table is complete.
-func (b *builder) stacks() error {
+func (b *builder) stacks() {
 	sc := &b.Scenario
 	b.Nodes = sim.ArenaSlice[*node.Node](b.Eng, "experiment.nodes", b.Topo.NumNodes())
 	// Builders only read the context, so one serves every node; only
@@ -613,9 +607,7 @@ func (b *builder) stacks() error {
 			n.MAC.SetObserver(b.auditor)
 		}
 		ctx.Node, ctx.Sink = n, s
-		if err := b.proto.Build(&ctx); err != nil {
-			return err
-		}
+		b.proto.Build(&ctx)
 		b.Nodes[id] = n
 	}
 	for id, n := range b.Nodes {
@@ -624,10 +616,9 @@ func (b *builder) stacks() error {
 		}
 		r := radio.New(b.Eng, b.rcfg)
 		// Constructing the MAC attaches the station to the channel.
-		mac.New(b.Eng, b.Channel, node.NodeID(id), r, mac.DefaultConfig(), discard{})
+		mac.New(b.Eng, b.Channel, node.NodeID(id), r, discard{})
 		r.TurnOff()
 	}
-	return nil
 }
 
 // workload schedules the run's activity on top of the wired stacks:
@@ -1060,7 +1051,7 @@ func (s *Sim) collectNodes(res *Result) {
 		res.DutyByRank[r] = w.Mean()
 	}
 	if reports > 0 {
-		bits := float64(phaseUpdates) * float64(query.DefaultConfig().PhaseBytes) * 8
+		bits := float64(phaseUpdates) * float64(query.PhaseBytes) * 8
 		res.PhaseUpdateBitsPerReport = bits / float64(reports)
 	}
 

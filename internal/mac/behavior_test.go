@@ -8,11 +8,11 @@ import (
 )
 
 // TestContentionWindowResetAfterSuccess: the CW doubles across retries
-// and resets to CWMin once a frame completes, observable through timing:
+// and resets to cwMin once a frame completes, observable through timing:
 // after a painful retry sequence, the next uncontended frame must go out
 // promptly (small backoff), not with a CWMax-scale delay.
 func TestContentionWindowResetAfterSuccess(t *testing.T) {
-	net := newChain(t, 2, 9, phy.DefaultConfig())
+	net := newChain(t, 2, 9, phy.Config{})
 	// First frame to a sleeping receiver: burns all retries with CW
 	// growth up to CWMax.
 	net.radios[1].TurnOff()
@@ -35,7 +35,7 @@ func TestContentionWindowResetAfterSuccess(t *testing.T) {
 	if doneAt == 0 {
 		t.Fatal("second frame never delivered")
 	}
-	// CWMin=32 slots × 20µs = 640µs worst backoff + DIFS + frame + ACK:
+	// cwMin=32 slots × 20µs = 640µs worst backoff + DIFS + frame + ACK:
 	// everything under ~3ms. A stale CWMax window would take up to 20ms.
 	if doneAt-start > 3*time.Millisecond {
 		t.Fatalf("post-reset frame took %v, contention window not reset", doneAt-start)
@@ -46,7 +46,7 @@ func TestContentionWindowResetAfterSuccess(t *testing.T) {
 // attempts should grow (binary exponential backoff), measured at the
 // channel by transmission count over time toward a deaf receiver.
 func TestRetryTimingGrows(t *testing.T) {
-	net := newChain(t, 2, 10, phy.DefaultConfig())
+	net := newChain(t, 2, 10, phy.Config{})
 	net.radios[1].TurnOff()
 	net.macs[0].Send(1, "x", 52, nil)
 	// Count transmissions in the first 5ms vs the next 45ms: early
@@ -58,15 +58,15 @@ func TestRetryTimingGrows(t *testing.T) {
 	if early < 2 {
 		t.Fatalf("only %d attempts in the first 5ms, want clustered early retries", early)
 	}
-	if late != uint64(1+DefaultConfig().RetryLimit) {
-		t.Fatalf("total attempts = %d, want %d", late, 1+DefaultConfig().RetryLimit)
+	if late != uint64(1+retryLimit) {
+		t.Fatalf("total attempts = %d, want %d", late, 1+retryLimit)
 	}
 }
 
 // TestBroadcastDoesNotRetry: broadcast frames are fire-once even when
 // nobody hears them.
 func TestBroadcastDoesNotRetry(t *testing.T) {
-	net := newChain(t, 2, 11, phy.DefaultConfig())
+	net := newChain(t, 2, 11, phy.Config{})
 	net.radios[1].TurnOff()
 	ok := false
 	net.macs[0].Send(phy.Broadcast, "bcast", 52, sendFunc(func(b bool) { ok = b }))
@@ -82,7 +82,7 @@ func TestBroadcastDoesNotRetry(t *testing.T) {
 // TestInterleavedBidirectionalTraffic: two nodes sending to each other
 // simultaneously must both complete (no ACK-direction confusion).
 func TestInterleavedBidirectionalTraffic(t *testing.T) {
-	net := newChain(t, 2, 12, phy.DefaultConfig())
+	net := newChain(t, 2, 12, phy.Config{})
 	done := 0
 	for i := 0; i < 10; i++ {
 		net.macs[0].Send(1, i, 52, sendFunc(func(b bool) {
@@ -109,7 +109,7 @@ func TestInterleavedBidirectionalTraffic(t *testing.T) {
 // TestQueueLenAndBusyLifecycle tracks the public state accessors through
 // a frame's life.
 func TestQueueLenAndBusyLifecycle(t *testing.T) {
-	net := newChain(t, 2, 13, phy.DefaultConfig())
+	net := newChain(t, 2, 13, phy.Config{})
 	if net.macs[0].Busy() || net.macs[0].QueueLen() != 0 {
 		t.Fatal("fresh MAC should be idle")
 	}
@@ -127,7 +127,7 @@ func TestQueueLenAndBusyLifecycle(t *testing.T) {
 // TestDeadRadioSilencesStation: after Shutdown, queued frames never go
 // out and incoming traffic is ignored.
 func TestDeadRadioSilencesStation(t *testing.T) {
-	net := newChain(t, 2, 14, phy.DefaultConfig())
+	net := newChain(t, 2, 14, phy.Config{})
 	net.macs[1].Send(0, "queued", 52, nil)
 	net.radios[1].Shutdown()
 	net.ch.Disable(1)

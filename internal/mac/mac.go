@@ -28,59 +28,24 @@ import (
 	"github.com/essat/essat/internal/sim"
 )
 
-// Config holds the DCF timing and retry parameters.
-type Config struct {
-	// SlotTime is the backoff slot length.
-	SlotTime time.Duration
-	// SIFS is the short interframe space (data→ACK turnaround).
-	SIFS time.Duration
-	// DIFS is the DCF interframe space a station must observe idle before
-	// contending.
-	DIFS time.Duration
-	// CWMin and CWMax bound the contention window; backoff is drawn
+// The DCF timing and retry parameters: 802.11b-like at 1 Mbps.
+const (
+	// slotTime is the backoff slot length.
+	slotTime = 20 * time.Microsecond
+	// sifs is the short interframe space (data→ACK turnaround).
+	sifs = 10 * time.Microsecond
+	// difs is the DCF interframe space a station must observe idle
+	// before contending.
+	difs = 50 * time.Microsecond
+	// cwMin and cwMax bound the contention window; backoff is drawn
 	// uniformly from [0, CW-1].
-	CWMin, CWMax int
-	// RetryLimit is the number of retransmissions before a unicast frame
+	cwMin, cwMax = 32, 1024
+	// retryLimit is the number of retransmissions before a unicast frame
 	// is reported failed.
-	RetryLimit int
-	// AckBytes is the on-air size of an acknowledgement frame.
-	AckBytes int
-}
-
-// DefaultConfig returns 802.11b-like parameters at 1 Mbps.
-func DefaultConfig() Config {
-	return Config{
-		SlotTime:   20 * time.Microsecond,
-		SIFS:       10 * time.Microsecond,
-		DIFS:       50 * time.Microsecond,
-		CWMin:      32,
-		CWMax:      1024,
-		RetryLimit: 7,
-		AckBytes:   14,
-	}
-}
-
-// Validate reports whether the configuration is runnable: positive
-// timing parameters, a sane contention window, and positive frame
-// sizes. Hosts that accept configs from untrusted input (declarative
-// specs, corpus generators) validate before construction so a bad
-// config surfaces as a build error; New panics on an invalid config
-// only as a backstop against imperative misuse.
-func (c Config) Validate() error {
-	if c.SlotTime <= 0 || c.SIFS <= 0 || c.DIFS <= 0 {
-		return fmt.Errorf("mac: slot/SIFS/DIFS must be positive")
-	}
-	if c.CWMin < 1 || c.CWMax < c.CWMin {
-		return fmt.Errorf("mac: need 1 <= CWMin <= CWMax, got %d, %d", c.CWMin, c.CWMax)
-	}
-	if c.RetryLimit < 0 {
-		return fmt.Errorf("mac: negative retry limit")
-	}
-	if c.AckBytes <= 0 {
-		return fmt.Errorf("mac: AckBytes must be positive")
-	}
-	return nil
-}
+	retryLimit = 7
+	// ackBytes is the on-air size of an acknowledgement frame.
+	ackBytes = 14
+)
 
 // Observer is notified of MAC decisions, synchronously. Observers must
 // be pure (no scheduling, no state changes, no random draws) so that an
@@ -170,7 +135,6 @@ type MAC struct {
 	ch    *phy.Channel
 	id    phy.NodeID
 	radio *radio.Radio
-	cfg   Config
 	upper Upper
 
 	queue []*txItem
@@ -285,10 +249,7 @@ type ackKey struct {
 }
 
 // New creates a MAC for node id, attaching it to the channel.
-func New(eng *sim.Engine, ch *phy.Channel, id phy.NodeID, r *radio.Radio, cfg Config, upper Upper) *MAC {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
+func New(eng *sim.Engine, ch *phy.Channel, id phy.NodeID, r *radio.Radio, upper Upper) *MAC {
 	peers := ch.Neighbors(id)
 	m := sim.ArenaGrab[MAC](eng, "mac.mac")
 	*m = MAC{
@@ -296,9 +257,8 @@ func New(eng *sim.Engine, ch *phy.Channel, id phy.NodeID, r *radio.Radio, cfg Co
 		ch:         ch,
 		id:         id,
 		radio:      r,
-		cfg:        cfg,
 		upper:      upper,
-		cw:         cfg.CWMin,
+		cw:         cwMin,
 		lastDecode: -1,
 		peers:      peers,
 		lastSeq:    sim.ArenaSlice[uint64](eng, "mac.lastseq", len(peers)),
@@ -437,7 +397,7 @@ func (m *MAC) tryContend() {
 	if m.carrierBusy() {
 		return // resumes via CarrierChanged(false) or NAV expiry
 	}
-	m.difsEv = m.eng.AfterArg(m.cfg.DIFS, macDifsDone, m)
+	m.difsEv = m.eng.AfterArg(difs, macDifsDone, m)
 }
 
 func (m *MAC) difsDone() {
@@ -454,7 +414,7 @@ func (m *MAC) difsDone() {
 		return
 	}
 	m.backoffStarted = m.eng.Now()
-	m.backoffEv = m.eng.AfterArg(time.Duration(m.backoff)*m.cfg.SlotTime, macBackoffDone, m)
+	m.backoffEv = m.eng.AfterArg(time.Duration(m.backoff)*slotTime, macBackoffDone, m)
 }
 
 func (m *MAC) backoffDone() {
@@ -499,7 +459,7 @@ func (m *MAC) freeze() {
 	if m.backoffEv != nil {
 		m.backoffEv.Cancel()
 		m.backoffEv = nil
-		elapsed := int((m.eng.Now() - m.backoffStarted) / m.cfg.SlotTime)
+		elapsed := int((m.eng.Now() - m.backoffStarted) / slotTime)
 		m.backoff -= elapsed
 		if m.backoff < 0 {
 			m.backoff = 0
@@ -531,20 +491,20 @@ func (m *MAC) txDone(item *txItem) {
 		return
 	}
 	m.waitingAck = true
-	timeout := m.cfg.SIFS + m.ch.FrameDuration(m.cfg.AckBytes) + 3*m.cfg.SlotTime
+	timeout := sifs + m.ch.FrameDuration(ackBytes) + 3*slotTime
 	m.ackEv = m.eng.AfterArg(timeout, macAckTimeout, m)
 }
 
 func (m *MAC) retry(item *txItem) {
 	item.attempts++
-	if item.attempts > m.cfg.RetryLimit {
+	if item.attempts > retryLimit {
 		m.finish(item, false)
 		return
 	}
 	m.stats.Retries++
 	m.cw *= 2
-	if m.cw > m.cfg.CWMax {
-		m.cw = m.cfg.CWMax
+	if m.cw > cwMax {
+		m.cw = cwMax
 	}
 	m.backoff = m.eng.Rand().Intn(m.cw)
 	m.tryContend()
@@ -557,7 +517,7 @@ func (m *MAC) finish(item *txItem, ok bool) {
 	n := copy(m.queue, m.queue[1:])
 	m.queue[n] = nil
 	m.queue = m.queue[:n]
-	m.cw = m.cfg.CWMin
+	m.cw = cwMin
 	m.backoff = 0
 	if ok {
 		m.stats.Sent++
@@ -600,7 +560,7 @@ func (m *MAC) FrameDelivered(f *phy.Frame) {
 		// Overheard unicast data implies a SIFS + ACK exchange follows:
 		// defer through it (virtual carrier sense).
 		if hdr.kind == kindData {
-			m.setNAV(m.eng.Now() + m.cfg.SIFS + m.ch.FrameDuration(m.cfg.AckBytes))
+			m.setNAV(m.eng.Now() + sifs + m.ch.FrameDuration(ackBytes))
 		}
 		return
 	}
@@ -647,7 +607,7 @@ func (m *MAC) dataReceived(f *phy.Frame, hdr *header) {
 		}
 		m.ackPending++
 		m.pendingAcks = sim.ArenaAppend(m.eng, "mac.pendingacks", m.pendingAcks, ackKey{src: f.Src, seq: hdr.seq})
-		m.eng.AfterArg(m.cfg.SIFS, macFireAck, m)
+		m.eng.AfterArg(sifs, macFireAck, m)
 	}
 	if dup {
 		m.stats.Duplicates++
@@ -672,7 +632,7 @@ func (m *MAC) sendAck(dst phy.NodeID, seq uint64) {
 		return
 	}
 	m.ackHdr = m.newHeader(kindAck, seq, info)
-	dur, _ := m.ch.StartTx(m.id, dst, m.cfg.AckBytes, m.ackHdr)
+	dur, _ := m.ch.StartTx(m.id, dst, ackBytes, m.ackHdr)
 	m.stats.AcksSent++
 	m.eng.AfterArg(dur, macAckSent, m)
 }
@@ -700,7 +660,7 @@ func (m *MAC) CarrierChanged(busy bool) {
 	// SIFS + ACK + DIFS as 802.11 does (protects ACKs from stations that
 	// could not read the preceding data frame).
 	if m.lastDecode != m.eng.Now() {
-		m.setNAV(m.eng.Now() + m.cfg.SIFS + m.ch.FrameDuration(m.cfg.AckBytes) + m.cfg.DIFS)
+		m.setNAV(m.eng.Now() + sifs + m.ch.FrameDuration(ackBytes) + difs)
 		return
 	}
 	m.tryContend()

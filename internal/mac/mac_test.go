@@ -1,9 +1,9 @@
 package mac
 
 import (
-	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/essat/essat/internal/geom"
 	"github.com/essat/essat/internal/phy"
@@ -62,7 +62,7 @@ func newChainWith(t *testing.T, n int, seed int64, chCfg phy.Config, uppers map[
 		if custom, ok := uppers[i]; ok {
 			up = custom
 		}
-		m := New(eng, ch, phy.NodeID(i), r, DefaultConfig(), up)
+		m := New(eng, ch, phy.NodeID(i), r, up)
 		net.radios = append(net.radios, r)
 		net.macs = append(net.macs, m)
 		net.uppers = append(net.uppers, u)
@@ -71,7 +71,7 @@ func newChainWith(t *testing.T, n int, seed int64, chCfg phy.Config, uppers map[
 }
 
 func TestUnicastWithAck(t *testing.T) {
-	net := newChain(t, 2, 1, phy.DefaultConfig())
+	net := newChain(t, 2, 1, phy.Config{})
 	var ok *bool
 	net.macs[0].Send(1, "ping", 52, sendFunc(func(b bool) { ok = &b }))
 	net.eng.Run(time.Second)
@@ -95,7 +95,7 @@ func TestUnicastWithAck(t *testing.T) {
 }
 
 func TestBroadcastNoAck(t *testing.T) {
-	net := newChain(t, 3, 1, phy.DefaultConfig())
+	net := newChain(t, 3, 1, phy.Config{})
 	done := false
 	net.macs[1].Send(phy.Broadcast, "hello", 52, sendFunc(func(b bool) { done = b }))
 	net.eng.Run(time.Second)
@@ -111,7 +111,7 @@ func TestBroadcastNoAck(t *testing.T) {
 }
 
 func TestSleepingReceiverExhaustsRetries(t *testing.T) {
-	net := newChain(t, 2, 1, phy.DefaultConfig())
+	net := newChain(t, 2, 1, phy.Config{})
 	net.radios[1].TurnOff()
 	var result *bool
 	net.macs[0].Send(1, "x", 52, sendFunc(func(b bool) { result = &b }))
@@ -126,13 +126,13 @@ func TestSleepingReceiverExhaustsRetries(t *testing.T) {
 	if st.Failed != 1 {
 		t.Fatalf("Failed = %d, want 1", st.Failed)
 	}
-	if st.Retries != uint64(DefaultConfig().RetryLimit) {
-		t.Fatalf("Retries = %d, want %d", st.Retries, DefaultConfig().RetryLimit)
+	if st.Retries != uint64(retryLimit) {
+		t.Fatalf("Retries = %d, want %d", st.Retries, retryLimit)
 	}
 }
 
 func TestReceiverWakesDuringRetries(t *testing.T) {
-	net := newChain(t, 2, 1, phy.DefaultConfig())
+	net := newChain(t, 2, 1, phy.Config{})
 	net.radios[1].TurnOff()
 	var result *bool
 	net.macs[0].Send(1, "x", 52, sendFunc(func(b bool) { result = &b }))
@@ -148,7 +148,7 @@ func TestReceiverWakesDuringRetries(t *testing.T) {
 }
 
 func TestSenderRadioOffPausesAndResumes(t *testing.T) {
-	net := newChain(t, 2, 1, phy.DefaultConfig())
+	net := newChain(t, 2, 1, phy.Config{})
 	net.radios[0].TurnOff()
 	got := false
 	net.macs[0].Send(1, "x", 52, sendFunc(func(b bool) { got = b }))
@@ -164,7 +164,7 @@ func TestSenderRadioOffPausesAndResumes(t *testing.T) {
 }
 
 func TestQueueDrainsInOrder(t *testing.T) {
-	net := newChain(t, 2, 1, phy.DefaultConfig())
+	net := newChain(t, 2, 1, phy.Config{})
 	for i := 0; i < 5; i++ {
 		net.macs[0].Send(1, i, 52, nil)
 	}
@@ -182,7 +182,7 @@ func TestQueueDrainsInOrder(t *testing.T) {
 func TestContendingSendersBothSucceed(t *testing.T) {
 	// Nodes 0 and 2 both send to node 1 at the same instant; CSMA backoff
 	// plus retries must get both frames through.
-	net := newChain(t, 3, 7, phy.DefaultConfig())
+	net := newChain(t, 3, 7, phy.Config{})
 	oks := 0
 	net.macs[0].Send(1, "a", 52, sendFunc(func(b bool) {
 		if b {
@@ -212,13 +212,13 @@ func TestManyContendersAllDeliver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, _ := phy.NewChannel(eng, topo, phy.DefaultConfig())
+	ch, _ := phy.NewChannel(eng, topo, phy.Config{})
 	var macs []*MAC
 	var uppers []*mockUpper
 	for i := 0; i < 6; i++ {
 		r := radio.New(eng, radio.Config{})
 		u := &mockUpper{}
-		macs = append(macs, New(eng, ch, phy.NodeID(i), r, DefaultConfig(), u))
+		macs = append(macs, New(eng, ch, phy.NodeID(i), r, u))
 		uppers = append(uppers, u)
 	}
 	// Nodes 1..5 all send to node 0 simultaneously.
@@ -240,7 +240,7 @@ func TestManyContendersAllDeliver(t *testing.T) {
 }
 
 func TestDuplicateFilteringUnderAckLoss(t *testing.T) {
-	cfg := phy.DefaultConfig()
+	cfg := phy.Config{}
 	cfg.LossRate = 0.3
 	net := newChain(t, 2, 11, cfg)
 	const n = 50
@@ -280,7 +280,7 @@ func TestDuplicateFilteringUnderAckLoss(t *testing.T) {
 func TestHiddenTerminalsEventuallyDeliver(t *testing.T) {
 	// 0 and 2 cannot hear each other but share receiver 1: collisions are
 	// likely, retries must recover.
-	net := newChain(t, 3, 5, phy.DefaultConfig())
+	net := newChain(t, 3, 5, phy.Config{})
 	succ := 0
 	for i := 0; i < 10; i++ {
 		i := i
@@ -310,7 +310,7 @@ type idleCounter int
 func (c *idleCounter) MACIdle() { *c++ }
 
 func TestIdleCallback(t *testing.T) {
-	net := newChain(t, 2, 1, phy.DefaultConfig())
+	net := newChain(t, 2, 1, phy.Config{})
 	var idle idleCounter
 	net.macs[0].SetIdleSink(&idle)
 	net.macs[0].Send(1, "x", 52, nil)
@@ -327,7 +327,7 @@ func TestBusyWhileOwingAck(t *testing.T) {
 	var net *testNet
 	busyDuringDeliver := false
 	checker := &deliverChecker{f: func() { busyDuringDeliver = net.macs[1].Busy() }}
-	net = newChainWith(t, 2, 1, phy.DefaultConfig(), map[int]Upper{1: checker})
+	net = newChainWith(t, 2, 1, phy.Config{}, map[int]Upper{1: checker})
 	net.macs[0].Send(1, "x", 52, nil)
 	net.eng.Run(time.Second)
 	if !busyDuringDeliver {
@@ -343,7 +343,7 @@ type deliverChecker struct{ f func() }
 func (d *deliverChecker) Deliver(phy.NodeID, any, int) { d.f() }
 
 func TestServiceTimeAccumulates(t *testing.T) {
-	net := newChain(t, 2, 1, phy.DefaultConfig())
+	net := newChain(t, 2, 1, phy.Config{})
 	net.macs[0].Send(1, "x", 52, nil)
 	net.eng.Run(time.Second)
 	st := net.macs[0].Stats()
@@ -356,7 +356,7 @@ func TestServiceTimeAccumulates(t *testing.T) {
 }
 
 func TestSendToSelfPanics(t *testing.T) {
-	net := newChain(t, 2, 1, phy.DefaultConfig())
+	net := newChain(t, 2, 1, phy.Config{})
 	defer func() {
 		if recover() == nil {
 			t.Error("send to self did not panic")
@@ -365,43 +365,21 @@ func TestSendToSelfPanics(t *testing.T) {
 	net.macs[0].Send(0, "x", 52, nil)
 }
 
-// TestConfigValidation: each Validate rule rejects its malformed config
-// with an error naming the knob, and New refuses it with a panic.
-func TestConfigValidation(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mut  func(*Config)
-		want string
-	}{
-		{"timing", func(c *Config) { c.SIFS = 0 }, "SIFS"},
-		{"zero CWMin", func(c *Config) { c.CWMin = 0 }, "CWMin"},
-		{"CWMin above CWMax", func(c *Config) { c.CWMin, c.CWMax = 8, 4 }, "CWMin"},
-		{"retry limit", func(c *Config) { c.RetryLimit = -1 }, "retry"},
-		{"ack frame size", func(c *Config) { c.AckBytes = 0 }, "AckBytes"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			bad := DefaultConfig()
-			tc.mut(&bad)
-			if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Validate = %v, want an error mentioning %q", err, tc.want)
-			}
-			eng := sim.New(1)
-			topo, _ := topology.FromPositions(geom.LinePlacement(2, 100), 125)
-			ch, _ := phy.NewChannel(eng, topo, phy.DefaultConfig())
-			r := radio.New(eng, radio.Config{})
-			defer func() {
-				if recover() == nil {
-					t.Error("invalid config did not panic")
-				}
-			}()
-			New(eng, ch, 0, r, bad, &mockUpper{})
-		})
+// TestMACSize: the DCF timing is package constants, so every station's
+// MAC carries no copy of it (440 B on 64-bit platforms). The MAC is the
+// largest per-neighbour struct of a run.
+func TestMACSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("size pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(MAC{}); got > 440 {
+		t.Fatalf("mac.MAC is %d B, want at most 440", got)
 	}
 }
 
 func TestDeterministicGivenSeed(t *testing.T) {
 	run := func() (uint64, time.Duration) {
-		net := newChain(t, 3, 99, phy.DefaultConfig())
+		net := newChain(t, 3, 99, phy.Config{})
 		for i := 0; i < 20; i++ {
 			i := i
 			net.eng.Schedule(time.Duration(i)*time.Millisecond, func() {

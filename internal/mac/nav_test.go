@@ -13,7 +13,7 @@ import (
 // overhears a unicast data frame must not transmit during the SIFS+ACK
 // gap even though the physical carrier is idle.
 func TestNAVDefersThroughAckExchange(t *testing.T) {
-	net := newChain(t, 3, 1, phy.DefaultConfig())
+	net := newChain(t, 3, 1, phy.Config{})
 	// Node 1 transmits to node 0; node 2 overhears (1 is its neighbor).
 	// Immediately after the data frame ends, node 2 wants to send to 1.
 	// Without NAV it would start DIFS at data-end and its frame would
@@ -48,7 +48,7 @@ func TestNAVDefersThroughAckExchange(t *testing.T) {
 // middle node; after the corrupted reception ends, the middle node (which
 // has its own frame queued) must defer EIFS, not just DIFS.
 func TestEIFSAfterCorruptedReception(t *testing.T) {
-	net := newChain(t, 4, 2, phy.DefaultConfig())
+	net := newChain(t, 4, 2, phy.Config{})
 	// 0 and 2 collide at 1.
 	net.eng.Schedule(100*time.Microsecond, func() {
 		net.macs[0].Send(1, "a", 52, nil)
@@ -94,7 +94,7 @@ func TestAttachToAckRoundTrip(t *testing.T) {
 			got = info
 		}
 	})
-	net = newChainWith(t, 2, 3, phy.DefaultConfig(), map[int]Upper{0: sender, 1: receiver})
+	net = newChainWith(t, 2, 3, phy.Config{}, map[int]Upper{0: sender, 1: receiver})
 
 	net.macs[0].Send(1, "data", 52, nil)
 	net.eng.Run(time.Second)
@@ -115,7 +115,7 @@ func (ackInfoRecorder) Deliver(phy.NodeID, any, int)        {}
 func (f ackInfoRecorder) AckInfo(from phy.NodeID, info any) { f(from, info) }
 
 func TestAttachToAckOutsideDeliveryFails(t *testing.T) {
-	net := newChain(t, 2, 3, phy.DefaultConfig())
+	net := newChain(t, 2, 3, phy.Config{})
 	if net.macs[1].AttachToAck(0, "x") {
 		t.Fatal("AttachToAck succeeded with no pending ACK")
 	}
@@ -124,7 +124,7 @@ func TestAttachToAckOutsideDeliveryFails(t *testing.T) {
 // TestNAVDoesNotDeadlock: pathological back-to-back overheard traffic
 // must still let the deferring node transmit eventually.
 func TestNAVStarvationFreedom(t *testing.T) {
-	net := newChain(t, 3, 4, phy.DefaultConfig())
+	net := newChain(t, 3, 4, phy.Config{})
 	// Node 1 blasts 20 frames to node 0; node 2 overhears everything and
 	// has one frame of its own.
 	for i := 0; i < 20; i++ {

@@ -81,7 +81,7 @@ func New(eng *sim.Engine, id NodeID, tree *routing.Tree, ch *phy.Channel, radioC
 	n := sim.ArenaGrab[Node](eng, "node.node")
 	*n = Node{id: id, eng: eng, tree: tree}
 	n.Radio = radio.New(eng, radioCfg)
-	n.MAC = mac.New(eng, ch, id, n.Radio, mac.DefaultConfig(), n)
+	n.MAC = mac.New(eng, ch, id, n.Radio, n)
 	return n
 }
 

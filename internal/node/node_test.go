@@ -45,10 +45,10 @@ func buildNet(t *testing.T, pts []geom.Point, failureThreshold int) (*sim.Engine
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, _ := phy.NewChannel(eng, topo, phy.DefaultConfig())
+	ch, _ := phy.NewChannel(eng, topo, phy.Config{})
 
 	specs := []query.Spec{{ID: 1, Period: 500 * time.Millisecond, Phase: 100 * time.Millisecond, Class: 1}}
-	sink := &closeCounter{RootSink: stats.NewRootSink(specs)}
+	sink := &closeCounter{RootSink: stats.NewRootSink(specs, 0, 5*time.Second)}
 
 	nodes := make(map[NodeID]*Node)
 	for _, id := range tree.Members() {
@@ -249,7 +249,7 @@ func TestPhaseRequestViaAckReachesShaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, _ := phy.NewChannel(eng, topo, phy.DefaultConfig())
+	ch, _ := phy.NewChannel(eng, topo, phy.Config{})
 
 	spec := query.Spec{ID: 1, Period: time.Second, Phase: 100 * time.Millisecond, Class: 1}
 	nodes := make(map[NodeID]*Node)

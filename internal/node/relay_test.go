@@ -84,7 +84,7 @@ func TestRelayEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ch, _ := phy.NewChannel(eng, topo, phy.DefaultConfig())
+			ch, _ := phy.NewChannel(eng, topo, phy.Config{})
 			consumed := make(map[NodeID][]int)
 			nodes := make(map[NodeID]*Node)
 			for _, id := range tree.Members() {

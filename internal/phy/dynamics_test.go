@@ -8,7 +8,7 @@ import (
 )
 
 func TestLinkLossDropsOnlyConfiguredLink(t *testing.T) {
-	eng, ch, _, rxs := testNet(t, 3, DefaultConfig())
+	eng, ch, _, rxs := testNet(t, 3, Config{})
 	// Certain loss is not allowed; use a probability high enough that 50
 	// frames dropping through would be (1-0.999)^50 — impossible in a
 	// deterministic run that draws uniforms from seed 1.
@@ -38,7 +38,7 @@ func TestLinkLossDropsOnlyConfiguredLink(t *testing.T) {
 }
 
 func TestLinkLossClearedRestoresDelivery(t *testing.T) {
-	eng, ch, _, rxs := testNet(t, 2, DefaultConfig())
+	eng, ch, _, rxs := testNet(t, 2, Config{})
 	ch.SetLinkLoss(0, 1, 0.999)
 	ch.SetLinkLoss(0, 1, 0)
 	for i := 0; i < 20; i++ {
@@ -51,7 +51,7 @@ func TestLinkLossClearedRestoresDelivery(t *testing.T) {
 }
 
 func TestSuspendResumeRestoresReception(t *testing.T) {
-	eng, ch, radios, rxs := testNet(t, 2, DefaultConfig())
+	eng, ch, radios, rxs := testNet(t, 2, Config{})
 	ch.Suspend(1)
 	if radios[1].State() != radio.Off {
 		t.Fatalf("suspended radio state %v, want off", radios[1].State())
@@ -77,7 +77,7 @@ func TestSuspendResumeRestoresReception(t *testing.T) {
 }
 
 func TestResumeRebuildsCarrierCount(t *testing.T) {
-	eng, ch, radios, _ := testNet(t, 3, DefaultConfig())
+	eng, ch, radios, _ := testNet(t, 3, Config{})
 	ch.Suspend(1)
 	// Node 0 starts a long frame while node 1 is down; node 1 resumes
 	// mid-frame and must sense the ongoing transmission.
@@ -116,7 +116,7 @@ func (o *observerRecorder) TxStarted(f *Frame, s radio.State, enabled bool) {
 func (o *observerRecorder) Delivered(f *Frame, dst NodeID) { o.delivered++ }
 
 func TestChannelObserverSeesTxAndDeliveries(t *testing.T) {
-	eng, ch, _, _ := testNet(t, 3, DefaultConfig())
+	eng, ch, _, _ := testNet(t, 3, Config{})
 	rec := &observerRecorder{}
 	ch.SetObserver(rec)
 	ch.StartTx(0, 1, 52, "x")

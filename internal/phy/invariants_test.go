@@ -29,7 +29,7 @@ func TestChannelConservationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ch, _ := NewChannel(eng, topo, DefaultConfig())
+		ch, _ := NewChannel(eng, topo, Config{})
 		rxs := make([]*mockRx, topo.NumNodes())
 		radios := make([]*radio.Radio, topo.NumNodes())
 		for i := range rxs {

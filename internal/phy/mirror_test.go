@@ -39,7 +39,7 @@ func TestStationMirrorsRadioState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, _ := NewChannel(eng, topo, DefaultConfig())
+	ch, _ := NewChannel(eng, topo, Config{})
 	rcfg := radio.Config{TurnOnDelay: 2 * time.Millisecond, TurnOffDelay: time.Millisecond}
 	radios := make([]*radio.Radio, 3)
 	checks := make([]*mirrorCheck, 3)
@@ -99,7 +99,7 @@ func TestStationMirrorsRadioState(t *testing.T) {
 // only a powered radio, and that a radio waking mid-frame still senses
 // the frame through CarrierBusy and then sees its falling edge.
 func TestSleepingStationGetsNoCarrierEdges(t *testing.T) {
-	eng, ch, radios, rxs := testNet(t, 3, DefaultConfig())
+	eng, ch, radios, rxs := testNet(t, 3, Config{})
 	radios[1].TurnOff()
 	radios[2].TurnOff()
 	dur, _ := ch.StartTx(0, 1, 200, "x")
@@ -150,7 +150,7 @@ func TestActiveSlotsUnderShuffledEnds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, _ := NewChannel(eng, topo, DefaultConfig())
+	ch, _ := NewChannel(eng, topo, Config{})
 	for i := range pos {
 		ch.Attach(NodeID(i), radio.New(eng, radio.Config{}), &mockRx{})
 	}

@@ -172,8 +172,6 @@ type linkKey struct {
 type Channel struct {
 	eng      *sim.Engine
 	topo     *topology.Topology
-	bitrate  int64 // bits per second
-	overhead time.Duration
 	lossRate float64
 	// stations is a dense, by-value (SoA-style) table indexed by NodeID:
 	// one cache-friendly slab instead of N pointer-linked objects. It is
@@ -204,12 +202,15 @@ type Channel struct {
 	freeTx []*activeTx
 }
 
+// The paper's channel rate: 1 Mbps with a 96 µs PHY preamble (802.11
+// short preamble) as fixed per-frame airtime.
+const (
+	bitRate          = 1_000_000 // bits per second
+	perFrameOverhead = 96 * time.Microsecond
+)
+
 // Config parameterizes the channel.
 type Config struct {
-	// BitRate is the channel rate in bits per second. The paper uses 1 Mbps.
-	BitRate int64
-	// PerFrameOverhead is fixed per-frame airtime (PHY preamble + header).
-	PerFrameOverhead time.Duration
 	// LossRate is an independent probability of dropping each otherwise
 	// successful delivery, for transient-loss experiments. Zero disables.
 	LossRate float64
@@ -220,20 +221,11 @@ type Config struct {
 	Propagation Propagation
 }
 
-// DefaultConfig returns the paper's channel: 1 Mbps with a 96 µs PHY
-// preamble (802.11 short preamble).
-func DefaultConfig() Config {
-	return Config{BitRate: 1_000_000, PerFrameOverhead: 96 * time.Microsecond}
-}
-
 // NewChannel creates a channel over the given topology. Stations must be
-// attached for every node before the simulation starts. Configuration
-// errors (bad bitrate, loss rate out of range) are returned, not
-// panicked, so a bad scenario spec surfaces as a build failure.
+// attached for every node before the simulation starts. A loss rate
+// out of range is returned as an error, not panicked, so a bad scenario
+// spec surfaces as a build failure.
 func NewChannel(eng *sim.Engine, topo *topology.Topology, cfg Config) (*Channel, error) {
-	if cfg.BitRate <= 0 {
-		return nil, fmt.Errorf("phy: bitrate must be positive, got %d", cfg.BitRate)
-	}
 	if cfg.LossRate < 0 || cfg.LossRate >= 1 {
 		return nil, fmt.Errorf("phy: loss rate must be in [0,1), got %g", cfg.LossRate)
 	}
@@ -244,8 +236,6 @@ func NewChannel(eng *sim.Engine, topo *topology.Topology, cfg Config) (*Channel,
 	c := &Channel{
 		eng:      eng,
 		topo:     topo,
-		bitrate:  cfg.BitRate,
-		overhead: cfg.PerFrameOverhead,
 		lossRate: cfg.LossRate,
 		stations: sim.ArenaSlice[station](eng, "phy.stations", topo.NumNodes()),
 		prop:     prop,
@@ -326,7 +316,7 @@ func (c *Channel) Neighbors(id NodeID) []NodeID { return c.neighbors(id) }
 // FrameDuration returns the airtime of a frame with the given payload size.
 func (c *Channel) FrameDuration(bytes int) time.Duration {
 	bits := int64(bytes) * 8
-	return c.overhead + time.Duration(bits*int64(time.Second)/c.bitrate)
+	return perFrameOverhead + time.Duration(bits*int64(time.Second)/bitRate)
 }
 
 // CarrierBusy reports whether node id currently senses energy on the

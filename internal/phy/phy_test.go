@@ -41,15 +41,15 @@ func testNet(t *testing.T, n int, cfg Config) (*sim.Engine, *Channel, []*radio.R
 func TestFrameDuration(t *testing.T) {
 	eng := sim.New(1)
 	topo, _ := topology.FromPositions(geom.LinePlacement(2, 100), 125)
-	ch, _ := NewChannel(eng, topo, Config{BitRate: 1_000_000, PerFrameOverhead: 192 * time.Microsecond})
-	// 52 bytes at 1 Mbps = 416 µs + 192 µs preamble.
-	if got := ch.FrameDuration(52); got != 608*time.Microsecond {
-		t.Fatalf("FrameDuration(52) = %v, want 608µs", got)
+	ch, _ := NewChannel(eng, topo, Config{})
+	// 52 bytes at 1 Mbps = 416 µs + 96 µs preamble.
+	if got := ch.FrameDuration(52); got != 512*time.Microsecond {
+		t.Fatalf("FrameDuration(52) = %v, want 512µs", got)
 	}
 }
 
 func TestUnicastDelivery(t *testing.T) {
-	eng, ch, _, rxs := testNet(t, 3, DefaultConfig())
+	eng, ch, _, rxs := testNet(t, 3, Config{})
 	ch.StartTx(0, 1, 52, "hello")
 	eng.Run(time.Second)
 
@@ -70,7 +70,7 @@ func TestUnicastDelivery(t *testing.T) {
 }
 
 func TestOverheardUnicastReportedForNAV(t *testing.T) {
-	eng, ch, _, rxs := testNet(t, 3, DefaultConfig())
+	eng, ch, _, rxs := testNet(t, 3, Config{})
 	// 1 -> 2; node 0 is in range of 1 but not the destination. The channel
 	// still reports the decode so the MAC can set its NAV; the Overheard
 	// counter distinguishes it from a real delivery.
@@ -89,7 +89,7 @@ func TestOverheardUnicastReportedForNAV(t *testing.T) {
 }
 
 func TestBroadcastDelivery(t *testing.T) {
-	eng, ch, _, rxs := testNet(t, 3, DefaultConfig())
+	eng, ch, _, rxs := testNet(t, 3, Config{})
 	ch.StartTx(1, Broadcast, 52, "b")
 	eng.Run(time.Second)
 	if len(rxs[0].delivered) != 1 || len(rxs[2].delivered) != 1 {
@@ -99,7 +99,7 @@ func TestBroadcastDelivery(t *testing.T) {
 }
 
 func TestSleepingReceiverMissesFrame(t *testing.T) {
-	eng, ch, radios, rxs := testNet(t, 2, DefaultConfig())
+	eng, ch, radios, rxs := testNet(t, 2, Config{})
 	radios[1].TurnOff()
 	ch.StartTx(0, 1, 52, "x")
 	eng.Run(time.Second)
@@ -112,7 +112,7 @@ func TestSleepingReceiverMissesFrame(t *testing.T) {
 }
 
 func TestRadioOffMidFrameLosesFrame(t *testing.T) {
-	eng, ch, radios, rxs := testNet(t, 2, DefaultConfig())
+	eng, ch, radios, rxs := testNet(t, 2, Config{})
 	ch.StartTx(0, 1, 52, "x")
 	// Turn the receiver off halfway through the frame.
 	eng.Schedule(300*time.Microsecond, func() { radios[1].TurnOff() })
@@ -124,7 +124,7 @@ func TestRadioOffMidFrameLosesFrame(t *testing.T) {
 
 func TestCollisionCorruptsBothFrames(t *testing.T) {
 	// Nodes 0 and 2 both in range of 1; simultaneous tx collide at 1.
-	eng, ch, _, rxs := testNet(t, 3, DefaultConfig())
+	eng, ch, _, rxs := testNet(t, 3, Config{})
 	ch.StartTx(0, 1, 52, "a")
 	ch.StartTx(2, 1, 52, "b")
 	eng.Run(time.Second)
@@ -137,7 +137,7 @@ func TestCollisionCorruptsBothFrames(t *testing.T) {
 }
 
 func TestPartialOverlapCollides(t *testing.T) {
-	eng, ch, _, rxs := testNet(t, 3, DefaultConfig())
+	eng, ch, _, rxs := testNet(t, 3, Config{})
 	ch.StartTx(0, 1, 52, "a")
 	// Second frame starts before the first ends.
 	eng.Schedule(100*time.Microsecond, func() { ch.StartTx(2, 1, 52, "b") })
@@ -150,7 +150,7 @@ func TestPartialOverlapCollides(t *testing.T) {
 func TestHiddenTerminalNoInterferenceOutOfRange(t *testing.T) {
 	// Chain 0-1-2-3: tx 0->1 and 3->2 do not interfere (0 and 3 are 300m
 	// apart, receivers 1 and 2 are each in range of only one transmitter).
-	eng, ch, _, rxs := testNet(t, 4, DefaultConfig())
+	eng, ch, _, rxs := testNet(t, 4, Config{})
 	ch.StartTx(0, 1, 52, "a")
 	ch.StartTx(3, 2, 52, "b")
 	eng.Run(time.Second)
@@ -165,7 +165,7 @@ func TestHiddenTerminalNoInterferenceOutOfRange(t *testing.T) {
 func TestExposedReceiverHearsBothAndCollides(t *testing.T) {
 	// Chain 0-1-2: 0 and 2 are hidden from each other but node 1 hears
 	// both. This is the classic hidden-terminal collision.
-	eng, ch, _, rxs := testNet(t, 3, DefaultConfig())
+	eng, ch, _, rxs := testNet(t, 3, Config{})
 	ch.StartTx(0, 1, 52, "a")
 	eng.Schedule(50*time.Microsecond, func() { ch.StartTx(2, Broadcast, 14, "b") })
 	eng.Run(time.Second)
@@ -175,7 +175,7 @@ func TestExposedReceiverHearsBothAndCollides(t *testing.T) {
 }
 
 func TestCarrierEdges(t *testing.T) {
-	eng, ch, _, rxs := testNet(t, 2, DefaultConfig())
+	eng, ch, _, rxs := testNet(t, 2, Config{})
 	ch.StartTx(0, 1, 52, "x")
 	if !ch.CarrierBusy(1) {
 		t.Fatal("node 1 should sense carrier during tx")
@@ -190,7 +190,7 @@ func TestCarrierEdges(t *testing.T) {
 }
 
 func TestCarrierNotSensedWhileOff(t *testing.T) {
-	_, ch, radios, _ := testNet(t, 2, DefaultConfig())
+	_, ch, radios, _ := testNet(t, 2, Config{})
 	radios[1].TurnOff()
 	ch.StartTx(0, 1, 52, "x")
 	if ch.CarrierBusy(1) {
@@ -199,7 +199,7 @@ func TestCarrierNotSensedWhileOff(t *testing.T) {
 }
 
 func TestOwnTransmissionIsBusy(t *testing.T) {
-	_, ch, _, _ := testNet(t, 2, DefaultConfig())
+	_, ch, _, _ := testNet(t, 2, Config{})
 	ch.StartTx(0, 1, 52, "x")
 	if !ch.CarrierBusy(0) {
 		t.Fatal("transmitter should report busy during its own tx")
@@ -209,7 +209,7 @@ func TestOwnTransmissionIsBusy(t *testing.T) {
 func TestLossInjection(t *testing.T) {
 	eng := sim.New(1)
 	topo, _ := topology.FromPositions(geom.LinePlacement(2, 100), 125)
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.LossRate = 0.5
 	ch, _ := NewChannel(eng, topo, cfg)
 	radios := []*radio.Radio{radio.New(eng, radio.Config{}), radio.New(eng, radio.Config{})}
@@ -233,7 +233,7 @@ func TestLossInjection(t *testing.T) {
 }
 
 func TestDisableRemovesNode(t *testing.T) {
-	eng, ch, radios, rxs := testNet(t, 2, DefaultConfig())
+	eng, ch, radios, rxs := testNet(t, 2, Config{})
 	ch.Disable(1)
 	if ch.Enabled(1) {
 		t.Fatal("node still enabled after Disable")
@@ -249,7 +249,7 @@ func TestDisableRemovesNode(t *testing.T) {
 }
 
 func TestWakeMidFrameCannotReceive(t *testing.T) {
-	eng, ch, radios, rxs := testNet(t, 2, DefaultConfig())
+	eng, ch, radios, rxs := testNet(t, 2, Config{})
 	radios[1].TurnOff()
 	ch.StartTx(0, 1, 52, "x")
 	// Wake instantly mid-frame: missed the preamble, cannot lock on,
@@ -269,7 +269,7 @@ func TestWakeMidFrameCannotReceive(t *testing.T) {
 func TestAttachTwicePanics(t *testing.T) {
 	eng := sim.New(1)
 	topo, _ := topology.FromPositions(geom.LinePlacement(2, 100), 125)
-	ch, _ := NewChannel(eng, topo, DefaultConfig())
+	ch, _ := NewChannel(eng, topo, Config{})
 	r := radio.New(eng, radio.Config{})
 	ch.Attach(0, r, &mockRx{})
 	defer func() {

@@ -141,13 +141,10 @@ func TestDualDiscModel(t *testing.T) {
 
 func TestNewChannelConfigErrors(t *testing.T) {
 	eng, topoDummy := newTestEngineTopo(t)
-	if _, err := NewChannel(eng, topoDummy, Config{BitRate: 0}); err == nil {
-		t.Error("zero bitrate did not error")
-	}
-	if _, err := NewChannel(eng, topoDummy, Config{BitRate: 1_000_000, LossRate: 1}); err == nil {
+	if _, err := NewChannel(eng, topoDummy, Config{LossRate: 1}); err == nil {
 		t.Error("loss rate 1 did not error")
 	}
-	ch, err := NewChannel(eng, topoDummy, DefaultConfig())
+	ch, err := NewChannel(eng, topoDummy, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,52 +19,34 @@ type psmBuilder struct{}
 
 func (psmBuilder) Protocol() Protocol { return PSM }
 
-func (psmBuilder) Build(ctx *BuildContext) error {
+func (psmBuilder) Build(ctx *BuildContext) {
 	n := ctx.Node
-	cfg := baseline.DefaultPsmConfig()
-	pm, err := baseline.NewPsmPM(ctx.Eng, n.ID(), n.Radio, n.MAC, cfg)
-	if err != nil {
-		return err
-	}
-	n.InstallPM(pm)
+	n.InstallPM(baseline.NewPsmPM(ctx.Eng, n.ID(), n.Radio, n.MAC))
 	g := baseline.NewGreedy(ctx.Eng, n, ctx.Queries)
-	g.PerHopDelay = cfg.BeaconPeriod
+	g.PerHopDelay = baseline.PsmBeaconPeriod
 	n.InstallAgent(g, ctx.Sink, ctx.QueryCfg, ctx.Queries)
-	return nil
 }
 
 type syncBuilder struct{}
 
 func (syncBuilder) Protocol() Protocol { return SYNC }
 
-func (syncBuilder) Build(ctx *BuildContext) error {
+func (syncBuilder) Build(ctx *BuildContext) {
 	n := ctx.Node
-	cfg := baseline.DefaultSyncConfig()
-	pm, err := baseline.NewSyncPM(ctx.Eng, n.Radio, cfg)
-	if err != nil {
-		return err
-	}
-	n.InstallPM(pm)
+	n.InstallPM(baseline.NewSyncPM(ctx.Eng, n.Radio))
 	g := baseline.NewGreedy(ctx.Eng, n, ctx.Queries)
-	g.PerHopDelay = cfg.Period
+	g.PerHopDelay = baseline.SyncPeriod
 	n.InstallAgent(g, ctx.Sink, ctx.QueryCfg, ctx.Queries)
-	return nil
 }
 
 type tmacBuilder struct{}
 
 func (tmacBuilder) Protocol() Protocol { return TMAC }
 
-func (tmacBuilder) Build(ctx *BuildContext) error {
+func (tmacBuilder) Build(ctx *BuildContext) {
 	n := ctx.Node
-	cfg := baseline.DefaultTmacConfig()
-	pm, err := baseline.NewTmacPM(ctx.Eng, n.Radio, n.MAC, cfg)
-	if err != nil {
-		return err
-	}
-	n.InstallPM(pm)
+	n.InstallPM(baseline.NewTmacPM(ctx.Eng, n.Radio, n.MAC))
 	g := baseline.NewGreedy(ctx.Eng, n, ctx.Queries)
-	g.PerHopDelay = cfg.FramePeriod
+	g.PerHopDelay = baseline.TmacFramePeriod
 	n.InstallAgent(g, ctx.Sink, ctx.QueryCfg, ctx.Queries)
-	return nil
 }

@@ -19,51 +19,47 @@ type ntsBuilder struct{}
 
 func (ntsBuilder) Protocol() Protocol { return NTSSS }
 
-func (ntsBuilder) Build(ctx *BuildContext) error {
+func (ntsBuilder) Build(ctx *BuildContext) {
 	n := ctx.Node
 	ss := newSafeSleep(ctx, false)
 	n.InstallSleep(ss)
 	n.InstallAgent(core.NewNTS(n, ss), ctx.Sink, ctx.QueryCfg, ctx.Queries)
-	return nil
 }
 
 type stsBuilder struct{}
 
 func (stsBuilder) Protocol() Protocol { return STSSS }
 
-func (stsBuilder) Build(ctx *BuildContext) error {
+func (stsBuilder) Build(ctx *BuildContext) {
 	n := ctx.Node
 	ss := newSafeSleep(ctx, false)
 	n.InstallSleep(ss)
 	sts := core.NewSTS(n, ss, ctx.Params.STSDeadline)
 	sts.NoBuffering = ctx.Params.NoBuffering
 	n.InstallAgent(sts, ctx.Sink, ctx.QueryCfg, ctx.Queries)
-	return nil
 }
 
 type dtsBuilder struct{}
 
 func (dtsBuilder) Protocol() Protocol { return DTSSS }
 
-func (dtsBuilder) Build(ctx *BuildContext) error {
+func (dtsBuilder) Build(ctx *BuildContext) {
 	n := ctx.Node
 	ss := newSafeSleep(ctx, false)
 	n.InstallSleep(ss)
 	dts := core.NewDTS(n, ss)
 	dts.NoBuffering = ctx.Params.NoBuffering
 	n.InstallAgent(dts, ctx.Sink, ctx.QueryCfg, ctx.Queries)
-	return nil
 }
 
 type spanBuilder struct{}
 
 func (spanBuilder) Protocol() Protocol { return SPAN }
 
-func (spanBuilder) Build(ctx *BuildContext) error {
+func (spanBuilder) Build(ctx *BuildContext) {
 	// Backbone (non-leaf) nodes always on; leaves run NTS-SS.
 	n := ctx.Node
 	ss := newSafeSleep(ctx, !ctx.Tree.IsLeaf(n.ID()))
 	n.InstallSleep(ss)
 	n.InstallAgent(core.NewNTS(n, ss), ctx.Sink, ctx.QueryCfg, ctx.Queries)
-	return nil
 }

@@ -11,7 +11,6 @@
 package protocol
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/essat/essat/internal/core"
@@ -42,7 +41,7 @@ const (
 // exception inherited from Safe Sleep: SSBreakEven zero means a literal
 // tBE of zero (sleep through any gap); negative selects the radio's
 // intrinsic break-even time. The baselines (PSM, SYNC, T-MAC) always
-// run their package defaults.
+// run their package constants.
 type Params struct {
 	// SSBreakEven is the Safe Sleep tBE parameter (negative = radio
 	// intrinsic).
@@ -81,7 +80,7 @@ type Builder interface {
 	Protocol() Protocol
 	// Build wires the stack onto ctx.Node. It is called once per tree
 	// member, before the simulation starts.
-	Build(ctx *BuildContext) error
+	Build(ctx *BuildContext)
 }
 
 var builders = registry.New[Protocol, Builder]("protocol")
@@ -108,15 +107,6 @@ func Lookup(p Protocol) (Builder, bool) { return builders.Lookup(p) }
 
 // All lists every registered protocol in presentation order.
 func All() []Protocol { return builders.Names() }
-
-// Build looks up p and attaches its stack to ctx.Node.
-func Build(p Protocol, ctx *BuildContext) error {
-	b, ok := Lookup(p)
-	if !ok {
-		return fmt.Errorf("protocol: unknown protocol %q (registered: %v)", p, All())
-	}
-	return b.Build(ctx)
-}
 
 // newSafeSleep builds the node's Safe Sleep scheduler with the
 // context's tBE parameter, honoring the global disable switch.

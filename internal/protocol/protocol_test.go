@@ -24,16 +24,10 @@ func TestRegistryContents(t *testing.T) {
 	}
 }
 
-func TestBuildUnknownProtocol(t *testing.T) {
-	if err := Build("NO-SUCH", &BuildContext{}); err == nil {
-		t.Fatal("Build accepted an unregistered protocol")
-	}
-}
-
 type fakeBuilder struct{ name Protocol }
 
-func (f fakeBuilder) Protocol() Protocol        { return f.name }
-func (f fakeBuilder) Build(*BuildContext) error { return nil }
+func (f fakeBuilder) Protocol() Protocol  { return f.name }
+func (f fakeBuilder) Build(*BuildContext) {}
 
 func TestRegisterRejectsDuplicates(t *testing.T) {
 	defer func() {

@@ -143,37 +143,34 @@ type Host interface {
 	ParentFailed()
 }
 
+// Report sizes of the paper's setup.
+const (
+	// ReportBytes is the on-air size of a data report.
+	ReportBytes = 52
+	// PhaseBytes is the extra size of a piggybacked phase update.
+	PhaseBytes = 4
+)
+
 // Config parameterizes an Agent.
 type Config struct {
-	// ReportBytes is the on-air size of a data report (52 in the paper).
-	ReportBytes int
-	// PhaseBytes is the extra size of a piggybacked phase update.
-	PhaseBytes int
 	// FailureThreshold is the number of consecutive missed intervals
 	// (child side) or failed transmissions (parent side) before the node
 	// declares its neighbor failed. Zero disables failure detection.
 	FailureThreshold int
 }
 
-// DefaultConfig matches the paper's setup: 52-byte reports, 4-byte phase
-// piggyback, failure declared after 3 consecutive misses.
+// DefaultConfig matches the paper's setup: failure declared after 3
+// consecutive misses.
 func DefaultConfig() Config {
-	return Config{ReportBytes: 52, PhaseBytes: 4, FailureThreshold: 3}
+	return Config{FailureThreshold: 3}
 }
 
-// Validate reports whether the configuration is runnable: a report must
-// occupy at least one on-air byte, and the piggyback / failure knobs
-// must be non-negative. Hosts that accept configs from untrusted input
-// validate before construction so a bad config surfaces as a build
-// error; NewAgent panics on an invalid config only as a backstop
-// against imperative misuse.
+// Validate reports whether the configuration is runnable: the failure
+// threshold must be non-negative. Hosts that accept configs from
+// untrusted input validate before construction so a bad config surfaces
+// as a build error; NewAgent panics on an invalid config only as a
+// backstop against imperative misuse.
 func (c Config) Validate() error {
-	if c.ReportBytes <= 0 {
-		return fmt.Errorf("query: ReportBytes must be positive, got %d", c.ReportBytes)
-	}
-	if c.PhaseBytes < 0 {
-		return fmt.Errorf("query: negative PhaseBytes %d", c.PhaseBytes)
-	}
 	if c.FailureThreshold < 0 {
 		return fmt.Errorf("query: negative FailureThreshold %d", c.FailureThreshold)
 	}
@@ -671,9 +668,9 @@ func (a *Agent) submit(rt *runtime, tr *txReport) {
 		a.releaseTxReport(tr)
 		return
 	}
-	bytes := a.cfg.ReportBytes
+	bytes := ReportBytes
 	if rep.Phase != NoPhase {
-		bytes += a.cfg.PhaseBytes
+		bytes += PhaseBytes
 		a.stats.PhaseUpdatesSent++
 	}
 	if rep.PassThrough {

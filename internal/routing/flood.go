@@ -87,38 +87,37 @@ func FromParents(topo *topology.Topology, root NodeID, parents map[NodeID]NodeID
 	return t, nil
 }
 
+// The setup flood's fixed parameters.
+const (
+	// floodJitter is the maximum random delay before a node rebroadcasts
+	// the setup request. Larger jitter lets more candidate parents
+	// arrive before a node commits, making trees shallower.
+	floodJitter = 20 * time.Millisecond
+	// setupBytes is the on-air size of a setup request.
+	setupBytes = 14
+	// floodDuration bounds the flood simulation.
+	floodDuration = 5 * time.Second
+)
+
 // FloodConfig parameterizes the simulated setup flood.
 type FloodConfig struct {
 	// MaxDist restricts membership to nodes within this distance of the
 	// root (0 = unlimited); the paper uses 300 m.
 	MaxDist float64
-	// Jitter is the maximum random delay before a node rebroadcasts the
-	// setup request. Larger jitter lets more candidate parents arrive
-	// before a node commits, making trees shallower.
-	Jitter time.Duration
-	// SetupBytes is the on-air size of a setup request.
-	SetupBytes int
-	// Duration bounds the flood simulation.
-	Duration time.Duration
-	// Rounds is the number of flood rounds (default 1). Under
-	// probabilistic propagation a single flood can strand nodes whose
-	// every inbound setup frame faded; in each extra round, spread
-	// evenly across Duration, every committed node rebroadcasts its
-	// level once more so stragglers still join the tree.
+	// Rounds is the number of flood rounds; 0 and 1 both mean a single
+	// flood. Under probabilistic propagation a single flood can strand
+	// nodes whose every inbound setup frame faded; in each extra round,
+	// spread evenly across the flood, every committed node rebroadcasts
+	// its level once more so stragglers still join the tree.
 	Rounds int
-	// MACCfg and ChannelCfg default to the standard parameters when zero.
-	MACCfg     mac.Config
+	// ChannelCfg is the channel the flood crosses: the run's own
+	// propagation model, so the tree matches the run's links.
 	ChannelCfg phy.Config
 }
 
 // DefaultFloodConfig returns the setup used for the paper's experiments.
 func DefaultFloodConfig() FloodConfig {
-	return FloodConfig{
-		MaxDist:    300,
-		Jitter:     20 * time.Millisecond,
-		SetupBytes: 14,
-		Duration:   5 * time.Second,
-	}
+	return FloodConfig{MaxDist: 300}
 }
 
 // setupMsg is the flooded setup request carrying the sender's tree level.
@@ -158,33 +157,8 @@ func (r *floodRx) Deliver(src phy.NodeID, payload any, bytes int) {
 // The flood runs in its own throwaway simulation seeded with seed; the
 // resulting tree is returned for use in the real run.
 func BuildFlood(seed int64, topo *topology.Topology, root NodeID, cfg FloodConfig) (*Tree, error) {
-	if cfg.Duration <= 0 {
-		cfg.Duration = 5 * time.Second
-	}
-	if cfg.SetupBytes <= 0 {
-		cfg.SetupBytes = 14
-	}
-	if cfg.Jitter <= 0 {
-		cfg.Jitter = 20 * time.Millisecond
-	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 1
-	}
-	macCfg := cfg.MACCfg
-	if macCfg.SlotTime == 0 {
-		macCfg = mac.DefaultConfig()
-	}
-	chCfg := cfg.ChannelCfg
-	if chCfg.BitRate == 0 {
-		// Default the rate parameters but keep the propagation model:
-		// the setup flood must cross the same channel as the run itself.
-		prop := chCfg.Propagation
-		chCfg = phy.DefaultConfig()
-		chCfg.Propagation = prop
-	}
-
 	eng := sim.New(seed)
-	ch, err := phy.NewChannel(eng, topo, chCfg)
+	ch, err := phy.NewChannel(eng, topo, cfg.ChannelCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -203,10 +177,10 @@ func BuildFlood(seed int64, topo *topology.Topology, root NodeID, cfg FloodConfi
 			if first {
 				// Commit after a short jitter; whatever lower-level parent
 				// arrives in the window still wins.
-				delay := time.Duration(eng.Rand().Int63n(int64(cfg.Jitter)))
+				delay := time.Duration(eng.Rand().Int63n(int64(floodJitter)))
 				eng.After(delay, func() {
 					st.committed = true
-					st.mac.Send(phy.Broadcast, setupMsg{level: st.bestLvl + 1}, cfg.SetupBytes, nil)
+					st.mac.Send(phy.Broadcast, setupMsg{level: st.bestLvl + 1}, setupBytes, nil)
 				})
 			}
 		}
@@ -221,20 +195,20 @@ func BuildFlood(seed int64, topo *topology.Topology, root NodeID, cfg FloodConfi
 		}
 		rx := &floodRx{st: st, fn: onSetup}
 		r := radio.New(eng, radio.Config{})
-		st.mac = mac.New(eng, ch, id, r, macCfg, rx)
+		st.mac = mac.New(eng, ch, id, r, rx)
 		stations[i] = st
 	}
 
 	eng.Schedule(0, func() {
 		stations[root].committed = true
-		stations[root].mac.Send(phy.Broadcast, setupMsg{level: 0}, cfg.SetupBytes, nil)
+		stations[root].mac.Send(phy.Broadcast, setupMsg{level: 0}, setupBytes, nil)
 	})
 	// Retry rounds: everyone already in the tree re-announces, giving
 	// nodes whose first-round frames all faded another chance to hear a
 	// parent. Stations are visited in ID order, so rounds stay
 	// deterministic.
 	for round := 1; round < cfg.Rounds; round++ {
-		at := cfg.Duration * time.Duration(round) / time.Duration(cfg.Rounds)
+		at := floodDuration * time.Duration(round) / time.Duration(cfg.Rounds)
 		eng.Schedule(at, func() {
 			for _, st := range stations {
 				if !st.committed {
@@ -244,11 +218,11 @@ func BuildFlood(seed int64, topo *topology.Topology, root NodeID, cfg FloodConfi
 				if st.id != root {
 					lvl = st.bestLvl + 1
 				}
-				st.mac.Send(phy.Broadcast, setupMsg{level: lvl}, cfg.SetupBytes, nil)
+				st.mac.Send(phy.Broadcast, setupMsg{level: lvl}, setupBytes, nil)
 			}
 		})
 	}
-	eng.Run(cfg.Duration)
+	eng.Run(floodDuration)
 
 	parents := make(map[NodeID]NodeID)
 	for _, st := range stations {

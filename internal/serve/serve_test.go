@@ -26,10 +26,8 @@ const slowProtoName protocol.Protocol = "slow-serve-test"
 
 func (p *slowProto) Protocol() protocol.Protocol { return slowProtoName }
 
-func (p *slowProto) Build(ctx *protocol.BuildContext) error {
-	if err := p.delegate.Build(ctx); err != nil {
-		return err
-	}
+func (p *slowProto) Build(ctx *protocol.BuildContext) {
+	p.delegate.Build(ctx)
 	// Only once per run (the builder runs per node): the root — the one
 	// node handed a sink — anchors the chain.
 	if ctx.Sink != nil {
@@ -40,7 +38,6 @@ func (p *slowProto) Build(ctx *protocol.BuildContext) error {
 		}
 		ctx.Eng.After(time.Millisecond, tick)
 	}
-	return nil
 }
 
 // servePanicProto panics mid-run, exercising the 500 path.
@@ -50,14 +47,11 @@ const servePanicName protocol.Protocol = "panic-serve-test"
 
 func (p *servePanicProto) Protocol() protocol.Protocol { return servePanicName }
 
-func (p *servePanicProto) Build(ctx *protocol.BuildContext) error {
-	if err := p.delegate.Build(ctx); err != nil {
-		return err
-	}
+func (p *servePanicProto) Build(ctx *protocol.BuildContext) {
+	p.delegate.Build(ctx)
 	if ctx.Sink != nil {
 		ctx.Eng.After(500*time.Millisecond, func() { panic("injected serve bug") })
 	}
-	return nil
 }
 
 func init() {

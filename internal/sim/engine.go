@@ -79,7 +79,6 @@ type Event struct {
 	level      uint8
 	slot       uint8
 	where      uint8
-	canceled   bool
 }
 
 // At returns the virtual time at which the event is scheduled to fire.
@@ -96,7 +95,6 @@ func (ev *Event) Cancel() {
 	}
 	e := ev.eng
 	e.detach(ev)
-	ev.canceled = true
 	e.live--
 	e.release(ev)
 }
@@ -197,7 +195,6 @@ func (e *Engine) Reset(seed int64) {
 				nxt := ev.next
 				ev.next, ev.prev = nil, nil
 				ev.where = locNone
-				ev.canceled = false
 				e.release(ev)
 				ev = nxt
 			}
@@ -210,7 +207,6 @@ func (e *Engine) Reset(seed int64) {
 	for i, ev := range e.overflow {
 		ev.where = locNone
 		ev.heapIdx = -1
-		ev.canceled = false
 		e.release(ev)
 		e.overflow[i] = nil
 	}
@@ -254,7 +250,7 @@ func (e *Engine) Schedule(at time.Duration, fn func()) *Event {
 	}
 	ev := TakeLast(&e.free)
 	if ev != nil {
-		ev.at, ev.seq, ev.fn, ev.canceled = at, e.seq, fn, false
+		ev.at, ev.seq, ev.fn = at, e.seq, fn
 	} else {
 		ev = &Event{at: at, seq: e.seq, fn: fn, eng: e, heapIdx: -1}
 	}
@@ -288,7 +284,7 @@ func (e *Engine) ScheduleArg(at time.Duration, fn func(any), arg any) *Event {
 	}
 	ev := TakeLast(&e.free)
 	if ev != nil {
-		ev.at, ev.seq, ev.fnA, ev.arg, ev.canceled = at, e.seq, fn, arg, false
+		ev.at, ev.seq, ev.fnA, ev.arg = at, e.seq, fn, arg
 	} else {
 		ev = &Event{at: at, seq: e.seq, fnA: fn, arg: arg, eng: e, heapIdx: -1}
 	}

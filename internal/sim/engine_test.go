@@ -85,8 +85,8 @@ func TestCancelPreventsExecution(t *testing.T) {
 	fired := false
 	ev := e.Schedule(time.Second, func() { fired = true })
 	ev.Cancel()
-	if !ev.canceled {
-		t.Fatal("canceled = false after Cancel")
+	if n := e.Pending(); n != 0 {
+		t.Fatalf("Pending() = %d after Cancel, want 0", n)
 	}
 	drain(e)
 	if fired {
@@ -279,16 +279,13 @@ func TestEventRecycledAfterFire(t *testing.T) {
 	if ev1 != ev2 {
 		t.Fatal("fired event was not recycled by the next Schedule")
 	}
-	if ev2.canceled {
-		t.Fatal("recycled event inherited a stale canceled flag")
-	}
 	if ev2.At() != time.Second {
 		t.Fatalf("recycled event At() = %v, want 1s", ev2.At())
 	}
 }
 
 // TestEventRecycledAfterCancel checks that canceled events are recycled
-// once the queue discards them, with the canceled flag reset.
+// by the next Schedule and fire as the new event.
 func TestEventRecycledAfterCancel(t *testing.T) {
 	e := New(1)
 	ev1 := e.Schedule(time.Millisecond, func() { t.Error("canceled event fired") })
@@ -298,9 +295,6 @@ func TestEventRecycledAfterCancel(t *testing.T) {
 	ev2 := e.Schedule(time.Second, func() { fired = true })
 	if ev1 != ev2 {
 		t.Fatal("canceled event was not recycled by the next Schedule")
-	}
-	if ev2.canceled {
-		t.Fatal("recycled event inherited a stale canceled flag")
 	}
 	drain(e)
 	if !fired {

@@ -11,9 +11,6 @@ import (
 
 // Registered sink names, in rank order.
 const (
-	// SinkRoot is the always-on latency/coverage recorder feeding the
-	// legacy Result fields.
-	SinkRoot = "root"
 	// SinkTimeseries emits per-node radio awake-fraction series.
 	SinkTimeseries = "timeseries"
 	// SinkEnergy emits an energy histogram plus lifetime scalars.
@@ -80,7 +77,6 @@ type RunMeta struct {
 // block; builders must reject unknown keys and invalid values so typos
 // fail the spec compile, not the run.
 type SinkConfig struct {
-	Queries     []query.Spec
 	Duration    time.Duration
 	MeasureFrom time.Duration
 	// Nodes is the deployment's node count (node IDs are 0..Nodes-1),

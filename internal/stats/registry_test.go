@@ -13,7 +13,7 @@ import (
 )
 
 func TestSinkNamesRankOrder(t *testing.T) {
-	want := []string{SinkRoot, SinkTimeseries, SinkEnergy, SinkJSONL}
+	want := []string{SinkTimeseries, SinkEnergy, SinkJSONL}
 	if got := SinkNames(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("SinkNames() = %v, want %v", got, want)
 	}
@@ -38,7 +38,6 @@ func TestSinkParamValidation(t *testing.T) {
 		params map[string]float64
 		ok     bool
 	}{
-		{"root-rejects-params", SinkRoot, map[string]float64{"bucket_ms": 100}, false},
 		{"jsonl-rejects-params", SinkJSONL, map[string]float64{"x": 1}, false},
 		{"timeseries-default", SinkTimeseries, nil, true},
 		{"timeseries-valid-bucket", SinkTimeseries, map[string]float64{"bucket_ms": 250}, true},

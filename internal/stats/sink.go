@@ -33,9 +33,9 @@ type RootSink struct {
 	// order, so float accumulation and slice order are the same in
 	// every identical run.
 	queries []queryRec
-	// MeasureFrom discards intervals whose nominal start precedes this
+	// measureFrom discards intervals whose nominal start precedes this
 	// time (warm-up exclusion).
-	MeasureFrom time.Duration
+	measureFrom time.Duration
 }
 
 var (
@@ -43,8 +43,9 @@ var (
 	_ Sink       = (*RootSink)(nil)
 )
 
-// Name implements Sink; the root recorder registers as SinkRoot.
-func (s *RootSink) Name() string { return SinkRoot }
+// Name implements Sink. The root recorder is not in the sink registry:
+// every run attaches it directly, and it emits no record.
+func (s *RootSink) Name() string { return "root" }
 
 // NodeDone implements Sink. The root recorder observes only root-side
 // report/interval hooks; per-node accounting flows to other sinks.
@@ -56,13 +57,16 @@ func (s *RootSink) NodeDone(NodeSummary) {}
 // existed.
 func (s *RootSink) Finish(RunMeta) *Record { return nil }
 
-// NewRootSink creates a sink for the given query specs.
-func NewRootSink(specs []query.Spec) *RootSink {
-	s := &RootSink{queries: make([]queryRec, len(specs))}
+// NewRootSink creates a sink for the given query specs over a run of
+// the given duration, discarding intervals that start before
+// measureFrom.
+func NewRootSink(specs []query.Spec, measureFrom, duration time.Duration) *RootSink {
+	s := &RootSink{queries: make([]queryRec, len(specs)), measureFrom: measureFrom}
 	for i, spec := range specs {
 		s.queries[i].spec = spec
 	}
 	slices.SortFunc(s.queries, func(a, b queryRec) int { return cmp.Compare(a.spec.ID, b.spec.ID) })
+	s.reserve(duration)
 	return s
 }
 
@@ -90,14 +94,14 @@ func (s *RootSink) reserve(duration time.Duration) {
 
 // rec returns the record of query q's interval k, growing the query's
 // interval slice to reach it, or nil for an unknown query, a negative
-// interval, or one that starts before MeasureFrom.
+// interval, or one that starts before measureFrom.
 func (s *RootSink) rec(q query.ID, k int) *intervalRec {
 	i, ok := slices.BinarySearchFunc(s.queries, q, func(qr queryRec, q query.ID) int { return cmp.Compare(qr.spec.ID, q) })
 	if !ok {
 		return nil
 	}
 	qr := &s.queries[i]
-	if k < 0 || qr.spec.IntervalStart(k) < s.MeasureFrom {
+	if k < 0 || qr.spec.IntervalStart(k) < s.measureFrom {
 		return nil
 	}
 	for len(qr.intervals) <= k {

@@ -15,7 +15,7 @@ func sinkSpecs() []query.Spec {
 }
 
 func TestRootSinkLatencyIsMaxArrival(t *testing.T) {
-	s := NewRootSink(sinkSpecs())
+	s := NewRootSink(sinkSpecs(), 0, 10*time.Second)
 	s.ReportArrived(1, 0, 30*time.Millisecond, 1)
 	s.ReportArrived(1, 0, 80*time.Millisecond, 3)
 	s.ReportArrived(1, 0, 50*time.Millisecond, 2)
@@ -26,7 +26,7 @@ func TestRootSinkLatencyIsMaxArrival(t *testing.T) {
 }
 
 func TestRootSinkGroupsByClass(t *testing.T) {
-	s := NewRootSink(sinkSpecs())
+	s := NewRootSink(sinkSpecs(), 0, 10*time.Second)
 	s.ReportArrived(1, 0, 10*time.Millisecond, 1)
 	s.ReportArrived(2, 0, 20*time.Millisecond, 1)
 	by := s.LatencyByClass()
@@ -39,8 +39,7 @@ func TestRootSinkGroupsByClass(t *testing.T) {
 }
 
 func TestRootSinkMeasureFromExcludesWarmup(t *testing.T) {
-	s := NewRootSink(sinkSpecs())
-	s.MeasureFrom = 5 * time.Second
+	s := NewRootSink(sinkSpecs(), 5*time.Second, 10*time.Second)
 	s.ReportArrived(1, 2, 40*time.Millisecond, 1) // interval start 2s < 5s
 	s.ReportArrived(1, 7, 40*time.Millisecond, 1) // interval start 7s >= 5s
 	if got := len(s.Latencies()); got != 1 {
@@ -62,7 +61,7 @@ func closedIntervals(s *RootSink) int {
 }
 
 func TestRootSinkCoverage(t *testing.T) {
-	s := NewRootSink(sinkSpecs())
+	s := NewRootSink(sinkSpecs(), 0, 10*time.Second)
 	s.IntervalClosed(1, 0, 100*time.Millisecond, 10)
 	s.IntervalClosed(1, 1, 100*time.Millisecond, 20)
 	if got := s.MeanCoverage(); got != 15 {
@@ -74,7 +73,7 @@ func TestRootSinkCoverage(t *testing.T) {
 }
 
 func TestRootSinkUnknownQueryIgnored(t *testing.T) {
-	s := NewRootSink(sinkSpecs())
+	s := NewRootSink(sinkSpecs(), 0, 10*time.Second)
 	s.ReportArrived(99, 0, time.Millisecond, 1)
 	s.IntervalClosed(99, 0, time.Millisecond, 1)
 	if len(s.Latencies()) != 0 || closedIntervals(s) != 0 {
@@ -87,7 +86,7 @@ func TestRootSinkUnknownQueryIgnored(t *testing.T) {
 // and negative intervals are ignored.
 func TestRootSinkAggregatesInQueryIntervalOrder(t *testing.T) {
 	specs := sinkSpecs()
-	s := NewRootSink([]query.Spec{specs[1], specs[0]})
+	s := NewRootSink([]query.Spec{specs[1], specs[0]}, 0, 10*time.Second)
 	s.ReportArrived(2, 1, 4*time.Millisecond, 1)
 	s.ReportArrived(1, 3, 3*time.Millisecond, 1)
 	s.ReportArrived(2, 0, 5*time.Millisecond, 1)
@@ -110,8 +109,7 @@ func TestRootSinkAggregatesInQueryIntervalOrder(t *testing.T) {
 // the reservation grows its own query's slice without overwriting the
 // next query's share of the backing array.
 func TestRootSinkReserve(t *testing.T) {
-	s := NewRootSink(sinkSpecs())
-	s.reserve(4 * time.Second) // query 1: intervals 0..3; query 2: 0..1
+	s := NewRootSink(sinkSpecs(), 0, 4*time.Second) // query 1: intervals 0..3; query 2: 0..1
 	if c1, c2 := cap(s.queries[0].intervals), cap(s.queries[1].intervals); c1 != 4 || c2 != 2 {
 		t.Fatalf("reserved capacities (%d, %d), want (4, 2)", c1, c2)
 	}

@@ -10,15 +10,6 @@ import (
 )
 
 func init() {
-	RegisterSink(SinkRoot, 0, func(cfg SinkConfig) (Sink, error) {
-		if err := checkParams(SinkRoot, cfg.Params); err != nil {
-			return nil, err
-		}
-		s := NewRootSink(cfg.Queries)
-		s.MeasureFrom = cfg.MeasureFrom
-		s.reserve(cfg.Duration)
-		return s, nil
-	})
 	RegisterSink(SinkTimeseries, 1, newTimeseriesSink)
 	RegisterSink(SinkEnergy, 2, newEnergySink)
 	RegisterSink(SinkJSONL, 3, newJSONLSink)
