@@ -34,13 +34,15 @@ func TestCLISmoke(t *testing.T) {
 	// A sink typo fails the boot; root is attached to every run, not a
 	// sink to name.
 	for _, sink := range []string{"bogus", "root"} {
-		// A server that wrongly boots is stopped by the timeout.
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		out, err := exec.CommandContext(ctx, bin, "-sinks", sink, "-addr", "127.0.0.1:0").CombinedOutput()
-		cancel()
-		if code := exitCode(err); code != 1 {
-			t.Errorf("-sinks %s: exit %d, want 1\n%s", sink, code, out)
-		}
+		t.Run("sinks="+sink, func(t *testing.T) {
+			// A server that wrongly boots is stopped by the timeout.
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			out, err := exec.CommandContext(ctx, bin, "-sinks", sink, "-addr", "127.0.0.1:0").CombinedOutput()
+			if code := exitCode(err); code != 1 {
+				t.Errorf("exit %d, want 1\n%s", code, out)
+			}
+		})
 	}
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")

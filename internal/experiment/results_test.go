@@ -52,11 +52,13 @@ func TestResultsSpecErrors(t *testing.T) {
 		{"unknown-param", &ResultsSpec{Sinks: []SinkSpec{{Name: "jsonl", Params: map[string]float64{"x": 1}}}}},
 	}
 	for _, c := range cases {
-		s := base()
-		s.Results = c.res
-		if _, err := s.Scenario(); err == nil {
-			t.Errorf("%s: Scenario() accepted %+v", c.name, c.res)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			s := base()
+			s.Results = c.res
+			if _, err := s.Scenario(); err == nil {
+				t.Errorf("Scenario() accepted %+v", c.res)
+			}
+		})
 	}
 	// The happy path compiles into Scenario.Sinks in declaration order.
 	s := base()

@@ -63,6 +63,80 @@ func TestRetryTimingGrows(t *testing.T) {
 	}
 }
 
+// dataStarts is an Observer recording when a station starts data frames.
+type dataStarts []time.Duration
+
+func (d *dataStarts) DataTransmit(_ phy.NodeID, now, _ time.Duration) { *d = append(*d, now) }
+
+// TestDCFExchangeTiming pins the DCF constants through the airtime of
+// single frame exchanges on an idle medium: every attempt starts DIFS
+// plus a whole number of slots below the contention window after the
+// medium went idle, a unicast completes when its ACK ends SIFS after the
+// data frame, and an unanswered frame is retried retryLimit times after
+// the ACK timeout, the window doubling up to cwMax.
+func TestDCFExchangeTiming(t *testing.T) {
+	// checkBackoff fails unless gap is DIFS plus [0, cw) whole slots.
+	checkBackoff := func(t *testing.T, gap time.Duration, cw int) {
+		t.Helper()
+		b := gap - difs
+		if b < 0 || b%slotTime != 0 || b/slotTime >= time.Duration(cw) {
+			t.Fatalf("gap %v is not DIFS plus a backoff of [0, %d) slots", gap, cw)
+		}
+	}
+	// exchange sends one 52 B frame from station 0 to dst at time zero
+	// and returns the data-frame start times, the completion time and the
+	// channel.
+	exchange := func(t *testing.T, seed int64, dst phy.NodeID, deaf bool) (dataStarts, time.Duration, *phy.Channel) {
+		net := newChain(t, 2, seed, phy.Config{})
+		if deaf {
+			net.radios[1].TurnOff()
+		}
+		var starts dataStarts
+		net.macs[0].SetObserver(&starts)
+		doneAt := time.Duration(-1)
+		net.macs[0].Send(dst, "x", 52, sendFunc(func(bool) { doneAt = net.eng.Now() }))
+		net.eng.Run(time.Second)
+		if doneAt < 0 {
+			t.Fatal("send never completed")
+		}
+		return starts, doneAt, net.ch
+	}
+
+	t.Run("unicast", func(t *testing.T) {
+		starts, doneAt, ch := exchange(t, 3, 1, false)
+		if len(starts) != 1 {
+			t.Fatalf("%d data transmissions, want 1", len(starts))
+		}
+		checkBackoff(t, starts[0], cwMin)
+		if want := starts[0] + ch.FrameDuration(52) + sifs + ch.FrameDuration(ackBytes); doneAt != want {
+			t.Fatalf("unicast completed at %v, want %v (data, SIFS, %d B ACK)", doneAt, want, ackBytes)
+		}
+	})
+	t.Run("broadcast", func(t *testing.T) {
+		starts, doneAt, ch := exchange(t, 4, phy.Broadcast, false)
+		if len(starts) != 1 {
+			t.Fatalf("%d data transmissions, want 1", len(starts))
+		}
+		checkBackoff(t, starts[0], cwMin)
+		if want := starts[0] + ch.FrameDuration(52); doneAt != want {
+			t.Fatalf("broadcast completed at %v, want %v (no ACK)", doneAt, want)
+		}
+	})
+	t.Run("retries", func(t *testing.T) {
+		starts, _, ch := exchange(t, 5, 1, true)
+		if len(starts) != 1+retryLimit {
+			t.Fatalf("%d data transmissions, want %d", len(starts), 1+retryLimit)
+		}
+		checkBackoff(t, starts[0], cwMin)
+		ackTimeout := sifs + ch.FrameDuration(ackBytes) + 3*slotTime
+		cw := cwMin
+		for k := 1; k < len(starts); k++ {
+			cw = min(2*cw, cwMax)
+			checkBackoff(t, starts[k]-starts[k-1]-ch.FrameDuration(52)-ackTimeout, cw)
+		}
+	})
+}
+
 // TestBroadcastDoesNotRetry: broadcast frames are fire-once even when
 // nobody hears them.
 func TestBroadcastDoesNotRetry(t *testing.T) {

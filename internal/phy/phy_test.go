@@ -42,9 +42,21 @@ func TestFrameDuration(t *testing.T) {
 	eng := sim.New(1)
 	topo, _ := topology.FromPositions(geom.LinePlacement(2, 100), 125)
 	ch, _ := NewChannel(eng, topo, Config{})
-	// 52 bytes at 1 Mbps = 416 µs + 96 µs preamble.
-	if got := ch.FrameDuration(52); got != 512*time.Microsecond {
-		t.Fatalf("FrameDuration(52) = %v, want 512µs", got)
+	// Airtime is the payload at 1 Mbps plus the 96 µs preamble.
+	for _, tc := range []struct {
+		name  string
+		bytes int
+		want  time.Duration
+	}{
+		{"report", 52, 512 * time.Microsecond}, // 416 µs + 96 µs
+		{"ack", 14, 208 * time.Microsecond},    // 112 µs + 96 µs
+		{"one-byte", 1, 104 * time.Microsecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := ch.FrameDuration(tc.bytes); got != tc.want {
+				t.Fatalf("FrameDuration(%d) = %v, want %v", tc.bytes, got, tc.want)
+			}
+		})
 	}
 }
 
