@@ -1,7 +1,11 @@
 package experiment
 
 import (
+	"flag"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -173,27 +177,57 @@ func TestFigureWork(t *testing.T) {
 	}
 }
 
-// TestFigureCatalogDrivers runs every catalog entry on a tiny setting:
+// updateFigures regenerates the figure goldens instead of comparing
+// against them:
+//
+//	go test ./internal/experiment -run TestFigureCatalogDrivers -update-figures
+//
+// Regenerate ONLY for an intentional change to a figure's numbers, and
+// say so in the commit message: a refactor of the figure code must
+// leave every table and work total byte-identical.
+var updateFigures = flag.Bool("update-figures", false, "rewrite testdata/figures/*.txt from the current implementation")
+
+// TestFigureCatalogDrivers runs every catalog entry on a small setting:
 // each driver returns the figure its entry names, with the entry's
-// title, and reports the work of a non-empty grid.
+// title, and reports the work of a non-empty grid. Its printed table
+// and work totals must match testdata/figures/<id>.txt byte for byte.
 func TestFigureCatalogDrivers(t *testing.T) {
-	o := Options{Duration: time.Second, Seeds: 1, Nodes: 20}
+	o := Options{Duration: 5 * time.Second, Seeds: 2, Nodes: 40}
 	seen := map[string]bool{}
 	for _, info := range FigureCatalog() {
 		if seen[info.ID] {
 			t.Errorf("catalog lists %s twice", info.ID)
 		}
 		seen[info.ID] = true
-		fig, err := info.Run(o)
-		if err != nil {
-			t.Fatalf("%s: %v", info.ID, err)
-		}
-		if fig.ID != info.ID || fig.Title != info.Title {
-			t.Errorf("%s: driver returned %q %q, catalog says %q %q", info.ID, fig.ID, fig.Title, info.ID, info.Title)
-		}
-		if fig.Runs == 0 || fig.Events == 0 || fig.SimTime != time.Duration(fig.Runs)*o.Duration {
-			t.Errorf("%s: work = %+v", info.ID, fig.Work)
-		}
+		t.Run(info.ID, func(t *testing.T) {
+			fig, err := info.Run(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fig.ID != info.ID || fig.Title != info.Title {
+				t.Errorf("driver returned %q %q, catalog says %q %q", fig.ID, fig.Title, info.ID, info.Title)
+			}
+			if fig.Runs == 0 || fig.Events == 0 || fig.SimTime != time.Duration(fig.Runs)*o.Duration {
+				t.Errorf("work = %+v", fig.Work)
+			}
+			var sb strings.Builder
+			fig.Fprint(&sb)
+			fmt.Fprintf(&sb, "work: runs=%d events=%d simtime=%v\n", fig.Runs, fig.Events, fig.SimTime)
+			path := filepath.Join("testdata", "figures", info.ID+".txt")
+			if *updateFigures {
+				if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sb.String(); got != string(want) {
+				t.Errorf("output differs from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
+			}
+		})
 	}
 }
 
