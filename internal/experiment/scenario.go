@@ -441,8 +441,7 @@ func (b *builder) resolveModels() error {
 	// since the agent constructor only panics on an invalid config (a
 	// backstop against imperative misuse), and a malformed scenario must
 	// surface as a returned build error, never a crashed worker.
-	b.qCfg = query.DefaultConfig()
-	b.qCfg.FailureThreshold = sc.FailureThreshold
+	b.qCfg = query.Config{FailureThreshold: sc.FailureThreshold}
 	if err := b.qCfg.Validate(); err != nil {
 		return err
 	}

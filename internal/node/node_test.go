@@ -61,9 +61,7 @@ func buildNet(t *testing.T, pts []geom.Point, failureThreshold int) (*sim.Engine
 		if id == tree.Root() {
 			s = sink
 		}
-		cfg := query.DefaultConfig()
-		cfg.FailureThreshold = failureThreshold
-		n.InstallAgent(core.NewDTS(n, ss), s, cfg, len(specs))
+		n.InstallAgent(core.NewDTS(n, ss), s, query.Config{FailureThreshold: failureThreshold}, len(specs))
 		nodes[id] = n
 	}
 	for _, spec := range specs {
@@ -258,7 +256,7 @@ func TestPhaseRequestViaAckReachesShaper(t *testing.T) {
 		n := New(eng, id, tree, ch, radio.Config{})
 		ss := core.NewSafeSleep(eng, n.Radio, core.SafeSleepOptions{Disabled: true})
 		d := core.NewDTS(n, ss)
-		n.InstallAgent(d, nil, query.DefaultConfig(), 1)
+		n.InstallAgent(d, nil, query.Config{FailureThreshold: 3}, 1)
 		nodes[id] = n
 		shapers = append(shapers, d)
 		if err := n.Agent.Register(spec); err != nil {

@@ -159,12 +159,6 @@ type Config struct {
 	FailureThreshold int
 }
 
-// DefaultConfig matches the paper's setup: failure declared after 3
-// consecutive misses.
-func DefaultConfig() Config {
-	return Config{FailureThreshold: 3}
-}
-
 // Validate reports whether the configuration is runnable: the failure
 // threshold must be non-negative. Hosts that accept configs from
 // untrusted input validate before construction so a bad config surfaces

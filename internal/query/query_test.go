@@ -133,7 +133,7 @@ func chainFixture(t *testing.T) (*sim.Engine, *routing.Tree, *Agent, *stubShaper
 	host := &testHost{Send: func(dst NodeID, payload any, bytes int, cb mac.SendCallback) {
 		sent = append(sent, sentRec{dst: dst, rep: payload.(*Report), bytes: bytes, cb: cb})
 	}}
-	a := NewAgent(eng, 1, tree, sh, host, nil, DefaultConfig(), 1)
+	a := NewAgent(eng, 1, tree, sh, host, nil, Config{FailureThreshold: 3}, 1)
 	return eng, tree, a, sh, &sent, host
 }
 
@@ -352,7 +352,7 @@ func TestRootRecordsArrivalsAndClosures(t *testing.T) {
 	sh := newStubShaper()
 	a := NewAgent(eng, 0, tree, sh, &testHost{Send: func(NodeID, any, int, mac.SendCallback) {
 		t.Fatal("root must not send reports")
-	}}, sink, DefaultConfig(), 1)
+	}}, sink, Config{FailureThreshold: 3}, 1)
 	if err := a.Register(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestPhaseBytesAddedWhenPiggybacking(t *testing.T) {
 	phaseShaper := &phaseStub{stubShaper: sh}
 	a := NewAgent(eng, 2, tree, phaseShaper, &testHost{Send: func(dst NodeID, payload any, bytes int, cb mac.SendCallback) {
 		sent = append(sent, sentRec{dst: dst, rep: payload.(*Report), bytes: bytes, cb: cb})
-	}}, nil, DefaultConfig(), 1)
+	}}, nil, Config{FailureThreshold: 3}, 1)
 	if err := a.Register(spec); err != nil {
 		t.Fatal(err)
 	}

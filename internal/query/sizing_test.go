@@ -52,7 +52,7 @@ func TestAgentTablesSizedByChildren(t *testing.T) {
 				if id == 0 {
 					sink = &testSink{}
 				}
-				a := NewAgent(eng, id, tree, newStubShaper(), host, sink, DefaultConfig(), 1)
+				a := NewAgent(eng, id, tree, newStubShaper(), host, sink, Config{FailureThreshold: 3}, 1)
 				if err := a.Register(spec); err != nil {
 					t.Fatal(err)
 				}
