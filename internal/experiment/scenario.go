@@ -542,17 +542,17 @@ func (b *builder) observers() error {
 		Nodes:       b.Topo.NumNodes(),
 	}
 	b.sink = stats.NewRootSink(sc.Queries, sc.MeasureFrom, sc.Duration)
-	observers := []stats.Sink{b.sink}
+	var extra []stats.Sink
 	for _, choice := range sc.Sinks {
 		cfg := sinkCfg
 		cfg.Params = choice.Params
-		extra, err := stats.NewSink(choice.Name, cfg)
+		s, err := stats.NewSink(choice.Name, cfg)
 		if err != nil {
 			return err
 		}
-		observers = append(observers, extra)
+		extra = append(extra, s)
 	}
-	b.fan = stats.NewFanout(observers...)
+	b.fan = stats.NewFanout(b.sink, extra...)
 
 	// The per-node hooks installed by stacks and workload are nil (and
 	// free) when the tracer and the auditor are off.

@@ -127,23 +127,24 @@ func checkParams(sink string, params map[string]float64, known ...string) error 
 	return nil
 }
 
-// Fanout dispatches each hook to every configured sink in configuration
-// order — the one ordering that is fixed by the spec, so exporter
-// output is byte-identical regardless of how many workers share the
-// process. It implements query.Sink so the root node's report/interval
-// hooks reach all sinks through the same wrapper chain the auditor
-// taps.
+// Fanout dispatches each hook to the run's root recorder and then to
+// every configured sink in configuration order — the one ordering that
+// is fixed by the spec, so exporter output is byte-identical regardless
+// of how many workers share the process. It implements query.Sink so
+// the root node's report/interval hooks reach all of them through the
+// same wrapper chain the auditor taps.
 type Fanout struct {
+	root  *RootSink
 	sinks []Sink
 	radio []RadioObserver
 }
 
 var _ query.Sink = (*Fanout)(nil)
 
-// NewFanout builds a dispatcher over sinks, collecting the subset that
-// wants radio transitions.
-func NewFanout(s ...Sink) *Fanout {
-	f := &Fanout{sinks: s}
+// NewFanout builds a dispatcher over the root recorder and sinks,
+// collecting the subset of sinks that wants radio transitions.
+func NewFanout(root *RootSink, s ...Sink) *Fanout {
+	f := &Fanout{root: root, sinks: s}
 	for _, sk := range s {
 		if ro, ok := sk.(RadioObserver); ok {
 			f.radio = append(f.radio, ro)
@@ -154,6 +155,7 @@ func NewFanout(s ...Sink) *Fanout {
 
 // ReportArrived implements query.Sink.
 func (f *Fanout) ReportArrived(q query.ID, k int, latency time.Duration, coverage int) {
+	f.root.ReportArrived(q, k, latency, coverage)
 	for _, s := range f.sinks {
 		s.ReportArrived(q, k, latency, coverage)
 	}
@@ -161,6 +163,7 @@ func (f *Fanout) ReportArrived(q query.ID, k int, latency time.Duration, coverag
 
 // IntervalClosed implements query.Sink.
 func (f *Fanout) IntervalClosed(q query.ID, k int, latency time.Duration, coverage int) {
+	f.root.IntervalClosed(q, k, latency, coverage)
 	for _, s := range f.sinks {
 		s.IntervalClosed(q, k, latency, coverage)
 	}

@@ -88,7 +88,7 @@ func buildFanout(t *testing.T) *Fanout {
 		}
 		obs = append(obs, s)
 	}
-	return NewFanout(obs...)
+	return NewFanout(NewRootSink(nil, 0, cfg.Duration), obs...)
 }
 
 // Fanout must emit records in configuration order, stamp identity
@@ -134,7 +134,7 @@ func TestJSONLSinkCapturesStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFanout(s)
+	f := NewFanout(NewRootSink(nil, 0, 2*time.Second), s)
 	feedScript(f)
 	rec := s.Finish(RunMeta{})
 	if rec.Kind != KindEvents {
@@ -202,7 +202,7 @@ func TestTimeseriesBucketing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewFanout(s), s
+		return NewFanout(NewRootSink(nil, 0, 2*time.Second), s), s
 	}
 	fan, s := f()
 	feedScript(fan)

@@ -27,6 +27,9 @@ type queryRec struct {
 // root. Query latency follows the paper's definition — the maximum time
 // for any source's data to reach the root — measured per interval as the
 // latency of the last report arriving for that interval, then averaged.
+// It is not a registered Sink and emits no record: every run's Fanout
+// calls it first, and the run's Result reads latency and coverage from
+// it.
 type RootSink struct {
 	// queries is sorted by query ID at construction (agents refuse
 	// duplicate IDs). Aggregation walks it in (query ID, interval)
@@ -38,24 +41,7 @@ type RootSink struct {
 	measureFrom time.Duration
 }
 
-var (
-	_ query.Sink = (*RootSink)(nil)
-	_ Sink       = (*RootSink)(nil)
-)
-
-// Name implements Sink. The root recorder is not in the sink registry:
-// every run attaches it directly, and it emits no record.
-func (s *RootSink) Name() string { return "root" }
-
-// NodeDone implements Sink. The root recorder observes only root-side
-// report/interval hooks; per-node accounting flows to other sinks.
-func (s *RootSink) NodeDone(NodeSummary) {}
-
-// Finish implements Sink. The root recorder feeds the legacy Result
-// fields (latency summaries, coverage) rather than emitting a record,
-// so default runs serialize exactly as they did before the registry
-// existed.
-func (s *RootSink) Finish(RunMeta) *Record { return nil }
+var _ query.Sink = (*RootSink)(nil)
 
 // NewRootSink creates a sink for the given query specs over a run of
 // the given duration, discarding intervals that start before
