@@ -1,8 +1,10 @@
 // Benchmarks that regenerate every table and figure of the paper's
-// evaluation (§5). Each BenchmarkFigN runs a scaled-down version of the
-// corresponding experiment (shorter runs, fewer seeds than the paper's
-// 200 s × 5 seeds) and logs the resulting series; run cmd/essat-bench
-// with -paper for the full-fidelity tables recorded in EXPERIMENTS.md.
+// evaluation (§5) and the studies beside it. BenchmarkFigures runs each
+// FigureCatalog entry's declared grid, one sub-benchmark per entry, at a
+// scaled-down setting (shorter runs, one seed, fewer nodes than the
+// paper's 200 s × 5 seeds × 80 nodes) and logs the resulting table; run
+// cmd/essat-bench with -paper for the full-fidelity tables recorded in
+// EXPERIMENTS.md.
 //
 //	go test -bench=. -benchmem
 package essat_test
@@ -28,114 +30,22 @@ func logFigure(b *testing.B, f *essat.Figure) {
 	b.Log("\n" + sb.String())
 }
 
-func BenchmarkFig2_DeadlineSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		deadlines := []time.Duration{50 * time.Millisecond, 125 * time.Millisecond,
-			300 * time.Millisecond, 600 * time.Millisecond}
-		fig, err := essat.Fig2Deadline(benchOptions(), deadlines)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			logFigure(b, fig)
-		}
-	}
-}
-
-func BenchmarkFig3_DutyCycleVsRate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := essat.Fig3DutyVsRate(benchOptions(), []float64{1, 3, 5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			logFigure(b, fig)
-		}
-	}
-}
-
-func BenchmarkFig4_DutyCycleVsQueries(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := essat.Fig4DutyVsQueries(benchOptions(), []int{1, 5, 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			logFigure(b, fig)
-		}
-	}
-}
-
-func BenchmarkFig5_DutyCycleByRank(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := essat.Fig5DutyByRank(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			logFigure(b, fig)
-		}
-	}
-}
-
-func BenchmarkFig6_LatencyVsRate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := essat.Fig6LatencyVsRate(benchOptions(), []float64{1, 3, 5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			logFigure(b, fig)
-		}
-	}
-}
-
-func BenchmarkFig7_LatencyVsQueries(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := essat.Fig7LatencyVsQueries(benchOptions(), []int{1, 5, 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			logFigure(b, fig)
-		}
-	}
-}
-
-func BenchmarkFig8_SleepHistogram(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, below, err := essat.Fig8SleepHistogram(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			logFigure(b, fig)
-			b.Logf("%% sleeps < 2.5ms (DTS/STS/NTS): %.2f / %.2f / %.2f", below[0], below[1], below[2])
-		}
-	}
-}
-
-func BenchmarkFig9_BreakEvenImpact(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := essat.Fig9BreakEven(benchOptions(), []float64{1, 3, 5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			logFigure(b, fig)
-		}
-	}
-}
-
-func BenchmarkOverhead_PhaseUpdates(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := essat.OverheadPhaseUpdates(benchOptions(), []float64{1, 5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			logFigure(b, fig)
-		}
+// BenchmarkFigures regenerates every catalog figure, one sub-benchmark
+// per entry, and logs its table.
+func BenchmarkFigures(b *testing.B) {
+	for _, info := range essat.FigureCatalog() {
+		info := info
+		b.Run(info.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				fig, err := info.Run(benchOptions())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == b.N-1 {
+					logFigure(b, fig)
+				}
+			}
+		})
 	}
 }
 

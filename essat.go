@@ -17,7 +17,7 @@
 // deterministic discrete-event simulator, a unit-disc wireless channel
 // with collisions, a CSMA/CA (802.11 DCF style) MAC, flood-built
 // aggregation trees, a periodic query service, the SPAN / PSM / SYNC
-// baselines, and one driver per figure of the paper.
+// baselines, and a catalog of the paper's figures (FigureCatalog).
 //
 // # Quick start
 //
@@ -41,10 +41,10 @@
 //
 // See ARCHITECTURE.md for the layer stack and how to register new
 // protocols or topology generators, examples/ for runnable programs,
-// and cmd/essat-bench for the full figure suite. The figure drivers
-// execute their (protocol, parameter, seed) grids on a bounded worker
-// pool with deterministic aggregation — output is byte-identical for
-// any worker count; see BENCHMARKS.md for the benchmark workflow and
+// and cmd/essat-bench for the full figure suite. Each catalog figure
+// declares a (variant, x, seed) grid that one runner executes on a
+// bounded worker pool with deterministic aggregation — output is
+// byte-identical for any worker count; see BENCHMARKS.md for the benchmark workflow and
 // the BENCH_*.json throughput format.
 package essat
 
@@ -174,7 +174,7 @@ type AuditViolation = check.Violation
 // Figure is a reproduced table/figure ready to print.
 type Figure = experiment.Figure
 
-// Options scales the figure drivers (run duration, seeds, node count).
+// Options scales the catalog figures (run duration, seeds, node count).
 type Options = experiment.Options
 
 // DefaultScenario returns the paper's §5 experimental setup (80 nodes in
@@ -317,12 +317,12 @@ func RunWith(a *Arena, sc Scenario) (*Result, error) {
 }
 
 // FigureInfo is one FigureCatalog entry: a figure's ID and printed
-// title, whether it is an ablation or robustness study, and its driver
-// at the default x range.
+// title, whether it is an ablation or robustness study, and Run, which
+// regenerates it at the given Options.
 type FigureInfo = experiment.FigureInfo
 
-// FigureCatalog lists every figure and study driver in presentation
-// order; it is the list essat-bench runs and essat-sim -list prints.
+// FigureCatalog lists every figure and study in presentation order;
+// it is the list essat-bench runs and essat-sim -list prints.
 func FigureCatalog() []FigureInfo { return experiment.FigureCatalog() }
 
 // QueryClasses builds the paper's three-class workload with rate ratio
@@ -338,91 +338,3 @@ func PaperOptions() Options { return experiment.PaperOptions() }
 
 // QuickOptions is a scaled-down setting for exploration and CI.
 func QuickOptions() Options { return experiment.QuickOptions() }
-
-// Fig2Deadline regenerates Figure 2 (STS deadline sweep). A nil deadlines
-// slice selects the paper's sweep range.
-func Fig2Deadline(o Options, deadlines []time.Duration) (*Figure, error) {
-	return experiment.Fig2Deadline(o, deadlines)
-}
-
-// Fig3DutyVsRate regenerates Figure 3 (duty cycle vs base rate).
-func Fig3DutyVsRate(o Options, rates []float64) (*Figure, error) {
-	return experiment.Fig3DutyVsRate(o, rates)
-}
-
-// Fig4DutyVsQueries regenerates Figure 4 (duty cycle vs queries/class).
-func Fig4DutyVsQueries(o Options, counts []int) (*Figure, error) {
-	return experiment.Fig4DutyVsQueries(o, counts)
-}
-
-// Fig5DutyByRank regenerates Figure 5 (duty cycle distribution by rank).
-func Fig5DutyByRank(o Options) (*Figure, error) {
-	return experiment.Fig5DutyByRank(o)
-}
-
-// Fig6LatencyVsRate regenerates Figure 6 (query latency vs base rate).
-func Fig6LatencyVsRate(o Options, rates []float64) (*Figure, error) {
-	return experiment.Fig6LatencyVsRate(o, rates)
-}
-
-// Fig7LatencyVsQueries regenerates Figure 7 (latency vs queries/class).
-func Fig7LatencyVsQueries(o Options, counts []int) (*Figure, error) {
-	return experiment.Fig7LatencyVsQueries(o, counts)
-}
-
-// Fig8SleepHistogram regenerates Figure 8 (sleep-interval histogram at
-// TBE=0) and returns the percentage of sleeps shorter than 2.5 ms per
-// ESSAT protocol (DTS, STS, NTS), the number the paper reads off it.
-func Fig8SleepHistogram(o Options) (*Figure, []float64, error) {
-	return experiment.Fig8SleepHistogram(o)
-}
-
-// Fig9BreakEven regenerates Figure 9 (DTS-SS duty cycle vs rate for
-// Safe Sleep break-even times of 0, 2.5, 10 and 40 ms).
-func Fig9BreakEven(o Options, rates []float64) (*Figure, error) {
-	return experiment.Fig9BreakEven(o, rates)
-}
-
-// OverheadPhaseUpdates regenerates the §4.2.3 phase-update overhead
-// measurement (paper: < 1 bit per data report).
-func OverheadPhaseUpdates(o Options, rates []float64) (*Figure, error) {
-	return experiment.OverheadPhaseUpdates(o, rates)
-}
-
-// AblationBreakEvenGuard compares the Safe Sleep break-even guard
-// against naive sleep-any-gap scheduling (DESIGN.md ablation).
-func AblationBreakEvenGuard(o Options) (*Figure, error) {
-	return experiment.AblationBreakEvenGuard(o)
-}
-
-// AblationBuffering compares early-report buffering against greedy early
-// sends (DESIGN.md ablation).
-func AblationBuffering(o Options) (*Figure, error) {
-	return experiment.AblationBuffering(o)
-}
-
-// AblationTreeConstruction compares the simulated setup-flood tree
-// against an idealized min-hop BFS tree (DESIGN.md ablation).
-func AblationTreeConstruction(o Options) (*Figure, error) {
-	return experiment.AblationTreeConstruction(o)
-}
-
-// RobustnessLoss sweeps transient packet loss against the §4.3
-// maintenance mechanisms. nil lossRates selects {0, 5, 10, 20}%.
-func RobustnessLoss(o Options, lossRates []float64) (*Figure, error) {
-	return experiment.RobustnessLoss(o, lossRates)
-}
-
-// RobustnessFailures kills growing numbers of random non-leaf nodes and
-// measures survivor coverage under the §4.3 recovery procedures. nil
-// failureCounts selects {0, 1, 2, 4}.
-func RobustnessFailures(o Options, failureCounts []int) (*Figure, error) {
-	return experiment.RobustnessFailures(o, failureCounts)
-}
-
-// Lifetime measures time-to-first-battery-death per protocol with finite
-// node batteries (§4.2.1's network-lifetime argument). batteryJ <= 0
-// selects a 0.5 J budget sized to the quick options.
-func Lifetime(o Options, batteryJ float64) (*Figure, error) {
-	return experiment.Lifetime(o, batteryJ)
-}

@@ -2,7 +2,6 @@ package essat_test
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -133,31 +132,6 @@ func TestDeterministicResults(t *testing.T) {
 	}
 	if a.Events == c.Events && a.DutyCycle == c.DutyCycle {
 		t.Fatal("different seeds produced identical results")
-	}
-}
-
-func TestFigureDriversQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figure drivers are slow")
-	}
-	o := essat.Options{Duration: 8 * time.Second, Seeds: 1, Nodes: 40}
-	fig, err := essat.Fig2Deadline(o, []time.Duration{100 * time.Millisecond, 400 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	fig.Fprint(&sb)
-	out := sb.String()
-	if !strings.Contains(out, "fig2") || !strings.Contains(out, "0.1") {
-		t.Fatalf("unexpected figure rendering:\n%s", out)
-	}
-
-	fig9, err := essat.Fig9BreakEven(o, []float64{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig9.Series) != 4 {
-		t.Fatalf("Fig9 series = %d, want 4 TBE values", len(fig9.Series))
 	}
 }
 

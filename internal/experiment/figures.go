@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -15,7 +16,7 @@ import (
 	"github.com/essat/essat/internal/stats"
 )
 
-// Options scales the figure drivers: the paper uses 200-second runs with
+// Options scales the figure sweeps: the paper uses 200-second runs with
 // 5 seeds per point; scaled-down settings keep benchmarks fast.
 type Options struct {
 	// Duration of each run (paper: 200 s).
@@ -59,7 +60,7 @@ func QuickOptions() Options {
 	return Options{Duration: 40 * time.Second, Seeds: 2, Nodes: 80}
 }
 
-// EffectiveParallelism returns the worker-pool bound the figure drivers
+// EffectiveParallelism returns the worker-pool bound the figure sweeps
 // will use for these options: Parallelism, or GOMAXPROCS when unset.
 // Benchmarking tools record this rather than re-deriving the default.
 func (o Options) EffectiveParallelism() int { return o.normalized().Parallelism }
@@ -179,16 +180,14 @@ func (f *Figure) Fprint(w io.Writer) {
 
 // runJob is one scenario execution in a figure's job grid.
 type runJob struct {
-	build func() Scenario
-	res   *Result
-	// simTime is the built scenario's duration.
-	simTime time.Duration
-	err     error
+	sc  Scenario
+	res *Result
+	err error
 }
 
 // runGrid executes jobs on a bounded worker pool of o.Parallelism
 // goroutines (each Run is single-goroutine and independent, so the whole
-// (figure, protocol, x, seed) grid parallelizes). Results land in the job
+// (figure, variant, x, seed) grid parallelizes). Results land in the job
 // slots, so downstream aggregation happens in the caller's deterministic
 // order regardless of worker count; the first error in job order wins.
 func runGrid(o Options, jobs []*runJob) error {
@@ -203,9 +202,7 @@ func runGrid(o Options, jobs []*runJob) error {
 	// independent of its arena's history.
 	cache := NewDeployCache(0)
 	runOne := func(a *Arena, j *runJob) {
-		sc := j.build()
-		j.simTime = sc.Duration
-		if j.res, j.err = RunContextWith(context.Background(), a, sc, Budget{}); j.err == nil {
+		if j.res, j.err = RunContextWith(context.Background(), a, j.sc, Budget{}); j.err == nil {
 			j.err = auditErr(j.res)
 		}
 	}
@@ -255,47 +252,6 @@ func auditErr(res *Result) error {
 		res.Protocol, res.Seed, res.Audit.Total, res.Audit.Violations[0])
 }
 
-// runMatrix runs build(i, seed) for every point index i and seed
-// BaseSeed..BaseSeed+Seeds-1 through one pooled grid and returns
-// results[i] in seed order, with the grid's work totals.
-func runMatrix(o Options, n int, build func(i int, seed int64) Scenario) ([][]*Result, Work, error) {
-	jobs := make([]*runJob, 0, n*o.Seeds)
-	for i := 0; i < n; i++ {
-		for s := 0; s < o.Seeds; s++ {
-			// Every driver normalized o already, so BaseSeed is >= 1.
-			i, seed := i, o.BaseSeed+int64(s)
-			jobs = append(jobs, &runJob{build: func() Scenario { return build(i, seed) }})
-		}
-	}
-	if err := runGrid(o, jobs); err != nil {
-		return nil, Work{}, err
-	}
-	var w Work
-	out := make([][]*Result, n)
-	k := 0
-	for i := range out {
-		out[i] = make([]*Result, o.Seeds)
-		for s := 0; s < o.Seeds; s++ {
-			j := jobs[k]
-			out[i][s] = j.res
-			w.Runs++
-			w.Events += j.res.Events
-			w.SimTime += j.simTime
-			k++
-		}
-	}
-	return out, w, nil
-}
-
-// pointFrom aggregates metric over one point's seed-ordered results.
-func pointFrom(x float64, results []*Result, metric func(*Result) float64) Point {
-	var w stats.Welford
-	for _, r := range results {
-		w.Add(metric(r))
-	}
-	return Point{X: x, Mean: w.Mean(), CI90: w.CI90(), N: w.N()}
-}
-
 func (o Options) scenario(p Protocol, seed int64) Scenario {
 	sc := DefaultScenario(p, seed)
 	sc.Duration = o.Duration
@@ -312,9 +268,209 @@ func (o Options) scenario(p Protocol, seed int64) Scenario {
 	return sc
 }
 
+// rateWorkload gives sc the paper's three query classes at base rate
+// Hz, one query per class, with start phases drawn from seed·7919.
+func rateWorkload(sc *Scenario, rate float64) {
+	sc.Queries = QueryClasses(rand.New(rand.NewSource(sc.Seed*7919)), rate, 1, 10*time.Second)
+}
+
+// countWorkload gives sc perClass queries in each of the three classes
+// at a 0.2 Hz base rate, with start phases drawn from seed·104729.
+func countWorkload(sc *Scenario, perClass float64) {
+	sc.Queries = QueryClasses(rand.New(rand.NewSource(sc.Seed*104729)), 0.2, int(perClass), 10*time.Second)
+}
+
+// A sweep declares one catalog figure: its grid — every variant at
+// every x value and seed — and the fold from the grid's results to the
+// figure's series.
+type sweep struct {
+	id, title      string
+	study          bool
+	xLabel, yLabel string
+	notes          []string
+	// protocol is every run's protocol unless a variant sets its own.
+	protocol Protocol
+	// variants are the grid's rows; nil is one unnamed row.
+	variants []variant
+	// xs are the grid's columns, and at sets one on a run's scenario.
+	xs []float64
+	at func(sc *Scenario, x float64)
+	// fold appends the figure's series; cells[v][i] holds variant v's
+	// runs at xs[i] in seed order.
+	fold func(s *sweep, fig *Figure, cells [][][]*runJob) error
+}
+
+// A variant is one row of a sweep's grid: a name and what it changes
+// in the scenario (nil: nothing).
+type variant struct {
+	name string
+	set  func(*Scenario)
+}
+
+// protocols makes one variant per protocol, named after it.
+func protocols(ps ...Protocol) []variant {
+	vs := make([]variant, len(ps))
+	for i, p := range ps {
+		p := p
+		vs[i] = variant{string(p), func(sc *Scenario) { sc.Protocol = p }}
+	}
+	return vs
+}
+
+// breakEven is a variant's Safe Sleep break-even time.
+func breakEven(tbe time.Duration) func(*Scenario) {
+	return func(sc *Scenario) { sc.SSBreakEven = tbe }
+}
+
+// scenario builds the run of variant v at x and seed.
+func (s *sweep) scenario(o Options, v variant, x float64, seed int64) Scenario {
+	sc := o.scenario(s.protocol, seed)
+	if v.set != nil {
+		v.set(&sc)
+	}
+	s.at(&sc, x)
+	return sc
+}
+
+// run executes the sweep's grid on o's worker pool and folds the
+// results into its figure, with the grid's work totals.
+func (s sweep) run(o Options) (*Figure, error) {
+	o = o.normalized()
+	if s.variants == nil {
+		s.variants = []variant{{}}
+	}
+	var jobs []*runJob
+	cells := make([][][]*runJob, len(s.variants))
+	for v, vr := range s.variants {
+		cells[v] = make([][]*runJob, len(s.xs))
+		for i, x := range s.xs {
+			for k := 0; k < o.Seeds; k++ {
+				j := &runJob{sc: s.scenario(o, vr, x, o.BaseSeed+int64(k))}
+				cells[v][i] = append(cells[v][i], j)
+				jobs = append(jobs, j)
+			}
+		}
+	}
+	if err := runGrid(o, jobs); err != nil {
+		return nil, err
+	}
+	fig := &Figure{ID: s.id, Title: s.title, XLabel: s.xLabel, YLabel: s.yLabel, Notes: s.notes}
+	for _, j := range jobs {
+		fig.Runs++
+		fig.Events += j.res.Events
+		fig.SimTime += j.sc.Duration
+	}
+	if err := s.fold(&s, fig, cells); err != nil {
+		return nil, err
+	}
+	return fig, nil
+}
+
+// A metric is one measure of a run. A series folded by means is named
+// by its variant followed by its metric.
+type metric struct {
+	name  string
+	value func(sc *Scenario, r *Result) float64
+}
+
+func (m metric) as(name string) metric {
+	m.name = name
+	return m
+}
+
+var (
+	duty    = metric{value: func(_ *Scenario, r *Result) float64 { return r.DutyCycle * 100 }}
+	latency = metric{value: func(_ *Scenario, r *Result) float64 { return r.Latency.Mean.Seconds() }}
+)
+
+// means folds every cell into the mean of each metric over its seeds:
+// one series per metric and variant, metric-major.
+func means(ms ...metric) func(*sweep, *Figure, [][][]*runJob) error {
+	return func(s *sweep, fig *Figure, cells [][][]*runJob) error {
+		for _, m := range ms {
+			for v, row := range cells {
+				ser := Series{Name: s.variants[v].name + m.name}
+				for i, runs := range row {
+					var w stats.Welford
+					for _, j := range runs {
+						w.Add(m.value(&j.sc, j.res))
+					}
+					ser.Points = append(ser.Points, point(s.xs[i], &w))
+				}
+				fig.Series = append(fig.Series, ser)
+			}
+		}
+		return nil
+	}
+}
+
+func point(x float64, w *stats.Welford) Point {
+	return Point{X: x, Mean: w.Mean(), CI90: w.CI90(), N: w.N()}
+}
+
+// byRank folds each variant's runs at its one x into duty cycle by tree
+// rank, pooling every seed's nodes of a rank into one point. A rank
+// that only one seed's tree reaches is a single sample.
+func byRank(s *sweep, fig *Figure, cells [][][]*runJob) error {
+	for v, row := range cells {
+		ranks := make(map[int]*stats.Welford)
+		for _, j := range row[0] {
+			for r, d := range j.res.DutyByRank {
+				if ranks[r] == nil {
+					ranks[r] = &stats.Welford{}
+				}
+				ranks[r].Add(d * 100)
+			}
+		}
+		sorted := make([]int, 0, len(ranks))
+		for r := range ranks {
+			sorted = append(sorted, r)
+		}
+		sort.Ints(sorted)
+		ser := Series{Name: s.variants[v].name}
+		for _, r := range sorted {
+			ser.Points = append(ser.Points, point(float64(r), ranks[r]))
+		}
+		fig.Series = append(fig.Series, ser)
+	}
+	return nil
+}
+
+// sleepHistogram folds each variant's runs at its one x into a
+// histogram of sleep intervals in 25 ms bins up to 200 ms. Each bin is
+// one count pooled over every seed, not a mean over seeds: a single
+// sample with no interval. The note gives each variant's share of
+// sleeps shorter than the MICA2 break-even time (2.5 ms).
+func sleepHistogram(s *sweep, fig *Figure, cells [][][]*runJob) error {
+	note := "% of sleeps < 2.5 ms:"
+	for v, row := range cells {
+		hist, err := stats.NewHistogram(25*time.Millisecond, 8)
+		if err != nil {
+			return err
+		}
+		for _, j := range row[0] {
+			for _, d := range j.res.SleepIntervals {
+				hist.Add(d)
+			}
+		}
+		ser := Series{Name: s.variants[v].name}
+		for i, c := range hist.Counts() {
+			ser.Points = append(ser.Points, Point{
+				X:    (time.Duration(i+1) * hist.BinWidth()).Seconds() * 1000,
+				Mean: float64(c),
+				N:    1,
+			})
+		}
+		fig.Series = append(fig.Series, ser)
+		note += fmt.Sprintf(" %s=%.2f%%", ser.Name, hist.FractionBelow(2500*time.Microsecond)*100)
+	}
+	fig.Notes = append(fig.Notes, note+" (paper: 6.33 / 0.85 / 0.40)")
+	return nil
+}
+
 // FigureInfo is one FigureCatalog entry: a figure's ID and the title
 // it prints, whether it is an ablation or robustness study rather than
-// one of the paper's figures, and its driver at the default x range.
+// one of the paper's figures, and Run, which executes its declared grid.
 type FigureInfo struct {
 	ID    string
 	Title string
@@ -322,434 +478,268 @@ type FigureInfo struct {
 	Run   func(Options) (*Figure, error)
 }
 
-// The ID and title of every catalog figure, spelled once: each driver
-// stamps them on its Figure, and FigureCatalog lists them.
-var (
-	fig2Info     = FigureInfo{ID: "fig2", Title: "Impact of query deadline on duty cycle and query latency of STS-SS"}
-	fig3Info     = FigureInfo{ID: "fig3", Title: "Average duty cycle for three query classes when varying base rate"}
-	fig4Info     = FigureInfo{ID: "fig4", Title: "Average duty cycle for three query classes when varying number of queries per class"}
-	fig5Info     = FigureInfo{ID: "fig5", Title: "Distribution of duty cycles at different ranks (base rate 5 Hz)"}
-	fig6Info     = FigureInfo{ID: "fig6", Title: "Query latency for three query classes when varying base rate"}
-	fig7Info     = FigureInfo{ID: "fig7", Title: "Query latency for three query classes when varying the number of queries per class"}
-	fig8Info     = FigureInfo{ID: "fig8", Title: "Histogram of sleep intervals (TBE=0, base rate 5 Hz)"}
-	fig9Info     = FigureInfo{ID: "fig9", Title: "Impact of break-even time on DTS-SS duty cycle"}
-	overheadInfo = FigureInfo{ID: "overhead", Title: "DTS phase-update overhead (§4.2.3; paper: <1 bit per data report)"}
-
-	ablationGuardInfo      = FigureInfo{ID: "ablation-guard", Study: true, Title: "Safe Sleep break-even guard vs naive sleep-any-gap (DTS-SS duty cycle)"}
-	ablationBufferingInfo  = FigureInfo{ID: "ablation-buffering", Study: true, Title: "Early-report buffering vs greedy early send (DTS-SS)"}
-	ablationTreeInfo       = FigureInfo{ID: "ablation-tree", Study: true, Title: "Setup-flood tree vs idealized BFS tree (DTS-SS duty cycle)"}
-	robustnessLossInfo     = FigureInfo{ID: "robustness-loss", Study: true, Title: "Root coverage under transient packet loss (§4.3 maintenance)"}
-	robustnessFailuresInfo = FigureInfo{ID: "robustness-failures", Study: true, Title: "DTS-SS under mid-run node failures (§4.3 recovery)"}
-	lifetimeInfo           = FigureInfo{ID: "lifetime", Study: true, Title: "Network lifetime with finite batteries (§4.2.1; x: 1=DTS-SS 2=STS-SS 3=NTS-SS 4=SPAN)"}
-)
-
-// FigureCatalog lists every figure and study driver this package can
+// FigureCatalog lists every figure and study this package can
 // regenerate, in presentation order: the paper's figures first, then
 // the studies.
 func FigureCatalog() []FigureInfo {
-	with := func(info FigureInfo, run func(Options) (*Figure, error)) FigureInfo {
-		info.Run = run
-		return info
+	out := make([]FigureInfo, len(figures))
+	for i, s := range figures {
+		out[i] = FigureInfo{ID: s.id, Title: s.title, Study: s.study, Run: s.run}
 	}
-	return []FigureInfo{
-		with(fig2Info, func(o Options) (*Figure, error) { return Fig2Deadline(o, nil) }),
-		with(fig3Info, func(o Options) (*Figure, error) { return Fig3DutyVsRate(o, nil) }),
-		with(fig4Info, func(o Options) (*Figure, error) { return Fig4DutyVsQueries(o, nil) }),
-		with(fig5Info, Fig5DutyByRank),
-		with(fig6Info, func(o Options) (*Figure, error) { return Fig6LatencyVsRate(o, nil) }),
-		with(fig7Info, func(o Options) (*Figure, error) { return Fig7LatencyVsQueries(o, nil) }),
-		with(fig8Info, func(o Options) (*Figure, error) {
-			fig, _, err := Fig8SleepHistogram(o)
-			return fig, err
-		}),
-		with(fig9Info, func(o Options) (*Figure, error) { return Fig9BreakEven(o, nil) }),
-		with(overheadInfo, func(o Options) (*Figure, error) { return OverheadPhaseUpdates(o, nil) }),
-		with(ablationGuardInfo, AblationBreakEvenGuard),
-		with(ablationBufferingInfo, AblationBuffering),
-		with(ablationTreeInfo, AblationTreeConstruction),
-		with(robustnessLossInfo, func(o Options) (*Figure, error) { return RobustnessLoss(o, nil) }),
-		with(robustnessFailuresInfo, func(o Options) (*Figure, error) { return RobustnessFailures(o, nil) }),
-		with(lifetimeInfo, func(o Options) (*Figure, error) { return Lifetime(o, 0) }),
-	}
+	return out
 }
 
-// Fig2Deadline reproduces Figure 2: the impact of the STS query deadline
-// on STS-SS duty cycle and query latency, with three queries running.
-// The paper observes a knee near D ≈ 0.12 s: below it latency is flat
-// while duty falls; above it latency grows linearly with no duty gain.
-func Fig2Deadline(o Options, deadlines []time.Duration) (*Figure, error) {
-	o = o.normalized()
-	if len(deadlines) == 0 {
-		for d := 50 * time.Millisecond; d <= 800*time.Millisecond; d += 75 * time.Millisecond {
-			deadlines = append(deadlines, d)
-		}
-	}
-	const baseRate = 1.0
-	results, work, err := runMatrix(o, len(deadlines), func(i int, seed int64) Scenario {
-		sc := o.scenario(STSSS, seed)
-		rng := rand.New(rand.NewSource(seed * 7919))
-		sc.Queries = QueryClasses(rng, baseRate, 1, 10*time.Second)
-		sc.STSDeadline = deadlines[i]
-		return sc
-	})
-	if err != nil {
-		return nil, err
-	}
-	duty := Series{Name: "duty cycle (%)"}
-	lat := Series{Name: "query latency (s)"}
-	for i, d := range deadlines {
-		x := d.Seconds()
-		duty.Points = append(duty.Points, pointFrom(x, results[i],
-			func(r *Result) float64 { return r.DutyCycle * 100 }))
-		lat.Points = append(lat.Points, pointFrom(x, results[i],
-			func(r *Result) float64 { return r.Latency.Mean.Seconds() }))
-	}
-	return &Figure{
-		ID:     fig2Info.ID,
-		Title:  fig2Info.Title,
-		XLabel: "deadline (s)",
-		YLabel: "duty cycle (%) / latency (s)",
-		Series: []Series{duty, lat},
-		Work:   work,
-	}, nil
-}
+var (
+	// rates is the base-rate axis of Figures 3, 6 and 9 and the
+	// overhead measurement; counts the queries-per-class axis of
+	// Figures 4 and 7.
+	rates  = []float64{1, 2, 3, 4, 5}
+	counts = []float64{1, 2, 4, 6, 8, 10}
+	// The studies sweep fewer rates.
+	studyRates = []float64{1, 3, 5}
+	// SYNC is omitted from the duty figures as in the paper: it is 20%
+	// by construction.
+	dutyProtocols    = protocols(DTSSS, STSSS, NTSSS, PSM, SPAN)
+	latencyProtocols = protocols(DTSSS, STSSS, NTSSS, PSM, SPAN, SYNC)
+	essatProtocols   = protocols(DTSSS, STSSS, NTSSS)
+)
 
-// protocolSweep runs every (protocol, x, seed) combination through one
-// pooled job grid and aggregates metric per point.
-func protocolSweep(o Options, protos []Protocol, xs []float64,
-	build func(p Protocol, x float64, seed int64) Scenario,
-	metric func(*Result) float64) ([]Series, Work, error) {
-
-	results, work, err := runMatrix(o, len(protos)*len(xs), func(i int, seed int64) Scenario {
-		return build(protos[i/len(xs)], xs[i%len(xs)], seed)
-	})
-	if err != nil {
-		return nil, Work{}, err
-	}
-	var out []Series
-	for pi, p := range protos {
-		s := Series{Name: string(p)}
-		for xi, x := range xs {
-			s.Points = append(s.Points, pointFrom(x, results[pi*len(xs)+xi], metric))
-		}
-		out = append(out, s)
-	}
-	return out, work, nil
-}
-
-// dutyProtocols are the protocols of Figures 3 and 4 (SYNC is omitted
-// from the duty figures as in the paper: it is 20% by construction).
-var dutyProtocols = []Protocol{DTSSS, STSSS, NTSSS, PSM, SPAN}
-
-// Fig3DutyVsRate reproduces Figure 3: average duty cycle for three query
-// classes as the base rate varies from 1 to 5 Hz.
-func Fig3DutyVsRate(o Options, rates []float64) (*Figure, error) {
-	o = o.normalized()
-	if len(rates) == 0 {
-		rates = []float64{1, 2, 3, 4, 5}
-	}
-	series, work, err := protocolSweep(o, dutyProtocols, rates,
-		func(p Protocol, rate float64, seed int64) Scenario {
-			sc := o.scenario(p, seed)
-			rng := rand.New(rand.NewSource(seed * 7919))
-			sc.Queries = QueryClasses(rng, rate, 1, 10*time.Second)
-			return sc
+// figures is the catalog's one list, in presentation order.
+var figures = []sweep{
+	// Figure 2: the impact of the STS query deadline on STS-SS duty
+	// cycle and query latency, with three queries running. The paper
+	// observes a knee near D ≈ 0.12 s: below it latency is flat while
+	// duty falls; above it latency grows linearly with no duty gain.
+	{
+		id: "fig2", title: "Impact of query deadline on duty cycle and query latency of STS-SS",
+		xLabel: "deadline (s)", yLabel: "duty cycle (%) / latency (s)",
+		protocol: STSSS,
+		xs:       []float64{0.05, 0.125, 0.2, 0.275, 0.35, 0.425, 0.5, 0.575, 0.65, 0.725, 0.8},
+		at: func(sc *Scenario, d float64) {
+			rateWorkload(sc, 1)
+			sc.STSDeadline = time.Duration(math.Round(d * float64(time.Second)))
 		},
-		func(r *Result) float64 { return r.DutyCycle * 100 })
-	if err != nil {
-		return nil, err
-	}
-	return &Figure{
-		ID:     fig3Info.ID,
-		Title:  fig3Info.Title,
-		XLabel: "base rate (Hz)",
-		YLabel: "duty cycle (%)",
-		Series: series,
-		Work:   work,
-		Notes:  []string{"SYNC is fixed at 20% duty by construction and omitted, as in the paper"},
-	}, nil
-}
-
-// Fig4DutyVsQueries reproduces Figure 4: average duty cycle at a fixed
-// 0.2 Hz base rate as the number of queries per class grows.
-func Fig4DutyVsQueries(o Options, counts []int) (*Figure, error) {
-	o = o.normalized()
-	if len(counts) == 0 {
-		counts = []int{1, 2, 4, 6, 8, 10}
-	}
-	xs := make([]float64, len(counts))
-	for i, c := range counts {
-		xs[i] = float64(c)
-	}
-	series, work, err := protocolSweep(o, dutyProtocols, xs,
-		func(p Protocol, x float64, seed int64) Scenario {
-			sc := o.scenario(p, seed)
-			rng := rand.New(rand.NewSource(seed * 104729))
-			sc.Queries = QueryClasses(rng, 0.2, int(x), 10*time.Second)
-			return sc
+		fold: means(duty.as("duty cycle (%)"), latency.as("query latency (s)")),
+	},
+	// Figure 3: average duty cycle for three query classes as the base
+	// rate varies from 1 to 5 Hz.
+	{
+		id: "fig3", title: "Average duty cycle for three query classes when varying base rate",
+		xLabel: "base rate (Hz)", yLabel: "duty cycle (%)",
+		notes:    []string{"SYNC is fixed at 20% duty by construction and omitted, as in the paper"},
+		variants: dutyProtocols, xs: rates, at: rateWorkload, fold: means(duty),
+	},
+	// Figure 4: average duty cycle at a fixed 0.2 Hz base rate as the
+	// number of queries per class grows.
+	{
+		id: "fig4", title: "Average duty cycle for three query classes when varying number of queries per class",
+		xLabel: "queries/class", yLabel: "duty cycle (%)",
+		variants: dutyProtocols, xs: counts, at: countWorkload, fold: means(duty),
+	},
+	// Figure 5: the distribution of duty cycles across tree ranks for
+	// the three ESSAT protocols at a 5 Hz base rate. NTS-SS grows
+	// linearly with rank (Eq. 1). STS-SS and DTS-SS rise with rank as
+	// well (at paper scale from 16.7/16.3% at the leaves to 50.8/50.2%
+	// at rank 5), so the shape test checks only that NTS-SS's slope is
+	// steeper than DTS-SS's.
+	{
+		id: "fig5", title: "Distribution of duty cycles at different ranks (base rate 5 Hz)",
+		xLabel: "rank (0=leaf)", yLabel: "duty cycle (%)",
+		variants: essatProtocols, xs: []float64{5}, at: rateWorkload, fold: byRank,
+	},
+	// Figure 6: average query latency as the base rate varies (the
+	// paper plots it on a log scale).
+	{
+		id: "fig6", title: "Query latency for three query classes when varying base rate",
+		xLabel: "base rate (Hz)", yLabel: "query latency (s)",
+		notes:    []string{"SYNC saturates at high rates (queueing): latencies grow with run length"},
+		variants: latencyProtocols, xs: rates, at: rateWorkload, fold: means(latency),
+	},
+	// Figure 7: average query latency at a 0.2 Hz base rate as the
+	// number of queries per class grows.
+	{
+		id: "fig7", title: "Query latency for three query classes when varying the number of queries per class",
+		xLabel: "queries/class", yLabel: "query latency (s)",
+		variants: latencyProtocols, xs: counts, at: countWorkload, fold: means(latency),
+	},
+	// Figure 8: the histogram of sleep-interval lengths at a 5 Hz base
+	// rate with TBE = 0 and instantaneous radio transitions, for the
+	// three ESSAT protocols. The paper reads off the fraction of
+	// intervals shorter than the MICA2 break-even time (2.5 ms): 0.40%
+	// for NTS-SS, 0.85% for STS-SS and 6.33% for DTS-SS.
+	{
+		id: "fig8", title: "Histogram of sleep intervals (TBE=0, base rate 5 Hz)",
+		xLabel: "sleep length (ms)", yLabel: "count per 25 ms bin, pooled over seeds",
+		variants: essatProtocols, xs: []float64{5},
+		at: func(sc *Scenario, rate float64) {
+			rateWorkload(sc, rate)
+			sc.SSBreakEven = 0
+			sc.RadioCfg = &radio.Config{}
+			sc.RecordSleepIntervals = true
 		},
-		func(r *Result) float64 { return r.DutyCycle * 100 })
-	if err != nil {
-		return nil, err
-	}
-	return &Figure{
-		ID:     fig4Info.ID,
-		Title:  fig4Info.Title,
-		XLabel: "queries/class",
-		YLabel: "duty cycle (%)",
-		Series: series,
-		Work:   work,
-	}, nil
-}
+		fold: sleepHistogram,
+	},
+	// Figure 9: DTS-SS duty cycle versus base rate for Safe Sleep
+	// break-even times of 0, 2.5, 10 and 40 ms. The figure's caption
+	// says STS-SS, but the surrounding text analyzes DTS-SS, the
+	// protocol most sensitive to TBE; the sweep follows the text.
+	{
+		id: "fig9", title: "Impact of break-even time on DTS-SS duty cycle",
+		xLabel: "base rate (Hz)", yLabel: "duty cycle (%)",
+		protocol: DTSSS,
+		variants: []variant{
+			{"TBE=0s", breakEven(0)},
+			{"TBE=2.5ms", breakEven(2500 * time.Microsecond)},
+			{"TBE=10ms", breakEven(10 * time.Millisecond)},
+			{"TBE=40ms", breakEven(40 * time.Millisecond)},
+		},
+		xs: rates, at: rateWorkload, fold: means(duty),
+	},
+	// §4.2.3: DTS's phase-update overhead in piggybacked bits per data
+	// report across query rates (the paper reports less than one bit
+	// per report).
+	{
+		id: "overhead", title: "DTS phase-update overhead (§4.2.3; paper: <1 bit per data report)",
+		xLabel: "base rate (Hz)", yLabel: "piggybacked bits per data report",
+		protocol: DTSSS, xs: rates, at: rateWorkload,
+		fold: means(metric{"DTS-SS phase bits/report",
+			func(_ *Scenario, r *Result) float64 { return r.PhaseUpdateBitsPerReport }}),
+	},
 
-// Fig5DutyByRank reproduces Figure 5: the distribution of duty cycles
-// across tree ranks for the three ESSAT protocols at a 5 Hz base rate.
-// NTS-SS grows linearly with rank (Eq. 1). STS-SS and DTS-SS rise with
-// rank as well (at paper scale from 16.7/16.3% at the leaves to
-// 50.8/50.2% at rank 5), so the shape test checks only that NTS-SS's
-// slope is steeper than DTS-SS's. A rank that only one seed's tree
-// reaches is a single sample and prints without an interval.
-func Fig5DutyByRank(o Options) (*Figure, error) {
-	o = o.normalized()
-	protos := []Protocol{DTSSS, STSSS, NTSSS}
-	results, work, err := runMatrix(o, len(protos), func(i int, seed int64) Scenario {
-		sc := o.scenario(protos[i], seed)
-		rng := rand.New(rand.NewSource(seed * 7919))
-		sc.Queries = QueryClasses(rng, 5, 1, 10*time.Second)
-		return sc
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []Series
-	for pi, p := range protos {
-		byRank := make(map[int]*stats.Welford)
-		for _, res := range results[pi] {
-			for r, d := range res.DutyByRank {
-				if byRank[r] == nil {
-					byRank[r] = &stats.Welford{}
-				}
-				byRank[r].Add(d * 100)
+	// The ablation studies isolate the design choices DESIGN.md calls
+	// out: the Safe Sleep break-even guard, the shapers' early-report
+	// buffering, and the flood-vs-BFS tree construction. In each, the
+	// paper's variant changes nothing.
+	//
+	// The guard: DTS-SS with tBE = the radio's real break-even time
+	// against a naive scheduler that sleeps through any free gap
+	// (tBE = 0) on the same MICA2-like radio. Without the guard, short
+	// sleeps cost more energy than they save and late wake-ups turn
+	// into MAC retries.
+	{
+		id: "ablation-guard", study: true,
+		title:  "Safe Sleep break-even guard vs naive sleep-any-gap (DTS-SS duty cycle)",
+		xLabel: "base rate (Hz)", yLabel: "duty cycle (%)",
+		protocol: DTSSS,
+		variants: []variant{{name: "guarded (tBE=radio)"}, {"naive (tBE=0)", breakEven(0)}},
+		xs:       studyRates, at: rateWorkload, fold: means(duty),
+	},
+	// Buffering: DTS-SS with and without holding early reports until
+	// their expected send time. Buffering keeps senders aligned with
+	// their parents' wake-ups; without it, early transmissions find
+	// sleeping receivers and burn retries (MAC failures per 1000 sends,
+	// beside the duty cost).
+	{
+		id: "ablation-buffering", study: true,
+		title:  "Early-report buffering vs greedy early send (DTS-SS)",
+		xLabel: "base rate (Hz)", yLabel: "duty cycle (%) / MAC failures per 1000 sends",
+		protocol: DTSSS,
+		variants: []variant{
+			{name: "buffered (paper)"},
+			{"greedy early send", func(sc *Scenario) { sc.NoBuffering = true }},
+		},
+		xs: studyRates, at: rateWorkload,
+		fold: means(duty.as(" duty%"), metric{" fails/1k", func(_ *Scenario, r *Result) float64 {
+			total := r.MACSent + r.MACFailed
+			if total == 0 {
+				return 0
 			}
-		}
-		s := Series{Name: string(p)}
-		ranks := make([]int, 0, len(byRank))
-		for r := range byRank {
-			ranks = append(ranks, r)
-		}
-		sort.Ints(ranks)
-		for _, r := range ranks {
-			s.Points = append(s.Points, Point{
-				X: float64(r), Mean: byRank[r].Mean(), CI90: byRank[r].CI90(), N: byRank[r].N(),
-			})
-		}
-		out = append(out, s)
-	}
-	return &Figure{
-		ID:     fig5Info.ID,
-		Title:  fig5Info.Title,
-		XLabel: "rank (0=leaf)",
-		YLabel: "duty cycle (%)",
-		Series: out,
-		Work:   work,
-	}, nil
-}
-
-// latencyProtocols are the protocols of Figures 6 and 7.
-var latencyProtocols = []Protocol{DTSSS, STSSS, NTSSS, PSM, SPAN, SYNC}
-
-// Fig6LatencyVsRate reproduces Figure 6: average query latency as the
-// base rate varies (the paper plots it on a log scale).
-func Fig6LatencyVsRate(o Options, rates []float64) (*Figure, error) {
-	o = o.normalized()
-	if len(rates) == 0 {
-		rates = []float64{1, 2, 3, 4, 5}
-	}
-	series, work, err := protocolSweep(o, latencyProtocols, rates,
-		func(p Protocol, rate float64, seed int64) Scenario {
-			sc := o.scenario(p, seed)
-			rng := rand.New(rand.NewSource(seed * 7919))
-			sc.Queries = QueryClasses(rng, rate, 1, 10*time.Second)
-			return sc
+			return float64(r.MACFailed) / float64(total) * 1000
+		}}),
+	},
+	// The tree: DTS-SS on the simulated setup flood's tree (the
+	// paper's construction, deeper and less regular) against an
+	// idealized min-hop BFS tree.
+	{
+		id: "ablation-tree", study: true,
+		title:  "Setup-flood tree vs idealized BFS tree (DTS-SS duty cycle)",
+		xLabel: "base rate (Hz)", yLabel: "duty cycle (%)",
+		protocol: DTSSS,
+		variants: []variant{
+			{name: "flood tree (paper)"},
+			{"min-hop BFS tree", func(sc *Scenario) { sc.BFSTree = true }},
 		},
-		func(r *Result) float64 { return r.Latency.Mean.Seconds() })
-	if err != nil {
-		return nil, err
-	}
-	return &Figure{
-		ID:     fig6Info.ID,
-		Title:  fig6Info.Title,
-		XLabel: "base rate (Hz)",
-		YLabel: "query latency (s)",
-		Series: series,
-		Work:   work,
-		Notes:  []string{"SYNC saturates at high rates (queueing): latencies grow with run length"},
-	}, nil
-}
-
-// Fig7LatencyVsQueries reproduces Figure 7: average query latency at a
-// 0.2 Hz base rate as the number of queries per class grows.
-func Fig7LatencyVsQueries(o Options, counts []int) (*Figure, error) {
-	o = o.normalized()
-	if len(counts) == 0 {
-		counts = []int{1, 2, 4, 6, 8, 10}
-	}
-	xs := make([]float64, len(counts))
-	for i, c := range counts {
-		xs[i] = float64(c)
-	}
-	series, work, err := protocolSweep(o, latencyProtocols, xs,
-		func(p Protocol, x float64, seed int64) Scenario {
-			sc := o.scenario(p, seed)
-			rng := rand.New(rand.NewSource(seed * 104729))
-			sc.Queries = QueryClasses(rng, 0.2, int(x), 10*time.Second)
-			return sc
+		xs: studyRates, at: rateWorkload, fold: means(duty),
+	},
+	// Transient packet loss (§4.3) for the three ESSAT protocols at a
+	// 1 Hz base rate, against root coverage: how much of the network's
+	// data still reaches the root per interval, as a share of the tree.
+	// DTS pays for its adaptivity with resynchronization traffic but
+	// keeps coverage close to NTS/STS.
+	{
+		id: "robustness-loss", study: true,
+		title:  "Root coverage under transient packet loss (§4.3 maintenance)",
+		xLabel: "loss rate (%)", yLabel: "root coverage (% of tree)",
+		variants: essatProtocols, xs: []float64{0, 5, 10, 20},
+		at: func(sc *Scenario, lossPct float64) {
+			rateWorkload(sc, 1)
+			sc.LossRate = lossPct / 100
+			sc.FailureThreshold = 3
 		},
-		func(r *Result) float64 { return r.Latency.Mean.Seconds() })
-	if err != nil {
-		return nil, err
-	}
-	return &Figure{
-		ID:     fig7Info.ID,
-		Title:  fig7Info.Title,
-		XLabel: "queries/class",
-		YLabel: "query latency (s)",
-		Series: series,
-		Work:   work,
-	}, nil
-}
-
-// fig8Scenario is one Fig. 8 run: the 5 Hz workload with TBE = 0 and
-// instantaneous radio transitions, recording every sleep interval.
-func fig8Scenario(o Options, p Protocol, seed int64) Scenario {
-	sc := o.scenario(p, seed)
-	rng := rand.New(rand.NewSource(seed * 7919))
-	sc.Queries = QueryClasses(rng, 5, 1, 10*time.Second)
-	sc.SSBreakEven = 0
-	sc.RadioCfg = &radio.Config{}
-	sc.RecordSleepIntervals = true
-	return sc
-}
-
-// Fig8SleepHistogram reproduces Figure 8: the histogram of sleep-interval
-// lengths with TBE = 0 for the three ESSAT protocols, in 25 ms bins up to
-// 200 ms. The paper reads off the fraction of intervals shorter than the
-// MICA2 break-even time (2.5 ms): 0.40% for NTS-SS, 0.85% for STS-SS and
-// 6.33% for DTS-SS.
-func Fig8SleepHistogram(o Options) (*Figure, []float64, error) {
-	o = o.normalized()
-	protos := []Protocol{DTSSS, STSSS, NTSSS}
-	results, work, err := runMatrix(o, len(protos), func(i int, seed int64) Scenario {
-		return fig8Scenario(o, protos[i], seed)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	var out []Series
-	var below25 []float64
-	for pi, p := range protos {
-		hist, err := stats.NewHistogram(25*time.Millisecond, 8)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, res := range results[pi] {
-			for _, d := range res.SleepIntervals {
-				hist.Add(d)
+		fold: means(metric{" coverage%", func(_ *Scenario, r *Result) float64 {
+			return r.Coverage / float64(r.TreeSize) * 100
+		}}),
+	},
+	// A growing number of random non-leaf nodes killed mid-run under
+	// DTS-SS, against coverage among survivors: the §4.3 recovery
+	// (parent-side dependency removal, child-side re-parenting with
+	// Join + phase update) should keep surviving nodes' data flowing.
+	{
+		id: "robustness-failures", study: true,
+		title:  "DTS-SS under mid-run node failures (§4.3 recovery)",
+		xLabel: "failed nodes", yLabel: "coverage (% of survivors) / duty cycle (%)",
+		notes: []string{
+			"values above 100% are expected: victims contribute before dying, and during",
+			"re-parent handoffs a report can reach the root via both the old and new parent",
+		},
+		protocol: DTSSS, xs: []float64{0, 1, 2, 4},
+		at: func(sc *Scenario, failures float64) {
+			rateWorkload(sc, 1)
+			sc.FailureThreshold = 3
+			for j := 0; j < int(failures); j++ {
+				sc.Failures = append(sc.Failures, Failure{
+					At:   sc.Duration/4 + time.Duration(j)*sc.Duration/8,
+					Node: -1,
+				})
 			}
-		}
-		// Each bin is one count pooled over every seed, not a mean
-		// over seeds: a single sample with no interval.
-		s := Series{Name: string(p)}
-		for i, c := range hist.Counts() {
-			s.Points = append(s.Points, Point{
-				X:    (time.Duration(i+1) * hist.BinWidth()).Seconds() * 1000,
-				Mean: float64(c),
-				N:    1,
-			})
-		}
-		out = append(out, s)
-		below25 = append(below25, hist.FractionBelow(2500*time.Microsecond)*100)
-	}
-	fig := &Figure{
-		ID:     fig8Info.ID,
-		Title:  fig8Info.Title,
-		XLabel: "sleep length (ms)",
-		YLabel: "count per 25 ms bin, pooled over seeds",
-		Series: out,
-		Work:   work,
-		Notes: []string{fmt.Sprintf("%% of sleeps < 2.5 ms: DTS-SS=%.2f%% STS-SS=%.2f%% NTS-SS=%.2f%% (paper: 6.33 / 0.85 / 0.40)",
-			below25[0], below25[1], below25[2])},
-	}
-	return fig, below25, nil
-}
-
-// Fig9BreakEven reproduces Figure 9: DTS-SS duty cycle versus base rate
-// for Safe Sleep break-even times of 0, 2.5, 10 and 40 ms (the figure's
-// caption says STS-SS but the surrounding text analyzes DTS-SS, the
-// protocol most sensitive to TBE; the driver follows the text).
-func Fig9BreakEven(o Options, rates []float64) (*Figure, error) {
-	o = o.normalized()
-	if len(rates) == 0 {
-		rates = []float64{1, 2, 3, 4, 5}
-	}
-	tbes := []time.Duration{0, 2500 * time.Microsecond, 10 * time.Millisecond, 40 * time.Millisecond}
-	results, work, err := runMatrix(o, len(tbes)*len(rates), func(i int, seed int64) Scenario {
-		sc := o.scenario(DTSSS, seed)
-		rng := rand.New(rand.NewSource(seed * 7919))
-		sc.Queries = QueryClasses(rng, rates[i%len(rates)], 1, 10*time.Second)
-		sc.SSBreakEven = tbes[i/len(rates)]
-		return sc
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []Series
-	for ti, tbe := range tbes {
-		s := Series{Name: fmt.Sprintf("TBE=%v", tbe)}
-		for ri, rate := range rates {
-			s.Points = append(s.Points, pointFrom(rate, results[ti*len(rates)+ri],
-				func(r *Result) float64 { return r.DutyCycle * 100 }))
-		}
-		out = append(out, s)
-	}
-	return &Figure{
-		ID:     fig9Info.ID,
-		Title:  fig9Info.Title,
-		XLabel: "base rate (Hz)",
-		YLabel: "duty cycle (%)",
-		Series: out,
-		Work:   work,
-	}, nil
-}
-
-// OverheadPhaseUpdates reproduces the §4.2.3 measurement: DTS's phase-
-// update overhead in piggybacked bits per data report across query rates
-// (the paper reports less than one bit per report).
-func OverheadPhaseUpdates(o Options, rates []float64) (*Figure, error) {
-	o = o.normalized()
-	if len(rates) == 0 {
-		rates = []float64{1, 2, 3, 4, 5}
-	}
-	results, work, err := runMatrix(o, len(rates), func(i int, seed int64) Scenario {
-		sc := o.scenario(DTSSS, seed)
-		rng := rand.New(rand.NewSource(seed * 7919))
-		sc.Queries = QueryClasses(rng, rates[i], 1, 10*time.Second)
-		return sc
-	})
-	if err != nil {
-		return nil, err
-	}
-	s := Series{Name: "DTS-SS phase bits/report"}
-	for i, rate := range rates {
-		s.Points = append(s.Points, pointFrom(rate, results[i],
-			func(r *Result) float64 { return r.PhaseUpdateBitsPerReport }))
-	}
-	return &Figure{
-		ID:     overheadInfo.ID,
-		Title:  overheadInfo.Title,
-		XLabel: "base rate (Hz)",
-		YLabel: "piggybacked bits per data report",
-		Series: []Series{s},
-		Work:   work,
-	}, nil
+		},
+		fold: means(metric{"coverage % of survivors", func(sc *Scenario, r *Result) float64 {
+			alive := float64(r.TreeSize - len(sc.Failures))
+			if alive <= 0 {
+				return 0
+			}
+			return r.Coverage / alive * 100
+		}}, duty.as("duty cycle %")),
+	},
+	// Network lifetime, the paper's §4.2.1 scalability argument: "large
+	// variations in the energy conserved at different nodes limits the
+	// lifetime of the network. The nodes close to the root that have
+	// higher ranks will run out of energy faster than the others."
+	// Every non-root node gets a 0.5 J battery, sized so deaths occur
+	// within the run: at a 5 Hz base rate a high-rank NTS-SS node draws
+	// a few milliwatts. The x axis numbers the protocols; SPAN's
+	// backbone dies almost immediately at this scale. Failure detection
+	// is on, so survivors route around the dead.
+	{
+		id: "lifetime", study: true,
+		title:  "Network lifetime with finite batteries (§4.2.1; x: 1=DTS-SS 2=STS-SS 3=NTS-SS 4=SPAN)",
+		xLabel: "protocol", yLabel: "first battery death (s) / deaths",
+		notes: []string{
+			"batteries are deliberately tiny so deaths occur within the run; the paper's",
+			"claim is about the ORDER: rank-skewed protocols lose their first node sooner",
+		},
+		xs: []float64{1, 2, 3, 4},
+		at: func(sc *Scenario, x float64) {
+			sc.Protocol = []Protocol{DTSSS, STSSS, NTSSS, SPAN}[int(x)-1]
+			rateWorkload(sc, 5)
+			sc.BatteryJ = 0.5
+			sc.FailureThreshold = 3
+		},
+		fold: means(metric{"first death (s)", func(sc *Scenario, r *Result) float64 {
+			if r.FirstDeath == 0 {
+				return sc.Duration.Seconds() // survived the whole run
+			}
+			return r.FirstDeath.Seconds()
+		}}, metric{"deaths by run end", func(_ *Scenario, r *Result) float64 { return float64(r.BatteryDeaths) }}),
+	},
 }

@@ -80,29 +80,43 @@ func TestOptionsNormalization(t *testing.T) {
 	}
 }
 
-func TestRunMatrixParallelAggregation(t *testing.T) {
-	o := Options{Duration: 6 * time.Second, Seeds: 3, Nodes: 25, Parallelism: 3}.normalized()
-	results, work, err := runMatrix(o, 1, func(i int, seed int64) Scenario {
-		sc := DefaultScenario(DTSSS, seed)
-		sc.Topology = topology.Config{NumNodes: o.Nodes, AreaSide: 300, Range: 125}
-		sc.Duration = o.Duration
-		sc.MeasureFrom = time.Second
-		rng := rand.New(rand.NewSource(seed))
-		sc.Queries = QueryClasses(rng, 1, 1, time.Second)
-		return sc
-	})
+// catalogSweep returns a copy of the catalog's declaration of id, so a
+// test can narrow its grid without touching the catalog.
+func catalogSweep(t *testing.T, id string) sweep {
+	t.Helper()
+	for _, s := range figures {
+		if s.id == id {
+			return s
+		}
+	}
+	t.Fatalf("no catalog figure %q", id)
+	return sweep{}
+}
+
+func TestSweepParallelAggregation(t *testing.T) {
+	o := Options{Duration: 6 * time.Second, Seeds: 3, Nodes: 25, Parallelism: 3}
+	s := sweep{
+		protocol: DTSSS,
+		xs:       []float64{42},
+		at: func(sc *Scenario, _ float64) {
+			sc.Topology = topology.Config{NumNodes: o.Nodes, AreaSide: 300, Range: 125}
+			sc.MeasureFrom = time.Second
+			sc.Queries = QueryClasses(rand.New(rand.NewSource(sc.Seed)), 1, 1, time.Second)
+		},
+		fold: means(duty),
+	}
+	fig, err := s.run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if work.Runs != 3 || work.SimTime != 3*o.Duration {
-		t.Fatalf("work = %+v, want 3 runs over %v", work, 3*o.Duration)
+	if fig.Runs != 3 || fig.SimTime != 3*o.Duration {
+		t.Fatalf("work = %+v, want 3 runs over %v", fig.Work, 3*o.Duration)
 	}
-	pt := pointFrom(42, results[0], func(r *Result) float64 { return r.DutyCycle })
-	if pt.X != 42 || pt.N != 3 {
-		t.Fatalf("point = %+v", pt)
+	if len(fig.Series) != 1 || len(fig.Series[0].Points) != 1 {
+		t.Fatalf("series = %+v, want one series of one point", fig.Series)
 	}
-	if pt.Mean <= 0 || pt.Mean > 1 {
-		t.Fatalf("mean duty = %v", pt.Mean)
+	if pt := fig.Series[0].Points[0]; pt.X != 42 || pt.N != 3 || pt.Mean <= 0 || pt.Mean > 100 {
+		t.Fatalf("point = %+v, want x=42 over 3 seeds with a duty in (0, 100]", pt)
 	}
 }
 
@@ -117,7 +131,9 @@ func TestParallelSweepDeterminism(t *testing.T) {
 	render := func(workers int) string {
 		o := QuickOptions()
 		o.Parallelism = workers
-		fig, err := Fig3DutyVsRate(o, []float64{1, 5})
+		s := catalogSweep(t, "fig3")
+		s.xs = []float64{1, 5}
+		fig, err := s.run(o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,11 +154,12 @@ func TestParallelSweepDeterminism(t *testing.T) {
 // run concurrently must each report exactly their own runs.
 func TestFigureWork(t *testing.T) {
 	o := Options{Duration: 4 * time.Second, Seeds: 2, Nodes: 30, Parallelism: 2}
-	rates := []float64{1, 3}
+	s := catalogSweep(t, "fig3")
+	s.xs = []float64{1, 3}
 
 	var want uint64
-	for _, p := range dutyProtocols {
-		for _, rate := range rates {
+	for _, p := range []Protocol{DTSSS, STSSS, NTSSS, PSM, SPAN} {
+		for _, rate := range s.xs {
 			for seed := int64(1); seed <= 2; seed++ {
 				sc := o.normalized().scenario(p, seed)
 				sc.Queries = QueryClasses(rand.New(rand.NewSource(seed*7919)), rate, 1, 10*time.Second)
@@ -162,7 +179,7 @@ func TestFigureWork(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			figs[i], errs[i] = Fig3DutyVsRate(o, rates)
+			figs[i], errs[i] = s.run(o)
 		}(i)
 	}
 	wg.Wait()
@@ -276,12 +293,13 @@ func TestBFSTreeScenario(t *testing.T) {
 // with no radio override keeps the profile's latencies.
 func TestFig8RadiosTransitionInstantly(t *testing.T) {
 	o := Options{Duration: 5 * time.Second, Seeds: 1}.normalized()
+	fig8 := catalogSweep(t, "fig8")
 	for _, tc := range []struct {
 		name    string
 		sc      Scenario
 		instant bool
 	}{
-		{"fig8", fig8Scenario(o, DTSSS, 1), true},
+		{"fig8", fig8.scenario(o, fig8.variants[0], fig8.xs[0], 1), true},
 		{"profile", smokeScenario(DTSSS, 1), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

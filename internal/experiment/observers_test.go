@@ -224,9 +224,10 @@ func TestSleepIntervalsWithEveryObserver(t *testing.T) {
 		{NTSSS, 10048, 1253714010978, 0x37f8c80253f22ee1},
 	}
 	o := Options{Duration: 20 * time.Second, Seeds: 1}.normalized()
+	fig8 := catalogSweep(t, "fig8")
 	for _, pin := range pins {
 		t.Run(string(pin.p), func(t *testing.T) {
-			bare := fig8Scenario(o, pin.p, 1)
+			bare := fig8.scenario(o, protocols(pin.p)[0], fig8.xs[0], 1)
 			for _, sc := range []Scenario{bare, allObservers(bare, 64)} {
 				name := "bare"
 				if sc.Audit {

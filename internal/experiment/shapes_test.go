@@ -17,9 +17,9 @@ func TestShapeFig2Knee(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test")
 	}
-	fig, err := Fig2Deadline(shapeOptions(), []time.Duration{
-		50 * time.Millisecond, 200 * time.Millisecond, 700 * time.Millisecond,
-	})
+	s := catalogSweep(t, "fig2")
+	s.xs = []float64{0.05, 0.2, 0.7}
+	fig, err := s.run(shapeOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,9 @@ func TestShapeFig3Ordering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test")
 	}
-	fig, err := Fig3DutyVsRate(shapeOptions(), []float64{3})
+	s := catalogSweep(t, "fig3")
+	s.xs = []float64{3}
+	fig, err := s.run(shapeOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +73,7 @@ func TestShapeFig5RankTrend(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test")
 	}
-	o := shapeOptions()
-	fig, err := Fig5DutyByRank(o)
+	fig, err := catalogSweep(t, "fig5").run(shapeOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,9 @@ func TestShapeFig6STSLatencyFallsWithRate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test")
 	}
-	fig, err := Fig6LatencyVsRate(shapeOptions(), []float64{1, 5})
+	s := catalogSweep(t, "fig6")
+	s.xs = []float64{1, 5}
+	fig, err := s.run(shapeOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +137,9 @@ func TestShapeOverheadSubBit(t *testing.T) {
 	o := shapeOptions()
 	o.Duration = 80 * time.Second
 	o.Seeds = 1
-	fig, err := OverheadPhaseUpdates(o, []float64{1, 5})
+	s := catalogSweep(t, "overhead")
+	s.xs = []float64{1, 5}
+	fig, err := s.run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
