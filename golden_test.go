@@ -33,7 +33,7 @@ type goldenRun struct {
 }
 
 // goldenSuite pins scaled-down versions of the fig3 and fig6 grids
-// (same scenario construction as the figure drivers, 20-second runs,
+// (same scenario construction as the catalog figures, 20-second runs,
 // seed 1) plus the two checked-in scenario files. Every run executes
 // under the full invariant audit; the digest is the auditor's canonical
 // trace hash.
@@ -42,7 +42,7 @@ func goldenSuite() map[string][]goldenRun {
 		return func(*testing.T) essat.Scenario {
 			sc := essat.DefaultScenario(p, 1)
 			sc.Duration = 20 * time.Second
-			// The figure drivers' workload convention: phase rng seeded
+			// The figures' rate-workload convention: phase rng seeded
 			// with seed × 7919.
 			sc.Queries = essat.QueryClasses(rand.New(rand.NewSource(7919)), rate, 1, 10*time.Second)
 			return sc

@@ -80,7 +80,7 @@ type deployment struct {
 
 // DefaultDeployCacheSize bounds NewDeployCache(0). A sweep varies seeds
 // and scales far more often than it varies placements per seed, so a
-// few dozen entries cover the working set of every figure driver.
+// few dozen entries cover the working set of every catalog figure.
 const DefaultDeployCacheSize = 64
 
 // DeployCache is a bounded LRU cache of built deployments keyed by the

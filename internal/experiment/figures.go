@@ -109,7 +109,7 @@ type Figure struct {
 	XLabel string
 	YLabel string
 	Series []Series
-	// Notes carries reproduction caveats surfaced by the driver.
+	// Notes carries reproduction caveats the figure reports.
 	Notes []string
 	// Work totals the simulation runs behind the figure; it is not
 	// printed.

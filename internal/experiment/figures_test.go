@@ -205,9 +205,9 @@ func TestFigureWork(t *testing.T) {
 var updateFigures = flag.Bool("update-figures", false, "rewrite testdata/figures/*.txt from the current implementation")
 
 // TestFigureCatalogDrivers runs every catalog entry on a small setting:
-// each driver returns the figure its entry names, with the entry's
-// title, and reports the work of a non-empty grid. Its printed table
-// and work totals must match testdata/figures/<id>.txt byte for byte.
+// each returns the figure its entry names, with the entry's title, and
+// reports the work of a non-empty grid. Its printed table and work
+// totals must match testdata/figures/<id>.txt byte for byte.
 func TestFigureCatalogDrivers(t *testing.T) {
 	o := Options{Duration: 5 * time.Second, Seeds: 2, Nodes: 40}
 	seen := map[string]bool{}
@@ -222,7 +222,7 @@ func TestFigureCatalogDrivers(t *testing.T) {
 				t.Fatal(err)
 			}
 			if fig.ID != info.ID || fig.Title != info.Title {
-				t.Errorf("driver returned %q %q, catalog says %q %q", fig.ID, fig.Title, info.ID, info.Title)
+				t.Errorf("Run returned %q %q, catalog says %q %q", fig.ID, fig.Title, info.ID, info.Title)
 			}
 			if fig.Runs == 0 || fig.Events == 0 || fig.SimTime != time.Duration(fig.Runs)*o.Duration {
 				t.Errorf("work = %+v", fig.Work)

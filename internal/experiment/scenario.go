@@ -1,7 +1,8 @@
 // Package experiment builds and runs the paper's evaluation scenarios
 // (§5): 80 nodes in 500×500 m², three query classes with rate ratio
-// 6:3:2, five protocols, 200-second runs — and provides one driver per
-// figure of the paper plus the ablation studies from DESIGN.md.
+// 6:3:2, five protocols, 200-second runs — and regenerates every
+// figure of the paper plus the ablation studies from DESIGN.md, each
+// declared as a grid that one runner executes (figures.go).
 package experiment
 
 import (

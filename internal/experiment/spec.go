@@ -129,7 +129,7 @@ type WorkloadSpec struct {
 	// PhaseMax bounds the random start phases (default 10s).
 	PhaseMax Duration `json:"phase_max,omitempty"`
 	// Seed drives the phase rng; 0 derives it from the scenario seed
-	// (seed × 7919, the figure drivers' convention).
+	// (seed × 7919, the figures' rate-workload convention).
 	Seed int64 `json:"seed,omitempty"`
 }
 

@@ -49,8 +49,8 @@ func TestSpecDefaults(t *testing.T) {
 	if sc.Topology.NumNodes != 80 || sc.Topology.AreaSide != 500 {
 		t.Errorf("topology defaults wrong: %+v", sc.Topology)
 	}
-	// Workload seed derives from the scenario seed like the figure
-	// drivers (seed × 7919).
+	// Workload seed derives from the scenario seed like the figures'
+	// rate workload (seed × 7919).
 	rng := rand.New(rand.NewSource(1 * 7919))
 	want := QueryClasses(rng, 2, 1, 10*time.Second)
 	if !reflect.DeepEqual(sc.Queries, want) {
