@@ -354,7 +354,9 @@ func (s sweep) run(o Options) (*Figure, error) {
 	if err := runGrid(o, jobs); err != nil {
 		return nil, err
 	}
-	fig := &Figure{ID: s.id, Title: s.title, XLabel: s.xLabel, YLabel: s.yLabel, Notes: s.notes}
+	// The notes are copied: a caller may edit its figure, never the catalog.
+	fig := &Figure{ID: s.id, Title: s.title, XLabel: s.xLabel, YLabel: s.yLabel,
+		Notes: append([]string(nil), s.notes...)}
 	for _, j := range jobs {
 		fig.Runs++
 		fig.Events += j.res.Events

@@ -103,11 +103,15 @@ func TestSweepParallelAggregation(t *testing.T) {
 			sc.MeasureFrom = time.Second
 			sc.Queries = QueryClasses(rand.New(rand.NewSource(sc.Seed)), 1, 1, time.Second)
 		},
-		fold: means(duty),
+		fold:  means(duty),
+		notes: []string{"a note"},
 	}
 	fig, err := s.run(o)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fig.Notes[0] = "edited"; s.notes[0] != "a note" {
+		t.Errorf("editing a figure's notes changed its declaration's: %q", s.notes[0])
 	}
 	if fig.Runs != 3 || fig.SimTime != 3*o.Duration {
 		t.Fatalf("work = %+v, want 3 runs over %v", fig.Work, 3*o.Duration)
