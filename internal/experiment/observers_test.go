@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/fnv"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -289,6 +291,69 @@ func TestRadioTapOnlyWithObservers(t *testing.T) {
 					t.Fatalf("member %d tapped = %v, want %v", id, got, tc.want)
 				}
 			}
+		})
+	}
+}
+
+// TestEveryObserverGolden pins what each observer sees on two runs that
+// exercise crash dynamics, the failure detector, a configured failure
+// and both §3 flows, with every observer attached: the auditor's digest
+// and event count, every sink record, every traced event, and the
+// Fig. 8 sleep log's count and sum. A dropped, duplicated or reordered
+// call to any observer changes testdata/observers/<name>.txt. The
+// goldens are fixed: a refactor of how observers are wired must leave
+// them byte-identical.
+func TestEveryObserverGolden(t *testing.T) {
+	for _, name := range []string{"dynamics_crash", "flows"} {
+		t.Run(name, func(t *testing.T) {
+			spec, err := LoadSpec(filepath.Join("../../testdata", name+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := spec.Scenario()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc = allObservers(sc, 64)
+			sc.RecordSleepIntervals = true
+			res, err := Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sb strings.Builder
+			fmt.Fprintf(&sb, "digest %s\nevents %d\n", res.Audit.Digest, res.Audit.Events)
+			for _, rec := range res.Records {
+				line, err := json.Marshal(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&sb, "record %s\n", line)
+			}
+			for _, e := range res.Trace {
+				fmt.Fprintf(&sb, "trace %d %d %s %q\n", int64(e.At), e.Node, e.Kind, e.Detail)
+			}
+			var sum time.Duration
+			for _, d := range res.SleepIntervals {
+				sum += d
+			}
+			fmt.Fprintf(&sb, "sleeps %d %d\n", len(res.SleepIntervals), int64(sum))
+
+			path := filepath.Join("testdata", "observers", name+".txt")
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := sb.String()
+			if got == string(want) {
+				return
+			}
+			gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+			for i := 0; i < len(gl) && i < len(wl); i++ {
+				if gl[i] != wl[i] {
+					t.Fatalf("%s differs at line %d:\n got: %.300s\nwant: %.300s", path, i+1, gl[i], wl[i])
+				}
+			}
+			t.Fatalf("%s: got %d lines, want %d", path, len(gl), len(wl))
 		})
 	}
 }
