@@ -4,9 +4,10 @@
 // and folds everything it sees into a canonical trace digest.
 //
 // The auditor hooks into four layers through their observer interfaces
-// (sim.Observer, phy.Observer, mac.Observer, core.SleepObserver), into
-// every watched radio through RadioChanged, which the run's per-node
-// radio listener calls, and into the root's metric sink via WrapSink.
+// (sim.Observer, phy.Observer, mac.Observer, core.SleepObserver), and
+// into every watched radio and the root's report stream through
+// RadioChanged, ReportArrived and IntervalClosed, which the run's
+// observer calls.
 // All hooks run synchronously on the single simulation goroutine, in
 // event order, and touch nothing: no events are scheduled, no random
 // numbers drawn, no layer state mutated. A run
@@ -120,6 +121,7 @@ var (
 	_ phy.Observer       = (*Auditor)(nil)
 	_ mac.Observer       = (*Auditor)(nil)
 	_ core.SleepObserver = (*Auditor)(nil)
+	_ query.Sink         = (*Auditor)(nil)
 )
 
 // New returns an auditor timestamping violations with clock.
@@ -286,32 +288,18 @@ func (a *Auditor) RegisterQuery(spec query.Spec) {
 	a.everRegister[spec.ID] = spec
 }
 
-// WrapSink interposes the auditor between the root agent and the metric
-// sink, validating every root-side observation before forwarding it
-// unchanged. inner may be nil (audit-only sink).
-func (a *Auditor) WrapSink(inner query.Sink) query.Sink {
-	return &sinkTap{a: a, inner: inner}
+// ReportArrived observes one report reaching the root: it is checked
+// against the registered queries and digested.
+func (a *Auditor) ReportArrived(q query.ID, k int, latency time.Duration, coverage int) {
+	a.checkReport("report", q, k, latency, coverage)
+	a.mix(tagReport, uint64(int64(q)), uint64(int64(k)), uint64(latency), uint64(int64(coverage)))
 }
 
-type sinkTap struct {
-	a     *Auditor
-	inner query.Sink
-}
-
-func (t *sinkTap) ReportArrived(q query.ID, k int, latency time.Duration, coverage int) {
-	t.a.checkReport("report", q, k, latency, coverage)
-	t.a.mix(tagReport, uint64(int64(q)), uint64(int64(k)), uint64(latency), uint64(int64(coverage)))
-	if t.inner != nil {
-		t.inner.ReportArrived(q, k, latency, coverage)
-	}
-}
-
-func (t *sinkTap) IntervalClosed(q query.ID, k int, latency time.Duration, coverage int) {
-	t.a.checkReport("interval", q, k, latency, coverage)
-	t.a.mix(tagInterval, uint64(int64(q)), uint64(int64(k)), uint64(latency), uint64(int64(coverage)))
-	if t.inner != nil {
-		t.inner.IntervalClosed(q, k, latency, coverage)
-	}
+// IntervalClosed observes the root closing a query interval: it is
+// checked against the registered queries and digested.
+func (a *Auditor) IntervalClosed(q query.ID, k int, latency time.Duration, coverage int) {
+	a.checkReport("interval", q, k, latency, coverage)
+	a.mix(tagInterval, uint64(int64(q)), uint64(int64(k)), uint64(latency), uint64(int64(coverage)))
 }
 
 func (a *Auditor) checkReport(what string, q query.ID, k int, latency time.Duration, coverage int) {

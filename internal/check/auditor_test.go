@@ -91,7 +91,7 @@ func TestInvariantsFire(t *testing.T) {
 			name: "report from an unregistered query",
 			rule: "report-registered",
 			corrupt: func(a *Auditor) {
-				a.WrapSink(nil).ReportArrived(99, 0, time.Millisecond, 1)
+				a.ReportArrived(99, 0, time.Millisecond, 1)
 			},
 		},
 		{
@@ -99,7 +99,7 @@ func TestInvariantsFire(t *testing.T) {
 			rule: "report-registered",
 			corrupt: func(a *Auditor) {
 				a.RegisterQuery(spec)
-				a.WrapSink(nil).ReportArrived(spec.ID, -1, time.Millisecond, 1)
+				a.ReportArrived(spec.ID, -1, time.Millisecond, 1)
 			},
 		},
 		{
@@ -107,7 +107,7 @@ func TestInvariantsFire(t *testing.T) {
 			rule: "report-registered",
 			corrupt: func(a *Auditor) {
 				a.RegisterQuery(spec)
-				a.WrapSink(nil).ReportArrived(spec.ID, 3, -time.Millisecond, 1)
+				a.ReportArrived(spec.ID, 3, -time.Millisecond, 1)
 			},
 		},
 		{
@@ -115,7 +115,7 @@ func TestInvariantsFire(t *testing.T) {
 			rule: "report-registered",
 			corrupt: func(a *Auditor) {
 				a.RegisterQuery(spec)
-				a.WrapSink(nil).IntervalClosed(spec.ID, 0, time.Millisecond, 0)
+				a.IntervalClosed(spec.ID, 0, time.Millisecond, 0)
 			},
 		},
 	}
@@ -153,9 +153,8 @@ func TestCleanObservationsStayClean(t *testing.T) {
 	a.TxStarted(&phy.Frame{ID: 1, Src: 2, Dst: 3, Bytes: 52}, radio.Idle, true)
 	a.DataTransmit(2, 10*time.Millisecond, 10*time.Millisecond) // NAV expired exactly now: legal
 	a.Slept(2, 0, 10*time.Millisecond, 3*time.Millisecond)
-	sink := a.WrapSink(nil)
-	sink.ReportArrived(1, 0, 50*time.Millisecond, 3)
-	sink.IntervalClosed(1, 0, 60*time.Millisecond, 3)
+	a.ReportArrived(1, 0, 50*time.Millisecond, 3)
+	a.IntervalClosed(1, 0, 60*time.Millisecond, 3)
 	sum := a.Summary()
 	if sum.Total != 0 {
 		t.Fatalf("clean sequence produced violations: %v", sum.Violations)
@@ -166,7 +165,7 @@ func TestCleanObservationsStayClean(t *testing.T) {
 }
 
 // radioForward is a test listener passing a radio's transitions to the
-// auditor under its watch handle, as a run's per-node listener does.
+// auditor under its watch handle, as a run's radio tap does.
 type radioForward struct {
 	a *Auditor
 	h int

@@ -283,11 +283,11 @@ func TestRadioTapOnlyWithObservers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := s.taps != nil; got != tc.want {
+			if got := s.obs.taps != nil; got != tc.want {
 				t.Fatalf("taps installed = %v, want %v", got, tc.want)
 			}
 			for _, id := range s.Tree.Members() {
-				if got := s.taps != nil && s.taps[id] != nil; got != tc.want {
+				if got := s.obs.taps != nil && s.obs.taps[id] != nil; got != tc.want {
 					t.Fatalf("member %d tapped = %v, want %v", id, got, tc.want)
 				}
 			}

@@ -339,17 +339,10 @@ type Sim struct {
 	// Nodes holds each member's stack by node ID; non-members are nil.
 	Nodes []*node.Node
 
-	sink      *stats.RootSink
-	fan       *stats.Fanout
-	tracer    *trace.Tracer
-	auditor   *check.Auditor
+	obs       observer
 	profile   radio.PowerProfile
 	activeAt0 []time.Duration
 	energyAt0 []float64
-
-	// taps holds each member's radio listener by node ID; nil when no
-	// observer watches the radios.
-	taps []*radioTap
 
 	// firstDeath and batteryDeaths account battery exhaustion.
 	firstDeath    time.Duration
@@ -529,48 +522,6 @@ func (b *builder) channel() (err error) {
 	return nil
 }
 
-// observers attaches the pure observers: the metric sinks, the tracer,
-// and the invariant auditor. The run is byte-identical with any
-// selection of them.
-func (b *builder) observers() error {
-	sc := &b.Scenario
-	// The root recorder feeding Result is attached first, the configured
-	// sinks follow in configuration order, and a fanout dispatches every
-	// hook to all of them.
-	sinkCfg := stats.SinkConfig{
-		Duration:    sc.Duration,
-		MeasureFrom: sc.MeasureFrom,
-		Nodes:       b.Topo.NumNodes(),
-	}
-	b.sink = stats.NewRootSink(sc.Queries, sc.MeasureFrom, sc.Duration)
-	var extra []stats.Sink
-	for _, choice := range sc.Sinks {
-		cfg := sinkCfg
-		cfg.Params = choice.Params
-		s, err := stats.NewSink(choice.Name, cfg)
-		if err != nil {
-			return err
-		}
-		extra = append(extra, s)
-	}
-	b.fan = stats.NewFanout(b.sink, extra...)
-
-	// The per-node hooks installed by stacks and workload are nil (and
-	// free) when the tracer and the auditor are off.
-	if sc.TraceCapacity > 0 {
-		b.tracer = trace.New(sc.TraceCapacity, b.Eng.Now)
-	}
-	if sc.Audit {
-		b.auditor = check.New(b.Eng.Now)
-		b.Eng.SetObserver(b.auditor)
-		b.Channel.SetObserver(b.auditor)
-		for _, q := range sc.Queries {
-			b.auditor.RegisterQuery(q)
-		}
-	}
-	return nil
-}
-
 // stacks wires a node — radio, MAC, and the protocol stack from the
 // registry — onto every tree member in member order, then a dark station
 // onto every other node so the channel's station table is complete.
@@ -586,28 +537,17 @@ func (b *builder) stacks() {
 		Queries:  len(sc.Queries),
 		Params:   b.params,
 	}
-	if b.tracer != nil || b.auditor != nil || b.fan.WantsRadio() || sc.RecordSleepIntervals {
-		b.taps = sim.ArenaSlice[*radioTap](b.Eng, "experiment.taps", b.Topo.NumNodes())
-	}
 	for _, id := range b.members {
 		n := node.New(b.Eng, id, b.Tree, b.Channel, b.rcfg)
-		n.SetTracer(b.tracer)
-		if b.taps != nil {
-			// Between the MAC and the protocol stack: see radioTap.
-			b.taps[id] = b.tap(id, n.Radio)
-		}
+		n.SetTracer(b.obs.tracer)
+		b.obs.tap(id, n.Radio, b.profile)
 		var s query.Sink
 		if id == b.root {
-			s = b.fan
-			if b.auditor != nil {
-				s = b.auditor.WrapSink(s)
-			}
-		}
-		if b.auditor != nil {
-			n.MAC.SetObserver(b.auditor)
+			s = &b.obs
 		}
 		ctx.Node, ctx.Sink = n, s
 		b.proto.Build(&ctx)
+		b.obs.watchStack(n)
 		b.Nodes[id] = n
 	}
 	for id, n := range b.Nodes {
@@ -653,14 +593,6 @@ func (b *builder) workload() error {
 	}
 	if err := b.flows(); err != nil {
 		return err
-	}
-	if b.auditor != nil {
-		// Safe Sleep schedulers exist only after the protocol builders ran.
-		for _, id := range b.members {
-			if ss := b.Nodes[id].SS; ss != nil {
-				ss.SetObserver(id, b.auditor)
-			}
-		}
 	}
 	// Start in member (ID) order: map iteration order would vary the seq
 	// tie-break of same-instant events and break run determinism.
@@ -837,14 +769,14 @@ func (s *Sim) Collect() *Result {
 		MaxRank:        s.Tree.MaxRank(),
 		Events:         s.Eng.Processed(),
 		Channel:        s.Channel.Stats(),
-		Trace:          s.tracer.Events(),
+		Trace:          s.obs.tracer.Events(),
 		FirstDeath:     s.firstDeath,
 		BatteryDeaths:  s.batteryDeaths,
 	}
 	s.collectNodes(res)
 	s.collectFlows(res)
-	if s.auditor != nil {
-		res.Audit = s.auditor.Summary()
+	if s.obs.auditor != nil {
+		res.Audit = s.obs.auditor.Summary()
 	}
 	s.collected = res
 	return res
@@ -911,8 +843,8 @@ func (h *dynHost) SetLinkLoss(a, b topology.NodeID, p float64) {
 }
 
 func (h *dynHost) AddQuery(spec query.Spec) error {
-	if h.auditor != nil {
-		h.auditor.RegisterQuery(spec)
+	if h.obs.auditor != nil {
+		h.obs.auditor.RegisterQuery(spec)
 	}
 	for _, id := range h.nodeIDs {
 		n := h.Nodes[id]
@@ -1037,14 +969,14 @@ func (s *Sim) collectNodes(res *Result) {
 		res.MACFailed += mst.Failed
 		res.MACRetries += mst.Retries
 
-		if sc.RecordSleepIntervals {
-			res.SleepIntervals = append(res.SleepIntervals, s.taps[id].sleeps...)
+		if s.obs.sleeps {
+			res.SleepIntervals = append(res.SleepIntervals, s.obs.taps[id].sleeps...)
 		}
 		if dts, ok := n.Agent.Shaper().(*core.DTS); ok {
 			res.PhaseShifts += dts.Stats().PhaseShifts
 		}
 
-		s.fan.NodeDone(stats.NodeSummary{Node: int(id), Rank: r, Duty: dc, EnergyJ: e})
+		s.obs.nodeDone(stats.NodeSummary{Node: int(id), Rank: r, Duty: dc, EnergyJ: e})
 	}
 	res.DutyCycle = duty.Mean()
 	for r, w := range dutyRank {
@@ -1055,12 +987,12 @@ func (s *Sim) collectNodes(res *Result) {
 		res.PhaseUpdateBitsPerReport = bits / float64(reports)
 	}
 
-	res.Latency = stats.SummarizeDurations(s.sink.Latencies())
-	for class, ls := range s.sink.LatencyByClass() {
+	res.Latency = stats.SummarizeDurations(s.obs.root.Latencies())
+	for class, ls := range s.obs.root.LatencyByClass() {
 		res.LatencyByClass[class] = stats.SummarizeDurations(ls)
 	}
-	res.Coverage = s.sink.MeanCoverage()
-	res.Records = s.fan.Records(stats.RunMeta{
+	res.Coverage = s.obs.root.MeanCoverage()
+	res.Records = stats.Records(s.obs.sinks, stats.RunMeta{
 		Protocol:    string(sc.Protocol),
 		Seed:        sc.Seed,
 		Duration:    sc.Duration,

@@ -24,8 +24,8 @@ const (
 // Record is one metric sink's structured output for one run — the
 // mergeable unit the server returns, the campaign journals, and the
 // JSONL exporter writes one-per-line. Identity fields (Schema, Sink,
-// Protocol, Seed) are stamped by the Fanout dispatcher; sinks fill only
-// Kind and the payload matching it. Every field is deterministic for a
+// Protocol, Seed) are stamped by Records; sinks fill only Kind and the
+// payload matching it. Every field is deterministic for a
 // given (spec, seed): no wall-clock content, and map keys marshal
 // sorted, so records are byte-comparable across processes and worker
 // counts.
@@ -65,7 +65,7 @@ type HistogramRecord struct {
 	Total    uint64   `json:"total"`
 }
 
-// Event kinds mirror the hook bus: report arrivals, interval closes,
+// Event kinds mirror the sink hooks: report arrivals, interval closes,
 // and per-node end-of-run summaries.
 const (
 	EventReport   = "report"
@@ -73,7 +73,7 @@ const (
 	EventNode     = "node"
 )
 
-// Event is one hook-bus observation. Which fields are meaningful
+// Event is one sink observation. Which fields are meaningful
 // depends on Kind: report/interval events carry query, interval,
 // latency and coverage; node events carry node, rank, duty cycle and
 // energy.

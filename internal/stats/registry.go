@@ -20,16 +20,14 @@ const (
 	SinkJSONL = "jsonl"
 )
 
-// Sink is a streaming metric observer. Sinks subscribe to the same
-// hook bus the invariant auditor uses — report arrivals and interval
+// Sink is a streaming metric observer. A run's observer calls each sink
+// where it calls the invariant auditor — report arrivals and interval
 // closes at the root, radio state transitions (via the optional
-// RadioObserver interface), and per-node energy accounting at collect
-// time — and must be pure observers: they may not influence the
-// simulation, so trace digests are identical with any sink set.
-//
-// Hook order is deterministic: ReportArrived/IntervalClosed follow the
-// engine's event order, NodeDone is called once per live member in
-// node-ID order, and Finish runs last, once.
+// RadioObserver interface) — and once per live member with its
+// end-of-run energy accounting. Sinks must be pure observers: they may
+// not influence the simulation, so trace digests are identical with any
+// sink set. The run's observer fixes the order of every call; Finish
+// comes last, once.
 type Sink interface {
 	// Name returns the sink's registered name.
 	Name() string
@@ -39,8 +37,7 @@ type Sink interface {
 	IntervalClosed(q query.ID, interval int, latency time.Duration, coverage int)
 	// NodeDone observes one node's end-of-run summary.
 	NodeDone(n NodeSummary)
-	// Finish produces the sink's record, or nil for sinks that feed
-	// results through another channel (the root recorder).
+	// Finish produces the sink's record, or nil for none.
 	Finish(m RunMeta) *Record
 }
 
@@ -127,73 +124,11 @@ func checkParams(sink string, params map[string]float64, known ...string) error 
 	return nil
 }
 
-// Fanout dispatches each hook to the run's root recorder and then to
-// every configured sink in configuration order — the one ordering that
-// is fixed by the spec, so exporter output is byte-identical regardless
-// of how many workers share the process. It implements query.Sink so
-// the root node's report/interval hooks reach all of them through the
-// same wrapper chain the auditor taps.
-type Fanout struct {
-	root  *RootSink
-	sinks []Sink
-	radio []RadioObserver
-}
-
-var _ query.Sink = (*Fanout)(nil)
-
-// NewFanout builds a dispatcher over the root recorder and sinks,
-// collecting the subset of sinks that wants radio transitions.
-func NewFanout(root *RootSink, s ...Sink) *Fanout {
-	f := &Fanout{root: root, sinks: s}
-	for _, sk := range s {
-		if ro, ok := sk.(RadioObserver); ok {
-			f.radio = append(f.radio, ro)
-		}
-	}
-	return f
-}
-
-// ReportArrived implements query.Sink.
-func (f *Fanout) ReportArrived(q query.ID, k int, latency time.Duration, coverage int) {
-	f.root.ReportArrived(q, k, latency, coverage)
-	for _, s := range f.sinks {
-		s.ReportArrived(q, k, latency, coverage)
-	}
-}
-
-// IntervalClosed implements query.Sink.
-func (f *Fanout) IntervalClosed(q query.ID, k int, latency time.Duration, coverage int) {
-	f.root.IntervalClosed(q, k, latency, coverage)
-	for _, s := range f.sinks {
-		s.IntervalClosed(q, k, latency, coverage)
-	}
-}
-
-// NodeDone forwards one node's end-of-run summary to every sink.
-func (f *Fanout) NodeDone(n NodeSummary) {
-	for _, s := range f.sinks {
-		s.NodeDone(n)
-	}
-}
-
-// RadioChanged forwards a radio transition to the sinks that observe
-// them.
-func (f *Fanout) RadioChanged(node int, from, to radio.State, at time.Duration) {
-	for _, o := range f.radio {
-		o.RadioChanged(node, from, to, at)
-	}
-}
-
-// WantsRadio reports whether any configured sink observes radio
-// transitions; Build skips radio subscriptions entirely when not.
-func (f *Fanout) WantsRadio() bool { return len(f.radio) > 0 }
-
-// Records finishes every sink in configuration order and returns the
-// non-nil records, stamping the identity fields so sinks only fill
-// payloads.
-func (f *Fanout) Records(m RunMeta) []Record {
+// Records finishes every sink in order and returns the non-nil
+// records, stamping the identity fields so sinks fill only payloads.
+func Records(sinks []Sink, m RunMeta) []Record {
 	var out []Record
-	for _, s := range f.sinks {
+	for _, s := range sinks {
 		rec := s.Finish(m)
 		if rec == nil {
 			continue

@@ -62,22 +62,27 @@ func TestSinkParamValidation(t *testing.T) {
 	}
 }
 
-// feedScript drives a fixed observation sequence through a fanout: two
-// report/interval pairs, a sleep/wake radio cycle on node 1, and three
-// node summaries.
-func feedScript(f *Fanout) {
-	f.ReportArrived(query.ID(3), 0, 12*time.Millisecond, 7)
-	f.IntervalClosed(query.ID(3), 0, 15*time.Millisecond, 9)
-	f.RadioChanged(1, radio.Idle, radio.Off, 400*time.Millisecond)
-	f.RadioChanged(1, radio.Off, radio.Idle, 1200*time.Millisecond)
-	f.ReportArrived(query.ID(5), 1, 8*time.Millisecond, 4)
-	f.IntervalClosed(query.ID(5), 1, 9*time.Millisecond, 4)
-	f.NodeDone(NodeSummary{Node: 0, Rank: 2, Duty: 0.9, EnergyJ: 1.5})
-	f.NodeDone(NodeSummary{Node: 1, Rank: 1, Duty: 0.4, EnergyJ: 0.6})
-	f.NodeDone(NodeSummary{Node: 2, Rank: 0, Duty: 0.1, EnergyJ: 30})
+// feedScript drives a fixed observation sequence through each sink: two
+// report/interval pairs, a sleep/wake radio cycle on node 1 (for a sink
+// that reads radio transitions), and three node summaries.
+func feedScript(sinks ...Sink) {
+	for _, s := range sinks {
+		ro, _ := s.(RadioObserver)
+		s.ReportArrived(query.ID(3), 0, 12*time.Millisecond, 7)
+		s.IntervalClosed(query.ID(3), 0, 15*time.Millisecond, 9)
+		if ro != nil {
+			ro.RadioChanged(1, radio.Idle, radio.Off, 400*time.Millisecond)
+			ro.RadioChanged(1, radio.Off, radio.Idle, 1200*time.Millisecond)
+		}
+		s.ReportArrived(query.ID(5), 1, 8*time.Millisecond, 4)
+		s.IntervalClosed(query.ID(5), 1, 9*time.Millisecond, 4)
+		s.NodeDone(NodeSummary{Node: 0, Rank: 2, Duty: 0.9, EnergyJ: 1.5})
+		s.NodeDone(NodeSummary{Node: 1, Rank: 1, Duty: 0.4, EnergyJ: 0.6})
+		s.NodeDone(NodeSummary{Node: 2, Rank: 0, Duty: 0.1, EnergyJ: 30})
+	}
 }
 
-func buildFanout(t *testing.T) *Fanout {
+func buildSinks(t *testing.T) []Sink {
 	t.Helper()
 	cfg := SinkConfig{Duration: 2 * time.Second, MeasureFrom: 0, Nodes: 3}
 	var obs []Sink
@@ -88,20 +93,20 @@ func buildFanout(t *testing.T) *Fanout {
 		}
 		obs = append(obs, s)
 	}
-	return NewFanout(NewRootSink(nil, 0, cfg.Duration), obs...)
+	return obs
 }
 
-// Fanout must emit records in configuration order, stamp identity
-// fields, and be byte-deterministic across identical runs.
-func TestFanoutDeterministicRecords(t *testing.T) {
+// Records must emit records in sink order, stamp identity fields, and
+// be byte-deterministic across identical runs.
+func TestRecordsDeterministic(t *testing.T) {
 	meta := RunMeta{Protocol: "DTS-SS", Seed: 42, Duration: 2 * time.Second, TreeSize: 3}
 	marshal := func() []byte {
-		f := buildFanout(t)
-		if !f.WantsRadio() {
-			t.Fatal("timeseries sink should register as a RadioObserver")
+		sinks := buildSinks(t)
+		if _, ok := sinks[0].(RadioObserver); !ok {
+			t.Fatal("timeseries sink should implement RadioObserver")
 		}
-		feedScript(f)
-		recs := f.Records(meta)
+		feedScript(sinks...)
+		recs := Records(sinks, meta)
 		if len(recs) != 3 {
 			t.Fatalf("got %d records, want 3", len(recs))
 		}
@@ -134,8 +139,7 @@ func TestJSONLSinkCapturesStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFanout(NewRootSink(nil, 0, 2*time.Second), s)
-	feedScript(f)
+	feedScript(s)
 	rec := s.Finish(RunMeta{})
 	if rec.Kind != KindEvents {
 		t.Fatalf("kind = %q", rec.Kind)
@@ -178,7 +182,7 @@ func TestEnergySinkHistogram(t *testing.T) {
 	if !reflect.DeepEqual(h.Counts, []uint64{1, 2, 0, 1}) || h.Overflow != 1 || h.Total != 5 {
 		t.Fatalf("histogram = %+v", h)
 	}
-	// Finish leaves identity fields to the fanout; stamp them so the
+	// Finish leaves identity fields to Records; stamp them so the
 	// payload can be schema-checked.
 	rec.Schema, rec.Sink = SchemaVersion, SinkEnergy
 	if err := ValidateRecord(rec); err != nil {
@@ -197,15 +201,11 @@ func TestEnergySinkHistogram(t *testing.T) {
 // A node awake for [0,400ms) and [1200ms,2s) with 1 s buckets over a
 // 2 s run has awake fractions 0.4 and 0.8.
 func TestTimeseriesBucketing(t *testing.T) {
-	f := func() (*Fanout, Sink) {
-		s, err := NewSink(SinkTimeseries, SinkConfig{Duration: 2 * time.Second, Nodes: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return NewFanout(NewRootSink(nil, 0, 2*time.Second), s), s
+	s, err := NewSink(SinkTimeseries, SinkConfig{Duration: 2 * time.Second, Nodes: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	fan, s := f()
-	feedScript(fan)
+	feedScript(s)
 	rec := s.Finish(RunMeta{})
 	if rec.Kind != KindTimeseries || len(rec.Series) != 3 {
 		t.Fatalf("record = %+v", rec)

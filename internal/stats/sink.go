@@ -27,9 +27,8 @@ type queryRec struct {
 // root. Query latency follows the paper's definition — the maximum time
 // for any source's data to reach the root — measured per interval as the
 // latency of the last report arriving for that interval, then averaged.
-// It is not a registered Sink and emits no record: every run's Fanout
-// calls it first, and the run's Result reads latency and coverage from
-// it.
+// It is not a registered Sink and emits no record: every run's observer
+// calls it, and the run's Result reads latency and coverage from it.
 type RootSink struct {
 	// queries is sorted by query ID at construction (agents refuse
 	// duplicate IDs). Aggregation walks it in (query ID, interval)

@@ -211,7 +211,7 @@ func (e *energySink) Finish(m RunMeta) *Record {
 	}
 }
 
-// jsonlSink captures every hook-bus observation verbatim, in arrival
+// jsonlSink captures every sink observation verbatim, in arrival
 // order — the raw stream downstream tooling can re-aggregate any way it
 // likes. Event order is the engine's deterministic event order followed
 // by node-ID-ordered summaries, so the marshaled record is

@@ -11,8 +11,8 @@ import (
 )
 
 // TestRootSinkPortMatchesLegacy pins the metric-sink refactor's central
-// promise: routing the root recorder through the fanout — with every
-// optional sink attached — executes the exact event trace the hardwired
+// promise: feeding the root recorder through the run's observer — with
+// every optional sink attached — executes the exact event trace the hardwired
 // pre-registry path did. The fig3 golden digests
 // were recorded before the registry existed, so a match proves the port
 // is behavior-preserving, not merely self-consistent.
