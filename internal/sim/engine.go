@@ -63,12 +63,10 @@ const (
 type Event struct {
 	at  time.Duration
 	seq uint64
-	fn  func()
-	// fnA/arg are the arg-carrying form (ScheduleArg/AfterArg): fnA is a
-	// shared (typically package-level) dispatcher and arg its receiver, so
-	// high-churn callers need no per-object closure. Exactly one of fn and
-	// fnA is set on a live event.
-	fnA func(any)
+	// fn is a shared (typically package-level) dispatcher and arg its
+	// receiver, so high-churn callers need no per-object closure. A
+	// Schedule'd closure is the arg of callClosure.
+	fn  func(any)
 	arg any
 	eng *Engine
 
@@ -242,28 +240,16 @@ func (e *Engine) Pending() int { return e.live }
 // panics: it always indicates a protocol bug, and silently reordering
 // time would corrupt every downstream metric.
 func (e *Engine) Schedule(at time.Duration, fn func()) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
-	}
 	if fn == nil {
 		panic("sim: schedule with nil callback")
 	}
-	ev := TakeLast(&e.free)
-	if ev != nil {
-		ev.at, ev.seq, ev.fn = at, e.seq, fn
-	} else {
-		ev = &Event{at: at, seq: e.seq, fn: fn, eng: e, heapIdx: -1}
-	}
-	e.seq++
-	if e.live == 0 {
-		// Empty scheduler: snap the cursor to the present so the event
-		// lands on the finest wheel its delay allows.
-		e.cursor = uint64(e.now) >> tickShift
-	}
-	e.live++
-	e.insert(ev)
-	return ev
+	return e.ScheduleArg(at, callClosure, fn)
 }
+
+// callClosure is Schedule's dispatcher: the closure is its argument. A
+// func value is pointer-shaped, so boxing it in an interface does not
+// allocate.
+func callClosure(fn any) { fn.(func())() }
 
 // After registers fn to run d from now. Negative d panics.
 func (e *Engine) After(d time.Duration, fn func()) *Event {
@@ -284,12 +270,14 @@ func (e *Engine) ScheduleArg(at time.Duration, fn func(any), arg any) *Event {
 	}
 	ev := TakeLast(&e.free)
 	if ev != nil {
-		ev.at, ev.seq, ev.fnA, ev.arg = at, e.seq, fn, arg
+		ev.at, ev.seq, ev.fn, ev.arg = at, e.seq, fn, arg
 	} else {
-		ev = &Event{at: at, seq: e.seq, fnA: fn, arg: arg, eng: e, heapIdx: -1}
+		ev = &Event{at: at, seq: e.seq, fn: fn, arg: arg, eng: e, heapIdx: -1}
 	}
 	e.seq++
 	if e.live == 0 {
+		// Empty scheduler: snap the cursor to the present so the event
+		// lands on the finest wheel its delay allows.
 		e.cursor = uint64(e.now) >> tickShift
 	}
 	e.live++
@@ -307,7 +295,6 @@ func (e *Engine) AfterArg(d time.Duration, fn func(any), arg any) *Event {
 // the pool.
 func (e *Engine) release(ev *Event) {
 	ev.fn = nil
-	ev.fnA = nil
 	ev.arg = nil
 	e.free = append(e.free, ev)
 }
@@ -497,13 +484,9 @@ func (e *Engine) fire(ev *Event) {
 	e.cursor = uint64(ev.at) >> tickShift
 	e.processed++
 	e.live--
-	fn, fnA, arg := ev.fn, ev.fnA, ev.arg
+	fn, arg := ev.fn, ev.arg
 	e.release(ev)
-	if fnA != nil {
-		fnA(arg)
-	} else {
-		fn()
-	}
+	fn(arg)
 }
 
 // Step executes the next pending event, if any, advancing the clock to

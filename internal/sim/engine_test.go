@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 // drain fires events until the queue is empty and returns how many
@@ -382,6 +383,18 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state schedule+fire allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestEventSize: an event carries one callback form, a dispatcher and
+// its argument (a Schedule'd closure rides as callClosure's argument),
+// so it is 72 B on 64-bit platforms.
+func TestEventSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("size pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Event{}); got > 72 {
+		t.Fatalf("sim.Event is %d B, want at most 72", got)
 	}
 }
 
