@@ -119,7 +119,7 @@ func cmdRun(args []string, resume bool) error {
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	maxEvents := fs.Uint64("max-events", 20_000_000, "per-run event budget (0 = unlimited)")
 	wallClock := fs.Duration("wall-clock", 0, "per-run wall-clock budget (0 = unlimited)")
-	retries := fs.Int("retries", campaign.DefaultMaxRetries, "budget-exceeded retries per spec")
+	retries := fs.Int("retries", campaign.DefaultMaxRetries, "wall-clock budget retries per spec (an events budget overrun is never retried)")
 	syncEvery := fs.Int("sync-every", campaign.DefaultSyncEvery, "journal fsync batch size (1 = every record)")
 	quiet := fs.Bool("q", false, "suppress per-spec progress lines")
 	fs.Parse(args)

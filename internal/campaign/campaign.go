@@ -51,8 +51,9 @@ type RunConfig struct {
 	// should set at least MaxEvents so one pathological spec cannot
 	// wedge a worker forever.
 	Budget experiment.Budget
-	// MaxRetries caps budget-exceeded retries per spec (attempts beyond
-	// the first); <0 selects DefaultMaxRetries.
+	// MaxRetries caps wall-clock budget retries per spec (attempts
+	// beyond the first); <0 selects DefaultMaxRetries. An events budget
+	// is exact and deterministic, so its overrun is never retried.
 	MaxRetries int
 	// RetryBackoff is the base backoff before a retry, grown
 	// exponentially and jittered; <=0 selects DefaultRetryBackoff and
@@ -74,8 +75,8 @@ type RunConfig struct {
 	OnRecord func(Record)
 }
 
-// DefaultMaxRetries caps budget retries; DefaultRetryBackoff is the
-// base delay before the first retry; MaxRetryBackoff caps the
+// DefaultMaxRetries caps wall-clock budget retries; DefaultRetryBackoff
+// is the base delay before the first retry; MaxRetryBackoff caps the
 // exponential growth so a user-settable retry count can never shift
 // the delay into overflow.
 const (
@@ -143,11 +144,13 @@ type Summary struct {
 // forced on for every run so each done record carries the invariant
 // auditor's trace digest.
 //
-// Failure policy: a *BudgetExceededError retries with jittered
-// exponential backoff up to MaxRetries, then journals a terminal
-// budget failure; a *PanicError writes a repro bundle (spec + seed +
-// stack) under quarantine/ and journals a terminal panic failure; a
-// build error journals immediately. The campaign always continues past
+// Failure policy: a *BudgetExceededError on the wall-clock budget
+// retries with jittered exponential backoff up to MaxRetries, then
+// journals a terminal budget failure. One on the events budget would
+// fail the same way again, so it journals at once. A *PanicError
+// writes a repro bundle (spec + seed + stack) under quarantine/ and
+// journals a terminal panic failure; a build error journals
+// immediately. The campaign always continues past
 // individual failures. Context cancellation checkpoints the journal
 // and returns ErrInterrupted.
 //
@@ -296,8 +299,8 @@ feed:
 	return firstErr
 }
 
-// runOne runs one spec to a terminal record, retrying budget overruns
-// and quarantining panics. It returns (nil, nil) when interrupted by
+// runOne runs one spec to a terminal record, retrying wall-clock budget
+// overruns and quarantining panics. It returns (nil, nil) when interrupted by
 // ctx before reaching a terminal state.
 func runOne(ctx context.Context, dir string, cfg RunConfig, j *Journal, arena *experiment.Arena, it corpus.Item) (*Record, error) {
 	// Jittered backoff seeded per spec: reproducible scheduling in
@@ -357,7 +360,7 @@ func runOne(ctx context.Context, dir string, cfg RunConfig, j *Journal, arena *e
 					Quarantine: qdir,
 				}}
 			case errors.As(runErr, &be):
-				if attempt <= cfg.MaxRetries {
+				if be.Resource == "wall-clock" && attempt <= cfg.MaxRetries {
 					select {
 					case <-time.After(retryDelay(cfg.RetryBackoff, attempt, rng)):
 						continue

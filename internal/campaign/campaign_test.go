@@ -296,38 +296,53 @@ func TestCampaignRefusesStaleJournal(t *testing.T) {
 	}
 }
 
-// TestCampaignBudgetRetry: a spec that exhausts its event budget
-// retries up to the cap with backoff, then lands a terminal budget
-// failure with a deterministic (wall-clock-free) message.
+// TestCampaignBudgetRetry: a spec that exhausts its wall-clock budget
+// retries up to the cap with backoff, while one that exhausts its
+// (exact, deterministic) events budget fails on the first attempt. Both
+// land a terminal budget failure with a deterministic (wall-clock-free)
+// message.
 func TestCampaignBudgetRetry(t *testing.T) {
-	dir := genCorpus(t, 1)
-	sum, err := Run(context.Background(), dir, RunConfig{
-		Workers:      1,
-		Budget:       experiment.Budget{MaxEvents: 200},
-		MaxRetries:   2,
-		RetryBackoff: time.Millisecond,
-		SyncEvery:    1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name     string
+		budget   experiment.Budget
+		attempts int
+		message  string
+	}{
+		{"events", experiment.Budget{MaxEvents: 200}, 1, "exceeded events budget after 1 attempts"},
+		{"wall-clock", experiment.Budget{WallClock: time.Nanosecond}, 3, "exceeded wall-clock budget after 3 attempts"},
 	}
-	if sum.Failed != 1 || sum.Retries != 2 || sum.Quarantined != 0 {
-		t.Fatalf("summary = %+v, want 1 failed after 2 retries, none quarantined", sum)
-	}
-	recs, err := ReadJournal(filepath.Join(dir, journalName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := Replay(recs)
-	if prog.Claims[0] != 3 {
-		t.Fatalf("journal has %d claims, want 3 (1 + 2 retries)", prog.Claims[0])
-	}
-	rec := prog.Terminal[0]
-	if rec.Op != OpFail || rec.FailKind != FailBudget {
-		t.Fatalf("terminal record = %+v, want a budget failure", rec)
-	}
-	if rec.Error != "exceeded events budget after 3 attempts" {
-		t.Fatalf("budget failure message %q is not the normalized deterministic form", rec.Error)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := genCorpus(t, 1)
+			sum, err := Run(context.Background(), dir, RunConfig{
+				Workers:      1,
+				Budget:       tc.budget,
+				MaxRetries:   2,
+				RetryBackoff: time.Millisecond,
+				SyncEvery:    1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum.Failed != 1 || sum.Retries != tc.attempts-1 || sum.Quarantined != 0 {
+				t.Fatalf("summary = %+v, want 1 failed after %d retries, none quarantined", sum, tc.attempts-1)
+			}
+			recs, err := ReadJournal(filepath.Join(dir, journalName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog := Replay(recs)
+			if prog.Claims[0] != tc.attempts {
+				t.Fatalf("journal has %d claims, want %d", prog.Claims[0], tc.attempts)
+			}
+			rec := prog.Terminal[0]
+			if rec.Op != OpFail || rec.FailKind != FailBudget {
+				t.Fatalf("terminal record = %+v, want a budget failure", rec)
+			}
+			if rec.Error != tc.message {
+				t.Fatalf("budget failure message %q, want the normalized deterministic %q", rec.Error, tc.message)
+			}
+		})
 	}
 }
 
