@@ -31,8 +31,6 @@ type Env interface {
 	RankOf(n query.NodeID) int
 	// MaxRank returns M, the rank of the root.
 	MaxRank() int
-	// SendControl transmits a small control message to a neighbor.
-	SendControl(dst query.NodeID, msg any, bytes int)
 	// RequestPhaseUpdate asks child to piggyback a phase update on its
 	// next report for q. Implementations piggyback the request on the
 	// acknowledgement of the report being processed when possible, and

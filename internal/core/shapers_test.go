@@ -11,16 +11,12 @@ import (
 
 // fakeEnv is a scripted core.Env for shaper unit tests.
 type fakeEnv struct {
-	eng      *sim.Engine
-	self     query.NodeID
-	root     bool
-	rank     int
-	ranks    map[query.NodeID]int
-	maxRank  int
-	controls []struct {
-		dst query.NodeID
-		msg any
-	}
+	eng       *sim.Engine
+	self      query.NodeID
+	root      bool
+	rank      int
+	ranks     map[query.NodeID]int
+	maxRank   int
 	phaseReqs []query.NodeID
 }
 
@@ -35,12 +31,6 @@ func (f *fakeEnv) RankOf(n query.NodeID) int {
 	return 0
 }
 func (f *fakeEnv) MaxRank() int { return f.maxRank }
-func (f *fakeEnv) SendControl(dst query.NodeID, msg any, bytes int) {
-	f.controls = append(f.controls, struct {
-		dst query.NodeID
-		msg any
-	}{dst, msg})
-}
 func (f *fakeEnv) RequestPhaseUpdate(child query.NodeID, q query.ID) {
 	f.phaseReqs = append(f.phaseReqs, child)
 }

@@ -319,7 +319,7 @@ type Result struct {
 	// EnergyMean and EnergyMax are per-node radio energy over the
 	// measurement window in joules, under a MICA2-class power profile.
 	// NetworkLifetime extrapolates the worst node's draw against a 20 kJ
-	// battery — the paper's "nodes close to the root run out of energy
+	// battery (stats.LifetimeBatteryJ) — the paper's "nodes close to the root run out of energy
 	// faster" concern, quantified.
 	EnergyMean, EnergyMax float64
 	NetworkLifetime       time.Duration
@@ -1001,12 +1001,8 @@ func (s *Sim) collectNodes(res *Result) {
 	})
 	res.EnergyMean = energy.Mean()
 	if res.EnergyMax > 0 {
-		// 20 kJ ≈ a pair of AA cells' usable energy at sensor loads. The
-		// network lives until its hungriest node (typically near the root)
-		// drains, at the draw observed in the measurement window.
-		const batteryJ = 20_000.0
 		drawWatts := res.EnergyMax / time.Duration(window).Seconds()
-		res.NetworkLifetime = time.Duration(batteryJ / drawWatts * float64(time.Second))
+		res.NetworkLifetime = time.Duration(stats.LifetimeBatteryJ / drawWatts * float64(time.Second))
 	}
 }
 

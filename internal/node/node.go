@@ -240,14 +240,6 @@ func (n *Node) RankOf(other query.NodeID) int { return n.tree.Rank(other) }
 // MaxRank implements core.Env.
 func (n *Node) MaxRank() int { return n.tree.MaxRank() }
 
-// SendControl implements core.Env.
-func (n *Node) SendControl(dst query.NodeID, msg any, bytes int) {
-	if n.killed {
-		return
-	}
-	n.MAC.Send(dst, msg, bytes, nil)
-}
-
 // RequestPhaseUpdate implements core.Env: piggyback the request on the
 // acknowledgement of the report currently being delivered when possible,
 // otherwise send an explicit control packet (§4.3).

@@ -51,20 +51,3 @@ func (r *Radio) AveragePower(p PowerProfile) float64 {
 	}
 	return r.Energy(p) / elapsed
 }
-
-// Lifetime estimates how long a node with the given battery capacity
-// (joules) would last at the radio's observed average power draw. A pair
-// of AA cells holds roughly 20 kJ usable. Returns a very large value for
-// a draw of effectively zero.
-func (r *Radio) Lifetime(p PowerProfile, capacityJoules float64) time.Duration {
-	draw := r.AveragePower(p)
-	if draw <= 0 {
-		return time.Duration(1<<63 - 1)
-	}
-	seconds := capacityJoules / draw
-	const maxSec = float64(1<<63-1) / float64(time.Second)
-	if seconds >= maxSec {
-		return time.Duration(1<<63 - 1)
-	}
-	return time.Duration(seconds * float64(time.Second))
-}

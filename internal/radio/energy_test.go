@@ -41,28 +41,6 @@ func TestEnergyIncludesTransitions(t *testing.T) {
 	}
 }
 
-func TestLifetime(t *testing.T) {
-	eng := sim.New(1)
-	r := New(eng, Config{})
-	p := PowerProfile{Idle: 0.030}
-	eng.Run(10 * time.Second) // always idle at 30mW
-	// 300 J at 30 mW = 10_000 s.
-	if got := r.Lifetime(p, 300); got != 10_000*time.Second {
-		t.Fatalf("Lifetime = %v, want 10000s", got)
-	}
-}
-
-func TestLifetimeZeroDraw(t *testing.T) {
-	eng := sim.New(1)
-	r := New(eng, Config{})
-	r.TurnOff()
-	eng.Run(10 * time.Second)
-	p := PowerProfile{Sleep: 0}
-	if got := r.Lifetime(p, 1); got < time.Duration(1<<62) {
-		t.Fatalf("Lifetime at zero draw = %v, want effectively infinite", got)
-	}
-}
-
 func TestMica2PowerOrdering(t *testing.T) {
 	p := Mica2Power()
 	if !(p.Sleep < p.Idle && p.Idle <= p.Rx && p.Rx < p.Tx) {

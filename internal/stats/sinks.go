@@ -125,6 +125,12 @@ func (t *timeseriesSink) Finish(m RunMeta) *Record {
 	return &Record{Kind: KindTimeseries, Series: t.series}
 }
 
+// LifetimeBatteryJ is the battery of the lifetime model, about a pair
+// of AA cells' usable energy at sensor loads. A network lives until its
+// hungriest node (typically near the root) drains this at the draw
+// observed in the measurement window.
+const LifetimeBatteryJ = 20_000.0
+
 // energySink bins per-node energy consumption over the measurement
 // window into a histogram and derives the lifetime scalars Collect
 // computes for the legacy aggregate, so campaign dashboards get the
@@ -191,12 +197,9 @@ func (e *energySink) Finish(m RunMeta) *Record {
 		"mean_j": e.mean.Mean(),
 		"max_j":  e.maxJ,
 	}
-	// Same lifetime model as Collect: a 20 kJ battery drained at the
-	// worst node's average draw over the measurement window.
 	if e.maxJ > 0 && e.window > 0 {
-		const batteryJ = 20_000.0
 		draw := e.maxJ / e.window.Seconds()
-		scalars["lifetime_days"] = batteryJ / draw / 86_400
+		scalars["lifetime_days"] = LifetimeBatteryJ / draw / 86_400
 	}
 	return &Record{
 		Kind:    KindHistogram,
