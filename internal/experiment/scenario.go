@@ -319,8 +319,8 @@ type Result struct {
 	// EnergyMean and EnergyMax are per-node radio energy over the
 	// measurement window in joules, under a MICA2-class power profile.
 	// NetworkLifetime extrapolates the worst node's draw against a 20 kJ
-	// battery (stats.LifetimeBatteryJ) — the paper's "nodes close to the root run out of energy
-	// faster" concern, quantified.
+	// battery (stats.LifetimeBatteryJ) — the paper's "nodes close to the
+	// root run out of energy faster" concern, quantified.
 	EnergyMean, EnergyMax float64
 	NetworkLifetime       time.Duration
 }
@@ -339,7 +339,7 @@ type Sim struct {
 	// Nodes holds each member's stack by node ID; non-members are nil.
 	Nodes []*node.Node
 
-	obs       observer
+	obs       observer // every run-level observer
 	profile   radio.PowerProfile
 	activeAt0 []time.Duration
 	energyAt0 []float64
