@@ -121,7 +121,6 @@ var (
 	_ phy.Observer       = (*Auditor)(nil)
 	_ mac.Observer       = (*Auditor)(nil)
 	_ core.SleepObserver = (*Auditor)(nil)
-	_ query.Sink         = (*Auditor)(nil)
 )
 
 // New returns an auditor timestamping violations with clock.

@@ -91,7 +91,7 @@ func (tl *nodeTimeline) advance(bucket, now time.Duration) {
 }
 
 // NodeDone finalizes the node's timeline to the run duration and emits
-// its series. Collect calls this in node-ID order, so series order is
+// its series. Collect's order of calls is fixed, so series order is
 // deterministic.
 func (t *timeseriesSink) NodeDone(n NodeSummary) {
 	tl := &t.nodes[n.Node]
