@@ -50,6 +50,39 @@ func TestAllProtocolsListed(t *testing.T) {
 	}
 }
 
+// TestListingsHaveDistinctNames checks that no listing offers a name
+// twice: a name selects one model, so a repeat would shadow an entry.
+func TestListingsHaveDistinctNames(t *testing.T) {
+	var protocols, figures []string
+	for _, p := range essat.AllProtocols() {
+		protocols = append(protocols, string(p))
+	}
+	for _, f := range essat.FigureCatalog() {
+		figures = append(figures, f.ID)
+	}
+	listings := map[string][]string{
+		"protocols":           protocols,
+		"topology generators": essat.TopologyGenerators(),
+		"channel models":      essat.ChannelModels(),
+		"radio profiles":      essat.RadioProfiles(),
+		"dynamics kinds":      essat.DynamicsKinds(),
+		"metric sinks":        essat.MetricSinks(),
+		"figures":             figures,
+	}
+	for layer, names := range listings {
+		if len(names) == 0 {
+			t.Errorf("%s: empty listing", layer)
+		}
+		seen := map[string]bool{}
+		for _, n := range names {
+			if seen[n] {
+				t.Errorf("%s: %q listed twice in %v", layer, n, names)
+			}
+			seen[n] = true
+		}
+	}
+}
+
 func TestQueryClassesRatios(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	specs := essat.QueryClasses(rng, 2.0, 2, 10*time.Second)
