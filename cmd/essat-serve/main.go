@@ -30,6 +30,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -61,7 +62,7 @@ func main() {
 		// Validate at startup: a typo must fail the boot, not every run.
 		for _, name := range strings.Split(*sinks, ",") {
 			name = strings.TrimSpace(name)
-			if _, ok := essat.LookupMetricSink(name); !ok {
+			if !slices.Contains(essat.MetricSinks(), name) {
 				fmt.Fprintf(os.Stderr, "essat-serve: unknown metric sink %q (registered: %v)\n", name, essat.MetricSinks())
 				os.Exit(1)
 			}

@@ -2,8 +2,8 @@
 // metrics: duty cycle, per-rank duty distribution, query latency per
 // class, coverage, and protocol overheads. The scenario comes either
 // from flags or, declaratively, from a JSON spec file (-scenario);
-// -list shows every registered protocol, topology generator, and
-// figure driver.
+// -list shows every protocol, topology generator, channel model,
+// radio profile, dynamics kind, metric sink, and figure driver.
 //
 // Examples:
 //

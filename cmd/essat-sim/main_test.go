@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// TestCLISmoke builds essat-sim and drives it end to end: the registry
+// TestCLISmoke builds essat-sim and drives it end to end: the model
 // listing, a short audited run, -trace on a loaded spec, and the exit
 // codes of three invalid invocations.
 func TestCLISmoke(t *testing.T) {

@@ -22,7 +22,7 @@
 // # Quick start
 //
 // Declaratively, from a JSON-serializable spec (protocols and topology
-// generators are named registry entries — see AllProtocols and
+// generators are selected by name — see AllProtocols and
 // TopologyGenerators):
 //
 //	res, err := essat.RunSpec(&essat.Spec{
@@ -39,7 +39,7 @@
 //	sc.Queries = essat.QueryClasses(rand.New(rand.NewSource(1)), 1.0, 1, 10*time.Second)
 //	res, err := essat.Run(sc)
 //
-// See ARCHITECTURE.md for the layer stack and how to register new
+// See ARCHITECTURE.md for the layer stack and how to add new
 // protocols or topology generators, examples/ for runnable programs,
 // and cmd/essat-bench for the full figure suite. Each catalog figure
 // declares a (variant, x, seed) grid that one runner executes on a
@@ -65,12 +65,12 @@ import (
 	"github.com/essat/essat/internal/topology"
 )
 
-// Protocol selects a power-management protocol by its registry name.
+// Protocol selects a power-management protocol by name.
 type Protocol = protocol.Protocol
 
 // The implemented protocols: the three ESSAT variants and the paper's
 // three baselines (single source of truth: the internal/protocol
-// registry).
+// table).
 const (
 	// NTSSS is Safe Sleep without traffic shaping (§4.2.1).
 	NTSSS = protocol.NTSSS
@@ -90,21 +90,21 @@ const (
 	TMAC = protocol.TMAC
 )
 
-// AllProtocols lists every registered protocol in presentation order.
+// AllProtocols lists every protocol in presentation order.
 func AllProtocols() []Protocol { return protocol.All() }
 
-// TopologyGenerators lists every registered placement generator
+// TopologyGenerators lists every placement generator
 // ("uniform", "grid", "clusters", "corridor", ...); select one via
 // Spec.Topology or Scenario.Topology.Generator.
 func TopologyGenerators() []string { return topology.GeneratorNames() }
 
-// ChannelModels lists every registered channel propagation model
+// ChannelModels lists every channel propagation model
 // ("disc", "shadowing", "dual-disc", ...); select one via Spec.Channel
 // or Scenario.Propagation. The default disc model is the paper's
 // unit-disc channel.
 func ChannelModels() []string { return phy.PropagationNames() }
 
-// RadioProfiles lists every registered radio energy profile ("paper",
+// RadioProfiles lists every radio energy profile ("paper",
 // "cc1000", "cc2420", ...); select one via Spec.Radio or
 // Scenario.RadioProfile. The default paper profile is the ESSAT
 // paper's §4.1 cost model.
@@ -114,7 +114,7 @@ func RadioProfiles() []string { return radio.ProfileNames() }
 // power, transition latencies, derived break-even time).
 type EnergyProfile = radio.EnergyProfile
 
-// LookupRadioProfile returns the energy profile registered under name.
+// LookupRadioProfile returns the energy profile listed under name.
 func LookupRadioProfile(name string) (EnergyProfile, bool) { return radio.LookupProfile(name) }
 
 // TopologyConfig describes a deployment: scale plus placement
@@ -159,7 +159,7 @@ type Dynamic = experiment.Dynamic
 // DynamicsParams parameterizes a dynamics injector.
 type DynamicsParams = dynamics.Params
 
-// DynamicsKinds lists every registered fault/load injector kind
+// DynamicsKinds lists every fault/load injector kind
 // ("crash", "linkloss", "burst", ...) in presentation order.
 func DynamicsKinds() []string { return dynamics.Kinds() }
 
@@ -231,7 +231,7 @@ type (
 )
 
 // ResultsSpec and SinkSpec are the Spec forms of the results pipeline:
-// a list of metric sinks from the stats registry observing the run,
+// a list of metric sinks from the stats table observing the run,
 // whose records land in Result.Records.
 type (
 	ResultsSpec = experiment.ResultsSpec
@@ -249,14 +249,8 @@ type MetricRecord = stats.Record
 // MetricSchemaVersion is the version stamped into every MetricRecord.
 const MetricSchemaVersion = stats.SchemaVersion
 
-// MetricSinks lists every registered metric sink in presentation order.
+// MetricSinks lists every metric sink in presentation order.
 func MetricSinks() []string { return stats.SinkNames() }
-
-// MetricSinkBuilder constructs a metric sink for one run.
-type MetricSinkBuilder = stats.SinkBuilder
-
-// LookupMetricSink returns the sink builder registered under name.
-func LookupMetricSink(name string) (MetricSinkBuilder, bool) { return stats.LookupSink(name) }
 
 // ValidateMetricRecord checks a record against the versioned schema:
 // correct version, named sink, a known kind, and a payload consistent

@@ -68,9 +68,6 @@ func NewGreedy(eng *sim.Engine, rank Ranker, queries int) *Greedy {
 	return g
 }
 
-// Name implements query.Shaper.
-func (g *Greedy) Name() string { return "greedy" }
-
 // QueryAdded implements query.Shaper.
 func (g *Greedy) QueryAdded(spec query.Spec, children []query.NodeID) {
 	g.specs = append(g.specs, spec)
@@ -170,9 +167,6 @@ func NewSyncPM(eng *sim.Engine, r *radio.Radio) *SyncPM {
 	*p = SyncPM{eng: eng, radio: r}
 	return p
 }
-
-// Name implements node.PowerManager.
-func (p *SyncPM) Name() string { return "SYNC" }
 
 // Start implements node.PowerManager.
 func (p *SyncPM) Start() { p.windowStart() }
@@ -290,9 +284,6 @@ func NewPsmPM(eng *sim.Engine, id node.NodeID, r *radio.Radio, m *mac.MAC) *PsmP
 	m.SetIdleSink(p)
 	return p
 }
-
-// Name implements node.PowerManager.
-func (p *PsmPM) Name() string { return "PSM" }
 
 // Start implements node.PowerManager.
 func (p *PsmPM) Start() { p.beaconStart() }

@@ -75,9 +75,6 @@ func (p *TmacPM) RadioStateChanged(old, new radio.State) {
 // MACIdle implements mac.IdleSink: the drained MAC may let the node sleep.
 func (p *TmacPM) MACIdle() { p.maybeSleep() }
 
-// Name implements node.PowerManager.
-func (p *TmacPM) Name() string { return "TMAC" }
-
 // Start implements node.PowerManager.
 func (p *TmacPM) Start() { p.frameStart() }
 

@@ -21,23 +21,17 @@ import (
 // campaignPanicProto wires a normal NTS-SS stack and then panics
 // mid-run — the shape of a protocol bug a campaign must quarantine
 // rather than die from.
-type campaignPanicProto struct{ delegate protocol.Builder }
-
-const campaignPanicName protocol.Protocol = "campaign-panic"
-
-func (p *campaignPanicProto) Protocol() protocol.Protocol { return campaignPanicName }
-
-func (p *campaignPanicProto) Build(ctx *protocol.BuildContext) {
-	p.delegate.Build(ctx)
+func campaignPanicProto(ctx *protocol.BuildContext) {
+	nts, _ := protocol.Lookup(protocol.NTSSS)
+	nts(ctx)
 	ctx.Eng.After(500*time.Millisecond, func() { panic("injected campaign bug") })
 }
 
-func init() {
-	d, ok := protocol.Lookup(protocol.NTSSS)
-	if !ok {
-		panic("NTS-SS not registered")
-	}
-	protocol.RegisterUnlisted(&campaignPanicProto{delegate: d})
+const campaignPanicName protocol.Protocol = "campaign-panic"
+
+func TestMain(m *testing.M) {
+	protocol.RegisterTestDouble(campaignPanicName, campaignPanicProto)
+	os.Exit(m.Run())
 }
 
 // genCorpus writes a small fast corpus (24-node, 3s runs) to a temp

@@ -68,9 +68,6 @@ func NewNTS(env Env, ss *SafeSleep) *NTS {
 	return n
 }
 
-// Name implements query.Shaper.
-func (n *NTS) Name() string { return "NTS" }
-
 // Stats returns shaper counters.
 func (n *NTS) Stats() ShaperStats { return n.stats }
 
@@ -189,9 +186,6 @@ func NewSTS(env Env, ss *SafeSleep, deadline time.Duration) *STS {
 	}
 	return s
 }
-
-// Name implements query.Shaper.
-func (s *STS) Name() string { return "STS" }
 
 // Stats returns shaper counters.
 func (s *STS) Stats() ShaperStats { return s.stats }
@@ -387,9 +381,6 @@ func (d *DTS) state(q query.ID) *dtsQueryState {
 	}
 	return nil
 }
-
-// Name implements query.Shaper.
-func (d *DTS) Name() string { return "DTS" }
 
 // Stats returns shaper counters.
 func (d *DTS) Stats() ShaperStats { return d.stats }

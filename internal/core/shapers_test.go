@@ -353,22 +353,6 @@ func TestDTSCollectDeadline(t *testing.T) {
 	}
 }
 
-func TestShaperNames(t *testing.T) {
-	_, env, ss := shaperFixture(t, 1, 4)
-	for _, tc := range []struct {
-		s    query.Shaper
-		want string
-	}{
-		{NewNTS(env, ss), "NTS"},
-		{NewSTS(env, ss, 0), "STS"},
-		{NewDTS(env, ss), "DTS"},
-	} {
-		if tc.s.Name() != tc.want {
-			t.Errorf("Name() = %q, want %q", tc.s.Name(), tc.want)
-		}
-	}
-}
-
 func TestRootHasNoSendSchedule(t *testing.T) {
 	_, env, ss := shaperFixture(t, 4, 4)
 	env.root = true

@@ -1,6 +1,6 @@
 // Package corpus generates seeded, reproducible workload corpora:
 // randomized-but-valid declarative scenario specs covering the full
-// registry cross-product (every protocol × topology generator ×
+// model cross-product (every protocol × topology generator ×
 // propagation model × radio profile × dynamics pattern) with
 // fuzzed-but-bounded knobs.
 //

@@ -1,19 +1,18 @@
-// Package dynamics is the network-dynamics fault/load layer: a registry
-// of deterministic, seed-driven injectors that perturb a running
+// Package dynamics is the network-dynamics fault/load layer: a table of
+// deterministic, seed-driven disturbance kinds that perturb a running
 // simulation — node crash/recovery schedules, per-link loss ramps, and
 // traffic bursts — so every protocol × topology combination can be
 // evaluated under churn instead of only on static, always-healthy
 // networks.
 //
-// Injectors are built from flat Params by registered builders (the same
-// registry pattern as protocols and topology generators) and scheduled
-// onto the engine during experiment.Build through the Host interface,
-// which the experiment layer implements. Every choice an injector makes
-// (victims, degraded links, burst phases) comes from its own
-// rand.Rand, seeded from the scenario seed and the injector's position,
-// never from the engine's stream: two runs of the same scenario perturb
-// identically, and adding an injector does not shift the choices of the
-// ones before it.
+// Each kind is one function that validates its flat Params and then
+// schedules its actions onto the engine during experiment.Build, through
+// the Host interface the experiment layer implements. Every choice a
+// kind makes (victims, degraded links, burst phases) comes from its own
+// rand.Rand, seeded from the scenario seed and the disturbance's
+// position, never from the engine's stream: two runs of the same
+// scenario perturb identically, and adding a disturbance does not shift
+// the choices of the ones before it.
 package dynamics
 
 import (
@@ -53,9 +52,9 @@ type Host interface {
 	RemoveQuery(id query.ID)
 }
 
-// Params is the flat, declarative parameter bag one injector instance
-// is built from; each kind reads the fields it needs and validates the
-// rest away. The experiment spec layer maps the JSON `dynamics` block
+// Params is the flat, declarative parameter bag one disturbance is
+// scheduled from; each kind reads the fields it needs and ignores the
+// rest. The experiment spec layer maps the JSON `dynamics` block
 // onto it one-to-one.
 type Params struct {
 	// At is when the injector starts acting.
@@ -82,46 +81,38 @@ type Params struct {
 	Seed int64
 }
 
-// Injector is one scheduled disturbance.
-type Injector interface {
-	// Kind is the registry name the injector was built under.
-	Kind() string
-	// Schedule arranges the injector's actions on h's engine. It is
-	// called once, during experiment.Build, before the run starts.
-	Schedule(h Host) error
-}
-
-// Builder constructs an injector from params. rng is the injector's
-// private seed-derived stream for every choice it must make; index is
-// the injector's position in the scenario's dynamics list, for kinds
-// that need per-instance identity (the burst injector derives its
+// Kind validates p and then arranges one disturbance's actions on h's
+// engine. It is called once, during experiment.Build, before the run
+// starts. rng is the disturbance's private seed-derived stream for every
+// choice it must make; index is its position in the scenario's dynamics
+// list, for kinds that need per-instance identity (a burst derives its
 // query-ID stride from it).
-type Builder func(p Params, rng *rand.Rand, index int) (Injector, error)
+type Kind func(h Host, p Params, rng *rand.Rand, index int) error
 
-var injectors = registry.New[string, Builder]("dynamics injector")
-
-// Register adds a builder under kind. rank orders Kinds() for
-// presentation. Register panics on duplicates.
-func Register(kind string, rank int, b Builder) {
-	injectors.Register(kind, rank, b)
+// kinds lists every disturbance kind in presentation order.
+var kinds = registry.Table[string, Kind]{
+	{Name: KindCrash, Model: crash},
+	{Name: KindLinkLoss, Model: linkLoss},
+	{Name: KindBurst, Model: burst},
 }
 
-// Lookup returns the builder registered under kind.
-func Lookup(kind string) (Builder, bool) { return injectors.Lookup(kind) }
+// Lookup returns the kind listed under name.
+func Lookup(name string) (Kind, bool) { return kinds.Lookup(name) }
 
-// Kinds lists every registered injector kind in presentation order.
-func Kinds() []string { return injectors.Names() }
+// Kinds lists every disturbance kind in presentation order.
+func Kinds() []string { return kinds.Names() }
 
-// Build constructs the injector for kind. The private stream is seeded
-// from (scenarioSeed, index, p.Seed) so scenarios perturb reproducibly
-// and injectors are independent of each other.
-func Build(kind string, p Params, scenarioSeed int64, index int) (Injector, error) {
-	b, ok := Lookup(kind)
+// Schedule validates and schedules one disturbance of the named kind on
+// h. Its private stream is seeded from (scenarioSeed, index, p.Seed) so
+// scenarios perturb reproducibly and disturbances are independent of
+// each other.
+func Schedule(h Host, kind string, p Params, scenarioSeed int64, index int) error {
+	k, ok := Lookup(kind)
 	if !ok {
-		return nil, fmt.Errorf("dynamics: unknown injector kind %q (registered: %v)", kind, Kinds())
+		return fmt.Errorf("dynamics: unknown injector kind %q (registered: %v)", kind, Kinds())
 	}
 	seed := scenarioSeed*1_000_003 + int64(index)*7919 + p.Seed
-	return b(p, rand.New(rand.NewSource(seed)), index)
+	return k(h, p, rand.New(rand.NewSource(seed)), index)
 }
 
 // pickVictims draws n distinct non-root members from h, or the pinned

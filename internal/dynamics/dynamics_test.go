@@ -71,11 +71,7 @@ func (h *fakeHost) RemoveQuery(id query.ID) { delete(h.queries, id) }
 
 func schedule(t *testing.T, h Host, kind string, p Params, seed int64) {
 	t.Helper()
-	inj, err := Build(kind, p, seed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inj.Schedule(h); err != nil {
+	if err := Schedule(h, kind, p, seed, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -169,7 +165,7 @@ func TestLinkLossValidation(t *testing.T) {
 		{At: -time.Second, Duration: time.Second, Peak: 0.5},
 	}
 	for i, p := range bad {
-		if _, err := Build(KindLinkLoss, p, 1, 0); err == nil {
+		if err := Schedule(newFakeHost(), KindLinkLoss, p, 1, 0); err == nil {
 			t.Fatalf("params %d accepted: %+v", i, p)
 		}
 	}
@@ -205,14 +201,14 @@ func TestBurstValidation(t *testing.T) {
 		{At: -time.Second, Duration: time.Second, Period: 100 * time.Millisecond},
 	}
 	for i, p := range bad {
-		if _, err := Build(KindBurst, p, 1, 0); err == nil {
+		if err := Schedule(newFakeHost(), KindBurst, p, 1, 0); err == nil {
 			t.Fatalf("params %d accepted: %+v", i, p)
 		}
 	}
 }
 
 func TestUnknownKindFails(t *testing.T) {
-	if _, err := Build("meteor", Params{}, 1, 0); err == nil {
+	if err := Schedule(newFakeHost(), "meteor", Params{}, 1, 0); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 }

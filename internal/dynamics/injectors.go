@@ -10,62 +10,45 @@ import (
 	"github.com/essat/essat/internal/topology"
 )
 
-// The built-in injector kinds.
+// The listed injector kinds.
 const (
 	KindCrash    = "crash"
 	KindLinkLoss = "linkloss"
 	KindBurst    = "burst"
 )
 
-func init() {
-	Register(KindCrash, 0, newCrash)
-	Register(KindLinkLoss, 1, newLinkLoss)
-	Register(KindBurst, 2, newBurst)
-}
-
 // --- crash/recovery --------------------------------------------------------
 
 // crash takes Count victims down at staggered times from At and, when
 // Duration is positive, brings each back after that outage. Victims are
 // seed-driven non-root members unless Node pins one.
-type crash struct {
-	p   Params
-	rng *rand.Rand
-}
-
-func newCrash(p Params, rng *rand.Rand, _ int) (Injector, error) {
+func crash(h Host, p Params, rng *rand.Rand, _ int) error {
 	if p.At < 0 {
-		return nil, fmt.Errorf("dynamics/crash: negative start %v", p.At)
+		return fmt.Errorf("dynamics/crash: negative start %v", p.At)
 	}
 	if p.Duration < 0 {
-		return nil, fmt.Errorf("dynamics/crash: negative outage %v", p.Duration)
+		return fmt.Errorf("dynamics/crash: negative outage %v", p.Duration)
 	}
 	if p.Count <= 0 {
 		p.Count = 1
 	}
-	return &crash{p: p, rng: rng}, nil
-}
-
-func (c *crash) Kind() string { return KindCrash }
-
-func (c *crash) Schedule(h Host) error {
-	victims := pickVictims(h, c.p, c.rng, c.p.Count)
+	victims := pickVictims(h, p, rng, p.Count)
 	for i, v := range victims {
 		v := v
 		// Stagger successive crashes by up to one outage (or 1 s for
 		// permanent crashes) so a multi-victim schedule is not one
 		// simultaneous cliff.
 		stagger := time.Second
-		if c.p.Duration > 0 {
-			stagger = c.p.Duration
+		if p.Duration > 0 {
+			stagger = p.Duration
 		}
-		at := c.p.At
+		at := p.At
 		if i > 0 {
-			at += time.Duration(c.rng.Int63n(int64(stagger) + 1))
+			at += time.Duration(rng.Int63n(int64(stagger) + 1))
 		}
 		h.Eng().Schedule(at, func() { h.Crash(v) })
-		if c.p.Duration > 0 {
-			h.Eng().Schedule(at+c.p.Duration, func() { h.Recover(v) })
+		if p.Duration > 0 {
+			h.Eng().Schedule(at+p.Duration, func() { h.Recover(v) })
 		}
 	}
 	return nil
@@ -78,53 +61,42 @@ func (c *crash) Schedule(h Host) error {
 // in Steps equal adjustments to Peak at the episode midpoint, then
 // falls back to zero by At+Duration. The focal node is seed-driven
 // unless Node pins one.
-type linkLoss struct {
-	p   Params
-	rng *rand.Rand
-}
-
-func newLinkLoss(p Params, rng *rand.Rand, _ int) (Injector, error) {
+func linkLoss(h Host, p Params, rng *rand.Rand, _ int) error {
 	if p.At < 0 {
-		return nil, fmt.Errorf("dynamics/linkloss: negative start %v", p.At)
+		return fmt.Errorf("dynamics/linkloss: negative start %v", p.At)
 	}
 	if p.Duration <= 0 {
-		return nil, fmt.Errorf("dynamics/linkloss: episode duration must be positive, got %v", p.Duration)
+		return fmt.Errorf("dynamics/linkloss: episode duration must be positive, got %v", p.Duration)
 	}
 	if p.Peak <= 0 || p.Peak >= 1 {
-		return nil, fmt.Errorf("dynamics/linkloss: peak must be in (0,1), got %g", p.Peak)
+		return fmt.Errorf("dynamics/linkloss: peak must be in (0,1), got %g", p.Peak)
 	}
 	if p.Steps <= 0 {
 		p.Steps = 8
 	}
-	return &linkLoss{p: p, rng: rng}, nil
-}
-
-func (l *linkLoss) Kind() string { return KindLinkLoss }
-
-func (l *linkLoss) Schedule(h Host) error {
-	victims := pickVictims(h, l.p, l.rng, 1)
+	victims := pickVictims(h, p, rng, 1)
 	if len(victims) == 0 {
 		return fmt.Errorf("dynamics/linkloss: no focal node available")
 	}
 	focal := victims[0]
 	neighbors := append([]topology.NodeID(nil), h.Neighbors(focal)...)
-	steps := l.p.Steps
-	setAll := func(p float64) {
+	steps := p.Steps
+	setAll := func(loss float64) {
 		for _, nb := range neighbors {
-			h.SetLinkLoss(focal, nb, p)
-			h.SetLinkLoss(nb, focal, p)
+			h.SetLinkLoss(focal, nb, loss)
+			h.SetLinkLoss(nb, focal, loss)
 		}
 	}
 	// Triangular profile: steps adjustments spread across the episode,
 	// peaking at the midpoint, plus a final clear at the episode end.
 	mid := float64(steps+1) / 2
 	for i := 1; i <= steps; i++ {
-		at := l.p.At + l.p.Duration*time.Duration(i)/time.Duration(steps+1)
+		at := p.At + p.Duration*time.Duration(i)/time.Duration(steps+1)
 		frac := 1 - math.Abs(float64(i)-mid)/mid
-		p := l.p.Peak * frac
-		h.Eng().Schedule(at, func() { setAll(p) })
+		loss := p.Peak * frac
+		h.Eng().Schedule(at, func() { setAll(loss) })
 	}
-	h.Eng().Schedule(l.p.At+l.p.Duration, func() { setAll(0) })
+	h.Eng().Schedule(p.At+p.Duration, func() { setAll(0) })
 	return nil
 }
 
@@ -142,49 +114,37 @@ const (
 // at time At and deregisters them Duration later: the fire-monitor
 // surge from the paper's introduction, as a reusable injector. Phases
 // are seed-driven within the first period after At.
-type burst struct {
-	p   Params
-	rng *rand.Rand
-	seq int // injector index within the scenario, for ID disjointness
-}
-
-func newBurst(p Params, rng *rand.Rand, index int) (Injector, error) {
+func burst(h Host, p Params, rng *rand.Rand, index int) error {
 	if p.At < 0 {
-		return nil, fmt.Errorf("dynamics/burst: negative start %v", p.At)
+		return fmt.Errorf("dynamics/burst: negative start %v", p.At)
 	}
 	if p.Duration <= 0 {
-		return nil, fmt.Errorf("dynamics/burst: burst length must be positive, got %v", p.Duration)
+		return fmt.Errorf("dynamics/burst: burst length must be positive, got %v", p.Duration)
 	}
 	if p.Period <= 0 {
-		return nil, fmt.Errorf("dynamics/burst: report period must be positive, got %v", p.Period)
+		return fmt.Errorf("dynamics/burst: report period must be positive, got %v", p.Period)
 	}
 	if p.Queries <= 0 {
 		p.Queries = 1
 	}
 	if p.Queries > burstIDStride {
-		// Each burst injector owns a stride of the burst ID space; more
-		// queries than that would collide with the next injector's.
-		return nil, fmt.Errorf("dynamics/burst: at most %d queries per burst, got %d", burstIDStride, p.Queries)
+		// Each burst owns a stride of the burst ID space; more queries
+		// than that would collide with the next burst's.
+		return fmt.Errorf("dynamics/burst: at most %d queries per burst, got %d", burstIDStride, p.Queries)
 	}
 	if p.Period > p.Duration {
-		return nil, fmt.Errorf("dynamics/burst: period %v exceeds burst length %v", p.Period, p.Duration)
+		return fmt.Errorf("dynamics/burst: period %v exceeds burst length %v", p.Period, p.Duration)
 	}
-	return &burst{p: p, rng: rng, seq: index}, nil
-}
-
-func (b *burst) Kind() string { return KindBurst }
-
-func (b *burst) Schedule(h Host) error {
-	for i := 0; i < b.p.Queries; i++ {
-		id := query.ID(burstIDBase + b.seq*burstIDStride + i)
-		phase := b.p.At + time.Duration(b.rng.Int63n(int64(b.p.Period)))
-		spec := query.Spec{ID: id, Period: b.p.Period, Phase: phase, Class: 0}
-		h.Eng().Schedule(b.p.At, func() {
+	for i := 0; i < p.Queries; i++ {
+		id := query.ID(burstIDBase + index*burstIDStride + i)
+		phase := p.At + time.Duration(rng.Int63n(int64(p.Period)))
+		spec := query.Spec{ID: id, Period: p.Period, Phase: phase, Class: 0}
+		h.Eng().Schedule(p.At, func() {
 			// Registration failures (ID collision with a scenario query)
 			// cannot happen by ID-space construction; ignore defensively.
 			_ = h.AddQuery(spec)
 		})
-		h.Eng().Schedule(b.p.At+b.p.Duration, func() { h.RemoveQuery(id) })
+		h.Eng().Schedule(p.At+p.Duration, func() { h.RemoveQuery(id) })
 	}
 	return nil
 }

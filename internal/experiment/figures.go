@@ -28,17 +28,17 @@ type Options struct {
 	Nodes int
 	// Parallelism bounds concurrent runs; 0 means GOMAXPROCS.
 	Parallelism int
-	// Topology selects a placement generator by registry name; empty
+	// Topology selects a placement generator by name; empty
 	// keeps the paper's uniform-random deployment. TopologyParams passes
 	// the generator's knobs (see internal/topology).
 	Topology       string
 	TopologyParams map[string]float64
-	// Channel selects a propagation model by registry name; empty keeps
+	// Channel selects a propagation model by name; empty keeps
 	// the paper's unit-disc channel. ChannelParams passes its knobs
 	// (see internal/phy).
 	Channel       string
 	ChannelParams map[string]float64
-	// RadioProfile selects a radio energy profile by registry name;
+	// RadioProfile selects a radio energy profile by name;
 	// empty keeps the paper's cost model (see internal/radio).
 	RadioProfile string
 	// BaseSeed offsets the per-point seed range: each point runs seeds

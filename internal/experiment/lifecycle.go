@@ -144,9 +144,9 @@ func RunSpec(s *Spec) (*Result, error) {
 }
 
 // BuildWith constructs the scenario's simulation on arena a without
-// running it: place the topology (via the generator registry), build
+// running it: place the topology (via the generator table), build
 // the routing tree, attach the protocol stack to every member (via the
-// protocol registry), and schedule queries, stops, flows, failures, and
+// protocol table), and schedule queries, stops, flows, failures, and
 // the warm-up snapshot. A nil arena builds on a fresh engine; a reused
 // arena's engine (event freelist, typed memory pools) is reset instead
 // of reallocated, and deployments (topology + routing-tree template)

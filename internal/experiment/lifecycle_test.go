@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -15,23 +16,17 @@ import (
 // panicProto wires a normal NTS-SS stack and then schedules a panic
 // mid-run — the shape of a protocol bug that must never take down a
 // process hosting many runs.
-type panicProto struct{ delegate protocol.Builder }
-
-const panicProtoName protocol.Protocol = "panic-mid-run"
-
-func (p *panicProto) Protocol() protocol.Protocol { return panicProtoName }
-
-func (p *panicProto) Build(ctx *protocol.BuildContext) {
-	p.delegate.Build(ctx)
+func panicProto(ctx *protocol.BuildContext) {
+	nts, _ := protocol.Lookup(NTSSS)
+	nts(ctx)
 	ctx.Eng.After(2*time.Second, func() { panic("injected protocol bug") })
 }
 
-func init() {
-	d, ok := protocol.Lookup(NTSSS)
-	if !ok {
-		panic("NTS-SS not registered")
-	}
-	protocol.RegisterUnlisted(&panicProto{delegate: d})
+const panicProtoName protocol.Protocol = "panic-mid-run"
+
+func TestMain(m *testing.M) {
+	protocol.RegisterTestDouble(panicProtoName, panicProto)
+	os.Exit(m.Run())
 }
 
 // lifecycleScenario is a small, fast run for the lifecycle tests.

@@ -28,7 +28,7 @@ import (
 )
 
 // Protocol selects the power-management protocol under test. The
-// implemented protocols live in the internal/protocol registry; this
+// implemented protocols live in the internal/protocol table; this
 // package re-exports the names for convenience.
 type Protocol = protocol.Protocol
 
@@ -44,7 +44,7 @@ const (
 	TMAC  = protocol.TMAC
 )
 
-// AllProtocols lists every registered protocol in presentation order.
+// AllProtocols lists every protocol in presentation order.
 // (TMAC is excluded from the paper's figures, which predate it in this
 // harness, but participates in smoke tests and examples.)
 var AllProtocols = protocol.All()
@@ -70,9 +70,8 @@ type Failure struct {
 	Node node.NodeID
 }
 
-// Dynamic is one configured fault/load injector: a registered kind from
-// the internal/dynamics registry ("crash", "linkloss", "burst") plus
-// its parameters.
+// Dynamic is one configured fault/load injector: a kind listed by
+// internal/dynamics ("crash", "linkloss", "burst") plus its parameters.
 type Dynamic struct {
 	Kind string
 	dynamics.Params
@@ -99,7 +98,7 @@ type Scenario struct {
 	Duration    time.Duration
 	MeasureFrom time.Duration
 
-	// RadioProfile selects the radio energy profile by registry name
+	// RadioProfile selects the radio energy profile by name
 	// ("paper", "cc1000", "cc2420"); empty keeps the paper's §4.1 cost
 	// model. The profile supplies the transition latencies, the
 	// per-state power draw behind every energy metric (battery
@@ -123,7 +122,7 @@ type Scenario struct {
 	// NoBuffering disables STS/DTS early-report buffering (ablation).
 	NoBuffering bool
 
-	// Propagation selects the channel propagation model by registry name
+	// Propagation selects the channel propagation model by name
 	// ("disc", "shadowing", "dual-disc"); empty keeps the unit-disc
 	// channel of the paper. PropagationParams passes the model's knobs
 	// (shadowing "sigma"/"pathloss", dual-disc "inner"/"outer").
@@ -182,7 +181,7 @@ type Scenario struct {
 	// runs are byte-identical with the auditor on or off.
 	Audit bool
 
-	// Sinks selects additional metric sinks from the stats registry
+	// Sinks selects additional metric sinks from the stats table
 	// ("timeseries", "energy", "jsonl", ...) to observe the run; the
 	// spec layer's results block compiles here. The root
 	// latency/coverage recorder is always attached first, so an empty
@@ -388,7 +387,7 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 	return b.Sim, nil
 }
 
-// resolveModels validates the scenario and resolves every registry name
+// resolveModels validates the scenario and resolves every model name
 // and derived config: protocol, propagation model, energy profile,
 // radio, channel, query, and protocol parameters.
 func (b *builder) resolveModels() error {
@@ -523,7 +522,7 @@ func (b *builder) channel() (err error) {
 }
 
 // stacks wires a node — radio, MAC, and the protocol stack from the
-// registry — onto every tree member in member order, then a dark station
+// protocol table — onto every tree member in member order, then a dark station
 // onto every other node so the channel's station table is complete.
 func (b *builder) stacks() {
 	sc := &b.Scenario
@@ -546,7 +545,7 @@ func (b *builder) stacks() {
 			s = &b.obs
 		}
 		ctx.Node, ctx.Sink = n, s
-		b.proto.Build(&ctx)
+		b.proto(&ctx)
 		b.obs.watchStack(n)
 		b.Nodes[id] = n
 	}
@@ -662,7 +661,7 @@ func (b *builder) flows() error {
 }
 
 // faults schedules the configured failures (random victims drawn from
-// the engine rng) and builds every dynamics injector from the registry.
+// the engine rng) and schedules every dynamics injector.
 // Injector choices draw from private seed-derived streams, so they
 // neither consume the engine's rng nor perturb anything before the first
 // injected event fires.
@@ -697,11 +696,7 @@ func (b *builder) faults() error {
 		crashed: sim.ArenaSlice[bool](b.Eng, "experiment.crashed", b.Topo.NumNodes()),
 	}
 	for i, d := range sc.Dynamics {
-		inj, err := dynamics.Build(d.Kind, d.Params, sc.Seed, i)
-		if err != nil {
-			return err
-		}
-		if err := inj.Schedule(h); err != nil {
+		if err := dynamics.Schedule(h, d.Kind, d.Params, sc.Seed, i); err != nil {
 			return err
 		}
 	}

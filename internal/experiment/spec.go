@@ -20,14 +20,14 @@ import (
 )
 
 // Spec is the declarative, JSON-serializable description of one
-// scenario: protocol by registry name, topology generator by registry
-// name, and the workload, failures, and flows on top. It deliberately
+// scenario: protocol by name, topology generator by name, and the
+// workload, failures, and flows on top. It deliberately
 // exposes only names and parameters — no wiring — so scenarios can live
 // in files, be diffed, and be generated by tools. Spec.Scenario
 // compiles it onto DefaultScenario, so omitted fields keep the paper's
 // §5 setup.
 type Spec struct {
-	// Protocol is the registry name ("DTS-SS", "PSM", ...; see
+	// Protocol is the protocol's name ("DTS-SS", "PSM", ...; see
 	// protocol.All). Required.
 	Protocol string `json:"protocol"`
 	// Seed drives node placement, query phases, and every other random
@@ -39,9 +39,10 @@ type Spec struct {
 	Nodes int     `json:"nodes,omitempty"`
 	Area  float64 `json:"area,omitempty"`
 	Range float64 `json:"range,omitempty"`
-	// Topology selects a placement generator by registry name; empty
-	// keeps uniform-random. TopologyParams passes its knobs (grid
-	// "jitter", clusters "clusters"/"spread", corridor "width").
+	// Topology selects a placement generator by name; empty keeps
+	// uniform-random, which takes no knobs. TopologyParams passes the
+	// generator's knobs (grid "jitter", clusters "clusters"/"spread",
+	// corridor "width"); an unknown key is a compile error.
 	Topology       string             `json:"topology,omitempty"`
 	TopologyParams map[string]float64 `json:"topology_params,omitempty"`
 	// TreeMaxDist limits the routing tree to nodes within this distance
@@ -89,7 +90,7 @@ type Spec struct {
 
 	// Dynamics lists fault/load injectors perturbing the run mid-flight
 	// (node crash/recovery, per-link loss ramps, traffic bursts); see
-	// internal/dynamics for the registered kinds.
+	// internal/dynamics for the listed kinds.
 	Dynamics []DynamicsSpec `json:"dynamics,omitempty"`
 
 	// Audit enables the cross-layer invariant auditor: every run-time
@@ -133,7 +134,7 @@ type WorkloadSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
-// ChannelSpec selects a propagation model by registry name with its
+// ChannelSpec selects a propagation model by name with its
 // knobs (shadowing "sigma"/"pathloss", dual-disc "inner"/"outer").
 // Unknown model names and unknown param keys are build errors.
 type ChannelSpec struct {
@@ -146,7 +147,7 @@ type ResultsSpec struct {
 	Sinks []SinkSpec `json:"sinks"`
 }
 
-// SinkSpec names one metric sink from the stats registry with its
+// SinkSpec names one metric sink from the stats table with its
 // parameters (timeseries "bucket_ms", energy "bin_j"/"bins"). Unknown
 // sink names and unknown param keys are compile errors.
 type SinkSpec struct {
@@ -154,7 +155,7 @@ type SinkSpec struct {
 	Params map[string]float64 `json:"params,omitempty"`
 }
 
-// RadioSpec selects a radio energy profile by registry name.
+// RadioSpec selects a radio energy profile by name.
 type RadioSpec struct {
 	Profile string `json:"profile"`
 }
@@ -180,8 +181,8 @@ type QueryStopSpec struct {
 	Query int64    `json:"query"`
 }
 
-// DynamicsSpec configures one fault/load injector. Kind names a
-// registered injector ("crash", "linkloss", "burst"); the remaining
+// DynamicsSpec configures one fault/load injector. Kind names a listed
+// injector kind ("crash", "linkloss", "burst"); the remaining
 // fields parameterize it — each kind reads the subset it needs:
 //
 //   - crash: at, duration (outage length; omitted = permanent), count
@@ -279,7 +280,7 @@ func LoadSpec(path string) (*Spec, error) {
 }
 
 // Scenario compiles the spec onto the paper's default setup, validating
-// protocol and topology names against their registries.
+// every model name against its layer's table and every model's params.
 func (s *Spec) Scenario() (Scenario, error) {
 	p := Protocol(s.Protocol)
 	if _, ok := protocol.Lookup(p); !ok {
@@ -300,12 +301,17 @@ func (s *Spec) Scenario() (Scenario, error) {
 	if s.Range > 0 {
 		sc.Topology.Range = s.Range
 	}
-	if s.Topology != "" {
-		if _, ok := topology.LookupGenerator(s.Topology); !ok {
-			return Scenario{}, fmt.Errorf("spec: unknown topology generator %q (registered: %v)", s.Topology, topology.GeneratorNames())
-		}
+	if s.Topology != "" || len(s.TopologyParams) > 0 {
 		sc.Topology.Generator = s.Topology
 		sc.Topology.Params = s.TopologyParams
+		// Place one node against a throwaway rng: an unknown generator,
+		// an unknown param key or a bad value must fail the compile, not
+		// the run.
+		probe := sc.Topology
+		probe.NumNodes = 1
+		if err := topology.Replay(rand.New(rand.NewSource(1)), probe); err != nil {
+			return Scenario{}, fmt.Errorf("spec: %w", err)
+		}
 	}
 	if s.TreeMaxDist > 0 {
 		sc.TreeMaxDist = s.TreeMaxDist

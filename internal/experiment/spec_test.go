@@ -151,6 +151,12 @@ func TestSpecErrors(t *testing.T) {
 	}{
 		{"unknown protocol", Spec{Protocol: "XYZ", Workload: wl}, ""},
 		{"unknown topology", Spec{Protocol: "DTS-SS", Topology: "moebius", Workload: wl}, ""},
+		{"unknown topology param", Spec{Protocol: "DTS-SS", Topology: "grid",
+			TopologyParams: map[string]float64{"jiter": 5}, Workload: wl}, "jiter"},
+		{"params for the uniform default", Spec{Protocol: "DTS-SS",
+			TopologyParams: map[string]float64{"jitter": 5}, Workload: wl}, "jitter"},
+		{"unknown channel param", Spec{Protocol: "DTS-SS", Workload: wl,
+			Channel: &ChannelSpec{Model: "shadowing", Params: map[string]float64{"sigmaa": 4}}}, "sigmaa"},
 		{"no queries", Spec{Protocol: "DTS-SS"}, ""},
 		{"measure_from past duration", Spec{Protocol: "DTS-SS", Duration: Dur(30 * time.Second),
 			MeasureFrom: durPtr(60 * time.Second), Workload: wl}, ""},

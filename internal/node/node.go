@@ -30,8 +30,6 @@ type JoinMsg struct{}
 // directly (SYNC, PSM). ESSAT protocols do not use one: Safe Sleep plays
 // this role.
 type PowerManager interface {
-	// Name identifies the policy.
-	Name() string
 	// Start begins the policy's schedule at simulation time zero.
 	Start()
 }

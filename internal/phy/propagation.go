@@ -7,7 +7,7 @@ import (
 	"github.com/essat/essat/internal/registry"
 )
 
-// The registered propagation models. Disc is the unit-disc channel of
+// The listed propagation models. Disc is the unit-disc channel of
 // the paper's evaluation (the default); the others model the lossy
 // gray-zone links real deployments measure: log-normal shadowing and a
 // two-radius disc with a probabilistic outer band.
@@ -25,8 +25,6 @@ const (
 // of their arguments so runs stay deterministic: all randomness lives
 // in the channel's single rng draw.
 type Propagation interface {
-	// Name is the registry key ("disc", "shadowing", "dual-disc").
-	Name() string
 	// MaxRange returns a conservative radius, given the nominal
 	// communication range, beyond which delivery probability is
 	// negligible. Topology builds neighbor candidates from it; a pair
@@ -44,16 +42,14 @@ type Propagation interface {
 // reject unknown parameter keys so typos in scenario files fail loudly.
 type PropagationBuilder func(params map[string]float64) (Propagation, error)
 
-var propagations = registry.New[string, PropagationBuilder]("propagation model")
-
-// RegisterPropagation adds a model builder under name. rank orders
-// PropagationNames() for presentation (lower first); ties break by
-// name. It panics on duplicates.
-func RegisterPropagation(rank int, name string, b PropagationBuilder) {
-	propagations.Register(name, rank, b)
+// propagations lists every model in presentation order.
+var propagations = registry.Table[string, PropagationBuilder]{
+	{Name: Disc, Model: newDisc},
+	{Name: Shadowing, Model: newShadowing},
+	{Name: DualDisc, Model: newDualDisc},
 }
 
-// NewPropagation builds the model registered under name with the given
+// NewPropagation builds the model listed under name with the given
 // knobs. An empty name selects disc, the paper's unit-disc channel.
 func NewPropagation(name string, params map[string]float64) (Propagation, error) {
 	if name == "" {
@@ -66,59 +62,19 @@ func NewPropagation(name string, params map[string]float64) (Propagation, error)
 	return b(params)
 }
 
-// PropagationNames lists every registered model in presentation order.
+// PropagationNames lists every model in presentation order.
 func PropagationNames() []string { return propagations.Names() }
 
 // IsDisc reports whether p is the built-in unit-disc model (or nil, its
-// shorthand). Fast paths key on the model's identity, not its Name(),
-// so a custom Propagation that happens to answer "disc" still gets its
-// DeliveryProb consulted.
+// shorthand). Fast paths key on the model's type, so a custom
+// Propagation with disc-like behaviour still gets its DeliveryProb
+// consulted.
 func IsDisc(p Propagation) bool {
 	if p == nil {
 		return true
 	}
 	_, ok := p.(discModel)
 	return ok
-}
-
-// paramReader pops knobs off a params map and reports leftovers, so
-// every builder gets strict parsing for free.
-type paramReader struct {
-	model string
-	left  map[string]float64
-}
-
-func newParamReader(model string, params map[string]float64) *paramReader {
-	left := make(map[string]float64, len(params))
-	for k, v := range params {
-		left[k] = v
-	}
-	return &paramReader{model: model, left: left}
-}
-
-func (r *paramReader) get(key string, def float64) float64 {
-	if v, ok := r.left[key]; ok {
-		delete(r.left, key)
-		return v
-	}
-	return def
-}
-
-func (r *paramReader) finish() error {
-	if len(r.left) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(r.left))
-	for k := range r.left {
-		keys = append(keys, k)
-	}
-	return fmt.Errorf("phy/%s: unknown params %v", r.model, keys)
-}
-
-func init() {
-	RegisterPropagation(10, Disc, newDisc)
-	RegisterPropagation(20, Shadowing, newShadowing)
-	RegisterPropagation(30, DualDisc, newDualDisc)
 }
 
 // discModel is the unit-disc channel: every frame within the nominal
@@ -129,13 +85,13 @@ func init() {
 type discModel struct{}
 
 func newDisc(params map[string]float64) (Propagation, error) {
-	if err := newParamReader(Disc, params).finish(); err != nil {
-		return nil, err
+	r := registry.ReadParams(params)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("phy/disc: %w", err)
 	}
 	return discModel{}, nil
 }
 
-func (discModel) Name() string                     { return Disc }
 func (discModel) MaxRange(nominal float64) float64 { return nominal }
 
 func (discModel) DeliveryProb(dist, nominal float64) float64 {
@@ -162,13 +118,13 @@ type shadowingModel struct {
 }
 
 func newShadowing(params map[string]float64) (Propagation, error) {
-	r := newParamReader(Shadowing, params)
+	r := registry.ReadParams(params)
 	m := shadowingModel{
-		sigma:    r.get("sigma", 4),
-		pathloss: r.get("pathloss", 3),
+		sigma:    r.Float("sigma", 4),
+		pathloss: r.Float("pathloss", 3),
 	}
-	if err := r.finish(); err != nil {
-		return nil, err
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("phy/shadowing: %w", err)
 	}
 	if m.sigma <= 0 {
 		return nil, fmt.Errorf("phy/shadowing: sigma must be positive, got %g", m.sigma)
@@ -181,8 +137,6 @@ func newShadowing(params map[string]float64) (Propagation, error) {
 	m.maxFactor = math.Pow(10, 2.3263*m.sigma/(10*m.pathloss))
 	return m, nil
 }
-
-func (shadowingModel) Name() string { return Shadowing }
 
 func (m shadowingModel) MaxRange(nominal float64) float64 {
 	return nominal * m.maxFactor
@@ -207,21 +161,19 @@ type dualDiscModel struct {
 }
 
 func newDualDisc(params map[string]float64) (Propagation, error) {
-	r := newParamReader(DualDisc, params)
+	r := registry.ReadParams(params)
 	m := dualDiscModel{
-		inner: r.get("inner", 0.7),
-		outer: r.get("outer", 1.25),
+		inner: r.Float("inner", 0.7),
+		outer: r.Float("outer", 1.25),
 	}
-	if err := r.finish(); err != nil {
-		return nil, err
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("phy/dual-disc: %w", err)
 	}
 	if m.inner <= 0 || m.outer < m.inner {
 		return nil, fmt.Errorf("phy/dual-disc: need 0 < inner <= outer, got inner %g, outer %g", m.inner, m.outer)
 	}
 	return m, nil
 }
-
-func (dualDiscModel) Name() string { return DualDisc }
 
 func (m dualDiscModel) MaxRange(nominal float64) float64 {
 	return nominal * m.outer

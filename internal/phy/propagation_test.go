@@ -36,8 +36,8 @@ func TestPropagationRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("empty name: %v", err)
 	}
-	if m.Name() != Disc {
-		t.Errorf("empty name resolved to %q, want disc", m.Name())
+	if !IsDisc(m) {
+		t.Errorf("empty name resolved to %T, want disc", m)
 	}
 }
 

@@ -8,29 +8,14 @@ import (
 // traffic shapers (§4.2), plus SPAN, which the paper configures as an
 // always-on backbone with NTS-SS leaves (§5).
 
-func init() {
-	Register(10, dtsBuilder{})
-	Register(20, stsBuilder{})
-	Register(30, ntsBuilder{})
-	Register(50, spanBuilder{})
-}
-
-type ntsBuilder struct{}
-
-func (ntsBuilder) Protocol() Protocol { return NTSSS }
-
-func (ntsBuilder) Build(ctx *BuildContext) {
+func buildNTS(ctx *BuildContext) {
 	n := ctx.Node
 	ss := newSafeSleep(ctx, false)
 	n.InstallSleep(ss)
 	n.InstallAgent(core.NewNTS(n, ss), ctx.Sink, ctx.QueryCfg, ctx.Queries)
 }
 
-type stsBuilder struct{}
-
-func (stsBuilder) Protocol() Protocol { return STSSS }
-
-func (stsBuilder) Build(ctx *BuildContext) {
+func buildSTS(ctx *BuildContext) {
 	n := ctx.Node
 	ss := newSafeSleep(ctx, false)
 	n.InstallSleep(ss)
@@ -39,11 +24,7 @@ func (stsBuilder) Build(ctx *BuildContext) {
 	n.InstallAgent(sts, ctx.Sink, ctx.QueryCfg, ctx.Queries)
 }
 
-type dtsBuilder struct{}
-
-func (dtsBuilder) Protocol() Protocol { return DTSSS }
-
-func (dtsBuilder) Build(ctx *BuildContext) {
+func buildDTS(ctx *BuildContext) {
 	n := ctx.Node
 	ss := newSafeSleep(ctx, false)
 	n.InstallSleep(ss)
@@ -52,11 +33,7 @@ func (dtsBuilder) Build(ctx *BuildContext) {
 	n.InstallAgent(dts, ctx.Sink, ctx.QueryCfg, ctx.Queries)
 }
 
-type spanBuilder struct{}
-
-func (spanBuilder) Protocol() Protocol { return SPAN }
-
-func (spanBuilder) Build(ctx *BuildContext) {
+func buildSPAN(ctx *BuildContext) {
 	// Backbone (non-leaf) nodes always on; leaves run NTS-SS.
 	n := ctx.Node
 	ss := newSafeSleep(ctx, !ctx.Tree.IsLeaf(n.ID()))

@@ -1,12 +1,11 @@
-// Package protocol is the registry of power-management stacks the
-// harness can attach to a sensor node. Each protocol is a Builder that
-// wires a traffic shaper, sleep scheduler, and query agent onto one
-// node.Node; builders self-register by name at init time, so the
-// experiment layer, the public API, and the CLIs all share a single
-// source of truth for "which protocols exist".
+// Package protocol lists the power-management stacks the harness can
+// attach to a sensor node. Each protocol is a Builder that wires a
+// traffic shaper, sleep scheduler, and query agent onto one node.Node;
+// the stacks table is the single source of truth for "which protocols
+// exist", shared by the experiment layer, the public API, and the CLIs.
 //
-// To add a protocol, implement Builder and call Register from an init
-// function; it immediately becomes runnable from scenarios, JSON specs,
+// To add a protocol, write its Builder and add a row to the stacks
+// table; it immediately becomes runnable from scenarios, JSON specs,
 // and essat-sim without touching the experiment package.
 package protocol
 
@@ -21,7 +20,7 @@ import (
 	"github.com/essat/essat/internal/sim"
 )
 
-// Protocol names a registered power-management stack.
+// Protocol names a power-management stack.
 type Protocol string
 
 // The five protocols of the paper's evaluation plus SYNC, plus T-MAC
@@ -74,39 +73,43 @@ type BuildContext struct {
 }
 
 // Builder attaches one protocol's stack (shaper + sleep scheduler +
-// query agent, or a baseline power manager) to a node.
-type Builder interface {
-	// Protocol is the registry key and display name.
-	Protocol() Protocol
-	// Build wires the stack onto ctx.Node. It is called once per tree
-	// member, before the simulation starts.
-	Build(ctx *BuildContext)
+// query agent, or a baseline power manager) to ctx.Node. It is called
+// once per tree member, before the simulation starts.
+type Builder func(ctx *BuildContext)
+
+// stacks lists every protocol in presentation order, the paper's
+// figure ordering.
+var stacks = registry.Table[Protocol, Builder]{
+	{Name: DTSSS, Model: buildDTS},
+	{Name: STSSS, Model: buildSTS},
+	{Name: NTSSS, Model: buildNTS},
+	{Name: PSM, Model: buildPSM},
+	{Name: SPAN, Model: buildSPAN},
+	{Name: SYNC, Model: buildSYNC},
+	{Name: TMAC, Model: buildTMAC},
 }
 
-var builders = registry.New[Protocol, Builder]("protocol")
+// testDoubles holds the stacks RegisterTestDouble adds.
+var testDoubles = map[Protocol]Builder{}
 
-// Register adds b under its protocol name. rank orders All() for
-// presentation (lower first, the paper's figure ordering); ties break by
-// name. Register panics on duplicates: protocols are identities, not
-// overridable hooks.
-func Register(rank int, b Builder) {
-	builders.Register(b.Protocol(), rank, b)
+// RegisterTestDouble makes b runnable under name without listing it in
+// All. It is for tests only: a test binary registers deliberately
+// panicking or slow stacks through it from TestMain, before any run,
+// so every-protocol sweeps and CLI listings still see only the real
+// stacks.
+func RegisterTestDouble(name Protocol, b Builder) { testDoubles[name] = b }
+
+// Lookup returns the builder for p.
+func Lookup(p Protocol) (Builder, bool) {
+	if b, ok := stacks.Lookup(p); ok {
+		return b, true
+	}
+	b, ok := testDoubles[p]
+	return b, ok
 }
 
-// RegisterUnlisted adds b so it resolves through Lookup (and therefore
-// runs from scenarios and specs) without appearing in All(). Test
-// doubles — like the deliberately panicking protocol the lifecycle
-// tests use to exercise containment — register this way so
-// every-protocol sweeps and CLI listings see only real stacks.
-func RegisterUnlisted(b Builder) {
-	builders.RegisterUnlisted(b.Protocol(), b)
-}
-
-// Lookup returns the builder registered under p.
-func Lookup(p Protocol) (Builder, bool) { return builders.Lookup(p) }
-
-// All lists every registered protocol in presentation order.
-func All() []Protocol { return builders.Names() }
+// All lists every protocol in presentation order.
+func All() []Protocol { return stacks.Names() }
 
 // newSafeSleep builds the node's Safe Sleep scheduler with the
 // context's tBE parameter, honoring the global disable switch.

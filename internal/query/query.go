@@ -75,8 +75,6 @@ type Report struct {
 // The ESSAT shapers update Safe Sleep's expected send/receive times from
 // these hooks; baseline policies mostly leave them empty.
 type Shaper interface {
-	// Name identifies the shaper in results ("NTS", "STS", "DTS", ...).
-	Name() string
 	// QueryAdded informs the shaper of a newly registered query and the
 	// node's current children for it.
 	QueryAdded(spec Spec, children []NodeID)

@@ -23,7 +23,6 @@ func newStubShaper() *stubShaper { return &stubShaper{specs: make(map[ID]Spec)} 
 
 func (s *stubShaper) log(ev string) { s.calls = append(s.calls, ev) }
 
-func (s *stubShaper) Name() string { return "stub" }
 func (s *stubShaper) QueryAdded(spec Spec, children []NodeID) {
 	s.specs[spec.ID] = spec
 	s.log("added")

@@ -41,13 +41,3 @@ func (r *Radio) Energy(p PowerProfile) float64 {
 		sec(r.TimeIn(Tx))*p.Tx +
 		(sec(r.TimeIn(TurningOn))+sec(r.TimeIn(TurningOff)))*p.Transition
 }
-
-// AveragePower returns the mean draw in watts since time zero, or the
-// idle draw if no time has elapsed.
-func (r *Radio) AveragePower(p PowerProfile) float64 {
-	elapsed := r.eng.Now().Seconds()
-	if elapsed <= 0 {
-		return p.Idle
-	}
-	return r.Energy(p) / elapsed
-}

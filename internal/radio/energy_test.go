@@ -23,9 +23,6 @@ func TestEnergyAccounting(t *testing.T) {
 	if got := r.Energy(p); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("Energy = %v J, want %v J", got, want)
 	}
-	if got := r.AveragePower(p); math.Abs(got-want/10) > 1e-12 {
-		t.Fatalf("AveragePower = %v W, want %v W", got, want/10)
-	}
 }
 
 func TestEnergyIncludesTransitions(t *testing.T) {
@@ -45,14 +42,5 @@ func TestMica2PowerOrdering(t *testing.T) {
 	p := Mica2Power()
 	if !(p.Sleep < p.Idle && p.Idle <= p.Rx && p.Rx < p.Tx) {
 		t.Fatalf("implausible power ordering: %+v", p)
-	}
-}
-
-func TestAveragePowerAtTimeZero(t *testing.T) {
-	eng := sim.New(1)
-	r := New(eng, Config{})
-	p := Mica2Power()
-	if got := r.AveragePower(p); got != p.Idle {
-		t.Fatalf("AveragePower at t=0 = %v, want idle draw", got)
 	}
 }

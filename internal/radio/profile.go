@@ -6,7 +6,7 @@ import (
 	"github.com/essat/essat/internal/registry"
 )
 
-// The registered radio energy profiles. Paper is the ESSAT paper's §4.1
+// The listed radio energy profiles. Paper is the ESSAT paper's §4.1
 // cost model (the default); the others are real sensor-node radios from
 // the WSN power-management literature: the CC1000 (MICA2) and the
 // CC2420 (MICAZ/TelosB), whose very different transition costs shift
@@ -22,10 +22,8 @@ const (
 // derived from both. Every consumer of radio energy — Safe Sleep's
 // break-even rule, battery exhaustion, the lifetime estimates, and the
 // auditor's energy-conservation invariant — reads a profile instead of
-// package constants, so swapping hardware is one registry lookup.
+// package constants, so swapping hardware is one table lookup.
 type EnergyProfile struct {
-	// Name is the registry key ("paper", "cc1000", "cc2420").
-	Name string
 	// Power is the per-state draw in watts.
 	Power PowerProfile
 	// TurnOnDelay is tOFF→ON and TurnOffDelay tON→OFF.
@@ -62,36 +60,20 @@ func (p EnergyProfile) BreakEven() time.Duration {
 	return time.Duration(float64(t) * ratio)
 }
 
-var profiles = registry.New[string, EnergyProfile]("radio energy profile")
-
-// RegisterProfile adds p under its name. rank orders ProfileNames() for
-// presentation (lower first); ties break by name. It panics on
-// duplicates.
-func RegisterProfile(rank int, p EnergyProfile) {
-	profiles.Register(p.Name, rank, p)
-}
-
-// LookupProfile returns the profile registered under name.
-func LookupProfile(name string) (EnergyProfile, bool) { return profiles.Lookup(name) }
-
-// ProfileNames lists every registered profile in presentation order.
-func ProfileNames() []string { return profiles.Names() }
-
-func init() {
+// profiles lists every profile in presentation order.
+var profiles = registry.Table[string, EnergyProfile]{
 	// paper: the constants the harness has always used — the §4.1 model
 	// with the 2.5 ms MICA2 wake-up the paper cites, Ptrans = Pidle, and
 	// the CC1000-class draw of Mica2Power.
-	RegisterProfile(10, EnergyProfile{
-		Name:         Paper,
+	{Name: Paper, Model: EnergyProfile{
 		Power:        Mica2Power(),
 		TurnOnDelay:  2500 * time.Microsecond,
 		TurnOffDelay: 500 * time.Microsecond,
-	})
+	}},
 	// cc1000: the MICA2 radio from its datasheet at 3 V: 9.6 mA rx,
 	// 25.4 mA tx at +5 dBm, 0.2 µA sleep, ~2 ms crystal/PLL startup
 	// drawing roughly the rx current. tBE = 2.25 ms.
-	RegisterProfile(20, EnergyProfile{
-		Name: CC1000,
+	{Name: CC1000, Model: EnergyProfile{
 		Power: PowerProfile{
 			Sleep:      6e-7,
 			Idle:       0.0288,
@@ -101,15 +83,14 @@ func init() {
 		},
 		TurnOnDelay:  2000 * time.Microsecond,
 		TurnOffDelay: 250 * time.Microsecond,
-	})
+	}},
 	// cc2420: the MICAZ/TelosB 802.15.4 radio at 3 V: 18.8 mA rx,
 	// 17.4 mA tx at 0 dBm, ~1 µA power-down, and a voltage-regulator +
 	// oscillator startup (~1.4 ms) that draws far less than listening —
 	// so its derived break-even time (~124 µs) is an order of magnitude
 	// below the paper radio's, and Safe Sleep sleeps through much
 	// shorter gaps.
-	RegisterProfile(30, EnergyProfile{
-		Name: CC2420,
+	{Name: CC2420, Model: EnergyProfile{
 		Power: PowerProfile{
 			Sleep:      3e-6,
 			Idle:       0.0564,
@@ -119,5 +100,11 @@ func init() {
 		},
 		TurnOnDelay:  1400 * time.Microsecond,
 		TurnOffDelay: 200 * time.Microsecond,
-	})
+	}},
 }
+
+// LookupProfile returns the profile listed under name.
+func LookupProfile(name string) (EnergyProfile, bool) { return profiles.Lookup(name) }
+
+// ProfileNames lists every profile in presentation order.
+func ProfileNames() []string { return profiles.Names() }

@@ -1,77 +1,83 @@
-// Package registry provides the rank-ordered, name-keyed registry
-// shared by the pluggable layers (protocols, topology generators).
-// Registries are written only from init functions; reads after init are
-// concurrency-safe without locking.
+// Package registry holds what every model layer shares: the ordered
+// name→model table a layer lists its models in (protocols, topology
+// generators, propagation models, radio profiles, metric sinks,
+// dynamics kinds), and the strict reader for a model's numeric params.
 package registry
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// Registry maps names to values with a presentation rank.
-type Registry[K ~string, V any] struct {
-	kind    string
-	entries map[K]entry[V]
+// Entry is one named model in a layer's table.
+type Entry[K ~string, V any] struct {
+	Name  K
+	Model V
 }
 
-type entry[V any] struct {
-	rank     int
-	unlisted bool
-	v        V
-}
+// Table is a layer's fixed list of models. Its order is the order the
+// layer lists its names in.
+type Table[K ~string, V any] []Entry[K, V]
 
-// New creates an empty registry; kind names the layer in panic
-// messages ("protocol", "topology generator").
-func New[K ~string, V any](kind string) *Registry[K, V] {
-	return &Registry[K, V]{kind: kind, entries: map[K]entry[V]{}}
-}
-
-// Register adds v under name. rank orders Names() for presentation
-// (lower first); ties break by name. Register panics on duplicates:
-// registered names are identities, not overridable hooks.
-func (r *Registry[K, V]) Register(name K, rank int, v V) {
-	if _, dup := r.entries[name]; dup {
-		panic(fmt.Sprintf("%s: duplicate registration of %q", r.kind, string(name)))
-	}
-	r.entries[name] = entry[V]{rank: rank, v: v}
-}
-
-// RegisterUnlisted adds v under name like Register, but keeps it out of
-// Names(): the entry resolves through Lookup yet never appears in "all
-// registered X" sweeps. Test doubles (e.g. a deliberately panicking
-// protocol used to exercise containment) register this way so that
-// every-protocol matrix tests and CLI listings stay confined to the
-// real implementations.
-func (r *Registry[K, V]) RegisterUnlisted(name K, v V) {
-	if _, dup := r.entries[name]; dup {
-		panic(fmt.Sprintf("%s: duplicate registration of %q", r.kind, string(name)))
-	}
-	r.entries[name] = entry[V]{unlisted: true, v: v}
-}
-
-// Lookup returns the value registered under name.
-func (r *Registry[K, V]) Lookup(name K) (V, bool) {
-	e, ok := r.entries[name]
-	return e.v, ok
-}
-
-// Names lists every listed registered name in presentation order;
-// unlisted entries are omitted.
-func (r *Registry[K, V]) Names() []K {
-	out := make([]K, 0, len(r.entries))
-	for name, e := range r.entries {
-		if e.unlisted {
-			continue
+// Lookup returns the model listed under name.
+func (t Table[K, V]) Lookup(name K) (V, bool) {
+	for _, e := range t {
+		if e.Name == name {
+			return e.Model, true
 		}
-		out = append(out, name)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		ri, rj := r.entries[out[i]].rank, r.entries[out[j]].rank
-		if ri != rj {
-			return ri < rj
-		}
-		return out[i] < out[j]
-	})
+	var zero V
+	return zero, false
+}
+
+// Names lists the table's names in table order.
+func (t Table[K, V]) Names() []K {
+	out := make([]K, len(t))
+	for i, e := range t {
+		out[i] = e.Name
+	}
 	return out
+}
+
+// Params reads one model's numeric params strictly: every key of the
+// map must be asked for by Float before Done, or Done fails naming the
+// key, so a misspelt knob is an error rather than a silent default.
+// Reading an empty map allocates nothing.
+type Params struct {
+	m     map[string]float64
+	known []string
+}
+
+// ReadParams starts a strict read of m.
+func ReadParams(m map[string]float64) Params { return Params{m: m} }
+
+// Float returns the param under key, or def when it is absent.
+func (p *Params) Float(key string, def float64) float64 {
+	if len(p.m) == 0 {
+		return def
+	}
+	p.known = append(p.known, key)
+	if v, ok := p.m[key]; ok {
+		return v
+	}
+	return def
+}
+
+// Done reports the first key, in sorted order, that no Float call asked
+// for.
+func (p *Params) Done() error {
+	if len(p.m) == 0 {
+		return nil
+	}
+	keys := make([]string, 0, len(p.m))
+	for k := range p.m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		if !slices.Contains(p.known, k) {
+			return fmt.Errorf("unknown param %q (known: %v)", k, p.known)
+		}
+	}
+	return nil
 }

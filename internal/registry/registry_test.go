@@ -2,64 +2,67 @@ package registry
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
-func TestLookupReturnsRegisteredValue(t *testing.T) {
-	r := New[string, int]("thing")
-	r.Register("a", 0, 41)
-	got, ok := r.Lookup("a")
-	if !ok || got != 41 {
-		t.Fatalf("Lookup(a) = %d, %v; want 41, true", got, ok)
+func TestTableLookupAndNames(t *testing.T) {
+	type key string
+	tab := Table[key, int]{{"zeta", 1}, {"mid", 2}, {"alpha", 3}}
+	if got, ok := tab.Lookup("mid"); !ok || got != 2 {
+		t.Fatalf("Lookup(mid) = %d, %v; want 2, true", got, ok)
 	}
-}
-
-func TestLookupMiss(t *testing.T) {
-	r := New[string, int]("thing")
-	r.Register("a", 0, 1)
-	if v, ok := r.Lookup("nope"); ok {
-		t.Fatalf("Lookup(nope) = %d, true; want miss", v)
-	}
-	if v, ok := r.Lookup(""); ok {
-		t.Fatalf("Lookup(\"\") = %d, true; want miss", v)
-	}
-}
-
-func TestDuplicateRegistrationPanics(t *testing.T) {
-	r := New[string, int]("thing")
-	r.Register("a", 0, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
+	for _, miss := range []key{"nope", ""} {
+		if v, ok := tab.Lookup(miss); ok {
+			t.Fatalf("Lookup(%q) = %d, true; want miss", miss, v)
 		}
-	}()
-	r.Register("a", 1, 2)
-}
-
-func TestNamesOrderedByRankThenName(t *testing.T) {
-	r := New[string, int]("thing")
-	// Insert in scrambled order; Names must sort by (rank, name).
-	r.Register("zeta", 0, 1)
-	r.Register("beta", 2, 2)
-	r.Register("alpha", 2, 3)
-	r.Register("mid", 1, 4)
-	want := []string{"zeta", "mid", "alpha", "beta"}
-	if got := r.Names(); !reflect.DeepEqual(got, want) {
+	}
+	// Names keeps table order; it does not sort.
+	if got, want := tab.Names(), []key{"zeta", "mid", "alpha"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
-	// Deterministic across calls (no map-order leakage).
-	for i := 0; i < 10; i++ {
-		if got := r.Names(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Names() unstable on call %d: %v", i, got)
-		}
+}
+
+func TestParamsReadsKnownKeysAndDefaults(t *testing.T) {
+	p := ReadParams(map[string]float64{"width": 60})
+	if got := p.Float("width", 1); got != 60 {
+		t.Errorf("Float(width) = %g, want 60", got)
+	}
+	if got := p.Float("depth", 7); got != 7 {
+		t.Errorf("Float(depth) = %g, want the default 7", got)
+	}
+	if err := p.Done(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestNamedStringKeyTypes(t *testing.T) {
-	type key string
-	r := New[key, string]("typed")
-	r.Register("x", 0, "vx")
-	if v, ok := r.Lookup("x"); !ok || v != "vx" {
-		t.Fatalf("typed-key Lookup = %q, %v", v, ok)
+func TestParamsRejectsUnknownKey(t *testing.T) {
+	p := ReadParams(map[string]float64{"jitter": 1, "jiter": 5, "bogus": 2})
+	p.Float("jitter", 0)
+	err := p.Done()
+	if err == nil {
+		t.Fatal("unknown keys accepted")
+	}
+	// The first unknown key in sorted order is named, with the known keys.
+	if msg := err.Error(); !strings.Contains(msg, `"bogus"`) || !strings.Contains(msg, "jitter") {
+		t.Errorf("error %q does not name the key and the known keys", msg)
+	}
+	none := ReadParams(map[string]float64{"x": 1})
+	if none.Done() == nil {
+		t.Error("a model with no params accepted a key")
+	}
+}
+
+func TestParamsEmptyReadDoesNotAllocate(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		p := ReadParams(nil)
+		p.Float("sigma", 4)
+		p.Float("pathloss", 3)
+		if p.Done() != nil {
+			t.Fatal("empty params rejected")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reading empty params allocated %v times per read", allocs)
 	}
 }

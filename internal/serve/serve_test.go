@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -20,14 +21,9 @@ import (
 // slowProto delegates to a real stack and then keeps the run busy by
 // scheduling a dense self-perpetuating event chain, so concurrency
 // tests can hold worker slots long enough to observe shedding.
-type slowProto struct{ delegate protocol.Builder }
-
-const slowProtoName protocol.Protocol = "slow-serve-test"
-
-func (p *slowProto) Protocol() protocol.Protocol { return slowProtoName }
-
-func (p *slowProto) Build(ctx *protocol.BuildContext) {
-	p.delegate.Build(ctx)
+func slowProto(ctx *protocol.BuildContext) {
+	nts, _ := protocol.Lookup(protocol.NTSSS)
+	nts(ctx)
 	// Only once per run (the builder runs per node): the root — the one
 	// node handed a sink — anchors the chain.
 	if ctx.Sink != nil {
@@ -40,27 +36,23 @@ func (p *slowProto) Build(ctx *protocol.BuildContext) {
 	}
 }
 
+const slowProtoName protocol.Protocol = "slow-serve-test"
+
 // servePanicProto panics mid-run, exercising the 500 path.
-type servePanicProto struct{ delegate protocol.Builder }
-
-const servePanicName protocol.Protocol = "panic-serve-test"
-
-func (p *servePanicProto) Protocol() protocol.Protocol { return servePanicName }
-
-func (p *servePanicProto) Build(ctx *protocol.BuildContext) {
-	p.delegate.Build(ctx)
+func servePanicProto(ctx *protocol.BuildContext) {
+	nts, _ := protocol.Lookup(protocol.NTSSS)
+	nts(ctx)
 	if ctx.Sink != nil {
 		ctx.Eng.After(500*time.Millisecond, func() { panic("injected serve bug") })
 	}
 }
 
-func init() {
-	d, ok := protocol.Lookup(protocol.NTSSS)
-	if !ok {
-		panic("NTS-SS not registered")
-	}
-	protocol.RegisterUnlisted(&slowProto{delegate: d})
-	protocol.RegisterUnlisted(&servePanicProto{delegate: d})
+const servePanicName protocol.Protocol = "panic-serve-test"
+
+func TestMain(m *testing.M) {
+	protocol.RegisterTestDouble(slowProtoName, slowProto)
+	protocol.RegisterTestDouble(servePanicName, servePanicProto)
+	os.Exit(m.Run())
 }
 
 // specJSON is a small fast run: ~1s simulated on 30 nodes.

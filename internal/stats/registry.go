@@ -9,7 +9,7 @@ import (
 	"github.com/essat/essat/internal/registry"
 )
 
-// Registered sink names, in rank order.
+// The listed sink names, in presentation order.
 const (
 	// SinkTimeseries emits per-node radio awake-fraction series.
 	SinkTimeseries = "timeseries"
@@ -29,7 +29,8 @@ const (
 // sink set. The run's observer fixes the order of every call; Finish
 // comes last, once.
 type Sink interface {
-	// Name returns the sink's registered name.
+	// Name returns the sink's listed name; Records stamps it into the
+	// sink's record.
 	Name() string
 	// ReportArrived observes one report reaching the root.
 	ReportArrived(q query.ID, interval int, latency time.Duration, coverage int)
@@ -85,43 +86,24 @@ type SinkConfig struct {
 // SinkBuilder constructs a sink for one run.
 type SinkBuilder func(cfg SinkConfig) (Sink, error)
 
-var sinks = registry.New[string, SinkBuilder]("metric sink")
+// sinks lists every sink in presentation order.
+var sinks = registry.Table[string, SinkBuilder]{
+	{Name: SinkTimeseries, Model: newTimeseriesSink},
+	{Name: SinkEnergy, Model: newEnergySink},
+	{Name: SinkJSONL, Model: newJSONLSink},
+}
 
-// RegisterSink registers a sink builder under name. Rank orders listing
-// output; registration panics on duplicates (miswired init).
-func RegisterSink(name string, rank int, b SinkBuilder) { sinks.Register(name, rank, b) }
-
-// LookupSink returns the builder registered under name.
-func LookupSink(name string) (SinkBuilder, bool) { return sinks.Lookup(name) }
-
-// SinkNames lists registered sinks in rank order.
+// SinkNames lists every sink in presentation order.
 func SinkNames() []string { return sinks.Names() }
 
-// NewSink builds the named sink, or an error naming the registered
-// sinks for an unknown name.
+// NewSink builds the named sink, or an error naming the listed sinks
+// for an unknown name.
 func NewSink(name string, cfg SinkConfig) (Sink, error) {
 	b, ok := sinks.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("stats: unknown metric sink %q (registered: %v)", name, SinkNames())
 	}
 	return b(cfg)
-}
-
-// checkParams rejects parameter keys a sink does not understand.
-func checkParams(sink string, params map[string]float64, known ...string) error {
-	for k := range params {
-		ok := false
-		for _, kk := range known {
-			if k == kk {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("stats: sink %q: unknown param %q (known: %v)", sink, k, known)
-		}
-	}
-	return nil
 }
 
 // Records finishes every sink in order and returns the non-nil

@@ -27,7 +27,7 @@ type queryRec struct {
 // root. Query latency follows the paper's definition — the maximum time
 // for any source's data to reach the root — measured per interval as the
 // latency of the last report arriving for that interval, then averaged.
-// It is not a registered Sink and emits no record: every run's observer
+// It is not a listed Sink and emits no record: every run's observer
 // calls it, and the run's Result reads latency and coverage from it.
 type RootSink struct {
 	// queries is sorted by query ID at construction (agents refuse

@@ -7,13 +7,8 @@ import (
 
 	"github.com/essat/essat/internal/query"
 	"github.com/essat/essat/internal/radio"
+	"github.com/essat/essat/internal/registry"
 )
-
-func init() {
-	RegisterSink(SinkTimeseries, 1, newTimeseriesSink)
-	RegisterSink(SinkEnergy, 2, newEnergySink)
-	RegisterSink(SinkJSONL, 3, newJSONLSink)
-}
 
 // timeseriesSink integrates each node's radio awake time into
 // fixed-width buckets and emits one awake-fraction series per live
@@ -37,16 +32,15 @@ type nodeTimeline struct {
 }
 
 func newTimeseriesSink(cfg SinkConfig) (Sink, error) {
-	if err := checkParams(SinkTimeseries, cfg.Params, "bucket_ms"); err != nil {
-		return nil, err
+	p := registry.ReadParams(cfg.Params)
+	bucketMs := p.Float("bucket_ms", 1000)
+	if err := p.Done(); err != nil {
+		return nil, fmt.Errorf("stats: sink %q: %w", SinkTimeseries, err)
 	}
-	bucket := time.Second
-	if v, ok := cfg.Params["bucket_ms"]; ok {
-		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("stats: sink %q: bucket_ms must be positive, got %g", SinkTimeseries, v)
-		}
-		bucket = time.Duration(v * float64(time.Millisecond))
+	if bucketMs <= 0 || math.IsNaN(bucketMs) || math.IsInf(bucketMs, 0) {
+		return nil, fmt.Errorf("stats: sink %q: bucket_ms must be positive, got %g", SinkTimeseries, bucketMs)
 	}
+	bucket := time.Duration(bucketMs * float64(time.Millisecond))
 	nodes := make([]nodeTimeline, cfg.Nodes)
 	for i := range nodes {
 		nodes[i].awake = true
@@ -146,27 +140,23 @@ type energySink struct {
 }
 
 func newEnergySink(cfg SinkConfig) (Sink, error) {
-	if err := checkParams(SinkEnergy, cfg.Params, "bin_j", "bins"); err != nil {
-		return nil, err
+	p := registry.ReadParams(cfg.Params)
+	binJ := p.Float("bin_j", 0.25)
+	bins := p.Float("bins", 40)
+	if err := p.Done(); err != nil {
+		return nil, fmt.Errorf("stats: sink %q: %w", SinkEnergy, err)
 	}
-	binJ, bins := 0.25, 40
-	if v, ok := cfg.Params["bin_j"]; ok {
-		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("stats: sink %q: bin_j must be positive, got %g", SinkEnergy, v)
-		}
-		binJ = v
+	if binJ <= 0 || math.IsNaN(binJ) || math.IsInf(binJ, 0) {
+		return nil, fmt.Errorf("stats: sink %q: bin_j must be positive, got %g", SinkEnergy, binJ)
 	}
-	if v, ok := cfg.Params["bins"]; ok {
-		if v < 1 || v != math.Trunc(v) || v > 1<<20 {
-			return nil, fmt.Errorf("stats: sink %q: bins must be a positive integer, got %g", SinkEnergy, v)
-		}
-		bins = int(v)
+	if bins < 1 || bins != math.Trunc(bins) || bins > 1<<20 {
+		return nil, fmt.Errorf("stats: sink %q: bins must be a positive integer, got %g", SinkEnergy, bins)
 	}
 	window := cfg.Duration - cfg.MeasureFrom
 	if window < 0 {
 		window = 0
 	}
-	return &energySink{binJ: binJ, counts: make([]uint64, bins), window: window}, nil
+	return &energySink{binJ: binJ, counts: make([]uint64, int(bins)), window: window}, nil
 }
 
 func (e *energySink) Name() string { return SinkEnergy }
@@ -224,8 +214,9 @@ type jsonlSink struct {
 }
 
 func newJSONLSink(cfg SinkConfig) (Sink, error) {
-	if err := checkParams(SinkJSONL, cfg.Params); err != nil {
-		return nil, err
+	p := registry.ReadParams(cfg.Params)
+	if err := p.Done(); err != nil {
+		return nil, fmt.Errorf("stats: sink %q: %w", SinkJSONL, err)
 	}
 	return &jsonlSink{}, nil
 }

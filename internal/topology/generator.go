@@ -9,7 +9,7 @@ import (
 	"github.com/essat/essat/internal/registry"
 )
 
-// The registered deployment shapes. Uniform is the paper's §5 setup;
+// The listed deployment shapes. Uniform is the paper's §5 setup;
 // the others model common real deployments: engineered grids, clustered
 // installations around points of interest, and corridor/line networks
 // (pipelines, roads, perimeters).
@@ -21,48 +21,32 @@ const (
 )
 
 // Generator places the nodes of one deployment shape inside the
-// cfg.AreaSide square. Implementations must be deterministic in rng:
-// the same rng state and config always yield the same positions.
-type Generator interface {
-	// Name is the registry key ("uniform", "grid", ...).
-	Name() string
-	// Generate returns exactly cfg.NumNodes points inside
-	// [0, cfg.AreaSide]², reading shape knobs from cfg.Params.
-	Generate(rng *rand.Rand, cfg Config) ([]geom.Point, error)
+// cfg.AreaSide square: exactly cfg.NumNodes points in [0, cfg.AreaSide]²,
+// with shape knobs read strictly from cfg.Params. A generator must be
+// deterministic in rng: the same rng state and config always yield the
+// same positions.
+type Generator func(rng *rand.Rand, cfg Config) ([]geom.Point, error)
+
+// generators lists every deployment shape in presentation order.
+var generators = registry.Table[string, Generator]{
+	{Name: Uniform, Model: uniform},
+	{Name: Grid, Model: grid},
+	{Name: Clusters, Model: clusters},
+	{Name: Corridor, Model: corridor},
 }
 
-var generators = registry.New[string, Generator]("topology generator")
-
-// RegisterGenerator adds g under its name. rank orders GeneratorNames()
-// for presentation (lower first); ties break by name. It panics on
-// duplicates.
-func RegisterGenerator(rank int, g Generator) {
-	generators.Register(g.Name(), rank, g)
-}
-
-// LookupGenerator returns the generator registered under name.
+// LookupGenerator returns the generator listed under name.
 func LookupGenerator(name string) (Generator, bool) { return generators.Lookup(name) }
 
-// GeneratorNames lists every registered generator in presentation order.
+// GeneratorNames lists every generator in presentation order.
 func GeneratorNames() []string { return generators.Names() }
 
-// New builds the deployment described by cfg, dispatching on
-// cfg.Generator through the registry. An empty Generator selects
+// New builds the deployment described by cfg, placing it with the
+// generator cfg.Generator names. An empty Generator selects
 // uniform-random placement (geom.UniformPlacement), the paper's
 // deployment.
 func New(rng *rand.Rand, cfg Config) (*Topology, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	name := cfg.Generator
-	if name == "" {
-		name = Uniform
-	}
-	g, ok := LookupGenerator(name)
-	if !ok {
-		return nil, fmt.Errorf("topology: unknown generator %q (registered: %v)", name, GeneratorNames())
-	}
-	pts, err := g.Generate(rng, cfg)
+	pts, err := place(rng, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -75,8 +59,14 @@ func New(rng *rand.Rand, cfg Config) (*Topology, error) {
 // engine's rng stream stays identical to an uncached build, so cached
 // and uncached runs are byte-for-byte the same.
 func Replay(rng *rand.Rand, cfg Config) error {
+	_, err := place(rng, cfg)
+	return err
+}
+
+// place validates cfg and draws its placement from rng.
+func place(rng *rand.Rand, cfg Config) ([]geom.Point, error) {
 	if err := cfg.validate(); err != nil {
-		return err
+		return nil, err
 	}
 	name := cfg.Generator
 	if name == "" {
@@ -84,10 +74,9 @@ func Replay(rng *rand.Rand, cfg Config) error {
 	}
 	g, ok := LookupGenerator(name)
 	if !ok {
-		return fmt.Errorf("topology: unknown generator %q (registered: %v)", name, GeneratorNames())
+		return nil, fmt.Errorf("topology: unknown generator %q (registered: %v)", name, GeneratorNames())
 	}
-	_, err := g.Generate(rng, cfg)
-	return err
+	return g(rng, cfg)
 }
 
 func (c Config) validate() error {
@@ -100,14 +89,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Param returns the generator knob under key, or def when absent.
-func (c Config) Param(key string, def float64) float64 {
-	if v, ok := c.Params[key]; ok {
-		return v
-	}
-	return def
-}
-
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo
@@ -118,34 +99,27 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-func init() {
-	RegisterGenerator(10, uniformGen{})
-	RegisterGenerator(20, gridGen{})
-	RegisterGenerator(30, clustersGen{})
-	RegisterGenerator(40, corridorGen{})
-}
-
-// uniformGen draws every position uniformly at random from the square —
+// uniform draws every position uniformly at random from the square —
 // the paper's deployment. No Params.
-type uniformGen struct{}
-
-func (uniformGen) Name() string { return Uniform }
-
-func (uniformGen) Generate(rng *rand.Rand, cfg Config) ([]geom.Point, error) {
+func uniform(rng *rand.Rand, cfg Config) ([]geom.Point, error) {
+	p := registry.ReadParams(cfg.Params)
+	if err := p.Done(); err != nil {
+		return nil, fmt.Errorf("topology/uniform: %w", err)
+	}
 	return geom.UniformPlacement(rng, cfg.NumNodes, cfg.AreaSide), nil
 }
 
-// gridGen places nodes at the cell centers of the near-square grid that
+// grid places nodes at the cell centers of the near-square grid that
 // covers the area, row-major. Params: "jitter" displaces each node
 // uniformly by up to ±jitter meters per axis (default 0, a perfect
 // engineered grid).
-type gridGen struct{}
-
-func (gridGen) Name() string { return Grid }
-
-func (gridGen) Generate(rng *rand.Rand, cfg Config) ([]geom.Point, error) {
+func grid(rng *rand.Rand, cfg Config) ([]geom.Point, error) {
 	n, side := cfg.NumNodes, cfg.AreaSide
-	jitter := cfg.Param("jitter", 0)
+	p := registry.ReadParams(cfg.Params)
+	jitter := p.Float("jitter", 0)
+	if err := p.Done(); err != nil {
+		return nil, fmt.Errorf("topology/grid: %w", err)
+	}
 	if jitter < 0 {
 		return nil, fmt.Errorf("topology: grid jitter must be non-negative, got %g", jitter)
 	}
@@ -166,21 +140,21 @@ func (gridGen) Generate(rng *rand.Rand, cfg Config) ([]geom.Point, error) {
 	return pts, nil
 }
 
-// clustersGen scatters Gaussian clusters around uniformly placed
+// clusters scatters Gaussian clusters around uniformly placed
 // centers, round-robin so clusters stay balanced. Params: "clusters"
 // (number of clusters, default 4) and "spread" (per-axis standard
 // deviation in meters, default AreaSide/8).
-type clustersGen struct{}
-
-func (clustersGen) Name() string { return Clusters }
-
-func (clustersGen) Generate(rng *rand.Rand, cfg Config) ([]geom.Point, error) {
+func clusters(rng *rand.Rand, cfg Config) ([]geom.Point, error) {
 	n, side := cfg.NumNodes, cfg.AreaSide
-	k := int(cfg.Param("clusters", 4))
+	p := registry.ReadParams(cfg.Params)
+	k := int(p.Float("clusters", 4))
+	spread := p.Float("spread", side/8)
+	if err := p.Done(); err != nil {
+		return nil, fmt.Errorf("topology/clusters: %w", err)
+	}
 	if k <= 0 {
 		return nil, fmt.Errorf("topology: clusters must be positive, got %d", k)
 	}
-	spread := cfg.Param("spread", side/8)
 	if spread <= 0 {
 		return nil, fmt.Errorf("topology: cluster spread must be positive, got %g", spread)
 	}
@@ -196,18 +170,18 @@ func (clustersGen) Generate(rng *rand.Rand, cfg Config) ([]geom.Point, error) {
 	return pts, nil
 }
 
-// corridorGen stretches the deployment along a horizontal band through
+// corridor stretches the deployment along a horizontal band through
 // the middle of the area (a pipeline, road, or perimeter segment). The
 // x axis is stratified — node i lands uniformly inside the i-th of
 // NumNodes equal slots — so the chain has no gaps wider than two slots.
 // Params: "width" (band height in meters, default AreaSide/5).
-type corridorGen struct{}
-
-func (corridorGen) Name() string { return Corridor }
-
-func (corridorGen) Generate(rng *rand.Rand, cfg Config) ([]geom.Point, error) {
+func corridor(rng *rand.Rand, cfg Config) ([]geom.Point, error) {
 	n, side := cfg.NumNodes, cfg.AreaSide
-	width := cfg.Param("width", side/5)
+	p := registry.ReadParams(cfg.Params)
+	width := p.Float("width", side/5)
+	if err := p.Done(); err != nil {
+		return nil, fmt.Errorf("topology/corridor: %w", err)
+	}
 	if width <= 0 || width > side {
 		return nil, fmt.Errorf("topology: corridor width must be in (0, AreaSide], got %g", width)
 	}

@@ -3,6 +3,7 @@ package topology
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/essat/essat/internal/geom"
@@ -27,13 +28,29 @@ func TestGeneratorRegistry(t *testing.T) {
 	}
 }
 
+// TestGeneratorsRejectUnknownParams: a misspelt knob fails New and
+// Replay with an error naming it, rather than running with defaults.
+func TestGeneratorsRejectUnknownParams(t *testing.T) {
+	for _, name := range GeneratorNames() {
+		cfg := Config{NumNodes: 10, AreaSide: 100, Range: 30, Generator: name,
+			Params: map[string]float64{"jiter": 5}}
+		_, err := New(rand.New(rand.NewSource(1)), cfg)
+		if err == nil || !strings.Contains(err.Error(), `"jiter"`) {
+			t.Errorf("%s: New with an unknown param: err = %v, want one naming \"jiter\"", name, err)
+		}
+		if err := Replay(rand.New(rand.NewSource(1)), cfg); err == nil {
+			t.Errorf("%s: Replay accepted an unknown param", name)
+		}
+	}
+}
+
 func TestGeneratorsPlaceInBounds(t *testing.T) {
 	cfg := Config{NumNodes: 50, AreaSide: 400, Range: 125}
 	for _, name := range GeneratorNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			g, _ := LookupGenerator(name)
-			pts, err := g.Generate(rand.New(rand.NewSource(3)), withGen(cfg, name))
+			pts, err := g(rand.New(rand.NewSource(3)), withGen(cfg, name))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,11 +70,11 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	cfg := Config{NumNodes: 40, AreaSide: 300, Range: 100}
 	for _, name := range GeneratorNames() {
 		g, _ := LookupGenerator(name)
-		a, err := g.Generate(rand.New(rand.NewSource(7)), withGen(cfg, name))
+		a, err := g(rand.New(rand.NewSource(7)), withGen(cfg, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := g.Generate(rand.New(rand.NewSource(7)), withGen(cfg, name))
+		b, err := g(rand.New(rand.NewSource(7)), withGen(cfg, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +106,7 @@ func TestNewUniformMatchesPlacement(t *testing.T) {
 func TestGridShape(t *testing.T) {
 	g, _ := LookupGenerator(Grid)
 	cfg := Config{NumNodes: 9, AreaSide: 300, Range: 150, Generator: Grid}
-	pts, err := g.Generate(rand.New(rand.NewSource(1)), cfg)
+	pts, err := g(rand.New(rand.NewSource(1)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +119,7 @@ func TestGridShape(t *testing.T) {
 	}
 	// Negative jitter is rejected.
 	cfg.Params = map[string]float64{"jitter": -1}
-	if _, err := g.Generate(rand.New(rand.NewSource(1)), cfg); err == nil {
+	if _, err := g(rand.New(rand.NewSource(1)), cfg); err == nil {
 		t.Error("grid accepted negative jitter")
 	}
 }
@@ -113,7 +130,7 @@ func TestCorridorShape(t *testing.T) {
 		NumNodes: 30, AreaSide: 600, Range: 125,
 		Generator: Corridor, Params: map[string]float64{"width": 60},
 	}
-	pts, err := g.Generate(rand.New(rand.NewSource(2)), cfg)
+	pts, err := g(rand.New(rand.NewSource(2)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +151,7 @@ func TestClustersShape(t *testing.T) {
 		NumNodes: 60, AreaSide: 500, Range: 125,
 		Generator: Clusters, Params: map[string]float64{"clusters": 2, "spread": 10},
 	}
-	pts, err := g.Generate(rand.New(rand.NewSource(5)), cfg)
+	pts, err := g(rand.New(rand.NewSource(5)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,13 +47,13 @@ type Config struct {
 	// range (the experiment layer sets it from the model's MaxRange).
 	// Zero or anything at most Range keeps the unit-disc radius.
 	NeighborRange float64
-	// Generator selects the placement shape by registry name ("uniform",
+	// Generator selects the placement shape by name ("uniform",
 	// "grid", "clusters", "corridor"); empty selects uniform-random, the
 	// paper's deployment. See New.
 	Generator string
 	// Params passes generator-specific knobs (e.g. grid "jitter",
 	// clusters "clusters"/"spread", corridor "width"); see each
-	// generator's doc.
+	// generator's doc. A key the generator does not read is an error.
 	Params map[string]float64
 }
 
