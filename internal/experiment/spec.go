@@ -21,11 +21,10 @@ import (
 
 // Spec is the declarative, JSON-serializable description of one
 // scenario: protocol by name, topology generator by name, and the
-// workload, failures, and flows on top. It deliberately
-// exposes only names and parameters — no wiring — so scenarios can live
-// in files, be diffed, and be generated by tools. Spec.Scenario
-// compiles it onto DefaultScenario, so omitted fields keep the paper's
-// §5 setup.
+// workload, failures, and flows on top. It deliberately exposes only
+// names and parameters — no wiring — so scenarios can live in files, be
+// diffed, and be generated by tools. Spec.Scenario compiles it onto
+// DefaultScenario, so omitted fields keep the paper's §5 setup.
 type Spec struct {
 	// Protocol is the protocol's name ("DTS-SS", "PSM", ...; see
 	// protocol.All). Required.
