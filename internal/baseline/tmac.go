@@ -103,7 +103,7 @@ func (p *TmacPM) scheduleCheck() {
 	}
 	if p.checkEv != nil {
 		// Move the armed deadline in place: no cancel, no new closure.
-		p.checkEv.RescheduleTo(at)
+		p.eng.RescheduleTo(p.checkEv, at)
 		return
 	}
 	p.checkEv = p.eng.ScheduleArg(at, tmacCheck, p)
@@ -126,7 +126,7 @@ func (p *TmacPM) maybeSleep() {
 		return // re-entered from MACIdle when the MAC drains
 	}
 	if p.checkEv != nil {
-		p.checkEv.Cancel()
+		p.eng.Cancel(p.checkEv)
 		p.checkEv = nil
 	}
 	p.radio.TurnOff()

@@ -64,9 +64,21 @@ const flowBytes = 52
 const flowKey query.NodeID = -2
 
 // FlowMessage is one flow payload in flight: message Interval of Flow.
+//
+// Every relay sends its own copy of a message, taken from its pool, and
+// puts the copy back once the MAC has reported each of its sends. A
+// receiver therefore reads a message only during Handle, and an
+// application only during its deliver call: neither may keep it.
 type FlowMessage struct {
 	Flow     query.ID
 	Interval int
+
+	// fl is the sending relay's flow, next the hops the copy goes to
+	// (fixed when it is forwarded), and sends how many of its MAC sends
+	// have not completed.
+	fl    *flow
+	next  []query.NodeID
+	sends int
 }
 
 // FlowStats counts one flow's outcomes at one node.
@@ -100,6 +112,7 @@ type RelayEnv interface {
 
 // flow is one registered flow at one node.
 type flow struct {
+	r             *Relay
 	id            query.ID
 	period, phase time.Duration
 	hop           time.Duration // l
@@ -109,17 +122,48 @@ type flow struct {
 	pos  int
 	// seen holds k+1 for the last accepted interval k of each residue
 	// mod 8: the dedup window against copies handed off twice.
-	seen  [8]int
+	seen [8]int
+	// k is the next message the source releases.
+	k     int
 	stats FlowStats
 }
 
-// SendDone implements mac.SendCallback: a flow is the completion
-// callback of its own copies, so relaying one costs no closure.
-func (fl *flow) SendDone(ok bool) {
+// SendDone implements mac.SendCallback: a relay's copy is the
+// completion callback of its own sends, so relaying one costs no
+// closure. The last completion returns the copy to its relay's pool.
+func (m *FlowMessage) SendDone(ok bool) {
 	if ok {
-		fl.stats.Forwarded++
+		m.fl.stats.Forwarded++
 	} else {
-		fl.stats.ForwardFailures++
+		m.fl.stats.ForwardFailures++
+	}
+	m.sends--
+	if m.sends == 0 {
+		m.fl.r.release(m)
+	}
+}
+
+// flowRelease is the source's release dispatcher, shared by every flow:
+// the event carries the flow.
+func flowRelease(x any) {
+	fl := x.(*flow)
+	fl.r.generate(fl)
+}
+
+// flowSend is the relay-slot dispatcher, shared by every flow: the event
+// carries the relay's copy, and sends it to each of its next hops.
+func flowSend(x any) {
+	m := x.(*FlowMessage)
+	fl := m.fl
+	r := fl.r
+	// Count every send before making any, so no completion can return
+	// the copy to the pool while the loop still reads it.
+	m.sends = len(m.next)
+	for _, c := range m.next {
+		r.env.SendData(c, m, flowBytes, m)
+	}
+	if r.ss != nil {
+		r.ss.UpdateNextSend(fl.id, fl.slot(m.Interval+1, r.hopIndex(fl)))
 	}
 }
 
@@ -137,13 +181,41 @@ type Relay struct {
 	ss      *SafeSleep
 	deliver func(*FlowMessage)
 	flows   []*flow
+	// free holds this relay's copies whose sends have all completed.
+	free []*FlowMessage
 }
 
 // NewRelay creates the flow handler. deliver, which may be nil, receives
 // every message this node consumes, in acceptance order (the
-// "application").
+// "application"); the message is valid only during the call. The relay,
+// its flows and its message copies come from eng's arena.
 func NewRelay(eng *sim.Engine, env RelayEnv, ss *SafeSleep, deliver func(*FlowMessage)) *Relay {
-	return &Relay{eng: eng, env: env, ss: ss, deliver: deliver}
+	r := sim.ArenaGrab[Relay](eng, "core.relay")
+	*r = Relay{eng: eng, env: env, ss: ss, deliver: deliver}
+	return r
+}
+
+// newFlow returns a zeroed flow of this relay.
+func (r *Relay) newFlow() *flow {
+	fl := sim.ArenaGrab[flow](r.eng, "core.flow")
+	fl.r = r
+	return fl
+}
+
+// message returns a copy of message k of fl from the relay's pool.
+func (r *Relay) message(fl *flow, k int) *FlowMessage {
+	m := sim.TakeLast(&r.free)
+	if m == nil {
+		m = sim.ArenaGrab[FlowMessage](r.eng, "core.flowmsg")
+	}
+	*m = FlowMessage{Flow: fl.id, Interval: k, fl: fl}
+	return m
+}
+
+// release returns a copy to the relay's pool.
+func (r *Relay) release(m *FlowMessage) {
+	*m = FlowMessage{}
+	r.free = sim.ArenaAppend(r.eng, "core.flowmsg.free", r.free, m)
 }
 
 // Stats returns a copy of flow id's counters at this node, zero for an
@@ -166,7 +238,9 @@ func (r *Relay) find(id query.ID) *flow {
 
 // Disseminate installs a root-to-leaves flow.
 func (r *Relay) Disseminate(spec DisseminationSpec) error {
-	return r.register(&flow{id: spec.ID, period: spec.Period, phase: spec.Phase, hop: spec.HopAllowance})
+	fl := r.newFlow()
+	fl.id, fl.period, fl.phase, fl.hop = spec.ID, spec.Period, spec.Phase, spec.HopAllowance
+	return r.register(fl)
 }
 
 // Peer installs a peer-to-peer flow along path, which the caller routes
@@ -178,7 +252,9 @@ func (r *Relay) Peer(spec P2PSpec, path []query.NodeID) error {
 	if len(path) < 2 || path[0] != spec.Src || path[len(path)-1] != spec.Dst {
 		return fmt.Errorf("flow %d: path must run src→dst", spec.ID)
 	}
-	fl := &flow{id: spec.ID, period: spec.Period, phase: spec.Phase, hop: spec.HopAllowance, path: path, pos: -1}
+	fl := r.newFlow()
+	fl.id, fl.period, fl.phase, fl.hop = spec.ID, spec.Period, spec.Phase, spec.HopAllowance
+	fl.path, fl.pos = path, -1
 	for i, id := range path {
 		if id == r.env.Self() {
 			fl.pos = i
@@ -202,11 +278,11 @@ func (r *Relay) register(fl *flow) error {
 	if fl.hop <= 0 {
 		fl.hop = 20 * time.Millisecond
 	}
-	r.flows = append(r.flows, fl)
+	r.flows = sim.ArenaAppend(r.eng, "core.relay.flows", r.flows, fl)
 	switch {
 	case fl.pos < 0: // off the path
 	case fl.path == nil && r.env.IsRoot(), fl.path != nil && fl.pos == 0:
-		r.eng.Schedule(fl.phase, func() { r.generate(fl, 0) })
+		r.eng.ScheduleArg(fl.phase, flowRelease, fl)
 	default:
 		r.armReceive(fl, 0)
 	}
@@ -244,15 +320,17 @@ func (r *Relay) armReceive(fl *flow, k int) {
 	}
 }
 
-// generate runs at the source: release message k and relay it.
-func (r *Relay) generate(fl *flow, k int) {
-	r.eng.Schedule(fl.slot(k+1, 0), func() { r.generate(fl, k+1) })
+// generate runs at the source: release message fl.k and relay it.
+func (r *Relay) generate(fl *flow) {
+	k := fl.k
+	fl.k++
+	r.eng.ScheduleArg(fl.slot(k+1, 0), flowRelease, fl)
 	fl.stats.Originated++
-	msg := &FlowMessage{Flow: fl.id, Interval: k}
+	m := r.message(fl, k)
 	if fl.consumes() && r.deliver != nil {
-		r.deliver(msg)
+		r.deliver(m)
 	}
-	r.forward(fl, msg)
+	r.forward(m)
 }
 
 // Handle processes a flow message received from the previous hop.
@@ -278,29 +356,25 @@ func (r *Relay) Handle(msg *FlowMessage) {
 		}
 	}
 	r.armReceive(fl, k+1)
-	r.forward(fl, msg)
+	r.forward(r.message(fl, k))
 }
 
-// forward sends msg to the next hops at this node's slot, immediately if
-// the slot already passed.
-func (r *Relay) forward(fl *flow, msg *FlowMessage) {
-	next := r.nextHops(fl)
-	if len(next) == 0 {
+// forward sends the relay's copy m to the next hops at this node's
+// slot, immediately if the slot already passed. The hops are fixed now,
+// not at the slot.
+func (r *Relay) forward(m *FlowMessage) {
+	fl := m.fl
+	m.next = r.nextHops(fl)
+	if len(m.next) == 0 {
+		r.release(m)
 		return
 	}
-	sendAt := fl.slot(msg.Interval, r.hopIndex(fl))
+	sendAt := fl.slot(m.Interval, r.hopIndex(fl))
 	if now := r.eng.Now(); sendAt < now {
 		sendAt = now
 	}
 	if r.ss != nil {
 		r.ss.UpdateNextSend(fl.id, sendAt)
 	}
-	r.eng.Schedule(sendAt, func() {
-		for _, c := range next {
-			r.env.SendData(c, msg, flowBytes, fl)
-		}
-		if r.ss != nil {
-			r.ss.UpdateNextSend(fl.id, fl.slot(msg.Interval+1, r.hopIndex(fl)))
-		}
-	})
+	r.eng.ScheduleArg(sendAt, flowSend, m)
 }

@@ -286,7 +286,7 @@ func (ss *SafeSleep) UpdateNextSend(q query.ID, t time.Duration) {
 		ss.nextSend[i].t = t
 	} else {
 		ss.setRow(noRows, t)
-		ss.nextSend = append(ss.nextSend, sendEntry{q: q, t: t})
+		ss.nextSend = sim.ArenaAppend(ss.eng, "core.ss.send.grow", ss.nextSend, sendEntry{q: q, t: t})
 	}
 	ss.CheckState()
 }
@@ -300,7 +300,7 @@ func (ss *SafeSleep) UpdateNextReceive(q query.ID, c query.NodeID, t time.Durati
 		ss.nextRecv[i].t = t
 	} else {
 		ss.setRow(noRows, t)
-		ss.nextRecv = append(ss.nextRecv, recvEntry{key: k, t: t})
+		ss.nextRecv = sim.ArenaAppend(ss.eng, "core.ss.recv.grow", ss.nextRecv, recvEntry{key: k, t: t})
 	}
 	ss.CheckState()
 }
@@ -420,7 +420,7 @@ func (ss *SafeSleep) CheckState() {
 
 func (ss *SafeSleep) ensureAwake() {
 	if ss.wakeEv != nil {
-		ss.wakeEv.Cancel()
+		ss.eng.Cancel(ss.wakeEv)
 		ss.wakeEv = nil
 	}
 	ss.radio.TurnOn()
@@ -436,7 +436,7 @@ func (ss *SafeSleep) scheduleWake(twakeup time.Duration) {
 			return // existing wake-up is early enough
 		}
 		// Pull the armed wake-up earlier in place instead of cancel+rearm.
-		ss.wakeEv.RescheduleTo(at)
+		ss.eng.RescheduleTo(ss.wakeEv, at)
 		ss.wakeAt = at
 		return
 	}

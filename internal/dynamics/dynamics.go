@@ -81,38 +81,51 @@ type Params struct {
 	Seed int64
 }
 
-// Kind validates p and then arranges one disturbance's actions on h's
-// engine. It is called once, during experiment.Build, before the run
-// starts. rng is the disturbance's private seed-derived stream for every
-// choice it must make; index is its position in the scenario's dynamics
-// list, for kinds that need per-instance identity (a burst derives its
+// kind is one disturbance kind. check is the whole of its validation of
+// p's values, run both when a spec compiles and when the kind is
+// scheduled. schedule arranges a checked disturbance's actions on h's
+// engine, once, during experiment.Build, before the run starts; rng is
+// the disturbance's private seed-derived stream for every choice it
+// must make, and index is its position in the scenario's dynamics list,
+// for kinds that need per-instance identity (a burst derives its
 // query-ID stride from it).
-type Kind func(h Host, p Params, rng *rand.Rand, index int) error
-
-// kinds lists every disturbance kind in presentation order.
-var kinds = registry.Table[string, Kind]{
-	{Name: KindCrash, Model: crash},
-	{Name: KindLinkLoss, Model: linkLoss},
-	{Name: KindBurst, Model: burst},
+type kind struct {
+	check    func(p Params) error
+	schedule func(h Host, p Params, rng *rand.Rand, index int) error
 }
 
-// Lookup returns the kind listed under name.
-func Lookup(name string) (Kind, bool) { return kinds.Lookup(name) }
+// kinds lists every disturbance kind in presentation order.
+var kinds = registry.Table[string, kind]{
+	{Name: KindCrash, Model: kind{checkCrash, crash}},
+	{Name: KindLinkLoss, Model: kind{checkLinkLoss, linkLoss}},
+	{Name: KindBurst, Model: kind{checkBurst, burst}},
+}
 
 // Kinds lists every disturbance kind in presentation order.
 func Kinds() []string { return kinds.Names() }
+
+// Check validates p as a disturbance of the named kind without
+// scheduling anything: an unknown kind or a value the kind rejects is an
+// error, the same one Schedule would return.
+func Check(name string, p Params) error {
+	k, ok := kinds.Lookup(name)
+	if !ok {
+		return fmt.Errorf("dynamics: unknown injector kind %q (registered: %v)", name, Kinds())
+	}
+	return k.check(p)
+}
 
 // Schedule validates and schedules one disturbance of the named kind on
 // h. Its private stream is seeded from (scenarioSeed, index, p.Seed) so
 // scenarios perturb reproducibly and disturbances are independent of
 // each other.
-func Schedule(h Host, kind string, p Params, scenarioSeed int64, index int) error {
-	k, ok := Lookup(kind)
-	if !ok {
-		return fmt.Errorf("dynamics: unknown injector kind %q (registered: %v)", kind, Kinds())
+func Schedule(h Host, name string, p Params, scenarioSeed int64, index int) error {
+	if err := Check(name, p); err != nil {
+		return err
 	}
+	k, _ := kinds.Lookup(name)
 	seed := scenarioSeed*1_000_003 + int64(index)*7919 + p.Seed
-	return k(h, p, rand.New(rand.NewSource(seed)), index)
+	return k.schedule(h, p, rand.New(rand.NewSource(seed)), index)
 }
 
 // pickVictims draws n distinct non-root members from h, or the pinned

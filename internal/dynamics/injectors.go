@@ -19,16 +19,22 @@ const (
 
 // --- crash/recovery --------------------------------------------------------
 
-// crash takes Count victims down at staggered times from At and, when
-// Duration is positive, brings each back after that outage. Victims are
-// seed-driven non-root members unless Node pins one.
-func crash(h Host, p Params, rng *rand.Rand, _ int) error {
+// checkCrash validates a crash schedule: a start and an outage that are
+// not negative.
+func checkCrash(p Params) error {
 	if p.At < 0 {
 		return fmt.Errorf("dynamics/crash: negative start %v", p.At)
 	}
 	if p.Duration < 0 {
 		return fmt.Errorf("dynamics/crash: negative outage %v", p.Duration)
 	}
+	return nil
+}
+
+// crash takes Count victims down at staggered times from At and, when
+// Duration is positive, brings each back after that outage. Victims are
+// seed-driven non-root members unless Node pins one.
+func crash(h Host, p Params, rng *rand.Rand, _ int) error {
 	if p.Count <= 0 {
 		p.Count = 1
 	}
@@ -56,12 +62,9 @@ func crash(h Host, p Params, rng *rand.Rand, _ int) error {
 
 // --- per-link loss ramp ----------------------------------------------------
 
-// linkLoss degrades every link incident to a focal node with a
-// triangular loss profile: starting at At the drop probability climbs
-// in Steps equal adjustments to Peak at the episode midpoint, then
-// falls back to zero by At+Duration. The focal node is seed-driven
-// unless Node pins one.
-func linkLoss(h Host, p Params, rng *rand.Rand, _ int) error {
+// checkLinkLoss validates a loss ramp: a start that is not negative, a
+// positive episode, and a peak drop probability in (0,1).
+func checkLinkLoss(p Params) error {
 	if p.At < 0 {
 		return fmt.Errorf("dynamics/linkloss: negative start %v", p.At)
 	}
@@ -71,6 +74,15 @@ func linkLoss(h Host, p Params, rng *rand.Rand, _ int) error {
 	if p.Peak <= 0 || p.Peak >= 1 {
 		return fmt.Errorf("dynamics/linkloss: peak must be in (0,1), got %g", p.Peak)
 	}
+	return nil
+}
+
+// linkLoss degrades every link incident to a focal node with a
+// triangular loss profile: starting at At the drop probability climbs
+// in Steps equal adjustments to Peak at the episode midpoint, then
+// falls back to zero by At+Duration. The focal node is seed-driven
+// unless Node pins one.
+func linkLoss(h Host, p Params, rng *rand.Rand, _ int) error {
 	if p.Steps <= 0 {
 		p.Steps = 8
 	}
@@ -110,11 +122,10 @@ const (
 	burstIDStride = 4096
 )
 
-// burst registers Queries extra queries at Period on every live member
-// at time At and deregisters them Duration later: the fire-monitor
-// surge from the paper's introduction, as a reusable injector. Phases
-// are seed-driven within the first period after At.
-func burst(h Host, p Params, rng *rand.Rand, index int) error {
+// checkBurst validates a burst: a start that is not negative, a
+// positive length and report period, a period no longer than the burst,
+// and no more queries than one burst's stride of the ID space.
+func checkBurst(p Params) error {
 	if p.At < 0 {
 		return fmt.Errorf("dynamics/burst: negative start %v", p.At)
 	}
@@ -124,9 +135,6 @@ func burst(h Host, p Params, rng *rand.Rand, index int) error {
 	if p.Period <= 0 {
 		return fmt.Errorf("dynamics/burst: report period must be positive, got %v", p.Period)
 	}
-	if p.Queries <= 0 {
-		p.Queries = 1
-	}
 	if p.Queries > burstIDStride {
 		// Each burst owns a stride of the burst ID space; more queries
 		// than that would collide with the next burst's.
@@ -134,6 +142,17 @@ func burst(h Host, p Params, rng *rand.Rand, index int) error {
 	}
 	if p.Period > p.Duration {
 		return fmt.Errorf("dynamics/burst: period %v exceeds burst length %v", p.Period, p.Duration)
+	}
+	return nil
+}
+
+// burst registers Queries extra queries at Period on every live member
+// at time At and deregisters them Duration later: the fire-monitor
+// surge from the paper's introduction, as a reusable injector. Phases
+// are seed-driven within the first period after At.
+func burst(h Host, p Params, rng *rand.Rand, index int) error {
+	if p.Queries <= 0 {
+		p.Queries = 1
 	}
 	for i := 0; i < p.Queries; i++ {
 		id := query.ID(burstIDBase + index*burstIDStride + i)

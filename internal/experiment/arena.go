@@ -2,9 +2,8 @@ package experiment
 
 import (
 	"container/list"
-	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -127,10 +126,13 @@ func (c *DeployCache) Len() int {
 	return c.order.Len()
 }
 
-func (c *DeployCache) lookup(key string) (*deployment, bool) {
+// lookup returns the deployment cached under key. The key is a byte
+// slice so that a hit, which indexes the map with string(key), copies
+// nothing.
+func (c *DeployCache) lookup(key []byte) (*deployment, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	el, ok := c.entries[string(key)]
 	if !ok {
 		c.misses.Add(1)
 		return nil, false
@@ -158,35 +160,44 @@ func (c *DeployCache) store(key string, dep *deployment) {
 	}
 }
 
-// deployKey canonicalizes exactly the scenario fields that determine
-// placement and tree construction: the seed (placement draws and the
-// flood's derived seed), the topology config, the tree policy, and the
-// propagation model name + params (candidate radius, flood channel
-// model, flood round count). Everything else — duration, queries, loss
-// rate, radio profile and latency override, failures — shapes the run,
-// not the deployment. Callers must set Topology.NeighborRange
-// before keying (build does, from the resolved model's MaxRange).
-func deployKey(sc Scenario) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "s=%d n=%d a=%g r=%g nr=%g g=%s d=%g bfs=%t p=%s",
-		sc.Seed, sc.Topology.NumNodes, sc.Topology.AreaSide,
-		sc.Topology.Range, sc.Topology.NeighborRange,
-		sc.Topology.Generator, sc.TreeMaxDist, sc.BFSTree, sc.Propagation)
-	writeSortedParams(&b, "tp", sc.Topology.Params)
-	writeSortedParams(&b, "pp", sc.PropagationParams)
-	return b.String()
+// appendDeployKey appends to dst the canonical key of exactly the
+// scenario fields that determine placement and tree construction: the
+// seed (placement draws and the flood's derived seed), the topology
+// config, the tree policy, and the propagation model name + params
+// (candidate radius, flood channel model, flood round count). Everything
+// else — duration, queries, loss rate, radio profile and latency
+// override, failures — shapes the run, not the deployment. Callers must
+// set Topology.NeighborRange before keying (build does, from the
+// resolved model's MaxRange).
+func appendDeployKey(dst []byte, sc Scenario) []byte {
+	dst = strconv.AppendInt(append(dst, "s="...), sc.Seed, 10)
+	dst = strconv.AppendInt(append(dst, " n="...), int64(sc.Topology.NumNodes), 10)
+	dst = appendFloat(append(dst, " a="...), sc.Topology.AreaSide)
+	dst = appendFloat(append(dst, " r="...), sc.Topology.Range)
+	dst = appendFloat(append(dst, " nr="...), sc.Topology.NeighborRange)
+	dst = append(append(dst, " g="...), sc.Topology.Generator...)
+	dst = appendFloat(append(dst, " d="...), sc.TreeMaxDist)
+	dst = strconv.AppendBool(append(dst, " bfs="...), sc.BFSTree)
+	dst = append(append(dst, " p="...), sc.Propagation...)
+	dst = appendSortedParams(dst, "tp", sc.Topology.Params)
+	return appendSortedParams(dst, "pp", sc.PropagationParams)
 }
 
-func writeSortedParams(b *strings.Builder, label string, params map[string]float64) {
+// appendFloat appends f as fmt's %g would.
+func appendFloat(dst []byte, f float64) []byte { return strconv.AppendFloat(dst, f, 'g', -1, 64) }
+
+func appendSortedParams(dst []byte, label string, params map[string]float64) []byte {
 	if len(params) == 0 {
-		return
+		return dst
 	}
 	keys := make([]string, 0, len(params))
 	for k := range params {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
-		fmt.Fprintf(b, " %s.%s=%g", label, k, params[k])
+		dst = append(append(append(append(dst, ' '), label...), '.'), k...)
+		dst = appendFloat(append(dst, '='), params[k])
 	}
+	return dst
 }

@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -136,59 +139,155 @@ func TestArenaCacheKeyedBySeed(t *testing.T) {
 	}
 }
 
-// TestWarmArenaAllocsByProtocol holds every protocol to the arena's
-// steady-state promise on the third back-to-back run of the Fig. 6
-// scenario (80 nodes, 20 s, base rate 5, seed 1) on one arena with a
-// deployment cache. Two bounds apply. Bytes: at most twice what DTS-SS's
-// third run allocates, a relative bound that means the same on every Go
-// release; a baseline power manager that builds closures, maps or pooled
-// items per beacon exceeds it by an order of magnitude. Allocation count:
-// at most maxWarmMallocs, which is the highest count measured over five
-// runs plus 50. The tree has 74 members, so anything that allocates once
-// per member per run (a model table or params reader, say) exceeds it;
-// TotalAlloc moves by a few hundred bytes between identical runs and
-// cannot show that.
+// warmAllocs runs sc three times back to back on one arena with a
+// deployment cache and returns the heap bytes and allocations of the
+// warm run, the second or third, that made fewer allocations, so a
+// runtime allocation landing inside one run does not count.
+func warmAllocs(t *testing.T, sc Scenario) (bytes, mallocs uint64) {
+	t.Helper()
+	a := NewArenaWithCache(NewDeployCache(0))
+	mallocs = ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := RunContextWith(context.Background(), a, sc, Budget{}); err != nil {
+			t.Fatalf("%s run %d: %v", sc.Protocol, i, err)
+		}
+		runtime.ReadMemStats(&m1)
+		if n := m1.Mallocs - m0.Mallocs; i > 0 && n < mallocs {
+			bytes, mallocs = m1.TotalAlloc-m0.TotalAlloc, n
+		}
+	}
+	return bytes, mallocs
+}
+
+// fig6Scenario is the Fig. 6 run the warm-arena tests measure: 80
+// nodes, base rate 5, seed 1, for d.
+func fig6Scenario(p Protocol, d time.Duration) Scenario {
+	sc := DefaultScenario(p, 1)
+	sc.Duration = d
+	sc.Queries = QueryClasses(rand.New(rand.NewSource(7919)), 5, 1, 10*time.Second)
+	return sc
+}
+
+// flowsScenario is testdata/flows.json (peer and dissemination flows, a
+// failure and its recovery) run for d.
+func flowsScenario(t *testing.T, d time.Duration) Scenario {
+	t.Helper()
+	spec, err := LoadSpec(filepath.Join("../../testdata", "flows.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := spec.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Duration = d
+	return sc
+}
+
+// maxWarmBytes bounds the heap bytes of any warm 20 s run: a warm run
+// allocates only the Result its caller keeps (about 1 KiB; flows.json's
+// failure recovery adds about 0.7 KiB).
+const maxWarmBytes = 8 << 10
+
+// TestWarmArenaAllocsByProtocol holds every protocol, and the flows of
+// testdata/flows.json, to the arena's steady-state promise on warm 20 s
+// runs on one arena with a deployment cache: at most maxWarmBytes, and
+// at most maxWarmMallocs allocations, which is the highest count
+// measured over five runs plus 20. A warm run allocates
+// its Result and nothing else, so anything that allocates once per
+// member (the Fig. 6 tree has 74), per flow message or per interval
+// exceeds it; TotalAlloc moves by a few hundred bytes between identical
+// runs and cannot show a handful of small objects.
 func TestWarmArenaAllocsByProtocol(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 21 full 20 s scenarios")
+		t.Skip("runs 24 full 20 s scenarios")
 	}
-	maxWarmMallocs := map[Protocol]uint64{
-		DTSSS: 130 + 50,
-		STSSS: 111 + 50,
-		NTSSS: 113 + 50,
-		SPAN:  112 + 50,
-		PSM:   119 + 50,
-		SYNC:  149 + 50,
-		TMAC:  123 + 50,
+	maxWarmMallocs := map[string]uint64{
+		string(DTSSS): 5 + 20,
+		string(STSSS): 5 + 20,
+		string(NTSSS): 5 + 20,
+		string(SPAN):  5 + 20,
+		string(PSM):   5 + 20,
+		string(SYNC):  5 + 20,
+		string(TMAC):  5 + 20,
+		"flows.json":  28 + 20,
 	}
-	warm := func(p Protocol) (bytes, mallocs uint64) {
-		sc := DefaultScenario(p, 1)
-		sc.Duration = 20 * time.Second
-		sc.Queries = QueryClasses(rand.New(rand.NewSource(7919)), 5, 1, 10*time.Second)
-		a := NewArenaWithCache(NewDeployCache(0))
-		for i := 0; i < 3; i++ {
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			if _, err := RunContextWith(context.Background(), a, sc, Budget{}); err != nil {
-				t.Fatalf("%s run %d: %v", p, i, err)
-			}
-			runtime.ReadMemStats(&m1)
-			bytes, mallocs = m1.TotalAlloc-m0.TotalAlloc, m1.Mallocs-m0.Mallocs
+	check := func(name string, sc Scenario) {
+		bytes, mallocs := warmAllocs(t, sc)
+		t.Logf("%s: %d B in %d allocations per warm run", name, bytes, mallocs)
+		if bytes > maxWarmBytes {
+			t.Errorf("%s: warm run allocated %d B, more than %d B", name, bytes, maxWarmBytes)
 		}
-		return bytes, mallocs
+		if max := maxWarmMallocs[name]; mallocs > max {
+			t.Errorf("%s: warm run made %d allocations, more than %d", name, mallocs, max)
+		}
 	}
-	var ref uint64
 	for _, p := range []Protocol{DTSSS, STSSS, NTSSS, SPAN, PSM, SYNC, TMAC} {
-		got, mallocs := warm(p)
-		if p == DTSSS {
-			ref = got
+		check(string(p), fig6Scenario(p, 20*time.Second))
+	}
+	check("flows.json", flowsScenario(t, 20*time.Second))
+}
+
+// TestWarmArenaMallocsIndependentOfDuration: a warm run's allocations do
+// not grow with its length. The Fig. 6 DTS-SS run and flows.json each
+// make the same number of allocations at 20 s and at 200 s, though the
+// 200 s runs fire ten times the events, close ten times the intervals
+// and relay ten times the flow messages.
+func TestWarmArenaMallocsIndependentOfDuration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 200 s scenarios")
+	}
+	for _, tc := range []struct {
+		name string
+		sc   func(time.Duration) Scenario
+	}{
+		{"fig6 DTS-SS", func(d time.Duration) Scenario { return fig6Scenario(DTSSS, d) }},
+		{"flows.json", func(d time.Duration) Scenario { return flowsScenario(t, d) }},
+	} {
+		_, short := warmAllocs(t, tc.sc(20*time.Second))
+		_, long := warmAllocs(t, tc.sc(200*time.Second))
+		t.Logf("%s: %d allocations at 20 s, %d at 200 s", tc.name, short, long)
+		if short != long {
+			t.Errorf("%s: a warm run makes %d allocations at 20 s but %d at 200 s", tc.name, short, long)
 		}
-		t.Logf("%s: %d B in %d allocations per warm run (%.1fx %s's bytes)", p, got, mallocs, float64(got)/float64(ref), DTSSS)
-		if got > 2*ref {
-			t.Errorf("%s: warm run allocated %d B, more than twice %s's %d B", p, got, DTSSS, ref)
-		}
-		if max := maxWarmMallocs[p]; mallocs > max {
-			t.Errorf("%s: warm run made %d allocations, more than %d", p, mallocs, max)
-		}
+	}
+}
+
+// TestArenaResultSurvivesNextRun: a Result is heap-owned. One held from
+// a run keeps its JSON encoding, byte for byte, after a different
+// scenario (another seed and protocol, so other values) runs on the same
+// arena and reuses the arena slots the first run took. The first run
+// fills every Result field that could alias run state: flows, a
+// failure, sleep intervals, a trace, three metric sinks and the auditor.
+func TestArenaResultSurvivesNextRun(t *testing.T) {
+	first := flowsScenario(t, 20*time.Second)
+	first.RecordSleepIntervals = true
+	first.TraceCapacity = 64
+	first.Audit = true
+	first.Sinks = []SinkChoice{{Name: "timeseries"}, {Name: "energy"}, {Name: "jsonl"}}
+	second := first
+	second.Seed = 2
+	second.Protocol = STSSS
+
+	a := NewArenaWithCache(NewDeployCache(0))
+	res, err := RunContextWith(context.Background(), a, first, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunContextWith(context.Background(), a, second, Budget{}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("a Result changed after later runs on its arena:\nbefore %s\nafter  %s", before, after)
 	}
 }

@@ -220,7 +220,7 @@ func TestPermanentFailureWinsOverCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var victim int = -1
-	for _, id := range probe.Tree.Members() {
+	for _, id := range probe.Tree.AppendMembers(nil) {
 		if id != probe.Tree.Root() {
 			victim = int(id)
 			break
@@ -262,7 +262,7 @@ func TestQueryStopReachesCrashedNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var victim int = -1
-	for _, id := range probe.Tree.Members() {
+	for _, id := range probe.Tree.AppendMembers(nil) {
 		if id != probe.Tree.Root() {
 			victim = int(id)
 			break

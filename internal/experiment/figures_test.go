@@ -311,7 +311,7 @@ func TestFig8RadiosTransitionInstantly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, id := range s.Tree.Members() {
+			for _, id := range s.Tree.AppendMembers(nil) {
 				cfg := s.Nodes[id].Radio.Config()
 				if instant := cfg.TurnOnDelay == 0 && cfg.TurnOffDelay == 0; instant != tc.instant {
 					t.Fatalf("member %d: TurnOnDelay %v, TurnOffDelay %v; want instantaneous = %v",

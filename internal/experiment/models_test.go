@@ -98,7 +98,7 @@ func TestBFSTreeAvoidsGrayZoneLinks(t *testing.T) {
 	if s.Topo.NeighborRange() <= s.Topo.Range() {
 		t.Fatalf("candidate radius %g not widened beyond nominal %g", s.Topo.NeighborRange(), s.Topo.Range())
 	}
-	for _, id := range s.Tree.Members() {
+	for _, id := range s.Tree.AppendMembers(nil) {
 		if id == s.Tree.Root() {
 			continue
 		}

@@ -49,7 +49,7 @@ func (b *builder) observers() error {
 	sc, o := &b.Scenario, &b.obs
 	*o = observer{
 		eng:    b.Eng,
-		root:   stats.NewRootSink(sc.Queries, sc.MeasureFrom, sc.Duration),
+		root:   stats.NewRootSink(b.Eng, sc.Queries, sc.MeasureFrom, sc.Duration),
 		sleeps: sc.RecordSleepIntervals,
 	}
 	for _, choice := range sc.Sinks {

@@ -286,7 +286,7 @@ func TestRadioTapOnlyWithObservers(t *testing.T) {
 			if got := s.obs.taps != nil; got != tc.want {
 				t.Fatalf("taps installed = %v, want %v", got, tc.want)
 			}
-			for _, id := range s.Tree.Members() {
+			for _, id := range s.Tree.AppendMembers(nil) {
 				if got := s.obs.taps != nil && s.obs.taps[id] != nil; got != tc.want {
 					t.Fatalf("member %d tapped = %v, want %v", id, got, tc.want)
 				}

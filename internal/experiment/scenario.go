@@ -14,6 +14,7 @@ import (
 	"github.com/essat/essat/internal/check"
 	"github.com/essat/essat/internal/core"
 	"github.com/essat/essat/internal/dynamics"
+	"github.com/essat/essat/internal/geom"
 	"github.com/essat/essat/internal/mac"
 	"github.com/essat/essat/internal/node"
 	"github.com/essat/essat/internal/phy"
@@ -343,6 +344,12 @@ type Sim struct {
 	activeAt0 []time.Duration
 	energyAt0 []float64
 
+	root node.NodeID
+	// members is the build-time member list in ID order, computed once:
+	// no build stage mutates the tree, so every stage walks this one
+	// list, and Collect walks its still-live entries.
+	members []node.NodeID
+
 	// firstDeath and batteryDeaths account battery exhaustion.
 	firstDeath    time.Duration
 	batteryDeaths int
@@ -362,23 +369,30 @@ type builder struct {
 	chCfg  phy.Config
 	qCfg   query.Config
 	params protocol.Params
-
-	root node.NodeID
-	// members is the build-time member list in ID order, computed once:
-	// no stage mutates the tree, so every stage walks this one list.
-	members []node.NodeID
 }
 
-// build runs the build stages in order. The order is load-bearing: the
-// engine rng is drawn for placement (deploy), then peer-flow endpoints
-// and failure victims (workload), and node construction and start order
-// fix the event sequence numbers.
+// build takes the arena's engine, reset to the scenario's seed, and runs
+// the build stages in order. The Sim comes from the engine's arena, like
+// everything the stages build, so it is valid until the arena's next
+// build. The stage order is load-bearing: the engine rng is drawn for
+// placement (deploy), then peer-flow endpoints and failure victims
+// (workload), and node construction and start order fix the event
+// sequence numbers.
 func build(sc Scenario, a *Arena) (*Sim, error) {
-	b := &builder{Sim: &Sim{Scenario: sc}, arena: a}
-	for _, stage := range []func() error{b.resolveModels, b.deploy, b.channel, b.observers} {
-		if err := stage(); err != nil {
-			return nil, err
-		}
+	eng := a.engine(sc.Seed)
+	b := builder{Sim: sim.ArenaGrab[Sim](eng, "experiment.sim"), arena: a}
+	*b.Sim = Sim{Scenario: sc, Eng: eng}
+	if err := b.resolveModels(); err != nil {
+		return nil, err
+	}
+	if err := b.deploy(); err != nil {
+		return nil, err
+	}
+	if err := b.channel(); err != nil {
+		return nil, err
+	}
+	if err := b.observers(); err != nil {
+		return nil, err
 	}
 	b.stacks()
 	if err := b.workload(); err != nil {
@@ -455,27 +469,27 @@ func (b *builder) resolveModels() error {
 	return nil
 }
 
-// deploy places the topology and builds the routing tree. It takes the
-// arena's reusable engine first, because that engine carries all
-// build-time randomness and placement draws first.
+// deploy places the topology and builds the routing tree. Placement
+// draws first from the engine, which carries all build-time randomness.
 //
 // Placement and tree construction depend only on the deployment key
 // fields (seed, topology config, tree policy, propagation model), so an
 // arena with a cache can reuse a previous build's topology and tree
 // template. The engine's rng stream must stay identical either way: on a
-// hit, Replay burns exactly the draws the generator would have consumed.
+// hit, Replay burns exactly the draws the generator would have consumed,
+// into arena scratch, and the run's tree is an arena clone.
 func (b *builder) deploy() (err error) {
 	sc := &b.Scenario
-	b.Eng = b.arena.engine(sc.Seed)
 	cache := b.arena.deployCache()
-	var key string
+	var key []byte
 	if cache != nil {
-		key = deployKey(*sc)
+		key = appendDeployKey(sim.ArenaSlice[byte](b.Eng, "experiment.deploykey", 128)[:0], *sc)
 		if d, ok := cache.lookup(key); ok {
-			if err := topology.Replay(b.Eng.Rand(), sc.Topology); err != nil {
+			scratch := sim.ArenaSlice[geom.Point](b.Eng, "experiment.replay", max(sc.Topology.NumNodes, 0))
+			if err := topology.Replay(b.Eng.Rand(), sc.Topology, scratch); err != nil {
 				return err
 			}
-			b.Topo, b.Tree = d.topo, d.tree.Clone()
+			b.Topo, b.Tree = d.topo, d.tree.Clone(b.Eng)
 		}
 	}
 	if b.Topo == nil {
@@ -506,7 +520,7 @@ func (b *builder) deploy() (err error) {
 	if cache != nil {
 		// Store a pristine template: the tree handed to this run is about
 		// to be mutated by failures and re-parenting.
-		cache.store(key, &deployment{topo: b.Topo, tree: b.Tree.Clone()})
+		cache.store(string(key), &deployment{topo: b.Topo, tree: b.Tree.Clone(nil)})
 	}
 	return nil
 }
@@ -517,7 +531,8 @@ func (b *builder) channel() (err error) {
 	if b.Channel, err = phy.NewChannel(b.Eng, b.Topo, b.chCfg); err != nil {
 		return err
 	}
-	b.members = b.Tree.Members()
+	members := sim.ArenaSlice[node.NodeID](b.Eng, "experiment.members", b.Tree.Size())
+	b.members = b.Tree.AppendMembers(members[:0])
 	return nil
 }
 
@@ -528,8 +543,11 @@ func (b *builder) stacks() {
 	sc := &b.Scenario
 	b.Nodes = sim.ArenaSlice[*node.Node](b.Eng, "experiment.nodes", b.Topo.NumNodes())
 	// Builders only read the context, so one serves every node; only
-	// Node and Sink change per node.
-	ctx := protocol.BuildContext{
+	// Node and Sink change per node. It comes from the arena because the
+	// builders take it through an indirect call, which moves it to the
+	// heap.
+	ctx := sim.ArenaGrab[protocol.BuildContext](b.Eng, "experiment.buildctx")
+	*ctx = protocol.BuildContext{
 		Eng:      b.Eng,
 		Tree:     b.Tree,
 		QueryCfg: b.qCfg,
@@ -545,7 +563,7 @@ func (b *builder) stacks() {
 			s = &b.obs
 		}
 		ctx.Node, ctx.Sink = n, s
-		b.proto(&ctx)
+		b.proto(ctx)
 		b.obs.watchStack(n)
 		b.Nodes[id] = n
 	}
@@ -575,8 +593,8 @@ func (b *builder) workload() error {
 			b.scheduleSetupSlot(spec)
 		}
 	}
-	// Stops sweep the build-time member list, not tree.Members() at stop
-	// time: a node the failure detector has (perhaps falsely) marked dead
+	// Stops sweep the build-time member list, not the tree's live
+	// members at stop time: a node the failure detector has (perhaps falsely) marked dead
 	// — or one the dynamics layer crashed — must still forget the query,
 	// or it resumes reporting it after recovery. Only permanently dead
 	// nodes (channel-disabled) are skipped.
@@ -670,7 +688,7 @@ func (b *builder) faults() error {
 	for _, f := range sc.Failures {
 		victim := f.Node
 		if victim < 0 {
-			victim = pickVictim(b.Eng.Rand(), b.Tree, b.members)
+			victim = pickVictim(b.Eng, b.Tree, b.members)
 		}
 		if victim == routing.None || victim == b.root {
 			continue
@@ -692,7 +710,6 @@ func (b *builder) faults() error {
 	}
 	h := &dynHost{
 		Sim:     b.Sim,
-		nodeIDs: b.members,
 		crashed: sim.ArenaSlice[bool](b.Eng, "experiment.crashed", b.Topo.NumNodes()),
 	}
 	for i, d := range sc.Dynamics {
@@ -705,42 +722,49 @@ func (b *builder) faults() error {
 
 // meter schedules the accounting loops: battery exhaustion (one poll
 // per simulated second) and the radio snapshot at MeasureFrom that
-// excludes warm-up.
+// excludes warm-up. Both run through dispatchers that take the Sim as
+// their argument, so metering builds no closure.
 func (b *builder) meter() {
-	sc, sm, prof, root := &b.Scenario, b.Sim, b.profile, b.root
-	members, e, ch, nodes := b.members, b.Eng, b.Channel, b.Nodes
+	sc, e := &b.Scenario, b.Eng
 	if sc.BatteryJ > 0 {
-		budget := sc.BatteryJ
-		var check func()
-		check = func() {
-			for _, id := range members {
-				n := nodes[id]
-				if id == root || n.Killed() {
-					continue
-				}
-				if n.Radio.Energy(prof) >= budget {
-					if sm.firstDeath == 0 {
-						sm.firstDeath = e.Now()
-					}
-					sm.batteryDeaths++
-					n.Kill()
-					ch.Disable(id)
-				}
-			}
-			e.After(time.Second, check)
-		}
-		e.After(time.Second, check)
+		e.AfterArg(time.Second, batteryCheck, b.Sim)
 	}
+	n := b.Topo.NumNodes()
+	b.activeAt0 = sim.ArenaSlice[time.Duration](e, "experiment.activeAt0", n)
+	b.energyAt0 = sim.ArenaSlice[float64](e, "experiment.energyAt0", n)
+	e.ScheduleArg(sc.MeasureFrom, measureSnapshot, b.Sim)
+}
 
-	sm.activeAt0 = make([]time.Duration, b.Topo.NumNodes())
-	sm.energyAt0 = make([]float64, b.Topo.NumNodes())
-	e.Schedule(sc.MeasureFrom, func() {
-		for _, id := range members {
-			n := nodes[id]
-			sm.activeAt0[id] = n.Radio.ActiveTime()
-			sm.energyAt0[id] = n.Radio.Energy(prof)
+// batteryCheck kills every live non-root member whose radio has drawn
+// its battery budget, then polls again a simulated second later.
+func batteryCheck(x any) {
+	s := x.(*Sim)
+	for _, id := range s.members {
+		n := s.Nodes[id]
+		if id == s.root || n.Killed() {
+			continue
 		}
-	})
+		if n.Radio.Energy(s.profile) >= s.Scenario.BatteryJ {
+			if s.firstDeath == 0 {
+				s.firstDeath = s.Eng.Now()
+			}
+			s.batteryDeaths++
+			n.Kill()
+			s.Channel.Disable(id)
+		}
+	}
+	s.Eng.AfterArg(time.Second, batteryCheck, s)
+}
+
+// measureSnapshot records every member's radio active time and energy
+// at MeasureFrom, the zero of the measurement window.
+func measureSnapshot(x any) {
+	s := x.(*Sim)
+	for _, id := range s.members {
+		n := s.Nodes[id]
+		s.activeAt0[id] = n.Radio.ActiveTime()
+		s.energyAt0[id] = n.Radio.Energy(s.profile)
+	}
 }
 
 // Simulate drains the event queue up to the scenario's duration. It
@@ -787,12 +811,11 @@ func (s *Sim) stack(id node.NodeID) *node.Node {
 }
 
 // dynHost adapts the built simulation to the dynamics.Host surface.
+// AddQuery and RemoveQuery walk the Sim's build-time member list: unlike
+// the tree's live members, it keeps nodes the failure detector later
+// marks dead, which RemoveQuery must still reach.
 type dynHost struct {
 	*Sim
-	// nodeIDs is the build-time member list in ID order — unlike
-	// tree.Members(), it keeps nodes the failure detector later marks
-	// dead, which RemoveQuery must still reach.
-	nodeIDs []node.NodeID
 	// crashed marks, by node ID, the nodes this layer took down, so
 	// Recover never resurrects a node killed by other means (failure
 	// injection, battery exhaustion).
@@ -802,9 +825,14 @@ type dynHost struct {
 var _ dynamics.Host = (*dynHost)(nil)
 
 func (h *dynHost) Eng() *sim.Engine                               { return h.Sim.Eng }
-func (h *dynHost) Members() []topology.NodeID                     { return h.Tree.Members() }
 func (h *dynHost) Root() topology.NodeID                          { return h.Tree.Root() }
 func (h *dynHost) Neighbors(id topology.NodeID) []topology.NodeID { return h.Topo.Neighbors(id) }
+
+// Members lists the live members into arena scratch.
+func (h *dynHost) Members() []topology.NodeID {
+	members := sim.ArenaSlice[topology.NodeID](h.Sim.Eng, "experiment.dynmembers", h.Tree.Size())
+	return h.Tree.AppendMembers(members[:0])
+}
 
 func (h *dynHost) Crash(id topology.NodeID) {
 	n := h.stack(id)
@@ -841,7 +869,7 @@ func (h *dynHost) AddQuery(spec query.Spec) error {
 	if h.obs.auditor != nil {
 		h.obs.auditor.RegisterQuery(spec)
 	}
-	for _, id := range h.nodeIDs {
+	for _, id := range h.members {
 		n := h.Nodes[id]
 		if n.Killed() {
 			continue // offline during setup: it misses the query
@@ -856,7 +884,7 @@ func (h *dynHost) AddQuery(spec query.Spec) error {
 func (h *dynHost) RemoveQuery(id query.ID) {
 	// Deregister everywhere, crashed nodes included: a node recovering
 	// after the burst ended must not keep producing burst reports.
-	for _, nid := range h.nodeIDs {
+	for _, nid := range h.members {
 		h.Nodes[nid].Agent.Deregister(id)
 	}
 }
@@ -902,9 +930,12 @@ type discard struct{}
 func (discard) Deliver(phy.NodeID, any, int) {}
 
 // pickVictim chooses a random live non-root node, preferring non-leaves
-// (whose failure exercises both recovery paths).
-func pickVictim(rng *rand.Rand, tree *routing.Tree, members []node.NodeID) node.NodeID {
-	var inner, leaves []node.NodeID
+// (whose failure exercises both recovery paths), with the engine's rng.
+// Its candidate lists are arena scratch.
+func pickVictim(eng *sim.Engine, tree *routing.Tree, members []node.NodeID) node.NodeID {
+	inner := sim.ArenaSlice[node.NodeID](eng, "experiment.victims.inner", len(members))[:0]
+	leaves := sim.ArenaSlice[node.NodeID](eng, "experiment.victims.leaves", len(members))[:0]
+	rng := eng.Rand()
 	for _, id := range members {
 		if id == tree.Root() {
 			continue
@@ -931,12 +962,20 @@ func (s *Sim) collectNodes(res *Result) {
 	sc, tree := &s.Scenario, s.Tree
 	window := float64(sc.Duration - sc.MeasureFrom)
 	var duty, energy stats.Welford
-	dutyRank := make(map[int]*stats.Welford)
+	maxRank := 0
+	for _, id := range s.members {
+		if tree.Alive(id) {
+			maxRank = max(maxRank, tree.Rank(id))
+		}
+	}
+	dutyRank := sim.ArenaSlice[stats.Welford](s.Eng, "experiment.dutyRank", maxRank+1)
 	var reports, phaseUpdates uint64
-	// Iterate in ID order so float accumulation is deterministic.
-	for _, id := range tree.Members() {
+	// Walk the live members in ID order so float accumulation is
+	// deterministic. Nothing joins the tree after the build, so they are
+	// the build-time members the tree still holds alive.
+	for _, id := range s.members {
 		n := s.Nodes[id]
-		if n == nil || n.Killed() {
+		if !tree.Alive(id) || n.Killed() {
 			continue
 		}
 		active := float64(n.Radio.ActiveTime() - s.activeAt0[id])
@@ -948,9 +987,6 @@ func (s *Sim) collectNodes(res *Result) {
 			res.EnergyMax = e
 		}
 		r := tree.Rank(id)
-		if dutyRank[r] == nil {
-			dutyRank[r] = &stats.Welford{}
-		}
 		dutyRank[r].Add(dc)
 
 		ast := n.Agent.Stats()
@@ -974,18 +1010,17 @@ func (s *Sim) collectNodes(res *Result) {
 		s.obs.nodeDone(stats.NodeSummary{Node: int(id), Rank: r, Duty: dc, EnergyJ: e})
 	}
 	res.DutyCycle = duty.Mean()
-	for r, w := range dutyRank {
-		res.DutyByRank[r] = w.Mean()
+	for r := range dutyRank {
+		if dutyRank[r].N() > 0 {
+			res.DutyByRank[r] = dutyRank[r].Mean()
+		}
 	}
 	if reports > 0 {
 		bits := float64(phaseUpdates) * float64(query.PhaseBytes) * 8
 		res.PhaseUpdateBitsPerReport = bits / float64(reports)
 	}
 
-	res.Latency = stats.SummarizeDurations(s.obs.root.Latencies())
-	for class, ls := range s.obs.root.LatencyByClass() {
-		res.LatencyByClass[class] = stats.SummarizeDurations(ls)
-	}
+	res.Latency = s.obs.root.Summarize(res.LatencyByClass)
 	res.Coverage = s.obs.root.MeanCoverage()
 	res.Records = stats.Records(s.obs.sinks, stats.RunMeta{
 		Protocol:    string(sc.Protocol),
@@ -1011,9 +1046,9 @@ func (s *Sim) collectFlows(res *Result) {
 	}
 	var consumed, originated, received, expected uint64
 	var peerLat, dissLat time.Duration
-	for _, id := range tree.Members() {
+	for _, id := range s.members {
 		n := s.Nodes[id]
-		if n == nil || n.Flows == nil {
+		if !tree.Alive(id) || n.Flows == nil {
 			continue
 		}
 		for _, fl := range sc.PeerFlows {

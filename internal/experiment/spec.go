@@ -308,7 +308,7 @@ func (s *Spec) Scenario() (Scenario, error) {
 		// the run.
 		probe := sc.Topology
 		probe.NumNodes = 1
-		if err := topology.Replay(rand.New(rand.NewSource(1)), probe); err != nil {
+		if err := topology.Replay(rand.New(rand.NewSource(1)), probe, nil); err != nil {
 			return Scenario{}, fmt.Errorf("spec: %w", err)
 		}
 	}
@@ -396,23 +396,23 @@ func (s *Spec) Scenario() (Scenario, error) {
 		sc.QueryStops = append(sc.QueryStops, QueryStop{At: stop.At.D(), Query: query.ID(stop.Query)})
 	}
 	for _, d := range s.Dynamics {
-		if _, ok := dynamics.Lookup(d.Kind); !ok {
-			return Scenario{}, fmt.Errorf("spec: unknown dynamics kind %q (registered: %v)", d.Kind, dynamics.Kinds())
+		p := dynamics.Params{
+			At:       d.At.D(),
+			Duration: d.Duration.D(),
+			Node:     d.Node,
+			Count:    d.Count,
+			Peak:     d.Peak,
+			Steps:    d.Steps,
+			Period:   d.Period.D(),
+			Queries:  d.Queries,
+			Seed:     d.Seed,
 		}
-		sc.Dynamics = append(sc.Dynamics, Dynamic{
-			Kind: d.Kind,
-			Params: dynamics.Params{
-				At:       d.At.D(),
-				Duration: d.Duration.D(),
-				Node:     d.Node,
-				Count:    d.Count,
-				Peak:     d.Peak,
-				Steps:    d.Steps,
-				Period:   d.Period.D(),
-				Queries:  d.Queries,
-				Seed:     d.Seed,
-			},
-		})
+		// Check the kind and its values now, with the kind's own checks:
+		// a typo or a bad value must fail the compile, not the run.
+		if err := dynamics.Check(d.Kind, p); err != nil {
+			return Scenario{}, fmt.Errorf("spec: %w", err)
+		}
+		sc.Dynamics = append(sc.Dynamics, Dynamic{Kind: d.Kind, Params: p})
 	}
 	sc.Audit = s.Audit
 

@@ -202,3 +202,48 @@ func TestSpecRunEndToEnd(t *testing.T) {
 		t.Fatalf("spec run produced implausible result: %+v", res)
 	}
 }
+
+// TestSpecChecksDynamicsValues: Scenario() runs each dynamics kind's own
+// value checks, so a bad value fails the compile rather than the build.
+// One case per check, plus one valid entry per kind.
+func TestSpecChecksDynamicsValues(t *testing.T) {
+	wl := &WorkloadSpec{BaseRate: 1, PerClass: 1}
+	cases := []struct {
+		name string
+		d    DynamicsSpec
+		want string // fragment of the error; empty for a valid entry
+	}{
+		{"unknown kind", DynamicsSpec{Kind: "meteor"}, `unknown injector kind "meteor"`},
+		{"crash valid", DynamicsSpec{Kind: "crash", At: Dur(time.Second)}, ""},
+		{"crash negative start", DynamicsSpec{Kind: "crash", At: Dur(-time.Second)}, "crash: negative start"},
+		{"crash negative outage", DynamicsSpec{Kind: "crash", Duration: Dur(-time.Second)}, "crash: negative outage"},
+		{"linkloss valid", DynamicsSpec{Kind: "linkloss", Duration: Dur(time.Second), Peak: 0.5}, ""},
+		{"linkloss negative start", DynamicsSpec{Kind: "linkloss", At: Dur(-time.Second), Duration: Dur(time.Second), Peak: 0.5},
+			"linkloss: negative start"},
+		{"linkloss no episode", DynamicsSpec{Kind: "linkloss", Peak: 0.5}, "linkloss: episode duration"},
+		{"linkloss peak above 1", DynamicsSpec{Kind: "linkloss", Duration: Dur(time.Second), Peak: 1.5}, "linkloss: peak"},
+		{"burst valid", DynamicsSpec{Kind: "burst", Duration: Dur(2 * time.Second), Period: Dur(time.Second)}, ""},
+		{"burst negative start", DynamicsSpec{Kind: "burst", At: Dur(-time.Second), Duration: Dur(2 * time.Second), Period: Dur(time.Second)},
+			"burst: negative start"},
+		{"burst no length", DynamicsSpec{Kind: "burst", Period: Dur(time.Second)}, "burst: burst length"},
+		{"burst no period", DynamicsSpec{Kind: "burst", Duration: Dur(2 * time.Second)}, "burst: report period"},
+		{"burst too many queries", DynamicsSpec{Kind: "burst", Duration: Dur(2 * time.Second), Period: Dur(time.Second), Queries: 5000},
+			"burst: at most 4096 queries"},
+		{"burst period past length", DynamicsSpec{Kind: "burst", Duration: Dur(time.Second), Period: Dur(2 * time.Second)},
+			"burst: period 2s exceeds"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			spec := Spec{Protocol: "DTS-SS", Workload: wl, Dynamics: []DynamicsSpec{c.d}}
+			_, err := spec.Scenario()
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("Scenario() rejected a valid entry: %v", err)
+			case c.want != "" && err == nil:
+				t.Fatalf("Scenario() accepted %+v", c.d)
+			case c.want != "" && !strings.Contains(err.Error(), c.want):
+				t.Errorf("error %q does not name %q", err, c.want)
+			}
+		})
+	}
+}

@@ -39,10 +39,17 @@ func (p Point) InRange(q Point, r float64) bool {
 // side×side square with origin (0,0), using rng for reproducibility.
 func UniformPlacement(rng *rand.Rand, n int, side float64) []Point {
 	pts := make([]Point, n)
+	FillUniform(rng, pts, side)
+	return pts
+}
+
+// FillUniform overwrites every point of pts with one drawn uniformly at
+// random from the side×side square, drawing exactly what
+// UniformPlacement draws for len(pts) points.
+func FillUniform(rng *rand.Rand, pts []Point, side float64) {
 	for i := range pts {
 		pts[i] = Point{X: rng.Float64() * side, Y: rng.Float64() * side}
 	}
-	return pts
 }
 
 // LinePlacement returns n collinear points with the given spacing,

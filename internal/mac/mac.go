@@ -444,7 +444,7 @@ func (m *MAC) setNAV(until time.Duration) {
 	m.navUntil = until
 	m.freeze()
 	if m.navEv != nil {
-		m.navEv.RescheduleTo(until)
+		m.eng.RescheduleTo(m.navEv, until)
 	} else {
 		m.navEv = m.eng.ScheduleArg(until, macNavExpire, m)
 	}
@@ -453,11 +453,11 @@ func (m *MAC) setNAV(until time.Duration) {
 // freeze suspends an in-progress countdown, crediting fully elapsed slots.
 func (m *MAC) freeze() {
 	if m.difsEv != nil {
-		m.difsEv.Cancel()
+		m.eng.Cancel(m.difsEv)
 		m.difsEv = nil
 	}
 	if m.backoffEv != nil {
-		m.backoffEv.Cancel()
+		m.eng.Cancel(m.backoffEv)
 		m.backoffEv = nil
 		elapsed := int((m.eng.Now() - m.backoffStarted) / slotTime)
 		m.backoff -= elapsed
@@ -589,7 +589,7 @@ func (m *MAC) ackReceived(src phy.NodeID, seq uint64, info any) {
 	}
 	m.waitingAck = false
 	if m.ackEv != nil {
-		m.ackEv.Cancel()
+		m.eng.Cancel(m.ackEv)
 		m.ackEv = nil
 	}
 	m.finish(item, true)
@@ -682,7 +682,7 @@ func (m *MAC) RadioStateChanged(old, new radio.State) {
 		// outcome is unknowable while asleep).
 		m.freeze()
 		if m.ackEv != nil {
-			m.ackEv.Cancel()
+			m.eng.Cancel(m.ackEv)
 			m.ackEv = nil
 			m.waitingAck = false
 		}

@@ -48,10 +48,10 @@ func buildNet(t *testing.T, pts []geom.Point, failureThreshold int) (*sim.Engine
 	ch, _ := phy.NewChannel(eng, topo, phy.Config{})
 
 	specs := []query.Spec{{ID: 1, Period: 500 * time.Millisecond, Phase: 100 * time.Millisecond, Class: 1}}
-	sink := &closeCounter{RootSink: stats.NewRootSink(specs, 0, 5*time.Second)}
+	sink := &closeCounter{RootSink: stats.NewRootSink(eng, specs, 0, 5*time.Second)}
 
 	nodes := make(map[NodeID]*Node)
-	for _, id := range tree.Members() {
+	for _, id := range tree.AppendMembers(nil) {
 		n := New(eng, id, tree, ch, radio.Config{TurnOnDelay: time.Millisecond, TurnOffDelay: 500 * time.Microsecond})
 		ss := core.NewSafeSleep(eng, n.Radio, core.SafeSleepOptions{
 			BreakEven: -1, MACBusy: n.MAC,
@@ -65,7 +65,7 @@ func buildNet(t *testing.T, pts []geom.Point, failureThreshold int) (*sim.Engine
 		nodes[id] = n
 	}
 	for _, spec := range specs {
-		for _, id := range tree.Members() {
+		for _, id := range tree.AppendMembers(nil) {
 			if err := nodes[id].Agent.Register(spec); err != nil {
 				t.Fatal(err)
 			}
@@ -252,7 +252,7 @@ func TestPhaseRequestViaAckReachesShaper(t *testing.T) {
 	spec := query.Spec{ID: 1, Period: time.Second, Phase: 100 * time.Millisecond, Class: 1}
 	nodes := make(map[NodeID]*Node)
 	var shapers []*core.DTS
-	for _, id := range tree.Members() {
+	for _, id := range tree.AppendMembers(nil) {
 		n := New(eng, id, tree, ch, radio.Config{})
 		ss := core.NewSafeSleep(eng, n.Radio, core.SafeSleepOptions{Disabled: true})
 		d := core.NewDTS(n, ss)

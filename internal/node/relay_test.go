@@ -87,7 +87,7 @@ func TestRelayEndToEnd(t *testing.T) {
 			ch, _ := phy.NewChannel(eng, topo, phy.Config{})
 			consumed := make(map[NodeID][]int)
 			nodes := make(map[NodeID]*Node)
-			for _, id := range tree.Members() {
+			for _, id := range tree.AppendMembers(nil) {
 				id := id
 				n := New(eng, id, tree, ch, radio.Config{TurnOnDelay: time.Millisecond, TurnOffDelay: 500 * time.Microsecond})
 				ss := core.NewSafeSleep(eng, n.Radio, core.SafeSleepOptions{BreakEven: -1, MACBusy: n.MAC})

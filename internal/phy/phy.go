@@ -178,11 +178,10 @@ type Channel struct {
 	// sized once at construction and never grows, so interior pointers
 	// (&c.stations[i]) stay valid for the run. Arena-backed when the
 	// engine carries an arena.
-	stations  []station
-	nextID    uint64
-	stats     Stats
-	neighbors func(NodeID) []NodeID
-	obs       Observer
+	stations []station
+	nextID   uint64
+	stats    Stats
+	obs      Observer
 	// prop is the propagation model; discFast marks the unit-disc
 	// default, whose neighbor-candidate graph already equals the
 	// deliverable set, so the per-delivery verdict is skipped entirely.
@@ -233,7 +232,8 @@ func NewChannel(eng *sim.Engine, topo *topology.Topology, cfg Config) (*Channel,
 	if prop == nil {
 		prop = discModel{}
 	}
-	c := &Channel{
+	c := sim.ArenaGrab[Channel](eng, "phy.channel")
+	*c = Channel{
 		eng:      eng,
 		topo:     topo,
 		lossRate: cfg.LossRate,
@@ -247,7 +247,6 @@ func NewChannel(eng *sim.Engine, topo *topology.Topology, cfg Config) (*Channel,
 		active: sim.ArenaSlice[*activeTx](eng, "phy.active", 8)[:0],
 		freeTx: sim.ArenaSlice[*activeTx](eng, "phy.freetx", 8)[:0],
 	}
-	c.neighbors = topo.Neighbors
 	return c, nil
 }
 
@@ -311,7 +310,7 @@ func (c *Channel) SetLinkLoss(src, dst NodeID, p float64) error {
 // by range symmetry, the set id can receive from). MACs use it to size
 // and index per-peer bookkeeping by neighbor position instead of by
 // the full station ID space. The returned slice is shared, read-only.
-func (c *Channel) Neighbors(id NodeID) []NodeID { return c.neighbors(id) }
+func (c *Channel) Neighbors(id NodeID) []NodeID { return c.topo.Neighbors(id) }
 
 // FrameDuration returns the airtime of a frame with the given payload size.
 func (c *Channel) FrameDuration(bytes int) time.Duration {
@@ -420,8 +419,8 @@ func (c *Channel) StartTx(src NodeID, dst NodeID, bytes int, payload any) (time.
 // station row unless that neighbour's radio is on.
 func (c *Channel) arrive(tx *activeTx, dur time.Duration) {
 	tx.slot = len(c.active)
-	c.active = append(c.active, tx)
-	for _, nb := range c.neighbors(tx.frame.Src) {
+	c.active = sim.ArenaAppend(c.eng, "phy.active.grow", c.active, tx)
+	for _, nb := range c.topo.Neighbors(tx.frame.Src) {
 		rst := &c.stations[nb]
 		if !rst.enabled {
 			continue
@@ -462,7 +461,7 @@ func (c *Channel) endTx(tx *activeTx) {
 	if st := &c.stations[src]; st.radio.State() == radio.Tx {
 		st.radio.EndTx()
 	}
-	for _, nb := range c.neighbors(src) {
+	for _, nb := range c.topo.Neighbors(src) {
 		rst := &c.stations[nb]
 		if !rst.enabled {
 			continue
@@ -494,7 +493,7 @@ func (c *Channel) endTx(tx *activeTx) {
 	c.active[last] = nil
 	c.active = c.active[:last]
 	tx.frame.Payload = nil
-	c.freeTx = append(c.freeTx, tx)
+	c.freeTx = sim.ArenaAppend(c.eng, "phy.freetx.grow", c.freeTx, tx)
 }
 
 func (c *Channel) deliver(rst *station, f *Frame) {

@@ -554,8 +554,10 @@ func (a *Agent) startInterval(rt *runtime, k int) {
 	a.stats.Samples++
 	rt.intervals = sim.ArenaAppend(a.eng, "query.rt.intervals.grow", rt.intervals, iv)
 	for _, c := range a.tree.Children(a.id) {
-		iv.expected = append(iv.expected, c)
-		iv.got = append(iv.got, false)
+		// A pooled interval's rows fit the children it was made for; a
+		// child gained by re-parenting grows them from the arena.
+		iv.expected = sim.ArenaAppend(a.eng, "query.iv.expected.grow", iv.expected, c)
+		iv.got = sim.ArenaAppend(a.eng, "query.iv.got.grow", iv.got, false)
 	}
 	if len(iv.expected) == 0 {
 		a.closeInterval(rt, iv)
@@ -576,7 +578,7 @@ func (a *Agent) closeInterval(rt *runtime, iv *interval) {
 	}
 	iv.closed = true
 	if iv.timeout != nil {
-		iv.timeout.Cancel()
+		a.eng.Cancel(iv.timeout)
 		iv.timeout = nil
 	}
 	if iv.k > rt.lastClosedK {
@@ -599,7 +601,7 @@ func (a *Agent) closeInterval(rt *runtime, iv *interval) {
 	a.missScratch = nil
 	for i, c := range iv.expected {
 		if !iv.got[i] {
-			missing = append(missing, c)
+			missing = sim.ArenaAppend(a.eng, "query.missing", missing, c)
 		}
 	}
 	a.shaper.IntervalClosed(rt.spec.ID, iv.k, missing)
@@ -854,7 +856,7 @@ func (a *Agent) Deregister(q ID) {
 	// (mid-run query stops).
 	for _, iv := range rt.intervals {
 		if iv.timeout != nil {
-			iv.timeout.Cancel()
+			a.eng.Cancel(iv.timeout)
 			iv.timeout = nil
 		}
 		iv.closed = true

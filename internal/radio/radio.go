@@ -168,7 +168,7 @@ func (r *Radio) Shutdown() {
 	r.pendingOn = false
 	r.pendingOff = false
 	if r.transition != nil {
-		r.transition.Cancel()
+		r.eng.Cancel(r.transition)
 		r.transition = nil
 	}
 	if r.state != Off {
@@ -219,7 +219,7 @@ func (r *Radio) TurnOff() {
 		// Cancel the power-up and fall back to Off immediately; the
 		// radio never reached an active state.
 		if r.transition != nil {
-			r.transition.Cancel()
+			r.eng.Cancel(r.transition)
 			r.transition = nil
 		}
 		r.setState(Off)

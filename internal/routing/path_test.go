@@ -72,7 +72,7 @@ func TestPathProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		members := tree.Members()
+		members := tree.AppendMembers(nil)
 		if len(members) < 2 {
 			return true
 		}

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/essat/essat/internal/sim"
 	"github.com/essat/essat/internal/topology"
 )
 
@@ -110,24 +111,44 @@ func BuildBFS(topo *topology.Topology, root NodeID, maxDist float64) (*Tree, err
 	return t, nil
 }
 
-// Clone returns a deep copy of the tree sharing the immutable topology.
-// Deployment caches hand each run its own clone: runs mutate their tree
-// (failure marking, re-parenting, detachment) and must never corrupt the
-// cached template.
-func (t *Tree) Clone() *Tree {
-	c := &Tree{
+// Clone returns a deep copy of the tree sharing the immutable topology,
+// built from eng's arena (plain heap memory when eng is nil or has no
+// arena), so an arena clone is valid until eng's next Reset. Deployment
+// caches hand each run its own clone: runs mutate their tree (failure
+// marking, re-parenting, detachment) and must never corrupt the cached
+// template.
+//
+// The children rows share one flat slice, each capped at its length: a
+// re-parenting append to a row therefore moves that row to the heap
+// instead of writing into its neighbour's.
+func (t *Tree) Clone(eng *sim.Engine) *Tree {
+	n := len(t.parent)
+	total := 0
+	for _, cs := range t.children {
+		total += len(cs)
+	}
+	c := sim.ArenaGrab[Tree](eng, "routing.tree")
+	*c = Tree{
 		topo:     t.topo,
 		root:     t.root,
-		parent:   append([]NodeID(nil), t.parent...),
-		children: make([][]NodeID, len(t.children)),
-		level:    append([]int(nil), t.level...),
-		rank:     append([]int(nil), t.rank...),
-		member:   append([]bool(nil), t.member...),
-		alive:    append([]bool(nil), t.alive...),
+		parent:   sim.ArenaSlice[NodeID](eng, "routing.tree.parent", n),
+		children: sim.ArenaSlice[[]NodeID](eng, "routing.tree.children", n),
+		level:    sim.ArenaSlice[int](eng, "routing.tree.level", n),
+		rank:     sim.ArenaSlice[int](eng, "routing.tree.rank", n),
+		member:   sim.ArenaSlice[bool](eng, "routing.tree.member", n),
+		alive:    sim.ArenaSlice[bool](eng, "routing.tree.alive", n),
 	}
+	copy(c.parent, t.parent)
+	copy(c.level, t.level)
+	copy(c.rank, t.rank)
+	copy(c.member, t.member)
+	copy(c.alive, t.alive)
+	flat := sim.ArenaSlice[NodeID](eng, "routing.tree.flat", total)
 	for i, cs := range t.children {
-		if len(cs) > 0 {
-			c.children[i] = append([]NodeID(nil), cs...)
+		if k := len(cs); k > 0 {
+			c.children[i] = flat[:k:k]
+			copy(c.children[i], cs)
+			flat = flat[k:]
 		}
 	}
 	return c
@@ -178,16 +199,15 @@ func (t *Tree) IsLeaf(id NodeID) bool {
 	return len(t.children[id]) == 0
 }
 
-// Members returns all live member IDs in ascending order, in one
-// allocation of exactly Size() entries.
-func (t *Tree) Members() []NodeID {
-	out := make([]NodeID, 0, t.Size())
+// AppendMembers appends all live member IDs to dst in ascending order
+// and returns the extended slice.
+func (t *Tree) AppendMembers(dst []NodeID) []NodeID {
 	for i := range t.member {
 		if t.member[i] && t.alive[i] {
-			out = append(out, NodeID(i))
+			dst = append(dst, NodeID(i))
 		}
 	}
-	return out
+	return dst
 }
 
 // Size returns the number of live members.

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"github.com/essat/essat/internal/geom"
+	"github.com/essat/essat/internal/sim"
 	"github.com/essat/essat/internal/topology"
 )
 
@@ -93,7 +94,7 @@ func TestDistanceLimitExcludesFarNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Nodes at 0,100,200,300 are within 300m; 400,500 are not.
-	if got := tree.Members(); !slices.Equal(got, []NodeID{0, 1, 2, 3}) {
+	if got := tree.AppendMembers(nil); !slices.Equal(got, []NodeID{0, 1, 2, 3}) {
 		t.Fatalf("members = %v, want [0 1 2 3]", got)
 	}
 	if tree.Level(4) != -1 || tree.Rank(4) != -1 || tree.Parent(4) != None {
@@ -118,7 +119,7 @@ func TestUnreachableWithinDistanceExcluded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if slices.Contains(tree.Members(), 1) {
+	if slices.Contains(tree.AppendMembers(nil), 1) {
 		t.Fatal("radio-unreachable node became a member")
 	}
 }
@@ -208,7 +209,7 @@ func TestMarkDead(t *testing.T) {
 	if tree.Alive(1) {
 		t.Fatal("failed node still alive")
 	}
-	if slices.Contains(tree.Members(), 1) {
+	if slices.Contains(tree.AppendMembers(nil), 1) {
 		t.Fatal("failed node still listed among the live members")
 	}
 	if tree.Level(1) != 1 {
@@ -305,7 +306,7 @@ func TestTreeInvariantsProperty(t *testing.T) {
 		}
 		// Every member's rank is strictly less than its parent's, and
 		// rank + level <= M + ... (rank of child < rank of parent).
-		for _, id := range tree.Members() {
+		for _, id := range tree.AppendMembers(nil) {
 			if id == tree.Root() {
 				continue
 			}
@@ -324,5 +325,62 @@ func TestBadRootErrors(t *testing.T) {
 	topo, _ := topology.FromPositions(geom.LinePlacement(3, 100), 125)
 	if _, err := BuildBFS(topo, 99, 0); err == nil {
 		t.Fatal("out-of-range root accepted")
+	}
+}
+
+// TestCloneOnArenaKeepsRowsApart: an arena clone lays every children
+// row out in one flat slice, each capped at its length, so re-parenting
+// into a row never writes into the next row, and neither the clone's
+// changes nor a later clone touch the template. The tree:
+//
+//	0 - 1 - 3 - 5
+//	 \     /
+//	  2 - 4
+//
+// with 3 a neighbour of both 1 and 2: moving 3 under 2 appends to row 2,
+// which the flat slice follows with row 3.
+func TestCloneOnArenaKeepsRowsApart(t *testing.T) {
+	pts := []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 0, Y: 100}, {X: 100, Y: 100}, {X: -100, Y: 100}, {X: 200, Y: 100}}
+	topo, err := topology.FromPositions(pts, 125)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl, err := BuildBFS(topo, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(tmpl.Children(1), []NodeID{3}) || !slices.Equal(tmpl.Children(2), []NodeID{4}) || !slices.Equal(tmpl.Children(3), []NodeID{5}) {
+		t.Fatalf("unexpected template rows %v %v %v", tmpl.Children(1), tmpl.Children(2), tmpl.Children(3))
+	}
+	eng := sim.New(1)
+	eng.SetArena(sim.NewArena())
+	c := tmpl.Clone(eng)
+	if err := c.Reparent(3, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Children(3); !slices.Equal(got, []NodeID{5}) {
+		t.Fatalf("re-parenting into row 2 changed row 3 to %v", got)
+	}
+	if got := c.Children(2); !slices.Equal(got, []NodeID{4, 3}) {
+		t.Fatalf("row 2 = %v, want [4 3]", got)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatalf("clone after re-parent: %v", err)
+	}
+	if !slices.Equal(tmpl.Children(1), []NodeID{3}) || !slices.Equal(tmpl.Children(2), []NodeID{4}) || tmpl.Parent(3) != 1 {
+		t.Fatal("re-parenting the clone changed the template")
+	}
+	eng.Reset(1)
+	again := tmpl.Clone(eng)
+	for id := NodeID(0); id < 6; id++ {
+		if !slices.Equal(again.Children(id), tmpl.Children(id)) || again.Parent(id) != tmpl.Parent(id) || again.Rank(id) != tmpl.Rank(id) {
+			t.Fatalf("node %d: clone after reset differs from the template", id)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		eng.Reset(1)
+		tmpl.Clone(eng)
+	}); allocs != 0 {
+		t.Errorf("a warm arena clone allocates %.0f times, want 0", allocs)
 	}
 }

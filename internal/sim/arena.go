@@ -137,9 +137,15 @@ func slicePoolFor[T any](a *Arena, tag string) *slicePool[T] {
 
 // --- typed struct slab -----------------------------------------------------
 
-// slabBlockSize is the number of T per slab block. Blocks are never
-// freed; reset rewinds the cursor to the first block.
-const slabBlockSize = 256
+// A slab's blocks grow from firstSlabBlock to slabBlockSize T, doubling,
+// so a type grabbed once per run (a run's Sim, channel or root
+// recorder) takes a small block, and one grabbed per node or per frame
+// soon reaches full-size blocks. Blocks are never freed; reset rewinds
+// the cursor to the first block.
+const (
+	firstSlabBlock = 8
+	slabBlockSize  = 256
+)
 
 type structSlab[T any] struct {
 	blocks [][]T
@@ -151,7 +157,11 @@ func (p *structSlab[T]) reset() { p.block, p.idx = 0, 0 }
 
 func (p *structSlab[T]) get() *T {
 	if p.block >= len(p.blocks) {
-		p.blocks = append(p.blocks, make([]T, slabBlockSize))
+		size := firstSlabBlock
+		if n := len(p.blocks); n > 0 {
+			size = min(2*len(p.blocks[n-1]), slabBlockSize)
+		}
+		p.blocks = append(p.blocks, make([]T, size))
 	}
 	b := p.blocks[p.block]
 	ptr := &b[p.idx]

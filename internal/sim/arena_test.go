@@ -206,6 +206,40 @@ func TestArenaGrabZeroedAcrossReset(t *testing.T) {
 	}
 }
 
+// TestArenaGrabBlocksGrowThenHold: a slab's blocks double from 8
+// structs up to 256 and stay there, however many blocks a run takes
+// (here 100 full-size ones), and a second run of the same grabs reuses
+// them all without allocating.
+func TestArenaGrabBlocksGrowThenHold(t *testing.T) {
+	type rec struct{ a int }
+	e := New(1)
+	e.SetArena(NewArena())
+	const grabs = 8 + 16 + 32 + 64 + 128 + 100*256
+	run := func() {
+		e.Reset(1)
+		for i := 0; i < grabs; i++ {
+			ArenaGrab[rec](e, "t")
+		}
+	}
+	run()
+	sl := e.arena.pools["t"].(*structSlab[rec])
+	if len(sl.blocks) != 105 {
+		t.Fatalf("%d blocks, want 105", len(sl.blocks))
+	}
+	for i, b := range sl.blocks {
+		want := 256
+		if i < 5 {
+			want = 8 << i
+		}
+		if len(b) != want {
+			t.Fatalf("block %d holds %d structs, want %d", i, len(b), want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, run); allocs != 0 {
+		t.Errorf("a repeated run of grabs allocates %.0f times, want 0", allocs)
+	}
+}
+
 // TestArenaFallbackWithoutArena checks the helpers degrade to plain
 // allocation when no arena is attached (and on a nil engine).
 func TestArenaFallbackWithoutArena(t *testing.T) {

@@ -58,8 +58,10 @@ const (
 // engine and handed out again by a later Schedule. Holders must therefore
 // drop their handle when the callback runs (conventionally by clearing
 // the field that stores it as the first statement of the callback) and
-// must not call Cancel/RescheduleTo or inspect a handle after its event
-// fired or was canceled: it may alias a newer, unrelated event.
+// must not pass a handle to Engine.Cancel or Engine.RescheduleTo, or
+// inspect it, after its event fired or was canceled: it may alias a
+// newer, unrelated event. An event does not point back at its engine;
+// it is canceled or moved through the engine that scheduled it.
 type Event struct {
 	at  time.Duration
 	seq uint64
@@ -68,7 +70,6 @@ type Event struct {
 	// Schedule'd closure is the arg of callClosure.
 	fn  func(any)
 	arg any
-	eng *Engine
 
 	// Location state: intrusive doubly-linked slot list when in a wheel,
 	// index when in the overflow heap.
@@ -82,32 +83,30 @@ type Event struct {
 // At returns the virtual time at which the event is scheduled to fire.
 func (ev *Event) At() time.Duration { return ev.at }
 
-// Cancel prevents the event from firing. The event is unlinked from the
+// Cancel prevents ev from firing. The event is unlinked from the
 // scheduler immediately — O(1), no tombstone — and its struct becomes
 // eligible for reuse by the next Schedule, so the handle is dead after
 // Cancel returns. Canceling an event that already fired or was already
 // canceled is a no-op.
-func (ev *Event) Cancel() {
+func (e *Engine) Cancel(ev *Event) {
 	if ev.where == locNone {
 		return
 	}
-	e := ev.eng
 	e.detach(ev)
 	e.live--
 	e.release(ev)
 }
 
-// RescheduleTo moves a still-pending event to fire at virtual time at,
+// RescheduleTo moves the still-pending ev to fire at virtual time at,
 // behaving exactly like Cancel followed by re-scheduling the same
 // callback (in particular, the event is ordered as the newest event at
 // its new instant). It is the allocation- and tombstone-free form of the
 // cancel-and-rearm pattern MAC/NAV-style timers use. Rescheduling an
 // event that is not pending, or into the past, panics.
-func (ev *Event) RescheduleTo(at time.Duration) {
+func (e *Engine) RescheduleTo(ev *Event, at time.Duration) {
 	if ev.where == locNone {
 		panic("sim: RescheduleTo on an event that is not scheduled")
 	}
-	e := ev.eng
 	if at < e.now {
 		panic(fmt.Sprintf("sim: reschedule at %v before now %v", at, e.now))
 	}
@@ -272,7 +271,7 @@ func (e *Engine) ScheduleArg(at time.Duration, fn func(any), arg any) *Event {
 	if ev != nil {
 		ev.at, ev.seq, ev.fn, ev.arg = at, e.seq, fn, arg
 	} else {
-		ev = &Event{at: at, seq: e.seq, fn: fn, arg: arg, eng: e, heapIdx: -1}
+		ev = &Event{at: at, seq: e.seq, fn: fn, arg: arg, heapIdx: -1}
 	}
 	e.seq++
 	if e.live == 0 {

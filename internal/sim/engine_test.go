@@ -85,7 +85,7 @@ func TestCancelPreventsExecution(t *testing.T) {
 	e := New(1)
 	fired := false
 	ev := e.Schedule(time.Second, func() { fired = true })
-	ev.Cancel()
+	e.Cancel(ev)
 	if n := e.Pending(); n != 0 {
 		t.Fatalf("Pending() = %d after Cancel, want 0", n)
 	}
@@ -98,8 +98,8 @@ func TestCancelPreventsExecution(t *testing.T) {
 func TestCancelIsIdempotent(t *testing.T) {
 	e := New(1)
 	ev := e.Schedule(time.Second, func() {})
-	ev.Cancel()
-	ev.Cancel()
+	e.Cancel(ev)
+	e.Cancel(ev)
 	if n := drain(e); n != 0 {
 		t.Fatalf("drain fired %d events, want 0", n)
 	}
@@ -290,7 +290,7 @@ func TestEventRecycledAfterFire(t *testing.T) {
 func TestEventRecycledAfterCancel(t *testing.T) {
 	e := New(1)
 	ev1 := e.Schedule(time.Millisecond, func() { t.Error("canceled event fired") })
-	ev1.Cancel()
+	e.Cancel(ev1)
 	drain(e) // discards the canceled event
 	fired := false
 	ev2 := e.Schedule(time.Second, func() { fired = true })
@@ -319,7 +319,7 @@ func TestFIFOOrderingAcrossReuse(t *testing.T) {
 	}
 	// Interleave a cancellation to exercise discard + reuse in one pass.
 	ev := e.Schedule(time.Second, func() { t.Error("canceled event fired") })
-	ev.Cancel()
+	e.Cancel(ev)
 	drain(e)
 	if len(fired) != 10 {
 		t.Fatalf("fired %d events, want 10", len(fired))
@@ -388,13 +388,14 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 
 // TestEventSize: an event carries one callback form, a dispatcher and
 // its argument (a Schedule'd closure rides as callClosure's argument),
-// so it is 72 B on 64-bit platforms.
+// and no pointer back to its engine, so it is 64 B on 64-bit platforms:
+// exactly one size class, where 72 B would fill an 80 B one.
 func TestEventSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("size pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Event{}); got > 72 {
-		t.Fatalf("sim.Event is %d B, want at most 72", got)
+	if got := unsafe.Sizeof(Event{}); got != 64 {
+		t.Fatalf("sim.Event is %d B, want 64", got)
 	}
 }
 
@@ -497,8 +498,8 @@ func TestPendingCountsLiveEventsOnly(t *testing.T) {
 	if got := e.Pending(); got != 5 {
 		t.Fatalf("Pending() = %d, want 5", got)
 	}
-	evs[1].Cancel()
-	evs[3].Cancel()
+	e.Cancel(evs[1])
+	e.Cancel(evs[3])
 	if got := e.Pending(); got != 3 {
 		t.Fatalf("Pending() = %d after 2 cancels, want 3", got)
 	}
@@ -511,7 +512,7 @@ func TestPendingCountsLiveEventsOnly(t *testing.T) {
 	if got := e.Pending(); got != 3 {
 		t.Fatalf("Pending() = %d with overflow event, want 3", got)
 	}
-	far.Cancel()
+	e.Cancel(far)
 	if got := e.Pending(); got != 2 {
 		t.Fatalf("Pending() = %d after overflow cancel, want 2", got)
 	}
@@ -532,7 +533,7 @@ func TestCancelThenFireSameTick(t *testing.T) {
 	e.Schedule(200*time.Nanosecond, func() { fired = append(fired, 1) })
 	e.Schedule(500*time.Nanosecond, func() { fired = append(fired, 2) })
 	_ = a
-	a.Cancel()
+	e.Cancel(a)
 	drain(e)
 	if len(fired) != 2 || fired[0] != 1 || fired[1] != 2 {
 		t.Fatalf("fired = %v, want [1 2] (sub-tick order with mid-slot cancel)", fired)
@@ -549,10 +550,10 @@ func TestRescheduleAcrossWheelLevels(t *testing.T) {
 	e := New(1)
 	var firedAt []time.Duration
 	ev := e.Schedule(50*time.Microsecond, func() { firedAt = append(firedAt, e.Now()) }) // level 0
-	ev.RescheduleTo(10 * time.Millisecond)                                               // level 1
-	ev.RescheduleTo(5 * time.Second)                                                     // level 2
-	ev.RescheduleTo(3 * time.Hour)                                                       // overflow heap
-	ev.RescheduleTo(30 * time.Minute)                                                    // back onto the wheels
+	e.RescheduleTo(ev, 10*time.Millisecond)                                              // level 1
+	e.RescheduleTo(ev, 5*time.Second)                                                    // level 2
+	e.RescheduleTo(ev, 3*time.Hour)                                                      // overflow heap
+	e.RescheduleTo(ev, 30*time.Minute)                                                   // back onto the wheels
 	if ev.At() != 30*time.Minute {
 		t.Fatalf("At() = %v after reschedules, want 30m", ev.At())
 	}
@@ -573,7 +574,7 @@ func TestRescheduleOrdersAsNewest(t *testing.T) {
 	var fired []string
 	a := e.Schedule(time.Second, func() { fired = append(fired, "a") })
 	e.Schedule(time.Second, func() { fired = append(fired, "b") })
-	a.RescheduleTo(time.Second) // same instant, but now the newest
+	e.RescheduleTo(a, time.Second) // same instant, but now the newest
 	drain(e)
 	if len(fired) != 2 || fired[0] != "b" || fired[1] != "a" {
 		t.Fatalf("fired = %v, want [b a]", fired)
@@ -591,7 +592,7 @@ func TestRescheduleUnscheduledPanics(t *testing.T) {
 			t.Error("RescheduleTo on a fired event did not panic")
 		}
 	}()
-	ev.RescheduleTo(time.Second)
+	e.RescheduleTo(ev, time.Second)
 }
 
 // TestZeroDelaySelfReschedule chains After(0, ...) callbacks: each must
@@ -669,9 +670,9 @@ func TestCancelInOverflowHeap(t *testing.T) {
 	for i := range evs {
 		evs[i] = e.Schedule(time.Duration(i+2)*time.Hour, record)
 	}
-	evs[0].Cancel() // heap minimum
-	evs[3].Cancel() // interior
-	evs[5].Cancel() // last
+	e.Cancel(evs[0]) // heap minimum
+	e.Cancel(evs[3]) // interior
+	e.Cancel(evs[5]) // last
 	drain(e)
 	want := []time.Duration{3 * time.Hour, 4 * time.Hour, 6 * time.Hour}
 	if len(fired) != len(want) {
@@ -719,7 +720,7 @@ func TestWheelStress(t *testing.T) {
 					continue
 				}
 				it := live[rng.Intn(len(live))]
-				it.ev.Cancel()
+				e.Cancel(it.ev)
 				it.canceled = true
 			}
 		}
@@ -768,10 +769,10 @@ func BenchmarkCancelHeavyChurn(b *testing.B) {
 		backoff := e.After(300*time.Microsecond, fn)
 		nav := e.After(500*time.Microsecond, fn)
 		ack := e.After(700*time.Microsecond, fn)
-		nav.RescheduleTo(e.Now() + 900*time.Microsecond)
-		difs.Cancel()
-		backoff.Cancel()
-		nav.Cancel()
+		e.RescheduleTo(nav, e.Now()+900*time.Microsecond)
+		e.Cancel(difs)
+		e.Cancel(backoff)
+		e.Cancel(nav)
 		_ = ack
 		e.Step() // fire the ACK timeout
 	}
@@ -903,7 +904,7 @@ func TestDifferentialAgainstSortedModel(t *testing.T) {
 					schedule(randomAt())
 				case 2: // cancel a random live event
 					for id, ev := range handles {
-						ev.Cancel()
+						e.Cancel(ev)
 						delete(handles, id)
 						model[id].canceled = true
 						break
@@ -911,7 +912,7 @@ func TestDifferentialAgainstSortedModel(t *testing.T) {
 				case 3: // reschedule a random live event
 					for id, ev := range handles {
 						at := randomAt()
-						ev.RescheduleTo(at)
+						e.RescheduleTo(ev, at)
 						model[id].at = at
 						model[id].seq = mseq
 						mseq++
@@ -1025,7 +1026,7 @@ func (m *orderModel) cancel(id int) {
 	if m.evs[id].state != orderLive {
 		return
 	}
-	m.handles[id].Cancel()
+	m.e.Cancel(m.handles[id])
 	m.handles[id] = nil
 	m.evs[id].state = orderCanceled
 }
@@ -1034,7 +1035,7 @@ func (m *orderModel) reschedule(id int, at time.Duration) {
 	if m.evs[id].state != orderLive {
 		return
 	}
-	m.handles[id].RescheduleTo(at)
+	m.e.RescheduleTo(m.handles[id], at)
 	m.evs[id].at, m.evs[id].seq = at, m.seq
 	m.seq++
 }

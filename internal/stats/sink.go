@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/essat/essat/internal/query"
+	"github.com/essat/essat/internal/sim"
 )
 
 // intervalRec tracks one query interval as seen from the root.
@@ -29,7 +30,12 @@ type queryRec struct {
 // latency of the last report arriving for that interval, then averaged.
 // It is not a listed Sink and emits no record: every run's observer
 // calls it, and the run's Result reads latency and coverage from it.
+//
+// A sink built on an engine with an arena takes its tables and its
+// summary scratch from that arena, so it is valid until the engine's
+// next Reset.
 type RootSink struct {
+	eng *sim.Engine
 	// queries is sorted by query ID at construction (agents refuse
 	// duplicate IDs). Aggregation walks it in (query ID, interval)
 	// order, so float accumulation and slice order are the same in
@@ -44,9 +50,15 @@ var _ query.Sink = (*RootSink)(nil)
 
 // NewRootSink creates a sink for the given query specs over a run of
 // the given duration, discarding intervals that start before
-// measureFrom.
-func NewRootSink(specs []query.Spec, measureFrom, duration time.Duration) *RootSink {
-	s := &RootSink{queries: make([]queryRec, len(specs)), measureFrom: measureFrom}
+// measureFrom. Its memory comes from eng's arena; a nil eng, or one
+// without an arena, takes it from the heap.
+func NewRootSink(eng *sim.Engine, specs []query.Spec, measureFrom, duration time.Duration) *RootSink {
+	s := sim.ArenaGrab[RootSink](eng, "stats.rootsink")
+	*s = RootSink{
+		eng:         eng,
+		queries:     sim.ArenaSlice[queryRec](eng, "stats.root.queries", len(specs)),
+		measureFrom: measureFrom,
+	}
 	for i, spec := range specs {
 		s.queries[i].spec = spec
 	}
@@ -70,7 +82,7 @@ func (s *RootSink) reserve(duration time.Duration) {
 	for _, qr := range s.queries {
 		total += count(qr.spec)
 	}
-	all := make([]intervalRec, total)
+	all := sim.ArenaSlice[intervalRec](s.eng, "stats.root.intervals", total)
 	for i := range s.queries {
 		n := count(s.queries[i].spec)
 		s.queries[i].intervals, all = all[:0:n], all[n:]
@@ -110,32 +122,59 @@ func (s *RootSink) IntervalClosed(q query.ID, k int, latency time.Duration, cove
 	}
 }
 
-// LatencyByClass returns per-interval completion latencies grouped by
-// query class. Intervals with no arrivals at all (total data loss) are
-// skipped.
-func (s *RootSink) LatencyByClass() map[int][]time.Duration {
-	out := make(map[int][]time.Duration)
-	for _, qr := range s.queries {
-		for _, ir := range qr.intervals {
-			if ir.lastArrival > 0 {
-				out[qr.spec.Class] = append(out[qr.spec.Class], ir.lastArrival)
-			}
-		}
-	}
-	return out
+// Latencies returns all per-interval completion latencies in (query ID,
+// interval) order. Intervals with no arrivals at all (total data loss)
+// are skipped.
+func (s *RootSink) Latencies() []time.Duration {
+	return s.appendLatencies(nil, func(query.Spec) bool { return true })
 }
 
-// Latencies returns all per-interval completion latencies.
-func (s *RootSink) Latencies() []time.Duration {
-	var out []time.Duration
+// appendLatencies appends the completion latencies of the queries keep
+// selects to dst, in (query ID, interval) order.
+func (s *RootSink) appendLatencies(dst []time.Duration, keep func(query.Spec) bool) []time.Duration {
 	for _, qr := range s.queries {
+		if !keep(qr.spec) {
+			continue
+		}
 		for _, ir := range qr.intervals {
 			if ir.lastArrival > 0 {
-				out = append(out, ir.lastArrival)
+				dst = append(dst, ir.lastArrival)
 			}
 		}
 	}
-	return out
+	return dst
+}
+
+// Summarize returns the summary of every per-interval completion
+// latency and stores each query class's summary in byClass; a class
+// whose intervals all lost their data gets no entry. The sort scratch
+// comes from the sink's engine arena, so on a warm arena Summarize
+// allocates nothing but byClass's entries.
+func (s *RootSink) Summarize(byClass map[int]DurationStats) DurationStats {
+	n := 0
+	for _, qr := range s.queries {
+		for _, ir := range qr.intervals {
+			if ir.lastArrival > 0 {
+				n++
+			}
+		}
+	}
+	scratch := sim.ArenaSlice[time.Duration](s.eng, "stats.root.scratch", n)
+	all := s.appendLatencies(scratch[:0], func(query.Spec) bool { return true })
+	slices.Sort(all)
+	total := summarizeSorted(all)
+	for i, qr := range s.queries {
+		class := qr.spec.Class
+		if slices.ContainsFunc(s.queries[:i], func(p queryRec) bool { return p.spec.Class == class }) {
+			continue // summarized with the class's first query
+		}
+		ls := s.appendLatencies(scratch[:0], func(sp query.Spec) bool { return sp.Class == class })
+		if len(ls) > 0 {
+			slices.Sort(ls)
+			byClass[class] = summarizeSorted(ls)
+		}
+	}
+	return total
 }
 
 // MeanCoverage returns the average root coverage of closed intervals:

@@ -6,7 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -147,11 +147,16 @@ type DurationStats struct {
 // SummarizeDurations computes summary statistics of ds (ds is not
 // modified).
 func SummarizeDurations(ds []time.Duration) DurationStats {
-	if len(ds) == 0 {
+	sorted := slices.Clone(ds)
+	slices.Sort(sorted)
+	return summarizeSorted(sorted)
+}
+
+// summarizeSorted computes summary statistics of ascending durations.
+func summarizeSorted(sorted []time.Duration) DurationStats {
+	if len(sorted) == 0 {
 		return DurationStats{}
 	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	var sum time.Duration
 	for _, d := range sorted {
 		sum += d

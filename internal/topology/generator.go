@@ -21,11 +21,12 @@ const (
 )
 
 // Generator places the nodes of one deployment shape inside the
-// cfg.AreaSide square: exactly cfg.NumNodes points in [0, cfg.AreaSide]²,
-// with shape knobs read strictly from cfg.Params. A generator must be
+// cfg.AreaSide square: it overwrites every entry of pts, which holds
+// exactly cfg.NumNodes points, with a point in [0, cfg.AreaSide]², with
+// shape knobs read strictly from cfg.Params. A generator must be
 // deterministic in rng: the same rng state and config always yield the
 // same positions.
-type Generator func(rng *rand.Rand, cfg Config) ([]geom.Point, error)
+type Generator func(rng *rand.Rand, cfg Config, pts []geom.Point) error
 
 // generators lists every deployment shape in presentation order.
 var generators = registry.Table[string, Generator]{
@@ -46,7 +47,7 @@ func GeneratorNames() []string { return generators.Names() }
 // uniform-random placement (geom.UniformPlacement), the paper's
 // deployment.
 func New(rng *rand.Rand, cfg Config) (*Topology, error) {
-	pts, err := place(rng, cfg)
+	pts, err := place(rng, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -57,14 +58,17 @@ func New(rng *rand.Rand, cfg Config) (*Topology, error) {
 // consuming exactly the random numbers New would. Deployment caches use
 // it on a hit: the expensive adjacency build is skipped, but the run
 // engine's rng stream stays identical to an uncached build, so cached
-// and uncached runs are byte-for-byte the same.
-func Replay(rng *rand.Rand, cfg Config) error {
-	_, err := place(rng, cfg)
+// and uncached runs are byte-for-byte the same. The points are drawn
+// into scratch, which Replay overwrites; a scratch shorter than
+// cfg.NumNodes is replaced by a fresh slice.
+func Replay(rng *rand.Rand, cfg Config, scratch []geom.Point) error {
+	_, err := place(rng, cfg, scratch)
 	return err
 }
 
-// place validates cfg and draws its placement from rng.
-func place(rng *rand.Rand, cfg Config) ([]geom.Point, error) {
+// place validates cfg and draws its placement from rng into buf, or into
+// a fresh slice when buf is too short, and returns the placement.
+func place(rng *rand.Rand, cfg Config, buf []geom.Point) ([]geom.Point, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -76,7 +80,12 @@ func place(rng *rand.Rand, cfg Config) ([]geom.Point, error) {
 	if !ok {
 		return nil, fmt.Errorf("topology: unknown generator %q (registered: %v)", name, GeneratorNames())
 	}
-	return g(rng, cfg)
+	pts := buf
+	if len(pts) < cfg.NumNodes {
+		pts = make([]geom.Point, cfg.NumNodes)
+	}
+	pts = pts[:cfg.NumNodes]
+	return pts, g(rng, cfg, pts)
 }
 
 func (c Config) validate() error {
@@ -101,33 +110,33 @@ func clamp(v, lo, hi float64) float64 {
 
 // uniform draws every position uniformly at random from the square —
 // the paper's deployment. No Params.
-func uniform(rng *rand.Rand, cfg Config) ([]geom.Point, error) {
+func uniform(rng *rand.Rand, cfg Config, pts []geom.Point) error {
 	p := registry.ReadParams(cfg.Params)
 	if err := p.Done(); err != nil {
-		return nil, fmt.Errorf("topology/uniform: %w", err)
+		return fmt.Errorf("topology/uniform: %w", err)
 	}
-	return geom.UniformPlacement(rng, cfg.NumNodes, cfg.AreaSide), nil
+	geom.FillUniform(rng, pts, cfg.AreaSide)
+	return nil
 }
 
 // grid places nodes at the cell centers of the near-square grid that
 // covers the area, row-major. Params: "jitter" displaces each node
 // uniformly by up to ±jitter meters per axis (default 0, a perfect
 // engineered grid).
-func grid(rng *rand.Rand, cfg Config) ([]geom.Point, error) {
+func grid(rng *rand.Rand, cfg Config, pts []geom.Point) error {
 	n, side := cfg.NumNodes, cfg.AreaSide
 	p := registry.ReadParams(cfg.Params)
 	jitter := p.Float("jitter", 0)
 	if err := p.Done(); err != nil {
-		return nil, fmt.Errorf("topology/grid: %w", err)
+		return fmt.Errorf("topology/grid: %w", err)
 	}
 	if jitter < 0 {
-		return nil, fmt.Errorf("topology: grid jitter must be non-negative, got %g", jitter)
+		return fmt.Errorf("topology: grid jitter must be non-negative, got %g", jitter)
 	}
 	cols := int(math.Ceil(math.Sqrt(float64(n))))
 	rows := (n + cols - 1) / cols
 	dx := side / float64(cols)
 	dy := side / float64(rows)
-	pts := make([]geom.Point, n)
 	for i := range pts {
 		r, c := i/cols, i%cols
 		p := geom.Point{X: (float64(c) + 0.5) * dx, Y: (float64(r) + 0.5) * dy}
@@ -137,29 +146,28 @@ func grid(rng *rand.Rand, cfg Config) ([]geom.Point, error) {
 		}
 		pts[i] = p
 	}
-	return pts, nil
+	return nil
 }
 
 // clusters scatters Gaussian clusters around uniformly placed
 // centers, round-robin so clusters stay balanced. Params: "clusters"
 // (number of clusters, default 4) and "spread" (per-axis standard
 // deviation in meters, default AreaSide/8).
-func clusters(rng *rand.Rand, cfg Config) ([]geom.Point, error) {
-	n, side := cfg.NumNodes, cfg.AreaSide
+func clusters(rng *rand.Rand, cfg Config, pts []geom.Point) error {
+	side := cfg.AreaSide
 	p := registry.ReadParams(cfg.Params)
 	k := int(p.Float("clusters", 4))
 	spread := p.Float("spread", side/8)
 	if err := p.Done(); err != nil {
-		return nil, fmt.Errorf("topology/clusters: %w", err)
+		return fmt.Errorf("topology/clusters: %w", err)
 	}
 	if k <= 0 {
-		return nil, fmt.Errorf("topology: clusters must be positive, got %d", k)
+		return fmt.Errorf("topology: clusters must be positive, got %d", k)
 	}
 	if spread <= 0 {
-		return nil, fmt.Errorf("topology: cluster spread must be positive, got %g", spread)
+		return fmt.Errorf("topology: cluster spread must be positive, got %g", spread)
 	}
 	centers := geom.UniformPlacement(rng, k, side)
-	pts := make([]geom.Point, n)
 	for i := range pts {
 		c := centers[i%k]
 		pts[i] = geom.Point{
@@ -167,7 +175,7 @@ func clusters(rng *rand.Rand, cfg Config) ([]geom.Point, error) {
 			Y: clamp(c.Y+rng.NormFloat64()*spread, 0, side),
 		}
 	}
-	return pts, nil
+	return nil
 }
 
 // corridor stretches the deployment along a horizontal band through
@@ -175,24 +183,23 @@ func clusters(rng *rand.Rand, cfg Config) ([]geom.Point, error) {
 // x axis is stratified — node i lands uniformly inside the i-th of
 // NumNodes equal slots — so the chain has no gaps wider than two slots.
 // Params: "width" (band height in meters, default AreaSide/5).
-func corridor(rng *rand.Rand, cfg Config) ([]geom.Point, error) {
+func corridor(rng *rand.Rand, cfg Config, pts []geom.Point) error {
 	n, side := cfg.NumNodes, cfg.AreaSide
 	p := registry.ReadParams(cfg.Params)
 	width := p.Float("width", side/5)
 	if err := p.Done(); err != nil {
-		return nil, fmt.Errorf("topology/corridor: %w", err)
+		return fmt.Errorf("topology/corridor: %w", err)
 	}
 	if width <= 0 || width > side {
-		return nil, fmt.Errorf("topology: corridor width must be in (0, AreaSide], got %g", width)
+		return fmt.Errorf("topology: corridor width must be in (0, AreaSide], got %g", width)
 	}
 	y0 := (side - width) / 2
 	slot := side / float64(n)
-	pts := make([]geom.Point, n)
 	for i := range pts {
 		pts[i] = geom.Point{
 			X: (float64(i) + rng.Float64()) * slot,
 			Y: y0 + rng.Float64()*width,
 		}
 	}
-	return pts, nil
+	return nil
 }

@@ -38,7 +38,7 @@ func TestGeneratorsRejectUnknownParams(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), `"jiter"`) {
 			t.Errorf("%s: New with an unknown param: err = %v, want one naming \"jiter\"", name, err)
 		}
-		if err := Replay(rand.New(rand.NewSource(1)), cfg); err == nil {
+		if err := Replay(rand.New(rand.NewSource(1)), cfg, nil); err == nil {
 			t.Errorf("%s: Replay accepted an unknown param", name)
 		}
 	}
@@ -50,7 +50,7 @@ func TestGeneratorsPlaceInBounds(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			g, _ := LookupGenerator(name)
-			pts, err := g(rand.New(rand.NewSource(3)), withGen(cfg, name))
+			pts, err := placeWith(g, rand.New(rand.NewSource(3)), withGen(cfg, name))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,11 +70,11 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	cfg := Config{NumNodes: 40, AreaSide: 300, Range: 100}
 	for _, name := range GeneratorNames() {
 		g, _ := LookupGenerator(name)
-		a, err := g(rand.New(rand.NewSource(7)), withGen(cfg, name))
+		a, err := placeWith(g, rand.New(rand.NewSource(7)), withGen(cfg, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := g(rand.New(rand.NewSource(7)), withGen(cfg, name))
+		b, err := placeWith(g, rand.New(rand.NewSource(7)), withGen(cfg, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestNewUniformMatchesPlacement(t *testing.T) {
 func TestGridShape(t *testing.T) {
 	g, _ := LookupGenerator(Grid)
 	cfg := Config{NumNodes: 9, AreaSide: 300, Range: 150, Generator: Grid}
-	pts, err := g(rand.New(rand.NewSource(1)), cfg)
+	pts, err := placeWith(g, rand.New(rand.NewSource(1)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestGridShape(t *testing.T) {
 	}
 	// Negative jitter is rejected.
 	cfg.Params = map[string]float64{"jitter": -1}
-	if _, err := g(rand.New(rand.NewSource(1)), cfg); err == nil {
+	if _, err := placeWith(g, rand.New(rand.NewSource(1)), cfg); err == nil {
 		t.Error("grid accepted negative jitter")
 	}
 }
@@ -130,7 +130,7 @@ func TestCorridorShape(t *testing.T) {
 		NumNodes: 30, AreaSide: 600, Range: 125,
 		Generator: Corridor, Params: map[string]float64{"width": 60},
 	}
-	pts, err := g(rand.New(rand.NewSource(2)), cfg)
+	pts, err := placeWith(g, rand.New(rand.NewSource(2)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestClustersShape(t *testing.T) {
 		NumNodes: 60, AreaSide: 500, Range: 125,
 		Generator: Clusters, Params: map[string]float64{"clusters": 2, "spread": 10},
 	}
-	pts, err := g(rand.New(rand.NewSource(5)), cfg)
+	pts, err := placeWith(g, rand.New(rand.NewSource(5)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,4 +183,10 @@ func TestClustersShape(t *testing.T) {
 func withGen(cfg Config, name string) Config {
 	cfg.Generator = name
 	return cfg
+}
+
+// placeWith runs generator g into a fresh slice of cfg.NumNodes points.
+func placeWith(g Generator, rng *rand.Rand, cfg Config) ([]geom.Point, error) {
+	pts := make([]geom.Point, cfg.NumNodes)
+	return pts, g(rng, cfg, pts)
 }
