@@ -52,3 +52,46 @@ func TestLiveHeapPerNode(t *testing.T) {
 		t.Errorf("live heap %d B/node after a 5 s run of %d nodes, bound %d", perNode, nodes, liveHeapPerNodeBound)
 	}
 }
+
+// arenaRetainedBound bounds the live heap an arena keeps between runs:
+// an arena with no deployment cache after a 5 s run of
+// testdata/large.json, garbage collected with the arena kept and the
+// run's Result dropped. An arena keeps its engine, memory pools and
+// setup-flood engine. The bound is 4,770,336 B, measured before floods
+// borrowed the run's pools and pool slots were matched by capacity class
+// (x86-64, Go 1.24), plus 10%. Both changes measured 4,906,800 B.
+const arenaRetainedBound = 5124 << 10
+
+// TestArenaRetainedHeap guards what an arena holds on to: pools sized
+// by capacity class and a flood that runs on the run's own pools must
+// not grow it by more than 10%. It must not run alongside other tests,
+// so it is not parallel.
+func TestArenaRetainedHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the 1000-node tier")
+	}
+	spec, err := essat.LoadSpec("testdata/large.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Duration = essat.Dur(5 * time.Second)
+	sc, err := spec.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	a := essat.NewArenaWithCache(nil)
+	if _, err := essat.RunWith(a, sc); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(a)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("an arena retains %d B after a 5 s run of %d nodes (bound %d)", retained, sc.Topology.NumNodes, arenaRetainedBound)
+	if retained > arenaRetainedBound {
+		t.Errorf("an arena retains %d B after a 5 s run of %d nodes, bound %d", retained, sc.Topology.NumNodes, arenaRetainedBound)
+	}
+}

@@ -25,8 +25,11 @@ import (
 // Results are byte-identical with or without an arena; it changes where
 // memory comes from, never what a run computes.
 type Arena struct {
-	eng   *sim.Engine
-	cache *DeployCache
+	eng *sim.Engine
+	// floodEng runs the setup flood of each deployment the arena builds,
+	// on eng's memory pools (see flood).
+	floodEng *sim.Engine
+	cache    *DeployCache
 }
 
 // NewArenaWithCache returns an arena that serves deployments
@@ -35,13 +38,13 @@ type Arena struct {
 // across runs, but every run still builds its own topology and tree.
 func NewArenaWithCache(cache *DeployCache) *Arena { return &Arena{cache: cache} }
 
-// discard drops the arena's engine (keeping the deployment cache), so
-// the next run builds a fresh one. RunContextWith calls it on a
+// discard drops the arena's engines (keeping the deployment cache), so
+// the next run builds fresh ones. RunContextWith calls it on a
 // contained panic: a stack that panicked mid-event may have left engine
 // state inconsistent in ways Reset cannot see.
 func (a *Arena) discard() {
 	if a != nil {
-		a.eng = nil
+		a.eng, a.floodEng = nil, nil
 	}
 }
 
@@ -59,6 +62,30 @@ func (a *Arena) engine(seed int64) *sim.Engine {
 	}
 	a.eng.Reset(seed)
 	return a.eng
+}
+
+// flood builds a deployment's setup-flood tree for a run on eng, seeding
+// the flood with seed. An arena floods on its own flood engine, reset to
+// seed, which borrows eng's memory pools: the flood's channel, radios
+// and MACs come from the run's pools, and the pools are rewound after
+// the flood, so the run's own stack reuses that memory. Anything the run
+// took from its pools before the flood is reclaimed with it. A nil arena
+// floods on a fresh engine.
+func (a *Arena) flood(eng *sim.Engine, seed int64, topo *topology.Topology, root routing.NodeID, cfg routing.FloodConfig) (*routing.Tree, error) {
+	if a == nil {
+		return routing.BuildFlood(seed, topo, root, cfg)
+	}
+	if a.floodEng == nil {
+		a.floodEng = sim.New(seed)
+	}
+	fe := a.floodEng
+	fe.Reset(seed)
+	fe.SetArena(eng.Arena())
+	tree, err := routing.BuildFloodOn(fe, topo, root, cfg)
+	// Release the flood's pending events and rewind the borrowed pools.
+	fe.Reset(seed)
+	fe.SetArena(nil)
+	return tree, err
 }
 
 // deployCache returns the arena's cache, nil-safe.

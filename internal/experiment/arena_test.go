@@ -74,12 +74,7 @@ func TestArenaResetDigestMatch(t *testing.T) {
 // fresh-engine digest, and the second pass, which meets only needs the
 // first pass already met, must allocate no more bytes than the first.
 func TestArenaMixedShapeSteadyState(t *testing.T) {
-	var scs []Scenario
-	for _, p := range []Protocol{DTSSS, NTSSS, PSM} {
-		for _, seed := range []int64{3, 4, 5} {
-			scs = append(scs, arenaScenario(p, seed))
-		}
-	}
+	scs := mixedShapeScenarios()
 	fresh := make([]string, len(scs))
 	for i, sc := range scs {
 		res, err := Run(sc)
@@ -108,6 +103,62 @@ func TestArenaMixedShapeSteadyState(t *testing.T) {
 	}
 	if bytes[1] > bytes[0] {
 		t.Errorf("second pass allocated %d bytes, more than the first pass's %d", bytes[1], bytes[0])
+	}
+}
+
+// mixedShapeScenarios is a mini-grid whose runs differ in shape: three
+// protocols and three seeds, so every node's children and every
+// per-node table size vary from run to run.
+func mixedShapeScenarios() []Scenario {
+	var scs []Scenario
+	for _, p := range []Protocol{DTSSS, NTSSS, PSM} {
+		for _, seed := range []int64{3, 4, 5} {
+			scs = append(scs, arenaScenario(p, seed))
+		}
+	}
+	return scs
+}
+
+// TestArenaMixedShapeSettlesInOnePass: a fresh arena with a deployment
+// cache runs the mixed-shape set once in grid order, then again in a
+// shuffled order. Pool slots are matched to requests by capacity class,
+// not by request position, so the first pass meets every need of the
+// set, and each run of the shuffled pass allocates only what a warm
+// repeat of the same run allocates: its Result. Each count is the lower
+// of two trials, so an allocation the runtime makes in the background
+// during one run does not count.
+func TestArenaMixedShapeSettlesInOnePass(t *testing.T) {
+	scs := mixedShapeScenarios()
+	order := rand.New(rand.NewSource(1)).Perm(len(scs))
+	mallocs := func(a *Arena, sc Scenario) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := RunContextWith(context.Background(), a, sc, Budget{}); err != nil {
+			t.Fatalf("%s seed %d: %v", sc.Protocol, sc.Seed, err)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.Mallocs - m0.Mallocs
+	}
+	shuffled := make([]uint64, len(scs))
+	var a *Arena
+	for trial := 0; trial < 2; trial++ {
+		a = NewArenaWithCache(NewDeployCache(0))
+		for _, sc := range scs {
+			mallocs(a, sc)
+		}
+		for _, i := range order {
+			if n := mallocs(a, scs[i]); trial == 0 || n < shuffled[i] {
+				shuffled[i] = n
+			}
+		}
+	}
+	for i, sc := range scs {
+		warm := min(mallocs(a, sc), mallocs(a, sc))
+		t.Logf("%s seed %d: %d allocations in the shuffled pass, %d warm", sc.Protocol, sc.Seed, shuffled[i], warm)
+		if shuffled[i] > warm {
+			t.Errorf("%s seed %d: the shuffled pass made %d allocations, a warm repeat %d",
+				sc.Protocol, sc.Seed, shuffled[i], warm)
+		}
 	}
 }
 

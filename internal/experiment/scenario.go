@@ -365,6 +365,7 @@ type builder struct {
 	arena  *Arena
 	proto  protocol.Builder
 	prop   phy.Propagation
+	power  radio.PowerProfile
 	rcfg   radio.Config
 	chCfg  phy.Config
 	qCfg   query.Config
@@ -374,20 +375,23 @@ type builder struct {
 // build takes the arena's engine, reset to the scenario's seed, and runs
 // the build stages in order. The Sim comes from the engine's arena, like
 // everything the stages build, so it is valid until the arena's next
-// build. The stage order is load-bearing: the engine rng is drawn for
+// build; it is taken after deploy, because a setup flood rewinds the
+// arena. The stage order is load-bearing: the engine rng is drawn for
 // placement (deploy), then peer-flow endpoints and failure victims
 // (workload), and node construction and start order fix the event
 // sequence numbers.
 func build(sc Scenario, a *Arena) (*Sim, error) {
 	eng := a.engine(sc.Seed)
-	b := builder{Sim: sim.ArenaGrab[Sim](eng, "experiment.sim"), arena: a}
-	*b.Sim = Sim{Scenario: sc, Eng: eng}
-	if err := b.resolveModels(); err != nil {
+	b := builder{arena: a}
+	if err := b.resolveModels(&sc); err != nil {
 		return nil, err
 	}
-	if err := b.deploy(); err != nil {
+	topo, tree, err := b.deploy(eng, &sc)
+	if err != nil {
 		return nil, err
 	}
+	b.Sim = sim.ArenaGrab[Sim](eng, "experiment.sim")
+	*b.Sim = Sim{Scenario: sc, Eng: eng, Topo: topo, Tree: tree, profile: b.power, root: tree.Root()}
 	if err := b.channel(); err != nil {
 		return nil, err
 	}
@@ -403,9 +407,9 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 
 // resolveModels validates the scenario and resolves every model name
 // and derived config: protocol, propagation model, energy profile,
-// radio, channel, query, and protocol parameters.
-func (b *builder) resolveModels() error {
-	sc := &b.Scenario
+// radio, channel, query, and protocol parameters. It sets the
+// topology's candidate radius in sc.
+func (b *builder) resolveModels(sc *Scenario) error {
 	if len(sc.Queries) == 0 {
 		return fmt.Errorf("experiment: no queries configured")
 	}
@@ -432,7 +436,7 @@ func (b *builder) resolveModels() error {
 	if !ok {
 		return fmt.Errorf("experiment: unknown radio profile %q (registered: %v)", sc.RadioProfile, radio.ProfileNames())
 	}
-	b.profile = prof.Power
+	b.power = prof.Power
 	b.rcfg = prof.Config()
 	if sc.RadioCfg != nil {
 		b.rcfg = *sc.RadioCfg
@@ -470,39 +474,38 @@ func (b *builder) resolveModels() error {
 }
 
 // deploy places the topology and builds the routing tree. Placement
-// draws first from the engine, which carries all build-time randomness.
+// draws first from eng, which carries all build-time randomness.
 //
 // Placement and tree construction depend only on the deployment key
 // fields (seed, topology config, tree policy, propagation model), so an
 // arena with a cache can reuse a previous build's topology and tree
 // template. The engine's rng stream must stay identical either way: on a
 // hit, Replay burns exactly the draws the generator would have consumed,
-// into arena scratch, and the run's tree is an arena clone.
-func (b *builder) deploy() (err error) {
-	sc := &b.Scenario
+// into arena scratch. The run's tree is an arena clone of the cached
+// template, on a hit and on a miss alike.
+func (b *builder) deploy(eng *sim.Engine, sc *Scenario) (*topology.Topology, *routing.Tree, error) {
 	cache := b.arena.deployCache()
-	var key []byte
+	var key string
 	if cache != nil {
-		key = appendDeployKey(sim.ArenaSlice[byte](b.Eng, "experiment.deploykey", 128)[:0], *sc)
-		if d, ok := cache.lookup(key); ok {
-			scratch := sim.ArenaSlice[geom.Point](b.Eng, "experiment.replay", max(sc.Topology.NumNodes, 0))
-			if err := topology.Replay(b.Eng.Rand(), sc.Topology, scratch); err != nil {
-				return err
+		buf := appendDeployKey(sim.ArenaSlice[byte](eng, "experiment.deploykey", 128)[:0], *sc)
+		if d, ok := cache.lookup(buf); ok {
+			scratch := sim.ArenaSlice[geom.Point](eng, "experiment.replay", max(sc.Topology.NumNodes, 0))
+			if err := topology.Replay(eng.Rand(), sc.Topology, scratch); err != nil {
+				return nil, nil, err
 			}
-			b.Topo, b.Tree = d.topo, d.tree.Clone(b.Eng)
+			return d.topo, d.tree.Clone(eng), nil
 		}
+		// The key leaves the arena before a flood rewinds it.
+		key = string(buf)
 	}
-	if b.Topo == nil {
-		if b.Topo, err = topology.New(b.Eng.Rand(), sc.Topology); err != nil {
-			return err
-		}
+	topo, err := topology.New(eng.Rand(), sc.Topology)
+	if err != nil {
+		return nil, nil, err
 	}
-	b.root = b.Topo.CentralNode()
-	if b.Tree != nil {
-		return nil
-	}
+	root := topo.CentralNode()
+	var tree *routing.Tree
 	if sc.BFSTree {
-		b.Tree, err = routing.BuildBFS(b.Topo, b.root, sc.TreeMaxDist)
+		tree, err = routing.BuildBFS(topo, root, sc.TreeMaxDist)
 	} else {
 		fcfg := routing.DefaultFloodConfig()
 		fcfg.MaxDist = sc.TreeMaxDist
@@ -512,17 +515,18 @@ func (b *builder) deploy() (err error) {
 			// extra flood rounds keep tree construction converging.
 			fcfg.Rounds = 3
 		}
-		b.Tree, err = routing.BuildFlood(sc.Seed+1, b.Topo, b.root, fcfg)
+		tree, err = b.arena.flood(eng, sc.Seed+1, topo, root, fcfg)
 	}
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if cache != nil {
-		// Store a pristine template: the tree handed to this run is about
-		// to be mutated by failures and re-parenting.
-		cache.store(string(key), &deployment{topo: b.Topo, tree: b.Tree.Clone(nil)})
+		// The built tree becomes the pristine template; the run mutates
+		// its clone through failures and re-parenting.
+		cache.store(key, &deployment{topo: topo, tree: tree})
+		tree = tree.Clone(eng)
 	}
-	return nil
+	return topo, tree, nil
 }
 
 // channel opens the run's channel over the shared topology and fixes

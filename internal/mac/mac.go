@@ -422,7 +422,8 @@ func (m *MAC) backoffDone() {
 	m.backoff = 0
 	if m.carrierBusy() || !m.radio.CanReceive() {
 		// Beat by a carrier edge in the same instant; refreeze with zero
-		// remaining slots — we transmit right after the next DIFS.
+		// remaining slots. The next DIFS does not transmit at once:
+		// difsDone draws a fresh backoff because the count is zero.
 		m.tryContend()
 		return
 	}

@@ -2,7 +2,6 @@ package routing
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/essat/essat/internal/mac"
@@ -12,14 +11,23 @@ import (
 	"github.com/essat/essat/internal/topology"
 )
 
-// FromParents builds a tree from explicit parent pointers. Every key of
-// parents becomes a member; entries whose parent chain does not reach root
-// are rejected. Levels are the parent-chain depths and ranks are computed
-// bottom-up.
-func FromParents(topo *topology.Topology, root NodeID, parents map[NodeID]NodeID) (*Tree, error) {
+// FromParents builds a tree from explicit parent pointers: parents[i] is
+// node i's parent, or None when node i is not a member. The root's entry
+// must be None. Entries whose parent chain does not reach root are
+// rejected. Levels are the parent-chain depths and ranks are computed
+// bottom-up. Children rows list child IDs in ascending order, since they
+// are filled by walking the children in ID order. The tree does not
+// keep parents.
+func FromParents(topo *topology.Topology, root NodeID, parents []NodeID) (*Tree, error) {
 	n := topo.NumNodes()
 	if root < 0 || int(root) >= n {
 		return nil, fmt.Errorf("routing: root %d out of range [0,%d)", root, n)
+	}
+	if len(parents) != n {
+		return nil, fmt.Errorf("routing: %d parent entries for %d nodes", len(parents), n)
+	}
+	if parents[root] != None {
+		return nil, fmt.Errorf("routing: root cannot have a parent")
 	}
 	t := &Tree{
 		topo:     topo,
@@ -31,32 +39,42 @@ func FromParents(topo *topology.Topology, root NodeID, parents map[NodeID]NodeID
 		member:   make([]bool, n),
 		alive:    make([]bool, n),
 	}
-	for i := range t.parent {
-		t.parent[i] = None
+	copy(t.parent, parents)
+	for i := range t.level {
 		t.level[i] = -1
 	}
 	t.member[root] = true
 	t.alive[root] = true
 	t.level[root] = 0
 
+	// The children rows share one flat slice, each capped at its length
+	// like a Clone's. rank counts each parent's children until
+	// RecomputeRanks sets it.
+	edges := 0
 	for child, p := range parents {
-		if child == root {
-			return nil, fmt.Errorf("routing: root cannot have a parent")
+		if p == None {
+			continue
 		}
-		if !topo.Connected(child, p) {
+		if !topo.Connected(NodeID(child), p) {
 			return nil, fmt.Errorf("routing: %d and its parent %d are not neighbors", child, p)
 		}
-		t.parent[child] = p
 		t.member[child] = true
 		t.alive[child] = true
+		t.rank[p]++
+		edges++
 	}
-	for child := range parents {
-		t.children[t.parent[child]] = append(t.children[t.parent[child]], child)
+	flat := make([]NodeID, edges)
+	for i, k := range t.rank {
+		if k > 0 {
+			t.children[i] = flat[:0:k]
+			flat = flat[k:]
+		}
 	}
-	// Children in ID order: the map iteration above would otherwise vary
-	// per-child processing order (and thus event order) across runs.
-	for i := range t.children {
-		sort.Slice(t.children[i], func(a, b int) bool { return t.children[i][a] < t.children[i][b] })
+	clear(t.rank)
+	for child, p := range parents {
+		if p != None {
+			t.children[p] = append(t.children[p], NodeID(child))
+		}
 	}
 	// Levels via the parent chains; detect orphan chains and cycles.
 	var depth func(id NodeID, hops int) (int, error)
@@ -78,8 +96,11 @@ func FromParents(topo *topology.Topology, root NodeID, parents map[NodeID]NodeID
 		t.level[id] = d + 1
 		return d + 1, nil
 	}
-	for child := range parents {
-		if _, err := depth(child, 0); err != nil {
+	for child, p := range parents {
+		if p == None {
+			continue
+		}
+		if _, err := depth(NodeID(child), 0); err != nil {
 			return nil, err
 		}
 	}
@@ -125,26 +146,43 @@ type setupMsg struct {
 	level int
 }
 
-// floodStation is one node's state during the setup flood.
+// floodStation is one node's state during the setup flood; it is also
+// the upper layer its MAC delivers to.
 type floodStation struct {
+	eng       *sim.Engine
+	mac       *mac.MAC
 	id        NodeID
 	eligible  bool
 	committed bool
 	bestLvl   int
 	bestFrom  NodeID
-	mac       *mac.MAC
 }
 
-type floodRx struct {
-	st  *floodStation
-	fn  func(st *floodStation, msg setupMsg, from NodeID)
-	mac *mac.MAC
-}
-
-func (r *floodRx) Deliver(src phy.NodeID, payload any, bytes int) {
-	if msg, ok := payload.(setupMsg); ok {
-		r.fn(r.st, msg, src)
+// Deliver keeps the lowest-level sender heard as the parent candidate.
+// The first setup request heard starts the commit jitter; whatever
+// lower-level parent arrives in the window still wins.
+func (st *floodStation) Deliver(src phy.NodeID, payload any, bytes int) {
+	msg, ok := payload.(setupMsg)
+	if !ok || !st.eligible || st.committed {
+		return
 	}
+	if st.bestFrom == None || msg.level < st.bestLvl {
+		first := st.bestFrom == None
+		st.bestLvl = msg.level
+		st.bestFrom = src
+		if first {
+			delay := time.Duration(st.eng.Rand().Int63n(int64(floodJitter)))
+			st.eng.AfterArg(delay, floodCommit, st)
+		}
+	}
+}
+
+// floodCommit ends a station's jitter: it joins under its best parent
+// and rebroadcasts its own level.
+func floodCommit(x any) {
+	st := x.(*floodStation)
+	st.committed = true
+	st.mac.Send(phy.Broadcast, setupMsg{level: st.bestLvl + 1}, setupBytes, nil)
 }
 
 // BuildFlood constructs the routing tree the way the paper's query service
@@ -157,46 +195,34 @@ func (r *floodRx) Deliver(src phy.NodeID, payload any, bytes int) {
 // The flood runs in its own throwaway simulation seeded with seed; the
 // resulting tree is returned for use in the real run.
 func BuildFlood(seed int64, topo *topology.Topology, root NodeID, cfg FloodConfig) (*Tree, error) {
-	eng := sim.New(seed)
+	return BuildFloodOn(sim.New(seed), topo, root, cfg)
+}
+
+// BuildFloodOn runs BuildFlood's setup flood on eng, which must be at
+// time zero (new, or just Reset to the flood's seed). The flood's
+// channel, radios, MACs and stations come from eng's arena when it
+// carries one; the returned tree is heap memory, so the caller may
+// Reset eng, and with it the arena, as soon as BuildFloodOn returns.
+// The tree is the same with or without an arena.
+func BuildFloodOn(eng *sim.Engine, topo *topology.Topology, root NodeID, cfg FloodConfig) (*Tree, error) {
 	ch, err := phy.NewChannel(eng, topo, cfg.ChannelCfg)
 	if err != nil {
 		return nil, err
 	}
+	n := topo.NumNodes()
 	rootPos := topo.Position(root)
-
-	stations := make([]*floodStation, topo.NumNodes())
-
-	onSetup := func(st *floodStation, msg setupMsg, from NodeID) {
-		if !st.eligible || st.committed || st.id == root {
-			return
-		}
-		if st.bestFrom == None || msg.level < st.bestLvl {
-			first := st.bestFrom == None
-			st.bestLvl = msg.level
-			st.bestFrom = from
-			if first {
-				// Commit after a short jitter; whatever lower-level parent
-				// arrives in the window still wins.
-				delay := time.Duration(eng.Rand().Int63n(int64(floodJitter)))
-				eng.After(delay, func() {
-					st.committed = true
-					st.mac.Send(phy.Broadcast, setupMsg{level: st.bestLvl + 1}, setupBytes, nil)
-				})
-			}
-		}
-	}
-
-	for i := 0; i < topo.NumNodes(); i++ {
+	stations := sim.ArenaSlice[floodStation](eng, "routing.flood.stations", n)
+	for i := range stations {
 		id := NodeID(i)
-		st := &floodStation{
+		st := &stations[i]
+		*st = floodStation{
+			eng:      eng,
 			id:       id,
-			eligible: cfg.MaxDist <= 0 || rootPos.InRange(topo.Position(id), cfg.MaxDist),
+			eligible: id != root && (cfg.MaxDist <= 0 || rootPos.InRange(topo.Position(id), cfg.MaxDist)),
 			bestFrom: None,
 		}
-		rx := &floodRx{st: st, fn: onSetup}
 		r := radio.New(eng, radio.Config{})
-		st.mac = mac.New(eng, ch, id, r, rx)
-		stations[i] = st
+		st.mac = mac.New(eng, ch, id, r, st)
 	}
 
 	eng.Schedule(0, func() {
@@ -210,7 +236,8 @@ func BuildFlood(seed int64, topo *topology.Topology, root NodeID, cfg FloodConfi
 	for round := 1; round < cfg.Rounds; round++ {
 		at := floodDuration * time.Duration(round) / time.Duration(cfg.Rounds)
 		eng.Schedule(at, func() {
-			for _, st := range stations {
+			for i := range stations {
+				st := &stations[i]
 				if !st.committed {
 					continue
 				}
@@ -224,11 +251,9 @@ func BuildFlood(seed int64, topo *topology.Topology, root NodeID, cfg FloodConfi
 	}
 	eng.Run(floodDuration)
 
-	parents := make(map[NodeID]NodeID)
-	for _, st := range stations {
-		if st.id != root && st.bestFrom != None {
-			parents[st.id] = st.bestFrom
-		}
+	parents := sim.ArenaSlice[NodeID](eng, "routing.flood.parents", n)
+	for i := range stations {
+		parents[i] = stations[i].bestFrom
 	}
 	return FromParents(topo, root, parents)
 }

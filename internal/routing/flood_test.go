@@ -2,9 +2,12 @@ package routing
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/essat/essat/internal/geom"
+	"github.com/essat/essat/internal/phy"
+	"github.com/essat/essat/internal/sim"
 	"github.com/essat/essat/internal/topology"
 )
 
@@ -13,7 +16,7 @@ func TestFromParentsChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := FromParents(topo, 0, map[NodeID]NodeID{1: 0, 2: 1, 3: 2})
+	tree, err := FromParents(topo, 0, []NodeID{None, 0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,14 +30,14 @@ func TestFromParentsChain(t *testing.T) {
 
 func TestFromParentsRejectsNonNeighborEdge(t *testing.T) {
 	topo, _ := topology.FromPositions(geom.LinePlacement(4, 100), 125)
-	if _, err := FromParents(topo, 0, map[NodeID]NodeID{3: 0}); err == nil {
+	if _, err := FromParents(topo, 0, []NodeID{None, None, None, 0}); err == nil {
 		t.Fatal("edge between nodes 300m apart accepted")
 	}
 }
 
 func TestFromParentsRejectsCycle(t *testing.T) {
 	topo, _ := topology.FromPositions(geom.LinePlacement(4, 100), 125)
-	if _, err := FromParents(topo, 0, map[NodeID]NodeID{1: 2, 2: 1}); err == nil {
+	if _, err := FromParents(topo, 0, []NodeID{None, 2, 1, None}); err == nil {
 		t.Fatal("parent cycle accepted")
 	}
 }
@@ -42,14 +45,14 @@ func TestFromParentsRejectsCycle(t *testing.T) {
 func TestFromParentsRejectsOrphanChain(t *testing.T) {
 	topo, _ := topology.FromPositions(geom.LinePlacement(4, 100), 125)
 	// 3's chain (3→2) never reaches the root.
-	if _, err := FromParents(topo, 0, map[NodeID]NodeID{3: 2}); err == nil {
+	if _, err := FromParents(topo, 0, []NodeID{None, None, None, 2}); err == nil {
 		t.Fatal("orphan chain accepted")
 	}
 }
 
 func TestFromParentsRejectsRootParent(t *testing.T) {
 	topo, _ := topology.FromPositions(geom.LinePlacement(2, 100), 125)
-	if _, err := FromParents(topo, 0, map[NodeID]NodeID{0: 1}); err == nil {
+	if _, err := FromParents(topo, 0, []NodeID{1, None}); err == nil {
 		t.Fatal("root with a parent accepted")
 	}
 }
@@ -143,6 +146,60 @@ func TestBuildFloodDeterministicPerSeed(t *testing.T) {
 	for i := 0; i < topo.NumNodes(); i++ {
 		if a.Parent(NodeID(i)) != b.Parent(NodeID(i)) {
 			t.Fatalf("node %d parent differs across identical floods", i)
+		}
+	}
+}
+
+// TestBuildFloodOnWarmArenaMatchesFresh: a flood whose channel, radios,
+// MACs and stations come from an arena, warmed by the floods of other
+// seeds and of another propagation model, builds exactly the tree of a
+// flood on a fresh engine without one. It covers the unit disc and the
+// shadowing gray zone with three rounds, as experiment builds them.
+func TestBuildFloodOnWarmArenaMatchesFresh(t *testing.T) {
+	shadow, err := phy.NewPropagation(phy.Shadowing, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type model struct {
+		name   string
+		prop   phy.Propagation
+		rounds int
+	}
+	models := []model{{"disc", nil, 0}, {"shadowing", shadow, 3}}
+	eng := sim.New(1)
+	eng.SetArena(sim.NewArena())
+	for pass := 0; pass < 2; pass++ {
+		for _, m := range models {
+			for seed := int64(1); seed <= 4; seed++ {
+				cfg := topology.DefaultConfig()
+				cfg.NeighborRange = cfg.Range
+				fcfg := DefaultFloodConfig()
+				if m.prop != nil {
+					cfg.NeighborRange = m.prop.MaxRange(cfg.Range)
+					fcfg.ChannelCfg.Propagation = m.prop
+				}
+				fcfg.Rounds = m.rounds
+				topo, err := topology.New(rand.New(rand.NewSource(seed)), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				root := topo.CentralNode()
+				fresh, err := BuildFlood(seed+1, topo, root, fcfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng.Reset(seed + 1)
+				warm, err := BuildFloodOn(eng, topo, root, fcfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(fresh, warm) {
+					t.Fatalf("pass %d %s seed %d: the arena flood built another tree", pass, m.name, seed)
+				}
+				if err := warm.Validate(); err != nil {
+					t.Fatalf("pass %d %s seed %d: %v", pass, m.name, seed, err)
+				}
+			}
 		}
 	}
 }

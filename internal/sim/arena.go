@@ -50,13 +50,15 @@ func (e *Engine) Arena() *Arena { return e.arena }
 // arena pool named tag, or a fresh make([]T, n) when the engine has no
 // arena. Each tag must always be used with the same element type.
 //
-// Requests are satisfied in first-run order: a repeated identical run
-// re-issues the same sequence of (tag, n) requests and hits the same
-// backing arrays, allocation-free. Callers ask for what they need, not
-// a guess: a slot is reused while its capacity suffices, and a request
-// for nothing takes no slot. A slot too small for a later request
-// (different spec shape) is replaced by one rounded up to a power of
-// two, so a sweep over varying shapes settles after a few replacements.
+// A pool keeps its slots in power-of-two capacity classes: a request
+// for n takes the class of the smallest power of two >= n, and within a
+// class slots are handed out in request order. A repeated identical run
+// therefore hits the same backing arrays, allocation-free. Callers ask
+// for what they need, not a guess: a class's first slot is allocated at
+// exactly the size requested, and a request for nothing takes no slot.
+// A slot too small for a later request in its class is replaced once by
+// one at the class ceiling, which fits every request of that class, so
+// runs of varying shape reuse their slots instead of replacing them.
 func ArenaSlice[T any](e *Engine, tag string, n int) []T {
 	if e == nil || e.arena == nil {
 		return make([]T, n)
@@ -89,36 +91,47 @@ func ArenaGrab[T any](e *Engine, tag string) *T {
 
 // --- typed slice pool ------------------------------------------------------
 
-// slicePool hands out []T in request order. all holds every slice ever
-// allocated under this tag, in the order the first run requested them;
-// next is the cursor of the current run.
+// slicePool hands out []T by capacity class: classes[c] serves the
+// requests of n in (2^(c-1), 2^c].
 type slicePool[T any] struct {
+	classes []sliceClass[T]
+}
+
+// sliceClass holds every slot one class has allocated, in the order
+// requests first needed them; next is the cursor of the current run.
+type sliceClass[T any] struct {
 	all  [][]T
 	next int
 }
 
-func (p *slicePool[T]) reset() { p.next = 0 }
+func (p *slicePool[T]) reset() {
+	for i := range p.classes {
+		p.classes[i].next = 0
+	}
+}
 
 func (p *slicePool[T]) get(n int) []T {
 	if n == 0 {
 		return nil
 	}
-	if p.next < len(p.all) {
-		s := p.all[p.next]
-		if cap(s) >= n {
-			p.next++
-			s = s[:n]
-			clear(s)
-			return s
-		}
-		s = make([]T, n, 1<<bits.Len(uint(n-1)))
-		p.all[p.next] = s
-		p.next++
-		return s
+	c := bits.Len(uint(n - 1))
+	for len(p.classes) <= c {
+		p.classes = append(p.classes, sliceClass[T]{})
 	}
-	s := make([]T, n)
-	p.all = append(p.all, s)
-	p.next++
+	cl := &p.classes[c]
+	if cl.next == len(cl.all) {
+		cl.all = append(cl.all, make([]T, n))
+		cl.next++
+		return cl.all[cl.next-1]
+	}
+	s := cl.all[cl.next]
+	if cap(s) < n {
+		s = make([]T, n, 1<<c)
+		cl.all[cl.next] = s
+	}
+	cl.next++
+	s = s[:n]
+	clear(s)
 	return s
 }
 

@@ -99,17 +99,27 @@ func TestSteadyStateZeroAllocAcrossResets(t *testing.T) {
 }
 
 // TestArenaSliceZeroedAndSized checks arena slices come back zeroed and
-// correctly sized across reuse, including size-mismatch replacement
-// (rounded up to a power of two) and empty requests, which take no slot.
+// sized by capacity class: a class's first slot has exactly the size
+// asked for, a request of another class leaves it alone, a larger
+// request of the same class replaces it once at the class ceiling, and
+// empty requests take no slot.
 func TestArenaSliceZeroedAndSized(t *testing.T) {
 	e := New(1)
 	e.SetArena(NewArena())
+	zeroed := func(what string, s []int) {
+		t.Helper()
+		for i, v := range s {
+			if v != 0 {
+				t.Fatalf("%s not zeroed at %d: %d", what, i, v)
+			}
+		}
+	}
 	if z := ArenaSlice[int](e, "t", 0); z != nil {
 		t.Fatalf("empty request returned %v, want nil", z)
 	}
 	s := ArenaSlice[int](e, "t", 8)
-	if len(s) != 8 {
-		t.Fatalf("len = %d, want 8", len(s))
+	if len(s) != 8 || cap(s) != 8 {
+		t.Fatalf("len/cap = %d/%d, want 8/8", len(s), cap(s))
 	}
 	for i := range s {
 		s[i] = i + 1
@@ -119,35 +129,57 @@ func TestArenaSliceZeroedAndSized(t *testing.T) {
 	if &s[0] != &s2[0] {
 		t.Fatal("same-size request after Reset did not reuse the backing array")
 	}
-	for i, v := range s2 {
-		if v != 0 {
-			t.Fatalf("reused slice not zeroed at %d: %d", i, v)
-		}
-	}
+	zeroed("reused slice", s2)
 	e.Reset(1)
-	ArenaSlice[int](e, "t", 0)       // takes no slot: the next request meets slot 0
-	s3 := ArenaSlice[int](e, "t", 9) // larger: must be replaced, still zeroed
-	if len(s3) != 9 || cap(s3) != 16 {
-		t.Fatalf("len/cap = %d/%d, want 9/16", len(s3), cap(s3))
+	ArenaSlice[int](e, "t", 0)       // takes no slot
+	s3 := ArenaSlice[int](e, "t", 9) // class 16: its first slot, exactly 9
+	if len(s3) != 9 || cap(s3) != 9 {
+		t.Fatalf("len/cap = %d/%d, want 9/9", len(s3), cap(s3))
 	}
-	for i, v := range s3 {
-		if v != 0 {
-			t.Fatalf("grown slice not zeroed at %d: %d", i, v)
-		}
+	if s5 := ArenaSlice[int](e, "t", 5); &s5[0] != &s[0] || cap(s5) != 8 {
+		t.Fatal("a request of class 8 did not take class 8's slot")
+	}
+	for i := range s3 {
 		s3[i] = i + 1
 	}
 	e.Reset(1)
-	s4 := ArenaSlice[int](e, "t", 16)
-	if &s4[0] != &s3[0] {
+	s4 := ArenaSlice[int](e, "t", 16) // too big for the 9: replaced at 16
+	if len(s4) != 16 || cap(s4) != 16 || &s4[0] == &s3[0] {
+		t.Fatalf("len/cap = %d/%d, want a new 16/16", len(s4), cap(s4))
+	}
+	zeroed("replacement slice", s4)
+	for i := range s4 {
+		s4[i] = i + 1
+	}
+	e.Reset(1)
+	s6 := ArenaSlice[int](e, "t", 10)
+	if &s6[0] != &s4[0] {
 		t.Fatal("a request within the replaced slot's capacity did not reuse it")
 	}
-	for i, v := range s4 {
-		if v != 0 {
-			t.Fatalf("reused grown slice not zeroed at %d: %d", i, v)
-		}
+	zeroed("reused replacement slice", s6)
+	if s7 := ArenaSlice[int](e, "t", 11); cap(s7) != 11 {
+		t.Fatalf("a class's second slot: cap %d, want exactly 11", cap(s7))
 	}
-	if s5 := ArenaSlice[int](e, "t", 5); cap(s5) != 5 {
-		t.Fatalf("a new slot's first request: cap %d, want exactly 5", cap(s5))
+}
+
+// TestArenaSliceReorderedRequestsReuseSlots: a run that asks for the
+// sizes of the run before in another order takes the same slots, where
+// matching slots by request position would replace every slot that
+// meets a larger request than last time.
+func TestArenaSliceReorderedRequestsReuseSlots(t *testing.T) {
+	e := New(1)
+	e.SetArena(NewArena())
+	slots := map[*int]bool{}
+	for _, n := range []int{3, 40, 7, 100} {
+		slots[&ArenaSlice[int](e, "t", n)[0]] = true
+	}
+	for _, order := range [][]int{{100, 7, 40, 3}, {40, 100, 3, 7}} {
+		e.Reset(1)
+		for _, n := range order {
+			if s := ArenaSlice[int](e, "t", n); !slots[&s[0]] {
+				t.Fatalf("order %v: the request for %d took a new slot", order, n)
+			}
+		}
 	}
 }
 
