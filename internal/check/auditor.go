@@ -123,13 +123,15 @@ var (
 	_ core.SleepObserver = (*Auditor)(nil)
 )
 
-// New returns an auditor timestamping violations with clock.
-func New(clock func() time.Duration) *Auditor {
+// New returns an auditor timestamping violations with clock, sized for
+// a run that watches radios radios.
+func New(clock func() time.Duration, radios int) *Auditor {
 	const fnvOffset = 14695981039346656037
 	return &Auditor{
 		clock:        clock,
 		h:            fnvOffset,
 		everRegister: make(map[query.ID]query.Spec),
+		radios:       make([]watchedRadio, 0, radios),
 	}
 }
 
@@ -179,8 +181,8 @@ func (a *Auditor) Summary() *Summary {
 // --- scheduler -------------------------------------------------------------
 
 // EventFired implements sim.Observer: pops must be monotone in
-// (at, seq) — the timer wheel's cascade and overflow promotion must
-// never reorder or time-travel.
+// (at, seq) — the timer wheel's cascades must never reorder or
+// time-travel.
 func (a *Auditor) EventFired(at time.Duration, seq uint64) {
 	a.events++
 	a.mix(tagEvent, uint64(at), seq)

@@ -66,15 +66,18 @@ type Params struct {
 	// Node pins the target node; nil (the zero value) lets the
 	// injector pick seed-driven victims.
 	Node *int
-	// Count is how many victims a seed-driven injector picks (crash).
+	// Count is how many victims a seed-driven injector picks (crash);
+	// zero means one, and a negative count is invalid.
 	Count int
 	// Peak is the maximum loss probability of a link-loss ramp.
 	Peak float64
-	// Steps is the number of loss adjustments across a ramp episode.
+	// Steps is the number of loss adjustments across a ramp episode;
+	// zero means 8, and a negative count is invalid.
 	Steps int
 	// Period is the burst queries' report period.
 	Period time.Duration
-	// Queries is how many burst queries are injected.
+	// Queries is how many burst queries are injected; zero means one,
+	// and a negative count is invalid.
 	Queries int
 	// Seed perturbs the injector's private random stream; the effective
 	// seed also folds in the scenario seed and the injector index.

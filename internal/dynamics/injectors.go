@@ -19,11 +19,14 @@ const (
 
 // --- crash/recovery --------------------------------------------------------
 
-// checkCrash validates a crash schedule: a start and an outage that are
-// not negative.
+// checkCrash validates a crash schedule: a start, an outage and a
+// victim count that are not negative (a zero count means one victim).
 func checkCrash(p Params) error {
 	if p.At < 0 {
 		return fmt.Errorf("dynamics/crash: negative start %v", p.At)
+	}
+	if p.Count < 0 {
+		return fmt.Errorf("dynamics/crash: negative victim count %d", p.Count)
 	}
 	if p.Duration < 0 {
 		return fmt.Errorf("dynamics/crash: negative outage %v", p.Duration)
@@ -35,7 +38,7 @@ func checkCrash(p Params) error {
 // Duration is positive, brings each back after that outage. Victims are
 // seed-driven non-root members unless Node pins one.
 func crash(h Host, p Params, rng *rand.Rand, _ int) error {
-	if p.Count <= 0 {
+	if p.Count == 0 {
 		p.Count = 1
 	}
 	victims := pickVictims(h, p, rng, p.Count)
@@ -62,11 +65,15 @@ func crash(h Host, p Params, rng *rand.Rand, _ int) error {
 
 // --- per-link loss ramp ----------------------------------------------------
 
-// checkLinkLoss validates a loss ramp: a start that is not negative, a
-// positive episode, and a peak drop probability in (0,1).
+// checkLinkLoss validates a loss ramp: a start and a step count that
+// are not negative (a zero count means 8 steps), a positive episode,
+// and a peak drop probability in (0,1).
 func checkLinkLoss(p Params) error {
 	if p.At < 0 {
 		return fmt.Errorf("dynamics/linkloss: negative start %v", p.At)
+	}
+	if p.Steps < 0 {
+		return fmt.Errorf("dynamics/linkloss: negative step count %d", p.Steps)
 	}
 	if p.Duration <= 0 {
 		return fmt.Errorf("dynamics/linkloss: episode duration must be positive, got %v", p.Duration)
@@ -83,7 +90,7 @@ func checkLinkLoss(p Params) error {
 // falls back to zero by At+Duration. The focal node is seed-driven
 // unless Node pins one.
 func linkLoss(h Host, p Params, rng *rand.Rand, _ int) error {
-	if p.Steps <= 0 {
+	if p.Steps == 0 {
 		p.Steps = 8
 	}
 	victims := pickVictims(h, p, rng, 1)
@@ -124,10 +131,14 @@ const (
 
 // checkBurst validates a burst: a start that is not negative, a
 // positive length and report period, a period no longer than the burst,
-// and no more queries than one burst's stride of the ID space.
+// and a query count that is not negative (zero means one) and no more
+// than one burst's stride of the ID space.
 func checkBurst(p Params) error {
 	if p.At < 0 {
 		return fmt.Errorf("dynamics/burst: negative start %v", p.At)
+	}
+	if p.Queries < 0 {
+		return fmt.Errorf("dynamics/burst: negative query count %d", p.Queries)
 	}
 	if p.Duration <= 0 {
 		return fmt.Errorf("dynamics/burst: burst length must be positive, got %v", p.Duration)
@@ -151,7 +162,7 @@ func checkBurst(p Params) error {
 // surge from the paper's introduction, as a reusable injector. Phases
 // are seed-driven within the first period after At.
 func burst(h Host, p Params, rng *rand.Rand, index int) error {
-	if p.Queries <= 0 {
+	if p.Queries == 0 {
 		p.Queries = 1
 	}
 	for i := 0; i < p.Queries; i++ {

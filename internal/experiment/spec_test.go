@@ -217,16 +217,21 @@ func TestSpecChecksDynamicsValues(t *testing.T) {
 		{"crash valid", DynamicsSpec{Kind: "crash", At: Dur(time.Second)}, ""},
 		{"crash negative start", DynamicsSpec{Kind: "crash", At: Dur(-time.Second)}, "crash: negative start"},
 		{"crash negative outage", DynamicsSpec{Kind: "crash", Duration: Dur(-time.Second)}, "crash: negative outage"},
+		{"crash negative count", DynamicsSpec{Kind: "crash", Count: -1}, "crash: negative victim count"},
 		{"linkloss valid", DynamicsSpec{Kind: "linkloss", Duration: Dur(time.Second), Peak: 0.5}, ""},
 		{"linkloss negative start", DynamicsSpec{Kind: "linkloss", At: Dur(-time.Second), Duration: Dur(time.Second), Peak: 0.5},
 			"linkloss: negative start"},
 		{"linkloss no episode", DynamicsSpec{Kind: "linkloss", Peak: 0.5}, "linkloss: episode duration"},
 		{"linkloss peak above 1", DynamicsSpec{Kind: "linkloss", Duration: Dur(time.Second), Peak: 1.5}, "linkloss: peak"},
+		{"linkloss negative steps", DynamicsSpec{Kind: "linkloss", Duration: Dur(time.Second), Peak: 0.5, Steps: -2},
+			"linkloss: negative step count"},
 		{"burst valid", DynamicsSpec{Kind: "burst", Duration: Dur(2 * time.Second), Period: Dur(time.Second)}, ""},
 		{"burst negative start", DynamicsSpec{Kind: "burst", At: Dur(-time.Second), Duration: Dur(2 * time.Second), Period: Dur(time.Second)},
 			"burst: negative start"},
 		{"burst no length", DynamicsSpec{Kind: "burst", Period: Dur(time.Second)}, "burst: burst length"},
 		{"burst no period", DynamicsSpec{Kind: "burst", Duration: Dur(2 * time.Second)}, "burst: report period"},
+		{"burst negative queries", DynamicsSpec{Kind: "burst", Duration: Dur(2 * time.Second), Period: Dur(time.Second), Queries: -3},
+			"burst: negative query count"},
 		{"burst too many queries", DynamicsSpec{Kind: "burst", Duration: Dur(2 * time.Second), Period: Dur(time.Second), Queries: 5000},
 			"burst: at most 4096 queries"},
 		{"burst period past length", DynamicsSpec{Kind: "burst", Duration: Dur(time.Second), Period: Dur(2 * time.Second)},

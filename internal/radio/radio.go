@@ -92,7 +92,7 @@ type Radio struct {
 	// most three (channel station, MAC, Safe Sleep or a power manager):
 	// a state change then notifies them without leaving the radio's own
 	// cache lines. A fourth subscriber (a run's observer tap) moves the
-	// slice to the heap.
+	// slice to the engine's arena.
 	listeners []StateListener
 	inline    [3]StateListener
 
@@ -143,7 +143,9 @@ func (r *Radio) CanReceive() bool { return r.state == Idle }
 
 // Subscribe registers a listener for state changes. Listeners are
 // invoked synchronously in registration order.
-func (r *Radio) Subscribe(l StateListener) { r.listeners = append(r.listeners, l) }
+func (r *Radio) Subscribe(l StateListener) {
+	r.listeners = sim.ArenaAppend(r.eng, "radio.listeners", r.listeners, l)
+}
 
 func (r *Radio) setState(s State) {
 	if s == r.state {

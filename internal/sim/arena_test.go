@@ -43,8 +43,8 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 }
 
 // TestResetDrainsPendingEvents resets an engine with events parked on
-// every wheel level and the overflow heap, and checks none of them fire
-// and all structs are recycled through the freelist.
+// wheel levels 0 to 4, and checks none of them fire and all structs are
+// recycled through the freelist.
 func TestResetDrainsPendingEvents(t *testing.T) {
 	e := New(1)
 	fired := 0
@@ -54,7 +54,7 @@ func TestResetDrainsPendingEvents(t *testing.T) {
 		10 * time.Millisecond, // level 1
 		5 * time.Second,       // level 2
 		30 * time.Minute,      // level 3
-		3 * time.Hour,         // overflow heap
+		3 * time.Hour,         // level 4
 	}
 	for _, d := range delays {
 		e.Schedule(d, fn)

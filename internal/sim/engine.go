@@ -6,9 +6,10 @@
 // order they were scheduled, which makes runs bit-for-bit reproducible
 // for a given seed.
 //
-// The scheduler is a hierarchical timer wheel (Varghese–Lauck) with a
-// far-future overflow heap, sized for the simulator's workload: short-
-// horizon, high-churn MAC timers that are frequently canceled or moved.
+// The scheduler is a hierarchical timer wheel (Varghese–Lauck) whose
+// levels span every instant a time.Duration can name, sized for the
+// simulator's workload: short-horizon, high-churn MAC timers that are
+// frequently canceled or moved.
 // Schedule, Cancel, and RescheduleTo are O(1) amortized: coarse wheel
 // slots are unordered lists, and only the finest level, one ~1 µs tick
 // per slot, is kept sorted, so an insertion scans at most one tick's
@@ -27,27 +28,16 @@ import (
 
 // Scheduler geometry. Virtual time is bucketed into ticks of 2^tickShift
 // nanoseconds; each wheel level has numSlots slots, and level l covers an
-// aligned block of numSlots^(l+1) ticks around the cursor. Events beyond
-// the top level's block (~73 minutes with this geometry) wait in the
-// overflow heap until the cursor's block reaches them.
+// aligned block of numSlots^(l+1) ticks around the cursor. A tick of a
+// non-negative time.Duration has 63-tickShift bits, so numLevels levels
+// (7 with this geometry) resolve every instant and no event waits
+// outside the wheels.
 const (
 	tickShift = 10 // one tick = 1024 ns ≈ 1 µs
 	slotBits  = 8
 	numSlots  = 1 << slotBits
 	slotMask  = numSlots - 1
-	numLevels = 4
-	// horizonBits is how many tick bits the wheels resolve; ticks that
-	// differ from the cursor above this go to the overflow heap.
-	horizonBits = slotBits * numLevels
-)
-
-// Event locations. A scheduled event lives either in a wheel slot's
-// intrusive list or in the overflow heap; locNone (the zero value) means
-// fired, canceled, or pooled.
-const (
-	locNone uint8 = iota
-	locWheel
-	locHeap
+	numLevels = (63 - tickShift + slotBits - 1) / slotBits
 )
 
 // Event is a handle to a scheduled callback. It may be canceled or
@@ -71,13 +61,13 @@ type Event struct {
 	fn  func(any)
 	arg any
 
-	// Location state: intrusive doubly-linked slot list when in a wheel,
-	// index when in the overflow heap.
+	// Location state: the intrusive doubly-linked list of wheel slot
+	// [level][slot] while queued; queued is false once the event fired or
+	// was canceled, and while it is pooled.
 	next, prev *Event
-	heapIdx    int32
 	level      uint8
 	slot       uint8
-	where      uint8
+	queued     bool
 }
 
 // At returns the virtual time at which the event is scheduled to fire.
@@ -89,7 +79,7 @@ func (ev *Event) At() time.Duration { return ev.at }
 // Cancel returns. Canceling an event that already fired or was already
 // canceled is a no-op.
 func (e *Engine) Cancel(ev *Event) {
-	if ev.where == locNone {
+	if !ev.queued {
 		return
 	}
 	e.detach(ev)
@@ -104,7 +94,7 @@ func (e *Engine) Cancel(ev *Event) {
 // cancel-and-rearm pattern MAC/NAV-style timers use. Rescheduling an
 // event that is not pending, or into the past, panics.
 func (e *Engine) RescheduleTo(ev *Event, at time.Duration) {
-	if ev.where == locNone {
+	if !ev.queued {
 		panic("sim: RescheduleTo on an event that is not scheduled")
 	}
 	if at < e.now {
@@ -156,7 +146,6 @@ type Engine struct {
 	cursor   uint64
 	wheels   [numLevels][numSlots]slotList
 	occupied [numLevels][numSlots / 64]uint64 // per-level slot bitmaps
-	overflow []*Event                         // min-heap by (at, seq)
 
 	// free holds fired and canceled Event structs for reuse, keeping the
 	// steady state of Schedule/After/Cancel allocation-free. Its length is
@@ -175,14 +164,14 @@ func New(seed int64) *Engine {
 }
 
 // Reset returns the engine to the state of New(seed) while keeping its
-// allocated capacity: pending events are drained into the freelist
-// (callback references dropped), the overflow heap and occupancy
+// allocated capacity: pending events on every wheel level are drained
+// into the freelist (callback references dropped), the occupancy
 // bitmaps are cleared, the clock, sequence counter, cursor and
 // processed count rewind to zero, the observer is detached, the random
 // stream is reseeded (bit-identical to a fresh New(seed) stream), and
 // the attached arena — if any — reclaims its slabs. A run on a reset
 // engine is therefore byte-identical to a run on a fresh engine, but
-// reaches steady-state zero heap growth across repeated runs because
+// repeated runs reach a steady state that allocates nothing, because
 // the event freelist and arena backing memory survive.
 func (e *Engine) Reset(seed int64) {
 	for l := 0; l < numLevels; l++ {
@@ -191,7 +180,7 @@ func (e *Engine) Reset(seed int64) {
 			for ev != nil {
 				nxt := ev.next
 				ev.next, ev.prev = nil, nil
-				ev.where = locNone
+				ev.queued = false
 				e.release(ev)
 				ev = nxt
 			}
@@ -201,13 +190,6 @@ func (e *Engine) Reset(seed int64) {
 			e.occupied[l][w] = 0
 		}
 	}
-	for i, ev := range e.overflow {
-		ev.where = locNone
-		ev.heapIdx = -1
-		e.release(ev)
-		e.overflow[i] = nil
-	}
-	e.overflow = e.overflow[:0]
 	e.now, e.seq, e.cursor = 0, 0, 0
 	e.processed, e.live = 0, 0
 	e.obs = nil
@@ -271,7 +253,7 @@ func (e *Engine) ScheduleArg(at time.Duration, fn func(any), arg any) *Event {
 	if ev != nil {
 		ev.at, ev.seq, ev.fn, ev.arg = at, e.seq, fn, arg
 	} else {
-		ev = &Event{at: at, seq: e.seq, fn: fn, arg: arg, heapIdx: -1}
+		ev = &Event{at: at, seq: e.seq, fn: fn, arg: arg}
 	}
 	e.seq++
 	if e.live == 0 {
@@ -298,27 +280,14 @@ func (e *Engine) release(ev *Event) {
 	e.free = append(e.free, ev)
 }
 
-// insert places a live event on the wheel level (or the overflow heap)
-// implied by its tick's distance from the cursor.
+// insert places a live event on the wheel level implied by its tick's
+// distance from the cursor: the highest slotBits-wide block in which the
+// two differ (level 0 when they share all but the lowest block).
 func (e *Engine) insert(ev *Event) {
 	t := uint64(ev.at) >> tickShift
-	c := e.cursor
-	var level uint
-	switch {
-	case t>>slotBits == c>>slotBits:
-		level = 0
-	case t>>(2*slotBits) == c>>(2*slotBits):
-		level = 1
-	case t>>(3*slotBits) == c>>(3*slotBits):
-		level = 2
-	case t>>(4*slotBits) == c>>(4*slotBits):
-		level = 3
-	default:
-		e.heapPush(ev)
-		return
-	}
+	level := uint(bits.Len64((t^e.cursor)|1)-1) / slotBits
 	idx := int(t>>(level*slotBits)) & slotMask
-	ev.level, ev.slot, ev.where = uint8(level), uint8(idx), locWheel
+	ev.level, ev.slot, ev.queued = uint8(level), uint8(idx), true
 	s := &e.wheels[level][idx]
 	// Coarse slots are unordered: append. A level-0 slot is kept sorted,
 	// scanning from the tail: a newly scheduled event has the largest seq,
@@ -351,13 +320,16 @@ func (e *Engine) insert(ev *Event) {
 	e.occupied[level][idx>>6] |= 1 << (uint(idx) & 63)
 }
 
-// detach unlinks a live event from its wheel slot or the overflow heap.
-func (e *Engine) detach(ev *Event) {
-	if ev.where == locHeap {
-		e.heapRemove(int(ev.heapIdx))
-		ev.where = locNone
-		return
+// evLess orders events by (at, seq): earlier time first, FIFO at ties.
+func evLess(a, b *Event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
+	return a.seq < b.seq
+}
+
+// detach unlinks a live event from its wheel slot.
+func (e *Engine) detach(ev *Event) {
 	s := &e.wheels[ev.level][ev.slot]
 	if ev.prev != nil {
 		ev.prev.next = ev.next
@@ -373,7 +345,7 @@ func (e *Engine) detach(ev *Event) {
 	if s.head == nil {
 		e.occupied[ev.level][ev.slot>>6] &^= 1 << (uint(ev.slot) & 63)
 	}
-	ev.where = locNone
+	ev.queued = false
 }
 
 // firstSlot returns the index of the level's earliest occupied slot, or
@@ -388,26 +360,9 @@ func (e *Engine) firstSlot(level int) int {
 	return -1
 }
 
-// drainOverflow moves overflow events that now fall inside the wheels'
-// horizon onto the wheels. The cursor only advances, so each overflow
-// event is drained at most once.
-func (e *Engine) drainOverflow() {
-	horizon := ((e.cursor >> horizonBits) + 1) << horizonBits
-	for len(e.overflow) > 0 {
-		min := e.overflow[0]
-		if uint64(min.at)>>tickShift >= horizon {
-			return
-		}
-		e.heapRemove(0)
-		min.where = locNone
-		e.insert(min)
-	}
-}
-
 // next returns the earliest live event without detaching it, advancing
-// the cursor (cascading coarse slots onto finer wheels, pulling overflow
-// events into the wheels) as needed. It returns nil when nothing is
-// scheduled.
+// the cursor (cascading coarse slots onto finer wheels) as needed. It
+// returns nil when nothing is scheduled.
 func (e *Engine) next() *Event {
 	return e.nextWithin(^uint64(0))
 }
@@ -423,53 +378,38 @@ func (e *Engine) next() *Event {
 // events, so a peek that stops at the limit is harmless.
 func (e *Engine) nextWithin(limit uint64) *Event {
 	for {
-		e.drainOverflow()
 		if idx := e.firstSlot(0); idx >= 0 {
 			return e.wheels[0][idx].head
 		}
-		cascaded := false
-		for level := 1; level < numLevels; level++ {
-			idx := e.firstSlot(level)
-			if idx < 0 {
-				continue
+		level, idx := 1, -1
+		for ; level < numLevels; level++ {
+			if idx = e.firstSlot(level); idx >= 0 {
+				break
 			}
-			// Advance the cursor to the start of that slot's span and
-			// redistribute its events; each lands on a finer level, so
-			// this terminates.
-			shift := uint(level) * slotBits
-			cur := (e.cursor>>(shift+slotBits))<<(shift+slotBits) | uint64(idx)<<shift
-			if cur > limit {
-				return nil // every remaining event fires after the limit
-			}
-			e.cursor = cur
-			s := &e.wheels[level][idx]
-			ev := s.head
-			s.head, s.tail = nil, nil
-			e.occupied[level][idx>>6] &^= 1 << (uint(idx) & 63)
-			for ev != nil {
-				nxt := ev.next
-				ev.next, ev.prev = nil, nil
-				ev.where = locNone
-				e.insert(ev)
-				ev = nxt
-			}
-			cascaded = true
-			break
 		}
-		if cascaded {
-			continue
+		if idx < 0 {
+			return nil
 		}
-		if len(e.overflow) > 0 {
-			// Everything lives beyond the horizon: jump the cursor to the
-			// overflow minimum's top-level block and drain.
-			cur := (uint64(e.overflow[0].at) >> tickShift >> horizonBits) << horizonBits
-			if cur > limit {
-				return nil
-			}
-			e.cursor = cur
-			continue
+		// Advance the cursor to the start of that slot's span and
+		// redistribute its events; each lands on a finer level, so this
+		// terminates.
+		shift := uint(level) * slotBits
+		cur := (e.cursor>>(shift+slotBits))<<(shift+slotBits) | uint64(idx)<<shift
+		if cur > limit {
+			return nil // every remaining event fires after the limit
 		}
-		return nil
+		e.cursor = cur
+		s := &e.wheels[level][idx]
+		ev := s.head
+		s.head, s.tail = nil, nil
+		e.occupied[level][idx>>6] &^= 1 << (uint(idx) & 63)
+		for ev != nil {
+			nxt := ev.next
+			ev.next, ev.prev = nil, nil
+			ev.queued = false
+			e.insert(ev)
+			ev = nxt
+		}
 	}
 }
 
@@ -564,70 +504,4 @@ func (e *Engine) RunChecked(until time.Duration, maxEvents uint64, check func() 
 		e.now = until
 	}
 	return e.processed - start, nil
-}
-
-// --- overflow heap ---------------------------------------------------------
-
-// evLess orders events by (at, seq): earlier time first, FIFO at ties.
-func evLess(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (e *Engine) heapPush(ev *Event) {
-	ev.where = locHeap
-	ev.heapIdx = int32(len(e.overflow))
-	e.overflow = append(e.overflow, ev)
-	e.heapUp(int(ev.heapIdx))
-}
-
-// heapRemove deletes the event at index i, keeping heap order and the
-// events' heapIdx fields consistent.
-func (e *Engine) heapRemove(i int) {
-	h := e.overflow
-	n := len(h) - 1
-	h[i] = h[n]
-	h[i].heapIdx = int32(i)
-	h[n] = nil
-	e.overflow = h[:n]
-	if i < n {
-		e.heapDown(i)
-		e.heapUp(i)
-	}
-}
-
-func (e *Engine) heapUp(i int) {
-	h := e.overflow
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !evLess(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		h[i].heapIdx, h[parent].heapIdx = int32(i), int32(parent)
-		i = parent
-	}
-}
-
-func (e *Engine) heapDown(i int) {
-	h := e.overflow
-	n := len(h)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		min := left
-		if right := left + 1; right < n && evLess(h[right], h[left]) {
-			min = right
-		}
-		if !evLess(h[min], h[i]) {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		h[i].heapIdx, h[min].heapIdx = int32(i), int32(min)
-		i = min
-	}
 }

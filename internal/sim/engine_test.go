@@ -413,7 +413,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		ticks[i] = func() {
 			remaining--
 			if remaining > 0 {
-				// Deterministic pseudo-jitter keeps the heap shuffled.
+				// Deterministic pseudo-jitter keeps the slots shuffled.
 				d := time.Duration(1+(remaining*7919)%64) * time.Microsecond
 				e.After(d, ticks[i])
 			}
@@ -507,14 +507,14 @@ func TestPendingCountsLiveEventsOnly(t *testing.T) {
 	if got := e.Pending(); got != 2 {
 		t.Fatalf("Pending() = %d after a fire, want 2", got)
 	}
-	// A far-future (overflow-heap) event counts too, and uncounts on cancel.
+	// A far-future (level-4) event counts too, and uncounts on cancel.
 	far := e.Schedule(5*time.Hour, func() {})
 	if got := e.Pending(); got != 3 {
-		t.Fatalf("Pending() = %d with overflow event, want 3", got)
+		t.Fatalf("Pending() = %d with a level-4 event, want 3", got)
 	}
 	e.Cancel(far)
 	if got := e.Pending(); got != 2 {
-		t.Fatalf("Pending() = %d after overflow cancel, want 2", got)
+		t.Fatalf("Pending() = %d after a level-4 cancel, want 2", got)
 	}
 	drain(e)
 	if got := e.Pending(); got != 0 {
@@ -544,16 +544,16 @@ func TestCancelThenFireSameTick(t *testing.T) {
 }
 
 // TestRescheduleAcrossWheelLevels moves one event between delays that
-// live on different wheel levels (and the overflow heap) and checks it
-// fires exactly once, at the final time.
+// live on different wheel levels, up to level 4, and checks it fires
+// exactly once, at the final time.
 func TestRescheduleAcrossWheelLevels(t *testing.T) {
 	e := New(1)
 	var firedAt []time.Duration
 	ev := e.Schedule(50*time.Microsecond, func() { firedAt = append(firedAt, e.Now()) }) // level 0
 	e.RescheduleTo(ev, 10*time.Millisecond)                                              // level 1
 	e.RescheduleTo(ev, 5*time.Second)                                                    // level 2
-	e.RescheduleTo(ev, 3*time.Hour)                                                      // overflow heap
-	e.RescheduleTo(ev, 30*time.Minute)                                                   // back onto the wheels
+	e.RescheduleTo(ev, 3*time.Hour)                                                      // level 4
+	e.RescheduleTo(ev, 30*time.Minute)                                                   // back to level 3
 	if ev.At() != 30*time.Minute {
 		t.Fatalf("At() = %v after reschedules, want 30m", ev.At())
 	}
@@ -620,15 +620,15 @@ func TestZeroDelaySelfReschedule(t *testing.T) {
 	}
 }
 
-// TestOverflowHeapPromotion schedules events beyond the wheels' ~73 min
-// horizon and checks they are promoted onto the wheels and fired in
-// order, interleaved correctly with near events scheduled later.
-func TestOverflowHeapPromotion(t *testing.T) {
+// TestLevel4Cascade schedules events past level 3's ~73 min block,
+// which wait on level 4, and checks they cascade down the levels and
+// fire in order, interleaved correctly with near events scheduled later.
+func TestLevel4Cascade(t *testing.T) {
 	e := New(1)
 	var fired []time.Duration
 	record := func() { fired = append(fired, e.Now()) }
 	times := []time.Duration{
-		90 * time.Minute, // beyond horizon at schedule time
+		90 * time.Minute, // level 4 at schedule time
 		2 * time.Hour,
 		100 * time.Minute,
 		time.Second, // near
@@ -637,7 +637,7 @@ func TestOverflowHeapPromotion(t *testing.T) {
 		at := at
 		e.Schedule(at, record)
 	}
-	// An event scheduled from a callback close to a promoted one must
+	// An event scheduled from a callback close to a cascaded one must
 	// still order correctly.
 	e.Schedule(89*time.Minute, func() {
 		e.After(time.Minute+time.Millisecond, record) // 90min+1ms
@@ -660,9 +660,9 @@ func TestOverflowHeapPromotion(t *testing.T) {
 	}
 }
 
-// TestCancelInOverflowHeap cancels events parked in the overflow heap,
-// including the heap minimum, and checks the survivors still fire.
-func TestCancelInOverflowHeap(t *testing.T) {
+// TestCancelOnLevel4 cancels events parked on level 4, 2 h to 7 h out,
+// including the earliest, and checks the survivors still fire.
+func TestCancelOnLevel4(t *testing.T) {
 	e := New(1)
 	var fired []time.Duration
 	record := func() { fired = append(fired, e.Now()) }
@@ -670,7 +670,7 @@ func TestCancelInOverflowHeap(t *testing.T) {
 	for i := range evs {
 		evs[i] = e.Schedule(time.Duration(i+2)*time.Hour, record)
 	}
-	e.Cancel(evs[0]) // heap minimum
+	e.Cancel(evs[0]) // earliest
 	e.Cancel(evs[3]) // interior
 	e.Cancel(evs[5]) // last
 	drain(e)
@@ -686,8 +686,8 @@ func TestCancelInOverflowHeap(t *testing.T) {
 }
 
 // TestWheelStress drives a randomized schedule/cancel mix with delays
-// spanning every wheel level and the overflow heap, and checks execution
-// order against a sorted (at, seq) reference.
+// spanning wheel levels 0 to 3, and checks execution order against a
+// sorted (at, seq) reference.
 func TestWheelStress(t *testing.T) {
 	g := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -782,14 +782,14 @@ func BenchmarkCancelHeavyChurn(b *testing.B) {
 // cursor-overrun bug: Run's deadline peek of a far-future event must not
 // advance the wheel cursor past `until`, or a later Schedule of a nearer
 // event lands below the cursor — mis-leveled at best (events fire out of
-// order), livelocked in the overflow drain at worst.
+// order), livelocked in a cascade at worst.
 func TestScheduleNearAfterDeadlinePeek(t *testing.T) {
 	e := New(1)
 	var fired []time.Duration
 	record := func() { fired = append(fired, e.Now()) }
 
-	// A far event (beyond the wheel horizon) forces the peek to consider
-	// jumping the cursor to its block.
+	// A far (level-4) event forces the peek to consider moving the
+	// cursor to its slot's block.
 	e.Schedule(100*time.Minute, record)
 	if n := e.Run(time.Millisecond); n != 0 {
 		t.Fatalf("Run fired %d events before the deadline, want 0", n)
@@ -829,7 +829,7 @@ func TestScheduleNearAfterDeadlinePeek(t *testing.T) {
 
 // Differential test: engine vs a naive sorted-list reference, mixing
 // bounded Run calls, between-run schedules, cancels, and reschedules
-// across all wheel levels and the overflow heap. Seeds from
+// across wheel levels 0 to 4. Seeds from
 // denseSeedsFrom on draw their instants from 64 values 100 ns apart in a
 // few windows, so hundreds of events crowd each coarse slot, each tick
 // gets several distinct instants in random order plus many ties, and
@@ -866,7 +866,7 @@ func TestDifferentialAgainstSortedModel(t *testing.T) {
 				windows := [...]time.Duration{0, 300 * time.Microsecond, 70 * time.Millisecond, 20 * time.Second, 80 * time.Minute}
 				return e.Now() + windows[rng.Intn(len(windows))] + time.Duration(rng.Intn(64))*100*time.Nanosecond
 			}
-			mag := time.Duration(1) << uint(rng.Intn(44)) // up to ~4.8h, past horizon
+			mag := time.Duration(1) << uint(rng.Intn(44)) // up to ~4.8h, level 4
 			return e.Now() + time.Duration(rng.Int63n(int64(mag)))
 		}
 
@@ -1091,10 +1091,10 @@ func (m *orderModel) verifySorted() {
 // slot with tens of thousands of events in descending instant order with
 // many identical-instant ties, so every append to those unordered slots
 // is out of order. It then cancels and reschedules into and out of them
-// (and to and from the overflow heap), crosses each cascade and the
-// overflow drain with bounded Run calls,
-// and schedules new ties behind events already waiting in sorted and
-// unsorted slots. Firing order must stay strictly (at, seq).
+// (and to and from level 4, past ~73 min), crosses each cascade, the
+// level-4 one included, with bounded Run calls, and schedules new ties
+// behind events already waiting in sorted and unsorted slots. Firing
+// order must stay strictly (at, seq).
 func TestAdversarialCoarseSlotOrder(t *testing.T) {
 	perSlot := 40_000
 	if testing.Short() {
@@ -1108,7 +1108,7 @@ func TestAdversarialCoarseSlotOrder(t *testing.T) {
 	)
 	// From a cursor at tick 0: level-1 slot 5 and level-2 slot 3.
 	base1, base2 := 5*span1, 3*span2
-	horizon := tick << horizonBits // first instant past the wheels, ~73 min
+	level4 := tick << (4 * slotBits) // first instant of level 4, ~73 min
 	m := newOrderModel(t)
 	rng := rand.New(rand.NewSource(1))
 
@@ -1121,12 +1121,12 @@ func TestAdversarialCoarseSlotOrder(t *testing.T) {
 		slot1 = append(slot1, m.schedule(base1+g*step1))
 		slot2 = append(slot2, m.schedule(base2+g*step2))
 	}
-	// Overflow events, also descending with ties, some sharing instants.
+	// Level-4 events, also descending with ties, some sharing instants.
 	var far []int
 	for i := 0; i < perSlot/10; i++ {
-		far = append(far, m.schedule(horizon+time.Minute+time.Duration(perSlot/10-i/ties)*time.Millisecond))
+		far = append(far, m.schedule(level4+time.Minute+time.Duration(perSlot/10-i/ties)*time.Millisecond))
 	}
-	// Reschedule into and out of the crowded slots and the heap, onto
+	// Reschedule into and out of the crowded slots and level 4, onto
 	// instants that already carry older ties (so the mover is the newest
 	// of its tie), and cancel a tenth of everything.
 	pick := func(ids []int) int { return ids[rng.Intn(len(ids))] }
@@ -1172,11 +1172,11 @@ func TestAdversarialCoarseSlotOrder(t *testing.T) {
 		m.check(until)
 	}
 
-	// Drain the overflow heap with a bounded Run, after which the first
-	// promoted event schedules new ties with the other promoted events
-	// (each must fire after its older twin), then cross the drained
-	// events' coarse slots in another bounded step.
-	trigger := horizon + 30*time.Second
+	// Cascade the level-4 slot with a bounded Run, after which the
+	// trigger schedules new ties with the cascaded events (each must
+	// fire after its older twin), then cross the cascaded events' coarse
+	// slots in another bounded step.
+	trigger := level4 + 30*time.Second
 	m.scheduleThen(trigger, func() {
 		for i := 0; i < len(far); i += 3 {
 			if r := m.evs[far[i]]; r.state == orderLive {
@@ -1186,7 +1186,7 @@ func TestAdversarialCoarseSlotOrder(t *testing.T) {
 	})
 	m.e.Run(trigger)
 	m.check(trigger)
-	midFar := horizon + time.Minute + time.Duration(perSlot/20)*time.Millisecond
+	midFar := level4 + time.Minute + time.Duration(perSlot/20)*time.Millisecond
 	m.e.Run(midFar)
 	m.check(midFar)
 	drain(m.e)
@@ -1234,5 +1234,111 @@ func TestObserverSeesEveryPopInOrder(t *testing.T) {
 	drain(e)
 	if len(rec.ats) != 5 {
 		t.Fatalf("disabled observer still saw pops: %d", len(rec.ats))
+	}
+}
+
+// TestTopLevelsAgainstOrderModel exercises the levels past 256^4 ticks
+// (~73 min): events at each level boundary from 256^4 ticks (level 4)
+// to 256^6 ticks (level 6, ~9 years), and at the last instant a
+// time.Duration names, with ties and near events beside them. They are
+// moved across levels with RescheduleTo, canceled, and fired over
+// bounded Run calls that end on either side of each boundary, checked
+// pop by pop against the order model. A second population on the same
+// levels, partly cascaded by a bounded Run, must be drained by Reset.
+func TestTopLevelsAgainstOrderModel(t *testing.T) {
+	const (
+		tick = time.Duration(1) << tickShift
+		end  = time.Duration(math.MaxInt64)
+	)
+	var bounds []time.Duration
+	for l := 4; l < numLevels; l++ {
+		bounds = append(bounds, tick<<(l*slotBits))
+	}
+	if last := bounds[len(bounds)-1]; last != tick<<48 || end>>tickShift>>(numLevels*slotBits) != 0 {
+		t.Fatalf("top boundary %v: the levels do not end at 256^6 ticks or miss the last instant", last)
+	}
+
+	m := newOrderModel(t)
+	for _, d := range []time.Duration{time.Microsecond, time.Millisecond, time.Second, time.Minute} {
+		m.schedule(d)
+	}
+	// Around each boundary: a tick before, the last nanosecond before,
+	// the boundary itself twice (a tie), and just after it.
+	around := make([][]int, len(bounds)) // event ids by boundary
+	for i, b := range bounds {
+		for _, d := range []time.Duration{b - tick, b - 1, b, b, b + 1, b + tick} {
+			around[i] = append(around[i], m.schedule(d))
+		}
+	}
+	last := []int{m.schedule(end - tick), m.schedule(end), m.schedule(end)}
+	// A boundary event that, when it fires, schedules ties behind
+	// events already waiting on the higher levels.
+	m.scheduleThen(bounds[1], func() {
+		m.schedule(bounds[2])
+		m.schedule(end)
+	})
+
+	// Move events across levels: level 6 down to 4, level 4 up to 6,
+	// level 5 to the last instant and back, and cancel one of each.
+	m.reschedule(around[2][0], bounds[0]+tick)
+	m.reschedule(around[0][5], bounds[2]+2*tick)
+	m.reschedule(around[1][2], end)
+	m.reschedule(last[0], bounds[1]-2*tick)
+	m.reschedule(around[1][2], bounds[1])
+	m.cancel(around[0][1])
+	m.cancel(around[1][3])
+	m.cancel(around[2][4])
+	m.cancel(last[1])
+
+	// Bounded Runs ending just before, at and just past each boundary;
+	// between them, pull a waiting higher-level event down below the
+	// next deadline so it lands on a level the cursor has reached.
+	m.check(0)
+	for i, b := range bounds {
+		for _, until := range []time.Duration{b - 1, b, b + tick} {
+			m.e.Run(until)
+			m.check(until)
+		}
+		if i+1 < len(bounds) {
+			m.reschedule(around[i+1][5], b+2*tick)
+			m.schedule(b + 3*tick)
+		}
+	}
+	m.e.Run(end - 1)
+	m.check(end - 1)
+	m.e.Run(end)
+	m.check(end)
+	if n := drain(m.e); n != 0 {
+		t.Fatalf("drain fired %d events after Run(%v)", n, end)
+	}
+	m.verifySorted()
+
+	// Reset drains a population on levels 4 to 6, partly cascaded.
+	e := New(1)
+	fired := 0
+	fn := func() { fired++ }
+	scheduled := 0
+	for _, b := range bounds {
+		for _, d := range []time.Duration{b, b + time.Hour} {
+			e.Schedule(d, fn)
+			scheduled++
+		}
+	}
+	e.Schedule(end, fn)
+	scheduled++
+	if n := e.Run(bounds[1] - 1); n != 2 || fired != 2 {
+		t.Fatalf("Run(%v) fired %d events, want the 2 on level 4", bounds[1]-1, n)
+	}
+	e.Reset(1)
+	if got := len(e.free); got != scheduled {
+		t.Fatalf("freelist holds %d events after Reset, want %d", got, scheduled)
+	}
+	if n := drain(e); n != 0 || e.Pending() != 0 {
+		t.Fatalf("reset engine fired %d events, %d pending, want none", n, e.Pending())
+	}
+	e.Schedule(time.Millisecond, fn)
+	drain(e)
+	if fired != 3 || e.Now() != time.Millisecond {
+		t.Fatalf("post-reset schedule: %d fired, now %v, want 3 at 1ms", fired, e.Now())
 	}
 }
