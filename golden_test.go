@@ -12,8 +12,8 @@ import (
 	"github.com/essat/essat"
 )
 
-// updateGolden regenerates testdata/golden.json instead of comparing
-// against it:
+// updateGolden regenerates testdata/golden.json and
+// testdata/golden_behavior.json instead of comparing against them:
 //
 //	go test . -run TestGoldenTraceDigests -update-golden
 //
@@ -22,9 +22,19 @@ import (
 // safety net over the whole stack (scheduler pops, every transmission
 // and delivery, every radio transition, every root report). A digest
 // change means the simulation executed a different event trace.
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.json from the current implementation")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden digest files from the current implementation")
 
-const goldenPath = "testdata/golden.json"
+// goldenFiles are the two digest columns, one file each, of one shape:
+// suite → run label → digest. golden.json holds the full trace digest;
+// golden_behavior.json the behaviour digest, which leaves out scheduler
+// pops, so a change that moves only event sequence numbers keeps it.
+var goldenFiles = []struct {
+	path   string
+	digest func(*essat.AuditSummary) string
+}{
+	{"testdata/golden.json", func(s *essat.AuditSummary) string { return s.Digest }},
+	{"testdata/golden_behavior.json", func(s *essat.AuditSummary) string { return s.Behavior }},
+}
 
 // goldenRun is one pinned scenario in the golden suite.
 type goldenRun struct {
@@ -101,6 +111,9 @@ func goldenSuite() map[string][]goldenRun {
 	// tree that re-parents after a failure, so the relay's live hop
 	// index and next hops are pinned through a tree change.
 	suite["flows.json"] = []goldenRun{{label: "as-checked-in", build: fromFile("testdata/flows.json", 0)}}
+	// Every way to perturb a run at once: a random and a pinned failure,
+	// a query stop, a peer and a dissemination flow, a crash and a burst.
+	suite["perturb.json"] = []goldenRun{{label: "as-checked-in", build: fromFile("testdata/perturb.json", 0)}}
 	// T-MAC's power manager subscribes its own radio listener after the
 	// channel station and the MAC.
 	suite["tmac"] = []goldenRun{{label: "fig3/rate=5", build: figScenario(essat.TMAC, 5)}}
@@ -114,7 +127,7 @@ func goldenSuite() map[string][]goldenRun {
 // so a match here proves the hooks are behavior-preserving, not merely
 // self-consistent.
 func TestDiscModelMatchesLegacy(t *testing.T) {
-	data, err := os.ReadFile(goldenPath)
+	data, err := os.ReadFile(goldenFiles[0].path)
 	if err != nil {
 		t.Fatalf("missing golden file: %v", err)
 	}
@@ -148,25 +161,21 @@ func TestDiscModelMatchesLegacy(t *testing.T) {
 }
 
 // TestGoldenTraceDigests executes every pinned scenario under the
-// invariant auditor and compares its trace digest against
-// testdata/golden.json. A mismatch means a behavior change somewhere in
-// the stack: either find the regression, or — for an intentional
-// change — regenerate with -update-golden and justify it in the PR.
+// invariant auditor and compares both its digests against their golden
+// files. A mismatch means a behavior change somewhere in the stack:
+// either find the regression, or — for an intentional change —
+// regenerate with -update-golden and justify it in the PR. A moved full
+// digest with a held behaviour digest means only the event schedule
+// moved.
 func TestGoldenTraceDigests(t *testing.T) {
-	var golden map[string]map[string]string
-	if !*updateGolden {
-		data, err := os.ReadFile(goldenPath)
-		if err != nil {
-			t.Fatalf("missing golden file (regenerate with -update-golden): %v", err)
-		}
-		if err := json.Unmarshal(data, &golden); err != nil {
-			t.Fatal(err)
-		}
+	got := make([]map[string]map[string]string, len(goldenFiles))
+	for i := range got {
+		got[i] = map[string]map[string]string{}
 	}
-
-	got := map[string]map[string]string{}
 	for name, runs := range goldenSuite() {
-		got[name] = map[string]string{}
+		for i := range got {
+			got[i][name] = map[string]string{}
+		}
 		for _, gr := range runs {
 			sc := gr.build(t)
 			sc.Audit = true
@@ -178,71 +187,90 @@ func TestGoldenTraceDigests(t *testing.T) {
 				t.Errorf("%s/%s: %d invariant violations, first: %s",
 					name, gr.label, res.Audit.Total, res.Audit.Violations[0])
 			}
-			got[name][gr.label] = res.Audit.Digest
+			for i, f := range goldenFiles {
+				got[i][name][gr.label] = f.digest(res.Audit)
+			}
 		}
 	}
-
-	if *updateGolden {
-		// Diff against the previous file first: -update-golden's log must
-		// say exactly which digests an intentional change moved, so the
-		// commit can justify each one (and an accidental full rewrite is
-		// obvious immediately).
-		prev := map[string]map[string]string{}
-		if data, err := os.ReadFile(goldenPath); err == nil {
-			if err := json.Unmarshal(data, &prev); err != nil {
-				t.Logf("existing %s is unreadable (%v); treating every digest as new", goldenPath, err)
-			}
+	for i, f := range goldenFiles {
+		if *updateGolden {
+			rewriteGolden(t, f.path, got[i])
+		} else {
+			compareGolden(t, f.path, got[i])
 		}
-		changed := 0
-		for name, runs := range got {
-			for label, digest := range runs {
-				switch old := prev[name][label]; {
-				case old == "":
-					changed++
-					t.Logf("new digest   %s/%s: %s", name, label, digest)
-				case old != digest:
-					changed++
-					t.Logf("changed      %s/%s: %s -> %s", name, label, old, digest)
-				}
-			}
-		}
-		for name, runs := range prev {
-			for label := range runs {
-				if _, ok := got[name][label]; !ok {
-					changed++
-					t.Logf("removed      %s/%s (was %s)", name, label, prev[name][label])
-				}
-			}
-		}
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(goldenPath, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s with %d suites (%d digests added/changed/removed)", goldenPath, len(got), changed)
-		return
 	}
+}
 
+// rewriteGolden writes got to path, logging every digest it adds,
+// changes or removes, so the commit can justify each one (and an
+// accidental full rewrite is obvious immediately).
+func rewriteGolden(t *testing.T, path string, got map[string]map[string]string) {
+	prev := map[string]map[string]string{}
+	if data, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(data, &prev); err != nil {
+			t.Logf("existing %s is unreadable (%v); treating every digest as new", path, err)
+		}
+	}
+	changed := 0
+	for name, runs := range got {
+		for label, digest := range runs {
+			switch old := prev[name][label]; {
+			case old == "":
+				changed++
+				t.Logf("%s: new digest   %s/%s: %s", path, name, label, digest)
+			case old != digest:
+				changed++
+				t.Logf("%s: changed      %s/%s: %s -> %s", path, name, label, old, digest)
+			}
+		}
+	}
+	for name, runs := range prev {
+		for label := range runs {
+			if _, ok := got[name][label]; !ok {
+				changed++
+				t.Logf("%s: removed      %s/%s (was %s)", path, name, label, prev[name][label])
+			}
+		}
+	}
+	buf, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf = append(buf, '\n')
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("rewrote %s with %d suites (%d digests added/changed/removed)", path, len(got), changed)
+}
+
+// compareGolden fails on every digest in got that path does not pin
+// identically, and on every pinned digest the suite no longer produces.
+func compareGolden(t *testing.T, path string, got map[string]map[string]string) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update-golden): %v", err)
+	}
+	var golden map[string]map[string]string
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
 	for name, runs := range got {
 		want, ok := golden[name]
 		if !ok {
-			t.Errorf("suite %q missing from %s (regenerate with -update-golden)", name, goldenPath)
+			t.Errorf("suite %q missing from %s (regenerate with -update-golden)", name, path)
 			continue
 		}
 		for label, digest := range runs {
 			if want[label] == "" {
-				t.Errorf("%s/%s missing from %s (regenerate with -update-golden)", name, label, goldenPath)
+				t.Errorf("%s/%s missing from %s (regenerate with -update-golden)", name, label, path)
 			} else if digest != want[label] {
-				t.Errorf("%s/%s: trace digest %s, golden %s — the simulation behaves differently",
-					name, label, digest, want[label])
+				t.Errorf("%s/%s: digest %s, %s pins %s — the simulation behaves differently",
+					name, label, digest, path, want[label])
 			}
 		}
 		for label := range want {
 			if _, ok := runs[label]; !ok {
-				t.Errorf("%s/%s in %s but not generated by the suite", name, label, goldenPath)
+				t.Errorf("%s/%s in %s but not generated by the suite", name, label, path)
 			}
 		}
 	}

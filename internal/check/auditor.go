@@ -66,8 +66,15 @@ func (v Violation) String() string {
 
 // Summary is the auditor's end-of-run report, attached to a Result.
 type Summary struct {
-	// Digest is the canonical trace digest (16 hex digits, FNV-1a 64).
+	// Digest is the canonical trace digest (16 hex digits, FNV-1a 64)
+	// over every record: scheduler pops, transmissions, deliveries,
+	// radio transitions, root reports and interval closes.
 	Digest string
+	// Behavior is the behaviour digest: the same hash over every record
+	// except scheduler pops. It ignores event sequence numbers and
+	// event counts, so a change that moves only when an event is queued,
+	// not what the network does, keeps it.
+	Behavior string
 	// Events is the number of scheduler events audited.
 	Events uint64
 	// Violations holds the first retained breaches (capped); Total is
@@ -96,7 +103,8 @@ const (
 type Auditor struct {
 	clock func() time.Duration
 
-	h          uint64 // running FNV-1a 64 state
+	h          uint64 // running FNV-1a 64 state over every record
+	b          uint64 // the same over every record except scheduler pops
 	events     uint64
 	violations []Violation
 	total      int
@@ -130,6 +138,7 @@ func New(clock func() time.Duration, radios int) *Auditor {
 	return &Auditor{
 		clock:        clock,
 		h:            fnvOffset,
+		b:            fnvOffset,
 		everRegister: make(map[query.ID]query.Spec),
 		radios:       make([]watchedRadio, 0, radios),
 	}
@@ -154,10 +163,9 @@ func (a *Auditor) violateAt(at time.Duration, rule, format string, args ...any) 
 	}
 }
 
-// mix folds a tagged record of unsigned values into the digest.
-func (a *Auditor) mix(tag byte, vals ...uint64) {
+// fold folds a tagged record of unsigned values into FNV-1a 64 state h.
+func fold(h uint64, tag byte, vals ...uint64) uint64 {
 	const fnvPrime = 1099511628211
-	h := a.h
 	h = (h ^ uint64(tag)) * fnvPrime
 	for _, v := range vals {
 		for i := 0; i < 8; i++ {
@@ -165,13 +173,30 @@ func (a *Auditor) mix(tag byte, vals ...uint64) {
 			v >>= 8
 		}
 	}
-	a.h = h
+	return h
 }
 
-// Summary returns the end-of-run report.
+// mix folds a tagged record into both digests.
+func (a *Auditor) mix(tag byte, vals ...uint64) {
+	a.h = fold(a.h, tag, vals...)
+	a.b = fold(a.b, tag, vals...)
+}
+
+// Summary returns the end-of-run report. Both digests are formatted
+// into one string, so the report costs one allocation for them.
 func (a *Auditor) Summary() *Summary {
+	const digits = "0123456789abcdef"
+	var buf [32]byte
+	for i, h := range [2]uint64{a.h, a.b} {
+		for j := 16*i + 15; j >= 16*i; j-- {
+			buf[j] = digits[h&0xf]
+			h >>= 4
+		}
+	}
+	hex := string(buf[:])
 	return &Summary{
-		Digest:     fmt.Sprintf("%016x", a.h),
+		Digest:     hex[:16],
+		Behavior:   hex[16:],
 		Events:     a.events,
 		Violations: append([]Violation(nil), a.violations...),
 		Total:      a.total,
@@ -185,7 +210,7 @@ func (a *Auditor) Summary() *Summary {
 // time-travel.
 func (a *Auditor) EventFired(at time.Duration, seq uint64) {
 	a.events++
-	a.mix(tagEvent, uint64(at), seq)
+	a.h = fold(a.h, tagEvent, uint64(at), seq)
 	if at < 0 {
 		a.violateAt(at, "event-order", "event at negative time %v", at)
 	}

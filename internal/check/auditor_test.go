@@ -210,6 +210,39 @@ func TestDigestDeterministicAndSensitive(t *testing.T) {
 	}
 }
 
+// TestBehaviorDigestIgnoresSchedulerPops: two streams that differ only
+// in their scheduler pops (sequence numbers, event count) share a
+// behaviour digest and differ in the full one; a different transmission
+// moves both, and pops alone leave the behaviour digest at the empty
+// hash.
+func TestBehaviorDigestIgnoresSchedulerPops(t *testing.T) {
+	feed := func(seqs []uint64, bytes int) *Summary {
+		a, _ := newTestAuditor()
+		for i, seq := range seqs {
+			a.EventFired(time.Duration(i)*time.Millisecond, seq)
+		}
+		a.TxStarted(&phy.Frame{ID: 1, Src: 2, Dst: 3, Bytes: bytes}, radio.Idle, true)
+		return a.Summary()
+	}
+	base := feed([]uint64{1, 2, 3}, 40)
+	reseq := feed([]uint64{4, 9, 11, 12}, 40)
+	if base.Behavior != reseq.Behavior {
+		t.Errorf("re-sequenced pops moved the behaviour digest: %s vs %s", base.Behavior, reseq.Behavior)
+	}
+	if base.Digest == reseq.Digest {
+		t.Error("re-sequenced pops left the full digest unchanged")
+	}
+	other := feed([]uint64{1, 2, 3}, 41)
+	if other.Behavior == base.Behavior || other.Digest == base.Digest {
+		t.Error("a different transmission did not move both digests")
+	}
+	a, _ := newTestAuditor()
+	a.EventFired(0, 1)
+	if empty := New(nil, 0).Summary(); a.Summary().Behavior != empty.Behavior || len(empty.Behavior) != 16 {
+		t.Errorf("pops alone moved the behaviour digest %q from the empty hash %q", a.Summary().Behavior, empty.Behavior)
+	}
+}
+
 // TestViolationCapAndTotal: retained violations are capped, the total
 // keeps counting, and Summary carries both.
 func TestViolationCapAndTotal(t *testing.T) {

@@ -268,8 +268,8 @@ func TestWarmArenaAllocsByProtocol(t *testing.T) {
 		string(TMAC):  5 + 20,
 		"flows.json":  28 + 20,
 
-		"DTS-SS audited": 13 + 20,
-		"NTS-SS audited": 13 + 20,
+		"DTS-SS audited": 12 + 20,
+		"NTS-SS audited": 12 + 20,
 	}
 	// An audited run also keeps its auditor: 6,560 B measured, plus the
 	// headroom maxWarmBytes leaves a 1,072 B unaudited run.
