@@ -134,9 +134,6 @@ type Scenario = experiment.Scenario
 // Result aggregates one run's metrics.
 type Result = experiment.Result
 
-// Failure schedules a node death for robustness experiments.
-type Failure = experiment.Failure
-
 // DisseminationSpec describes a periodic root-to-leaves flow (the §3
 // "data dissemination" extension); assign it to Scenario.Dissemination.
 // Flow IDs must be disjoint from query IDs (negative IDs work well).
@@ -148,19 +145,15 @@ type DisseminationSpec = core.DisseminationSpec
 // dissemination IDs.
 type P2PSpec = core.P2PSpec
 
-// QueryStop deregisters a query mid-run (workload adaptation); assign it
-// to Scenario.QueryStops.
-type QueryStop = experiment.QueryStop
-
-// Dynamic is one configured fault/load injector (node crash/recovery,
-// per-link loss ramp, traffic burst); assign it to Scenario.Dynamics.
+// Dynamic is one row of Scenario.Dynamics, scheduled in order: a failure,
+// query stop, node crash/recovery, per-link loss ramp or traffic burst.
 type Dynamic = experiment.Dynamic
 
 // DynamicsParams parameterizes a dynamics injector.
 type DynamicsParams = dynamics.Params
 
 // DynamicsKinds lists every fault/load injector kind
-// ("crash", "linkloss", "burst", ...) in presentation order.
+// ("fail", "stop", "crash", "linkloss", "burst") in presentation order.
 func DynamicsKinds() []string { return dynamics.Kinds() }
 
 // AuditSummary is the invariant auditor's report: the canonical trace
@@ -218,9 +211,9 @@ type Spec = experiment.Spec
 type Workload = experiment.WorkloadSpec
 
 // FailureSpec, QueryStopSpec, FlowSpec, DynamicsSpec, ChannelSpec and
-// RadioSpec are the Spec forms of failures, query stops,
-// dissemination/peer flows, dynamics injectors, the channel propagation
-// model, and the radio energy profile.
+// RadioSpec are the Spec forms of failures and query stops (fail and
+// stop rows), dissemination/peer flows, dynamics injectors, the channel
+// propagation model, and the radio energy profile.
 type (
 	FailureSpec   = experiment.FailureSpec
 	QueryStopSpec = experiment.QueryStopSpec

@@ -42,13 +42,14 @@ func ExampleQueryClasses() {
 	// Q3: period 1.5s
 }
 
-// ExampleScenario_failures injects node deaths and shows the §4.3
+// ExampleScenario_failures injects a node death, a fail row whose
+// omitted node picks a random non-leaf victim, and shows the §4.3
 // recovery keeping data flowing.
 func ExampleScenario_failures() {
 	sc := essat.DefaultScenario(essat.DTSSS, 3)
 	sc.Duration = 40 * time.Second
 	sc.FailureThreshold = 3
-	sc.Failures = []essat.Failure{{At: 15 * time.Second, Node: -1}}
+	sc.Dynamics = []essat.Dynamic{{Kind: "fail", Params: essat.DynamicsParams{At: 15 * time.Second}}}
 	rng := rand.New(rand.NewSource(3))
 	sc.Queries = essat.QueryClasses(rng, 1.0, 1, 5*time.Second)
 

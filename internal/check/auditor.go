@@ -39,6 +39,8 @@
 package check
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"time"
 
@@ -182,21 +184,16 @@ func (a *Auditor) mix(tag byte, vals ...uint64) {
 	a.b = fold(a.b, tag, vals...)
 }
 
-// Summary returns the end-of-run report. Both digests are formatted
-// into one string, so the report costs one allocation for them.
+// Summary returns the end-of-run report; both digests share one string.
 func (a *Auditor) Summary() *Summary {
-	const digits = "0123456789abcdef"
+	var raw [16]byte
 	var buf [32]byte
-	for i, h := range [2]uint64{a.h, a.b} {
-		for j := 16*i + 15; j >= 16*i; j-- {
-			buf[j] = digits[h&0xf]
-			h >>= 4
-		}
-	}
-	hex := string(buf[:])
+	binary.BigEndian.PutUint64(raw[:8], a.h)
+	binary.BigEndian.PutUint64(raw[8:], a.b)
+	digests := string(buf[:hex.Encode(buf[:], raw[:])])
 	return &Summary{
-		Digest:     hex[:16],
-		Behavior:   hex[16:],
+		Digest:     digests[:16],
+		Behavior:   digests[16:],
 		Events:     a.events,
 		Violations: append([]Violation(nil), a.violations...),
 		Total:      a.total,

@@ -1,23 +1,23 @@
-// Package dynamics is the network-dynamics fault/load layer: a table of
-// deterministic, seed-driven disturbance kinds that perturb a running
-// simulation — node crash/recovery schedules, per-link loss ramps, and
-// traffic bursts — so every protocol × topology combination can be
-// evaluated under churn instead of only on static, always-healthy
-// networks.
+// Package dynamics is the one way a run is perturbed: a table of
+// deterministic disturbance kinds — §4.3 permanent failures, query
+// stops, crash/recovery schedules, per-link loss ramps, and traffic
+// bursts — so every protocol × topology combination can be evaluated
+// under churn, not only on static, always-healthy networks.
 //
-// Each kind is one function that validates its flat Params and then
-// schedules its actions onto the engine during experiment.Build, through
-// the Host interface the experiment layer implements. Every choice a
-// kind makes (victims, degraded links, burst phases) comes from its own
-// rand.Rand, seeded from the scenario seed and the disturbance's
-// position, never from the engine's stream: two runs of the same
-// scenario perturb identically, and adding a disturbance does not shift
-// the choices of the ones before it.
+// A run's disturbances are rows: a kind plus its flat Params. Schedule
+// walks them in order during experiment.Build, and each kind schedules
+// its actions through the Host interface the experiment layer
+// implements. Every choice a crash, link-loss ramp or burst makes comes
+// from its own rand.Rand, seeded from the scenario seed and the row's
+// position, never from the engine's stream: adding a disturbance does
+// not shift the choices of the ones before it. A failure is the one
+// exception: its random victim comes from the engine's rng.
 package dynamics
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"github.com/essat/essat/internal/query"
@@ -32,7 +32,8 @@ import (
 type Host interface {
 	// Eng returns the run's engine; injectors schedule through it.
 	Eng() *sim.Engine
-	// Members returns the routing tree's live members in ID order.
+	// Members returns the routing tree's members in ID order, as they
+	// stand at build, when every kind makes its choices.
 	Members() []topology.NodeID
 	// Root returns the tree root (never a valid fault target).
 	Root() topology.NodeID
@@ -43,6 +44,13 @@ type Host interface {
 	// state.
 	Crash(id topology.NodeID)
 	Recover(id topology.NodeID)
+	// Kill takes a node down for good, a crashed one included: a later
+	// Recover does not bring it back.
+	Kill(id topology.NodeID)
+	// Victim draws a random non-root member from the engine's rng,
+	// preferring non-leaves (both of §4.3's recovery paths run); it
+	// returns a negative ID when there is none.
+	Victim() topology.NodeID
 	// SetLinkLoss sets the drop probability of the directed link a→b.
 	SetLinkLoss(a, b topology.NodeID, p float64)
 	// AddQuery registers a query on every live member (crashed nodes
@@ -79,56 +87,84 @@ type Params struct {
 	// Queries is how many burst queries are injected; zero means one,
 	// and a negative count is invalid.
 	Queries int
+	// Query is the query a stop deregisters.
+	Query query.ID
 	// Seed perturbs the injector's private random stream; the effective
 	// seed also folds in the scenario seed and the injector index.
 	Seed int64
 }
 
-// kind is one disturbance kind. check is the whole of its validation of
-// p's values, run both when a spec compiles and when the kind is
-// scheduled. schedule arranges a checked disturbance's actions on h's
-// engine, once, during experiment.Build, before the run starts; rng is
-// the disturbance's private seed-derived stream for every choice it
-// must make, and index is its position in the scenario's dynamics list,
-// for kinds that need per-instance identity (a burst derives its
-// query-ID stride from it).
+// Row is one disturbance of a run: a listed kind plus its parameters.
+type Row struct {
+	Kind string
+	Params
+}
+
+// kind is one disturbance kind. check, when set, validates the values
+// Check does not check for every kind. schedule arranges a checked
+// row's actions on h's engine during experiment.Build. A kind with
+// stream set draws its choices from rng, the row's private stream, and
+// index is the row's position among the rows of such kinds (a burst
+// derives its query-ID stride from it); the others get a nil rng, so a
+// failure or a stop never shifts another row's stream.
 type kind struct {
 	check    func(p Params) error
 	schedule func(h Host, p Params, rng *rand.Rand, index int) error
+	stream   bool
 }
 
 // kinds lists every disturbance kind in presentation order.
 var kinds = registry.Table[string, kind]{
-	{Name: KindCrash, Model: kind{checkCrash, crash}},
-	{Name: KindLinkLoss, Model: kind{checkLinkLoss, linkLoss}},
-	{Name: KindBurst, Model: kind{checkBurst, burst}},
+	{Name: KindFail, Model: kind{nil, fail, false}},
+	{Name: KindStop, Model: kind{nil, stop, false}},
+	{Name: KindCrash, Model: kind{checkCrash, crash, true}},
+	{Name: KindLinkLoss, Model: kind{checkLinkLoss, linkLoss, true}},
+	{Name: KindBurst, Model: kind{checkBurst, burst, true}},
 }
 
 // Kinds lists every disturbance kind in presentation order.
 func Kinds() []string { return kinds.Names() }
 
 // Check validates p as a disturbance of the named kind without
-// scheduling anything: an unknown kind or a value the kind rejects is an
-// error, the same one Schedule would return.
+// scheduling anything: an unknown kind, a negative start, a negative
+// node pin (nil is the way to ask for a random one) or a value the kind
+// rejects is an error, the same one Schedule would return.
 func Check(name string, p Params) error {
 	k, ok := kinds.Lookup(name)
-	if !ok {
+	switch {
+	case !ok:
 		return fmt.Errorf("dynamics: unknown injector kind %q (registered: %v)", name, Kinds())
+	case p.At < 0:
+		return fmt.Errorf("dynamics/%s: negative start %v", name, p.At)
+	case p.Node != nil && *p.Node < 0:
+		return fmt.Errorf("dynamics/%s: negative node %d (omit it for a random one)", name, *p.Node)
+	case k.check == nil:
+		return nil
 	}
 	return k.check(p)
 }
 
-// Schedule validates and schedules one disturbance of the named kind on
-// h. Its private stream is seeded from (scenarioSeed, index, p.Seed) so
-// scenarios perturb reproducibly and disturbances are independent of
-// each other.
-func Schedule(h Host, name string, p Params, scenarioSeed int64, index int) error {
-	if err := Check(name, p); err != nil {
-		return err
+// Schedule validates and schedules rows on h, in order. A row of a kind
+// that draws a private stream gets one seeded from (scenarioSeed, its
+// index among such rows, its Seed), so scenarios perturb reproducibly
+// and disturbances are independent of each other.
+func Schedule(h Host, rows []Row, scenarioSeed int64) error {
+	streams := 0
+	for _, r := range rows {
+		if err := Check(r.Kind, r.Params); err != nil {
+			return err
+		}
+		k, _ := kinds.Lookup(r.Kind)
+		index, rng := streams, (*rand.Rand)(nil)
+		if k.stream {
+			rng = rand.New(rand.NewSource(scenarioSeed*1_000_003 + int64(index)*7919 + r.Seed))
+			streams++
+		}
+		if err := k.schedule(h, r.Params, rng, index); err != nil {
+			return err
+		}
 	}
-	k, _ := kinds.Lookup(name)
-	seed := scenarioSeed*1_000_003 + int64(index)*7919 + p.Seed
-	return k.schedule(h, p, rand.New(rand.NewSource(seed)), index)
+	return nil
 }
 
 // pickVictims draws n distinct non-root members from h, or the pinned
@@ -137,28 +173,15 @@ func Schedule(h Host, name string, p Params, scenarioSeed int64, index int) erro
 // the root or on a node outside the tree yields no victims (the root
 // is never a valid fault target; a non-member has nothing to fault).
 func pickVictims(h Host, p Params, rng *rand.Rand, n int) []topology.NodeID {
-	members := h.Members()
+	root := h.Root()
 	if p.Node != nil {
-		id := topology.NodeID(*p.Node)
-		if id == h.Root() {
-			return nil
-		}
-		for _, m := range members {
-			if m == id {
-				return []topology.NodeID{id}
-			}
+		if id := topology.NodeID(*p.Node); id != root && slices.Contains(h.Members(), id) {
+			return []topology.NodeID{id}
 		}
 		return nil
 	}
-	var pool []topology.NodeID
-	for _, id := range members {
-		if id != h.Root() {
-			pool = append(pool, id)
-		}
-	}
-	if n > len(pool) {
-		n = len(pool)
-	}
+	pool := slices.DeleteFunc(slices.Clone(h.Members()), func(id topology.NodeID) bool { return id == root })
+	n = min(n, len(pool))
 	// Partial Fisher–Yates over the ID-ordered pool.
 	for i := 0; i < n; i++ {
 		j := i + rng.Intn(len(pool)-i)

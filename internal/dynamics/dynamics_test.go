@@ -18,6 +18,7 @@ type fakeHost struct {
 	log     []string
 	loss    map[[2]topology.NodeID]float64
 	crashed map[topology.NodeID]bool
+	dead    map[topology.NodeID]bool
 	queries map[query.ID]query.Spec
 }
 
@@ -26,6 +27,7 @@ func newFakeHost() *fakeHost {
 		eng:     sim.New(1),
 		loss:    map[[2]topology.NodeID]float64{},
 		crashed: map[topology.NodeID]bool{},
+		dead:    map[topology.NodeID]bool{},
 		queries: map[query.ID]query.Spec{},
 	}
 }
@@ -58,7 +60,20 @@ func (h *fakeHost) Crash(id topology.NodeID) {
 }
 func (h *fakeHost) Recover(id topology.NodeID) {
 	delete(h.crashed, id)
+	if h.dead[id] {
+		return // killed while down: the outage ends in death
+	}
 	h.log = append(h.log, fmt.Sprintf("%v recover %d", h.eng.Now(), id))
+}
+func (h *fakeHost) Kill(id topology.NodeID) {
+	h.dead[id] = true
+	h.log = append(h.log, fmt.Sprintf("%v kill %d", h.eng.Now(), id))
+}
+
+// Victim draws a leaf of the star from the engine's rng: the star has
+// no inner node but the root.
+func (h *fakeHost) Victim() topology.NodeID {
+	return topology.NodeID(1 + h.eng.Rand().Intn(9))
 }
 func (h *fakeHost) SetLinkLoss(a, b topology.NodeID, p float64) {
 	h.loss[[2]topology.NodeID{a, b}] = p
@@ -71,8 +86,116 @@ func (h *fakeHost) RemoveQuery(id query.ID) { delete(h.queries, id) }
 
 func schedule(t *testing.T, h Host, kind string, p Params, seed int64) {
 	t.Helper()
-	if err := Schedule(h, kind, p, seed, 0); err != nil {
+	if err := Schedule(h, []Row{{kind, p}}, seed); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestFailKillsPinnedNode(t *testing.T) {
+	h := newFakeHost()
+	schedule(t, h, KindFail, Params{At: time.Second, Node: pin(3)}, 1)
+	h.drain()
+	if want := []string{"1s kill 3"}; !reflect.DeepEqual(h.log, want) {
+		t.Fatalf("log %v, want %v", h.log, want)
+	}
+}
+
+func TestFailIgnoresRootPin(t *testing.T) {
+	h := newFakeHost()
+	schedule(t, h, KindFail, Params{At: time.Second, Node: pin(0)}, 1)
+	h.drain()
+	if len(h.log) != 0 {
+		t.Fatalf("pinned-root failure acted: %v", h.log)
+	}
+}
+
+// TestFailRandomVictimFromEngineRng: an unpinned failure takes its
+// victim from Host.Victim, which draws from the engine's rng at build
+// time, not from the row's private stream: the row's seed does not
+// move it, and the engine's first draw names it.
+func TestFailRandomVictimFromEngineRng(t *testing.T) {
+	want := fmt.Sprintf("2s kill %d", 1+sim.New(1).Rand().Intn(9))
+	for _, seed := range []int64{1, 99} {
+		h := newFakeHost()
+		schedule(t, h, KindFail, Params{At: 2 * time.Second, Seed: seed}, seed)
+		h.drain()
+		if len(h.log) != 1 || h.log[0] != want {
+			t.Fatalf("seed %d: log %v, want [%s]", seed, h.log, want)
+		}
+	}
+}
+
+// TestFailWinsOverCrashRecovery: a node killed while a crash has it
+// down stays down when the outage ends.
+func TestFailWinsOverCrashRecovery(t *testing.T) {
+	h := newFakeHost()
+	rows := []Row{
+		{KindCrash, Params{At: time.Second, Duration: 3 * time.Second, Node: pin(4)}},
+		{KindFail, Params{At: 2 * time.Second, Node: pin(4)}},
+	}
+	if err := Schedule(h, rows, 1); err != nil {
+		t.Fatal(err)
+	}
+	h.drain()
+	if want := []string{"1s crash 4", "2s kill 4"}; !reflect.DeepEqual(h.log, want) {
+		t.Fatalf("log %v, want %v", h.log, want)
+	}
+}
+
+func TestStopDeregistersQuery(t *testing.T) {
+	h := newFakeHost()
+	h.queries[5] = query.Spec{ID: 5, Period: time.Second}
+	h.queries[6] = query.Spec{ID: 6, Period: time.Second}
+	schedule(t, h, KindStop, Params{At: 2 * time.Second, Query: 5}, 1)
+	h.eng.Run(time.Second)
+	if len(h.queries) != 2 {
+		t.Fatalf("stop acted before its start: %v", h.queries)
+	}
+	h.drain()
+	if _, ok := h.queries[5]; ok || len(h.queries) != 1 {
+		t.Fatalf("queries after the stop: %v, want only 6", h.queries)
+	}
+}
+
+// TestStreamlessRowsKeepStreams: fail and stop rows draw no private
+// stream, so rows of theirs ahead of a crash leave its victims alone.
+func TestStreamlessRowsKeepStreams(t *testing.T) {
+	crash := Row{KindCrash, Params{At: time.Second, Count: 3}}
+	run := func(rows ...Row) []string {
+		h := newFakeHost()
+		if err := Schedule(h, rows, 7); err != nil {
+			t.Fatal(err)
+		}
+		h.drain()
+		var crashes []string
+		for _, l := range h.log {
+			if strings.Contains(l, "crash") {
+				crashes = append(crashes, l)
+			}
+		}
+		return crashes
+	}
+	alone := run(crash)
+	behind := run(Row{KindStop, Params{At: time.Second, Query: 1}}, Row{KindFail, Params{At: 5 * time.Second, Node: pin(2)}}, crash)
+	if !reflect.DeepEqual(alone, behind) {
+		t.Fatalf("crash victims moved behind fail and stop rows: %v, then %v", alone, behind)
+	}
+}
+
+func TestNegativeNodePinRefused(t *testing.T) {
+	for _, kind := range []string{KindFail, KindCrash, KindLinkLoss} {
+		p := Params{At: time.Second, Duration: time.Second, Peak: 0.5, Node: pin(-5)}
+		if err := Check(kind, p); err == nil {
+			t.Errorf("%s: node -5 accepted", kind)
+		}
+	}
+}
+
+func TestFailAndStopValidation(t *testing.T) {
+	for _, kind := range []string{KindFail, KindStop} {
+		if err := Check(kind, Params{At: -time.Second}); err == nil {
+			t.Errorf("%s: negative start accepted", kind)
+		}
 	}
 }
 
@@ -165,7 +288,7 @@ func TestLinkLossValidation(t *testing.T) {
 		{At: -time.Second, Duration: time.Second, Peak: 0.5},
 	}
 	for i, p := range bad {
-		if err := Schedule(newFakeHost(), KindLinkLoss, p, 1, 0); err == nil {
+		if err := Schedule(newFakeHost(), []Row{{KindLinkLoss, p}}, 1); err == nil {
 			t.Fatalf("params %d accepted: %+v", i, p)
 		}
 	}
@@ -201,20 +324,20 @@ func TestBurstValidation(t *testing.T) {
 		{At: -time.Second, Duration: time.Second, Period: 100 * time.Millisecond},
 	}
 	for i, p := range bad {
-		if err := Schedule(newFakeHost(), KindBurst, p, 1, 0); err == nil {
+		if err := Schedule(newFakeHost(), []Row{{KindBurst, p}}, 1); err == nil {
 			t.Fatalf("params %d accepted: %+v", i, p)
 		}
 	}
 }
 
 func TestUnknownKindFails(t *testing.T) {
-	if err := Schedule(newFakeHost(), "meteor", Params{}, 1, 0); err == nil {
+	if err := Schedule(newFakeHost(), []Row{{"meteor", Params{}}}, 1); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 }
 
 func TestKindsListsBuiltins(t *testing.T) {
-	want := []string{KindCrash, KindLinkLoss, KindBurst}
+	want := []string{KindFail, KindStop, KindCrash, KindLinkLoss, KindBurst}
 	if got := Kinds(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Kinds() = %v, want %v", got, want)
 	}

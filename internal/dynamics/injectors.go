@@ -12,19 +12,48 @@ import (
 
 // The listed injector kinds.
 const (
+	KindFail     = "fail"
+	KindStop     = "stop"
 	KindCrash    = "crash"
 	KindLinkLoss = "linkloss"
 	KindBurst    = "burst"
 )
 
+// --- permanent failure -----------------------------------------------------
+
+// fail kills one node for good at At (§4.3): the pinned Node, or else a
+// victim drawn now, at build, from the engine's rng. A pin on the root
+// does nothing.
+func fail(h Host, p Params, _ *rand.Rand, _ int) error {
+	var v topology.NodeID
+	if p.Node == nil {
+		v = h.Victim()
+	} else if v = topology.NodeID(*p.Node); v == h.Root() {
+		return nil
+	}
+	if v >= 0 {
+		h.Eng().Schedule(p.At, func() { h.Kill(v) })
+	}
+	return nil
+}
+
+// --- query stop ------------------------------------------------------------
+
+// stop deregisters Query on every member at At, shrinking the workload.
+// RemoveQuery reaches crashed nodes too, so a node that recovers later
+// does not resume reporting a stopped query. Stopping a query the run
+// never registered is harmless.
+func stop(h Host, p Params, _ *rand.Rand, _ int) error {
+	q := p.Query
+	h.Eng().Schedule(p.At, func() { h.RemoveQuery(q) })
+	return nil
+}
+
 // --- crash/recovery --------------------------------------------------------
 
-// checkCrash validates a crash schedule: a start, an outage and a
-// victim count that are not negative (a zero count means one victim).
+// checkCrash validates a crash schedule: an outage and a victim count
+// that are not negative (a zero count means one victim).
 func checkCrash(p Params) error {
-	if p.At < 0 {
-		return fmt.Errorf("dynamics/crash: negative start %v", p.At)
-	}
 	if p.Count < 0 {
 		return fmt.Errorf("dynamics/crash: negative victim count %d", p.Count)
 	}
@@ -65,13 +94,10 @@ func crash(h Host, p Params, rng *rand.Rand, _ int) error {
 
 // --- per-link loss ramp ----------------------------------------------------
 
-// checkLinkLoss validates a loss ramp: a start and a step count that
-// are not negative (a zero count means 8 steps), a positive episode,
-// and a peak drop probability in (0,1).
+// checkLinkLoss validates a loss ramp: a step count that is not
+// negative (a zero count means 8 steps), a positive episode, and a peak
+// drop probability in (0,1).
 func checkLinkLoss(p Params) error {
-	if p.At < 0 {
-		return fmt.Errorf("dynamics/linkloss: negative start %v", p.At)
-	}
 	if p.Steps < 0 {
 		return fmt.Errorf("dynamics/linkloss: negative step count %d", p.Steps)
 	}
@@ -129,14 +155,11 @@ const (
 	burstIDStride = 4096
 )
 
-// checkBurst validates a burst: a start that is not negative, a
-// positive length and report period, a period no longer than the burst,
-// and a query count that is not negative (zero means one) and no more
-// than one burst's stride of the ID space.
+// checkBurst validates a burst: a positive length and report period, a
+// period no longer than the burst, and a query count that is not
+// negative (zero means one) and no more than one burst's stride of the
+// ID space.
 func checkBurst(p Params) error {
-	if p.At < 0 {
-		return fmt.Errorf("dynamics/burst: negative start %v", p.At)
-	}
 	if p.Queries < 0 {
 		return fmt.Errorf("dynamics/burst: negative query count %d", p.Queries)
 	}

@@ -233,8 +233,8 @@ func TestPermanentFailureWinsOverCrashRecovery(t *testing.T) {
 	sc := churnScenario(DTSSS, 13)
 	sc.Audit = true
 	sc.Dynamics = []Dynamic{{Kind: dynamics.KindCrash,
-		Params: dynamics.Params{At: 8 * time.Second, Duration: 8 * time.Second, Node: &victim}}}
-	sc.Failures = []Failure{{At: 10 * time.Second, Node: node.NodeID(victim)}}
+		Params: dynamics.Params{At: 8 * time.Second, Duration: 8 * time.Second, Node: &victim}},
+		failRow(10*time.Second, &victim)}
 	s, err := BuildWith(nil, sc)
 	if err != nil {
 		t.Fatal(err)
@@ -271,8 +271,7 @@ func TestQueryStopReachesCrashedNodes(t *testing.T) {
 
 	sc := churnScenario(DTSSS, 17)
 	sc.Audit = true
-	sc.QueryStops = []QueryStop{{At: 12 * time.Second, Query: 0}}
-	sc.Dynamics = []Dynamic{{Kind: dynamics.KindCrash,
+	sc.Dynamics = []Dynamic{stopRow(12*time.Second, 0), {Kind: dynamics.KindCrash,
 		Params: dynamics.Params{At: 8 * time.Second, Duration: 8 * time.Second, Node: &victim}}}
 	s, err := BuildWith(nil, sc)
 	if err != nil {
@@ -301,9 +300,42 @@ func TestVictimOutsideDeploymentIgnored(t *testing.T) {
 	sc := churnScenario(DTSSS, 13)
 	outside := sc.Topology.NumNodes + 5
 	sc.Dynamics = []Dynamic{{Kind: dynamics.KindCrash,
-		Params: dynamics.Params{At: 4 * time.Second, Duration: 2 * time.Second, Node: &outside}}}
-	sc.Failures = []Failure{{At: 5 * time.Second, Node: node.NodeID(outside)}}
+		Params: dynamics.Params{At: 4 * time.Second, Duration: 2 * time.Second, Node: &outside}},
+		failRow(5*time.Second, &outside)}
 	if _, err := Run(sc); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFailVictimPrefersInnerFromEngineRng: a random failure's victim is
+// a non-root, non-leaf member while the tree has one, drawn from the
+// engine's rng: the same build picks the same victims, and a draw taken
+// from the engine first moves them.
+func TestFailVictimPrefersInnerFromEngineRng(t *testing.T) {
+	picks := func(burn bool) []node.NodeID {
+		s, err := BuildWith(nil, churnScenario(DTSSS, 13))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if burn {
+			s.Eng.Rand().Int63()
+		}
+		h := &dynHost{Sim: s}
+		var out []node.NodeID
+		for i := 0; i < 20; i++ {
+			v := h.Victim()
+			if v == s.Tree.Root() || !s.Tree.Alive(v) || s.Tree.IsLeaf(v) {
+				t.Fatalf("victim %d is the root, not a live member, or a leaf", v)
+			}
+			out = append(out, v)
+		}
+		return out
+	}
+	first := picks(false)
+	if again := picks(false); !reflect.DeepEqual(first, again) {
+		t.Fatalf("same build picked %v, then %v", first, again)
+	}
+	if burnt := picks(true); reflect.DeepEqual(first, burnt) {
+		t.Fatalf("victims %v ignore the engine's stream", first)
 	}
 }

@@ -5,9 +5,20 @@ import (
 	"testing"
 	"time"
 
+	"github.com/essat/essat/internal/dynamics"
 	"github.com/essat/essat/internal/query"
 	"github.com/essat/essat/internal/topology"
 )
+
+// stopRow deregisters query q at at.
+func stopRow(at time.Duration, q query.ID) Dynamic {
+	return Dynamic{Kind: dynamics.KindStop, Params: dynamics.Params{At: at, Query: q}}
+}
+
+// failRow kills node at at, or a random victim when node is nil.
+func failRow(at time.Duration, node *int) Dynamic {
+	return Dynamic{Kind: dynamics.KindFail, Params: dynamics.Params{At: at, Node: node}}
+}
 
 // dynScenario is a small, fast deployment for workload-dynamics tests.
 func dynScenario(seed int64) Scenario {
@@ -27,9 +38,9 @@ func TestQueryStopShrinksWorkload(t *testing.T) {
 		rng := rand.New(rand.NewSource(9))
 		sc.Queries = QueryClasses(rng, 1.0, 1, 5*time.Second)
 		if withStops {
-			sc.QueryStops = []QueryStop{
-				{At: 15 * time.Second, Query: sc.Queries[0].ID},
-				{At: 15 * time.Second, Query: sc.Queries[1].ID},
+			sc.Dynamics = []Dynamic{
+				stopRow(15*time.Second, sc.Queries[0].ID),
+				stopRow(15*time.Second, sc.Queries[1].ID),
 			}
 		}
 		res, err := Run(sc)
@@ -53,9 +64,9 @@ func TestQueryStopKeepsRemainingQueryAlive(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	sc.Queries = QueryClasses(rng, 1.0, 1, 5*time.Second)
 	keep := sc.Queries[2].ID
-	sc.QueryStops = []QueryStop{
-		{At: 15 * time.Second, Query: sc.Queries[0].ID},
-		{At: 15 * time.Second, Query: sc.Queries[1].ID},
+	sc.Dynamics = []Dynamic{
+		stopRow(15*time.Second, sc.Queries[0].ID),
+		stopRow(15*time.Second, sc.Queries[1].ID),
 	}
 	res, err := Run(sc)
 	if err != nil {
@@ -103,7 +114,7 @@ func TestStopUnknownQueryHarmless(t *testing.T) {
 	sc := dynScenario(6)
 	rng := rand.New(rand.NewSource(9))
 	sc.Queries = QueryClasses(rng, 1.0, 1, 5*time.Second)
-	sc.QueryStops = []QueryStop{{At: 10 * time.Second, Query: 999}}
+	sc.Dynamics = []Dynamic{stopRow(10*time.Second, 999)}
 	if _, err := Run(sc); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -96,7 +97,7 @@ func TestPeerFlowRandomEndpointsAreDistinctMembers(t *testing.T) {
 func TestExtensionsCoexistWithFailures(t *testing.T) {
 	sc := extScenario(5)
 	sc.FailureThreshold = 3
-	sc.Failures = []Failure{{At: 12 * time.Second, Node: -1}}
+	sc.Dynamics = []Dynamic{failRow(12*time.Second, nil)}
 	sc.Dissemination = []core.DisseminationSpec{{ID: -1, Period: 2 * time.Second, Phase: 6 * time.Second}}
 	sc.PeerFlows = []core.P2PSpec{{ID: -2, Src: -1, Dst: -1, Period: time.Second, Phase: 6 * time.Second}}
 	res, err := Run(sc)
@@ -111,12 +112,14 @@ func TestExtensionsCoexistWithFailures(t *testing.T) {
 }
 
 // TestRunLeavesScenarioReusable: a run must not write resolved random
-// peer-flow endpoints back into the caller's Scenario. If it did, a
-// second Run of the same value would skip those rng draws and diverge.
+// peer-flow endpoints or a random failure victim back into the caller's
+// Scenario. If it did, a second Run of the same value would skip those
+// rng draws and diverge.
 func TestRunLeavesScenarioReusable(t *testing.T) {
 	sc := smokeScenario(DTSSS, 5)
 	sc.Audit = true
 	sc.PeerFlows = []core.P2PSpec{{ID: -1, Src: -1, Dst: -1, Period: time.Second, Phase: 6 * time.Second}}
+	sc.Dynamics = []Dynamic{failRow(8*time.Second, nil)}
 	first, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -131,5 +134,21 @@ func TestRunLeavesScenarioReusable(t *testing.T) {
 	}
 	if fl := sc.PeerFlows[0]; fl.Src != -1 || fl.Dst != -1 {
 		t.Errorf("run wrote endpoints %d→%d into the caller's scenario", fl.Src, fl.Dst)
+	}
+	if v := sc.Dynamics[0].Node; v != nil {
+		t.Errorf("run wrote failure victim %d into the caller's scenario", *v)
+	}
+}
+
+// TestPeerFlowOutsideDeploymentRefused: a peer flow pinned to a node ID
+// the deployment does not have fails the build with the no-path error,
+// as a pin to a non-member does.
+func TestPeerFlowOutsideDeploymentRefused(t *testing.T) {
+	sc := extScenario(5)
+	sc.PeerFlows = []core.P2PSpec{{ID: -2, Src: query.NodeID(sc.Topology.NumNodes + 4960), Dst: 1,
+		Period: time.Second, Phase: 6 * time.Second}}
+	_, err := Run(sc)
+	if err == nil || !strings.Contains(err.Error(), "no path for peer flow -2") {
+		t.Fatalf("Run() = %v, want the no-path error", err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/essat/essat/internal/dynamics"
 	"github.com/essat/essat/internal/radio"
 	"github.com/essat/essat/internal/stats"
 )
@@ -699,14 +700,13 @@ var figures = []sweep{
 			rateWorkload(sc, 1)
 			sc.FailureThreshold = 3
 			for j := 0; j < int(failures); j++ {
-				sc.Failures = append(sc.Failures, Failure{
-					At:   sc.Duration/4 + time.Duration(j)*sc.Duration/8,
-					Node: -1,
-				})
+				sc.Dynamics = append(sc.Dynamics, Dynamic{Kind: dynamics.KindFail,
+					Params: dynamics.Params{At: sc.Duration/4 + time.Duration(j)*sc.Duration/8}})
 			}
 		},
 		fold: means(metric{"coverage % of survivors", func(sc *Scenario, r *Result) float64 {
-			alive := float64(r.TreeSize - len(sc.Failures))
+			// Every row this figure declares is a failure.
+			alive := float64(r.TreeSize - len(sc.Dynamics))
 			if alive <= 0 {
 				return 0
 			}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/essat/essat/internal/dynamics"
+	"github.com/essat/essat/internal/query"
 )
 
 // FuzzDynamicsSpec is the dynamics layer's safety property: any *valid*
@@ -22,7 +23,10 @@ func FuzzDynamicsSpec(f *testing.F) {
 	f.Add(int64(2), uint8(1), uint16(5000), uint16(9000), uint8(1), uint8(80), uint8(9), uint16(300), true)
 	f.Add(int64(3), uint8(2), uint16(2000), uint16(4000), uint8(3), uint8(10), uint8(1), uint16(900), false)
 	f.Add(int64(4), uint8(0), uint16(0), uint16(0), uint8(0), uint8(0), uint8(0), uint16(0), true)
-	f.Add(int64(5), uint8(5), uint16(60000), uint16(60000), uint8(200), uint8(255), uint8(255), uint16(60000), true)
+	f.Add(int64(5), uint8(7), uint16(60000), uint16(60000), uint8(200), uint8(255), uint8(255), uint16(60000), true)
+	f.Add(int64(6), uint8(3), uint16(4000), uint16(0), uint8(7), uint8(0), uint8(0), uint16(0), true)
+	f.Add(int64(7), uint8(3), uint16(6000), uint16(0), uint8(0), uint8(0), uint8(0), uint16(0), false)
+	f.Add(int64(8), uint8(4), uint16(5000), uint16(0), uint8(1), uint8(0), uint8(0), uint16(0), false)
 
 	f.Fuzz(func(t *testing.T, seed int64, kindSel uint8,
 		atMs, durMs uint16, count, peakPct, steps uint8, periodMs uint16, permanent bool) {
@@ -32,7 +36,7 @@ func FuzzDynamicsSpec(f *testing.F) {
 		period := time.Duration(200+periodMs%2000) * time.Millisecond
 
 		var d Dynamic
-		switch kindSel % 3 {
+		switch kindSel % 5 {
 		case 0:
 			d = Dynamic{Kind: dynamics.KindCrash, Params: dynamics.Params{
 				At: at, Count: 1 + int(count%5), Seed: seed,
@@ -53,6 +57,15 @@ func FuzzDynamicsSpec(f *testing.F) {
 				At: at, Duration: dur, Period: period,
 				Queries: 1 + int(count%3), Seed: seed,
 			}}
+		case 3:
+			d = Dynamic{Kind: dynamics.KindFail, Params: dynamics.Params{At: at}}
+			if permanent {
+				node := int(count % 20) // any node: the root, a member or not
+				d.Params.Node = &node
+			}
+		case 4:
+			// Query IDs 0–2 exist; 3 is one the run never registered.
+			d = Dynamic{Kind: dynamics.KindStop, Params: dynamics.Params{At: at, Query: query.ID(count % 4)}}
 		}
 
 		sc := DefaultScenario(DTSSS, 1+seed%16)

@@ -50,33 +50,16 @@ const (
 // harness, but participates in smoke tests and examples.)
 var AllProtocols = protocol.All()
 
-// QueryStop deregisters a query at a given time, shrinking the workload.
-type QueryStop struct {
-	At    time.Duration
-	Query query.ID
-}
-
 // setupAnnounce is the flooded in-band query setup request (energy and
 // contention realism only; registration itself is direct).
 type setupAnnounce struct {
 	Query query.ID
 }
 
-// Failure kills a node at a given time (§4.3 robustness experiments).
-type Failure struct {
-	// At is when the node dies.
-	At time.Duration
-	// Node selects the victim. Negative means "a random live non-root,
-	// non-leaf member", the interesting case for recovery.
-	Node node.NodeID
-}
-
-// Dynamic is one configured fault/load injector: a kind listed by
-// internal/dynamics ("crash", "linkloss", "burst") plus its parameters.
-type Dynamic struct {
-	Kind string
-	dynamics.Params
-}
+// Dynamic is one row of the run's perturbation table: a kind listed by
+// internal/dynamics ("fail", "stop", "crash", "linkloss", "burst") plus
+// its parameters.
+type Dynamic = dynamics.Row
 
 // Scenario fully describes one simulation run.
 type Scenario struct {
@@ -138,9 +121,6 @@ type Scenario struct {
 	// failures).
 	FailureThreshold int
 
-	// Failures to inject.
-	Failures []Failure
-
 	// RecordSleepIntervals enables the Fig. 8 histogram collection.
 	RecordSleepIntervals bool
 
@@ -169,10 +149,8 @@ type Scenario struct {
 	// default: queries pre-disseminated, like the routing tree).
 	SetupSlot time.Duration
 
-	// QueryStops deregister queries mid-run (workload adaptation).
-	QueryStops []QueryStop
-
-	// Dynamics lists fault/load injectors perturbing the run mid-flight:
+	// Dynamics lists, in scheduling order, every perturbation of the
+	// run: permanent failures (§4.3), query stops (workload adaptation),
 	// node crash/recovery schedules, per-link loss ramps, traffic bursts.
 	Dynamics []Dynamic
 
@@ -327,7 +305,7 @@ type Result struct {
 
 // Sim is one fully built scenario, paused at time zero: engine,
 // topology, routing tree, channel, and per-node protocol stacks wired,
-// with the workload, failure injections, and measurement snapshots
+// with the workload, perturbations, and measurement snapshots
 // already in the event queue. Callers may inspect or instrument the
 // exported pieces before Simulate.
 type Sim struct {
@@ -377,9 +355,9 @@ type builder struct {
 // everything the stages build, so it is valid until the arena's next
 // build; it is taken after deploy, because a setup flood rewinds the
 // arena. The stage order is load-bearing: the engine rng is drawn for
-// placement (deploy), then peer-flow endpoints and failure victims
-// (workload), and node construction and start order fix the event
-// sequence numbers.
+// placement (deploy), then peer-flow endpoints and random failure
+// victims (workload), and node construction and start order fix the
+// event sequence numbers.
 func build(sc Scenario, a *Arena) (*Sim, error) {
 	eng := a.engine(sc.Seed)
 	b := builder{arena: a}
@@ -583,8 +561,8 @@ func (b *builder) stacks() {
 }
 
 // workload schedules the run's activity on top of the wired stacks:
-// queries and their setup slots, stops, extension flows, node start,
-// failures, dynamics, battery polling, and the warm-up snapshot.
+// queries and their setup slots, extension flows, node start, the
+// perturbation table, battery polling, and the warm-up snapshot.
 func (b *builder) workload() error {
 	sc := &b.Scenario
 	for _, spec := range sc.Queries {
@@ -596,21 +574,6 @@ func (b *builder) workload() error {
 		if sc.SetupSlot > 0 {
 			b.scheduleSetupSlot(spec)
 		}
-	}
-	// Stops sweep the build-time member list, not the tree's live
-	// members at stop time: a node the failure detector has (perhaps falsely) marked dead
-	// — or one the dynamics layer crashed — must still forget the query,
-	// or it resumes reporting it after recovery. Only permanently dead
-	// nodes (channel-disabled) are skipped.
-	for _, stop := range sc.QueryStops {
-		stop, members, ch, nodes := stop, b.members, b.Channel, b.Nodes
-		b.Eng.Schedule(stop.At, func() {
-			for _, id := range members {
-				if !ch.Disabled(id) {
-					nodes[id].Agent.Deregister(stop.Query)
-				}
-			}
-		})
 	}
 	if err := b.flows(); err != nil {
 		return err
@@ -682,46 +645,17 @@ func (b *builder) flows() error {
 	return nil
 }
 
-// faults schedules the configured failures (random victims drawn from
-// the engine rng) and schedules every dynamics injector.
-// Injector choices draw from private seed-derived streams, so they
-// neither consume the engine's rng nor perturb anything before the first
-// injected event fires.
+// faults schedules the perturbation table, row by row, through a
+// dynamics host over the built Sim. The host comes from the arena: the
+// rows' closures hold it for the whole run.
 func (b *builder) faults() error {
 	sc := &b.Scenario
-	for _, f := range sc.Failures {
-		victim := f.Node
-		if victim < 0 {
-			victim = pickVictim(b.Eng, b.Tree, b.members)
-		}
-		if victim == routing.None || victim == b.root {
-			continue
-		}
-		v, fch, sm := victim, b.Channel, b.Sim
-		b.Eng.Schedule(f.At, func() {
-			// Guard on permanent disablement, not Killed(): a node the
-			// dynamics layer has temporarily crashed still reads as killed,
-			// but a configured failure must make its death permanent (the
-			// channel refuses to Resume a Disabled station).
-			if n := sm.stack(v); n != nil && !fch.Disabled(v) {
-				n.Kill()
-				fch.Disable(v)
-			}
-		})
-	}
 	if len(sc.Dynamics) == 0 {
 		return nil
 	}
-	h := &dynHost{
-		Sim:     b.Sim,
-		crashed: sim.ArenaSlice[bool](b.Eng, "experiment.crashed", b.Topo.NumNodes()),
-	}
-	for i, d := range sc.Dynamics {
-		if err := dynamics.Schedule(h, d.Kind, d.Params, sc.Seed, i); err != nil {
-			return err
-		}
-	}
-	return nil
+	h := sim.ArenaGrab[dynHost](b.Eng, "experiment.dynhost")
+	h.Sim = b.Sim
+	return dynamics.Schedule(h, sc.Dynamics, sc.Seed)
 }
 
 // meter schedules the accounting loops: battery exhaustion (one poll
@@ -815,16 +749,12 @@ func (s *Sim) stack(id node.NodeID) *node.Node {
 }
 
 // dynHost adapts the built simulation to the dynamics.Host surface.
-// AddQuery and RemoveQuery walk the Sim's build-time member list: unlike
-// the tree's live members, it keeps nodes the failure detector later
-// marks dead, which RemoveQuery must still reach.
-type dynHost struct {
-	*Sim
-	// crashed marks, by node ID, the nodes this layer took down, so
-	// Recover never resurrects a node killed by other means (failure
-	// injection, battery exhaustion).
-	crashed []bool
-}
+// AddQuery, RemoveQuery and Victim walk the Sim's build-time member
+// list: unlike the tree's live members, it keeps nodes the failure
+// detector later marks dead, which RemoveQuery must still reach. The
+// channel keeps every node's state: a crashed node is suspended, a
+// dead one (a failure, battery exhaustion) disabled.
+type dynHost struct{ *Sim }
 
 var _ dynamics.Host = (*dynHost)(nil)
 
@@ -832,11 +762,9 @@ func (h *dynHost) Eng() *sim.Engine                               { return h.Sim
 func (h *dynHost) Root() topology.NodeID                          { return h.Tree.Root() }
 func (h *dynHost) Neighbors(id topology.NodeID) []topology.NodeID { return h.Topo.Neighbors(id) }
 
-// Members lists the live members into arena scratch.
-func (h *dynHost) Members() []topology.NodeID {
-	members := sim.ArenaSlice[topology.NodeID](h.Sim.Eng, "experiment.dynmembers", h.Tree.Size())
-	return h.Tree.AppendMembers(members[:0])
-}
+// Members is the build-time member list: kinds choose their victims at
+// build, before anything has died.
+func (h *dynHost) Members() []topology.NodeID { return h.members }
 
 func (h *dynHost) Crash(id topology.NodeID) {
 	n := h.stack(id)
@@ -845,22 +773,44 @@ func (h *dynHost) Crash(id topology.NodeID) {
 	}
 	n.Crash()
 	h.Channel.Suspend(id)
-	h.crashed[id] = true
 }
 
+// Recover leaves a disabled node down: one that died while crashed
+// does not come back when its outage ends. On a live node both calls
+// are no-ops.
 func (h *dynHost) Recover(id topology.NodeID) {
-	n := h.stack(id)
-	if n == nil || !h.crashed[id] {
-		return
+	if n := h.stack(id); n != nil && !h.Channel.Disabled(id) {
+		h.Channel.Resume(id)
+		n.Recover()
 	}
-	h.crashed[id] = false
-	if h.Channel.Disabled(id) {
-		// Permanently failed (failure injection, battery exhaustion)
-		// while it was down: the crash outage does not end in recovery.
-		return
+}
+
+// Kill guards on permanent disablement, not Killed(): a node Crash took
+// down still reads as killed, but a failure must make its death
+// permanent (the channel refuses to Resume a Disabled station).
+func (h *dynHost) Kill(id topology.NodeID) {
+	if n := h.stack(id); n != nil && !h.Channel.Disabled(id) {
+		n.Kill()
+		h.Channel.Disable(id)
 	}
-	h.Channel.Resume(id)
-	n.Recover()
+}
+
+// Victim draws from the non-leaves, or from the leaves when there are
+// none, each pool in ID order; the pool is arena scratch.
+func (h *dynHost) Victim() topology.NodeID {
+	pool := sim.ArenaSlice[node.NodeID](h.Sim.Eng, "experiment.victims", len(h.members))
+	for _, leaves := range [2]bool{false, true} {
+		pool = pool[:0]
+		for _, id := range h.members {
+			if id != h.root && h.Tree.IsLeaf(id) == leaves {
+				pool = append(pool, id)
+			}
+		}
+		if len(pool) > 0 {
+			return pool[h.Sim.Eng.Rand().Intn(len(pool))]
+		}
+	}
+	return routing.None
 }
 
 func (h *dynHost) SetLinkLoss(a, b topology.NodeID, p float64) {
@@ -932,32 +882,6 @@ func (b *builder) scheduleSetupSlot(spec query.Spec) {
 type discard struct{}
 
 func (discard) Deliver(phy.NodeID, any, int) {}
-
-// pickVictim chooses a random live non-root node, preferring non-leaves
-// (whose failure exercises both recovery paths), with the engine's rng.
-// Its candidate lists are arena scratch.
-func pickVictim(eng *sim.Engine, tree *routing.Tree, members []node.NodeID) node.NodeID {
-	inner := sim.ArenaSlice[node.NodeID](eng, "experiment.victims.inner", len(members))[:0]
-	leaves := sim.ArenaSlice[node.NodeID](eng, "experiment.victims.leaves", len(members))[:0]
-	rng := eng.Rand()
-	for _, id := range members {
-		if id == tree.Root() {
-			continue
-		}
-		if tree.IsLeaf(id) {
-			leaves = append(leaves, id)
-		} else {
-			inner = append(inner, id)
-		}
-	}
-	if len(inner) > 0 {
-		return inner[rng.Intn(len(inner))]
-	}
-	if len(leaves) > 0 {
-		return leaves[rng.Intn(len(leaves))]
-	}
-	return routing.None
-}
 
 // collectNodes folds the per-node radio, agent, and MAC counters into
 // res, feeds each node's summary to the sinks, and takes the root

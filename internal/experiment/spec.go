@@ -10,7 +10,6 @@ import (
 
 	"github.com/essat/essat/internal/core"
 	"github.com/essat/essat/internal/dynamics"
-	"github.com/essat/essat/internal/node"
 	"github.com/essat/essat/internal/phy"
 	"github.com/essat/essat/internal/protocol"
 	"github.com/essat/essat/internal/query"
@@ -87,9 +86,10 @@ type Spec struct {
 	// QueryStops deregister queries mid-run (workload adaptation).
 	QueryStops []QueryStopSpec `json:"query_stops,omitempty"`
 
-	// Dynamics lists fault/load injectors perturbing the run mid-flight
-	// (node crash/recovery, per-link loss ramps, traffic bursts); see
-	// internal/dynamics for the listed kinds.
+	// Dynamics lists injectors perturbing the run mid-flight (failures,
+	// query stops, node crash/recovery, per-link loss ramps, traffic
+	// bursts); see internal/dynamics for the listed kinds. Failures and
+	// QueryStops are shorthands that compile to fail and stop rows.
 	Dynamics []DynamicsSpec `json:"dynamics,omitempty"`
 
 	// Audit enables the cross-layer invariant auditor: every run-time
@@ -167,23 +167,29 @@ type QueryJSON struct {
 	Class  int      `json:"class,omitempty"`
 }
 
-// FailureSpec kills a node at a given time. A nil Node (the JSON field
-// omitted) picks a random live non-root victim, preferring non-leaves.
+// FailureSpec kills a node at a given time; it compiles to a fail row.
+// A nil Node (the JSON field omitted) picks a random live non-root
+// victim, preferring non-leaves.
 type FailureSpec struct {
 	At   Duration `json:"at"`
 	Node *int     `json:"node,omitempty"`
 }
 
-// QueryStopSpec deregisters a query at a given time.
+// QueryStopSpec deregisters a query at a given time; it compiles to a
+// stop row.
 type QueryStopSpec struct {
 	At    Duration `json:"at"`
 	Query int64    `json:"query"`
 }
 
 // DynamicsSpec configures one fault/load injector. Kind names a listed
-// injector kind ("crash", "linkloss", "burst"); the remaining
-// fields parameterize it — each kind reads the subset it needs:
+// injector kind ("fail", "stop", "crash", "linkloss", "burst"); the
+// remaining fields parameterize it — each kind reads the subset it
+// needs. A node pin must not be negative; omit it for a random node.
 //
+//   - fail: at, node (the victim; omitted = a random non-root member,
+//     preferring non-leaves, drawn from the run's rng).
+//   - stop: at, query (the query to deregister).
 //   - crash: at, duration (outage length; omitted = permanent), count
 //     (victims, default 1), node (pin a victim; omitted = seed-driven),
 //     seed.
@@ -202,11 +208,13 @@ type DynamicsSpec struct {
 	Steps    int      `json:"steps,omitempty"`
 	Period   Duration `json:"period,omitempty"`
 	Queries  int      `json:"queries,omitempty"`
+	Query    int64    `json:"query,omitempty"`
 	Seed     int64    `json:"seed,omitempty"`
 }
 
 // FlowSpec describes one dissemination or peer flow. Src/Dst apply to
-// peer flows only; nil (omitted) picks random distinct tree members.
+// peer flows only; nil (omitted) picks random distinct tree members,
+// and an explicit negative ID is refused.
 type FlowSpec struct {
 	ID           int64    `json:"id"`
 	Src          *int     `json:"src,omitempty"`
@@ -385,17 +393,16 @@ func (s *Spec) Scenario() (Scenario, error) {
 
 	sc.LossRate = s.Loss
 	sc.FailureThreshold = s.FailureThreshold
-	for _, f := range s.Failures {
-		victim := -1
-		if f.Node != nil {
-			victim = *f.Node
-		}
-		sc.Failures = append(sc.Failures, Failure{At: f.At.D(), Node: node.NodeID(victim)})
-	}
+	// Rows schedule in order: stops, failures, then the dynamics block,
+	// the order the three keys scheduled in before they shared a table.
+	var rows []DynamicsSpec
 	for _, stop := range s.QueryStops {
-		sc.QueryStops = append(sc.QueryStops, QueryStop{At: stop.At.D(), Query: query.ID(stop.Query)})
+		rows = append(rows, DynamicsSpec{Kind: dynamics.KindStop, At: stop.At, Query: stop.Query})
 	}
-	for _, d := range s.Dynamics {
+	for _, f := range s.Failures {
+		rows = append(rows, DynamicsSpec{Kind: dynamics.KindFail, At: f.At, Node: f.Node})
+	}
+	for _, d := range append(rows, s.Dynamics...) {
 		p := dynamics.Params{
 			At:       d.At.D(),
 			Duration: d.Duration.D(),
@@ -405,6 +412,7 @@ func (s *Spec) Scenario() (Scenario, error) {
 			Steps:    d.Steps,
 			Period:   d.Period.D(),
 			Queries:  d.Queries,
+			Query:    query.ID(d.Query),
 			Seed:     d.Seed,
 		}
 		// Check the kind and its values now, with the kind's own checks:
@@ -464,6 +472,9 @@ func (s *Spec) Scenario() (Scenario, error) {
 		}
 		if f.Dst != nil {
 			dst = *f.Dst
+		}
+		if (f.Src != nil && src < 0) || (f.Dst != nil && dst < 0) {
+			return Scenario{}, fmt.Errorf("spec: peer flow %d: a pinned src or dst must not be negative (omit both for random endpoints)", f.ID)
 		}
 		sc.PeerFlows = append(sc.PeerFlows, core.P2PSpec{
 			ID:           query.ID(f.ID),

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -167,6 +168,18 @@ func TestSpecErrors(t *testing.T) {
 		{"negative trace_capacity", Spec{Protocol: "DTS-SS", Workload: wl, TraceCapacity: -1}, "trace_capacity"},
 		{"negative battery_j", Spec{Protocol: "DTS-SS", Workload: wl, BatteryJ: -0.5}, "battery_j"},
 		{"negative setup_slot", Spec{Protocol: "DTS-SS", Workload: wl, SetupSlot: Dur(-time.Second)}, "setup_slot"},
+		{"negative failure start", Spec{Protocol: "DTS-SS", Workload: wl,
+			Failures: []FailureSpec{{At: Dur(-time.Second)}}}, "fail: negative start"},
+		{"negative query stop start", Spec{Protocol: "DTS-SS", Workload: wl,
+			QueryStops: []QueryStopSpec{{At: Dur(-time.Second), Query: 1}}}, "stop: negative start"},
+		{"negative failure node", Spec{Protocol: "DTS-SS", Workload: wl,
+			Failures: []FailureSpec{{At: Dur(time.Second), Node: intPtr(-5)}}}, "fail: negative node -5"},
+		{"negative dynamics node", Spec{Protocol: "DTS-SS", Workload: wl,
+			Dynamics: []DynamicsSpec{{Kind: "crash", At: Dur(time.Second), Node: intPtr(-5)}}}, "crash: negative node -5"},
+		{"negative peer src", Spec{Protocol: "DTS-SS", Workload: wl,
+			Peers: []FlowSpec{{ID: -1, Src: intPtr(-4), Period: Dur(time.Second)}}}, "peer flow -1: a pinned src or dst"},
+		{"negative peer dst", Spec{Protocol: "DTS-SS", Workload: wl,
+			Peers: []FlowSpec{{ID: -1, Src: intPtr(2), Dst: intPtr(-4), Period: Dur(time.Second)}}}, "peer flow -1: a pinned src or dst"},
 	}
 	for _, c := range compile {
 		t.Run(c.name, func(t *testing.T) {
@@ -184,6 +197,40 @@ func TestSpecErrors(t *testing.T) {
 func durPtr(d time.Duration) *Duration {
 	v := Dur(d)
 	return &v
+}
+
+func intPtr(i int) *int { return &i }
+
+// TestSpecCompilesPerturbationRows: failures and query stops compile to
+// rows of the one perturbation table, ahead of the dynamics block, in
+// the order the run schedules them: stops, failures, dynamics.
+func TestSpecCompilesPerturbationRows(t *testing.T) {
+	spec := Spec{
+		Protocol:   "DTS-SS",
+		Workload:   &WorkloadSpec{BaseRate: 1, PerClass: 1},
+		Failures:   []FailureSpec{{At: Dur(15 * time.Second)}, {At: Dur(18 * time.Second), Node: intPtr(7)}},
+		QueryStops: []QueryStopSpec{{At: Dur(20 * time.Second), Query: 2}},
+		Dynamics:   []DynamicsSpec{{Kind: "crash", At: Dur(8 * time.Second)}, {Kind: "stop", At: Dur(9 * time.Second), Query: 1}},
+	}
+	sc, err := spec.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range sc.Dynamics {
+		row := fmt.Sprintf("%s@%v", d.Kind, d.At)
+		switch {
+		case d.Node != nil:
+			row += fmt.Sprintf(" node %d", *d.Node)
+		case d.Kind == "stop":
+			row += fmt.Sprintf(" query %d", d.Query)
+		}
+		got = append(got, row)
+	}
+	want := []string{"stop@20s query 2", "fail@15s", "fail@18s node 7", "crash@8s", "stop@9s query 1"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("rows %v, want %v", got, want)
+	}
 }
 
 func TestSpecRunEndToEnd(t *testing.T) {
@@ -214,6 +261,12 @@ func TestSpecChecksDynamicsValues(t *testing.T) {
 		want string // fragment of the error; empty for a valid entry
 	}{
 		{"unknown kind", DynamicsSpec{Kind: "meteor"}, `unknown injector kind "meteor"`},
+		{"fail valid", DynamicsSpec{Kind: "fail", At: Dur(time.Second), Node: intPtr(3)}, ""},
+		{"fail negative start", DynamicsSpec{Kind: "fail", At: Dur(-time.Second)}, "fail: negative start"},
+		{"fail negative node", DynamicsSpec{Kind: "fail", Node: intPtr(-1)}, "fail: negative node -1"},
+		{"stop valid", DynamicsSpec{Kind: "stop", At: Dur(time.Second), Query: 2}, ""},
+		{"stop negative start", DynamicsSpec{Kind: "stop", At: Dur(-time.Second), Query: 2}, "stop: negative start"},
+		{"crash negative node", DynamicsSpec{Kind: "crash", Node: intPtr(-5)}, "crash: negative node -5"},
 		{"crash valid", DynamicsSpec{Kind: "crash", At: Dur(time.Second)}, ""},
 		{"crash negative start", DynamicsSpec{Kind: "crash", At: Dur(-time.Second)}, "crash: negative start"},
 		{"crash negative outage", DynamicsSpec{Kind: "crash", Duration: Dur(-time.Second)}, "crash: negative outage"},

@@ -59,6 +59,23 @@ func TestPathDeadEndpoint(t *testing.T) {
 	}
 }
 
+// TestPathOutsideDeployment: an ID outside the deployment is no live
+// member and has no path, in either direction.
+func TestPathOutsideDeployment(t *testing.T) {
+	_, tree := yTree(t)
+	for _, id := range []NodeID{5000, -4} {
+		if tree.Alive(id) {
+			t.Errorf("Alive(%d) = true", id)
+		}
+		if got := tree.Path(id, 2); got != nil {
+			t.Errorf("Path(%d, 2) = %v, want nil", id, got)
+		}
+		if got := tree.Path(2, id); got != nil {
+			t.Errorf("Path(2, %d) = %v, want nil", id, got)
+		}
+	}
+}
+
 // TestPathProperty: on random trees, every returned path is a valid walk
 // along tree edges connecting the endpoints, visiting no node twice.
 func TestPathProperty(t *testing.T) {

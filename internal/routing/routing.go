@@ -158,7 +158,9 @@ func (t *Tree) Clone(eng *sim.Engine) *Tree {
 func (t *Tree) Root() NodeID { return t.root }
 
 // Alive reports whether id is a live tree member.
-func (t *Tree) Alive(id NodeID) bool { return t.member[id] && t.alive[id] }
+func (t *Tree) Alive(id NodeID) bool {
+	return id >= 0 && int(id) < len(t.member) && t.member[id] && t.alive[id]
+}
 
 // Parent returns id's parent, or None for the root and non-members.
 func (t *Tree) Parent(id NodeID) NodeID {
