@@ -71,8 +71,8 @@ type Params struct {
 	// loss-ramp episode length, burst length). Zero means permanent for
 	// crashes and is invalid for ramps and bursts.
 	Duration time.Duration
-	// Node pins the target node; nil (the zero value) lets the
-	// injector pick seed-driven victims.
+	// Node pins the target node; nil (the zero value) lets the kind
+	// pick its victims (a failure's from the engine rng).
 	Node *int
 	// Count is how many victims a seed-driven injector picks (crash);
 	// zero means one, and a negative count is invalid.
@@ -90,7 +90,7 @@ type Params struct {
 	// Query is the query a stop deregisters.
 	Query query.ID
 	// Seed perturbs the injector's private random stream; the effective
-	// seed also folds in the scenario seed and the injector index.
+	// seed also folds in the scenario seed and the row's stream index.
 	Seed int64
 }
 

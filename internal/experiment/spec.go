@@ -394,7 +394,7 @@ func (s *Spec) Scenario() (Scenario, error) {
 	sc.LossRate = s.Loss
 	sc.FailureThreshold = s.FailureThreshold
 	// Rows schedule in order: stops, failures, then the dynamics block,
-	// the order the three keys scheduled in before they shared a table.
+	// the order the golden traces pin (it fixes event sequence numbers).
 	var rows []DynamicsSpec
 	for _, stop := range s.QueryStops {
 		rows = append(rows, DynamicsSpec{Kind: dynamics.KindStop, At: stop.At, Query: stop.Query})
