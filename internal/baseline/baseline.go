@@ -46,6 +46,7 @@ type Greedy struct {
 	// delay (e.g. the PSM/SYNC beacon period). Zero disables the stretch.
 	PerHopDelay time.Duration
 
+	eng   *sim.Engine
 	rank  Ranker
 	specs []query.Spec // registered queries, in registration order
 }
@@ -59,18 +60,18 @@ type Ranker interface {
 }
 
 // NewGreedy returns a greedy no-op shaper whose spec table is sized for
-// queries registrations. rank may be nil when PerHopDelay is unused
+// queries registrations and grows from eng's arena past them. rank may be nil when PerHopDelay is unused
 // (the rank then reads 0).
 func NewGreedy(eng *sim.Engine, rank Ranker, queries int) *Greedy {
 	g := sim.ArenaGrab[Greedy](eng, "baseline.greedy")
-	*g = Greedy{rank: rank,
+	*g = Greedy{eng: eng, rank: rank,
 		specs: sim.ArenaSlice[query.Spec](eng, "baseline.greedy.specs", queries)[:0]}
 	return g
 }
 
 // QueryAdded implements query.Shaper.
 func (g *Greedy) QueryAdded(spec query.Spec, children []query.NodeID) {
-	g.specs = append(g.specs, spec)
+	g.specs = sim.ArenaAppend(g.eng, "baseline.greedy.specs.grow", g.specs, spec)
 }
 
 // ReportReady implements query.Shaper: send immediately, no piggyback.

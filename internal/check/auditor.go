@@ -39,9 +39,11 @@
 package check
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/essat/essat/internal/core"
@@ -103,7 +105,7 @@ const (
 // digest. Create one per run with New, wire it via the layer observer
 // hooks, and read Summary after the run.
 type Auditor struct {
-	clock func() time.Duration
+	eng *sim.Engine // the run's clock and memory
 
 	h          uint64 // running FNV-1a 64 state over every record
 	b          uint64 // the same over every record except scheduler pops
@@ -111,11 +113,12 @@ type Auditor struct {
 	violations []Violation
 	total      int
 
-	started      bool
-	lastAt       time.Duration
-	lastSeq      uint64
-	everRegister map[query.ID]query.Spec
-	radios       []watchedRadio
+	started bool
+	lastAt  time.Duration
+	lastSeq uint64
+	// queries holds every query ever registered, sorted by ID.
+	queries []query.Spec
+	radios  []watchedRadio
 }
 
 type watchedRadio struct {
@@ -133,22 +136,25 @@ var (
 	_ core.SleepObserver = (*Auditor)(nil)
 )
 
-// New returns an auditor timestamping violations with clock, sized for
-// a run that watches radios radios.
-func New(clock func() time.Duration, radios int) *Auditor {
+// New returns an auditor for a run on eng, sized for a run that
+// watches radios radios. It timestamps violations with eng's clock and
+// takes itself and its tables from eng's arena, so it is valid until
+// eng's next Reset.
+func New(eng *sim.Engine, radios int) *Auditor {
 	const fnvOffset = 14695981039346656037
-	return &Auditor{
-		clock:        clock,
-		h:            fnvOffset,
-		b:            fnvOffset,
-		everRegister: make(map[query.ID]query.Spec),
-		radios:       make([]watchedRadio, 0, radios),
+	a := sim.ArenaGrab[Auditor](eng, "check.auditor")
+	*a = Auditor{
+		eng:    eng,
+		h:      fnvOffset,
+		b:      fnvOffset,
+		radios: sim.ArenaSlice[watchedRadio](eng, "check.radios", radios)[:0],
 	}
+	return a
 }
 
 // violate records a breach at the current clock reading.
 func (a *Auditor) violate(rule, format string, args ...any) {
-	a.violateAt(a.clock(), rule, format, args...)
+	a.violateAt(a.eng.Now(), rule, format, args...)
 }
 
 // violateAt records a breach at an explicit time — used where the
@@ -276,7 +282,7 @@ func (a *Auditor) WatchRadio(id query.NodeID, r *radio.Radio, profile radio.Powe
 // re-validated, and cumulative energy checked monotone.
 func (a *Auditor) RadioChanged(h int, old, new radio.State) {
 	w := &a.radios[h]
-	now := a.clock()
+	now := a.eng.Now()
 	a.mix(tagRadio, uint64(int64(w.id)), uint64(old), uint64(new), uint64(now))
 
 	// Time conservation: the per-state ledger must be non-negative and
@@ -308,7 +314,18 @@ func (a *Auditor) RadioChanged(h int, old, new radio.State) {
 // queries stay known, since late pass-through reports may legitimately
 // arrive after removal.
 func (a *Auditor) RegisterQuery(spec query.Spec) {
-	a.everRegister[spec.ID] = spec
+	i, known := a.query(spec.ID)
+	if !known {
+		a.queries = sim.ArenaAppend(a.eng, "check.queries", a.queries, query.Spec{})
+		copy(a.queries[i+1:], a.queries[i:])
+	}
+	a.queries[i] = spec
+}
+
+// query returns the index of query q in a.queries and whether it is
+// registered; when it is not, the index is where it belongs.
+func (a *Auditor) query(q query.ID) (int, bool) {
+	return slices.BinarySearchFunc(a.queries, q, func(s query.Spec, q query.ID) int { return cmp.Compare(s.ID, q) })
 }
 
 // ReportArrived observes one report reaching the root: it is checked
@@ -326,7 +343,7 @@ func (a *Auditor) IntervalClosed(q query.ID, k int, latency time.Duration, cover
 }
 
 func (a *Auditor) checkReport(what string, q query.ID, k int, latency time.Duration, coverage int) {
-	spec, known := a.everRegister[q]
+	i, known := a.query(q)
 	if !known {
 		a.violate("report-registered", "%s for unregistered query %d", what, q)
 		return
@@ -337,7 +354,7 @@ func (a *Auditor) checkReport(what string, q query.ID, k int, latency time.Durat
 	}
 	if latency < 0 {
 		a.violate("report-registered", "%s for query %d interval %d arrived %v before its start %v",
-			what, q, k, -latency, spec.IntervalStart(k))
+			what, q, k, -latency, a.queries[i].IntervalStart(k))
 	}
 	if coverage < 1 {
 		a.violate("report-registered", "%s for query %d interval %d with coverage %d", what, q, k, coverage)

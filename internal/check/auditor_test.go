@@ -13,7 +13,7 @@ import (
 
 func newTestAuditor() (*Auditor, *sim.Engine) {
 	eng := sim.New(1)
-	return New(eng.Now, 0), eng
+	return New(eng, 0), eng
 }
 
 // TestInvariantsFire drives each auditor hook with a deliberately
@@ -187,7 +187,7 @@ func TestRadioWatchCatchesAccountingDrift(t *testing.T) {
 	if sum.Total != 0 {
 		t.Fatalf("correct radio accounting flagged: %v", sum.Violations)
 	}
-	if sum.Digest == New(eng.Now, 0).Summary().Digest {
+	if sum.Digest == New(eng, 0).Summary().Digest {
 		t.Fatal("radio transitions did not reach the digest")
 	}
 }

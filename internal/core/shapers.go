@@ -60,7 +60,8 @@ type NTS struct {
 var _ query.Shaper = (*NTS)(nil)
 
 // NewNTS creates the no-shaping policy bound to env and ss. Its spec
-// table is sized by ss's Queries option.
+// table is sized by ss's Queries option, and a query registered past it
+// (a burst) grows it from the arena.
 func NewNTS(env Env, ss *SafeSleep) *NTS {
 	n := sim.ArenaGrab[NTS](ss.eng, "core.nts")
 	*n = NTS{env: env, ss: ss,
@@ -73,7 +74,7 @@ func (n *NTS) Stats() ShaperStats { return n.stats }
 
 // QueryAdded implements query.Shaper.
 func (n *NTS) QueryAdded(spec query.Spec, children []query.NodeID) {
-	n.specs = append(n.specs, spec)
+	n.specs = sim.ArenaAppend(n.ss.eng, "core.nts.specs.grow", n.specs, spec)
 	if !n.env.IsRoot() {
 		n.ss.UpdateNextSend(spec.ID, spec.IntervalStart(0))
 	}
@@ -174,7 +175,8 @@ type STS struct {
 var _ query.Shaper = (*STS)(nil)
 
 // NewSTS creates a static traffic shaper. deadline <= 0 selects D = P.
-// Its spec table is sized by ss's Queries option.
+// Its spec table is sized by ss's Queries option and grows from the
+// arena past it.
 func NewSTS(env Env, ss *SafeSleep, deadline time.Duration) *STS {
 	s := sim.ArenaGrab[STS](ss.eng, "core.sts")
 	*s = STS{
@@ -223,7 +225,7 @@ func (s *STS) recvTime(q query.ID, k int, c query.NodeID) time.Duration {
 
 // QueryAdded implements query.Shaper.
 func (s *STS) QueryAdded(spec query.Spec, children []query.NodeID) {
-	s.specs = append(s.specs, spec)
+	s.specs = sim.ArenaAppend(s.ss.eng, "core.sts.specs.grow", s.specs, spec)
 	if !s.env.IsRoot() {
 		s.ss.UpdateNextSend(spec.ID, s.sendTime(spec.ID, 0))
 	}
@@ -360,8 +362,8 @@ type DTS struct {
 var _ query.Shaper = (*DTS)(nil)
 
 // NewDTS creates a dynamic traffic shaper. Its per-query table is sized
-// by ss's Queries option, and each query's child table by the children
-// QueryAdded passes.
+// by ss's Queries option and grows from the arena past it, and each
+// query's child table is sized by the children QueryAdded passes.
 func NewDTS(env Env, ss *SafeSleep) *DTS {
 	d := sim.ArenaGrab[DTS](ss.eng, "core.dts")
 	*d = DTS{
@@ -394,7 +396,7 @@ func (d *DTS) QueryAdded(spec query.Spec, children []query.NodeID) {
 		snext:    spec.IntervalStart(0),
 		children: sim.ArenaSlice[dtsChild](d.ss.eng, "core.dts.children", len(children))[:0],
 	}
-	d.q = append(d.q, st)
+	d.q = sim.ArenaAppend(d.ss.eng, "core.dts.q.grow", d.q, st)
 	if !d.env.IsRoot() {
 		d.ss.UpdateNextSend(spec.ID, st.snext)
 	}
@@ -468,7 +470,7 @@ func (d *DTS) ReportReceived(q query.ID, c query.NodeID, k int, phase time.Durat
 	if ch == nil {
 		// Unknown child (e.g. a report racing a removal): track it afresh,
 		// matching the old map semantics of auto-created entries.
-		st.children = append(st.children, dtsChild{id: c})
+		st.children = sim.ArenaAppend(d.ss.eng, "core.dts.children.grow", st.children, dtsChild{id: c})
 		ch = &st.children[len(st.children)-1]
 	}
 	gap := ch.hasLast && k > ch.lastK+1
@@ -541,7 +543,7 @@ func (d *DTS) ChildAdded(q query.ID, c query.NodeID) {
 		// report, and any stale resync flag is void.
 		ch.rnext, ch.hasLast, ch.resync = now, false, false
 	} else {
-		st.children = append(st.children, dtsChild{id: c, rnext: now})
+		st.children = sim.ArenaAppend(d.ss.eng, "core.dts.children.grow", st.children, dtsChild{id: c, rnext: now})
 	}
 	d.ss.UpdateNextReceive(q, c, now)
 }

@@ -37,7 +37,8 @@ type Host interface {
 	Members() []topology.NodeID
 	// Root returns the tree root (never a valid fault target).
 	Root() topology.NodeID
-	// Neighbors returns a node's radio neighbors.
+	// Neighbors returns a node's radio neighbors, which the caller
+	// must not modify.
 	Neighbors(id topology.NodeID) []topology.NodeID
 	// Crash takes a node down recoverably; Recover brings it back.
 	// Both are no-ops on the root and on nodes already in the target
@@ -157,7 +158,7 @@ func Schedule(h Host, rows []Row, scenarioSeed int64) error {
 		k, _ := kinds.Lookup(r.Kind)
 		index, rng := streams, (*rand.Rand)(nil)
 		if k.stream {
-			rng = rand.New(rand.NewSource(scenarioSeed*1_000_003 + int64(index)*7919 + r.Seed))
+			rng = sim.ArenaRand(h.Eng(), "dynamics.rng", scenarioSeed*1_000_003+int64(index)*7919+r.Seed)
 			streams++
 		}
 		if err := k.schedule(h, r.Params, rng, index); err != nil {
@@ -169,18 +170,22 @@ func Schedule(h Host, rows []Row, scenarioSeed int64) error {
 
 // pickVictims draws n distinct non-root members from h, or the pinned
 // node when p.Node is set. Selection is from the sorted Members list
-// with the injector's private stream, so it is reproducible. A pin on
+// with the injector's private stream, so it is reproducible. The
+// victims are arena scratch, valid until the run ends. A pin on
 // the root or on a node outside the tree yields no victims (the root
 // is never a valid fault target; a non-member has nothing to fault).
 func pickVictims(h Host, p Params, rng *rand.Rand, n int) []topology.NodeID {
-	root := h.Root()
+	root, members := h.Root(), h.Members()
 	if p.Node != nil {
-		if id := topology.NodeID(*p.Node); id != root && slices.Contains(h.Members(), id) {
-			return []topology.NodeID{id}
+		if id := topology.NodeID(*p.Node); id != root && slices.Contains(members, id) {
+			pin := sim.ArenaSlice[topology.NodeID](h.Eng(), "dynamics.victims", 1)
+			pin[0] = id
+			return pin
 		}
 		return nil
 	}
-	pool := slices.DeleteFunc(slices.Clone(h.Members()), func(id topology.NodeID) bool { return id == root })
+	pool := sim.ArenaSlice[topology.NodeID](h.Eng(), "dynamics.victims", len(members))
+	pool = slices.DeleteFunc(pool[:copy(pool, members)], func(id topology.NodeID) bool { return id == root })
 	n = min(n, len(pool))
 	// Partial Fisher–Yates over the ID-ordered pool.
 	for i := 0; i < n; i++ {

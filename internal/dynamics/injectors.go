@@ -124,7 +124,7 @@ func linkLoss(h Host, p Params, rng *rand.Rand, _ int) error {
 		return fmt.Errorf("dynamics/linkloss: no focal node available")
 	}
 	focal := victims[0]
-	neighbors := append([]topology.NodeID(nil), h.Neighbors(focal)...)
+	neighbors := h.Neighbors(focal)
 	steps := p.Steps
 	setAll := func(loss float64) {
 		for _, nb := range neighbors {

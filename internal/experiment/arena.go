@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/essat/essat/internal/geom"
 	"github.com/essat/essat/internal/routing"
 	"github.com/essat/essat/internal/sim"
 	"github.com/essat/essat/internal/topology"
@@ -25,11 +26,8 @@ import (
 // Results are byte-identical with or without an arena; it changes where
 // memory comes from, never what a run computes.
 type Arena struct {
-	eng *sim.Engine
-	// floodEng runs the setup flood of each deployment the arena builds,
-	// on eng's memory pools (see flood).
-	floodEng *sim.Engine
-	cache    *DeployCache
+	eng   *sim.Engine
+	cache *DeployCache
 }
 
 // NewArenaWithCache returns an arena that serves deployments
@@ -38,23 +36,19 @@ type Arena struct {
 // across runs, but every run still builds its own topology and tree.
 func NewArenaWithCache(cache *DeployCache) *Arena { return &Arena{cache: cache} }
 
-// discard drops the arena's engines (keeping the deployment cache), so
-// the next run builds fresh ones. RunContextWith calls it on a
+// discard drops the arena's engine (keeping the deployment cache), so
+// the next run builds a fresh one. RunContextWith calls it on a
 // contained panic: a stack that panicked mid-event may have left engine
 // state inconsistent in ways Reset cannot see.
 func (a *Arena) discard() {
 	if a != nil {
-		a.eng, a.floodEng = nil, nil
+		a.eng = nil
 	}
 }
 
 // engine returns the arena's reusable engine reset to seed, creating it
-// (with an attached sim.Arena) on first use. A nil *Arena returns a
-// fresh classic engine.
+// (with an attached sim.Arena) on first use.
 func (a *Arena) engine(seed int64) *sim.Engine {
-	if a == nil {
-		return sim.New(seed)
-	}
 	if a.eng == nil {
 		a.eng = sim.New(seed)
 		a.eng.SetArena(sim.NewArena())
@@ -64,36 +58,23 @@ func (a *Arena) engine(seed int64) *sim.Engine {
 	return a.eng
 }
 
-// flood builds a deployment's setup-flood tree for a run on eng, seeding
-// the flood with seed. An arena floods on its own flood engine, reset to
-// seed, which borrows eng's memory pools: the flood's channel, radios
-// and MACs come from the run's pools, and the pools are rewound after
-// the flood, so the run's own stack reuses that memory. Anything the run
-// took from its pools before the flood is reclaimed with it. A nil arena
-// floods on a fresh engine.
-func (a *Arena) flood(eng *sim.Engine, seed int64, topo *topology.Topology, root routing.NodeID, cfg routing.FloodConfig) (*routing.Tree, error) {
-	if a == nil {
-		return routing.BuildFlood(seed, topo, root, cfg)
+// flood builds a deployment's setup-flood tree on the run's engine eng,
+// reset to the flood's seed: the flood's channel, radios, MACs,
+// stations and events come from eng's pools and event freelist. eng is
+// then reset to the run's seed and the placement draws of topo's
+// config are replayed, so the run starts from the engine state the
+// placement left, and its own stack reuses the flood's memory. The
+// tree itself is heap memory. Anything the run took from its pools
+// before the flood is reclaimed with it.
+func flood(eng *sim.Engine, sc *Scenario, topo *topology.Topology, root routing.NodeID, cfg routing.FloodConfig) (*routing.Tree, error) {
+	eng.Reset(sc.Seed + 1)
+	tree, err := routing.BuildFloodOn(eng, topo, root, cfg)
+	eng.Reset(sc.Seed)
+	if err != nil {
+		return nil, err
 	}
-	if a.floodEng == nil {
-		a.floodEng = sim.New(seed)
-	}
-	fe := a.floodEng
-	fe.Reset(seed)
-	fe.SetArena(eng.Arena())
-	tree, err := routing.BuildFloodOn(fe, topo, root, cfg)
-	// Release the flood's pending events and rewind the borrowed pools.
-	fe.Reset(seed)
-	fe.SetArena(nil)
-	return tree, err
-}
-
-// deployCache returns the arena's cache, nil-safe.
-func (a *Arena) deployCache() *DeployCache {
-	if a == nil {
-		return nil
-	}
-	return a.cache
+	scratch := sim.ArenaSlice[geom.Point](eng, "experiment.replay", topo.NumNodes())
+	return tree, topology.Replay(eng.Rand(), sc.Topology, scratch)
 }
 
 // deployment is one cached placement: the immutable topology (shared by

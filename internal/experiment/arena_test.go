@@ -252,8 +252,8 @@ const maxWarmBytes = 8 << 10
 // exceeds it; TotalAlloc moves by a few hundred bytes between identical
 // runs and cannot show a handful of small objects. The audited DTS-SS
 // and NTS-SS runs, whose Safe Sleep is a radio's fourth listener after
-// the auditor's tap, also allocate the auditor itself, so they carry
-// their own byte bounds.
+// the auditor's tap, take the auditor from the arena and allocate only
+// its Summary besides the Result.
 func TestWarmArenaAllocsByProtocol(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 30 full 20 s scenarios")
@@ -268,24 +268,14 @@ func TestWarmArenaAllocsByProtocol(t *testing.T) {
 		string(TMAC):  5 + 20,
 		"flows.json":  28 + 20,
 
-		"DTS-SS audited": 12 + 20,
-		"NTS-SS audited": 12 + 20,
-	}
-	// An audited run also keeps its auditor: 6,560 B measured, plus the
-	// headroom maxWarmBytes leaves a 1,072 B unaudited run.
-	maxBytes := map[string]uint64{
-		"DTS-SS audited": 6560 + maxWarmBytes - 1072,
-		"NTS-SS audited": 6560 + maxWarmBytes - 1072,
+		"DTS-SS audited": 7 + 20,
+		"NTS-SS audited": 7 + 20,
 	}
 	check := func(name string, sc Scenario) {
 		bytes, mallocs := warmAllocs(t, sc)
 		t.Logf("%s: %d B in %d allocations per warm run", name, bytes, mallocs)
-		limit := uint64(maxWarmBytes)
-		if b, ok := maxBytes[name]; ok {
-			limit = b
-		}
-		if bytes > limit {
-			t.Errorf("%s: warm run allocated %d B, more than %d B", name, bytes, limit)
+		if bytes > maxWarmBytes {
+			t.Errorf("%s: warm run allocated %d B, more than %d B", name, bytes, maxWarmBytes)
 		}
 		if max := maxWarmMallocs[name]; mallocs > max {
 			t.Errorf("%s: warm run made %d allocations, more than %d", name, mallocs, max)
@@ -299,6 +289,50 @@ func TestWarmArenaAllocsByProtocol(t *testing.T) {
 		sc := fig6Scenario(p, 20*time.Second)
 		sc.Audit = true
 		check(string(p)+" audited", sc)
+	}
+}
+
+// TestWarmArenaAllocsBySpec extends the warm-run bound to the
+// checked-in specs that perturb a run: a warm 20 s run on one arena
+// with a deployment cache makes at most the allocations listed (the
+// count measured, plus 20). A dynamics row's random stream and victim
+// list come from the arena, as do the query tables a burst grows. The
+// same run audited makes at most 2 allocations more, its Summary: the
+// auditor and its tables come from the arena too.
+func TestWarmArenaAllocsBySpec(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 20 full 20 s scenarios")
+	}
+	for _, tc := range []struct {
+		spec string
+		max  uint64
+	}{
+		{"example.json", 12 + 20},
+		{"dynamics_crash.json", 14 + 20},
+		{"dynamics_linkloss.json", 20 + 20},
+		{"dynamics_burst.json", 9 + 20},
+		{"perturb.json", 31 + 20},
+	} {
+		spec, err := LoadSpec(filepath.Join("../../testdata", tc.spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := spec.Scenario()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Duration = 20 * time.Second
+		sc.Audit = false
+		_, plain := warmAllocs(t, sc)
+		sc.Audit = true
+		_, audited := warmAllocs(t, sc)
+		t.Logf("%s: %d allocations per warm run, %d audited", tc.spec, plain, audited)
+		if plain > tc.max {
+			t.Errorf("%s: warm run made %d allocations, more than %d", tc.spec, plain, tc.max)
+		}
+		if audited > plain+2 {
+			t.Errorf("%s: auditing added %d allocations to a warm run, more than 2", tc.spec, audited-plain)
+		}
 	}
 }
 
@@ -361,5 +395,57 @@ func TestArenaResultSurvivesNextRun(t *testing.T) {
 	}
 	if !bytes.Equal(before, after) {
 		t.Fatalf("a Result changed after later runs on its arena:\nbefore %s\nafter  %s", before, after)
+	}
+}
+
+// TestOneShotRunOnPrivateArena: a one-shot build, BuildWith with a nil
+// arena, runs on a private arena like any other build, setup flood
+// included. An audited 5 s run of the 1,000-node testdata/large.json
+// therefore allocates its event structs and its pools' chunks and
+// blocks, not one object per node, radio, MAC and query interval: at
+// most maxOneShotMallocs, the 5,554 measured plus 10% (on the heap,
+// one object each, it made 57,203). Its digest equals the digest of
+// warm runs on a reused arena whose deployment comes from the cache.
+// The count is the lower of two trials.
+func TestOneShotRunOnPrivateArena(t *testing.T) {
+	const maxOneShotMallocs = 5554 * 11 / 10
+	spec, err := LoadSpec(filepath.Join("../../testdata", "large.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := spec.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Duration = 5 * time.Second
+	sc.Audit = true
+	var digest string
+	mallocs := ^uint64(0)
+	for trial := 0; trial < 2; trial++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		s, err := BuildWith(nil, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Simulate()
+		res := s.Collect()
+		runtime.ReadMemStats(&m1)
+		mallocs = min(mallocs, m1.Mallocs-m0.Mallocs)
+		digest = res.Audit.Digest
+	}
+	t.Logf("one-shot large.json: %d allocations", mallocs)
+	if mallocs > maxOneShotMallocs {
+		t.Errorf("a one-shot run made %d allocations, more than %d", mallocs, maxOneShotMallocs)
+	}
+	a := NewArenaWithCache(NewDeployCache(0))
+	for i := 0; i < 2; i++ {
+		res, err := RunContextWith(context.Background(), a, sc, Budget{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Audit.Digest != digest {
+			t.Fatalf("warm-arena run %d digest %s, one-shot %s", i, res.Audit.Digest, digest)
+		}
 	}
 }

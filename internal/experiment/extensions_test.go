@@ -94,6 +94,34 @@ func TestPeerFlowRandomEndpointsAreDistinctMembers(t *testing.T) {
 	}
 }
 
+// TestPeerFlowHalfPinnedKeepsItsPin: a flow that pins one endpoint
+// keeps it, and only the other is drawn, distinct from the pin.
+func TestPeerFlowHalfPinnedKeepsItsPin(t *testing.T) {
+	sc := extScenario(4)
+	sm, err := BuildWith(nil, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin := sm.members[len(sm.members)-1]
+	for _, fl := range []core.P2PSpec{{ID: -1, Src: pin, Dst: -1}, {ID: -1, Src: -1, Dst: pin}} {
+		fl.Period, fl.Phase = time.Second, 6*time.Second
+		sc.PeerFlows = []core.P2PSpec{fl}
+		sm, err := BuildWith(nil, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := sm.Scenario.PeerFlows[0]
+		pinned, drawn := got.Src, got.Dst
+		if fl.Src < 0 {
+			pinned, drawn = got.Dst, got.Src
+		}
+		if pinned != pin || drawn < 0 || drawn == pin {
+			t.Errorf("flow %d→%d resolved to %d→%d, want the pin %d kept and a distinct member drawn",
+				fl.Src, fl.Dst, got.Src, got.Dst, pin)
+		}
+	}
+}
+
 func TestExtensionsCoexistWithFailures(t *testing.T) {
 	sc := extScenario(5)
 	sc.FailureThreshold = 3

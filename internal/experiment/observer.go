@@ -71,7 +71,7 @@ func (b *builder) observers() error {
 		o.tracer = trace.New(sc.TraceCapacity, b.Eng.Now)
 	}
 	if sc.Audit {
-		o.auditor = check.New(b.Eng.Now, len(b.members))
+		o.auditor = check.New(b.Eng, len(b.members))
 		b.Eng.SetObserver(o.auditor)
 		b.Channel.SetObserver(o.auditor)
 		for _, q := range sc.Queries {

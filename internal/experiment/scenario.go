@@ -359,6 +359,9 @@ type builder struct {
 // victims (workload), and node construction and start order fix the
 // event sequence numbers.
 func build(sc Scenario, a *Arena) (*Sim, error) {
+	if a == nil {
+		a = &Arena{}
+	}
 	eng := a.engine(sc.Seed)
 	b := builder{arena: a}
 	if err := b.resolveModels(&sc); err != nil {
@@ -462,7 +465,7 @@ func (b *builder) resolveModels(sc *Scenario) error {
 // into arena scratch. The run's tree is an arena clone of the cached
 // template, on a hit and on a miss alike.
 func (b *builder) deploy(eng *sim.Engine, sc *Scenario) (*topology.Topology, *routing.Tree, error) {
-	cache := b.arena.deployCache()
+	cache := b.arena.cache
 	var key string
 	if cache != nil {
 		buf := appendDeployKey(sim.ArenaSlice[byte](eng, "experiment.deploykey", 128)[:0], *sc)
@@ -493,7 +496,7 @@ func (b *builder) deploy(eng *sim.Engine, sc *Scenario) (*topology.Topology, *ro
 			// extra flood rounds keep tree construction converging.
 			fcfg.Rounds = 3
 		}
-		tree, err = b.arena.flood(eng, sc.Seed+1, topo, root, fcfg)
+		tree, err = flood(eng, sc, topo, root, fcfg)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -591,8 +594,8 @@ func (b *builder) workload() error {
 }
 
 // flows registers the §3 extension flows on every member: peer-to-peer
-// flows (drawing random endpoints from the engine rng), then downstream
-// dissemination.
+// flows (drawing their unpinned endpoints from the engine rng), then
+// downstream dissemination.
 func (b *builder) flows() error {
 	sc, members := &b.Scenario, b.members
 	if len(sc.PeerFlows) == 0 && len(sc.Dissemination) == 0 {
@@ -614,16 +617,30 @@ func (b *builder) flows() error {
 	// own copy: the caller's slice must stay reusable for an identical
 	// rerun.
 	sc.PeerFlows = append([]core.P2PSpec(nil), sc.PeerFlows...)
-	for i := range sc.PeerFlows {
-		fl := &sc.PeerFlows[i]
-		if fl.Src < 0 || fl.Dst < 0 {
-			fl.Src = members[b.Eng.Rand().Intn(len(members))]
-			for {
-				fl.Dst = members[b.Eng.Rand().Intn(len(members))]
-				if fl.Dst != fl.Src {
-					break
-				}
+	rng := b.Eng.Rand()
+	// other draws a member other than id.
+	other := func(id node.NodeID) node.NodeID {
+		for {
+			if m := members[rng.Intn(len(members))]; m != id {
+				return m
 			}
+		}
+	}
+	for i := range sc.PeerFlows {
+		// A negative endpoint is drawn, a pinned one kept: with both
+		// drawn, the source first, then a distinct destination.
+		fl := &sc.PeerFlows[i]
+		if (fl.Src < 0 || fl.Dst < 0) && len(members) < 2 {
+			return fmt.Errorf("experiment: peer flow %d needs a random endpoint, but the tree has %d member(s)", fl.ID, len(members))
+		}
+		switch {
+		case fl.Src < 0 && fl.Dst < 0:
+			fl.Src = members[rng.Intn(len(members))]
+			fl.Dst = other(fl.Src)
+		case fl.Src < 0:
+			fl.Src = other(fl.Dst)
+		case fl.Dst < 0:
+			fl.Dst = other(fl.Src)
 		}
 		path := b.Tree.Path(fl.Src, fl.Dst)
 		if path == nil {

@@ -527,7 +527,7 @@ func (a *Agent) Register(spec Spec) error {
 		lastClosedK: -1,
 	}
 	// Insert keeping ascending spec.ID order.
-	a.queries = append(a.queries, rt)
+	a.queries = sim.ArenaAppend(a.eng, "query.queries.grow", a.queries, rt)
 	for i := len(a.queries) - 1; i > 0 && a.queries[i-1].spec.ID > rt.spec.ID; i-- {
 		a.queries[i-1], a.queries[i] = a.queries[i], a.queries[i-1]
 	}

@@ -127,6 +127,7 @@ func TestBadSpecs(t *testing.T) {
 		{"negative failure start", `{"protocol":"DTS-SS","nodes":20,"workload":{"base_rate":1,"per_class":1},"failures":[{"at":"-1s"}]}`, "bad_spec"},
 		{"negative query stop start", `{"protocol":"DTS-SS","nodes":20,"workload":{"base_rate":1,"per_class":1},"query_stops":[{"at":"-1s","query":1}]}`, "bad_spec"},
 		{"peer outside the deployment", `{"protocol":"DTS-SS","nodes":20,"duration":"5s","workload":{"base_rate":1,"per_class":1},"peers":[{"id":-1,"src":5000,"dst":1,"period":"1s"}]}`, "bad_spec"},
+		{"half-pinned peer outside the deployment", `{"protocol":"DTS-SS","nodes":20,"duration":"5s","workload":{"base_rate":1,"per_class":1},"peers":[{"id":-1,"src":5000,"period":"1s"}]}`, "bad_spec"},
 		{"oversized body", `{"protocol":"DTS-SS","queries":[` + strings.Repeat(`{"id":1,"period":"1s"},`, 400) + `]}`, "bad_spec"},
 	}
 	for _, tc := range cases {

@@ -1,23 +1,30 @@
 package sim
 
-import "math/bits"
+import (
+	"math/rand"
+	"unsafe"
+)
 
-// Arena is a per-run memory arena: a set of typed free-slab pools that
-// are *reset*, not freed, between runs. A sweep that replays the same
-// (or a similar) scenario shape through one engine reaches steady-state
-// zero heap growth across runs: the first run populates the slabs, and
-// every later run re-slices the same backing memory.
+// Arena is a per-run memory arena: a set of typed pools that are
+// *reset*, not freed, between runs. A sweep that replays the same (or a
+// similar) scenario shape through one engine reaches steady-state zero
+// heap growth across runs: the first run populates the pools, and every
+// later run re-slices the same backing memory. A single run gains too:
+// its objects come from a few large chunks instead of one heap object
+// each, and a run that resets its engine part-way (the setup flood
+// before a run) builds its second half in the first half's memory.
 //
 // An Arena is attached to an Engine (Engine.SetArena); layers that hold
 // the engine obtain memory through the package-level generics
-// ArenaSlice and ArenaGrab, which fall back to plain make/new when no
-// arena is attached, so every classic entry point is untouched.
+// ArenaSlice, ArenaAppend, ArenaGrab and ArenaRand, which fall back to
+// plain make/new when no arena is attached.
 //
 // Ownership rule: memory handed out by an arena is valid until the next
 // Engine.Reset. Resetting invalidates every slice and pointer from the
 // previous run — callers must treat a reset like the end of the
-// process for per-run state. Returned memory is always zeroed, so an
-// arena-backed run is bit-identical to a make/new-backed one.
+// process for per-run state. Returned memory is always zeroed, and a
+// returned Rand is freshly seeded, so an arena-backed run is
+// bit-identical to a make/new-backed one.
 type Arena struct {
 	pools map[string]resettable
 }
@@ -50,20 +57,20 @@ func (e *Engine) Arena() *Arena { return e.arena }
 // arena pool named tag, or a fresh make([]T, n) when the engine has no
 // arena. Each tag must always be used with the same element type.
 //
-// A pool keeps its slots in power-of-two capacity classes: a request
-// for n takes the class of the smallest power of two >= n, and within a
-// class slots are handed out in request order. A repeated identical run
-// therefore hits the same backing arrays, allocation-free. Callers ask
-// for what they need, not a guess: a class's first slot is allocated at
-// exactly the size requested, and a request for nothing takes no slot.
-// A slot too small for a later request in its class is replaced once by
-// one at the class ceiling, which fits every request of that class, so
-// runs of varying shape reuse their slots instead of replacing them.
+// A pool carves requests from its chunks in turn, bump-pointer style,
+// and a reset rewinds it to the first chunk, so a repeated run walks
+// the same chunks in the same order and allocates nothing. A request
+// that does not fit in what is left of the current chunk moves on to
+// the next chunk that holds it, or appends a new one; chunks are never
+// replaced, so runs of another shape or order settle too. A request for
+// nothing takes nothing. The slice is capped at its length: an append
+// past it moves to the heap and can never write into the next
+// request's elements.
 func ArenaSlice[T any](e *Engine, tag string, n int) []T {
 	if e == nil || e.arena == nil {
 		return make([]T, n)
 	}
-	return slicePoolFor[T](e.arena, tag).get(n)
+	return poolFor[slicePool[T]](e.arena, tag).get(n)
 }
 
 // ArenaAppend appends v to s like the built-in append, but when s is
@@ -86,66 +93,84 @@ func ArenaGrab[T any](e *Engine, tag string) *T {
 	if e == nil || e.arena == nil {
 		return new(T)
 	}
-	return slabFor[T](e.arena, tag).get()
+	return poolFor[structSlab[T]](e.arena, tag).get()
+}
+
+// ArenaRand returns a random stream seeded with seed from the engine's
+// arena pool named tag, or rand.New(rand.NewSource(seed)) when the
+// engine has no arena. A pool hands its streams out in request order
+// and reseeds them, which draws exactly what a fresh source would, so a
+// warm run's streams cost no allocation (a source is about 5 KB).
+func ArenaRand(e *Engine, tag string, seed int64) *rand.Rand {
+	if e == nil || e.arena == nil {
+		return rand.New(rand.NewSource(seed))
+	}
+	return poolFor[randPool](e.arena, tag).get(seed)
+}
+
+// poolFor returns a's pool named tag, creating an empty P on first use.
+func poolFor[P any, PP interface {
+	*P
+	resettable
+}](a *Arena, tag string) PP {
+	if p, ok := a.pools[tag]; ok {
+		pp, ok := p.(PP)
+		if !ok {
+			panic("sim: arena tag " + tag + " reused with a different type")
+		}
+		return pp
+	}
+	pp := PP(new(P))
+	a.pools[tag] = pp
+	return pp
 }
 
 // --- typed slice pool ------------------------------------------------------
 
-// slicePool hands out []T by capacity class: classes[c] serves the
-// requests of n in (2^(c-1), 2^c].
+// A pool's chunks grow from firstChunkBytes to maxChunkBytes, doubling,
+// so a tag asked for a few elements per run takes a small chunk, and
+// one asked for many (a per-node table at 10k nodes) leaves at most the
+// tail of one bounded chunk unused. A request larger than the next
+// chunk gets a chunk of exactly its size.
+const (
+	firstChunkBytes = 512
+	maxChunkBytes   = 32 << 10
+)
+
+// slicePool hands out []T carved from chunks: the next request starts
+// at element off of chunks[cur].
 type slicePool[T any] struct {
-	classes []sliceClass[T]
+	chunks [][]T
+	cur    int
+	off    int
 }
 
-// sliceClass holds every slot one class has allocated, in the order
-// requests first needed them; next is the cursor of the current run.
-type sliceClass[T any] struct {
-	all  [][]T
-	next int
-}
-
-func (p *slicePool[T]) reset() {
-	for i := range p.classes {
-		p.classes[i].next = 0
-	}
-}
+func (p *slicePool[T]) reset() { p.cur, p.off = 0, 0 }
 
 func (p *slicePool[T]) get(n int) []T {
 	if n == 0 {
 		return nil
 	}
-	c := bits.Len(uint(n - 1))
-	for len(p.classes) <= c {
-		p.classes = append(p.classes, sliceClass[T]{})
+	for p.cur < len(p.chunks) && len(p.chunks[p.cur])-p.off < n {
+		p.cur, p.off = p.cur+1, 0
 	}
-	cl := &p.classes[c]
-	if cl.next == len(cl.all) {
-		cl.all = append(cl.all, make([]T, n))
-		cl.next++
-		return cl.all[cl.next-1]
+	if p.cur == len(p.chunks) {
+		p.chunks = append(p.chunks, make([]T, max(n, p.nextChunkLen())))
 	}
-	s := cl.all[cl.next]
-	if cap(s) < n {
-		s = make([]T, n, 1<<c)
-		cl.all[cl.next] = s
-	}
-	cl.next++
-	s = s[:n]
+	s := p.chunks[p.cur][p.off : p.off+n : p.off+n]
+	p.off += n
 	clear(s)
 	return s
 }
 
-func slicePoolFor[T any](a *Arena, tag string) *slicePool[T] {
-	if p, ok := a.pools[tag]; ok {
-		sp, ok := p.(*slicePool[T])
-		if !ok {
-			panic("sim: arena tag " + tag + " reused with a different element type")
-		}
-		return sp
+// nextChunkLen is the length of the chunk the pool appends next: twice
+// its last chunk's, from firstChunkBytes up to maxChunkBytes.
+func (p *slicePool[T]) nextChunkLen() int {
+	size := max(int(unsafe.Sizeof(*new(T))), 1)
+	if len(p.chunks) == 0 {
+		return max(firstChunkBytes/size, 1)
 	}
-	sp := &slicePool[T]{}
-	a.pools[tag] = sp
-	return sp
+	return min(2*len(p.chunks[len(p.chunks)-1]), max(maxChunkBytes/size, 1))
 }
 
 // --- typed struct slab -----------------------------------------------------
@@ -188,15 +213,23 @@ func (p *structSlab[T]) get() *T {
 	return ptr
 }
 
-func slabFor[T any](a *Arena, tag string) *structSlab[T] {
-	if p, ok := a.pools[tag]; ok {
-		sl, ok := p.(*structSlab[T])
-		if !ok {
-			panic("sim: arena tag " + tag + " reused with a different type")
-		}
-		return sl
+// --- random streams --------------------------------------------------------
+
+// randPool keeps every stream it has handed out; the next request
+// reseeds all[next].
+type randPool struct {
+	all  []*rand.Rand
+	next int
+}
+
+func (p *randPool) reset() { p.next = 0 }
+
+func (p *randPool) get(seed int64) *rand.Rand {
+	if p.next == len(p.all) {
+		p.all = append(p.all, rand.New(rand.NewSource(seed)))
+	} else {
+		p.all[p.next].Seed(seed)
 	}
-	sl := &structSlab[T]{}
-	a.pools[tag] = sl
-	return sl
+	p.next++
+	return p.all[p.next-1]
 }

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestResetMatchesFreshEngine replays the DeterminismAcrossRuns trace
@@ -98,11 +100,11 @@ func TestSteadyStateZeroAllocAcrossResets(t *testing.T) {
 	}
 }
 
-// TestArenaSliceZeroedAndSized checks arena slices come back zeroed and
-// sized by capacity class: a class's first slot has exactly the size
-// asked for, a request of another class leaves it alone, a larger
-// request of the same class replaces it once at the class ceiling, and
-// empty requests take no slot.
+// TestArenaSliceZeroedAndSized checks arena slices come back zeroed
+// and capped at their length, carved one after another from a chunk:
+// an append past a slice moves it to the heap instead of writing into
+// the next request's elements, an empty request takes nothing, and a
+// reset hands the same memory out again from the first chunk.
 func TestArenaSliceZeroedAndSized(t *testing.T) {
 	e := New(1)
 	e.SetArena(NewArena())
@@ -117,69 +119,97 @@ func TestArenaSliceZeroedAndSized(t *testing.T) {
 	if z := ArenaSlice[int](e, "t", 0); z != nil {
 		t.Fatalf("empty request returned %v, want nil", z)
 	}
-	s := ArenaSlice[int](e, "t", 8)
-	if len(s) != 8 || cap(s) != 8 {
-		t.Fatalf("len/cap = %d/%d, want 8/8", len(s), cap(s))
+	a := ArenaSlice[int](e, "t", 8)
+	b := ArenaSlice[int](e, "t", 5)
+	if len(a) != 8 || cap(a) != 8 || len(b) != 5 || cap(b) != 5 {
+		t.Fatalf("len/cap = %d/%d and %d/%d, want 8/8 and 5/5", len(a), cap(a), len(b), cap(b))
 	}
-	for i := range s {
-		s[i] = i + 1
+	if unsafe.Pointer(&b[0]) != unsafe.Add(unsafe.Pointer(&a[0]), 8*unsafe.Sizeof(a[0])) {
+		t.Fatal("the second request was not carved right after the first")
 	}
-	e.Reset(1)
-	s2 := ArenaSlice[int](e, "t", 8)
-	if &s[0] != &s2[0] {
-		t.Fatal("same-size request after Reset did not reuse the backing array")
+	for i := range a {
+		a[i] = i + 1
 	}
-	zeroed("reused slice", s2)
-	e.Reset(1)
-	ArenaSlice[int](e, "t", 0)       // takes no slot
-	s3 := ArenaSlice[int](e, "t", 9) // class 16: its first slot, exactly 9
-	if len(s3) != 9 || cap(s3) != 9 {
-		t.Fatalf("len/cap = %d/%d, want 9/9", len(s3), cap(s3))
+	for i := range b {
+		b[i] = -1
 	}
-	if s5 := ArenaSlice[int](e, "t", 5); &s5[0] != &s[0] || cap(s5) != 8 {
-		t.Fatal("a request of class 8 did not take class 8's slot")
-	}
-	for i := range s3 {
-		s3[i] = i + 1
+	grown := append(a, 99)
+	if &grown[0] == &a[0] || b[0] != -1 {
+		t.Fatal("an append past a slice's length reached its neighbour")
 	}
 	e.Reset(1)
-	s4 := ArenaSlice[int](e, "t", 16) // too big for the 9: replaced at 16
-	if len(s4) != 16 || cap(s4) != 16 || &s4[0] == &s3[0] {
-		t.Fatalf("len/cap = %d/%d, want a new 16/16", len(s4), cap(s4))
+	a2 := ArenaSlice[int](e, "t", 8)
+	b2 := ArenaSlice[int](e, "t", 5)
+	if &a2[0] != &a[0] || &b2[0] != &b[0] {
+		t.Fatal("the same requests after Reset did not reuse the same memory")
 	}
-	zeroed("replacement slice", s4)
-	for i := range s4 {
-		s4[i] = i + 1
+	zeroed("reused slice", a2)
+	zeroed("reused slice", b2)
+	// A request larger than a whole chunk gets a chunk of its own size.
+	big := ArenaSlice[int](e, "t", 2*maxChunkBytes/8)
+	if len(big) != cap(big) || len(big) != 2*maxChunkBytes/8 {
+		t.Fatalf("len/cap = %d/%d, want %d", len(big), cap(big), 2*maxChunkBytes/8)
 	}
-	e.Reset(1)
-	s6 := ArenaSlice[int](e, "t", 10)
-	if &s6[0] != &s4[0] {
-		t.Fatal("a request within the replaced slot's capacity did not reuse it")
+	zeroed("oversized slice", big)
+}
+
+// TestArenaSliceReorderedRequestsSettle: once a pool has met a set of
+// requests, runs that ask for the same sizes, in the same or another
+// order, allocate nothing. Chunks are appended and never replaced, so
+// an order that ran before walks the same chunks again.
+func TestArenaSliceReorderedRequestsSettle(t *testing.T) {
+	e := New(1)
+	e.SetArena(NewArena())
+	orders := [][]int{{3, 40, 7, 100, 5000}, {5000, 100, 7, 40, 3}, {40, 5000, 3, 7, 100}}
+	run := func() {
+		for _, order := range orders {
+			e.Reset(1)
+			for _, n := range order {
+				if s := ArenaSlice[int](e, "t", n); len(s) != n || cap(s) != n {
+					t.Fatalf("order %v: len/cap %d/%d for a request of %d", order, len(s), cap(s), n)
+				}
+			}
+		}
 	}
-	zeroed("reused replacement slice", s6)
-	if s7 := ArenaSlice[int](e, "t", 11); cap(s7) != 11 {
-		t.Fatalf("a class's second slot: cap %d, want exactly 11", cap(s7))
+	run()
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Errorf("settled runs in three orders allocate %.1f objects/op, want 0", allocs)
 	}
 }
 
-// TestArenaSliceReorderedRequestsReuseSlots: a run that asks for the
-// sizes of the run before in another order takes the same slots, where
-// matching slots by request position would replace every slot that
-// meets a larger request than last time.
-func TestArenaSliceReorderedRequestsReuseSlots(t *testing.T) {
+// TestArenaRandReseedsLikeFresh: an arena stream draws exactly what a
+// fresh rand.New(rand.NewSource(seed)) draws, on its first run and
+// reseeded on later ones, and a warm run's streams allocate nothing.
+func TestArenaRandReseedsLikeFresh(t *testing.T) {
 	e := New(1)
 	e.SetArena(NewArena())
-	slots := map[*int]bool{}
-	for _, n := range []int{3, 40, 7, 100} {
-		slots[&ArenaSlice[int](e, "t", n)[0]] = true
-	}
-	for _, order := range [][]int{{100, 7, 40, 3}, {40, 100, 3, 7}} {
+	seeds := []int64{7, -3, 1 << 40}
+	run := func() {
 		e.Reset(1)
-		for _, n := range order {
-			if s := ArenaSlice[int](e, "t", n); !slots[&s[0]] {
-				t.Fatalf("order %v: the request for %d took a new slot", order, n)
+		for _, seed := range seeds {
+			r, fresh := ArenaRand(e, "t", seed), rand.New(rand.NewSource(seed))
+			for i := 0; i < 100; i++ {
+				if got, want := r.Int63(), fresh.Int63(); got != want {
+					t.Fatalf("seed %d draw %d: %d, fresh source %d", seed, i, got, want)
+				}
 			}
 		}
+	}
+	run()
+	first := ArenaRand(e, "u", 1)
+	run()
+	e.Reset(1)
+	if ArenaRand(e, "u", 2) != first {
+		t.Fatal("the first request after Reset did not reuse the first stream")
+	}
+	warm := func() {
+		e.Reset(1)
+		for _, seed := range seeds {
+			ArenaRand(e, "t", seed)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, warm); allocs != 0 {
+		t.Errorf("warm streams allocate %.1f objects/op, want 0", allocs)
 	}
 }
 

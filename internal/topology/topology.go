@@ -8,7 +8,7 @@ package topology
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/essat/essat/internal/geom"
 )
@@ -73,11 +73,12 @@ func DefaultConfig() Config {
 // lists come out in ascending NodeID order, identical to the all-pairs
 // build, so run results do not depend on the construction algorithm.
 func FromPositions(pts []geom.Point, rangeM float64) (*Topology, error) {
-	return fromPositions(pts, rangeM, 0)
+	return fromPositions(slices.Clone(pts), rangeM, 0)
 }
 
 // fromPositions builds the topology with an explicit candidate radius;
-// neighborR <= rangeM falls back to the unit-disc radius.
+// neighborR <= rangeM falls back to the unit-disc radius. The topology
+// keeps pts.
 func fromPositions(pts []geom.Point, rangeM, neighborR float64) (*Topology, error) {
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("topology: no positions")
@@ -90,7 +91,7 @@ func fromPositions(pts []geom.Point, rangeM, neighborR float64) (*Topology, erro
 	}
 	flat, offsets := buildNeighbors(pts, neighborR)
 	t := &Topology{
-		positions: append([]geom.Point(nil), pts...),
+		positions: pts,
 		rangeM:    rangeM,
 		neighborR: neighborR,
 		flat:      flat,
@@ -101,11 +102,11 @@ func fromPositions(pts []geom.Point, rangeM, neighborR float64) (*Topology, erro
 
 // buildNeighbors computes the unit-disc adjacency in CSR form with a
 // grid-bucket spatial hash. Each node's segment is sorted ascending by
-// NodeID, identical to the all-pairs build.
+// NodeID, identical to the all-pairs build. Links are symmetric, so
+// each in-range pair is found once, from its lower ID: a first sweep
+// counts every node's degree, which sizes the CSR array exactly, and a
+// second sweep fills it.
 func buildNeighbors(pts []geom.Point, rangeM float64) ([]NodeID, []int32) {
-	offsets := make([]int32, len(pts)+1)
-	flat := make([]NodeID, 0, 8*len(pts))
-
 	minX, minY := pts[0].X, pts[0].Y
 	maxX, maxY := minX, minY
 	for _, p := range pts[1:] {
@@ -120,44 +121,62 @@ func buildNeighbors(pts []geom.Point, rangeM float64) ([]NodeID, []int32) {
 	for int((maxX-minX)/cell)*int((maxY-minY)/cell) > 4*len(pts)+64 {
 		cell *= 2
 	}
-	const ring = 1
 	nx := int((maxX-minX)/cell) + 1
 	ny := int((maxY-minY)/cell) + 1
-
 	cellOf := func(p geom.Point) (int, int) {
 		return int((p.X - minX) / cell), int((p.Y - minY) / cell)
 	}
-	buckets := make([][]NodeID, nx*ny)
-	for i, p := range pts {
+
+	// Bucket the nodes by cell, counting-sort style: cell c holds
+	// byCell[cells[c]:cells[c+1]], in ascending ID order.
+	cells := make([]int32, nx*ny+1)
+	for _, p := range pts {
 		cx, cy := cellOf(p)
-		buckets[cy*nx+cx] = append(buckets[cy*nx+cx], NodeID(i))
+		cells[cy*nx+cx]++
+	}
+	for c := 1; c < len(cells); c++ {
+		cells[c] += cells[c-1]
+	}
+	byCell := make([]NodeID, len(pts))
+	for i := len(pts) - 1; i >= 0; i-- {
+		cx, cy := cellOf(pts[i])
+		c := cy*nx + cx
+		cells[c]--
+		byCell[cells[c]] = NodeID(i)
 	}
 
-	for i, p := range pts {
-		cx, cy := cellOf(p)
-		start := len(flat)
-		for dy := -ring; dy <= ring; dy++ {
-			y := cy + dy
-			if y < 0 || y >= ny {
-				continue
-			}
-			for dx := -ring; dx <= ring; dx++ {
-				x := cx + dx
-				if x < 0 || x >= nx {
-					continue
-				}
-				for _, j := range buckets[y*nx+x] {
-					if j != NodeID(i) && p.InRange(pts[j], rangeM) {
-						flat = append(flat, j)
+	// pairs calls visit(i, j) for every in-range pair i < j.
+	pairs := func(visit func(i, j NodeID)) {
+		for i, p := range pts {
+			cx, cy := cellOf(p)
+			for y := max(cy-1, 0); y <= min(cy+1, ny-1); y++ {
+				for x := max(cx-1, 0); x <= min(cx+1, nx-1); x++ {
+					c := y*nx + x
+					for _, j := range byCell[cells[c]:cells[c+1]] {
+						if j > NodeID(i) && p.InRange(pts[j], rangeM) {
+							visit(NodeID(i), j)
+						}
 					}
 				}
 			}
 		}
-		// Bucket traversal visits candidates in cell order; restore the
-		// ascending-ID order the all-pairs build produced.
-		seg := flat[start:]
-		sort.Slice(seg, func(a, b int) bool { return seg[a] < seg[b] })
-		offsets[i+1] = int32(len(flat))
+	}
+	offsets := make([]int32, len(pts)+1)
+	pairs(func(i, j NodeID) { offsets[i+1]++; offsets[j+1]++ })
+	for i := 1; i < len(offsets); i++ {
+		offsets[i] += offsets[i-1]
+	}
+	flat := make([]NodeID, offsets[len(pts)])
+	next := slices.Clone(offsets[:len(pts)])
+	pairs(func(i, j NodeID) {
+		flat[next[i]], flat[next[j]] = j, i
+		next[i]++
+		next[j]++
+	})
+	// A segment lists its lower neighbors in ascending order, then its
+	// higher ones in cell order; restore the all-pairs build's order.
+	for i := range pts {
+		slices.Sort(flat[offsets[i]:offsets[i+1]])
 	}
 	return flat, offsets
 }
