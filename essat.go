@@ -289,7 +289,7 @@ func NewArenaWithCache(c *DeployCache) *Arena { return experiment.NewArenaWithCa
 func NewDeployCache(max int) *DeployCache { return experiment.NewDeployCache(max) }
 
 // BuildWith constructs a scenario's simulation on a reusable arena (nil
-// for a fresh engine) without running it, for callers that want to
+// for a private one) without running it, for callers that want to
 // inspect or instrument the stack between the explicit build →
 // simulate → collect stages:
 //

@@ -56,14 +56,15 @@ func TestLiveHeapPerNode(t *testing.T) {
 // arenaRetainedBound bounds the live heap an arena keeps between runs:
 // an arena with no deployment cache after a 5 s run of
 // testdata/large.json, garbage collected with the arena kept and the
-// run's Result dropped. An arena keeps its engine, memory pools and
-// setup-flood engine. The bound is 4,770,336 B, measured before floods
+// run's Result dropped. An arena keeps its engine and memory pools; it
+// kept a second engine for the setup flood until floods ran on the
+// run's engine. The bound is 4,770,336 B, measured before floods
 // borrowed the run's pools and pool slots were matched by capacity class
 // (x86-64, Go 1.24), plus 10%. Both changes measured 4,906,800 B.
 const arenaRetainedBound = 5124 << 10
 
-// TestArenaRetainedHeap guards what an arena holds on to: pools sized
-// by capacity class and a flood that runs on the run's own pools must
+// TestArenaRetainedHeap guards what an arena holds on to: chunk-carved
+// pools and a flood that runs on the run's own engine and pools must
 // not grow it by more than 10%. It must not run alongside other tests,
 // so it is not parallel.
 func TestArenaRetainedHeap(t *testing.T) {

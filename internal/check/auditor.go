@@ -314,7 +314,7 @@ func (a *Auditor) RadioChanged(h int, old, new radio.State) {
 // queries stay known, since late pass-through reports may legitimately
 // arrive after removal.
 func (a *Auditor) RegisterQuery(spec query.Spec) {
-	i, known := a.query(spec.ID)
+	i, known := a.registered(spec.ID)
 	if !known {
 		a.queries = sim.ArenaAppend(a.eng, "check.queries", a.queries, query.Spec{})
 		copy(a.queries[i+1:], a.queries[i:])
@@ -322,9 +322,9 @@ func (a *Auditor) RegisterQuery(spec query.Spec) {
 	a.queries[i] = spec
 }
 
-// query returns the index of query q in a.queries and whether it is
+// registered returns the index of query q in a.queries and whether it is
 // registered; when it is not, the index is where it belongs.
-func (a *Auditor) query(q query.ID) (int, bool) {
+func (a *Auditor) registered(q query.ID) (int, bool) {
 	return slices.BinarySearchFunc(a.queries, q, func(s query.Spec, q query.ID) int { return cmp.Compare(s.ID, q) })
 }
 
@@ -343,7 +343,7 @@ func (a *Auditor) IntervalClosed(q query.ID, k int, latency time.Duration, cover
 }
 
 func (a *Auditor) checkReport(what string, q query.ID, k int, latency time.Duration, coverage int) {
-	i, known := a.query(q)
+	i, known := a.registered(q)
 	if !known {
 		a.violate("report-registered", "%s for unregistered query %d", what, q)
 		return

@@ -61,9 +61,9 @@ func (a *Arena) engine(seed int64) *sim.Engine {
 // flood builds a deployment's setup-flood tree on the run's engine eng,
 // reset to the flood's seed: the flood's channel, radios, MACs,
 // stations and events come from eng's pools and event freelist. eng is
-// then reset to the run's seed and the placement draws of topo's
-// config are replayed, so the run starts from the engine state the
-// placement left, and its own stack reuses the flood's memory. The
+// then reset to the run's seed and the placement draws of sc.Topology
+// are replayed, so the run starts from the engine state the placement
+// left, and its own stack reuses the flood's memory. The
 // tree itself is heap memory. Anything the run took from its pools
 // before the flood is reclaimed with it.
 func flood(eng *sim.Engine, sc *Scenario, topo *topology.Topology, root routing.NodeID, cfg routing.FloodConfig) (*routing.Tree, error) {

@@ -121,9 +121,9 @@ func mixedShapeScenarios() []Scenario {
 
 // TestArenaMixedShapeSettlesInOnePass: a fresh arena with a deployment
 // cache runs the mixed-shape set once in grid order, then again in a
-// shuffled order. Pool slots are matched to requests by capacity class,
-// not by request position, so the first pass meets every need of the
-// set, and each run of the shuffled pass allocates only what a warm
+// shuffled order. Pools carve requests from chunks they never replace,
+// so a run walks the chunks it walked in the first pass, which met
+// every need of the set, and each run of the shuffled pass allocates only what a warm
 // repeat of the same run allocates: its Result. Each count is the lower
 // of two trials, so an allocation the runtime makes in the background
 // during one run does not count.

@@ -147,15 +147,15 @@ func RunSpec(s *Spec) (*Result, error) {
 // running it: place the topology (via the generator table), build
 // the routing tree, attach the protocol stack to every member (via the
 // protocol table), and schedule queries, flows, the perturbation table,
-// and the warm-up snapshot. A nil arena builds on a fresh engine; a reused
-// arena's engine (event freelist, typed memory pools) is reset instead
-// of reallocated, and deployments (topology + routing-tree template)
+// and the warm-up snapshot. A nil arena builds on a private arena of
+// its own, like any other; a reused arena's engine (event freelist,
+// typed memory pools) is reset instead of reallocated, and deployments (topology + routing-tree template)
 // are served from the arena's cache when an identical placement was
 // built before. Results are byte-identical either way — the arena
 // changes where memory comes from, never what the run computes.
 func BuildWith(a *Arena, sc Scenario) (*Sim, error) { return build(sc, a) }
 
-// RunContextWith runs the scenario on arena a (nil for a fresh engine)
+// RunContextWith runs the scenario on arena a (nil for a private one)
 // with the three robustness properties a long-running host needs: the
 // run can be canceled through ctx, bounded by a resource budget, and a
 // panic anywhere in Build, the event loop, or Collect is contained into
