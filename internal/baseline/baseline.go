@@ -60,8 +60,8 @@ type Ranker interface {
 }
 
 // NewGreedy returns a greedy no-op shaper whose spec table is sized for
-// queries registrations and grows from eng's arena past them. rank may be nil when PerHopDelay is unused
-// (the rank then reads 0).
+// queries registrations and grows from eng's arena past them. rank may
+// be nil when PerHopDelay is unused (the rank then reads 0).
 func NewGreedy(eng *sim.Engine, rank Ranker, queries int) *Greedy {
 	g := sim.ArenaGrab[Greedy](eng, "baseline.greedy")
 	*g = Greedy{eng: eng, rank: rank,

@@ -23,8 +23,9 @@ import (
 // one Arena per worker, optionally sharing a DeployCache (which is
 // safe for concurrent use).
 //
-// Results are byte-identical with or without an arena; it changes where
-// memory comes from, never what a run computes.
+// A build given no arena runs on a private one. Results are
+// byte-identical on a fresh or a reused arena; it changes where memory
+// comes from, never what a run computes.
 type Arena struct {
 	eng   *sim.Engine
 	cache *DeployCache

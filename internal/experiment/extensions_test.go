@@ -122,6 +122,17 @@ func TestPeerFlowHalfPinnedKeepsItsPin(t *testing.T) {
 	}
 }
 
+// TestPeerFlowDrawNeedsTwoMembers: a flow whose endpoint must be drawn
+// on a tree of the root alone is a build error, not an endless draw.
+func TestPeerFlowDrawNeedsTwoMembers(t *testing.T) {
+	sc := extScenario(4)
+	sc.TreeMaxDist = 1 // no node but the root is this close to the root
+	sc.PeerFlows = []core.P2PSpec{{ID: -1, Src: -1, Dst: -1, Period: time.Second, Phase: 6 * time.Second}}
+	if _, err := BuildWith(nil, sc); err == nil {
+		t.Fatal("a peer flow with drawn endpoints built on a one-member tree")
+	}
+}
+
 func TestExtensionsCoexistWithFailures(t *testing.T) {
 	sc := extScenario(5)
 	sc.FailureThreshold = 3

@@ -352,10 +352,10 @@ type builder struct {
 
 // build takes the arena's engine, reset to the scenario's seed, and runs
 // the build stages in order; a nil arena is a private one, so every
-// build, one-shot or warm, takes its memory the same way. The Sim comes from the engine's arena, like
-// everything the stages build, so it is valid until the arena's next
-// build; it is taken after deploy, because a setup flood rewinds the
-// arena. The stage order is load-bearing: the engine rng is drawn for
+// build, one-shot or warm, takes its memory the same way. The Sim comes
+// from the engine's arena, like everything the stages build, so it is
+// valid until the arena's next build; it is taken after deploy,
+// because a setup flood rewinds the arena. The stage order is load-bearing: the engine rng is drawn for
 // placement (deploy), then peer-flow endpoints and random failure
 // victims (workload), and node construction and start order fix the
 // event sequence numbers.

@@ -146,9 +146,10 @@ func TestArenaSliceZeroedAndSized(t *testing.T) {
 	zeroed("reused slice", a2)
 	zeroed("reused slice", b2)
 	// A request larger than a whole chunk gets a chunk of its own size.
-	big := ArenaSlice[int](e, "t", 2*maxChunkBytes/8)
-	if len(big) != cap(big) || len(big) != 2*maxChunkBytes/8 {
-		t.Fatalf("len/cap = %d/%d, want %d", len(big), cap(big), 2*maxChunkBytes/8)
+	n := 2 * maxChunkBytes / int(unsafe.Sizeof(0))
+	big := ArenaSlice[int](e, "t", n)
+	if len(big) != n || cap(big) != n {
+		t.Fatalf("len/cap = %d/%d, want %d", len(big), cap(big), n)
 	}
 	zeroed("oversized slice", big)
 }
