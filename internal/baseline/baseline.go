@@ -31,20 +31,21 @@ import (
 	"github.com/essat/essat/internal/sim"
 )
 
+// greedyTimeoutFraction is the share of the query period a greedy node
+// waits for its children past the interval start.
+const greedyTimeoutFraction = 0.75
+
 // Greedy is a pass-through "shaper": reports are forwarded the moment
 // they are ready and no sleep schedule is maintained. Collection
-// deadlines default to 3/4 of the query period past the interval start,
-// stretched to PerHopDelay·(rank+1) for power managers whose store-and-
+// deadlines are 3/4 of the query period past the interval start,
+// stretched to perHopDelay·(rank+1) for power managers whose store-and-
 // forward latency exceeds the query period (PSM and SYNC wait up to a
 // full beacon per hop, so a deeper node must wait proportionally longer
 // for its subtree or aggregation degenerates into per-source forwarding).
 type Greedy struct {
-	// TimeoutFraction of the period to wait for children. Zero selects
-	// the 0.75 default.
-	TimeoutFraction float64
-	// PerHopDelay is the power manager's expected per-hop forwarding
+	// perHopDelay is the power manager's expected per-hop forwarding
 	// delay (e.g. the PSM/SYNC beacon period). Zero disables the stretch.
-	PerHopDelay time.Duration
+	perHopDelay time.Duration
 
 	eng   *sim.Engine
 	rank  Ranker
@@ -60,11 +61,12 @@ type Ranker interface {
 }
 
 // NewGreedy returns a greedy no-op shaper whose spec table is sized for
-// queries registrations and grows from eng's arena past them. rank may
-// be nil when PerHopDelay is unused (the rank then reads 0).
-func NewGreedy(eng *sim.Engine, rank Ranker, queries int) *Greedy {
+// queries registrations and grows from eng's arena past them, and whose
+// collection deadline stretches to perHopDelay per hop. rank may be nil
+// when perHopDelay is zero (the rank then reads 0).
+func NewGreedy(eng *sim.Engine, rank Ranker, queries int, perHopDelay time.Duration) *Greedy {
 	g := sim.ArenaGrab[Greedy](eng, "baseline.greedy")
-	*g = Greedy{eng: eng, rank: rank,
+	*g = Greedy{perHopDelay: perHopDelay, eng: eng, rank: rank,
 		specs: sim.ArenaSlice[query.Spec](eng, "baseline.greedy.specs", queries)[:0]}
 	return g
 }
@@ -97,16 +99,12 @@ func (g *Greedy) CollectDeadline(q query.ID, k int) time.Duration {
 	if i := g.find(q); i >= 0 {
 		spec = g.specs[i]
 	}
-	frac := g.TimeoutFraction
-	if frac <= 0 {
-		frac = 0.75
-	}
-	wait := time.Duration(frac * float64(spec.Period))
+	wait := time.Duration(greedyTimeoutFraction * float64(spec.Period))
 	rank := 0
 	if g.rank != nil {
 		rank = g.rank.Rank()
 	}
-	if byHops := g.PerHopDelay * time.Duration(rank+1); byHops > wait {
+	if byHops := g.perHopDelay * time.Duration(rank+1); byHops > wait {
 		wait = byHops
 	}
 	return spec.IntervalStart(k) + wait

@@ -16,7 +16,7 @@ import (
 // --- Greedy -----------------------------------------------------------------
 
 func TestGreedySendsImmediately(t *testing.T) {
-	g := NewGreedy(nil, nil, 1)
+	g := NewGreedy(nil, nil, 1, 0)
 	spec := query.Spec{ID: 1, Period: time.Second, Phase: 0}
 	g.QueryAdded(spec, nil)
 	at, phase := g.ReportReady(1, 3, 1234*time.Millisecond)
@@ -26,22 +26,17 @@ func TestGreedySendsImmediately(t *testing.T) {
 }
 
 func TestGreedyDeadlineFraction(t *testing.T) {
-	g := NewGreedy(nil, nil, 1)
+	g := NewGreedy(nil, nil, 1, 0)
 	spec := query.Spec{ID: 1, Period: time.Second, Phase: 2 * time.Second}
 	g.QueryAdded(spec, nil)
 	if got := g.CollectDeadline(1, 0); got != 2750*time.Millisecond {
 		t.Fatalf("CollectDeadline = %v, want 2.75s (0.75P)", got)
 	}
-	g.TimeoutFraction = 0.5
-	if got := g.CollectDeadline(1, 2); got != 4500*time.Millisecond {
-		t.Fatalf("CollectDeadline = %v, want 4.5s", got)
-	}
 }
 
 func TestGreedyPerHopStretch(t *testing.T) {
 	rank := fixedRank(3)
-	g := NewGreedy(nil, &rank, 1)
-	g.PerHopDelay = 200 * time.Millisecond
+	g := NewGreedy(nil, &rank, 1, 200*time.Millisecond)
 	spec := query.Spec{ID: 1, Period: 200 * time.Millisecond, Phase: 0}
 	g.QueryAdded(spec, nil)
 	// max(0.75·200ms, 200ms·4) = 800ms.
@@ -56,7 +51,7 @@ func TestGreedyPerHopStretch(t *testing.T) {
 }
 
 func TestGreedyQueryRemovedKeepsOthers(t *testing.T) {
-	g := NewGreedy(nil, nil, 2)
+	g := NewGreedy(nil, nil, 2, 0)
 	g.QueryAdded(query.Spec{ID: 1, Period: time.Second}, nil)
 	g.QueryAdded(query.Spec{ID: 2, Period: 2 * time.Second}, nil)
 	g.QueryRemoved(1)

@@ -1,8 +1,8 @@
 // Package core implements the paper's primary contribution: the ESSAT
 // power-management protocols. Each protocol pairs the Safe Sleep local
-// scheduler (§4.1) with a traffic shaper — NTS (§4.2.1), STS (§4.2.2) or
-// DTS (§4.2.3) — and includes the §4.3 maintenance mechanisms for packet
-// loss and topology changes.
+// scheduler (§4.1) with a traffic shaper — the static (NTS §4.2.1, STS
+// §4.2.2) and DTS (§4.2.3) shapers — and includes the §4.3 maintenance
+// mechanisms for packet loss and topology changes.
 package core
 
 import (
@@ -26,8 +26,8 @@ type Env interface {
 	IsRoot() bool
 	// Rank returns this node's current rank (max hops to a descendant).
 	Rank() int
-	// RankOf returns the current rank of another node (used by STS for
-	// per-child expected reception times).
+	// RankOf returns the current rank of another node (used by the
+	// static shaper for per-child expected reception times).
 	RankOf(n query.NodeID) int
 	// MaxRank returns M, the rank of the root.
 	MaxRank() int

@@ -30,7 +30,7 @@ func dropSpec(specs []query.Spec, q query.ID) []query.Spec {
 	return specs
 }
 
-// ShaperStats counts traffic-shaper events.
+// ShaperStats counts DTS events.
 type ShaperStats struct {
 	// PhaseShifts counts DTS phase shifts (late report → postponed s(k+1)).
 	PhaseShifts uint64
@@ -38,266 +38,176 @@ type ShaperStats struct {
 	PhaseUpdatesSent uint64
 	// PhaseRequestsSent counts explicit resynchronization requests.
 	PhaseRequestsSent uint64
-	// Buffered counts reports held back until their expected send time.
-	Buffered uint64
 }
 
-// --- NTS ---------------------------------------------------------------
+// --- Static (NTS / STS) ------------------------------------------------
 
-// NTS is "no traffic shaping" (§4.2.1): every node shares the expected
-// send and reception times s(k) = r(k) = φ + k·P, and aggregated reports
-// are forwarded greedily the moment they are ready. It never delays a
-// report (no latency penalty) but nodes of rank d stay awake ~(d−1)·Tagg
-// per interval waiting for their subtrees (Eq. 1).
-type NTS struct {
+// stsTimeoutSlack is tTO in the STS collection deadline s(k) + l − tTO
+// (§4.3).
+const stsTimeoutSlack = 10 * time.Millisecond
+
+// Static is the paper's static shaping rule: a node of rank d sends
+// interval k's report at s(k) = φ + k·P + l·d and expects child c's at
+// r(k,c) = φ + k·P + l·rank(c), the child's own send time, buffering
+// reports that are ready early. The paper's r(k) = φ+kP+l(d−1) is the
+// special case of a child at rank d−1. The two static protocols differ
+// only in the local deadline l and the §4.3 collection timeout:
+//
+//   - NTS, "no traffic shaping" (§4.2.1): l = 0, so s(k) = r(k) = φ + k·P
+//     and reports, never ready before their interval starts, go the
+//     moment they are ready. No report is delayed, but a node of rank d
+//     stays awake ~(d−1)·Tagg per interval waiting for its subtree
+//     (Eq. 1).
+//   - STS, the static traffic shaper (§4.2.2): each interval's reports
+//     are paced over an assigned deadline D, allocating the same local
+//     deadline l = D/M to each rank.
+//
+// Ranks are read on every call, so the schedule adapts (at
+// recomputation cost, §4.3) after topology changes.
+type Static struct {
 	env Env
 	ss  *SafeSleep
+	// sts selects l = D/M and the STS timeout; otherwise l = 0 and the
+	// NTS timeout.
+	sts bool
+	// deadline is D; zero means the query period, the paper's §5
+	// configuration.
+	deadline time.Duration
+	// noBuffering sends early reports at once (ablation: receivers are
+	// then asleep when they arrive and the shaping guarantee collapses
+	// into MAC retries).
+	noBuffering bool
 
 	specs []query.Spec
-	stats ShaperStats
 }
 
-var _ query.Shaper = (*NTS)(nil)
+var _ query.Shaper = (*Static)(nil)
 
-// NewNTS creates the no-shaping policy bound to env and ss. Its spec
+// NewNTS creates the NTS-SS rule on the static shaper (l = 0). Its spec
 // table is sized by ss's Queries option, and a query registered past it
 // (a burst) grows it from the arena.
-func NewNTS(env Env, ss *SafeSleep) *NTS {
-	n := sim.ArenaGrab[NTS](ss.eng, "core.nts")
-	*n = NTS{env: env, ss: ss,
-		specs: sim.ArenaSlice[query.Spec](ss.eng, "core.nts.specs", ss.opts.Queries)[:0]}
-	return n
+func NewNTS(env Env, ss *SafeSleep) *Static {
+	return newStatic(env, ss, false, 0, false)
 }
 
-// Stats returns shaper counters.
-func (n *NTS) Stats() ShaperStats { return n.stats }
-
-// QueryAdded implements query.Shaper.
-func (n *NTS) QueryAdded(spec query.Spec, children []query.NodeID) {
-	n.specs = sim.ArenaAppend(n.ss.eng, "core.nts.specs.grow", n.specs, spec)
-	if !n.env.IsRoot() {
-		n.ss.UpdateNextSend(spec.ID, spec.IntervalStart(0))
-	}
-	for _, c := range children {
-		n.ss.UpdateNextReceive(spec.ID, c, spec.IntervalStart(0))
-	}
+// NewSTS creates the STS-SS rule on the static shaper (l = D/M).
+// deadline <= 0 selects D = P; noBuffering sends early reports at once.
+func NewSTS(env Env, ss *SafeSleep, deadline time.Duration, noBuffering bool) *Static {
+	return newStatic(env, ss, true, deadline, noBuffering)
 }
 
-// ReportReady implements query.Shaper: NTS forwards immediately.
-func (n *NTS) ReportReady(q query.ID, k int, readyAt time.Duration) (time.Duration, time.Duration) {
-	return readyAt, query.NoPhase
-}
-
-// ReportSent implements query.Shaper: snext advances to the next period.
-func (n *NTS) ReportSent(q query.ID, k int) {
-	n.ss.UpdateNextSend(q, specFor(n.specs, q).IntervalStart(k+1))
-}
-
-// ReportFailed implements query.Shaper: the schedule is query-derived,
-// so it advances exactly as if the report had been delivered.
-func (n *NTS) ReportFailed(q query.ID, k int) { n.ReportSent(q, k) }
-
-// ReportReceived implements query.Shaper: rnext(c) = φ + (k+1)·P.
-func (n *NTS) ReportReceived(q query.ID, c query.NodeID, k int, phase time.Duration) {
-	n.ss.UpdateNextReceive(q, c, specFor(n.specs, q).IntervalStart(k+1))
-}
-
-// IntervalClosed advances rnext for children that never reported, so a
-// lost report cannot pin the radio on forever.
-func (n *NTS) IntervalClosed(q query.ID, k int, missing []query.NodeID) {
-	spec := specFor(n.specs, q)
-	for _, c := range missing {
-		n.ss.UpdateNextReceive(q, c, spec.IntervalStart(k+1))
-	}
-}
-
-// CollectDeadline implements the §4.3 NTS timeout tTO(d) = (d+1)·D/M
-// after the interval start, with D the query period as in the paper's
-// experiments.
-func (n *NTS) CollectDeadline(q query.ID, k int) time.Duration {
-	spec := specFor(n.specs, q)
-	d := n.env.Rank()
-	m := n.env.MaxRank()
-	if m < 1 {
-		m = 1
-	}
-	return spec.IntervalStart(k) + time.Duration(d+1)*spec.Period/time.Duration(m)
-}
-
-// QueryRemoved implements query.Shaper.
-func (n *NTS) QueryRemoved(q query.ID) {
-	n.specs = dropSpec(n.specs, q)
-	n.ss.RemoveQuery(q)
-}
-
-// ChildAdded implements query.Shaper.
-func (n *NTS) ChildAdded(q query.ID, c query.NodeID) {
-	// All nodes share the same schedule; expect the child from the next
-	// full interval (conservatively: now).
-	n.ss.UpdateNextReceive(q, c, n.env.Now())
-}
-
-// ChildRemoved implements query.Shaper.
-func (n *NTS) ChildRemoved(q query.ID, c query.NodeID) { n.ss.RemoveChild(q, c) }
-
-// ParentChanged implements query.Shaper: NTS schedules are independent of
-// the tree, nothing to do (§4.3).
-func (n *NTS) ParentChanged(q query.ID) {}
-
-// ControlReceived implements query.Shaper.
-func (n *NTS) ControlReceived(from query.NodeID, msg any) {}
-
-// --- STS ---------------------------------------------------------------
-
-// STS is the static traffic shaper (§4.2.2): transmission of each
-// interval's reports is paced over an assigned deadline D, allocating the
-// same local deadline l = D/M to each rank. A node of rank d expects its
-// children's reports by r(k,c) = φ + k·P + l·rank(c) (the child's expected
-// send time) and sends at s(k) = φ + k·P + l·d, buffering early reports.
-type STS struct {
-	env Env
-	ss  *SafeSleep
-	// Deadline is D. Zero means "use the query period", the paper's §5
-	// configuration.
-	Deadline time.Duration
-	// TimeoutSlack is the constant tTO in the STS collection deadline
-	// s(k) + l − tTO (§4.3).
-	TimeoutSlack time.Duration
-	// NoBuffering disables holding early reports until s(k) (ablation:
-	// without it, receivers are asleep when early reports arrive and the
-	// shaping guarantee collapses into MAC retries).
-	NoBuffering bool
-
-	specs []query.Spec
-	stats ShaperStats
-}
-
-var _ query.Shaper = (*STS)(nil)
-
-// NewSTS creates a static traffic shaper. deadline <= 0 selects D = P.
-// Its spec table is sized by ss's Queries option and grows from the
-// arena past it.
-func NewSTS(env Env, ss *SafeSleep, deadline time.Duration) *STS {
-	s := sim.ArenaGrab[STS](ss.eng, "core.sts")
-	*s = STS{
-		env:          env,
-		ss:           ss,
-		Deadline:     deadline,
-		TimeoutSlack: 10 * time.Millisecond,
-		specs:        sim.ArenaSlice[query.Spec](ss.eng, "core.sts.specs", ss.opts.Queries)[:0],
-	}
+func newStatic(env Env, ss *SafeSleep, sts bool, deadline time.Duration, noBuffering bool) *Static {
+	s := sim.ArenaGrab[Static](ss.eng, "core.static")
+	*s = Static{env: env, ss: ss, sts: sts, deadline: deadline, noBuffering: noBuffering,
+		specs: sim.ArenaSlice[query.Spec](ss.eng, "core.static.specs", ss.opts.Queries)[:0]}
 	return s
 }
 
-// Stats returns shaper counters.
-func (s *STS) Stats() ShaperStats { return s.stats }
+// maxRank returns M, at least 1.
+func (s *Static) maxRank() time.Duration {
+	return time.Duration(max(s.env.MaxRank(), 1))
+}
 
-// local returns l = D/M for query q.
-func (s *STS) local(q query.ID) time.Duration {
-	d := s.Deadline
+// local returns l: D/M under STS, 0 under NTS.
+func (s *Static) local(spec query.Spec) time.Duration {
+	if !s.sts {
+		return 0
+	}
+	d := s.deadline
 	if d <= 0 {
-		d = specFor(s.specs, q).Period
+		d = spec.Period
 	}
-	m := s.env.MaxRank()
-	if m < 1 {
-		m = 1
-	}
-	return d / time.Duration(m)
+	return d / s.maxRank()
 }
 
 // sendTime returns s(k) = φ + k·P + l·rank for this node's current rank.
-// Rank is read dynamically so STS adapts (at recomputation cost, §4.3)
-// after topology changes.
-func (s *STS) sendTime(q query.ID, k int) time.Duration {
-	return specFor(s.specs, q).IntervalStart(k) + time.Duration(s.env.Rank())*s.local(q)
+func (s *Static) sendTime(spec query.Spec, k int) time.Duration {
+	return spec.IntervalStart(k) + time.Duration(s.env.Rank())*s.local(spec)
 }
 
-// recvTime returns r(k,c) = the child's expected send time, computed from
-// the child's rank. The paper's r(k) = φ+kP+l(d−1) is the special case of
-// a child at rank d−1.
-func (s *STS) recvTime(q query.ID, k int, c query.NodeID) time.Duration {
-	cr := s.env.RankOf(c)
-	if cr < 0 {
-		cr = 0
-	}
-	return specFor(s.specs, q).IntervalStart(k) + time.Duration(cr)*s.local(q)
+// recvTime returns r(k,c) = φ + k·P + l·rank(c).
+func (s *Static) recvTime(spec query.Spec, k int, c query.NodeID) time.Duration {
+	return spec.IntervalStart(k) + time.Duration(max(s.env.RankOf(c), 0))*s.local(spec)
 }
 
 // QueryAdded implements query.Shaper.
-func (s *STS) QueryAdded(spec query.Spec, children []query.NodeID) {
-	s.specs = sim.ArenaAppend(s.ss.eng, "core.sts.specs.grow", s.specs, spec)
+func (s *Static) QueryAdded(spec query.Spec, children []query.NodeID) {
+	s.specs = sim.ArenaAppend(s.ss.eng, "core.static.specs.grow", s.specs, spec)
 	if !s.env.IsRoot() {
-		s.ss.UpdateNextSend(spec.ID, s.sendTime(spec.ID, 0))
+		s.ss.UpdateNextSend(spec.ID, s.sendTime(spec, 0))
 	}
 	for _, c := range children {
-		s.ss.UpdateNextReceive(spec.ID, c, s.recvTime(spec.ID, 0, c))
+		s.ss.UpdateNextReceive(spec.ID, c, s.recvTime(spec, 0, c))
 	}
 }
 
 // ReportReady implements query.Shaper: early reports are buffered until
 // s(k); late reports go immediately.
-func (s *STS) ReportReady(q query.ID, k int, readyAt time.Duration) (time.Duration, time.Duration) {
-	st := s.sendTime(q, k)
-	if readyAt < st && !s.NoBuffering {
-		s.stats.Buffered++
+func (s *Static) ReportReady(q query.ID, k int, readyAt time.Duration) (time.Duration, time.Duration) {
+	if st := s.sendTime(specFor(s.specs, q), k); readyAt < st && !s.noBuffering {
 		return st, query.NoPhase
 	}
 	return readyAt, query.NoPhase
 }
 
-// ReportSent implements query.Shaper.
-func (s *STS) ReportSent(q query.ID, k int) {
-	s.ss.UpdateNextSend(q, s.sendTime(q, k+1))
+// ReportSent implements query.Shaper: snext advances to s(k+1).
+func (s *Static) ReportSent(q query.ID, k int) {
+	s.ss.UpdateNextSend(q, s.sendTime(specFor(s.specs, q), k+1))
 }
 
-// ReportFailed implements query.Shaper: like NTS, the static schedule
-// advances regardless of the delivery outcome.
-func (s *STS) ReportFailed(q query.ID, k int) { s.ReportSent(q, k) }
+// ReportFailed implements query.Shaper: the schedule is query-derived,
+// so it advances exactly as if the report had been delivered.
+func (s *Static) ReportFailed(q query.ID, k int) { s.ReportSent(q, k) }
 
-// ReportReceived implements query.Shaper.
-func (s *STS) ReportReceived(q query.ID, c query.NodeID, k int, phase time.Duration) {
-	s.ss.UpdateNextReceive(q, c, s.recvTime(q, k+1, c))
+// ReportReceived implements query.Shaper: rnext(c) = r(k+1,c).
+func (s *Static) ReportReceived(q query.ID, c query.NodeID, k int, phase time.Duration) {
+	s.ss.UpdateNextReceive(q, c, s.recvTime(specFor(s.specs, q), k+1, c))
 }
 
-// IntervalClosed implements query.Shaper.
-func (s *STS) IntervalClosed(q query.ID, k int, missing []query.NodeID) {
+// IntervalClosed advances rnext for children that never reported, so a
+// lost report cannot pin the radio on forever.
+func (s *Static) IntervalClosed(q query.ID, k int, missing []query.NodeID) {
+	spec := specFor(s.specs, q)
 	for _, c := range missing {
-		s.ss.UpdateNextReceive(q, c, s.recvTime(q, k+1, c))
+		s.ss.UpdateNextReceive(q, c, s.recvTime(spec, k+1, c))
 	}
 }
 
-// CollectDeadline implements the §4.3 STS timeout, s(k) + l − tTO,
-// clamped to no earlier than the node's own expected send time s(k).
-func (s *STS) CollectDeadline(q query.ID, k int) time.Duration {
-	st := s.sendTime(q, k)
-	dl := st + s.local(q) - s.TimeoutSlack
-	if dl < st {
-		dl = st
+// CollectDeadline implements the §4.3 timeouts. NTS waits tTO(d) =
+// (d+1)·D/M past the interval start, with D the query period as in the
+// paper's experiments. STS waits until s(k) + l − tTO, clamped to no
+// earlier than the node's own expected send time s(k).
+func (s *Static) CollectDeadline(q query.ID, k int) time.Duration {
+	spec := specFor(s.specs, q)
+	if !s.sts {
+		return spec.IntervalStart(k) + time.Duration(s.env.Rank()+1)*spec.Period/s.maxRank()
 	}
-	return dl
+	st := s.sendTime(spec, k)
+	return max(st, st+s.local(spec)-stsTimeoutSlack)
 }
 
 // QueryRemoved implements query.Shaper.
-func (s *STS) QueryRemoved(q query.ID) {
+func (s *Static) QueryRemoved(q query.ID) {
 	s.specs = dropSpec(s.specs, q)
 	s.ss.RemoveQuery(q)
 }
 
-// ChildAdded implements query.Shaper.
-func (s *STS) ChildAdded(q query.ID, c query.NodeID) {
+// ChildAdded implements query.Shaper: expect the child from the next
+// full interval (conservatively: now).
+func (s *Static) ChildAdded(q query.ID, c query.NodeID) {
 	s.ss.UpdateNextReceive(q, c, s.env.Now())
 }
 
 // ChildRemoved implements query.Shaper.
-func (s *STS) ChildRemoved(q query.ID, c query.NodeID) { s.ss.RemoveChild(q, c) }
+func (s *Static) ChildRemoved(q query.ID, c query.NodeID) { s.ss.RemoveChild(q, c) }
 
-// ParentChanged implements query.Shaper. STS reads ranks dynamically, so
-// the §4.3 rank recomputation is implicit; expected times self-correct
-// from the next interval.
-func (s *STS) ParentChanged(q query.ID) {}
+// ParentChanged implements query.Shaper. Ranks are read on every call,
+// so the §4.3 rank recomputation is implicit; expected times
+// self-correct from the next interval.
+func (s *Static) ParentChanged(q query.ID) {}
 
 // ControlReceived implements query.Shaper.
-func (s *STS) ControlReceived(from query.NodeID, msg any) {}
+func (s *Static) ControlReceived(from query.NodeID, msg any) {}
 
 // --- DTS ---------------------------------------------------------------
 
@@ -350,10 +260,10 @@ func (st *dtsQueryState) child(c query.NodeID) *dtsChild {
 type DTS struct {
 	env Env
 	ss  *SafeSleep
-	// NoBuffering disables holding early reports until s(k) (ablation).
-	// Schedule bookkeeping is unchanged, so early sends hit sleeping
-	// receivers and fall back to MAC retries.
-	NoBuffering bool
+	// noBuffering sends early reports at once (ablation). Schedule
+	// bookkeeping is unchanged, so early sends hit sleeping receivers
+	// and fall back to MAC retries.
+	noBuffering bool
 
 	q     []*dtsQueryState
 	stats ShaperStats
@@ -361,15 +271,17 @@ type DTS struct {
 
 var _ query.Shaper = (*DTS)(nil)
 
-// NewDTS creates a dynamic traffic shaper. Its per-query table is sized
-// by ss's Queries option and grows from the arena past it, and each
-// query's child table is sized by the children QueryAdded passes.
-func NewDTS(env Env, ss *SafeSleep) *DTS {
+// NewDTS creates a dynamic traffic shaper; noBuffering sends early
+// reports at once. Its per-query table is sized by ss's Queries option
+// and grows from the arena past it, and each query's child table is
+// sized by the children QueryAdded passes.
+func NewDTS(env Env, ss *SafeSleep, noBuffering bool) *DTS {
 	d := sim.ArenaGrab[DTS](ss.eng, "core.dts")
 	*d = DTS{
-		env: env,
-		ss:  ss,
-		q:   sim.ArenaSlice[*dtsQueryState](ss.eng, "core.dts.q", ss.opts.Queries)[:0],
+		env:         env,
+		ss:          ss,
+		noBuffering: noBuffering,
+		q:           sim.ArenaSlice[*dtsQueryState](ss.eng, "core.dts.q", ss.opts.Queries)[:0],
 	}
 	return d
 }
@@ -415,11 +327,8 @@ func (d *DTS) ReportReady(q query.ID, k int, readyAt time.Duration) (time.Durati
 	if readyAt <= st.snext {
 		// On time: buffer until s(k); schedules stay implicitly aligned.
 		sendAt = st.snext
-		if readyAt < st.snext {
-			if d.NoBuffering {
-				sendAt = readyAt
-			}
-			d.stats.Buffered++
+		if readyAt < st.snext && d.noBuffering {
+			sendAt = readyAt
 		}
 		st.pendingNext = st.snext + st.spec.Period
 	} else {

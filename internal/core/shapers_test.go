@@ -46,10 +46,10 @@ func shaperFixture(t *testing.T, rank, maxRank int) (*sim.Engine, *fakeEnv, *Saf
 
 var testSpec = query.Spec{ID: 1, Period: time.Second, Phase: 2 * time.Second, Class: 1}
 
-// --- NTS ---------------------------------------------------------------
+// --- Static: NTS-SS (l = 0) ---------------------------------------------
 
-func TestNTSSchedule(t *testing.T) {
-	eng, env, ss := shaperFixture(t, 2, 4)
+func TestStaticNTSSchedule(t *testing.T) {
+	_, env, ss := shaperFixture(t, 2, 4)
 	n := NewNTS(env, ss)
 	n.QueryAdded(testSpec, []query.NodeID{7})
 
@@ -73,20 +73,29 @@ func TestNTSSchedule(t *testing.T) {
 	if got := ss.recvTime(1, 7); got != 5*time.Second {
 		t.Fatalf("rnext = %v after receiving k=2, want 5s", got)
 	}
-	_ = eng
 }
 
-func TestNTSTimeoutByRank(t *testing.T) {
-	_, env, ss := shaperFixture(t, 2, 4)
-	n := NewNTS(env, ss)
-	n.QueryAdded(testSpec, nil)
-	// tTO(d) = (d+1)·D/M with D = P: (2+1)·1s/4 = 750ms past the start.
-	if got := n.CollectDeadline(1, 0); got != 2750*time.Millisecond {
-		t.Fatalf("CollectDeadline = %v, want 2.75s", got)
+func TestStaticNTSTimeoutByRank(t *testing.T) {
+	for _, c := range []struct {
+		rank, maxRank int
+		want          time.Duration
+	}{
+		// tTO(d) = (d+1)·D/M with D = P: (2+1)·1s/4 = 750ms past the start.
+		{2, 4, 2750 * time.Millisecond},
+		// M does not divide (d+1)·P: multiplying first gives 4s/7 =
+		// 571,428,571ns, where 4·(1s/7) would give 571,428,568ns.
+		{3, 7, 2*time.Second + 571428571},
+	} {
+		_, env, ss := shaperFixture(t, c.rank, c.maxRank)
+		n := NewNTS(env, ss)
+		n.QueryAdded(testSpec, nil)
+		if got := n.CollectDeadline(1, 0); got != c.want {
+			t.Errorf("d=%d M=%d: CollectDeadline = %v, want %v", c.rank, c.maxRank, got, c.want)
+		}
 	}
 }
 
-func TestNTSIntervalClosedAdvancesMissing(t *testing.T) {
+func TestStaticNTSIntervalClosedAdvancesMissing(t *testing.T) {
 	_, env, ss := shaperFixture(t, 1, 4)
 	n := NewNTS(env, ss)
 	n.QueryAdded(testSpec, []query.NodeID{7, 8})
@@ -100,21 +109,18 @@ func TestNTSIntervalClosedAdvancesMissing(t *testing.T) {
 	}
 }
 
-// --- STS ---------------------------------------------------------------
+// --- Static: STS-SS (l = D/M) --------------------------------------------
 
-func TestSTSSchedule(t *testing.T) {
+func TestStaticSTSSchedule(t *testing.T) {
 	_, env, ss := shaperFixture(t, 2, 4)
 	env.ranks[7] = 1
-	s := NewSTS(env, ss, 400*time.Millisecond) // l = D/M = 100ms
+	s := NewSTS(env, ss, 400*time.Millisecond, false) // l = D/M = 100ms
 	s.QueryAdded(testSpec, []query.NodeID{7})
 
 	// s(k) = φ + kP + l·d = 2s + 200ms.
 	sendAt, _ := s.ReportReady(1, 0, 2*time.Second)
 	if sendAt != 2200*time.Millisecond {
 		t.Fatalf("ReportReady = %v, want 2.2s (buffered until s(0))", sendAt)
-	}
-	if s.Stats().Buffered != 1 {
-		t.Fatalf("Buffered = %d, want 1", s.Stats().Buffered)
 	}
 	// r(k, c) = φ + kP + l·rank(c) = 2s + 100ms for the rank-1 child.
 	if got := ss.recvTime(1, 7); got != 2100*time.Millisecond {
@@ -127,9 +133,9 @@ func TestSTSSchedule(t *testing.T) {
 	}
 }
 
-func TestSTSDeadlineDefaultsToPeriod(t *testing.T) {
+func TestStaticSTSDeadlineDefaultsToPeriod(t *testing.T) {
 	_, env, ss := shaperFixture(t, 1, 4)
-	s := NewSTS(env, ss, 0)
+	s := NewSTS(env, ss, 0, false)
 	s.QueryAdded(testSpec, nil)
 	// l = P/M = 250ms; s(0) = 2s + 250ms.
 	sendAt, _ := s.ReportReady(1, 0, 2*time.Second)
@@ -138,9 +144,9 @@ func TestSTSDeadlineDefaultsToPeriod(t *testing.T) {
 	}
 }
 
-func TestSTSRankChangeMovesSchedule(t *testing.T) {
+func TestStaticSTSRankChangeMovesSchedule(t *testing.T) {
 	_, env, ss := shaperFixture(t, 1, 4)
-	s := NewSTS(env, ss, 400*time.Millisecond)
+	s := NewSTS(env, ss, 400*time.Millisecond, false)
 	s.QueryAdded(testSpec, nil)
 	sendAt, _ := s.ReportReady(1, 0, 2*time.Second)
 	if sendAt != 2100*time.Millisecond {
@@ -155,12 +161,12 @@ func TestSTSRankChangeMovesSchedule(t *testing.T) {
 	}
 }
 
-func TestSTSCollectDeadlineClampedToSendTime(t *testing.T) {
+func TestStaticSTSCollectDeadlineClampedToSendTime(t *testing.T) {
 	_, env, ss := shaperFixture(t, 2, 4)
-	s := NewSTS(env, ss, 400*time.Millisecond)
-	s.TimeoutSlack = time.Second // absurd slack: deadline would precede s(k)
+	// D = 20ms gives l = 5ms < tTO: s(0) + l − tTO would precede s(0).
+	s := NewSTS(env, ss, 20*time.Millisecond, false)
 	s.QueryAdded(testSpec, nil)
-	if got, want := s.CollectDeadline(1, 0), 2200*time.Millisecond; got != want {
+	if got, want := s.CollectDeadline(1, 0), 2010*time.Millisecond; got != want {
 		t.Fatalf("CollectDeadline = %v, want clamped to s(0) = %v", got, want)
 	}
 }
@@ -169,7 +175,7 @@ func TestSTSCollectDeadlineClampedToSendTime(t *testing.T) {
 
 func TestDTSOnTimeKeepsSchedule(t *testing.T) {
 	_, env, ss := shaperFixture(t, 1, 4)
-	d := NewDTS(env, ss)
+	d := NewDTS(env, ss, false)
 	d.QueryAdded(testSpec, []query.NodeID{7})
 
 	// Ready exactly at s(0) = φ: no shift, s(1) = φ + P.
@@ -188,7 +194,7 @@ func TestDTSOnTimeKeepsSchedule(t *testing.T) {
 
 func TestDTSPhaseShiftOnLateReport(t *testing.T) {
 	_, env, ss := shaperFixture(t, 1, 4)
-	d := NewDTS(env, ss)
+	d := NewDTS(env, ss, false)
 	d.QueryAdded(testSpec, nil)
 
 	// Ready 80ms late: send immediately, postpone s(1), piggyback it.
@@ -216,7 +222,7 @@ func TestDTSPhaseShiftOnLateReport(t *testing.T) {
 
 func TestDTSParentTracksChildPhase(t *testing.T) {
 	_, env, ss := shaperFixture(t, 2, 4)
-	d := NewDTS(env, ss)
+	d := NewDTS(env, ss, false)
 	d.QueryAdded(testSpec, []query.NodeID{7})
 
 	// Report 0 without phase: r(1) = r(0) + P.
@@ -233,7 +239,7 @@ func TestDTSParentTracksChildPhase(t *testing.T) {
 
 func TestDTSGapTriggersResync(t *testing.T) {
 	eng, env, ss := shaperFixture(t, 2, 4)
-	d := NewDTS(env, ss)
+	d := NewDTS(env, ss, false)
 	d.QueryAdded(testSpec, []query.NodeID{7})
 
 	d.ReportReceived(1, 7, 0, query.NoPhase)
@@ -268,7 +274,7 @@ func TestDTSGapTriggersResync(t *testing.T) {
 
 func TestDTSPhaseRequestForcesUpdate(t *testing.T) {
 	_, env, ss := shaperFixture(t, 1, 4)
-	d := NewDTS(env, ss)
+	d := NewDTS(env, ss, false)
 	d.QueryAdded(testSpec, nil)
 
 	d.ControlReceived(9, PhaseRequest{Query: 1})
@@ -286,7 +292,7 @@ func TestDTSPhaseRequestForcesUpdate(t *testing.T) {
 
 func TestDTSParentChangedForcesUpdate(t *testing.T) {
 	_, env, ss := shaperFixture(t, 1, 4)
-	d := NewDTS(env, ss)
+	d := NewDTS(env, ss, false)
 	d.QueryAdded(testSpec, nil)
 	d.ParentChanged(1)
 	_, phase := d.ReportReady(1, 0, 2*time.Second)
@@ -297,7 +303,7 @@ func TestDTSParentChangedForcesUpdate(t *testing.T) {
 
 func TestDTSReportFailedAdvancesAndFlags(t *testing.T) {
 	_, env, ss := shaperFixture(t, 1, 4)
-	d := NewDTS(env, ss)
+	d := NewDTS(env, ss, false)
 	d.QueryAdded(testSpec, nil)
 	_, _ = d.ReportReady(1, 0, 2*time.Second)
 	d.ReportFailed(1, 0)
@@ -312,7 +318,7 @@ func TestDTSReportFailedAdvancesAndFlags(t *testing.T) {
 
 func TestDTSChildAddedStaysAwakeUntilFirstReport(t *testing.T) {
 	eng, env, ss := shaperFixture(t, 2, 4)
-	d := NewDTS(env, ss)
+	d := NewDTS(env, ss, false)
 	d.QueryAdded(testSpec, nil)
 	eng.Run(5 * time.Second)
 	d.ChildAdded(1, 7)
@@ -329,7 +335,7 @@ func TestDTSChildAddedStaysAwakeUntilFirstReport(t *testing.T) {
 
 func TestDTSChildRemovedForgetsState(t *testing.T) {
 	_, env, ss := shaperFixture(t, 2, 4)
-	d := NewDTS(env, ss)
+	d := NewDTS(env, ss, false)
 	d.QueryAdded(testSpec, []query.NodeID{7})
 	d.ChildRemoved(1, 7)
 	if ss.hasRecv(1, 7) {
@@ -340,7 +346,7 @@ func TestDTSChildRemovedForgetsState(t *testing.T) {
 
 func TestDTSCollectDeadline(t *testing.T) {
 	_, env, ss := shaperFixture(t, 2, 4)
-	d := NewDTS(env, ss)
+	d := NewDTS(env, ss, false)
 	d.QueryAdded(testSpec, []query.NodeID{7, 8})
 	// Children at r(0)=φ: deadline = max(rnext) + tTO = 2s + 50ms.
 	if got := d.CollectDeadline(1, 0); got != 2050*time.Millisecond {
@@ -356,7 +362,7 @@ func TestDTSCollectDeadline(t *testing.T) {
 func TestRootHasNoSendSchedule(t *testing.T) {
 	_, env, ss := shaperFixture(t, 4, 4)
 	env.root = true
-	for _, s := range []query.Shaper{NewNTS(env, ss), NewSTS(env, ss, 0), NewDTS(env, ss)} {
+	for _, s := range []query.Shaper{NewNTS(env, ss), NewSTS(env, ss, 0, false), NewDTS(env, ss, false)} {
 		s.QueryAdded(query.Spec{ID: query.ID(len(ss.nextSend) + 10), Period: time.Second}, nil)
 	}
 	if len(ss.nextSend) != 0 {

@@ -35,7 +35,7 @@ func TestDTSChildTableSizedByChildren(t *testing.T) {
 	for _, arena := range []bool{false, true} {
 		for _, k := range []int{0, 1, 3, 8, 11} {
 			env, ss := sizedFixture(1, k, arena)
-			d := NewDTS(env, ss)
+			d := NewDTS(env, ss, false)
 			d.QueryAdded(testSpec, childIDs(k))
 			st := d.state(testSpec.ID)
 			if len(st.children) != k || cap(st.children) != k {
@@ -53,14 +53,12 @@ func TestDTSChildTableSizedByChildren(t *testing.T) {
 func TestSafeSleepRowsDoNotRegrow(t *testing.T) {
 	shapers := map[string]func(Env, *SafeSleep) query.Shaper{
 		"NTS": func(e Env, ss *SafeSleep) query.Shaper { return NewNTS(e, ss) },
-		"STS": func(e Env, ss *SafeSleep) query.Shaper { return NewSTS(e, ss, 0) },
-		"DTS": func(e Env, ss *SafeSleep) query.Shaper { return NewDTS(e, ss) },
+		"STS": func(e Env, ss *SafeSleep) query.Shaper { return NewSTS(e, ss, 0, false) },
+		"DTS": func(e Env, ss *SafeSleep) query.Shaper { return NewDTS(e, ss, false) },
 	}
 	perQuery := func(sh query.Shaper) (int, int) {
 		switch s := sh.(type) {
-		case *NTS:
-			return len(s.specs), cap(s.specs)
-		case *STS:
+		case *Static:
 			return len(s.specs), cap(s.specs)
 		case *DTS:
 			return len(s.q), cap(s.q)

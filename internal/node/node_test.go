@@ -61,7 +61,7 @@ func buildNet(t *testing.T, pts []geom.Point, failureThreshold int) (*sim.Engine
 		if id == tree.Root() {
 			s = sink
 		}
-		n.InstallAgent(core.NewDTS(n, ss), s, query.Config{FailureThreshold: failureThreshold}, len(specs))
+		n.InstallAgent(core.NewDTS(n, ss, false), s, query.Config{FailureThreshold: failureThreshold}, len(specs))
 		nodes[id] = n
 	}
 	for _, spec := range specs {
@@ -255,7 +255,7 @@ func TestPhaseRequestViaAckReachesShaper(t *testing.T) {
 	for _, id := range tree.AppendMembers(nil) {
 		n := New(eng, id, tree, ch, radio.Config{})
 		ss := core.NewSafeSleep(eng, n.Radio, core.SafeSleepOptions{Disabled: true})
-		d := core.NewDTS(n, ss)
+		d := core.NewDTS(n, ss, false)
 		n.InstallAgent(d, nil, query.Config{FailureThreshold: 3}, 1)
 		nodes[id] = n
 		shapers = append(shapers, d)

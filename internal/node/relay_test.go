@@ -92,7 +92,7 @@ func TestRelayEndToEnd(t *testing.T) {
 				n := New(eng, id, tree, ch, radio.Config{TurnOnDelay: time.Millisecond, TurnOffDelay: 500 * time.Microsecond})
 				ss := core.NewSafeSleep(eng, n.Radio, core.SafeSleepOptions{BreakEven: -1, MACBusy: n.MAC})
 				n.InstallSleep(ss)
-				n.InstallAgent(core.NewDTS(n, ss), nil, query.Config{FailureThreshold: 3}, 1)
+				n.InstallAgent(core.NewDTS(n, ss, false), nil, query.Config{FailureThreshold: 3}, 1)
 				n.InstallRelay(func(m *core.FlowMessage) { consumed[id] = append(consumed[id], m.Interval) })
 				if err := c.register(n, tree); err != nil {
 					t.Fatal(err)

@@ -12,23 +12,20 @@ import (
 func buildPSM(ctx *BuildContext) {
 	n := ctx.Node
 	n.InstallPM(baseline.NewPsmPM(ctx.Eng, n.ID(), n.Radio, n.MAC))
-	g := baseline.NewGreedy(ctx.Eng, n, ctx.Queries)
-	g.PerHopDelay = baseline.PsmBeaconPeriod
+	g := baseline.NewGreedy(ctx.Eng, n, ctx.Queries, baseline.PsmBeaconPeriod)
 	n.InstallAgent(g, ctx.Sink, ctx.QueryCfg, ctx.Queries)
 }
 
 func buildSYNC(ctx *BuildContext) {
 	n := ctx.Node
 	n.InstallPM(baseline.NewSyncPM(ctx.Eng, n.Radio))
-	g := baseline.NewGreedy(ctx.Eng, n, ctx.Queries)
-	g.PerHopDelay = baseline.SyncPeriod
+	g := baseline.NewGreedy(ctx.Eng, n, ctx.Queries, baseline.SyncPeriod)
 	n.InstallAgent(g, ctx.Sink, ctx.QueryCfg, ctx.Queries)
 }
 
 func buildTMAC(ctx *BuildContext) {
 	n := ctx.Node
 	n.InstallPM(baseline.NewTmacPM(ctx.Eng, n.Radio, n.MAC))
-	g := baseline.NewGreedy(ctx.Eng, n, ctx.Queries)
-	g.PerHopDelay = baseline.TmacFramePeriod
+	g := baseline.NewGreedy(ctx.Eng, n, ctx.Queries, baseline.TmacFramePeriod)
 	n.InstallAgent(g, ctx.Sink, ctx.QueryCfg, ctx.Queries)
 }

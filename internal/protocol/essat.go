@@ -19,8 +19,7 @@ func buildSTS(ctx *BuildContext) {
 	n := ctx.Node
 	ss := newSafeSleep(ctx, false)
 	n.InstallSleep(ss)
-	sts := core.NewSTS(n, ss, ctx.Params.STSDeadline)
-	sts.NoBuffering = ctx.Params.NoBuffering
+	sts := core.NewSTS(n, ss, ctx.Params.STSDeadline, ctx.Params.NoBuffering)
 	n.InstallAgent(sts, ctx.Sink, ctx.QueryCfg, ctx.Queries)
 }
 
@@ -28,8 +27,7 @@ func buildDTS(ctx *BuildContext) {
 	n := ctx.Node
 	ss := newSafeSleep(ctx, false)
 	n.InstallSleep(ss)
-	dts := core.NewDTS(n, ss)
-	dts.NoBuffering = ctx.Params.NoBuffering
+	dts := core.NewDTS(n, ss, ctx.Params.NoBuffering)
 	n.InstallAgent(dts, ctx.Sink, ctx.QueryCfg, ctx.Queries)
 }
 
