@@ -10,10 +10,11 @@ import (
 
 // liveHeapPerNodeBound is the committed per-node footprint of the
 // 1000-node tier: live heap bytes per deployed node after a 5 s run of
-// testdata/large.json, measured at 4,380 B/node (x86-64, Go 1.24) once
-// every per-node table was sized by its node's children and the run's
-// queries, plus 10% headroom. Fixed per-node capacities measured 5,795.
-const liveHeapPerNodeBound = 4818
+// testdata/large.json, measured at 3,697 B/node (x86-64, Go 1.24) once
+// per-run state (query specs, the MAC and report pools) was kept once
+// per run instead of once per node, plus 10% headroom. Per-node copies measured 4,429, and fixed per-node
+// capacities 5,795.
+const liveHeapPerNodeBound = 4067
 
 // TestLiveHeapPerNode guards the per-node memory cost: it builds and
 // simulates testdata/large.json for 5 s, collects garbage while the
@@ -58,10 +59,11 @@ func TestLiveHeapPerNode(t *testing.T) {
 // testdata/large.json, garbage collected with the arena kept and the
 // run's Result dropped. An arena keeps its engine and memory pools; it
 // kept a second engine for the setup flood until floods ran on the
-// run's engine. The bound is 4,770,336 B, measured before floods
-// borrowed the run's pools and pool slots were matched by capacity class
-// (x86-64, Go 1.24), plus 10%. Both changes measured 4,906,800 B.
-const arenaRetainedBound = 5124 << 10
+// run's engine. The bound is 3,700,176 B, measured once per-run state
+// was kept once per run instead of once per node and events came in
+// blocks (x86-64, Go 1.24), plus 10%. Per-node copies measured
+// 4,437,256 B.
+const arenaRetainedBound = 3975 << 10
 
 // TestArenaRetainedHeap guards what an arena holds on to: chunk-carved
 // pools and a flood that runs on the run's own engine and pools must

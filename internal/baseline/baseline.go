@@ -49,7 +49,7 @@ type Greedy struct {
 
 	eng   *sim.Engine
 	rank  Ranker
-	specs []query.Spec // registered queries, in registration order
+	specs []*query.Spec // registered queries, in registration order
 }
 
 var _ query.Shaper = (*Greedy)(nil)
@@ -67,12 +67,12 @@ type Ranker interface {
 func NewGreedy(eng *sim.Engine, rank Ranker, queries int, perHopDelay time.Duration) *Greedy {
 	g := sim.ArenaGrab[Greedy](eng, "baseline.greedy")
 	*g = Greedy{perHopDelay: perHopDelay, eng: eng, rank: rank,
-		specs: sim.ArenaSlice[query.Spec](eng, "baseline.greedy.specs", queries)[:0]}
+		specs: sim.ArenaSlice[*query.Spec](eng, "baseline.greedy.specs", queries)[:0]}
 	return g
 }
 
 // QueryAdded implements query.Shaper.
-func (g *Greedy) QueryAdded(spec query.Spec, children []query.NodeID) {
+func (g *Greedy) QueryAdded(spec *query.Spec, children []query.NodeID) {
 	g.specs = sim.ArenaAppend(g.eng, "baseline.greedy.specs.grow", g.specs, spec)
 }
 
@@ -97,7 +97,7 @@ func (g *Greedy) IntervalClosed(q query.ID, k int, missing []query.NodeID) {}
 func (g *Greedy) CollectDeadline(q query.ID, k int) time.Duration {
 	var spec query.Spec
 	if i := g.find(q); i >= 0 {
-		spec = g.specs[i]
+		spec = *g.specs[i]
 	}
 	wait := time.Duration(greedyTimeoutFraction * float64(spec.Period))
 	rank := 0

@@ -18,7 +18,7 @@ import (
 func TestGreedySendsImmediately(t *testing.T) {
 	g := NewGreedy(nil, nil, 1, 0)
 	spec := query.Spec{ID: 1, Period: time.Second, Phase: 0}
-	g.QueryAdded(spec, nil)
+	g.QueryAdded(&spec, nil)
 	at, phase := g.ReportReady(1, 3, 1234*time.Millisecond)
 	if at != 1234*time.Millisecond || phase != query.NoPhase {
 		t.Fatalf("ReportReady = (%v, %v), want immediate with no phase", at, phase)
@@ -28,7 +28,7 @@ func TestGreedySendsImmediately(t *testing.T) {
 func TestGreedyDeadlineFraction(t *testing.T) {
 	g := NewGreedy(nil, nil, 1, 0)
 	spec := query.Spec{ID: 1, Period: time.Second, Phase: 2 * time.Second}
-	g.QueryAdded(spec, nil)
+	g.QueryAdded(&spec, nil)
 	if got := g.CollectDeadline(1, 0); got != 2750*time.Millisecond {
 		t.Fatalf("CollectDeadline = %v, want 2.75s (0.75P)", got)
 	}
@@ -38,7 +38,7 @@ func TestGreedyPerHopStretch(t *testing.T) {
 	rank := fixedRank(3)
 	g := NewGreedy(nil, &rank, 1, 200*time.Millisecond)
 	spec := query.Spec{ID: 1, Period: 200 * time.Millisecond, Phase: 0}
-	g.QueryAdded(spec, nil)
+	g.QueryAdded(&spec, nil)
 	// max(0.75·200ms, 200ms·4) = 800ms.
 	if got := g.CollectDeadline(1, 0); got != 800*time.Millisecond {
 		t.Fatalf("CollectDeadline = %v, want 800ms", got)
@@ -52,8 +52,8 @@ func TestGreedyPerHopStretch(t *testing.T) {
 
 func TestGreedyQueryRemovedKeepsOthers(t *testing.T) {
 	g := NewGreedy(nil, nil, 2, 0)
-	g.QueryAdded(query.Spec{ID: 1, Period: time.Second}, nil)
-	g.QueryAdded(query.Spec{ID: 2, Period: 2 * time.Second}, nil)
+	g.QueryAdded(&query.Spec{ID: 1, Period: time.Second}, nil)
+	g.QueryAdded(&query.Spec{ID: 2, Period: 2 * time.Second}, nil)
 	g.QueryRemoved(1)
 	if got := g.CollectDeadline(2, 0); got != 1500*time.Millisecond {
 		t.Fatalf("CollectDeadline(2) = %v after removing query 1, want 1.5s", got)

@@ -123,10 +123,11 @@ type recvEntry struct {
 type SafeSleep struct {
 	eng   *sim.Engine
 	radio *radio.Radio
-	opts  SafeSleepOptions
-	// wakeAhead is tOFF→ON: the radio is woken this long before the next
-	// expected event.
-	wakeAhead time.Duration
+	// breakEven, macBusy and disabled are the options' BreakEven,
+	// MACBusy and Disabled, resolved; the sizing options are read only
+	// by the constructor.
+	breakEven time.Duration
+	macBusy   BusyReporter
 	// awakeUntil keeps the radio on until then regardless of the
 	// schedule (the paper's query setup slot, see HoldAwake).
 	awakeUntil time.Duration
@@ -140,8 +141,9 @@ type SafeSleep struct {
 	// lower bound of every row (noRows when both are empty). While stale
 	// is false it is exact; raising or removing a row that held it makes
 	// it stale, and earliest rescans.
-	minAt time.Duration
-	stale bool
+	minAt    time.Duration
+	stale    bool
+	disabled bool
 
 	wakeEv *sim.Event
 	wakeAt time.Duration
@@ -178,8 +180,9 @@ func NewSafeSleep(eng *sim.Engine, r *radio.Radio, opts SafeSleepOptions) *SafeS
 	*ss = SafeSleep{
 		eng:       eng,
 		radio:     r,
-		opts:      opts,
-		wakeAhead: r.Config().TurnOnDelay,
+		breakEven: opts.BreakEven,
+		macBusy:   opts.MACBusy,
+		disabled:  opts.Disabled,
 		// The expectation tables hold exactly the rows the node's queries
 		// and children will register, so they never regrow while the
 		// build registers them, and a leaf reserves no receive rows.
@@ -217,7 +220,12 @@ func (ss *SafeSleep) SetObserver(id query.NodeID, o SleepObserver) {
 }
 
 // Disabled reports whether the scheduler is a no-op.
-func (ss *SafeSleep) Disabled() bool { return ss.opts.Disabled }
+func (ss *SafeSleep) Disabled() bool { return ss.disabled }
+
+// queries is the Queries option the node was built with, which sizes
+// the shapers' per-query tables: the send table is built with exactly
+// that capacity, and the shapers are built before any query registers.
+func (ss *SafeSleep) queries() int { return cap(ss.nextSend) }
 
 // HoldAwake keeps the radio on until at least `until` (the paper's query
 // setup slot: "during the setup slot, all nodes keep their radio on").
@@ -227,7 +235,7 @@ func (ss *SafeSleep) HoldAwake(until time.Duration) {
 		return
 	}
 	ss.awakeUntil = until
-	if ss.opts.Disabled {
+	if ss.disabled {
 		return
 	}
 	ss.ensureAwake()
@@ -377,7 +385,7 @@ func (ss *SafeSleep) earliest() (time.Duration, bool) {
 // the free period exceeds the break-even time, sleep until
 // twakeup − tOFF→ON.
 func (ss *SafeSleep) CheckState() {
-	if ss.opts.Disabled {
+	if ss.disabled {
 		return
 	}
 	now := ss.eng.Now()
@@ -394,7 +402,7 @@ func (ss *SafeSleep) CheckState() {
 	if now < ss.awakeUntil {
 		return // inside the setup slot: stay on
 	}
-	if ss.opts.MACBusy.Busy() {
+	if ss.macBusy.Busy() {
 		return // unfinished MAC work (queued frames or an owed ACK)
 	}
 	switch ss.radio.State() {
@@ -406,13 +414,13 @@ func (ss *SafeSleep) CheckState() {
 		return
 	}
 	tsleep := twakeup - now
-	if tsleep <= ss.opts.BreakEven {
+	if tsleep <= ss.breakEven {
 		ss.stats.Suppressed++
 		return
 	}
 	ss.stats.Sleeps++
 	if ss.obs != nil {
-		ss.obs.Slept(ss.obsID, now, twakeup, ss.opts.BreakEven)
+		ss.obs.Slept(ss.obsID, now, twakeup, ss.breakEven)
 	}
 	ss.radio.TurnOff()
 	ss.scheduleWake(twakeup)
@@ -427,7 +435,7 @@ func (ss *SafeSleep) ensureAwake() {
 }
 
 func (ss *SafeSleep) scheduleWake(twakeup time.Duration) {
-	at := twakeup - ss.wakeAhead
+	at := twakeup - ss.radio.Config().TurnOnDelay
 	if now := ss.eng.Now(); at < now {
 		at = now
 	}

@@ -279,8 +279,8 @@ func TestDefaultsDeriveFromRadio(t *testing.T) {
 	paper, _ := radio.LookupProfile(radio.Paper)
 	cfg := paper.Config()
 	_, _, ss := newSS(t, cfg, SafeSleepOptions{BreakEven: -1})
-	if ss.opts.BreakEven != cfg.BreakEven() {
-		t.Fatalf("BreakEven = %v, want %v", ss.opts.BreakEven, cfg.BreakEven())
+	if ss.breakEven != cfg.BreakEven() {
+		t.Fatalf("BreakEven = %v, want %v", ss.breakEven, cfg.BreakEven())
 	}
 	const twakeup = 100 * time.Millisecond
 	ss.UpdateNextSend(1, twakeup)

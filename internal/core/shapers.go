@@ -10,18 +10,19 @@ import (
 // specFor returns the spec with the given ID, or a zero Spec if absent —
 // the same tolerance for lookups after removal that a map gives. Shapers
 // track a handful of queries, so a linear scan over an arena-backed slice
-// beats a per-shaper map (and its per-run allocation).
-func specFor(specs []query.Spec, q query.ID) query.Spec {
-	for i := range specs {
-		if specs[i].ID == q {
-			return specs[i]
+// beats a per-shaper map (and its per-run allocation). The slice holds
+// pointers to the run's one copy of each spec.
+func specFor(specs []*query.Spec, q query.ID) query.Spec {
+	for _, sp := range specs {
+		if sp.ID == q {
+			return *sp
 		}
 	}
 	return query.Spec{}
 }
 
 // dropSpec removes the spec with the given ID, preserving order.
-func dropSpec(specs []query.Spec, q query.ID) []query.Spec {
+func dropSpec(specs []*query.Spec, q query.ID) []*query.Spec {
 	for i := range specs {
 		if specs[i].ID == q {
 			return append(specs[:i], specs[i+1:]...)
@@ -78,13 +79,13 @@ type Static struct {
 	// into MAC retries).
 	noBuffering bool
 
-	specs []query.Spec
+	specs []*query.Spec
 }
 
 var _ query.Shaper = (*Static)(nil)
 
 // NewNTS creates the NTS-SS rule on the static shaper (l = 0). Its spec
-// table is sized by ss's Queries option, and a query registered past it
+// table is sized by the Queries option ss was built with, and a query registered past it
 // (a burst) grows it from the arena.
 func NewNTS(env Env, ss *SafeSleep) *Static {
 	return newStatic(env, ss, false, 0, false)
@@ -99,7 +100,7 @@ func NewSTS(env Env, ss *SafeSleep, deadline time.Duration, noBuffering bool) *S
 func newStatic(env Env, ss *SafeSleep, sts bool, deadline time.Duration, noBuffering bool) *Static {
 	s := sim.ArenaGrab[Static](ss.eng, "core.static")
 	*s = Static{env: env, ss: ss, sts: sts, deadline: deadline, noBuffering: noBuffering,
-		specs: sim.ArenaSlice[query.Spec](ss.eng, "core.static.specs", ss.opts.Queries)[:0]}
+		specs: sim.ArenaSlice[*query.Spec](ss.eng, "core.static.specs", ss.queries())[:0]}
 	return s
 }
 
@@ -131,13 +132,13 @@ func (s *Static) recvTime(spec query.Spec, k int, c query.NodeID) time.Duration 
 }
 
 // QueryAdded implements query.Shaper.
-func (s *Static) QueryAdded(spec query.Spec, children []query.NodeID) {
+func (s *Static) QueryAdded(spec *query.Spec, children []query.NodeID) {
 	s.specs = sim.ArenaAppend(s.ss.eng, "core.static.specs.grow", s.specs, spec)
 	if !s.env.IsRoot() {
-		s.ss.UpdateNextSend(spec.ID, s.sendTime(spec, 0))
+		s.ss.UpdateNextSend(spec.ID, s.sendTime(*spec, 0))
 	}
 	for _, c := range children {
-		s.ss.UpdateNextReceive(spec.ID, c, s.recvTime(spec, 0, c))
+		s.ss.UpdateNextReceive(spec.ID, c, s.recvTime(*spec, 0, c))
 	}
 }
 
@@ -228,8 +229,7 @@ type dtsChild struct {
 }
 
 type dtsQueryState struct {
-	id   query.ID
-	spec query.Spec
+	spec *query.Spec // the run's one copy
 	// snext is s(k) for the next report to send.
 	snext time.Duration
 	// pendingNext is s(k+1), computed at ReportReady and committed at
@@ -272,7 +272,8 @@ type DTS struct {
 var _ query.Shaper = (*DTS)(nil)
 
 // NewDTS creates a dynamic traffic shaper; noBuffering sends early
-// reports at once. Its per-query table is sized by ss's Queries option
+// reports at once. Its per-query table is sized by the Queries option
+// ss was built with
 // and grows from the arena past it, and each query's child table is
 // sized by the children QueryAdded passes.
 func NewDTS(env Env, ss *SafeSleep, noBuffering bool) *DTS {
@@ -281,7 +282,7 @@ func NewDTS(env Env, ss *SafeSleep, noBuffering bool) *DTS {
 		env:         env,
 		ss:          ss,
 		noBuffering: noBuffering,
-		q:           sim.ArenaSlice[*dtsQueryState](ss.eng, "core.dts.q", ss.opts.Queries)[:0],
+		q:           sim.ArenaSlice[*dtsQueryState](ss.eng, "core.dts.q", ss.queries())[:0],
 	}
 	return d
 }
@@ -289,7 +290,7 @@ func NewDTS(env Env, ss *SafeSleep, noBuffering bool) *DTS {
 // state returns the per-query state for q, or nil if unknown.
 func (d *DTS) state(q query.ID) *dtsQueryState {
 	for _, st := range d.q {
-		if st.id == q {
+		if st.spec.ID == q {
 			return st
 		}
 	}
@@ -300,10 +301,9 @@ func (d *DTS) state(q query.ID) *dtsQueryState {
 func (d *DTS) Stats() ShaperStats { return d.stats }
 
 // QueryAdded implements query.Shaper: s(0) = r(0) = φ.
-func (d *DTS) QueryAdded(spec query.Spec, children []query.NodeID) {
+func (d *DTS) QueryAdded(spec *query.Spec, children []query.NodeID) {
 	st := sim.ArenaGrab[dtsQueryState](d.ss.eng, "core.dts.state")
 	*st = dtsQueryState{
-		id:       spec.ID,
 		spec:     spec,
 		snext:    spec.IntervalStart(0),
 		children: sim.ArenaSlice[dtsChild](d.ss.eng, "core.dts.children", len(children))[:0],
@@ -434,7 +434,7 @@ func (d *DTS) CollectDeadline(q query.ID, k int) time.Duration {
 // QueryRemoved implements query.Shaper.
 func (d *DTS) QueryRemoved(q query.ID) {
 	for i, st := range d.q {
-		if st.id == q {
+		if st.spec.ID == q {
 			d.q = append(d.q[:i], d.q[i+1:]...)
 			break
 		}

@@ -51,7 +51,7 @@ var testSpec = query.Spec{ID: 1, Period: time.Second, Phase: 2 * time.Second, Cl
 func TestStaticNTSSchedule(t *testing.T) {
 	_, env, ss := shaperFixture(t, 2, 4)
 	n := NewNTS(env, ss)
-	n.QueryAdded(testSpec, []query.NodeID{7})
+	n.QueryAdded(&testSpec, []query.NodeID{7})
 
 	// s(k) = r(k) = φ + kP.
 	sendAt, phase := n.ReportReady(1, 0, 2*time.Second)
@@ -88,7 +88,7 @@ func TestStaticNTSTimeoutByRank(t *testing.T) {
 	} {
 		_, env, ss := shaperFixture(t, c.rank, c.maxRank)
 		n := NewNTS(env, ss)
-		n.QueryAdded(testSpec, nil)
+		n.QueryAdded(&testSpec, nil)
 		if got := n.CollectDeadline(1, 0); got != c.want {
 			t.Errorf("d=%d M=%d: CollectDeadline = %v, want %v", c.rank, c.maxRank, got, c.want)
 		}
@@ -98,7 +98,7 @@ func TestStaticNTSTimeoutByRank(t *testing.T) {
 func TestStaticNTSIntervalClosedAdvancesMissing(t *testing.T) {
 	_, env, ss := shaperFixture(t, 1, 4)
 	n := NewNTS(env, ss)
-	n.QueryAdded(testSpec, []query.NodeID{7, 8})
+	n.QueryAdded(&testSpec, []query.NodeID{7, 8})
 	n.IntervalClosed(1, 0, []query.NodeID{8})
 	if got := ss.recvTime(1, 8); got != 3*time.Second {
 		t.Fatalf("rnext(8) = %v after timeout of k=0, want 3s", got)
@@ -115,7 +115,7 @@ func TestStaticSTSSchedule(t *testing.T) {
 	_, env, ss := shaperFixture(t, 2, 4)
 	env.ranks[7] = 1
 	s := NewSTS(env, ss, 400*time.Millisecond, false) // l = D/M = 100ms
-	s.QueryAdded(testSpec, []query.NodeID{7})
+	s.QueryAdded(&testSpec, []query.NodeID{7})
 
 	// s(k) = φ + kP + l·d = 2s + 200ms.
 	sendAt, _ := s.ReportReady(1, 0, 2*time.Second)
@@ -136,7 +136,7 @@ func TestStaticSTSSchedule(t *testing.T) {
 func TestStaticSTSDeadlineDefaultsToPeriod(t *testing.T) {
 	_, env, ss := shaperFixture(t, 1, 4)
 	s := NewSTS(env, ss, 0, false)
-	s.QueryAdded(testSpec, nil)
+	s.QueryAdded(&testSpec, nil)
 	// l = P/M = 250ms; s(0) = 2s + 250ms.
 	sendAt, _ := s.ReportReady(1, 0, 2*time.Second)
 	if sendAt != 2250*time.Millisecond {
@@ -147,7 +147,7 @@ func TestStaticSTSDeadlineDefaultsToPeriod(t *testing.T) {
 func TestStaticSTSRankChangeMovesSchedule(t *testing.T) {
 	_, env, ss := shaperFixture(t, 1, 4)
 	s := NewSTS(env, ss, 400*time.Millisecond, false)
-	s.QueryAdded(testSpec, nil)
+	s.QueryAdded(&testSpec, nil)
 	sendAt, _ := s.ReportReady(1, 0, 2*time.Second)
 	if sendAt != 2100*time.Millisecond {
 		t.Fatalf("ReportReady = %v, want 2.1s at rank 1", sendAt)
@@ -165,7 +165,7 @@ func TestStaticSTSCollectDeadlineClampedToSendTime(t *testing.T) {
 	_, env, ss := shaperFixture(t, 2, 4)
 	// D = 20ms gives l = 5ms < tTO: s(0) + l − tTO would precede s(0).
 	s := NewSTS(env, ss, 20*time.Millisecond, false)
-	s.QueryAdded(testSpec, nil)
+	s.QueryAdded(&testSpec, nil)
 	if got, want := s.CollectDeadline(1, 0), 2010*time.Millisecond; got != want {
 		t.Fatalf("CollectDeadline = %v, want clamped to s(0) = %v", got, want)
 	}
@@ -176,7 +176,7 @@ func TestStaticSTSCollectDeadlineClampedToSendTime(t *testing.T) {
 func TestDTSOnTimeKeepsSchedule(t *testing.T) {
 	_, env, ss := shaperFixture(t, 1, 4)
 	d := NewDTS(env, ss, false)
-	d.QueryAdded(testSpec, []query.NodeID{7})
+	d.QueryAdded(&testSpec, []query.NodeID{7})
 
 	// Ready exactly at s(0) = φ: no shift, s(1) = φ + P.
 	sendAt, phase := d.ReportReady(1, 0, 2*time.Second)
@@ -195,7 +195,7 @@ func TestDTSOnTimeKeepsSchedule(t *testing.T) {
 func TestDTSPhaseShiftOnLateReport(t *testing.T) {
 	_, env, ss := shaperFixture(t, 1, 4)
 	d := NewDTS(env, ss, false)
-	d.QueryAdded(testSpec, nil)
+	d.QueryAdded(&testSpec, nil)
 
 	// Ready 80ms late: send immediately, postpone s(1), piggyback it.
 	readyAt := 2080 * time.Millisecond
@@ -223,7 +223,7 @@ func TestDTSPhaseShiftOnLateReport(t *testing.T) {
 func TestDTSParentTracksChildPhase(t *testing.T) {
 	_, env, ss := shaperFixture(t, 2, 4)
 	d := NewDTS(env, ss, false)
-	d.QueryAdded(testSpec, []query.NodeID{7})
+	d.QueryAdded(&testSpec, []query.NodeID{7})
 
 	// Report 0 without phase: r(1) = r(0) + P.
 	d.ReportReceived(1, 7, 0, query.NoPhase)
@@ -240,7 +240,7 @@ func TestDTSParentTracksChildPhase(t *testing.T) {
 func TestDTSGapTriggersResync(t *testing.T) {
 	eng, env, ss := shaperFixture(t, 2, 4)
 	d := NewDTS(env, ss, false)
-	d.QueryAdded(testSpec, []query.NodeID{7})
+	d.QueryAdded(&testSpec, []query.NodeID{7})
 
 	d.ReportReceived(1, 7, 0, query.NoPhase)
 	eng.Run(5 * time.Second)
@@ -275,7 +275,7 @@ func TestDTSGapTriggersResync(t *testing.T) {
 func TestDTSPhaseRequestForcesUpdate(t *testing.T) {
 	_, env, ss := shaperFixture(t, 1, 4)
 	d := NewDTS(env, ss, false)
-	d.QueryAdded(testSpec, nil)
+	d.QueryAdded(&testSpec, nil)
 
 	d.ControlReceived(9, PhaseRequest{Query: 1})
 	_, phase := d.ReportReady(1, 0, 2*time.Second) // on time, would be NoPhase
@@ -293,7 +293,7 @@ func TestDTSPhaseRequestForcesUpdate(t *testing.T) {
 func TestDTSParentChangedForcesUpdate(t *testing.T) {
 	_, env, ss := shaperFixture(t, 1, 4)
 	d := NewDTS(env, ss, false)
-	d.QueryAdded(testSpec, nil)
+	d.QueryAdded(&testSpec, nil)
 	d.ParentChanged(1)
 	_, phase := d.ReportReady(1, 0, 2*time.Second)
 	if phase == query.NoPhase {
@@ -304,7 +304,7 @@ func TestDTSParentChangedForcesUpdate(t *testing.T) {
 func TestDTSReportFailedAdvancesAndFlags(t *testing.T) {
 	_, env, ss := shaperFixture(t, 1, 4)
 	d := NewDTS(env, ss, false)
-	d.QueryAdded(testSpec, nil)
+	d.QueryAdded(&testSpec, nil)
 	_, _ = d.ReportReady(1, 0, 2*time.Second)
 	d.ReportFailed(1, 0)
 	if got := ss.sendTime(1); got != 3*time.Second {
@@ -319,7 +319,7 @@ func TestDTSReportFailedAdvancesAndFlags(t *testing.T) {
 func TestDTSChildAddedStaysAwakeUntilFirstReport(t *testing.T) {
 	eng, env, ss := shaperFixture(t, 2, 4)
 	d := NewDTS(env, ss, false)
-	d.QueryAdded(testSpec, nil)
+	d.QueryAdded(&testSpec, nil)
 	eng.Run(5 * time.Second)
 	d.ChildAdded(1, 7)
 	if got := ss.recvTime(1, 7); got != eng.Now() {
@@ -336,7 +336,7 @@ func TestDTSChildAddedStaysAwakeUntilFirstReport(t *testing.T) {
 func TestDTSChildRemovedForgetsState(t *testing.T) {
 	_, env, ss := shaperFixture(t, 2, 4)
 	d := NewDTS(env, ss, false)
-	d.QueryAdded(testSpec, []query.NodeID{7})
+	d.QueryAdded(&testSpec, []query.NodeID{7})
 	d.ChildRemoved(1, 7)
 	if ss.hasRecv(1, 7) {
 		t.Fatal("SS still tracks the removed child")
@@ -347,7 +347,7 @@ func TestDTSChildRemovedForgetsState(t *testing.T) {
 func TestDTSCollectDeadline(t *testing.T) {
 	_, env, ss := shaperFixture(t, 2, 4)
 	d := NewDTS(env, ss, false)
-	d.QueryAdded(testSpec, []query.NodeID{7, 8})
+	d.QueryAdded(&testSpec, []query.NodeID{7, 8})
 	// Children at r(0)=φ: deadline = max(rnext) + tTO = 2s + 50ms.
 	if got := d.CollectDeadline(1, 0); got != 2050*time.Millisecond {
 		t.Fatalf("CollectDeadline = %v, want 2.05s", got)
@@ -363,7 +363,7 @@ func TestRootHasNoSendSchedule(t *testing.T) {
 	_, env, ss := shaperFixture(t, 4, 4)
 	env.root = true
 	for _, s := range []query.Shaper{NewNTS(env, ss), NewSTS(env, ss, 0, false), NewDTS(env, ss, false)} {
-		s.QueryAdded(query.Spec{ID: query.ID(len(ss.nextSend) + 10), Period: time.Second}, nil)
+		s.QueryAdded(&query.Spec{ID: query.ID(len(ss.nextSend) + 10), Period: time.Second}, nil)
 	}
 	if len(ss.nextSend) != 0 {
 		t.Fatalf("root acquired %d snext entries, want 0", len(ss.nextSend))

@@ -36,7 +36,7 @@ func TestDTSChildTableSizedByChildren(t *testing.T) {
 		for _, k := range []int{0, 1, 3, 8, 11} {
 			env, ss := sizedFixture(1, k, arena)
 			d := NewDTS(env, ss, false)
-			d.QueryAdded(testSpec, childIDs(k))
+			d.QueryAdded(&testSpec, childIDs(k))
 			st := d.state(testSpec.ID)
 			if len(st.children) != k || cap(st.children) != k {
 				t.Errorf("arena=%t k=%d: child table len %d cap %d, want %d/%d",
@@ -73,7 +73,7 @@ func TestSafeSleepRowsDoNotRegrow(t *testing.T) {
 				sh := mk(env, ss)
 				for q := 1; q <= queries; q++ {
 					spec := query.Spec{ID: query.ID(q), Period: time.Second, Phase: time.Duration(q) * 100 * time.Millisecond, Class: q}
-					sh.QueryAdded(spec, childIDs(k))
+					sh.QueryAdded(&spec, childIDs(k))
 				}
 				if len(ss.nextSend) != queries || cap(ss.nextSend) != queries {
 					t.Errorf("%s arena=%t k=%d: send rows len %d cap %d, want %d/%d",

@@ -569,14 +569,18 @@ func (b *builder) stacks() {
 // perturbation table, battery polling, and the warm-up snapshot.
 func (b *builder) workload() error {
 	sc := &b.Scenario
-	for _, spec := range sc.Queries {
+	// The run keeps one copy of each query's spec, which every agent and
+	// shaper points at.
+	specs := sim.ArenaSlice[query.Spec](b.Eng, "experiment.specs", len(sc.Queries))
+	copy(specs, sc.Queries)
+	for i := range specs {
 		for _, id := range b.members {
-			if err := b.Nodes[id].Agent.Register(spec); err != nil {
+			if err := b.Nodes[id].Agent.Register(&specs[i]); err != nil {
 				return err
 			}
 		}
 		if sc.SetupSlot > 0 {
-			b.scheduleSetupSlot(spec)
+			b.scheduleSetupSlot(specs[i])
 		}
 	}
 	if err := b.flows(); err != nil {
@@ -841,12 +845,14 @@ func (h *dynHost) AddQuery(spec query.Spec) error {
 	if h.obs.auditor != nil {
 		h.obs.auditor.RegisterQuery(spec)
 	}
+	sp := sim.ArenaGrab[query.Spec](h.Eng(), "experiment.spec")
+	*sp = spec
 	for _, id := range h.members {
 		n := h.Nodes[id]
 		if n.Killed() {
 			continue // offline during setup: it misses the query
 		}
-		if err := n.Agent.Register(spec); err != nil {
+		if err := n.Agent.Register(sp); err != nil {
 			return err
 		}
 	}

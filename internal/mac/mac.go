@@ -108,10 +108,10 @@ const (
 	kindAck
 )
 
-// header is the MAC framing around an upper-layer payload. Headers are
-// pooled per station: a received *header is only valid during the
-// FrameDelivered callback (the MAC reads it synchronously and never
-// retains it).
+// header is the MAC framing around an upper-layer payload. Headers come
+// from a pool every station of a run shares: a received *header is only
+// valid during the FrameDelivered callback (the MAC reads it
+// synchronously and never retains it).
 type header struct {
 	kind    frameKind
 	seq     uint64
@@ -169,17 +169,17 @@ type MAC struct {
 	lastDecode time.Duration
 
 	nextSeq uint64
-	// Duplicate-detection state, indexed by neighbor position rather
-	// than by NodeID: peers is the station's sorted candidate-neighbor
-	// list (shared with the topology, read-only), and lastSeq/seen are
-	// parallel to it. Frames are only ever delivered from in-range
-	// stations, and range is symmetric, so every decodable source
-	// appears in peers — this keeps per-node dedup state O(degree)
-	// instead of O(N), the difference between ~90 B and ~90 kB per node
-	// on the 10k-node tier. Arena-backed when the engine carries one.
-	peers   []phy.NodeID
+	// lastSeq is the duplicate-detection state, indexed by neighbor
+	// position rather than by NodeID: row i holds one more than the
+	// sequence number of the last unicast data frame decoded from the
+	// i-th entry of the channel's sorted candidate-neighbor list for
+	// this station, or 0 before the first. Frames are only ever
+	// delivered from in-range stations, and range is symmetric, so every
+	// decodable source appears in that list — this keeps per-node dedup
+	// state O(degree) instead of O(N), the difference between ~90 B and
+	// ~90 kB per node on the 10k-node tier. Arena-backed when the engine
+	// carries one.
 	lastSeq []uint64
-	seen    []bool
 
 	// pendingAcks is the FIFO of acknowledgements owed, popped by the
 	// prebound SIFS timer callback. SIFS is constant, so scheduling order
@@ -189,11 +189,13 @@ type MAC struct {
 	// a second ACK due mid-transmission is dropped by sendAck).
 	ackHdr *header
 
-	// Object freelists keep the contention/ACK hot path allocation-free
-	// in the steady state; timer callbacks are shared package-level
-	// dispatchers whose events carry the MAC (no per-station closures).
-	itemFree []*txItem
-	hdrFree  []*header
+	// Object pools keep the contention/ACK hot path allocation-free in
+	// the steady state. Every station of a run shares the same two
+	// pools, which therefore hold only what the network has in flight at
+	// once. Timer callbacks are shared package-level dispatchers whose
+	// events carry the MAC (no per-station closures).
+	items *sim.Pool[txItem]
+	hdrs  *sim.Pool[header]
 
 	// ackInfo holds upper-layer payloads to piggyback on pending ACKs,
 	// keyed by (source, sequence) of the data frame being acknowledged.
@@ -250,7 +252,6 @@ type ackKey struct {
 
 // New creates a MAC for node id, attaching it to the channel.
 func New(eng *sim.Engine, ch *phy.Channel, id phy.NodeID, r *radio.Radio, upper Upper) *MAC {
-	peers := ch.Neighbors(id)
 	m := sim.ArenaGrab[MAC](eng, "mac.mac")
 	*m = MAC{
 		eng:        eng,
@@ -260,21 +261,18 @@ func New(eng *sim.Engine, ch *phy.Channel, id phy.NodeID, r *radio.Radio, upper 
 		upper:      upper,
 		cw:         cwMin,
 		lastDecode: -1,
-		peers:      peers,
-		lastSeq:    sim.ArenaSlice[uint64](eng, "mac.lastseq", len(peers)),
-		seen:       sim.ArenaSlice[bool](eng, "mac.seen", len(peers)),
+		lastSeq:    sim.ArenaSlice[uint64](eng, "mac.lastseq", len(ch.Neighbors(id))),
+		items:      sim.ArenaPool[txItem](eng, "mac.item"),
+		hdrs:       sim.ArenaPool[header](eng, "mac.hdr"),
 	}
 	ch.Attach(id, r, m)
 	r.Subscribe(m)
 	return m
 }
 
-// newHeader takes a header from the pool (or allocates one) and fills it.
+// newHeader takes a header from the run's pool and fills it.
 func (m *MAC) newHeader(kind frameKind, seq uint64, payload any) *header {
-	h := sim.TakeLast(&m.hdrFree)
-	if h == nil {
-		h = sim.ArenaGrab[header](m.eng, "mac.hdr")
-	}
+	h := m.hdrs.Get()
 	h.kind, h.seq, h.payload = kind, seq, payload
 	return h
 }
@@ -282,10 +280,7 @@ func (m *MAC) newHeader(kind frameKind, seq uint64, payload any) *header {
 // releaseHeader recycles a header once every receiver has consumed it
 // (channel delivery is synchronous and precedes the sender's completion
 // timers at the same instant).
-func (m *MAC) releaseHeader(h *header) {
-	h.payload = nil
-	m.hdrFree = sim.ArenaAppend(m.eng, "mac.hdrfree", m.hdrFree, h)
-}
+func (m *MAC) releaseHeader(h *header) { m.hdrs.Put(h) }
 
 // ID returns the node ID this MAC serves.
 func (m *MAC) ID() phy.NodeID { return m.id }
@@ -303,30 +298,32 @@ func (m *MAC) AttachToAck(src phy.NodeID, info any) bool {
 		return false
 	}
 	pi := m.peerIndex(src)
-	if pi < 0 || !m.seen[pi] {
+	if pi < 0 || m.lastSeq[pi] == 0 {
 		return false
 	}
 	if m.ackInfo == nil {
 		m.ackInfo = make(map[ackKey]any)
 	}
-	m.ackInfo[ackKey{src: src, seq: m.lastSeq[pi]}] = info
+	m.ackInfo[ackKey{src: src, seq: m.lastSeq[pi] - 1}] = info
 	return true
 }
 
-// peerIndex returns src's position in the sorted peers list, or -1 when
-// src is not a candidate neighbor (which delivery symmetry rules out
-// for decoded frames; -1 only defends against direct-driver misuse).
+// peerIndex returns src's position in the station's sorted
+// candidate-neighbor list, or -1 when src is not a candidate neighbor
+// (which delivery symmetry rules out for decoded frames; -1 only
+// defends against direct-driver misuse).
 func (m *MAC) peerIndex(src phy.NodeID) int {
-	lo, hi := 0, len(m.peers)
+	peers := m.ch.Neighbors(m.id)
+	lo, hi := 0, len(peers)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if m.peers[mid] < src {
+		if peers[mid] < src {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(m.peers) && m.peers[lo] == src {
+	if lo < len(peers) && peers[lo] == src {
 		return lo
 	}
 	return -1
@@ -367,10 +364,7 @@ func (m *MAC) Send(dst phy.NodeID, payload any, bytes int, cb SendCallback) {
 	if dst == m.id {
 		panic("mac: send to self")
 	}
-	item := sim.TakeLast(&m.itemFree)
-	if item == nil {
-		item = sim.ArenaGrab[txItem](m.eng, "mac.item")
-	}
+	item := m.items.Get()
 	*item = txItem{dst: dst, payload: payload, bytes: bytes, cb: cb,
 		seq: m.nextSeq, enqueued: m.eng.Now()}
 	m.nextSeq++
@@ -530,10 +524,9 @@ func (m *MAC) finish(item *txItem, ok bool) {
 		item.cb.SendDone(ok)
 	}
 	// The item left the queue and the callback ran: recycle it. The
-	// payload and callback references are dropped so the pool does not
-	// pin upper-layer objects.
-	*item = txItem{}
-	m.itemFree = sim.ArenaAppend(m.eng, "mac.itemfree", m.itemFree, item)
+	// pool drops the payload and callback references, so it does not pin
+	// upper-layer objects.
+	m.items.Put(item)
 	if len(m.queue) > 0 {
 		m.tryContend()
 	} else {
@@ -602,9 +595,8 @@ func (m *MAC) dataReceived(f *phy.Frame, hdr *header) {
 		// Unicast: schedule the ACK first so Busy() is accurate for any
 		// upper-layer logic that runs during Deliver.
 		if pi := m.peerIndex(f.Src); pi >= 0 {
-			dup = m.seen[pi] && m.lastSeq[pi] == hdr.seq
-			m.seen[pi] = true
-			m.lastSeq[pi] = hdr.seq
+			dup = m.lastSeq[pi] == hdr.seq+1
+			m.lastSeq[pi] = hdr.seq + 1
 		}
 		m.ackPending++
 		m.pendingAcks = sim.ArenaAppend(m.eng, "mac.pendingacks", m.pendingAcks, ackKey{src: f.Src, seq: hdr.seq})

@@ -66,7 +66,7 @@ func buildNet(t *testing.T, pts []geom.Point, failureThreshold int) (*sim.Engine
 	}
 	for _, spec := range specs {
 		for _, id := range tree.AppendMembers(nil) {
-			if err := nodes[id].Agent.Register(spec); err != nil {
+			if err := nodes[id].Agent.Register(&spec); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -259,7 +259,7 @@ func TestPhaseRequestViaAckReachesShaper(t *testing.T) {
 		n.InstallAgent(d, nil, query.Config{FailureThreshold: 3}, 1)
 		nodes[id] = n
 		shapers = append(shapers, d)
-		if err := n.Agent.Register(spec); err != nil {
+		if err := n.Agent.Register(&spec); err != nil {
 			t.Fatal(err)
 		}
 	}

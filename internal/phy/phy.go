@@ -18,7 +18,9 @@
 package phy
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/essat/essat/internal/radio"
@@ -168,6 +170,12 @@ type linkKey struct {
 	src, dst NodeID
 }
 
+// lossRow is one degraded link and its drop probability.
+type lossRow struct {
+	link linkKey
+	p    float64
+}
+
 // Channel is the shared medium connecting all attached stations.
 type Channel struct {
 	eng      *sim.Engine
@@ -188,8 +196,10 @@ type Channel struct {
 	prop     Propagation
 	discFast bool
 	// linkLoss holds per-directed-link drop probabilities (dynamics
-	// layer); nil/empty costs nothing on the delivery path.
-	linkLoss map[linkKey]float64
+	// layer), sorted by link, in rows from the arena, so a warm run's
+	// loss ramp allocates nothing; empty costs nothing on the delivery
+	// path.
+	linkLoss []lossRow
 	// active tracks in-flight transmissions so Resume can rebuild a
 	// returning station's carrier count. It holds every transmission on
 	// the channel, so it grows with N: a mean of 293 (max 1,095) on the
@@ -294,15 +304,29 @@ func (c *Channel) SetLinkLoss(src, dst NodeID, p float64) error {
 		return fmt.Errorf("phy: link loss must be below 1, got %g", p)
 	}
 	k := linkKey{src: src, dst: dst}
-	if p <= 0 {
-		delete(c.linkLoss, k)
-		return nil
+	i, found := c.lossRow(k)
+	switch {
+	case found && p <= 0:
+		c.linkLoss = slices.Delete(c.linkLoss, i, i+1)
+	case found:
+		c.linkLoss[i].p = p
+	case p > 0:
+		c.linkLoss = sim.ArenaAppend(c.eng, "phy.linkloss", c.linkLoss, lossRow{})
+		copy(c.linkLoss[i+1:], c.linkLoss[i:])
+		c.linkLoss[i] = lossRow{link: k, p: p}
 	}
-	if c.linkLoss == nil {
-		c.linkLoss = make(map[linkKey]float64)
-	}
-	c.linkLoss[k] = p
 	return nil
+}
+
+// lossRow returns the index of k's row, or where it would go, and
+// whether it is there. Rows are sorted by source, then destination.
+func (c *Channel) lossRow(k linkKey) (int, bool) {
+	return slices.BinarySearchFunc(c.linkLoss, k, func(r lossRow, k linkKey) int {
+		if c := cmp.Compare(r.link.src, k.src); c != 0 {
+			return c
+		}
+		return cmp.Compare(r.link.dst, k.dst)
+	})
 }
 
 // Neighbors returns the candidate-neighbor list of node id, sorted
@@ -515,7 +539,7 @@ func (c *Channel) deliver(rst *station, f *Frame) {
 		return
 	}
 	if len(c.linkLoss) > 0 {
-		if p := c.linkLoss[linkKey{src: f.Src, dst: rst.id}]; p > 0 && c.eng.Rand().Float64() < p {
+		if i, ok := c.lossRow(linkKey{src: f.Src, dst: rst.id}); ok && c.eng.Rand().Float64() < c.linkLoss[i].p {
 			c.stats.LinkDrops++
 			return
 		}

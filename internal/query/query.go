@@ -34,6 +34,8 @@ const NoPhase = time.Duration(-1)
 
 // Spec describes a query as issued by the user: report period P, start
 // time φ, and a class label used only for result grouping (Q1/Q2/Q3).
+// A run stores each query's Spec once: every agent and shaper holds a
+// pointer to it, and nothing changes it while the run lasts.
 type Spec struct {
 	ID     ID
 	Period time.Duration
@@ -76,8 +78,9 @@ type Report struct {
 // these hooks; baseline policies mostly leave them empty.
 type Shaper interface {
 	// QueryAdded informs the shaper of a newly registered query and the
-	// node's current children for it.
-	QueryAdded(spec Spec, children []NodeID)
+	// node's current children for it. The shaper may keep spec: it is
+	// the run's one copy and outlives the registration.
+	QueryAdded(spec *Spec, children []NodeID)
 	// ReportReady is called when this node's aggregate for interval k is
 	// ready. It returns when the report should be submitted to the MAC
 	// (>= now; early reports are buffered until their expected send time)
@@ -189,21 +192,37 @@ type Stats struct {
 }
 
 // interval is one collection round. Intervals are pooled by the Agent:
-// the struct and its expected/got slices come from the per-run arena,
-// their capacity survives recycling, and the deadline timer dispatches
-// through a shared package-level func carrying the interval as its
-// event argument, so steady-state interval turnover is allocation-free.
+// the struct and its rows come from the per-run arena, their capacity
+// survives recycling, and the deadline timer dispatches through a shared
+// package-level func carrying the interval as its event argument, so
+// steady-state interval turnover is allocation-free. The 10k-node tier
+// keeps 40,000 of them, so the struct is kept to 56 B.
 type interval struct {
-	k        int
-	coverage int
-	expected []NodeID // children owed for this interval
-	got      []bool   // parallel to expected
-	extraGot []NodeID // reporters outside expected (mid-recovery edges)
-	closed   bool
+	// rows holds the children owed for this interval, in the tree's
+	// child order, each marked once its report arrived, followed by the
+	// reporters outside that set (mid-recovery edges), which aggregate
+	// but never hold the interval open.
+	rows     []row
 	timeout  *sim.Event
-
-	rt *runtime // owning query runtime
+	rt       *runtime // owning query runtime
+	k        int
+	coverage int32
+	closed   bool
 }
+
+// row is one reporter of an interval. A node ID fits in 32 bits.
+type row struct {
+	id   int32
+	kind rowKind
+}
+
+type rowKind uint8
+
+const (
+	rowOwed  rowKind = iota // an expected child that has not reported
+	rowGot                  // an expected child that has reported
+	rowExtra                // a reporter outside the expected children
+)
 
 // intervalTimeout is the collection-deadline dispatcher shared by every
 // interval: events carry the interval instead of a per-interval closure.
@@ -215,14 +234,24 @@ func intervalTimeout(x any) {
 	a.closeInterval(iv.rt, iv)
 }
 
-// expectedIdx returns c's position in expected, or -1.
+// expectedIdx returns c's row among the expected children, or -1.
 func (iv *interval) expectedIdx(c NodeID) int {
-	for i, e := range iv.expected {
-		if e == c {
+	for i, r := range iv.rows {
+		if r.kind != rowExtra && NodeID(r.id) == c {
 			return i
 		}
 	}
 	return -1
+}
+
+// complete reports whether every expected child has reported.
+func (iv *interval) complete() bool {
+	for _, r := range iv.rows {
+		if r.kind == rowOwed {
+			return false
+		}
+	}
+	return true
 }
 
 // keptClosed is how far behind a closing round the agent prunes:
@@ -238,7 +267,7 @@ type missEntry struct {
 
 type runtime struct {
 	a    *Agent // owning agent, for the shared event dispatchers
-	spec Spec
+	spec *Spec
 	// intervals holds the open collection rounds in ascending k: ticks
 	// create intervals in increasing order and removals preserve order,
 	// so every walk with side effects (closing may submit reports,
@@ -336,7 +365,7 @@ func (rt *runtime) dropMiss(c NodeID) {
 // txReport is a pooled in-flight report: the Report payload, and the
 // MAC-completion callback itself (mac.SendCallback), so a pooled slot
 // needs no closure. The submit timer dispatches through a shared
-// package-level func.
+// package-level func. Every agent of a run shares one pool of them.
 type txReport struct {
 	rep Report
 	rt  *runtime
@@ -368,9 +397,12 @@ type Agent struct {
 	queries []*runtime
 	stats   Stats
 
-	// Freelists and scratch space for the per-interval hot path.
+	// Freelists and scratch space for the per-interval hot path. An
+	// interval's rows are sized by the node's children, so intervals
+	// are pooled per agent; reports are alike everywhere and come from
+	// the run's shared pool.
 	ivFree      []*interval
-	trFree      []*txReport
+	reports     *sim.Pool[txReport]
 	missScratch []NodeID
 
 	consecSendFail int
@@ -408,21 +440,17 @@ func (a *Agent) queryAfterID(prev ID) *runtime {
 
 // newInterval takes an interval from the pool (or grabs an arena slab
 // with one arena-backed row per child, none for a leaf) and resets it
-// for (rt, k). extraGot starts empty and grows only on the rare
-// mid-recovery edge.
+// for (rt, k). Rows past the children, the rare mid-recovery reporters,
+// grow from the arena.
 func (a *Agent) newInterval(rt *runtime, k int) *interval {
 	iv := sim.TakeLast(&a.ivFree)
 	if iv == nil {
-		children := len(a.tree.Children(a.id))
 		iv = sim.ArenaGrab[interval](a.eng, "query.interval")
-		iv.expected = sim.ArenaSlice[NodeID](a.eng, "query.iv.expected", children)
-		iv.got = sim.ArenaSlice[bool](a.eng, "query.iv.got", children)
+		iv.rows = sim.ArenaSlice[row](a.eng, "query.iv.rows", len(a.tree.Children(a.id)))
 	}
 	iv.k = k
 	iv.coverage = 0
-	iv.expected = iv.expected[:0]
-	iv.got = iv.got[:0]
-	iv.extraGot = iv.extraGot[:0]
+	iv.rows = iv.rows[:0]
 	iv.closed = false
 	iv.timeout = nil
 	iv.rt = rt
@@ -435,21 +463,14 @@ func (a *Agent) releaseInterval(iv *interval) {
 	a.ivFree = sim.ArenaAppend(a.eng, "query.ivfree", a.ivFree, iv)
 }
 
-// newTxReport takes a report from the pool (or grabs an arena slab) and
-// binds it to rt.
+// newTxReport takes a report from the run's pool and binds it to rt.
 func (a *Agent) newTxReport(rt *runtime) *txReport {
-	tr := sim.TakeLast(&a.trFree)
-	if tr == nil {
-		tr = sim.ArenaGrab[txReport](a.eng, "query.txreport")
-	}
+	tr := a.reports.Get()
 	tr.rt = rt
 	return tr
 }
 
-func (a *Agent) releaseTxReport(tr *txReport) {
-	tr.rt = nil
-	a.trFree = sim.ArenaAppend(a.eng, "query.trfree", a.trFree, tr)
-}
+func (a *Agent) releaseTxReport(tr *txReport) { a.reports.Put(tr) }
 
 // NewAgent wires a query agent. sink may be nil (non-root nodes); host
 // must deliver reports to the MAC or a power manager's gate. queries is
@@ -469,6 +490,7 @@ func NewAgent(eng *sim.Engine, id NodeID, tree *routing.Tree, shaper Shaper, hos
 		sink:    sink,
 		cfg:     cfg,
 		queries: sim.ArenaSlice[*runtime](eng, "query.queries", queries)[:0],
+		reports: sim.ArenaPool[txReport](eng, "query.txreport"),
 	}
 	return a
 }
@@ -509,8 +531,10 @@ func (a *Agent) Resume() {
 }
 
 // Register installs a query at this node and schedules its intervals.
-// Must be called before the query's phase.
-func (a *Agent) Register(spec Spec) error {
+// Must be called before the query's phase. The agent and its shaper
+// keep spec, not a copy of it: the caller stores each query's Spec once
+// per run and must not change it while the run lasts.
+func (a *Agent) Register(spec *Spec) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
@@ -556,10 +580,9 @@ func (a *Agent) startInterval(rt *runtime, k int) {
 	for _, c := range a.tree.Children(a.id) {
 		// A pooled interval's rows fit the children it was made for; a
 		// child gained by re-parenting grows them from the arena.
-		iv.expected = sim.ArenaAppend(a.eng, "query.iv.expected.grow", iv.expected, c)
-		iv.got = sim.ArenaAppend(a.eng, "query.iv.got.grow", iv.got, false)
+		iv.rows = sim.ArenaAppend(a.eng, "query.iv.rows.grow", iv.rows, row{id: int32(c)})
 	}
-	if len(iv.expected) == 0 {
+	if len(iv.rows) == 0 {
 		a.closeInterval(rt, iv)
 		return
 	}
@@ -599,9 +622,9 @@ func (a *Agent) closeInterval(rt *runtime, iv *interval) {
 	// call must not clobber this one's missing list.
 	missing := a.missScratch[:0]
 	a.missScratch = nil
-	for i, c := range iv.expected {
-		if !iv.got[i] {
-			missing = sim.ArenaAppend(a.eng, "query.missing", missing, c)
+	for _, r := range iv.rows {
+		if r.kind == rowOwed {
+			missing = sim.ArenaAppend(a.eng, "query.missing", missing, NodeID(r.id))
 		}
 	}
 	a.shaper.IntervalClosed(rt.spec.ID, iv.k, missing)
@@ -616,13 +639,13 @@ func (a *Agent) closeInterval(rt *runtime, iv *interval) {
 	if a.id == a.tree.Root() {
 		latency := a.eng.Now() - rt.spec.IntervalStart(iv.k)
 		if a.sink != nil {
-			a.sink.IntervalClosed(rt.spec.ID, iv.k, latency, iv.coverage)
+			a.sink.IntervalClosed(rt.spec.ID, iv.k, latency, int(iv.coverage))
 		}
 		return
 	}
 
 	tr := a.newTxReport(rt)
-	tr.rep = Report{Query: rt.spec.ID, Interval: iv.k, Coverage: iv.coverage}
+	tr.rep = Report{Query: rt.spec.ID, Interval: iv.k, Coverage: int(iv.coverage)}
 	sendAt, phase := a.shaper.ReportReady(rt.spec.ID, iv.k, a.eng.Now())
 	tr.rep.Phase = phase
 	if now := a.eng.Now(); sendAt < now {
@@ -744,26 +767,24 @@ func (a *Agent) HandleReport(from NodeID, rep *Report) {
 		return
 	}
 	if i := iv.expectedIdx(from); i >= 0 {
-		if iv.got[i] {
+		if iv.rows[i].kind == rowGot {
 			return // duplicate scheduled report (should be filtered by MAC)
 		}
-		iv.got[i] = true
+		iv.rows[i].kind = rowGot
 	} else {
 		// Not among the children owed (added mid-interval): aggregate but
 		// do not let it close the interval.
-		for _, c := range iv.extraGot {
-			if c == from {
+		for _, r := range iv.rows {
+			if r.kind == rowExtra && NodeID(r.id) == from {
 				return // duplicate
 			}
 		}
-		iv.extraGot = append(iv.extraGot, from)
+		iv.rows = sim.ArenaAppend(a.eng, "query.iv.rows.grow", iv.rows, row{id: int32(from), kind: rowExtra})
 	}
-	iv.coverage += rep.Coverage
+	iv.coverage += int32(rep.Coverage)
 
-	for i := range iv.expected {
-		if !iv.got[i] {
-			return // still waiting
-		}
+	if !iv.complete() {
+		return // still waiting
 	}
 	a.closeInterval(rt, iv)
 }
@@ -774,7 +795,7 @@ func (a *Agent) HandleReport(from NodeID, rep *Report) {
 // deadlines fired, so root-side latency reflects true end-to-end delay.
 func (a *Agent) handleLate(rt *runtime, rep *Report) {
 	if iv := rt.interval(rep.Interval); iv != nil && !iv.closed {
-		iv.coverage += rep.Coverage
+		iv.coverage += int32(rep.Coverage)
 		return
 	}
 	if a.id == a.tree.Root() {
@@ -820,16 +841,8 @@ func (a *Agent) ChildRemoved(child NodeID) {
 			if i < 0 {
 				continue
 			}
-			iv.expected = append(iv.expected[:i], iv.expected[i+1:]...)
-			iv.got = append(iv.got[:i], iv.got[i+1:]...)
-			done := true
-			for j := range iv.expected {
-				if !iv.got[j] {
-					done = false
-					break
-				}
-			}
-			if done {
+			iv.rows = append(iv.rows[:i], iv.rows[i+1:]...)
+			if iv.complete() {
 				a.closeInterval(rt, iv)
 			}
 		}

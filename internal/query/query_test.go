@@ -23,8 +23,8 @@ func newStubShaper() *stubShaper { return &stubShaper{specs: make(map[ID]Spec)} 
 
 func (s *stubShaper) log(ev string) { s.calls = append(s.calls, ev) }
 
-func (s *stubShaper) QueryAdded(spec Spec, children []NodeID) {
-	s.specs[spec.ID] = spec
+func (s *stubShaper) QueryAdded(spec *Spec, children []NodeID) {
+	s.specs[spec.ID] = *spec
 	s.log("added")
 }
 func (s *stubShaper) ReportReady(q ID, k int, readyAt time.Duration) (time.Duration, time.Duration) {
@@ -158,17 +158,17 @@ func TestIntervalStart(t *testing.T) {
 
 func TestDuplicateRegistrationRejected(t *testing.T) {
 	_, _, a, _, _, _ := chainFixture(t)
-	if err := a.Register(spec); err != nil {
+	if err := a.Register(&spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Register(spec); err == nil {
+	if err := a.Register(&spec); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
 }
 
 func TestAggregationAndForwarding(t *testing.T) {
 	eng, _, a, sh, sent, _ := chainFixture(t)
-	if err := a.Register(spec); err != nil {
+	if err := a.Register(&spec); err != nil {
 		t.Fatal(err)
 	}
 	// Child 2's report for interval 0 arrives 50ms into the interval.
@@ -199,7 +199,7 @@ func TestAggregationAndForwarding(t *testing.T) {
 
 func TestTimeoutSendsPartialAggregate(t *testing.T) {
 	eng, _, a, sh, sent, _ := chainFixture(t)
-	if err := a.Register(spec); err != nil {
+	if err := a.Register(&spec); err != nil {
 		t.Fatal(err)
 	}
 	// The child never reports; the 0.75P deadline fires at 850ms.
@@ -220,7 +220,7 @@ func TestTimeoutSendsPartialAggregate(t *testing.T) {
 
 func TestLateReportForwardedAsPassThrough(t *testing.T) {
 	eng, _, a, _, sent, _ := chainFixture(t)
-	if err := a.Register(spec); err != nil {
+	if err := a.Register(&spec); err != nil {
 		t.Fatal(err)
 	}
 	// Child's interval-0 report arrives after the interval timed out.
@@ -252,7 +252,7 @@ func TestPassThroughMergedIntoOpenInterval(t *testing.T) {
 		return spec.IntervalStart(k) + 900*time.Millisecond
 	}
 	a.shaper = longDeadline
-	if err := a.Register(spec); err != nil {
+	if err := a.Register(&spec); err != nil {
 		t.Fatal(err)
 	}
 	// A pass-through from a grandchild arrives while interval 0 is open:
@@ -281,7 +281,7 @@ func TestReportFailedHookAndFailureDetection(t *testing.T) {
 	eng, _, a, sh, sent, host := chainFixture(t)
 	parentFailures := 0
 	host.OnParentFailed = func() { parentFailures++ }
-	if err := a.Register(spec); err != nil {
+	if err := a.Register(&spec); err != nil {
 		t.Fatal(err)
 	}
 	// Three intervals: the child reports each time, the interval closes,
@@ -316,7 +316,7 @@ func TestChildFailureDetection(t *testing.T) {
 	eng, _, a, _, _, host := chainFixture(t)
 	var failedChildren []NodeID
 	host.OnChildFailed = func(c NodeID) { failedChildren = append(failedChildren, c) }
-	if err := a.Register(spec); err != nil {
+	if err := a.Register(&spec); err != nil {
 		t.Fatal(err)
 	}
 	// Three intervals with the child silent → child declared failed.
@@ -328,7 +328,7 @@ func TestChildFailureDetection(t *testing.T) {
 
 func TestChildRemovedClosesWaitingInterval(t *testing.T) {
 	eng, _, a, _, sent, _ := chainFixture(t)
-	if err := a.Register(spec); err != nil {
+	if err := a.Register(&spec); err != nil {
 		t.Fatal(err)
 	}
 	// Interval 0 starts at 100ms and waits for child 2. Removing the
@@ -352,7 +352,7 @@ func TestRootRecordsArrivalsAndClosures(t *testing.T) {
 	a := NewAgent(eng, 0, tree, sh, &testHost{Send: func(NodeID, any, int, mac.SendCallback) {
 		t.Fatal("root must not send reports")
 	}}, sink, Config{FailureThreshold: 3}, 1)
-	if err := a.Register(spec); err != nil {
+	if err := a.Register(&spec); err != nil {
 		t.Fatal(err)
 	}
 	eng.Schedule(160*time.Millisecond, func() {
@@ -369,7 +369,7 @@ func TestRootRecordsArrivalsAndClosures(t *testing.T) {
 
 func TestStalePayloadFromNonChildNotTreatedAsScheduled(t *testing.T) {
 	eng, tree, a, sh, _, _ := chainFixture(t)
-	if err := a.Register(spec); err != nil {
+	if err := a.Register(&spec); err != nil {
 		t.Fatal(err)
 	}
 	// Node 0 is our parent, not a child: its report must not feed the
@@ -386,7 +386,7 @@ func TestStalePayloadFromNonChildNotTreatedAsScheduled(t *testing.T) {
 
 func TestStopHaltsGeneration(t *testing.T) {
 	eng, _, a, _, sent, _ := chainFixture(t)
-	if err := a.Register(spec); err != nil {
+	if err := a.Register(&spec); err != nil {
 		t.Fatal(err)
 	}
 	a.Stop()
@@ -413,7 +413,7 @@ func TestPhaseBytesAddedWhenPiggybacking(t *testing.T) {
 	a := NewAgent(eng, 2, tree, phaseShaper, &testHost{Send: func(dst NodeID, payload any, bytes int, cb mac.SendCallback) {
 		sent = append(sent, sentRec{dst: dst, rep: payload.(*Report), bytes: bytes, cb: cb})
 	}}, nil, Config{FailureThreshold: 3}, 1)
-	if err := a.Register(spec); err != nil {
+	if err := a.Register(&spec); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run(200 * time.Millisecond)
@@ -436,7 +436,7 @@ func (p *phaseStub) ReportReady(q ID, k int, readyAt time.Duration) (time.Durati
 
 func TestStopBreaksAndResumeRestartsIntervalChain(t *testing.T) {
 	eng, _, a, _, sent, _ := chainFixture(t)
-	if err := a.Register(spec); err != nil {
+	if err := a.Register(&spec); err != nil {
 		t.Fatal(err)
 	}
 	// Leaf-like behavior: no child reports, so intervals close by
@@ -469,7 +469,7 @@ func TestStopBreaksAndResumeRestartsIntervalChain(t *testing.T) {
 
 func TestResumeWithoutStopIsNoOp(t *testing.T) {
 	eng, _, a, _, sent, _ := chainFixture(t)
-	if err := a.Register(spec); err != nil {
+	if err := a.Register(&spec); err != nil {
 		t.Fatal(err)
 	}
 	a.Resume() // not stopped: must not double-schedule the chain

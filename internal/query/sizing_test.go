@@ -35,8 +35,8 @@ func starTree(t *testing.T, k int) *routing.Tree {
 
 // TestAgentTablesSizedByChildren runs a node's agent for several periods
 // and checks every per-child table holds exactly one row per child: a
-// leaf's intervals carry no expected/got backing and it keeps no miss
-// rows, and a node with k children gets capacity k.
+// leaf's intervals carry no row backing and it keeps no miss rows, and
+// a node with k children gets capacity k.
 func TestAgentTablesSizedByChildren(t *testing.T) {
 	for _, arena := range []bool{false, true} {
 		for _, k := range []int{1, 3, 6} {
@@ -53,7 +53,7 @@ func TestAgentTablesSizedByChildren(t *testing.T) {
 					sink = &testSink{}
 				}
 				a := NewAgent(eng, id, tree, newStubShaper(), host, sink, Config{FailureThreshold: 3}, 1)
-				if err := a.Register(spec); err != nil {
+				if err := a.Register(&spec); err != nil {
 					t.Fatal(err)
 				}
 				eng.Run(spec.IntervalStart(12))
@@ -62,9 +62,9 @@ func TestAgentTablesSizedByChildren(t *testing.T) {
 					t.Fatalf("arena=%t k=%d node %d: no intervals after 12 periods", arena, k, id)
 				}
 				for _, iv := range rt.intervals {
-					if cap(iv.expected) != want || cap(iv.got) != want {
-						t.Errorf("arena=%t k=%d node %d: interval %d expected/got cap %d/%d, want %d",
-							arena, k, id, iv.k, cap(iv.expected), cap(iv.got), want)
+					if cap(iv.rows) != want {
+						t.Errorf("arena=%t k=%d node %d: interval %d row cap %d, want %d",
+							arena, k, id, iv.k, cap(iv.rows), want)
 					}
 				}
 				if cap(rt.consecMiss) != want {

@@ -21,8 +21,9 @@ import (
 	"github.com/essat/essat/internal/sim"
 )
 
-// State is the radio power state.
-type State int
+// State is the radio power state. It is one byte, so a radio's state
+// packs beside its flags and the channel's station rows stay small.
+type State uint8
 
 // Radio power states. Idle means powered and listening.
 const (
@@ -84,7 +85,6 @@ type Radio struct {
 	eng *sim.Engine
 	cfg Config
 
-	state      State
 	lastChange time.Duration
 	timeIn     [numStates]time.Duration
 
@@ -97,6 +97,7 @@ type Radio struct {
 	inline    [3]StateListener
 
 	transition *sim.Event
+	state      State
 	pendingOff bool // TurnOff requested during Tx; applied at EndTx
 	pendingOn  bool // TurnOn requested during TurningOff; applied at Off
 	dead       bool // shut down and not restored: TurnOn is ignored

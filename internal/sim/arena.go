@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"unsafe"
 )
 
@@ -30,8 +32,40 @@ type Arena struct {
 }
 
 // resettable is the type-erased face of the typed pools: reclaim
-// everything handed out, keep the backing memory.
-type resettable interface{ reset() }
+// everything handed out, keep the backing memory; and report what the
+// current run took.
+type resettable interface {
+	reset()
+	usage() TagUsage
+}
+
+// TagUsage is what one arena pool handed out since the last reset.
+type TagUsage struct {
+	Tag string
+	// Objects counts the slices a slice pool handed out, the structs a
+	// slab or shared Pool handed out, or the streams a random pool
+	// reseeded.
+	Objects int
+	// Bytes is the memory those objects span; streams count 0.
+	Bytes int64
+}
+
+// Census reports what each of the arena's pools handed out since the
+// last reset, sorted by tag. It is how tests see where a run's arena
+// memory goes.
+func (a *Arena) Census() []TagUsage {
+	out := make([]TagUsage, 0, len(a.pools))
+	for tag, p := range a.pools {
+		u := p.usage()
+		u.Tag = tag
+		out = append(out, u)
+	}
+	slices.SortFunc(out, func(x, y TagUsage) int { return strings.Compare(x.Tag, y.Tag) })
+	return out
+}
+
+// sizeOf is the size of a T, at least 1.
+func sizeOf[T any]() int { return max(int(unsafe.Sizeof(*new(T))), 1) }
 
 // NewArena returns an empty arena.
 func NewArena() *Arena {
@@ -143,9 +177,15 @@ type slicePool[T any] struct {
 	chunks [][]T
 	cur    int
 	off    int
+	// gets and elems count the run's requests and their elements.
+	gets, elems int
 }
 
-func (p *slicePool[T]) reset() { p.cur, p.off = 0, 0 }
+func (p *slicePool[T]) reset() { p.cur, p.off, p.gets, p.elems = 0, 0, 0, 0 }
+
+func (p *slicePool[T]) usage() TagUsage {
+	return TagUsage{Objects: p.gets, Bytes: int64(p.elems) * int64(sizeOf[T]())}
+}
 
 func (p *slicePool[T]) get(n int) []T {
 	if n == 0 {
@@ -159,6 +199,8 @@ func (p *slicePool[T]) get(n int) []T {
 	}
 	s := p.chunks[p.cur][p.off : p.off+n : p.off+n]
 	p.off += n
+	p.gets++
+	p.elems += n
 	clear(s)
 	return s
 }
@@ -166,7 +208,7 @@ func (p *slicePool[T]) get(n int) []T {
 // nextChunkLen is the length of the chunk the pool appends next: twice
 // its last chunk's, from firstChunkBytes up to maxChunkBytes.
 func (p *slicePool[T]) nextChunkLen() int {
-	size := max(int(unsafe.Sizeof(*new(T))), 1)
+	size := sizeOf[T]()
 	if len(p.chunks) == 0 {
 		return max(firstChunkBytes/size, 1)
 	}
@@ -192,6 +234,14 @@ type structSlab[T any] struct {
 }
 
 func (p *structSlab[T]) reset() { p.block, p.idx = 0, 0 }
+
+func (p *structSlab[T]) usage() TagUsage {
+	n := p.idx
+	for _, b := range p.blocks[:p.block] {
+		n += len(b)
+	}
+	return TagUsage{Objects: n, Bytes: int64(n) * int64(sizeOf[T]())}
+}
 
 func (p *structSlab[T]) get() *T {
 	if p.block >= len(p.blocks) {
@@ -223,6 +273,8 @@ type randPool struct {
 }
 
 func (p *randPool) reset() { p.next = 0 }
+
+func (p *randPool) usage() TagUsage { return TagUsage{Objects: p.next} }
 
 func (p *randPool) get(seed int64) *rand.Rand {
 	if p.next == len(p.all) {

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -62,8 +64,8 @@ func TestResetDrainsPendingEvents(t *testing.T) {
 		e.Schedule(d, fn)
 	}
 	e.Reset(1)
-	if got := len(e.free); got != len(delays) {
-		t.Fatalf("freelist holds %d events after Reset, want %d", got, len(delays))
+	if got := freeLen(e); got != e.made {
+		t.Fatalf("freelist holds %d events after Reset, want all %d the engine made", got, e.made)
 	}
 	if n := drain(e); n != 0 || fired != 0 {
 		t.Fatalf("reset engine fired %d events (%d callbacks), want 0", n, fired)
@@ -316,5 +318,90 @@ func TestArenaFallbackWithoutArena(t *testing.T) {
 	}
 	if s := ArenaSlice[int](nil, "t", 4); len(s) != 4 {
 		t.Fatal("nil-engine ArenaSlice fallback broken")
+	}
+}
+
+// freeLen walks e's event freelist.
+func freeLen(e *Engine) int {
+	n := 0
+	for ev := e.free; ev != nil; ev = ev.next {
+		n++
+	}
+	return n
+}
+
+// TestEventBlocksSurviveReset: a cold engine takes its events in a few
+// blocks, not one allocation each; after Reset every struct is back on
+// the freelist, and a second identical population takes no new block.
+func TestEventBlocksSurviveReset(t *testing.T) {
+	e := New(1)
+	fn := func() {}
+	const pending = 5000
+	schedule := func() {
+		for i := 0; i < pending; i++ {
+			e.Schedule(time.Duration(i)*time.Microsecond, fn)
+		}
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	schedule()
+	runtime.ReadMemStats(&m1)
+	if allocs := m1.Mallocs - m0.Mallocs; allocs > 12 {
+		t.Errorf("scheduling %d events on a cold engine made %d allocations, want at most 12", pending, allocs)
+	}
+	made := e.made
+	if made < pending || made >= 2*pending {
+		t.Fatalf("engine made %d events for %d pending", made, pending)
+	}
+	e.Reset(1)
+	if got := freeLen(e); got != made {
+		t.Fatalf("freelist holds %d events after Reset, want %d", got, made)
+	}
+	if allocs := testing.AllocsPerRun(1, func() { e.Reset(1); schedule() }); allocs != 0 {
+		t.Errorf("a second population after Reset made %.0f allocations, want 0", allocs)
+	}
+	if e.made != made {
+		t.Errorf("engine made %d events after a second population, want %d", e.made, made)
+	}
+}
+
+// TestArenaCensus: the census reports each pool's handed-out objects and
+// bytes since the last reset; a shared Pool counts only the objects
+// live at once, not every Get.
+func TestArenaCensus(t *testing.T) {
+	e := New(1)
+	e.SetArena(NewArena())
+	ArenaSlice[uint64](e, "census.slice", 3)
+	ArenaSlice[uint64](e, "census.slice", 5)
+	for i := 0; i < 10; i++ {
+		ArenaGrab[[3]uint64](e, "census.slab")
+	}
+	p := ArenaPool[uint64](e, "census.pool")
+	if ArenaPool[uint64](e, "census.pool") != p {
+		t.Fatal("ArenaPool returned two pools for one tag")
+	}
+	a, b := p.Get(), p.Get()
+	p.Put(a)
+	c := p.Get()
+	p.Put(b)
+	p.Put(c)
+	ArenaRand(e, "census.rand", 1)
+	want := []TagUsage{
+		{Tag: "census.pool", Objects: 2, Bytes: 16},
+		{Tag: "census.rand", Objects: 1},
+		{Tag: "census.slab", Objects: 10, Bytes: 240},
+		{Tag: "census.slice", Objects: 2, Bytes: 64},
+	}
+	if got := e.Arena().Census(); !slices.Equal(got, want) {
+		t.Fatalf("census %+v, want %+v", got, want)
+	}
+	e.Reset(1)
+	for _, u := range e.Arena().Census() {
+		if u.Objects != 0 || u.Bytes != 0 {
+			t.Errorf("after Reset %s reports %+v, want zero", u.Tag, u)
+		}
+	}
+	if v := p.Get(); *v != 0 {
+		t.Errorf("a pooled value came back as %d, want zeroed", *v)
 	}
 }

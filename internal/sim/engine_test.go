@@ -337,20 +337,24 @@ func TestFIFOOrderingAcrossReuse(t *testing.T) {
 func TestRescheduleInsideCallbackReusesEvent(t *testing.T) {
 	e := New(1)
 	count := 0
+	var first *Event
 	var tick func()
 	tick = func() {
 		count++
 		if count < 1000 {
-			e.After(time.Microsecond, tick)
+			if ev := e.After(time.Microsecond, tick); ev != first {
+				t.Fatalf("tick %d: After returned %p, want the released struct %p", count, ev, first)
+			}
 		}
 	}
-	e.Schedule(0, tick)
+	first = e.Schedule(0, tick)
 	drain(e)
 	if count != 1000 {
 		t.Fatalf("count = %d, want 1000", count)
 	}
-	if got := len(e.free); got != 1 {
-		t.Fatalf("freelist holds %d events after drain, want 1 (one struct recycled throughout)", got)
+	if e.made != firstEventBlock || freeLen(e) != firstEventBlock {
+		t.Fatalf("engine made %d events and pools %d after drain, want one block of %d (one struct recycled throughout)",
+			e.made, freeLen(e), firstEventBlock)
 	}
 }
 
@@ -1330,8 +1334,8 @@ func TestTopLevelsAgainstOrderModel(t *testing.T) {
 		t.Fatalf("Run(%v) fired %d events, want the 2 on level 4", bounds[1]-1, n)
 	}
 	e.Reset(1)
-	if got := len(e.free); got != scheduled {
-		t.Fatalf("freelist holds %d events after Reset, want %d", got, scheduled)
+	if got := freeLen(e); got != e.made || e.made < scheduled {
+		t.Fatalf("freelist holds %d of the %d events made after Reset, want all (at least %d)", got, e.made, scheduled)
 	}
 	if n := drain(e); n != 0 || e.Pending() != 0 {
 		t.Fatalf("reset engine fired %d events, %d pending, want none", n, e.Pending())
