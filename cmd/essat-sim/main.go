@@ -396,8 +396,9 @@ func specFromFlags(protocol, topo string, rate float64, perClass, nodes int, are
 		spec.FailureThreshold = 3
 	}
 	for i := 0; i < failures; i++ {
-		spec.Failures = append(spec.Failures, essat.FailureSpec{
-			At: essat.Dur(duration / 4 * time.Duration(i+1) / time.Duration(failures)),
+		spec.Dynamics = append(spec.Dynamics, essat.DynamicsSpec{
+			Kind: "fail",
+			At:   essat.Dur(duration / 4 * time.Duration(i+1) / time.Duration(failures)),
 		})
 	}
 	if dissem > 0 {

@@ -210,17 +210,15 @@ type Spec = experiment.Spec
 // Workload generates the paper's three-class workload from a Spec.
 type Workload = experiment.WorkloadSpec
 
-// FailureSpec, QueryStopSpec, FlowSpec, DynamicsSpec, ChannelSpec and
-// RadioSpec are the Spec forms of failures and query stops (fail and
-// stop rows), dissemination/peer flows, dynamics injectors, the channel
-// propagation model, and the radio energy profile.
+// FlowSpec, DynamicsSpec, ChannelSpec and RadioSpec are the Spec forms
+// of dissemination/peer flows, dynamics rows (failures, query stops and
+// the other injectors), the channel propagation model, and the radio
+// energy profile.
 type (
-	FailureSpec   = experiment.FailureSpec
-	QueryStopSpec = experiment.QueryStopSpec
-	FlowSpec      = experiment.FlowSpec
-	DynamicsSpec  = experiment.DynamicsSpec
-	ChannelSpec   = experiment.ChannelSpec
-	RadioSpec     = experiment.RadioSpec
+	FlowSpec     = experiment.FlowSpec
+	DynamicsSpec = experiment.DynamicsSpec
+	ChannelSpec  = experiment.ChannelSpec
+	RadioSpec    = experiment.RadioSpec
 )
 
 // ResultsSpec and SinkSpec are the Spec forms of the results pipeline:

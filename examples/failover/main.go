@@ -29,9 +29,10 @@ func main() {
 			Workload:         &essat.Workload{BaseRate: 1.0, PerClass: 1, Seed: 11},
 		}
 		for i := 0; i < failures; i++ {
-			spec.Failures = append(spec.Failures, essat.FailureSpec{
+			spec.Dynamics = append(spec.Dynamics, essat.DynamicsSpec{
 				// Node omitted: a random non-leaf victim per failure.
-				At: essat.Dur(30*time.Second + time.Duration(i)*20*time.Second),
+				Kind: "fail",
+				At:   essat.Dur(30*time.Second + time.Duration(i)*20*time.Second),
 			})
 		}
 		res, err := essat.RunSpec(&spec)

@@ -180,14 +180,14 @@ func TestRunLeavesScenarioReusable(t *testing.T) {
 }
 
 // TestPeerFlowOutsideDeploymentRefused: a peer flow pinned to a node ID
-// the deployment does not have fails the build with the no-path error,
-// as a pin to a non-member does.
+// the deployment does not have is refused by the scenario's check,
+// before anything is built.
 func TestPeerFlowOutsideDeploymentRefused(t *testing.T) {
 	sc := extScenario(5)
 	sc.PeerFlows = []core.P2PSpec{{ID: -2, Src: query.NodeID(sc.Topology.NumNodes + 4960), Dst: 1,
 		Period: time.Second, Phase: 6 * time.Second}}
 	_, err := Run(sc)
-	if err == nil || !strings.Contains(err.Error(), "no path for peer flow -2") {
-		t.Fatalf("Run() = %v, want the no-path error", err)
+	if err == nil || !strings.Contains(err.Error(), "peer flow -2: endpoints 5000→1 are not two nodes of the deployment's 40") {
+		t.Fatalf("Run() = %v, want the outside-the-deployment error", err)
 	}
 }

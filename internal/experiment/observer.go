@@ -43,26 +43,17 @@ type observer struct {
 
 var _ query.Sink = (*observer)(nil)
 
-// observers builds the run's observer: the root recorder, the configured
+// observers builds the run's observer: the root recorder, the checked
 // sinks in configuration order, the tracer and the auditor.
-func (b *builder) observers() error {
+func (b *builder) observers() {
 	sc, o := &b.Scenario, &b.obs
 	*o = observer{
 		eng:    b.Eng,
 		root:   stats.NewRootSink(b.Eng, sc.Queries, sc.MeasureFrom, sc.Duration),
+		sinks:  b.sinks,
 		sleeps: sc.RecordSleepIntervals,
 	}
-	for _, choice := range sc.Sinks {
-		s, err := stats.NewSink(choice.Name, stats.SinkConfig{
-			Duration:    sc.Duration,
-			MeasureFrom: sc.MeasureFrom,
-			Nodes:       b.Topo.NumNodes(),
-			Params:      choice.Params,
-		})
-		if err != nil {
-			return err
-		}
-		o.sinks = append(o.sinks, s)
+	for _, s := range o.sinks {
 		if ro, ok := s.(stats.RadioObserver); ok {
 			o.radio = append(o.radio, ro)
 		}
@@ -81,7 +72,6 @@ func (b *builder) observers() error {
 	if o.tracer != nil || o.auditor != nil || len(o.radio) > 0 || o.sleeps {
 		o.taps = sim.ArenaSlice[*nodeTap](b.Eng, "experiment.taps", b.Topo.NumNodes())
 	}
-	return nil
 }
 
 // tap subscribes member id's radio tap, when anything reads radio

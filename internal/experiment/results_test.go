@@ -25,6 +25,7 @@ func sinkScenario(seed int64) Scenario {
 func TestDefaultRunHasNoRecords(t *testing.T) {
 	sc := smokeScenario(NTSSS, 42)
 	sc.Duration = 5 * time.Second
+	sc.MeasureFrom = time.Second
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)

@@ -171,8 +171,8 @@ type Scenario struct {
 	Sinks []SinkChoice
 }
 
-// SinkChoice names one metric sink plus its parameters (validated by
-// the sink's builder at build time).
+// SinkChoice names one metric sink plus its parameters, which the
+// scenario's check hands to the sink's builder.
 type SinkChoice struct {
 	Name   string
 	Params map[string]float64
@@ -197,10 +197,8 @@ func DefaultScenario(p Protocol, seed int64) Scenario {
 // each starting at a random phase in [0, phaseMax).
 //
 // Invalid arguments (non-positive baseRate, perClass, or phaseMax)
-// yield an empty workload, which Build rejects with "no queries
-// configured" — the imperative analogue of the spec layer's validation,
-// and a returned error rather than a panic, so no request path can
-// crash a hosting process.
+// yield an empty workload, which the scenario's check refuses with a
+// returned error rather than a panic.
 func QueryClasses(rng *rand.Rand, baseRate float64, perClass int, phaseMax time.Duration) []query.Spec {
 	if baseRate <= 0 || perClass <= 0 || phaseMax <= 0 {
 		return nil
@@ -337,10 +335,16 @@ type Sim struct {
 }
 
 // builder is one build in progress: the Sim being assembled plus the
-// resolved models the stages hand to each other.
+// models the scenario's check resolved.
 type builder struct {
 	*Sim
-	arena  *Arena
+	arena *Arena
+	models
+}
+
+// models is what a scenario's check resolves: the model behind each
+// name, the configs derived from them, and the run's metric sinks.
+type models struct {
 	proto  protocol.Builder
 	prop   phy.Propagation
 	power  radio.PowerProfile
@@ -348,26 +352,31 @@ type builder struct {
 	chCfg  phy.Config
 	qCfg   query.Config
 	params protocol.Params
+	sinks  []stats.Sink
 }
 
-// build takes the arena's engine, reset to the scenario's seed, and runs
-// the build stages in order; a nil arena is a private one, so every
-// build, one-shot or warm, takes its memory the same way. The Sim comes
-// from the engine's arena, like everything the stages build, so it is
-// valid until the arena's next build; it is taken after deploy,
-// because a setup flood rewinds the arena. The stage order is load-bearing: the engine rng is drawn for
-// placement (deploy), then peer-flow endpoints and random failure
-// victims (workload), and node construction and start order fix the
-// event sequence numbers.
+// build checks the scenario, takes the arena's engine, reset to the
+// scenario's seed, and runs the build stages in order; a nil arena is a
+// private one, so every build, one-shot or warm, takes its memory the
+// same way. The Sim comes from the engine's arena, like everything the
+// stages build, so it is valid until the arena's next build; it is
+// taken after deploy, because a setup flood rewinds the arena. The stage
+// order is load-bearing: the engine rng is drawn for placement (deploy),
+// then peer-flow endpoints and random failure victims (workload), and
+// node construction and start order fix the event sequence numbers.
 func build(sc Scenario, a *Arena) (*Sim, error) {
+	m, err := sc.check()
+	if err != nil {
+		return nil, err
+	}
+	// Gray-zone models deliver past the nominal range: widen the
+	// candidate-neighbor graph to the model's conservative maximum.
+	sc.Topology.NeighborRange = m.prop.MaxRange(sc.Topology.Range)
 	if a == nil {
 		a = &Arena{}
 	}
 	eng := a.engine(sc.Seed)
-	b := builder{arena: a}
-	if err := b.resolveModels(&sc); err != nil {
-		return nil, err
-	}
+	b := builder{arena: a, models: m}
 	topo, tree, err := b.deploy(eng, &sc)
 	if err != nil {
 		return nil, err
@@ -377,9 +386,7 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 	if err := b.channel(); err != nil {
 		return nil, err
 	}
-	if err := b.observers(); err != nil {
-		return nil, err
-	}
+	b.observers()
 	b.stacks()
 	if err := b.workload(); err != nil {
 		return nil, err
@@ -387,59 +394,81 @@ func build(sc Scenario, a *Arena) (*Sim, error) {
 	return b.Sim, nil
 }
 
-// resolveModels validates the scenario and resolves every model name
-// and derived config: protocol, propagation model, energy profile,
-// radio, channel, query, and protocol parameters. It sets the
-// topology's candidate radius in sc.
-func (b *builder) resolveModels(sc *Scenario) error {
-	if len(sc.Queries) == 0 {
-		return fmt.Errorf("experiment: no queries configured")
-	}
-	if sc.Duration <= 0 {
-		return fmt.Errorf("experiment: non-positive duration %v", sc.Duration)
-	}
+// check is the one place that refuses a scenario for its values; build
+// and Spec.Scenario() both return its verdict. It resolves every model
+// name and refuses an empty run or measurement window, a negative
+// failure threshold, a bad dynamics row, a peer flow pinned outside the
+// deployment or to one node at both ends, and a query or flow without a
+// positive period and a non-negative phase, or whose ID another one
+// uses: Safe Sleep keeps one row per ID (§4.1), and the §3 relay writes
+// flows into the same rows.
+// Placement refuses a bad generator or generator param in deploy, which
+// Spec.Scenario() probes by placing one node; a pinned peer flow with no
+// tree path and a drawn endpoint on a one-member tree need the built
+// tree. The layer constructors keep their own guards as backstops.
+func (sc *Scenario) check() (m models, err error) {
 	var ok bool
-	if b.proto, ok = protocol.Lookup(sc.Protocol); !ok {
-		return fmt.Errorf("experiment: unknown protocol %q (registered: %v)", sc.Protocol, protocol.All())
+	if m.proto, ok = protocol.Lookup(sc.Protocol); !ok {
+		return m, fmt.Errorf("experiment: unknown protocol %q (registered: %v)", sc.Protocol, protocol.All())
 	}
-	// The propagation model shapes the candidate graph and both channels
-	// (setup flood and run), the energy profile everything that meters
-	// joules.
-	prop, err := phy.NewPropagation(sc.Propagation, sc.PropagationParams)
-	if err != nil {
-		return err
+	if m.prop, err = phy.NewPropagation(sc.Propagation, sc.PropagationParams); err != nil {
+		return m, err
 	}
-	b.prop = prop
 	profName := sc.RadioProfile
 	if profName == "" {
 		profName = radio.Paper
 	}
 	prof, ok := radio.LookupProfile(profName)
 	if !ok {
-		return fmt.Errorf("experiment: unknown radio profile %q (registered: %v)", sc.RadioProfile, radio.ProfileNames())
+		return m, fmt.Errorf("experiment: unknown radio profile %q (registered: %v)", sc.RadioProfile, radio.ProfileNames())
 	}
-	b.power = prof.Power
-	b.rcfg = prof.Config()
+	switch {
+	case sc.Duration <= 0:
+		return m, fmt.Errorf("experiment: non-positive duration %v", sc.Duration)
+	case sc.MeasureFrom < 0 || sc.MeasureFrom >= sc.Duration:
+		return m, fmt.Errorf("experiment: MeasureFrom %v outside [0, Duration %v)", sc.MeasureFrom, sc.Duration)
+	case len(sc.Queries) == 0:
+		return m, fmt.Errorf("experiment: no queries configured")
+	}
+	for i, q := range sc.Queries {
+		if err := q.Validate(); err != nil {
+			return m, err
+		}
+		for _, p := range sc.Queries[:i] {
+			if p.ID == q.ID {
+				return m, fmt.Errorf("experiment: duplicate query ID %d", q.ID)
+			}
+		}
+	}
+	// The agent constructor panics on a bad config; refuse it here.
+	m.qCfg = query.Config{FailureThreshold: sc.FailureThreshold}
+	if err := m.qCfg.Validate(); err != nil {
+		return m, err
+	}
+	for _, d := range sc.Dynamics {
+		if err := dynamics.Check(d.Kind, d.Params); err != nil {
+			return m, err
+		}
+	}
+	for _, f := range sc.Dissemination {
+		if err := sc.checkFlow("dissemination", f.ID, f.Period, f.Phase); err != nil {
+			return m, err
+		}
+	}
+	for _, f := range sc.PeerFlows {
+		if err := sc.checkFlow("peer", f.ID, f.Period, f.Phase); err != nil {
+			return m, err
+		}
+		if n := query.NodeID(sc.Topology.NumNodes); f.Src >= n || f.Dst >= n || (f.Src >= 0 && f.Src == f.Dst) {
+			return m, fmt.Errorf("experiment: peer flow %d: endpoints %d→%d are not two nodes of the deployment's %d", f.ID, f.Src, f.Dst, n)
+		}
+	}
+	m.power, m.rcfg = prof.Power, prof.Config()
 	if sc.RadioCfg != nil {
-		b.rcfg = *sc.RadioCfg
+		m.rcfg = *sc.RadioCfg
 	}
-
-	// Gray-zone models deliver past the nominal range: widen the
-	// candidate-neighbor graph to the model's conservative maximum.
-	sc.Topology.NeighborRange = prop.MaxRange(sc.Topology.Range)
-
-	b.chCfg = phy.Config{LossRate: sc.LossRate, Propagation: prop}
-
-	// The failure threshold arrives from spec input: validate it here,
-	// since the agent constructor only panics on an invalid config (a
-	// backstop against imperative misuse), and a malformed scenario must
-	// surface as a returned build error, never a crashed worker.
-	b.qCfg = query.Config{FailureThreshold: sc.FailureThreshold}
-	if err := b.qCfg.Validate(); err != nil {
-		return err
-	}
-
-	b.params = protocol.Params{
+	m.chCfg = phy.Config{LossRate: sc.LossRate, Propagation: m.prop}
+	m.params = protocol.Params{
 		SSBreakEven:      sc.SSBreakEven,
 		DisableSafeSleep: sc.DisableSafeSleep,
 		STSDeadline:      sc.STSDeadline,
@@ -449,8 +478,51 @@ func (b *builder) resolveModels(sc *Scenario) error {
 	// paper's equal-power assumption makes it tON+tOFF; radios with
 	// cheaper transitions break even sooner). A RadioCfg override keeps
 	// the radio-intrinsic fallback: the override's tON+tOFF.
-	if b.params.SSBreakEven < 0 && sc.RadioCfg == nil {
-		b.params.SSBreakEven = prof.BreakEven()
+	if m.params.SSBreakEven < 0 && sc.RadioCfg == nil {
+		m.params.SSBreakEven = prof.BreakEven()
+	}
+	for _, choice := range sc.Sinks {
+		s, err := stats.NewSink(choice.Name, stats.SinkConfig{
+			Duration:    sc.Duration,
+			MeasureFrom: sc.MeasureFrom,
+			// A non-positive node count is placement's to refuse.
+			Nodes:  max(sc.Topology.NumNodes, 0),
+			Params: choice.Params,
+		})
+		if err != nil {
+			return m, err
+		}
+		m.sinks = append(m.sinks, s)
+	}
+	return m, nil
+}
+
+// checkFlow refuses a §3 flow whose period is not positive, whose phase
+// is negative, or whose ID another query or flow of the scenario uses.
+func (sc *Scenario) checkFlow(kind string, id query.ID, period, phase time.Duration) error {
+	uses := 0
+	for _, q := range sc.Queries {
+		if q.ID == id {
+			uses++
+		}
+	}
+	for _, f := range sc.Dissemination {
+		if f.ID == id {
+			uses++
+		}
+	}
+	for _, f := range sc.PeerFlows {
+		if f.ID == id {
+			uses++
+		}
+	}
+	switch {
+	case period <= 0:
+		return fmt.Errorf("experiment: %s flow %d: period must be positive, got %v", kind, id, period)
+	case phase < 0:
+		return fmt.Errorf("experiment: %s flow %d: negative phase %v", kind, id, phase)
+	case uses > 1:
+		return fmt.Errorf("experiment: %s flow %d: ID already used by a query or another flow", kind, id)
 	}
 	return nil
 }
@@ -605,13 +677,6 @@ func (b *builder) flows() error {
 	sc, members := &b.Scenario, b.members
 	if len(sc.PeerFlows) == 0 && len(sc.Dissemination) == 0 {
 		return nil
-	}
-	for _, ds := range sc.Dissemination {
-		for _, q := range sc.Queries {
-			if q.ID == ds.ID {
-				return fmt.Errorf("experiment: dissemination flow %d collides with a query ID", ds.ID)
-			}
-		}
 	}
 	for _, id := range members {
 		b.Nodes[id].InstallRelay(nil)

@@ -10,17 +10,13 @@ import (
 
 	"github.com/essat/essat/internal/core"
 	"github.com/essat/essat/internal/dynamics"
-	"github.com/essat/essat/internal/phy"
-	"github.com/essat/essat/internal/protocol"
 	"github.com/essat/essat/internal/query"
-	"github.com/essat/essat/internal/radio"
-	"github.com/essat/essat/internal/stats"
 	"github.com/essat/essat/internal/topology"
 )
 
 // Spec is the declarative, JSON-serializable description of one
 // scenario: protocol by name, topology generator by name, and the
-// workload, failures, and flows on top. It deliberately exposes only
+// workload, perturbations, and flows on top. It deliberately exposes only
 // names and parameters — no wiring — so scenarios can live in files, be
 // diffed, and be generated by tools. Spec.Scenario compiles it onto
 // DefaultScenario, so omitted fields keep the paper's §5 setup.
@@ -76,20 +72,16 @@ type Spec struct {
 	Channel *ChannelSpec `json:"channel,omitempty"`
 	Radio   *RadioSpec   `json:"radio,omitempty"`
 
-	// Loss injects independent per-delivery frame loss; Failures kill
-	// nodes mid-run; FailureThreshold enables the §4.3 failure detector
-	// (missed reports before declaring a child dead; 0 = off).
-	Loss             float64       `json:"loss,omitempty"`
-	FailureThreshold int           `json:"failure_threshold,omitempty"`
-	Failures         []FailureSpec `json:"failures,omitempty"`
-
-	// QueryStops deregister queries mid-run (workload adaptation).
-	QueryStops []QueryStopSpec `json:"query_stops,omitempty"`
+	// Loss injects independent per-delivery frame loss; FailureThreshold
+	// enables the §4.3 failure detector (missed reports before declaring
+	// a child dead; 0 = off).
+	Loss             float64 `json:"loss,omitempty"`
+	FailureThreshold int     `json:"failure_threshold,omitempty"`
 
 	// Dynamics lists injectors perturbing the run mid-flight (failures,
 	// query stops, node crash/recovery, per-link loss ramps, traffic
-	// bursts); see internal/dynamics for the listed kinds. Failures and
-	// QueryStops are shorthands that compile to fail and stop rows.
+	// bursts), scheduled in order; see internal/dynamics for the listed
+	// kinds.
 	Dynamics []DynamicsSpec `json:"dynamics,omitempty"`
 
 	// Audit enables the cross-layer invariant auditor: every run-time
@@ -165,21 +157,6 @@ type QueryJSON struct {
 	Period Duration `json:"period"`
 	Phase  Duration `json:"phase,omitempty"`
 	Class  int      `json:"class,omitempty"`
-}
-
-// FailureSpec kills a node at a given time; it compiles to a fail row.
-// A nil Node (the JSON field omitted) picks a random live non-root
-// victim, preferring non-leaves.
-type FailureSpec struct {
-	At   Duration `json:"at"`
-	Node *int     `json:"node,omitempty"`
-}
-
-// QueryStopSpec deregisters a query at a given time; it compiles to a
-// stop row.
-type QueryStopSpec struct {
-	At    Duration `json:"at"`
-	Query int64    `json:"query"`
 }
 
 // DynamicsSpec configures one fault/load injector. Kind names a listed
@@ -286,18 +263,17 @@ func LoadSpec(path string) (*Spec, error) {
 	return s, nil
 }
 
-// Scenario compiles the spec onto the paper's default setup, validating
-// every model name against its layer's table and every model's params.
+// Scenario compiles the spec onto the paper's default setup and returns
+// the compiled scenario's check. It refuses itself only what JSON alone
+// can get wrong: an explicit negative where Scenario gives negative a
+// meaning or zero means the default, an empty or repeated results
+// block, and a bad workload block, plus its one-node placement probe.
 func (s *Spec) Scenario() (Scenario, error) {
-	p := Protocol(s.Protocol)
-	if _, ok := protocol.Lookup(p); !ok {
-		return Scenario{}, fmt.Errorf("spec: unknown protocol %q (registered: %v)", s.Protocol, protocol.All())
-	}
 	seed := s.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	sc := DefaultScenario(p, seed)
+	sc := DefaultScenario(Protocol(s.Protocol), seed)
 
 	if s.Nodes > 0 {
 		sc.Topology.NumNodes = s.Nodes
@@ -326,18 +302,10 @@ func (s *Spec) Scenario() (Scenario, error) {
 	sc.BFSTree = s.BFSTree
 
 	if c := s.Channel; c != nil {
-		// Validate the model name and its params now: a typo in a
-		// scenario file must fail the compile, not the run.
-		if _, err := phy.NewPropagation(c.Model, c.Params); err != nil {
-			return Scenario{}, fmt.Errorf("spec: %w", err)
-		}
 		sc.Propagation = c.Model
 		sc.PropagationParams = c.Params
 	}
 	if r := s.Radio; r != nil {
-		if _, ok := radio.LookupProfile(r.Profile); !ok {
-			return Scenario{}, fmt.Errorf("spec: unknown radio profile %q (registered: %v)", r.Profile, radio.ProfileNames())
-		}
 		sc.RadioProfile = r.Profile
 	}
 
@@ -345,11 +313,7 @@ func (s *Spec) Scenario() (Scenario, error) {
 		sc.Duration = s.Duration.D()
 	}
 	if s.MeasureFrom != nil {
-		mf := s.MeasureFrom.D()
-		if mf < 0 || mf >= sc.Duration {
-			return Scenario{}, fmt.Errorf("spec: measure_from %v outside [0, duration %v)", mf, sc.Duration)
-		}
-		sc.MeasureFrom = mf
+		sc.MeasureFrom = s.MeasureFrom.D()
 	} else if sc.MeasureFrom >= sc.Duration {
 		sc.MeasureFrom = sc.Duration / 5
 	}
@@ -370,18 +334,12 @@ func (s *Spec) Scenario() (Scenario, error) {
 		sc.Queries = QueryClasses(rng, w.BaseRate, w.PerClass, phaseMax)
 	}
 	for _, q := range s.Queries {
-		if q.Period <= 0 {
-			return Scenario{}, fmt.Errorf("spec: query %d period must be positive", q.ID)
-		}
 		sc.Queries = append(sc.Queries, query.Spec{
 			ID:     query.ID(q.ID),
 			Period: q.Period.D(),
 			Phase:  q.Phase.D(),
 			Class:  q.Class,
 		})
-	}
-	if len(sc.Queries) == 0 {
-		return Scenario{}, fmt.Errorf("spec: no workload and no explicit queries")
 	}
 
 	sc.STSDeadline = s.Deadline.D()
@@ -393,17 +351,8 @@ func (s *Spec) Scenario() (Scenario, error) {
 
 	sc.LossRate = s.Loss
 	sc.FailureThreshold = s.FailureThreshold
-	// Rows schedule in order: stops, failures, then the dynamics block,
-	// the order the golden traces pin (it fixes event sequence numbers).
-	var rows []DynamicsSpec
-	for _, stop := range s.QueryStops {
-		rows = append(rows, DynamicsSpec{Kind: dynamics.KindStop, At: stop.At, Query: stop.Query})
-	}
-	for _, f := range s.Failures {
-		rows = append(rows, DynamicsSpec{Kind: dynamics.KindFail, At: f.At, Node: f.Node})
-	}
-	for _, d := range append(rows, s.Dynamics...) {
-		p := dynamics.Params{
+	for _, d := range s.Dynamics {
+		sc.Dynamics = append(sc.Dynamics, Dynamic{Kind: d.Kind, Params: dynamics.Params{
 			At:       d.At.D(),
 			Duration: d.Duration.D(),
 			Node:     d.Node,
@@ -414,13 +363,7 @@ func (s *Spec) Scenario() (Scenario, error) {
 			Queries:  d.Queries,
 			Query:    query.ID(d.Query),
 			Seed:     d.Seed,
-		}
-		// Check the kind and its values now, with the kind's own checks:
-		// a typo or a bad value must fail the compile, not the run.
-		if err := dynamics.Check(d.Kind, p); err != nil {
-			return Scenario{}, fmt.Errorf("spec: %w", err)
-		}
-		sc.Dynamics = append(sc.Dynamics, Dynamic{Kind: d.Kind, Params: p})
+		}})
 	}
 	sc.Audit = s.Audit
 
@@ -434,18 +377,15 @@ func (s *Spec) Scenario() (Scenario, error) {
 				return Scenario{}, fmt.Errorf("spec: duplicate results sink %q", sk.Name)
 			}
 			seen[sk.Name] = true
-			// Build once against a throwaway config: an unknown sink name
-			// or a bad param must fail the compile, not the run.
-			if _, err := stats.NewSink(sk.Name, stats.SinkConfig{Params: sk.Params, Duration: time.Second}); err != nil {
-				return Scenario{}, fmt.Errorf("spec: %w", err)
-			}
 			sc.Sinks = append(sc.Sinks, SinkChoice{Name: sk.Name, Params: sk.Params})
 		}
 	}
 
-	// Zero turns each of these off; a negative value is a mistake, not
-	// a request to turn it off.
+	// Zero keeps the default run length and turns each of the others
+	// off; a negative value is a mistake, not a request for either.
 	switch {
+	case s.Duration < 0:
+		return Scenario{}, fmt.Errorf("spec: duration must be non-negative, got %v", s.Duration.D())
 	case s.BatteryJ < 0:
 		return Scenario{}, fmt.Errorf("spec: battery_j must be non-negative, got %g", s.BatteryJ)
 	case s.SetupSlot < 0:
@@ -484,6 +424,9 @@ func (s *Spec) Scenario() (Scenario, error) {
 			Phase:        f.Phase.D(),
 			HopAllowance: f.HopAllowance.D(),
 		})
+	}
+	if _, err := sc.check(); err != nil {
+		return Scenario{}, err
 	}
 	return sc, nil
 }

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -87,9 +86,9 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		BreakEven:        &be,
 		Loss:             0.05,
 		FailureThreshold: 3,
-		Failures:         []FailureSpec{{At: Dur(10 * time.Second), Node: &victim}, {At: Dur(15 * time.Second)}},
-		QueryStops:       []QueryStopSpec{{At: Dur(20 * time.Second), Query: 2}},
-		Peers:            []FlowSpec{{ID: -1, Src: &src, Period: Dur(time.Second)}},
+		Dynamics: []DynamicsSpec{{Kind: "fail", At: Dur(10 * time.Second), Node: &victim},
+			{Kind: "fail", At: Dur(15 * time.Second)}, {Kind: "stop", At: Dur(20 * time.Second), Query: 2}},
+		Peers: []FlowSpec{{ID: -1, Src: &src, Period: Dur(time.Second)}},
 	}
 	data, err := json.Marshal(orig)
 	if err != nil {
@@ -169,11 +168,15 @@ func TestSpecErrors(t *testing.T) {
 		{"negative battery_j", Spec{Protocol: "DTS-SS", Workload: wl, BatteryJ: -0.5}, "battery_j"},
 		{"negative setup_slot", Spec{Protocol: "DTS-SS", Workload: wl, SetupSlot: Dur(-time.Second)}, "setup_slot"},
 		{"negative failure start", Spec{Protocol: "DTS-SS", Workload: wl,
-			Failures: []FailureSpec{{At: Dur(-time.Second)}}}, "fail: negative start"},
+			Dynamics: []DynamicsSpec{{Kind: "fail", At: Dur(-time.Second)}}}, "fail: negative start"},
 		{"negative query stop start", Spec{Protocol: "DTS-SS", Workload: wl,
-			QueryStops: []QueryStopSpec{{At: Dur(-time.Second), Query: 1}}}, "stop: negative start"},
+			Dynamics: []DynamicsSpec{{Kind: "stop", At: Dur(-time.Second), Query: 1}}}, "stop: negative start"},
 		{"negative failure node", Spec{Protocol: "DTS-SS", Workload: wl,
-			Failures: []FailureSpec{{At: Dur(time.Second), Node: intPtr(-5)}}}, "fail: negative node -5"},
+			Dynamics: []DynamicsSpec{{Kind: "fail", At: Dur(time.Second), Node: intPtr(-5)}}}, "fail: negative node -5"},
+		{"negative duration", Spec{Protocol: "DTS-SS", Workload: wl, Duration: Dur(-5 * time.Second)}, "duration"},
+		{"empty results block", Spec{Protocol: "DTS-SS", Workload: wl, Results: &ResultsSpec{}}, "at least one sink"},
+		{"repeated results sink", Spec{Protocol: "DTS-SS", Workload: wl,
+			Results: &ResultsSpec{Sinks: []SinkSpec{{Name: "energy"}, {Name: "energy"}}}}, `duplicate results sink "energy"`},
 		{"negative dynamics node", Spec{Protocol: "DTS-SS", Workload: wl,
 			Dynamics: []DynamicsSpec{{Kind: "crash", At: Dur(time.Second), Node: intPtr(-5)}}}, "crash: negative node -5"},
 		{"negative peer src", Spec{Protocol: "DTS-SS", Workload: wl,
@@ -200,38 +203,6 @@ func durPtr(d time.Duration) *Duration {
 }
 
 func intPtr(i int) *int { return &i }
-
-// TestSpecCompilesPerturbationRows: failures and query stops compile to
-// rows of the one perturbation table, ahead of the dynamics block, in
-// the order the run schedules them: stops, failures, dynamics.
-func TestSpecCompilesPerturbationRows(t *testing.T) {
-	spec := Spec{
-		Protocol:   "DTS-SS",
-		Workload:   &WorkloadSpec{BaseRate: 1, PerClass: 1},
-		Failures:   []FailureSpec{{At: Dur(15 * time.Second)}, {At: Dur(18 * time.Second), Node: intPtr(7)}},
-		QueryStops: []QueryStopSpec{{At: Dur(20 * time.Second), Query: 2}},
-		Dynamics:   []DynamicsSpec{{Kind: "crash", At: Dur(8 * time.Second)}, {Kind: "stop", At: Dur(9 * time.Second), Query: 1}},
-	}
-	sc, err := spec.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, d := range sc.Dynamics {
-		row := fmt.Sprintf("%s@%v", d.Kind, d.At)
-		switch {
-		case d.Node != nil:
-			row += fmt.Sprintf(" node %d", *d.Node)
-		case d.Kind == "stop":
-			row += fmt.Sprintf(" query %d", d.Query)
-		}
-		got = append(got, row)
-	}
-	want := []string{"stop@20s query 2", "fail@15s", "fail@18s node 7", "crash@8s", "stop@9s query 1"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("rows %v, want %v", got, want)
-	}
-}
 
 func TestSpecRunEndToEnd(t *testing.T) {
 	res, err := RunSpec(&Spec{

@@ -124,8 +124,10 @@ func TestBadSpecs(t *testing.T) {
 		{"unknown protocol", specJSON("NO-SUCH"), "bad_spec"},
 		{"no workload", `{"protocol":"DTS-SS"}`, "bad_spec"},
 		{"too many nodes", `{"protocol":"DTS-SS","nodes":5000,"workload":{"base_rate":1,"per_class":1}}`, "too_large"},
-		{"negative failure start", `{"protocol":"DTS-SS","nodes":20,"workload":{"base_rate":1,"per_class":1},"failures":[{"at":"-1s"}]}`, "bad_spec"},
-		{"negative query stop start", `{"protocol":"DTS-SS","nodes":20,"workload":{"base_rate":1,"per_class":1},"query_stops":[{"at":"-1s","query":1}]}`, "bad_spec"},
+		{"negative failure start", `{"protocol":"DTS-SS","nodes":20,"workload":{"base_rate":1,"per_class":1},"dynamics":[{"kind":"fail","at":"-1s"}]}`, "bad_spec"},
+		{"negative query stop start", `{"protocol":"DTS-SS","nodes":20,"workload":{"base_rate":1,"per_class":1},"dynamics":[{"kind":"stop","at":"-1s","query":1}]}`, "bad_spec"},
+		{"negative duration", `{"protocol":"DTS-SS","nodes":20,"duration":"-5s","workload":{"base_rate":1,"per_class":1}}`, "bad_spec"},
+		{"peer flow ID equal to a query ID", `{"protocol":"DTS-SS","nodes":20,"duration":"5s","workload":{"base_rate":1,"per_class":1},"peers":[{"id":0,"period":"1s"}]}`, "bad_spec"},
 		{"peer outside the deployment", `{"protocol":"DTS-SS","nodes":20,"duration":"5s","workload":{"base_rate":1,"per_class":1},"peers":[{"id":-1,"src":5000,"dst":1,"period":"1s"}]}`, "bad_spec"},
 		{"half-pinned peer outside the deployment", `{"protocol":"DTS-SS","nodes":20,"duration":"5s","workload":{"base_rate":1,"per_class":1},"peers":[{"id":-1,"src":5000,"period":"1s"}]}`, "bad_spec"},
 		{"oversized body", `{"protocol":"DTS-SS","queries":[` + strings.Repeat(`{"id":1,"period":"1s"},`, 400) + `]}`, "bad_spec"},
