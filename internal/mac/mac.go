@@ -114,7 +114,7 @@ const (
 // synchronously and never retains it).
 type header struct {
 	kind    frameKind
-	seq     uint64
+	seq     uint32
 	payload any
 }
 
@@ -123,7 +123,7 @@ type txItem struct {
 	payload  any
 	bytes    int
 	cb       SendCallback
-	seq      uint64
+	seq      uint32
 	attempts int
 	enqueued time.Duration
 	hdr      *header // on-air framing of the current attempt
@@ -168,7 +168,12 @@ type MAC struct {
 	// was corrupted or partially missed, triggering an EIFS defer.
 	lastDecode time.Duration
 
-	nextSeq uint64
+	// nextSeq numbers the station's sends in a 32-bit space. A send is
+	// transmitted at least once, after a DIFS and for at least a
+	// preamble (146 µs together), so numbers repeat only after 2^32
+	// sends: more than seven days of simulated back-to-back
+	// transmission by one station.
+	nextSeq uint32
 	// lastSeq is the duplicate-detection state, indexed by neighbor
 	// position rather than by NodeID: row i holds one more than the
 	// sequence number of the last unicast data frame decoded from the
@@ -179,7 +184,7 @@ type MAC struct {
 	// state O(degree) instead of O(N), the difference between ~90 B and
 	// ~90 kB per node on the 10k-node tier. Arena-backed when the engine
 	// carries one.
-	lastSeq []uint64
+	lastSeq []uint32
 
 	// pendingAcks is the FIFO of acknowledgements owed, popped by the
 	// prebound SIFS timer callback. SIFS is constant, so scheduling order
@@ -247,7 +252,7 @@ func macAckSent(x any) {
 
 type ackKey struct {
 	src phy.NodeID
-	seq uint64
+	seq uint32
 }
 
 // New creates a MAC for node id, attaching it to the channel.
@@ -261,7 +266,7 @@ func New(eng *sim.Engine, ch *phy.Channel, id phy.NodeID, r *radio.Radio, upper 
 		upper:      upper,
 		cw:         cwMin,
 		lastDecode: -1,
-		lastSeq:    sim.ArenaSlice[uint64](eng, "mac.lastseq", len(ch.Neighbors(id))),
+		lastSeq:    sim.ArenaSlice[uint32](eng, "mac.lastseq", len(ch.Neighbors(id))),
 		items:      sim.ArenaPool[txItem](eng, "mac.item"),
 		hdrs:       sim.ArenaPool[header](eng, "mac.hdr"),
 	}
@@ -271,7 +276,7 @@ func New(eng *sim.Engine, ch *phy.Channel, id phy.NodeID, r *radio.Radio, upper 
 }
 
 // newHeader takes a header from the run's pool and fills it.
-func (m *MAC) newHeader(kind frameKind, seq uint64, payload any) *header {
+func (m *MAC) newHeader(kind frameKind, seq uint32, payload any) *header {
 	h := m.hdrs.Get()
 	h.kind, h.seq, h.payload = kind, seq, payload
 	return h
@@ -568,7 +573,7 @@ func (m *MAC) FrameDelivered(f *phy.Frame) {
 	}
 }
 
-func (m *MAC) ackReceived(src phy.NodeID, seq uint64, info any) {
+func (m *MAC) ackReceived(src phy.NodeID, seq uint32, info any) {
 	if info != nil {
 		if s, ok := m.upper.(AckInfoSink); ok {
 			s.AckInfo(src, info)
@@ -609,7 +614,7 @@ func (m *MAC) dataReceived(f *phy.Frame, hdr *header) {
 	m.upper.Deliver(f.Src, hdr.payload, f.Bytes)
 }
 
-func (m *MAC) sendAck(dst phy.NodeID, seq uint64) {
+func (m *MAC) sendAck(dst phy.NodeID, seq uint32) {
 	var info any
 	if len(m.ackInfo) > 0 {
 		if v, ok := m.ackInfo[ackKey{src: dst, seq: seq}]; ok {

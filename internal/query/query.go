@@ -191,12 +191,13 @@ type Stats struct {
 	LateReports uint64
 }
 
-// interval is one collection round. Intervals are pooled by the Agent:
-// the struct and its rows come from the per-run arena, their capacity
-// survives recycling, and the deadline timer dispatches through a shared
-// package-level func carrying the interval as its event argument, so
-// steady-state interval turnover is allocation-free. The 10k-node tier
-// keeps 40,000 of them, so the struct is kept to 56 B.
+// interval is one open collection round. Intervals are pooled by the
+// Agent: the struct and its rows come from the per-run arena, their
+// capacity survives recycling, and the deadline timer dispatches through
+// a shared package-level func carrying the interval as its event
+// argument, so steady-state interval turnover is allocation-free. A
+// round goes back to the pool the moment it closes, so a node keeps
+// about one per query's open round plus one spare.
 type interval struct {
 	// rows holds the children owed for this interval, in the tree's
 	// child order, each marked once its report arrived, followed by the
@@ -207,7 +208,6 @@ type interval struct {
 	rt       *runtime // owning query runtime
 	k        int
 	coverage int32
-	closed   bool
 }
 
 // row is one reporter of an interval. A node ID fits in 32 bits.
@@ -254,15 +254,17 @@ func (iv *interval) complete() bool {
 	return true
 }
 
-// keptClosed is how far behind a closing round the agent prunes:
-// closing round k drops round k−keptClosed, and later reports for a
-// pruned round pass through as late.
-const keptClosed = 8
+// pruneDepth is how far behind a closing round the agent prunes a round
+// that is still open: closing round k drops round k−pruneDepth from the
+// table, and later reports for it pass through as late, as they do for
+// any closed round. Its deadline still closes it.
+const pruneDepth = 8
 
-// missEntry is one child's consecutive-miss counter.
+// missEntry is one child's consecutive-miss counter. A node ID fits in
+// 32 bits, and so does a count of rounds.
 type missEntry struct {
-	id NodeID
-	n  int
+	id int32
+	n  int32
 }
 
 type runtime struct {
@@ -271,22 +273,20 @@ type runtime struct {
 	// intervals holds the open collection rounds in ascending k: ticks
 	// create intervals in increasing order and removals preserve order,
 	// so every walk with side effects (closing may submit reports,
-	// releasing feeds the pools) is deterministic. Closing round k prunes
-	// round k−keptClosed, so in steady state it holds keptClosed+1
-	// rounds, and linear lookups win over a map.
+	// releasing feeds the pools) is deterministic. A round leaves it when
+	// it closes, so it rarely holds more than one, and linear lookups win
+	// over a map.
 	intervals []*interval
 	// consecMiss is the per-child consecutive-miss table, a small linear
 	// slice for the same reason: at most one row per child.
-	consecMiss  []missEntry
-	lastClosedK int
+	consecMiss []missEntry
 
 	// tickK is the interval the next tick starts: the self-rescheduling
-	// chain (exactly one tick is outstanding per query).
+	// chain (exactly one tick is outstanding per query). It is -1 once
+	// the chain broke: a tick fired while the agent was stopped (node
+	// crashed) and did not reschedule itself. Resume restarts broken
+	// chains at the next interval boundary.
 	tickK int
-	// chainDead marks a broken tick chain: a tick fired while the agent
-	// was stopped (node crashed) and did not reschedule itself. Resume
-	// restarts dead chains at the next interval boundary.
-	chainDead bool
 }
 
 // queryTick is the interval-start dispatcher shared by every query:
@@ -296,7 +296,8 @@ func queryTick(x any) {
 	rt.a.startInterval(rt, rt.tickK)
 }
 
-// interval returns the open interval k, or nil.
+// interval returns the open interval k, or nil: a closed round is no
+// longer in the table.
 func (rt *runtime) interval(k int) *interval {
 	for _, iv := range rt.intervals {
 		if iv.k == k {
@@ -306,15 +307,15 @@ func (rt *runtime) interval(k int) *interval {
 	return nil
 }
 
-// removeInterval detaches interval k, preserving ascending order.
-func (rt *runtime) removeInterval(k int) *interval {
+// removeInterval detaches interval k if it is in the table, preserving
+// ascending order.
+func (rt *runtime) removeInterval(k int) {
 	for i, iv := range rt.intervals {
 		if iv.k == k {
 			rt.intervals = append(rt.intervals[:i], rt.intervals[i+1:]...)
-			return iv
+			return
 		}
 	}
-	return nil
 }
 
 // intervalAfter returns the open interval with the smallest k greater
@@ -333,19 +334,19 @@ func (rt *runtime) intervalAfter(prev int) *interval {
 // bumpMiss increments c's consecutive-miss counter and returns it.
 func (rt *runtime) bumpMiss(c NodeID) int {
 	for i := range rt.consecMiss {
-		if rt.consecMiss[i].id == c {
+		if NodeID(rt.consecMiss[i].id) == c {
 			rt.consecMiss[i].n++
-			return rt.consecMiss[i].n
+			return int(rt.consecMiss[i].n)
 		}
 	}
-	rt.consecMiss = append(rt.consecMiss, missEntry{id: c, n: 1})
+	rt.consecMiss = sim.ArenaAppend(rt.a.eng, "query.rt.miss.grow", rt.consecMiss, missEntry{id: int32(c), n: 1})
 	return 1
 }
 
 // zeroMiss resets c's counter; absent entries are already zero.
 func (rt *runtime) zeroMiss(c NodeID) {
 	for i := range rt.consecMiss {
-		if rt.consecMiss[i].id == c {
+		if NodeID(rt.consecMiss[i].id) == c {
 			rt.consecMiss[i].n = 0
 			return
 		}
@@ -355,7 +356,7 @@ func (rt *runtime) zeroMiss(c NodeID) {
 // dropMiss forgets c entirely (child removed).
 func (rt *runtime) dropMiss(c NodeID) {
 	for i := range rt.consecMiss {
-		if rt.consecMiss[i].id == c {
+		if NodeID(rt.consecMiss[i].id) == c {
 			rt.consecMiss = append(rt.consecMiss[:i], rt.consecMiss[i+1:]...)
 			return
 		}
@@ -451,13 +452,12 @@ func (a *Agent) newInterval(rt *runtime, k int) *interval {
 	iv.k = k
 	iv.coverage = 0
 	iv.rows = iv.rows[:0]
-	iv.closed = false
 	iv.timeout = nil
 	iv.rt = rt
 	return iv
 }
 
-// releaseInterval recycles a closed interval with no pending timeout.
+// releaseInterval recycles an interval with no pending timeout.
 func (a *Agent) releaseInterval(iv *interval) {
 	iv.rt = nil
 	a.ivFree = sim.ArenaAppend(a.eng, "query.ivfree", a.ivFree, iv)
@@ -517,10 +517,9 @@ func (a *Agent) Resume() {
 	a.stopped = false
 	now := a.eng.Now()
 	for rt := a.firstQuery(); rt != nil; rt = a.queryAfterID(rt.spec.ID) {
-		if !rt.chainDead {
+		if rt.tickK >= 0 {
 			continue
 		}
-		rt.chainDead = false
 		k := 0
 		if now > rt.spec.Phase {
 			k = int((now-rt.spec.Phase)/rt.spec.Period) + 1
@@ -544,11 +543,10 @@ func (a *Agent) Register(spec *Spec) error {
 	children := a.tree.Children(a.id)
 	rt := sim.ArenaGrab[runtime](a.eng, "query.runtime")
 	*rt = runtime{
-		a:           a,
-		spec:        spec,
-		intervals:   sim.ArenaSlice[*interval](a.eng, "query.rt.intervals", keptClosed+1)[:0],
-		consecMiss:  sim.ArenaSlice[missEntry](a.eng, "query.rt.miss", len(children))[:0],
-		lastClosedK: -1,
+		a:          a,
+		spec:       spec,
+		intervals:  sim.ArenaSlice[*interval](a.eng, "query.rt.intervals", 2)[:0],
+		consecMiss: sim.ArenaSlice[missEntry](a.eng, "query.rt.miss", len(children))[:0],
 	}
 	// Insert keeping ascending spec.ID order.
 	a.queries = sim.ArenaAppend(a.eng, "query.queries.grow", a.queries, rt)
@@ -556,14 +554,13 @@ func (a *Agent) Register(spec *Spec) error {
 		a.queries[i-1], a.queries[i] = a.queries[i], a.queries[i-1]
 	}
 	a.shaper.QueryAdded(spec, children)
-	rt.tickK = 0
 	a.eng.ScheduleArg(spec.Phase, queryTick, rt)
 	return nil
 }
 
 func (a *Agent) startInterval(rt *runtime, k int) {
 	if a.stopped {
-		rt.chainDead = true
+		rt.tickK = -1
 		return
 	}
 	if a.runtimeFor(rt.spec.ID) != rt {
@@ -593,29 +590,22 @@ func (a *Agent) startInterval(rt *runtime, k int) {
 	iv.timeout = a.eng.ScheduleArg(deadline, intervalTimeout, iv)
 }
 
-// closeInterval finalizes interval k: informs the shaper of missing
-// children, updates failure counters, and routes the aggregate.
+// closeInterval finalizes interval k: takes it out of the table and
+// recycles it, informs the shaper of missing children, updates failure
+// counters, and routes the aggregate. Anything arriving for the round
+// later is late, as for a round never seen.
 func (a *Agent) closeInterval(rt *runtime, iv *interval) {
-	if iv.closed {
-		return
-	}
-	iv.closed = true
 	if iv.timeout != nil {
 		a.eng.Cancel(iv.timeout)
 		iv.timeout = nil
 	}
-	if iv.k > rt.lastClosedK {
-		rt.lastClosedK = iv.k
-	}
-	// Prune far-past intervals; anything arriving for them is treated as
-	// late and forwarded as a pass-through. A pruned interval is recycled
-	// once it is closed with no timeout pending (the normal case: its
-	// deadline is bounded by roughly one period).
-	if old := rt.removeInterval(iv.k - keptClosed); old != nil {
-		if old.closed && old.timeout == nil {
-			a.releaseInterval(old)
-		}
-	}
+	k, coverage := iv.k, int(iv.coverage)
+	// Take the round out of the table (one pruned while open is already
+	// out, and its deadline closes it here). Then prune a far-past round
+	// still open: reports for it pass through as late from now on, and
+	// its deadline (bounded by roughly one period) closes and recycles it.
+	rt.removeInterval(k)
+	rt.removeInterval(k - pruneDepth)
 
 	// Detach the scratch buffer while in use: onChildFailed can re-enter
 	// closeInterval (child removal closes other intervals), and the nested
@@ -627,7 +617,8 @@ func (a *Agent) closeInterval(rt *runtime, iv *interval) {
 			missing = sim.ArenaAppend(a.eng, "query.missing", missing, NodeID(r.id))
 		}
 	}
-	a.shaper.IntervalClosed(rt.spec.ID, iv.k, missing)
+	a.releaseInterval(iv)
+	a.shaper.IntervalClosed(rt.spec.ID, k, missing)
 	for _, c := range missing {
 		if n := rt.bumpMiss(c); a.cfg.FailureThreshold > 0 && n >= a.cfg.FailureThreshold {
 			rt.zeroMiss(c)
@@ -637,16 +628,16 @@ func (a *Agent) closeInterval(rt *runtime, iv *interval) {
 	a.missScratch = missing[:0]
 
 	if a.id == a.tree.Root() {
-		latency := a.eng.Now() - rt.spec.IntervalStart(iv.k)
+		latency := a.eng.Now() - rt.spec.IntervalStart(k)
 		if a.sink != nil {
-			a.sink.IntervalClosed(rt.spec.ID, iv.k, latency, int(iv.coverage))
+			a.sink.IntervalClosed(rt.spec.ID, k, latency, coverage)
 		}
 		return
 	}
 
 	tr := a.newTxReport(rt)
-	tr.rep = Report{Query: rt.spec.ID, Interval: iv.k, Coverage: int(iv.coverage)}
-	sendAt, phase := a.shaper.ReportReady(rt.spec.ID, iv.k, a.eng.Now())
+	tr.rep = Report{Query: rt.spec.ID, Interval: k, Coverage: coverage}
+	sendAt, phase := a.shaper.ReportReady(rt.spec.ID, k, a.eng.Now())
 	tr.rep.Phase = phase
 	if now := a.eng.Now(); sendAt < now {
 		sendAt = now
@@ -761,7 +752,7 @@ func (a *Agent) HandleReport(from NodeID, rep *Report) {
 	a.shaper.ReportReceived(rep.Query, from, rep.Interval, rep.Phase)
 
 	iv := rt.interval(rep.Interval)
-	if iv == nil || iv.closed {
+	if iv == nil {
 		a.stats.LateReports++
 		a.handleLate(rt, rep)
 		return
@@ -794,7 +785,7 @@ func (a *Agent) HandleReport(from NodeID, rep *Report) {
 // keeps deep sources' data flowing to the root even when intermediate
 // deadlines fired, so root-side latency reflects true end-to-end delay.
 func (a *Agent) handleLate(rt *runtime, rep *Report) {
-	if iv := rt.interval(rep.Interval); iv != nil && !iv.closed {
+	if iv := rt.interval(rep.Interval); iv != nil {
 		iv.coverage += int32(rep.Coverage)
 		return
 	}
@@ -831,12 +822,10 @@ func (a *Agent) ChildRemoved(child NodeID) {
 	for rt := a.firstQuery(); rt != nil; rt = a.queryAfterID(rt.spec.ID) {
 		a.shaper.ChildRemoved(rt.spec.ID, child)
 		rt.dropMiss(child)
-		// intervalAfter, not a range: closing can prune intervals and
-		// re-enter via the failure handlers.
-		for iv := rt.intervalAfter(-1); iv != nil; iv = rt.intervalAfter(iv.k) {
-			if iv.closed {
-				continue
-			}
+		// intervalAfter, not a range: closing removes and recycles the
+		// round, can prune others and re-enters via the failure handlers.
+		for iv, k := rt.intervalAfter(-1), 0; iv != nil; iv = rt.intervalAfter(k) {
+			k = iv.k
 			i := iv.expectedIdx(child)
 			if i < 0 {
 				continue
@@ -872,7 +861,6 @@ func (a *Agent) Deregister(q ID) {
 			a.eng.Cancel(iv.timeout)
 			iv.timeout = nil
 		}
-		iv.closed = true
 		a.releaseInterval(iv)
 	}
 	rt.intervals = rt.intervals[:0]

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -242,6 +244,71 @@ func TestLateReportForwardedAsPassThrough(t *testing.T) {
 	}
 	if a.Stats().LateReports != 1 {
 		t.Fatalf("LateReports = %d, want 1", a.Stats().LateReports)
+	}
+}
+
+// TestClosedRoundLateLikePrunedRound: once a round closes, a report for
+// it takes the path of a report for a round pruned long ago. Twelve
+// rounds close complete; then, while round 12 waits, one run gets the
+// child's report for round 11 (just closed) and another for round 1
+// (pruned): both count one late report, forward it unchanged as a
+// pass-through, and reopen nothing.
+func TestClosedRoundLateLikePrunedRound(t *testing.T) {
+	type outcome struct {
+		stats   Stats
+		sent    []Report
+		bytes   int
+		open    []int
+		shaper  []string
+		pending int
+	}
+	late := func(k int) outcome {
+		eng, _, a, sh, sent, _ := chainFixture(t)
+		if err := a.Register(&spec); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 12; r++ {
+			eng.ScheduleArg(spec.IntervalStart(r)+50*time.Millisecond, func(x any) {
+				a.HandleReport(2, &Report{Query: 1, Interval: x.(int), Coverage: 1, Phase: NoPhase})
+			}, r)
+		}
+		at := spec.IntervalStart(12) + 20*time.Millisecond
+		eng.Run(at)
+		before := len(*sent)
+		sh.calls = nil
+		a.HandleReport(2, &Report{Query: 1, Interval: k, Coverage: 4, Phase: NoPhase})
+		var o outcome
+		o.stats = a.Stats()
+		for _, r := range (*sent)[before:] {
+			o.sent = append(o.sent, *r.rep)
+			o.bytes += r.bytes
+		}
+		rt := a.runtimeFor(spec.ID)
+		for _, iv := range rt.intervals {
+			o.open = append(o.open, iv.k)
+		}
+		o.shaper = sh.calls
+		o.pending = eng.Pending()
+		return o
+	}
+	closed, pruned := late(11), late(1)
+	want := Report{Query: 1, Interval: 11, Coverage: 4, Phase: NoPhase, PassThrough: true}
+	if len(closed.sent) != 1 || closed.sent[0] != want {
+		t.Fatalf("report for a closed round forwarded %+v, want [%+v]", closed.sent, want)
+	}
+	if closed.stats.LateReports != 1 || closed.stats.PassThroughsSent != 1 {
+		t.Errorf("report for a closed round: stats %+v, want one late report passed through", closed.stats)
+	}
+	if !slices.Equal(closed.open, []int{12}) {
+		t.Errorf("open rounds after a late report %v, want [12]", closed.open)
+	}
+	want.Interval = 1
+	if len(pruned.sent) != 1 || pruned.sent[0] != want {
+		t.Fatalf("report for a pruned round forwarded %+v, want [%+v]", pruned.sent, want)
+	}
+	pruned.sent[0].Interval = 11
+	if !reflect.DeepEqual(closed, pruned) {
+		t.Errorf("a report for a closed round and one for a pruned round differ:\nclosed %+v\npruned %+v", closed, pruned)
 	}
 }
 

@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/essat/essat/internal/geom"
@@ -36,7 +37,10 @@ func starTree(t *testing.T, k int) *routing.Tree {
 // TestAgentTablesSizedByChildren runs a node's agent for several periods
 // and checks every per-child table holds exactly one row per child: a
 // leaf's intervals carry no row backing and it keeps no miss rows, and
-// a node with k children gets capacity k.
+// a node with k children gets capacity k. The interval table starts at
+// two rounds and holds only open ones: a round goes back to the pool
+// when it closes, so after 12 periods the agent holds at most two
+// intervals, the open round and one spare.
 func TestAgentTablesSizedByChildren(t *testing.T) {
 	for _, arena := range []bool{false, true} {
 		for _, k := range []int{1, 3, 6} {
@@ -58,10 +62,19 @@ func TestAgentTablesSizedByChildren(t *testing.T) {
 				}
 				eng.Run(spec.IntervalStart(12))
 				rt := a.runtimeFor(spec.ID)
-				if len(rt.intervals) == 0 {
+				held := len(rt.intervals) + len(a.ivFree)
+				if held == 0 {
 					t.Fatalf("arena=%t k=%d node %d: no intervals after 12 periods", arena, k, id)
 				}
+				if held > 2 {
+					t.Errorf("arena=%t k=%d node %d: agent holds %d intervals, want at most 2", arena, k, id, held)
+				}
 				for _, iv := range rt.intervals {
+					if iv.timeout == nil {
+						t.Errorf("arena=%t k=%d node %d: interval %d in the table is closed", arena, k, id, iv.k)
+					}
+				}
+				for _, iv := range append(slices.Clone(rt.intervals), a.ivFree...) {
 					if cap(iv.rows) != want {
 						t.Errorf("arena=%t k=%d node %d: interval %d row cap %d, want %d",
 							arena, k, id, iv.k, cap(iv.rows), want)
@@ -70,8 +83,8 @@ func TestAgentTablesSizedByChildren(t *testing.T) {
 				if cap(rt.consecMiss) != want {
 					t.Errorf("arena=%t k=%d node %d: miss table cap %d, want %d", arena, k, id, cap(rt.consecMiss), want)
 				}
-				if cap(rt.intervals) != keptClosed+1 {
-					t.Errorf("arena=%t k=%d node %d: interval table cap %d, want %d", arena, k, id, cap(rt.intervals), keptClosed+1)
+				if cap(rt.intervals) != 2 {
+					t.Errorf("arena=%t k=%d node %d: interval table cap %d, want 2", arena, k, id, cap(rt.intervals))
 				}
 				if cap(a.queries) != 1 {
 					t.Errorf("arena=%t k=%d node %d: query table cap %d, want 1", arena, k, id, cap(a.queries))
